@@ -7,7 +7,9 @@
  * scaled-out chips, heterogeneous per-VM thread counts, and — the
  * correctness anchor of the whole refactor — a golden-hash regression
  * pinning the paper's 16-core consim.run.v1 envelope byte-for-byte
- * across all five sharing degrees and all four scheduling policies.
+ * across all five sharing degrees and all four scheduling policies,
+ * plus pins for the shapes that grid does not reach (ideal NoC,
+ * all-mesh intra-group traffic, 64- and 256-core chips).
  */
 
 #include <gtest/gtest.h>
@@ -557,6 +559,22 @@ const GoldenPoint kGolden[] = {
     {16, SchedPolicy::Random, 0x12b8f4e28477d8f2ull},
 };
 
+/** FNV-1a of the envelope consim_run --json writes for @p cfg. */
+std::uint64_t
+envelopeHash(const RunConfig &cfg)
+{
+    // consim_run folds even a single seed through averageRunResults
+    // (seeds_used lands in the envelope), so the reproduction must
+    // too.
+    const RunResult r = averageRunResults({runExperiment(cfg)});
+    // Reproduce consim_run --json byte-exactly: two-space indent plus
+    // a trailing newline.
+    std::ostringstream os;
+    runResultJson(cfg, r).write(os, 2);
+    os << "\n";
+    return fnv1a(os.str());
+}
+
 TEST(GoldenEnvelope, PaperMachineByteIdenticalAcrossDegreesAndPolicies)
 {
     for (const GoldenPoint &pt : kGolden) {
@@ -565,19 +583,68 @@ TEST(GoldenEnvelope, PaperMachineByteIdenticalAcrossDegreesAndPolicies)
         cfg.seed = 42;
         cfg.warmupCycles = 200000;
         cfg.measureCycles = 200000;
-        // consim_run folds even a single seed through
-        // averageRunResults (seeds_used lands in the envelope), so
-        // the reproduction must too.
-        const RunResult r = averageRunResults({runExperiment(cfg)});
-        // Reproduce consim_run --json byte-exactly: two-space indent
-        // plus a trailing newline.
-        std::ostringstream os;
-        runResultJson(cfg, r).write(os, 2);
-        os << "\n";
-        EXPECT_EQ(fnv1a(os.str()), pt.hash)
+        EXPECT_EQ(envelopeHash(cfg), pt.hash)
             << "sharing " << pt.sharing << ", policy "
             << toString(pt.policy)
             << ": run.v1 envelope changed on the paper's machine";
+    }
+}
+
+/** Mix 5 under affinity on an @p x x @p y mesh, seed 42. */
+RunConfig
+shapeConfig(int x, int y, int sharing, std::vector<int> threads,
+            Cycle warmup, Cycle measure)
+{
+    RunConfig cfg = mixConfig(Mix::byName("Mix 5"),
+                              SchedPolicy::Affinity,
+                              sharingDegree(sharing));
+    cfg.machine.meshX = x;
+    cfg.machine.meshY = y;
+    if (!threads.empty())
+        cfg.vmThreads = std::move(threads);
+    cfg.seed = 42;
+    cfg.warmupCycles = warmup;
+    cfg.measureCycles = measure;
+    return cfg;
+}
+
+TEST(GoldenEnvelope, ShapesBeyondThePaperGridByteIdentical)
+{
+    // The grid above runs every message of a 4x4 chip through the
+    // flat intra-group path and the mesh. These pins hold the other
+    // delivery paths and the scaled chips to the same contract:
+    //  - ideal NoC: constant-latency NetDeliver events (the transport
+    //    bypass, no mesh ticks);
+    //  - flatIntraGroup off: core<->bank traffic crosses the mesh too;
+    //  - 8x8, 96 threads: time-sliced contexts, NI handoff 4;
+    //  - 16x16, 256 threads: NI handoff 8, CoreSets spilled to heap
+    //    words.
+    // Windows are short; the hashes were captured with the same recipe
+    // before the run loop was reduced to its single serial engine.
+    struct ShapePin
+    {
+        const char *name;
+        RunConfig cfg;
+        std::uint64_t hash;
+    };
+    RunConfig ideal = shapeConfig(4, 4, 4, {}, 50000, 50000);
+    ideal.machine.idealNoc = true;
+    RunConfig meshOnly = shapeConfig(4, 4, 4, {}, 50000, 50000);
+    meshOnly.machine.flatIntraGroup = false;
+    const ShapePin pins[] = {
+        {"ideal16", ideal, 0x6fcfe8b076a8600aull},
+        {"mesh-only 16", meshOnly, 0xbabf673a38010cdaull},
+        {"over64", shapeConfig(8, 8, 8, {24, 24, 24, 24}, 20000, 30000),
+         0xa9aec41b004dfb0cull},
+        {"chip256",
+         shapeConfig(16, 16, 16, {64, 64, 64, 64}, 5000, 10000),
+         0x365e7b275c145467ull},
+    };
+    for (const ShapePin &pin : pins) {
+        const std::uint64_t h = envelopeHash(pin.cfg);
+        EXPECT_EQ(h, pin.hash) << pin.name
+                               << ": run.v1 envelope changed (now 0x"
+                               << std::hex << h << ")";
     }
 }
 
