@@ -84,7 +84,6 @@ main()
         cfg.seed = 13;
         cfg.warmupCycles = cycles / 2;
         cfg.measureCycles = cycles;
-        cfg.runJobs = 1;
 
         const RunResult result = runExperiment(cfg);
         const double wall = benchutil::medianWall(

@@ -4,14 +4,11 @@
  * line (schema consim.bench.v1). Measures (a) single-simulation
  * throughput in simulated cycles per wall-second (exercises the
  * calendar-queue event core), timed median-of-3 so one slow outlier
- * on a shared runner cannot fake a regression, (b) the same
- * simulation under the tile-parallel event core at --run-jobs 1/2/4
- * with its speedup over serial (and a hard equality check — parallel
- * must reproduce serial exactly), (c) wall time for an 8-config
- * sweep run serially vs. on the parallel sweep engine, and (d) a
- * 64-core (8x8 mesh) consolidation point, also median-of-3, so the
- * trajectory tracks the scale path and not only the paper's 16-core
- * chip. Future PRs diff these numbers to catch perf regressions
+ * on a shared runner cannot fake a regression, (b) wall time for an
+ * 8-config sweep run serially vs. on the parallel sweep engine, and
+ * (c) a 64-core (8x8 mesh) consolidation point, also median-of-3, so
+ * the trajectory tracks the scale path and not only the paper's
+ * 16-core chip. Future PRs diff these numbers to catch perf regressions
  * (tools/ci.sh gates on cycles_per_sec against the committed
  * BENCH_<pr>.json); the envelope carries host metadata (CPU model,
  * load average) so a regression report can be told apart from a
@@ -25,12 +22,7 @@
  *   {"schema":"consim.bench.v1","bench":"perf_smoke",
  *    "host_cpus":N,"cpu_model":"...","loadavg_1m":...,
  *    "timing_reps":3,"sim_cycles":...,"sim_wall_s":...,
- *    "cycles_per_sec":...,
- *    "run_jobs":[{"jobs":1,"wall_s":...,"cycles_per_sec":...,
- *                 "speedup_vs_serial":...},...]
- *      (or {"skipped":"single-cpu host"} when the host has fewer
- *       than two CPUs and multi-worker timings would be noise),
- *    "sweep_configs":8,"sweep_serial_s":...,
+ *    "cycles_per_sec":...,"sweep_configs":8,"sweep_serial_s":...,
  *    "sweep_parallel_s":...,"sweep_speedup":...,"jobs":N,
  *    "cores_64":{"mesh":"8x8","sim_cycles":...,"sim_wall_s":...,
  *                "cycles_per_sec":...}}
@@ -39,7 +31,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
@@ -65,24 +56,6 @@ perfCycles()
     return v ? v : 300'000;
 }
 
-/** The two results must agree exactly (parallel determinism gate). */
-void
-assertSameResult(const RunResult &a, const RunResult &b, int jobs)
-{
-    CONSIM_ASSERT(a.vms.size() == b.vms.size() &&
-                      a.netPackets == b.netPackets &&
-                      a.netAvgLatency == b.netAvgLatency,
-                  "run-jobs ", jobs, " diverged from serial");
-    for (std::size_t i = 0; i < a.vms.size(); ++i) {
-        CONSIM_ASSERT(a.vms[i].transactions == b.vms[i].transactions &&
-                          a.vms[i].l2Misses == b.vms[i].l2Misses &&
-                          a.vms[i].avgMissLatency ==
-                              b.vms[i].avgMissLatency,
-                      "run-jobs ", jobs,
-                      " diverged from serial on vm ", i);
-    }
-}
-
 } // namespace
 
 int
@@ -101,52 +74,12 @@ main()
                                  SharingDegree::Shared4);
     single.warmupCycles = cycles / 2;
     single.measureCycles = cycles;
-    single.runJobs = 1;
-    const RunResult serial_result = runExperiment(single);
     const double sim_wall = medianWall(
         timingReps, [&] { (void)runExperiment(single); });
     const Cycle simulated = single.warmupCycles + single.measureCycles;
     const double cps =
         sim_wall > 0.0 ? static_cast<double>(simulated) / sim_wall
                        : 0.0;
-
-    // --- tile-parallel event core: --run-jobs 1/2/4 ---
-    // jobs=1 re-times the serial engine (the dispatch path, not the
-    // lane machinery) so speedup_vs_serial starts from a fresh
-    // same-process baseline rather than the cold-start run above.
-    // On a single-CPU host the multi-worker timings are pure
-    // scheduling noise, so the whole section is skipped and marked
-    // as such in the JSON.
-    struct RunJobsPoint
-    {
-        int jobs;
-        double wall_s;
-        double cps;
-        double speedup;
-    };
-    const unsigned hw = std::thread::hardware_concurrency();
-    const bool single_cpu = hw < 2;
-    std::vector<RunJobsPoint> points;
-    double base_wall = 0.0;
-    for (const int jobs : single_cpu ? std::vector<int>{}
-                                     : std::vector<int>{1, 2, 4}) {
-        RunConfig cfg = single;
-        cfg.runJobs = jobs;
-        const auto s0 = std::chrono::steady_clock::now();
-        const RunResult r = runExperiment(cfg);
-        const double wall =
-            seconds(std::chrono::steady_clock::now() - s0);
-        assertSameResult(serial_result, r, jobs);
-        if (jobs == 1)
-            base_wall = wall;
-        RunJobsPoint p;
-        p.jobs = jobs;
-        p.wall_s = wall;
-        p.cps = wall > 0.0 ? static_cast<double>(simulated) / wall
-                           : 0.0;
-        p.speedup = wall > 0.0 ? base_wall / wall : 0.0;
-        points.push_back(p);
-    }
 
     // --- sweep scaling: 8 configs, serial vs parallel ---
     std::vector<RunConfig> sweep;
@@ -196,7 +129,6 @@ main()
     big.vmThreads = {16, 16, 16, 16};
     big.warmupCycles = cycles / 8;
     big.measureCycles = cycles / 4;
-    big.runJobs = 1;
     const Cycle big_cycles = big.warmupCycles + big.measureCycles;
     const double big_wall = medianWall(
         timingReps, [&] { (void)runExperiment(big); });
@@ -209,30 +141,15 @@ main()
     benchutil::printHostMeta();
     std::printf(
         ",\"timing_reps\":%d,\"sim_cycles\":%llu,"
-        "\"sim_wall_s\":%.3f,\"cycles_per_sec\":%.0f,\"run_jobs\":",
-        timingReps, static_cast<unsigned long long>(simulated),
-        sim_wall, cps);
-    if (single_cpu) {
-        std::printf("{\"skipped\":\"single-cpu host\"}");
-    } else {
-        std::printf("[");
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            std::printf("%s{\"jobs\":%d,\"wall_s\":%.3f,"
-                        "\"cycles_per_sec\":%.0f,"
-                        "\"speedup_vs_serial\":%.2f}",
-                        i ? "," : "", points[i].jobs, points[i].wall_s,
-                        points[i].cps, points[i].speedup);
-        }
-        std::printf("]");
-    }
-    std::printf(
-        ",\"sweep_configs\":%zu,\"sweep_serial_s\":%.3f,"
+        "\"sim_wall_s\":%.3f,\"cycles_per_sec\":%.0f,"
+        "\"sweep_configs\":%zu,\"sweep_serial_s\":%.3f,"
         "\"sweep_parallel_s\":%.3f,\"sweep_speedup\":%.2f,"
         "\"jobs\":%d,"
         "\"cores_64\":{\"mesh\":\"8x8\",\"sim_cycles\":%llu,"
         "\"sim_wall_s\":%.3f,\"cycles_per_sec\":%.0f}}\n",
-        sweep.size(), serial_s, parallel_s, speedup, sweepJobs(),
-        static_cast<unsigned long long>(big_cycles), big_wall,
-        big_cps);
+        timingReps, static_cast<unsigned long long>(simulated),
+        sim_wall, cps, sweep.size(), serial_s, parallel_s, speedup,
+        sweepJobs(), static_cast<unsigned long long>(big_cycles),
+        big_wall, big_cps);
     return 0;
 }

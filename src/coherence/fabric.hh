@@ -46,9 +46,8 @@ enum class SimEventKind : std::uint8_t
  * the network/system) and `seq` is that source's own monotonic
  * counter. The key is assigned at schedule time by the source, never
  * by the queue, so the canonical event order of a cycle is a pure
- * function of machine state — independent of which engine (serial or
- * tile-parallel) discovered the events, and stable across
- * checkpoint/restore.
+ * function of machine state — independent of insertion order, and
+ * stable across checkpoint/restore.
  */
 struct SimEvent
 {

@@ -4,8 +4,8 @@
  * System::restoreCheckpoint plus the protocol-message codec. See
  * checkpoint.hh for the document layout and the byte-identity
  * contract. (v2 replaced the single event sequence counter with the
- * per-source counters and per-event (src, seq) keys the parallel
- * engine's deterministic merge is built on.)
+ * per-source counters and per-event (src, seq) keys that fix each
+ * cycle's event order.)
  *
  * All component access goes through CkptAccess, the single friend
  * every stateful class declares. Conventions:
@@ -979,12 +979,11 @@ struct CkptAccess
             const Footprint &fp = inst.footprint_;
             Value touched = Value::array();
             for (std::size_t i = 0; i < fp.touched_.size(); ++i) {
-                if (fp.touched_[i].load(std::memory_order_relaxed))
+                if (fp.touched_[i])
                     touched.push(static_cast<std::uint64_t>(i));
             }
             Value fpv = Value::object();
-            fpv.set("count",
-                    fp.count_.load(std::memory_order_relaxed));
+            fpv.set("count", fp.count_);
             fpv.set("touched", std::move(touched));
             Value e = Value::object();
             e.set("streams", std::move(streams));
@@ -1025,17 +1024,15 @@ struct CkptAccess
             }
             Footprint &fp = inst.footprint_;
             const Value &fpv = get(e, "footprint");
-            for (auto &flag : fp.touched_)
-                flag.store(0, std::memory_order_relaxed);
+            std::fill(fp.touched_.begin(), fp.touched_.end(), 0);
             for (const Value &idx : get(fpv, "touched").items()) {
                 const std::uint64_t off = idx.asUint();
                 CONSIM_ASSERT(off < fp.touched_.size(),
                               "checkpoint: footprint index out of "
                               "range");
-                fp.touched_[off].store(1, std::memory_order_relaxed);
+                fp.touched_[off] = 1;
             }
-            fp.count_.store(get(fpv, "count").asUint(),
-                            std::memory_order_relaxed);
+            fp.count_ = get(fpv, "count").asUint();
         }
     }
 

@@ -144,7 +144,7 @@ class CalendarQueue
      *  forward-progress watchdog diffs it across its interval). */
     std::uint64_t executed() const { return executed_; }
 
-    // --- checkpoint / scatter-gather support ---
+    // --- checkpoint support ---
 
     /**
      * Walk every pending event as (when, event). @p now must be the
@@ -166,30 +166,9 @@ class CalendarQueue
     }
 
     /**
-     * Move every pending event out as (when, event&&), leaving the
-     * queue empty (executed() is preserved). Same @p now contract as
-     * forEachPending().
-     */
-    template <typename Fn>
-    void
-    drainPending(Cycle now, Fn &&fn)
-    {
-        for (Cycle b = 0; b < ringCycles; ++b) {
-            const Cycle when = now + ((b - now) & mask_);
-            for (auto &e : ring_[b])
-                fn(when, std::move(e));
-            ring_[b].clear();
-        }
-        for (auto &e : overflow_)
-            fn(e.when, std::move(e.ev));
-        overflow_.clear();
-        size_ = 0;
-    }
-
-    /**
      * Insert an event due at an absolute cycle (>= @p now), its key
-     * already assigned: checkpoint restore and the parallel engine's
-     * scatter/merge. Any insertion order works — runDue() sorts.
+     * already assigned: checkpoint restore. Any insertion order
+     * works — runDue() sorts.
      */
     void
     insertAbs(Cycle now, Cycle when, SimEvent ev)

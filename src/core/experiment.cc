@@ -59,15 +59,6 @@ defaultCheckpointIntervalCycles()
     return envU64("CONSIM_CKPT", 0);
 }
 
-int
-defaultRunJobs()
-{
-    // Strict parse like CONSIM_JOBS: garbage is fatal, unset means
-    // serial. The count is clamped to the core count by the System.
-    const int jobs = envIntInRange("CONSIM_RUN_JOBS", 1, 4096, 0);
-    return jobs > 0 ? jobs : 1;
-}
-
 double
 RunResult::meanCyclesPerTxn(WorkloadKind kind) const
 {
@@ -408,11 +399,6 @@ armSystem(System &sys, const RunConfig &res)
         sys.setCycleDeadline(res.cycleDeadline);
     if (res.ckptEveryCycles != 0)
         sys.setCheckpointInterval(res.ckptEveryCycles);
-    // runJobs is resolved here, not in resolveConfig: it is a how-fast
-    // knob with no effect on results, so it must never leak into the
-    // checkpoint context (a resume may legally run with a different
-    // thread count than the original attempt).
-    sys.setRunJobs(res.runJobs ? res.runJobs : defaultRunJobs());
 }
 
 /** Experiment context embedded verbatim in periodic snapshots. */
@@ -534,7 +520,8 @@ extractResult(System &sys, const std::vector<VirtualMachine *> &vms,
 } // namespace
 
 RunResult
-runExperiment(const RunConfig &cfg)
+runExperiment(const RunConfig &cfg,
+              const std::function<void(const System &)> &after)
 {
     const RunConfig res = resolveConfig(cfg);
     ExperimentRig rig = buildRig(res);
@@ -559,6 +546,8 @@ runExperiment(const RunConfig &cfg)
     sys.resetStats();
     runOnePhase(sys, res, cfg, "measure", res.measureCycles, 0, mig);
     audit();
+    if (after)
+        after(sys);
     return extractResult(sys, rig.vms, res.measureCycles);
 }
 

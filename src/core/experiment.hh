@@ -11,6 +11,7 @@
 #define CONSIM_CORE_EXPERIMENT_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/config.hh"
@@ -70,12 +71,6 @@ struct RunConfig
      *  the most recent one to watchdog/deadline SimErrors. 0 = resolve
      *  from CONSIM_CKPT env, which defaults to off. */
     Cycle ckptEveryCycles = 0;
-    /** Worker threads for the tile-parallel event core (results are
-     *  byte-identical to serial for any value). 0 = resolve from
-     *  CONSIM_RUN_JOBS env, falling back to 1 (serial). Deliberately
-     *  NOT part of the run.v1 config echo or the checkpoint context:
-     *  it changes how a result is computed, never the result. */
-    int runJobs = 0;
 };
 
 /** Default warmup window (overridable via env CONSIM_WARMUP). */
@@ -89,9 +84,6 @@ Cycle defaultWatchdogIntervalCycles();
 
 /** Default checkpoint interval (CONSIM_CKPT env; 0 = off, the default). */
 Cycle defaultCheckpointIntervalCycles();
-
-/** Default run-jobs count (CONSIM_RUN_JOBS env; falls back to 1). */
-int defaultRunJobs();
 
 /** Metrics for one VM instance in one run. */
 struct VmResult
@@ -161,8 +153,14 @@ struct RunResult
     double meanMissLatency(WorkloadKind kind) const;
 };
 
-/** Run one simulation point. */
-RunResult runExperiment(const RunConfig &cfg);
+/**
+ * Run one simulation point. @p after, when set, sees the live machine
+ * once the measurement window (and its audit) has finished, for
+ * callers that read more than the RunResult carries.
+ */
+RunResult
+runExperiment(const RunConfig &cfg,
+              const std::function<void(const System &)> &after = {});
 
 /**
  * Recover the full RunConfig embedded in a `consim.ckpt.v5` document's

@@ -18,9 +18,8 @@
  * and proposes at most one thread swap per epoch, which System::run
  * applies at the epoch service point (a migration boundary, the same
  * machinery checkpoints serialize). Every policy is a deterministic
- * pure function of the epoch-delta sample — no RNG — so serial and
- * `--run-jobs` runs decide identically and a checkpoint only needs
- * the epoch baselines to resume byte-identically.
+ * pure function of the epoch-delta sample — no RNG — so a checkpoint
+ * only needs the epoch baselines to resume byte-identically.
  */
 
 #ifndef CONSIM_CORE_SCHEDULER_HH
@@ -161,9 +160,8 @@ struct ThreadSwap
 /**
  * Interface of the three dynamic policies. decide() must be a pure
  * function of its arguments (deterministic, ties broken toward the
- * lowest id) so that the serial and tile-parallel engines — and a
- * resumed checkpoint — reach identical verdicts from identical
- * samples.
+ * lowest id) so that an uninterrupted run and a resumed checkpoint
+ * reach identical verdicts from identical samples.
  */
 class MigrationPolicy
 {

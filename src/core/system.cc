@@ -5,13 +5,10 @@
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
-#include "exec/thread_pool.hh"
 #include "noc/mesh.hh"
 
 namespace consim
 {
-
-thread_local System::TileLane *System::tlsLane_ = nullptr;
 
 System::System(const MachineConfig &cfg,
                std::vector<VirtualMachine *> vms,
@@ -79,26 +76,18 @@ System::System(const MachineConfig &cfg,
     netBypass_ = cfg_.idealNoc;
     netHandoff_ = std::max<Cycle>(
         3, static_cast<Cycle>(cfg_.meshX + cfg_.meshY) / 4);
-    window_ = computeWindow();
     // Pre-size the calendar ring from the machine size: a few events
     // per core per cycle covers the observed steady-state peak, so
     // the measure window never grows a bucket (the zero-allocation
     // contract tests/test_alloc_steady_state.cc enforces).
     events_.reserveBuckets(static_cast<std::size_t>(4 * n));
-    // Mesh ejections reach their destination unit a fixed handoff
-    // after ejection, as a NET-keyed event: the same NI->protocol
-    // latency in both engines, and the slack that lets the parallel
-    // coordinator replay the mesh one window behind the tiles.
+    // Mesh ejections reach their destination unit netHandoff_ cycles
+    // after ejection, as a NET-keyed event (the NI->protocol latency).
     net_->setDeliver([this](const Msg &m) {
         SimEvent ev(SimEventKind::Deliver, m);
         ev.src = netSrc_;
         ev.seq = seqBySrc_[static_cast<std::size_t>(netSrc_)]++;
-        const Cycle due = netTickCycle_ + netHandoff_;
-        if (parallelActive_)
-            lanes_[ev.msg.dstTile]->q.insertAbs(netTickCycle_, due,
-                                                std::move(ev));
-        else
-            events_.insertAbs(now_, due, std::move(ev));
+        events_.scheduleKeyed(now_, netHandoff_, std::move(ev));
     });
 
     for (CoreId t = 0; t < n; ++t) {
@@ -151,18 +140,10 @@ System::~System() = default;
 // ---------------------------------------------------------------------
 
 Cycle
-System::now() const
-{
-    const TileLane *lane = tlsLane_;
-    return lane ? lane->now : now_;
-}
-
-Cycle
 System::memFaultExtraLatency() const
 {
-    const TileLane *lane = tlsLane_;
-    const Cycle c = lane ? lane->now : now_;
-    return (memBurstArmed_ && c >= memBurstStart_ && c < memBurstEnd_)
+    return (memBurstArmed_ && now_ >= memBurstStart_ &&
+            now_ < memBurstEnd_)
                ? memBurstExtra_
                : 0;
 }
@@ -223,10 +204,7 @@ System::qosRecordThrottleStall(VmId vm)
 {
     if (vm < 0 || vm >= static_cast<VmId>(vms_.size()))
         return;
-    if (TileLane *lane = tlsLane_)
-        ++lane->vmDelta[vm].mcThrottleStalls;
-    else
-        ++vms_[vm]->vmStats().mcThrottleStalls;
+    ++vms_[vm]->vmStats().mcThrottleStalls;
 }
 
 void
@@ -428,59 +406,34 @@ System::applySwap(const ThreadSwap &swap)
 void
 System::send(Msg m)
 {
-    TileLane *const lane = tlsLane_;
-    const Cycle at = lane ? lane->now : now_;
-    CONSIM_ASSERT(!lane || m.srcTile == lane->tile,
-                  "send from a foreign tile's lane");
-    m.injectCycle = at;
+    m.injectCycle = now_;
     const auto src = static_cast<std::int32_t>(m.srcTile);
     if (m.srcTile == m.dstTile) {
         // Local hop: fixed one-cycle on-tile transfer.
         SimEvent ev(SimEventKind::Deliver, std::move(m));
         ev.src = src;
-        ev.seq = lane ? lane->seq++
-                      : seqBySrc_[static_cast<std::size_t>(src)]++;
-        if (lane)
-            lane->q.scheduleKeyed(at, 1, std::move(ev));
-        else
-            events_.scheduleKeyed(at, 1, std::move(ev));
+        ev.seq = seqBySrc_[static_cast<std::size_t>(src)]++;
+        events_.scheduleKeyed(now_, 1, std::move(ev));
         return;
     }
     if (cfg_.flatIntraGroup && isIntraGroup(m.type)) {
         // On-partition path: the paper models a constant L2 access
         // latency regardless of sharing degree, so traffic between a
         // core and its partition's banks bypasses the mesh.
-        const Cycle d = cfg_.intraGroupLatency;
         SimEvent ev(SimEventKind::Deliver, std::move(m));
         ev.src = src;
-        ev.seq = lane ? lane->seq++
-                      : seqBySrc_[static_cast<std::size_t>(src)]++;
-        if (lane)
-            lane->outbox.push_back({at + d, std::move(ev)});
-        else
-            events_.scheduleKeyed(at, d, std::move(ev));
+        ev.seq = seqBySrc_[static_cast<std::size_t>(src)]++;
+        events_.scheduleKeyed(now_, cfg_.intraGroupLatency,
+                              std::move(ev));
         return;
     }
     if (netBypass_) {
         // Ideal network, modelled as a scheduled arrival (see ctor).
-        const Cycle d = cfg_.idealNocLatency;
         SimEvent ev(SimEventKind::NetDeliver, std::move(m));
         ev.src = src;
-        ev.seq = lane ? lane->seq++
-                      : seqBySrc_[static_cast<std::size_t>(src)]++;
-        if (lane) {
-            ++lane->netInjects;
-            lane->outbox.push_back({at + d, std::move(ev)});
-        } else {
-            net_->countInject();
-            events_.scheduleKeyed(at, d, std::move(ev));
-        }
-        return;
-    }
-    if (lane) {
-        // Mesh injections are logged; the coordinator replays them
-        // into the (serial) mesh in canonical cycle order.
-        lane->meshOut.push_back(std::move(m));
+        ev.seq = seqBySrc_[static_cast<std::size_t>(src)]++;
+        net_->countInject();
+        events_.scheduleKeyed(now_, cfg_.idealNocLatency, std::move(ev));
         return;
     }
     net_->inject(std::move(m));
@@ -489,8 +442,6 @@ System::send(Msg m)
 void
 System::schedule(Cycle delay, EventFn fn)
 {
-    CONSIM_ASSERT(tlsLane_ == nullptr,
-                  "closure events are serial-only");
     SimEvent ev;
     ev.fn = std::move(fn);
     ev.src = sysSrc_;
@@ -502,19 +453,25 @@ void
 System::scheduleEvent(SimEvent ev, Cycle delay, EventFn fallback)
 {
     (void)fallback;
-    TileLane *const lane = tlsLane_;
-    const CoreId owner = execTileOf(ev);
+    const CoreId owner = ownerTileOf(ev);
     CONSIM_ASSERT(owner >= 0 && owner < cfg_.numCores(),
                   "typed event without an owning tile");
-    CONSIM_ASSERT(!lane || owner == lane->tile,
-                  "typed event scheduled across tiles");
     ev.src = static_cast<std::int32_t>(owner);
-    if (lane) {
-        ev.seq = lane->seq++;
-        lane->q.scheduleKeyed(lane->now, delay, std::move(ev));
-    } else {
-        ev.seq = seqBySrc_[static_cast<std::size_t>(owner)]++;
-        events_.scheduleKeyed(now_, delay, std::move(ev));
+    ev.seq = seqBySrc_[static_cast<std::size_t>(owner)]++;
+    events_.scheduleKeyed(now_, delay, std::move(ev));
+}
+
+CoreId
+System::ownerTileOf(const SimEvent &ev) const
+{
+    switch (ev.kind) {
+      case SimEventKind::Deliver:
+      case SimEventKind::NetDeliver:
+        return ev.msg.dstTile;
+      case SimEventKind::MemDone:
+        return ev.msg.srcTile; // the MC's own tile
+      default:
+        return ev.tile;
     }
 }
 
@@ -541,22 +498,12 @@ System::memTileFor(BlockAddr block) const
     return mcTiles_[h % mcTiles_.size()];
 }
 
-// The per-VM statistic hooks write shared VmStats objects, so inside
-// a parallel window they accumulate into the lane's delta block
-// instead; gather() merges the deltas. Counters merge by sum, and
-// the latency Average merges by (sum, count) — every sample is an
-// integer-valued double, so the merged sums are exact and the result
-// is byte-identical to serial one-at-a-time sampling.
-
 void
 System::recordL2Access(VmId vm)
 {
     if (vm < 0)
         return;
-    if (TileLane *lane = tlsLane_)
-        ++lane->vmDelta[vm].l2Accesses;
-    else
-        ++vms_[vm]->vmStats().l2Accesses;
+    ++vms_[vm]->vmStats().l2Accesses;
 }
 
 void
@@ -564,17 +511,6 @@ System::recordL2Miss(VmId vm, bool c2c, bool c2c_dirty)
 {
     if (vm < 0)
         return;
-    if (TileLane *lane = tlsLane_) {
-        auto &d = lane->vmDelta[vm];
-        ++d.l2Misses;
-        if (c2c) {
-            if (c2c_dirty)
-                ++d.c2cDirty;
-            else
-                ++d.c2cClean;
-        }
-        return;
-    }
     auto &s = vms_[vm]->vmStats();
     ++s.l2Misses;
     if (c2c) {
@@ -590,13 +526,6 @@ System::recordL1Miss(VmId vm, Cycle latency)
 {
     if (vm < 0)
         return;
-    if (TileLane *lane = tlsLane_) {
-        auto &d = lane->vmDelta[vm];
-        ++d.l1Misses;
-        d.missLatSum += static_cast<double>(latency);
-        ++d.missLatCount;
-        return;
-    }
     auto &s = vms_[vm]->vmStats();
     ++s.l1Misses;
     s.missLatency.sample(static_cast<double>(latency));
@@ -607,10 +536,7 @@ System::recordTransaction(VmId vm)
 {
     if (vm < 0)
         return;
-    if (TileLane *lane = tlsLane_)
-        ++lane->vmDelta[vm].transactions;
-    else
-        ++vms_[vm]->vmStats().transactions;
+    ++vms_[vm]->vmStats().transactions;
 }
 
 void
@@ -618,10 +544,7 @@ System::recordInstructions(VmId vm, std::uint64_t n)
 {
     if (vm < 0)
         return;
-    if (TileLane *lane = tlsLane_)
-        lane->vmDelta[vm].instructions += n;
-    else
-        vms_[vm]->vmStats().instructions += n;
+    vms_[vm]->vmStats().instructions += n;
 }
 
 // ---------------------------------------------------------------------
@@ -687,22 +610,7 @@ System::execEvent(SimEvent &ev)
       case SimEventKind::NetDeliver: {
         // Transport-bypass arrival: account the ejection the ideal
         // network would have recorded, then deliver.
-        const int len = carriesData(ev.msg.type) ? 5 : 1;
-        if (TileLane *lane = tlsLane_) {
-            const double lat = static_cast<double>(
-                lane->now - ev.msg.injectCycle);
-            ++lane->netEjects;
-            lane->netLatSum += lat;
-            if (len > 1) {
-                ++lane->netDataN;
-                lane->netDataSum += lat;
-            } else {
-                ++lane->netCtrlN;
-                lane->netCtrlSum += lat;
-            }
-        } else {
-            net_->countEject(ev.msg, now_, len);
-        }
+        net_->countEject(ev.msg, now_, carriesData(ev.msg.type) ? 5 : 1);
         deliver(ev.msg);
         break;
       }
@@ -718,20 +626,14 @@ System::tick()
     events_.runDue(now_, [this](SimEvent &ev) { execEvent(ev); });
     for (auto &c : cores_)
         c->tick();
-    if (!netBypass_) {
-        netTickCycle_ = now_;
+    if (!netBypass_)
         net_->tick(now_);
-    }
     ++now_;
 }
 
 void
 System::run(Cycle cycles)
 {
-    if (runJobs_ > 1 && canRunParallel()) {
-        runParallel(cycles);
-        return;
-    }
     const Cycle end = now_ + cycles;
     const Cycle qosEpoch = qosEpochInterval();
     const Cycle dynEpoch = dynEpochInterval();
@@ -773,297 +675,6 @@ System::run(Cycle cycles)
         // Snapshot before the deadline check: a run tripping at its
         // deadline then carries a checkpoint taken at that very
         // cycle, so a resume loses no work.
-        if (ckptInterval_ != 0 && now_ >= nextCkpt_) {
-            takeSnapshot();
-            nextCkpt_ = now_ + ckptInterval_;
-        }
-        if (deadline_ != 0 && now_ >= deadline_ && now_ < end) {
-            SimError err(
-                SimErrorKind::Deadline,
-                logging::format("cycle deadline ", deadline_,
-                                " reached with ", end - now_,
-                                " cycles of work remaining"),
-                diagJson("cycle deadline exceeded").dump(2));
-            err.setCkpt(latestCheckpoint());
-            throw err;
-        }
-        if (watchdogInterval_ != 0 && now_ >= nextWatchdogCheck_) {
-            watchdogCheck();
-            nextWatchdogCheck_ = now_ + watchdogInterval_;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Parallel engine (conservative lookahead over tile lanes)
-// ---------------------------------------------------------------------
-//
-// The chip is partitioned into one lane per tile (core + L1 + L2
-// bank + directory slice + resident MC). Lanes advance in lock-step
-// windows no wider than the minimum cross-tile event latency, so
-// nothing a lane does inside a window can affect another lane within
-// the same window; cross-tile effects are buffered (outboxes, mesh
-// injection logs) and applied at window boundaries by the
-// coordinator. Because every event carries a (src, seq) key assigned
-// by its source — and each source's actions happen in the same
-// relative order under both engines — the merged event order, and
-// therefore the simulation result, is byte-identical to serial.
-
-Cycle
-System::computeWindow() const
-{
-    // Mesh configs are bounded by the ejection->unit handoff: the
-    // coordinator replays mesh cycle c only after every lane passed
-    // c, which is sound only while deliveries land >= one window
-    // after ejection. Ideal-NoC configs are bounded by the constant
-    // network latency instead.
-    Cycle w = cfg_.idealNoc ? static_cast<Cycle>(cfg_.idealNocLatency)
-                            : netHandoff_;
-    // The flat intra-group path is the fastest cross-tile channel on
-    // multi-core partitions.
-    bool spans_tiles = false;
-    for (const auto &lut : membersOf_)
-        spans_tiles |= lut.size > 1;
-    if (cfg_.flatIntraGroup && spans_tiles)
-        w = std::min(w, static_cast<Cycle>(cfg_.intraGroupLatency));
-    CONSIM_ASSERT(w >= 1, "degenerate lookahead window");
-    return w;
-}
-
-void
-System::setRunJobs(int jobs)
-{
-    runJobs_ = std::max(1, std::min(jobs, cfg_.numCores()));
-}
-
-CoreId
-System::execTileOf(const SimEvent &ev) const
-{
-    switch (ev.kind) {
-      case SimEventKind::Deliver:
-      case SimEventKind::NetDeliver:
-        return ev.msg.dstTile;
-      case SimEventKind::MemDone:
-        return ev.msg.srcTile; // the MC's own tile
-      default:
-        return ev.tile;
-    }
-}
-
-bool
-System::canRunParallel() const
-{
-    if (cfg_.numCores() < 2)
-        return false;
-    // The drop-response fault counts responses in global delivery
-    // order — inherently serial.
-    if (dropArmed_)
-        return false;
-    // Opaque closures cannot be scattered (no owning tile).
-    bool opaque = false;
-    events_.forEachPending(now_, [&](Cycle, const SimEvent &ev) {
-        opaque |= ev.kind == SimEventKind::Opaque;
-    });
-    return !opaque;
-}
-
-void
-System::ensureLanes()
-{
-    if (!lanes_.empty())
-        return;
-    const int n = cfg_.numCores();
-    lanes_.reserve(n);
-    for (CoreId t = 0; t < n; ++t) {
-        lanes_.push_back(std::make_unique<TileLane>());
-        lanes_.back()->tile = t;
-        // Lane queues hold one tile's events only — a small
-        // per-bucket reserve keeps windows allocation-free without
-        // ballooning memory across hundreds of lanes.
-        lanes_.back()->q.reserveBuckets(8);
-    }
-    const int jobs = runJobs_;
-    team_ = std::make_unique<LockstepTeam>(
-        jobs, [this, n, jobs](int slot) {
-            // Static contiguous partition of tiles over slots; a
-            // slot runs each of its lanes through the whole window.
-            const int lo = n * slot / jobs;
-            const int hi = n * (slot + 1) / jobs;
-            for (int t = lo; t < hi; ++t)
-                laneRunWindow(*lanes_[t]);
-        });
-}
-
-void
-System::laneRunWindow(TileLane &lane)
-{
-    tlsLane_ = &lane;
-    Core &core = *cores_[lane.tile];
-    const Cycle end = windowStart_ + windowLen_;
-    for (Cycle c = windowStart_; c < end; ++c) {
-        lane.now = c;
-        lane.q.runDue(c, [this](SimEvent &ev) { execEvent(ev); });
-        core.tick();
-    }
-    tlsLane_ = nullptr;
-}
-
-void
-System::scatter()
-{
-    for (auto &lp : lanes_) {
-        TileLane &l = *lp;
-        CONSIM_ASSERT(l.q.empty() && l.outbox.empty() &&
-                          l.meshOut.empty(),
-                      "stale lane state at scatter");
-        l.now = now_;
-        l.seq = seqBySrc_[static_cast<std::size_t>(l.tile)];
-        l.q.setExecuted(0);
-        l.meshOutHead = 0;
-        l.vmDelta.assign(vms_.size(), TileLane::VmDelta{});
-        l.netInjects = l.netEjects = l.netDataN = l.netCtrlN = 0;
-        l.netLatSum = l.netDataSum = l.netCtrlSum = 0.0;
-    }
-    events_.drainPending(now_, [&](Cycle when, SimEvent &&ev) {
-        CONSIM_ASSERT(ev.kind != SimEventKind::Opaque,
-                      "Opaque event leaked into a parallel run");
-        lanes_[execTileOf(ev)]->q.insertAbs(now_, when,
-                                            std::move(ev));
-    });
-    netNow_ = now_;
-    parallelActive_ = true;
-}
-
-void
-System::replayMeshTo(Cycle target)
-{
-    while (netNow_ < target) {
-        const Cycle c = netNow_;
-        for (auto &lp : lanes_) {
-            TileLane &l = *lp;
-            while (l.meshOutHead < l.meshOut.size() &&
-                   l.meshOut[l.meshOutHead].injectCycle == c)
-                net_->inject(std::move(l.meshOut[l.meshOutHead++]));
-        }
-        netTickCycle_ = c;
-        net_->tick(c);
-        ++netNow_;
-    }
-}
-
-void
-System::mergeOutboxes()
-{
-    for (auto &lp : lanes_) {
-        for (auto &o : lp->outbox)
-            lanes_[execTileOf(o.ev)]->q.insertAbs(now_, o.when,
-                                                  std::move(o.ev));
-        lp->outbox.clear();
-    }
-}
-
-void
-System::gather()
-{
-    if (!netBypass_)
-        replayMeshTo(now_); // catch the mesh up to the tiles
-    std::uint64_t executed = 0;
-    std::uint64_t injects = 0, ejects = 0, data_n = 0, ctrl_n = 0;
-    double lat_sum = 0.0, data_sum = 0.0, ctrl_sum = 0.0;
-    for (auto &lp : lanes_) {
-        TileLane &l = *lp;
-        CONSIM_ASSERT(l.outbox.empty() &&
-                          l.meshOutHead == l.meshOut.size(),
-                      "unapplied lane effects at gather");
-        l.meshOut.clear();
-        l.meshOutHead = 0;
-        seqBySrc_[static_cast<std::size_t>(l.tile)] = l.seq;
-        executed += l.q.executed();
-        l.q.drainPending(now_, [&](Cycle when, SimEvent &&ev) {
-            events_.insertAbs(now_, when, std::move(ev));
-        });
-        for (std::size_t v = 0; v < vms_.size(); ++v) {
-            const auto &d = l.vmDelta[v];
-            auto &s = vms_[v]->vmStats();
-            s.l2Accesses += d.l2Accesses;
-            s.l2Misses += d.l2Misses;
-            s.c2cClean += d.c2cClean;
-            s.c2cDirty += d.c2cDirty;
-            s.l1Misses += d.l1Misses;
-            s.transactions += d.transactions;
-            s.instructions += d.instructions;
-            s.mcThrottleStalls += d.mcThrottleStalls;
-            if (d.missLatCount) {
-                s.missLatency.restore(
-                    s.missLatency.sum() + d.missLatSum,
-                    s.missLatency.count() + d.missLatCount);
-            }
-        }
-        injects += l.netInjects;
-        ejects += l.netEjects;
-        data_n += l.netDataN;
-        ctrl_n += l.netCtrlN;
-        lat_sum += l.netLatSum;
-        data_sum += l.netDataSum;
-        ctrl_sum += l.netCtrlSum;
-    }
-    events_.setExecuted(events_.executed() + executed);
-    if (injects != 0 || ejects != 0)
-        net_->mergeBypassed(injects, ejects, lat_sum, data_n,
-                            data_sum, ctrl_n, ctrl_sum);
-    parallelActive_ = false;
-}
-
-void
-System::runParallel(Cycle cycles)
-{
-    const Cycle end = now_ + cycles;
-    ensureLanes();
-    while (now_ < end) {
-        // Service points (snapshots, deadline, watchdog, QoS epochs)
-        // need the coherent global state, so windows are clamped to
-        // land on them exactly — the same cycles the serial chunk
-        // loop services, which keeps snapshots byte-identical.
-        Cycle service = end;
-        const Cycle qosEpoch = qosEpochInterval();
-        const Cycle epochAt =
-            qosEpoch ? (now_ / qosEpoch + 1) * qosEpoch : 0;
-        if (qosEpoch != 0)
-            service = std::min(service, epochAt);
-        const Cycle dynEpoch = dynEpochInterval();
-        const Cycle dynAt =
-            dynEpoch ? (now_ / dynEpoch + 1) * dynEpoch : 0;
-        if (dynEpoch != 0)
-            service = std::min(service, dynAt);
-        if (watchdogInterval_ != 0)
-            service = std::min(service, nextWatchdogCheck_);
-        if (deadline_ != 0)
-            service = std::min(service, deadline_);
-        if (ckptInterval_ != 0)
-            service = std::min(service, nextCkpt_);
-        scatter();
-        while (now_ < service) {
-            const Cycle w =
-                std::min<Cycle>(window_, service - now_);
-            if (!netBypass_) {
-                const Cycle ahead = now_ + w;
-                replayMeshTo(ahead > netHandoff_
-                                 ? ahead - netHandoff_
-                                 : 0);
-            }
-            windowStart_ = now_;
-            windowLen_ = w;
-            team_->run();
-            now_ += w;
-            mergeOutboxes();
-        }
-        gather();
-        if (qosEpoch != 0 && now_ >= epochAt)
-            qosRepartition();
-        // Post-gather the global state equals the serial engine's, so
-        // the deterministic policy reaches the identical verdict.
-        if (dynEpoch != 0 && now_ >= dynAt)
-            dynSchedEpoch();
         if (ckptInterval_ != 0 && now_ >= nextCkpt_) {
             takeSnapshot();
             nextCkpt_ = now_ + ckptInterval_;

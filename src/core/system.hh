@@ -36,8 +36,6 @@
 namespace consim
 {
 
-class LockstepTeam;
-
 /** Chip-wide replication snapshot (paper Fig. 12). */
 struct ReplicationSnapshot
 {
@@ -99,9 +97,7 @@ class System : public Fabric
     ~System() override;
 
     // --- Fabric interface ---
-    /** Current cycle: the running tile lane's clock inside a
-     *  parallel window, the global clock otherwise. */
-    Cycle now() const override;
+    Cycle now() const override { return now_; }
     void send(Msg m) override;
     void schedule(Cycle delay, EventFn fn) override;
     /** Typed events go straight into the calendar queue (the
@@ -136,25 +132,12 @@ class System : public Fabric
     /** Advance one cycle. */
     void tick();
 
-    /** Run for @p cycles cycles. */
-    void run(Cycle cycles);
-
     /**
-     * Worker threads for run(): 1 (the default) keeps the serial
-     * per-cycle loop; >1 enables the conservative-lookahead parallel
-     * engine, which partitions the chip into per-tile lanes, advances
-     * them in lock-step windows of windowCycles(), and exchanges
-     * cross-tile events only at window boundaries. Event keys
-     * (src, seq) make the merged order a pure function of machine
-     * state, so results are byte-identical to the serial engine.
-     * Clamped to [1, numCores]. Runs with a live drop-response fault
-     * or pending Opaque (closure) events fall back to serial.
+     * Run for @p cycles cycles, stopping on the exact cycle of each
+     * service point in between (QoS and dyn-sched epochs, snapshots,
+     * the deadline, watchdog checks).
      */
-    void setRunJobs(int jobs);
-    int runJobs() const { return runJobs_; }
-
-    /** Lookahead window: the minimum cross-tile event latency. */
-    Cycle windowCycles() const { return window_; }
+    void run(Cycle cycles);
 
     /**
      * Tests: run until every queue drains or @p max_cycles elapse.
@@ -285,13 +268,12 @@ class System : public Fabric
 
     /**
      * Install the dynamic-scheduling policy (call before running).
-     * At every `epochCycles` boundary — a service point both engines
-     * land on the same absolute cycles — the policy reads the epoch's
-     * per-core / per-VM / per-group counter deltas from the stats
-     * registry and proposes at most one thread swap, which is applied
-     * through the same rebinding the random-migration hook uses.
-     * Policies are deterministic (no RNG), so serial and `--run-jobs`
-     * runs migrate identically and checkpoints only carry the epoch
+     * At every `epochCycles` boundary — a service point on the same
+     * absolute cycles in an uninterrupted and a resumed run — the
+     * policy reads the epoch's per-core / per-VM / per-group counter
+     * deltas from the stats registry and proposes at most one thread
+     * swap, applied through deferred rebinds. Policies are
+     * deterministic (no RNG), so checkpoints only carry the epoch
      * baselines.
      */
     void setDynSched(const DynSchedConfig &dyn);
@@ -372,111 +354,18 @@ class System : public Fabric
     /** Take a periodic snapshot into the ring. */
     void takeSnapshot();
 
-    // --- parallel engine (tile lanes) ---
-
     /**
-     * Mesh ejection -> destination-unit handoff latency, applied in
-     * both engines: a packet ejected at cycle e is handled at
-     * e + netHandoff_. Modelling the NI->protocol handoff as a
-     * scheduled (NET-keyed) event is what lets the parallel engine
-     * replay the mesh lazily — the handoff bounds how far ahead of
-     * the mesh clock the tiles may run, so it must be >= the
-     * lookahead window.
-     *
-     * The handoff scales with mesh diameter (max(3, (X+Y)/4), set in
-     * the constructor): any cross-tile message already pays at least
-     * a diameter's worth of hop latency on a large mesh, so a deeper
-     * NI handoff is invisible in relative timing there while it lets
-     * the tile-parallel engine run proportionally wider windows
-     * instead of pinning at 3 cycles. 4x4 and 8x4 meshes keep the
-     * historical value of 3 (golden run hashes are unchanged).
+     * Modelled NI->protocol latency: a packet the mesh ejects at cycle
+     * e is handled by its destination unit at e + netHandoff_, as a
+     * NET-keyed event. It scales with the mesh diameter
+     * (max(3, (X+Y)/4), set in the constructor): 3 on the 4x4 and 8x4
+     * chips, 4 on 8x8, 8 on 16x16. Every mesh result depends on it,
+     * the golden envelopes included.
      */
     Cycle netHandoff_ = 3;
 
-    /**
-     * One tile's private execution lane: its own clock, calendar
-     * queue, sequence counter for events sourced by this tile, and
-     * deferred side effects (cross-tile sends, mesh injections,
-     * shared-statistics deltas) the coordinator applies at window
-     * boundaries. Everything here is touched only by the lane's
-     * worker inside a window, only by the coordinator outside one.
-     */
-    struct TileLane
-    {
-        CoreId tile = 0;
-        Cycle now = 0;          ///< lane-local clock
-        std::uint64_t seq = 0;  ///< per-source counter for src==tile
-        CalendarQueue q;
-
-        /** Cross-tile event discovered mid-window; merged into the
-         *  destination lane at the next window boundary. */
-        struct Out
-        {
-            Cycle when;
-            SimEvent ev;
-        };
-        std::vector<Out> outbox;
-
-        /** Mesh injections logged for the coordinator's replay. */
-        std::vector<Msg> meshOut;
-        std::size_t meshOutHead = 0;
-
-        /** Deferred per-VM statistics (shared VmStats objects). */
-        struct VmDelta
-        {
-            std::uint64_t l2Accesses = 0;
-            std::uint64_t l2Misses = 0;
-            std::uint64_t c2cClean = 0;
-            std::uint64_t c2cDirty = 0;
-            std::uint64_t l1Misses = 0;
-            std::uint64_t transactions = 0;
-            std::uint64_t instructions = 0;
-            std::uint64_t mcThrottleStalls = 0;
-            double missLatSum = 0.0;
-            std::uint64_t missLatCount = 0;
-        };
-        std::vector<VmDelta> vmDelta;
-
-        /** Deferred ideal-network (transport bypass) statistics. */
-        std::uint64_t netInjects = 0;
-        std::uint64_t netEjects = 0;
-        std::uint64_t netDataN = 0;
-        std::uint64_t netCtrlN = 0;
-        double netLatSum = 0.0;
-        double netDataSum = 0.0;
-        double netCtrlSum = 0.0;
-    };
-
-    /**
-     * The lane a worker thread is currently executing, or null on
-     * the coordinator / serial path. Fabric calls consult it so
-     * components need no notion of which engine is driving them:
-     * inside a parallel window, now() is the lane clock and every
-     * side effect lands in lane-local state; otherwise everything
-     * goes through the global structures exactly as before.
-     */
-    static thread_local TileLane *tlsLane_;
-
-    /** Derive the lookahead window from the machine config. */
-    Cycle computeWindow() const;
-    /** @return true when this run() may use the parallel engine. */
-    bool canRunParallel() const;
-    /** Build lanes_ / team_ on first parallel run(). */
-    void ensureLanes();
-    /** Tile whose lane executes @p ev. */
-    CoreId execTileOf(const SimEvent &ev) const;
-    /** Move pending global events into their lanes. */
-    void scatter();
-    /** Merge lanes back into global state (queue, seq, stats). */
-    void gather();
-    /** Replay the mesh serially up to (not including) @p target. */
-    void replayMeshTo(Cycle target);
-    /** Move window-boundary cross-tile events into their lanes. */
-    void mergeOutboxes();
-    /** Run one lane across the current window (worker threads). */
-    void laneRunWindow(TileLane &lane);
-    /** The parallel counterpart of run()'s chunked loop. */
-    void runParallel(Cycle cycles);
+    /** Tile that owns @p ev: the source its (src, seq) key names. */
+    CoreId ownerTileOf(const SimEvent &ev) const;
 
     /** Per-group bank lookup table with the modulo strength-reduced
      *  for power-of-two member counts (all standard sharing degrees). */
@@ -535,25 +424,15 @@ class System : public Fabric
     /**
      * Per-source sequence counters backing the (src, seq) event
      * ordering keys: one per tile, then the network (netSrc_) and
-     * the system itself (sysSrc_). Both engines draw from the same
-     * counters in the same per-source order, which is what makes
-     * their event orders — and therefore their results — identical.
+     * the system itself (sysSrc_). A cycle's events run sorted by
+     * these keys, so their order is a pure function of machine state
+     * and survives checkpoint/restore (snapshots carry the counters).
      */
     std::vector<std::uint64_t> seqBySrc_;
     std::int32_t netSrc_ = 0;
     std::int32_t sysSrc_ = 0;
 
-    // --- parallel-engine state ---
-    int runJobs_ = 1;
-    bool parallelActive_ = false; ///< lanes own the pending events
-    bool netBypass_ = false;      ///< ideal NoC modelled as events
-    Cycle window_ = 1;            ///< lookahead window width
-    Cycle netNow_ = 0;            ///< mesh replay position
-    Cycle netTickCycle_ = 0;      ///< cycle net_->tick() is running
-    Cycle windowStart_ = 0;       ///< current window [start, start+len)
-    Cycle windowLen_ = 0;
-    std::vector<std::unique_ptr<TileLane>> lanes_;
-    std::unique_ptr<LockstepTeam> team_;
+    bool netBypass_ = false; ///< ideal NoC modelled as events
 
     // --- hardening state ---
     FaultPlan faultPlan_;

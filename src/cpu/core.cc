@@ -69,7 +69,7 @@ Core::tick()
     // A deferred migration lands at the first clean instruction
     // boundary: never mid-miss (the fill retires against the old
     // binding first), never mid-slice. Deterministic in sim state,
-    // so serial and parallel runs install on the same cycle.
+    // so a resumed run installs on the same cycle.
     if (rebindPending_ && !blocked_ && !wedged_ && !haveSlice_ &&
         fab_.now() >= busyUntil_)
         installRebind();

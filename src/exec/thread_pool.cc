@@ -69,64 +69,6 @@ ThreadPool::workerLoop()
     }
 }
 
-LockstepTeam::LockstepTeam(int slots, SlotFn fn)
-    : slots_(std::max(1, slots)), fn_(std::move(fn))
-{
-    workers_.reserve(static_cast<std::size_t>(slots_ - 1));
-    for (int s = 1; s < slots_; ++s)
-        workers_.emplace_back([this, s] { workerLoop(s); });
-}
-
-LockstepTeam::~LockstepTeam()
-{
-    stop_.store(true, std::memory_order_release);
-    epoch_.fetch_add(1, std::memory_order_release);
-    for (auto &w : workers_)
-        w.join();
-}
-
-void
-LockstepTeam::run()
-{
-    // All workers from the previous epoch have already checked in
-    // (run() waited for them), so resetting the counter is safe.
-    done_.store(0, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
-    fn_(0);
-    int spins = 0;
-    while (done_.load(std::memory_order_acquire) != slots_ - 1)
-        backoff(spins);
-}
-
-void
-LockstepTeam::workerLoop(int slot)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        int spins = 0;
-        while (epoch_.load(std::memory_order_acquire) == seen)
-            backoff(spins);
-        if (stop_.load(std::memory_order_acquire))
-            return;
-        ++seen;
-        fn_(slot);
-        done_.fetch_add(1, std::memory_order_acq_rel);
-    }
-}
-
-void
-LockstepTeam::backoff(int &spins)
-{
-    if (spins < 128) {
-        ++spins;
-#if defined(__x86_64__) || defined(__i386__)
-        __builtin_ia32_pause();
-#endif
-        return;
-    }
-    std::this_thread::yield();
-}
-
 int
 ThreadPool::defaultThreads()
 {

@@ -1,17 +1,13 @@
 /**
  * @file
- * Host-side execution primitives: ThreadPool, a fixed-size
- * work-queue pool for the sweep engine (independent simulations on
- * independent OS threads), and LockstepTeam, the barrier-style
- * worker team the tile-parallel event core advances its lanes with.
+ * ThreadPool: a fixed-size work-queue pool for the sweep engine
+ * (independent simulations on independent OS threads).
  */
 
 #ifndef CONSIM_EXEC_THREAD_POOL_HH
 #define CONSIM_EXEC_THREAD_POOL_HH
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -59,55 +55,6 @@ class ThreadPool
     std::condition_variable allDone_;
     std::size_t inFlight_ = 0; ///< queued + executing
     bool stopping_ = false;
-};
-
-/**
- * Persistent worker team executing one fixed callback on every slot
- * per run() call, with a full barrier before run() returns. Built
- * for very frequent, very short phases (a lookahead window is a few
- * simulated cycles), so workers rendezvous on atomics with a bounded
- * spin before yielding — a condition variable per window would cost
- * more than the window itself, while pure spinning would starve
- * oversubscribed hosts (including single-CPU CI runners).
- *
- * The caller participates as slot 0, so a team of N slots spawns
- * N - 1 threads. run() publishes whatever the caller wrote before it
- * (release on the epoch bump / acquire in the workers) and the
- * barrier hands the workers' writes back (acquire on the done
- * counter), so coordinator/worker handoffs need no further fences.
- */
-class LockstepTeam
-{
-  public:
-    using SlotFn = std::function<void(int)>;
-
-    /** @param slots total slots including the caller's slot 0. */
-    LockstepTeam(int slots, SlotFn fn);
-
-    /** Wakes and joins the workers (no run() may be in flight). */
-    ~LockstepTeam();
-
-    LockstepTeam(const LockstepTeam &) = delete;
-    LockstepTeam &operator=(const LockstepTeam &) = delete;
-
-    int slots() const { return slots_; }
-
-    /** Run fn(slot) on every slot; returns once all have finished. */
-    void run();
-
-  private:
-    void workerLoop(int slot);
-
-    /** Spin briefly, then yield (hosts may have fewer CPUs than
-     *  slots; a parked sibling must get cycles to finish). */
-    static void backoff(int &spins);
-
-    int slots_;
-    SlotFn fn_;
-    std::atomic<std::uint64_t> epoch_{0};
-    std::atomic<int> done_{0};
-    std::atomic<bool> stop_{false};
-    std::vector<std::thread> workers_;
 };
 
 } // namespace consim

@@ -136,32 +136,6 @@ class Network
         recordEject(m, now, len_flits);
     }
 
-    /**
-     * Batch-merge bypassed-delivery statistics accumulated elsewhere
-     * (the parallel engine's per-tile lanes). All latency samples are
-     * integer-valued doubles, so summing them per lane and merging
-     * the sums is exact — byte-identical to sampling one at a time.
-     */
-    void
-    mergeBypassed(std::uint64_t injects, std::uint64_t ejects,
-                  double lat_sum, std::uint64_t data_n,
-                  double data_sum, std::uint64_t ctrl_n,
-                  double ctrl_sum)
-    {
-        stats_.packetsInjected += injects;
-        injectedTotal_ += injects;
-        stats_.packetsEjected += ejects;
-        ejectedTotal_ += ejects;
-        stats_.latency.restore(stats_.latency.sum() + lat_sum,
-                               stats_.latency.count() + ejects);
-        stats_.latencyData.restore(
-            stats_.latencyData.sum() + data_sum,
-            stats_.latencyData.count() + data_n);
-        stats_.latencyCtrl.restore(
-            stats_.latencyCtrl.sum() + ctrl_sum,
-            stats_.latencyCtrl.count() + ctrl_n);
-    }
-
     /** Registry node ("net") holding the interconnect stats. */
     stats::Group &statsGroup() { return statsGroup_; }
 

@@ -8,7 +8,6 @@
 #ifndef CONSIM_WORKLOAD_GENERATOR_HH
 #define CONSIM_WORKLOAD_GENERATOR_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -21,19 +20,7 @@
 namespace consim
 {
 
-/**
- * Tracks the distinct blocks a VM has touched (Table II column).
- *
- * A VM's threads may run on different tiles, so under the
- * tile-parallel event core several lanes touch one footprint
- * concurrently. The flags are byte-wide relaxed atomics (bit-packed
- * vector<bool> would corrupt neighbours under concurrent writes) and
- * the counter increments once per winning test-and-set — the final
- * count is the cardinality of the touched set, identical under any
- * interleaving and hence byte-identical to serial. Readers
- * (results, checkpoints) only run at window boundaries, after the
- * lane barrier.
- */
+/** Tracks the distinct blocks a VM has touched (Table II column). */
 class Footprint
 {
   public:
@@ -46,29 +33,20 @@ class Footprint
     void
     touch(std::uint64_t offset)
     {
-        if (offset >= touched_.size())
+        if (offset >= touched_.size() || touched_[offset])
             return;
-        // Plain-load fast path: after warmup nearly every reference
-        // hits an already-touched block.
-        if (touched_[offset].load(std::memory_order_relaxed))
-            return;
-        if (touched_[offset].exchange(1, std::memory_order_relaxed) ==
-            0)
-            count_.fetch_add(1, std::memory_order_relaxed);
+        touched_[offset] = 1;
+        ++count_;
     }
 
     /** @return distinct blocks touched so far. */
-    std::uint64_t
-    distinctBlocks() const
-    {
-        return count_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t distinctBlocks() const { return count_; }
 
   private:
     friend struct CkptAccess;
 
-    std::vector<std::atomic<std::uint8_t>> touched_;
-    std::atomic<std::uint64_t> count_{0};
+    std::vector<std::uint8_t> touched_; ///< one flag per block
+    std::uint64_t count_ = 0;
 };
 
 /** One thread's endless synthetic reference stream. */

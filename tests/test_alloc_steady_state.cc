@@ -65,7 +65,7 @@ expectZeroAllocWindow(const RunConfig &cfg, Cycle warmup,
     Rig rig = buildRig(cfg);
     System sys(cfg.machine, rig.vms, rig.placements);
     // Warmup sizes every pool to its steady state: BlockMap tables,
-    // WaitQueueMap node pools, router/NI rings, calendar lanes,
+    // WaitQueueMap node pools, router/NI rings, calendar buckets,
     // spilled CoreSet words.
     sys.run(warmup);
     // CONSIM_ALLOC_TRAP=1 turns the first in-window allocation into

@@ -4,9 +4,9 @@
  * parsing, the three MigrationPolicy decision functions on synthetic
  * epoch samples (including their no-churn guards and tie-breaks), a
  * forced-migration bursty run under CONSIM_CHECK=full, envelope
- * stability of the conditional dyn-sched fields, serial-vs-parallel
- * byte-identity with migrations armed, and `consim.ckpt.v5`
- * round-tripping of the migration-policy runtime state.
+ * stability of the conditional dyn-sched fields, and
+ * `consim.ckpt.v5` round-tripping of the migration-policy runtime
+ * state.
  */
 
 #include <gtest/gtest.h>
@@ -336,30 +336,6 @@ TEST(DynSchedEnvelope, FieldsAppearOnlyWhenEnabled)
     ASSERT_NE(doc_on.find("result")->find("dyn_migrations"), nullptr);
     EXPECT_GT(doc_on.find("result")->find("dyn_migrations")->asUint(),
               0u);
-}
-
-// ---------------------------------------------------------------- //
-// Parallel-engine byte-identity with migrations armed.              //
-// ---------------------------------------------------------------- //
-
-TEST(DynSchedParallelRun, MigratingRunByteIdenticalAcrossRunJobs)
-{
-    // Dyn-sched epochs are service points: both engines must sample
-    // the same epoch deltas at the same absolute cycles and decide
-    // the same swaps for the envelopes to match bit-for-bit.
-    RunConfig cfg = burstyConfig("contention-aware,epoch=5000");
-    cfg.runJobs = 1;
-    const std::string serial =
-        runResultJson(cfg, runExperiment(cfg)).dump(2);
-    for (const int jobs : {2, 4}) {
-        SCOPED_TRACE(jobs);
-        RunConfig par = cfg;
-        par.runJobs = jobs;
-        // The config echo never includes runJobs, so dumps are equal
-        // iff every result bit matches.
-        EXPECT_EQ(runResultJson(cfg, runExperiment(par)).dump(2),
-                  serial);
-    }
 }
 
 // ---------------------------------------------------------------- //

@@ -4,9 +4,8 @@
  * fault-catalog strictness it shares its error style with), the
  * way-restricted victim scan, router VC reservation admission, the
  * QoS guarantees under CONSIM_CHECK=full (way masks honoured, token
- * buckets conserved, unreserved VMs never starved), serial-vs-
- * parallel byte-identity of a bully run, and `consim.ckpt.v5`
- * round-tripping of the QoS runtime state.
+ * buckets conserved, unreserved VMs never starved), and
+ * `consim.ckpt.v5` round-tripping of the QoS runtime state.
  */
 
 #include <gtest/gtest.h>
@@ -363,31 +362,6 @@ TEST(QosEnvelope, QosFieldsAppearOnlyWhenEnabled)
             any = true;
     }
     EXPECT_TRUE(any);
-}
-
-// ---------------------------------------------------------------- //
-// Parallel-engine byte-identity with QoS enabled.                   //
-// ---------------------------------------------------------------- //
-
-TEST(QosParallelRun, BullyRunByteIdenticalAcrossRunJobs)
-{
-    // QoS epochs are service points: both engines must land the
-    // repartitioner on the same absolute cycles, and the MC buckets
-    // must fill identically, for the envelopes to match bit-for-bit.
-    RunConfig cfg = bullyConfig(
-        "dynamic:vm=0,ways=2,vcs=1,tokens=1,refill=512,epoch=10000");
-    cfg.runJobs = 1;
-    const std::string serial =
-        runResultJson(cfg, runExperiment(cfg)).dump(2);
-    for (const int jobs : {2, 5}) {
-        SCOPED_TRACE(jobs);
-        RunConfig par = cfg;
-        par.runJobs = jobs;
-        // The config echo never includes runJobs, so dumps are equal
-        // iff every result bit matches.
-        EXPECT_EQ(runResultJson(cfg, runExperiment(par)).dump(2),
-                  serial);
-    }
 }
 
 // ---------------------------------------------------------------- //

@@ -1,11 +1,10 @@
 /**
  * @file
  * Large-scale determinism: the guarantees proven at 16 cores must
- * hold on the meshes the scale study sweeps — serial-vs-parallel
- * byte identity at 128 cores, checkpoint/resume byte identity at
- * 256 cores (CoreSet heap-spill codec: 256 private groups need four
- * presence words), and over-committed schedules (more VM threads
- * than cores) across run engines, snapshots, and resumes.
+ * hold on the meshes the scale study sweeps — checkpoint/resume byte
+ * identity at 256 cores (CoreSet heap-spill codec: 256 private groups
+ * need four presence words), and over-committed schedules (more VM
+ * threads than cores) across snapshots and resumes.
  */
 
 #include <gtest/gtest.h>
@@ -37,21 +36,6 @@ scaleConfig(int x, int y, SharingDegree sharing, SchedPolicy policy)
     return cfg;
 }
 
-/** Full-envelope byte identity between serial and @p jobs workers. */
-void
-expectParallelByteIdentity(const RunConfig &cfg, int jobs)
-{
-    RunConfig serial = cfg;
-    serial.runJobs = 1;
-    const std::string serial_doc =
-        runResultJson(serial, runExperiment(serial)).dump(2);
-    RunConfig par = cfg;
-    par.runJobs = jobs;
-    const std::string par_doc =
-        runResultJson(par, runExperiment(par)).dump(2);
-    EXPECT_EQ(par_doc, serial_doc) << "run-jobs " << jobs;
-}
-
 /** Deadline-trip + resume must reproduce the uninterrupted run. */
 void
 expectResumeByteIdentity(const RunConfig &cfg, Cycle deadline,
@@ -77,18 +61,6 @@ expectResumeByteIdentity(const RunConfig &cfg, Cycle deadline,
 }
 
 } // namespace
-
-TEST(Scale256, SerialVsParallelByteIdenticalAt128Cores)
-{
-    // 16x8 mesh: the adaptive lookahead window is (16+8)/4 = 6
-    // cycles here, twice the legacy fixed handoff — identity must
-    // survive the wider window.
-    RunConfig cfg = scaleConfig(16, 8, SharingDegree::Shared8,
-                                SchedPolicy::RoundRobin);
-    cfg.vmThreads = {32, 32, 32, 32};
-    expectParallelByteIdentity(cfg, 2);
-    expectParallelByteIdentity(cfg, 4);
-}
 
 TEST(Scale256, CheckpointRoundTripsAt256CoresPrivateSharing)
 {
@@ -129,16 +101,6 @@ TEST(Scale256, OverCommittedScheduleMakesProgressForEveryVm)
     EXPECT_GT(lo * 4, hi)
         << "a VM starved: min " << lo << " vs max " << hi
         << " instructions";
-}
-
-TEST(Scale256, OverCommittedByteIdenticalSerialVsParallel)
-{
-    RunConfig cfg = scaleConfig(4, 4, SharingDegree::Shared4,
-                                SchedPolicy::Affinity);
-    cfg.measureCycles = 25'000;
-    cfg.vmThreads = {8, 8, 8, 8};
-    cfg.timesliceCycles = 4'000;
-    expectParallelByteIdentity(cfg, 4);
 }
 
 TEST(Scale256, OverCommittedResumeRestoresRotationState)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "common/json.hh"
 #include "common/stats.hh"
@@ -267,16 +268,31 @@ TEST(RunResultJson, EnvelopeRoundTripsRegistryDerivedValues)
 
 TEST(RunResultJson, ExtractionMatchesLiveRegistry)
 {
-    // The RunResult must be exactly what the registry holds: compare
-    // a fresh run against a by-hand walk of an identical system via
-    // the sweep (single config, single seed).
+    // The RunResult must be exactly what the registry holds: read the
+    // live machine through runExperiment's post-run hook, and the same
+    // point through the sweep (single config, single seed).
     RunConfig cfg = mixConfig(Mix::byName("Mix 1"),
                               SchedPolicy::RoundRobin,
                               SharingDegree::Shared4);
     cfg.seed = 3;
     cfg.warmupCycles = 10'000;
     cfg.measureCycles = 20'000;
-    const RunResult a = runExperiment(cfg);
+    Cycle end = 0;
+    std::vector<std::uint64_t> accesses;
+    const RunResult a = runExperiment(cfg, [&](const System &sys) {
+        end = sys.now();
+        for (int v = 0; v < static_cast<int>(cfg.workloads.size()); ++v)
+            accesses.push_back(
+                sys.statsRoot()
+                    .findCounter(indexedName("vm", v) + ".l2_accesses")
+                    ->value());
+    });
+    EXPECT_EQ(end, cfg.warmupCycles + cfg.measureCycles);
+    ASSERT_EQ(accesses.size(), a.vms.size());
+    for (std::size_t v = 0; v < a.vms.size(); ++v) {
+        EXPECT_GT(accesses[v], 0u);
+        EXPECT_EQ(accesses[v], a.vms[v].l2Accesses) << "vm " << v;
+    }
     const RunResult b = runSweep({cfg}).front();
     EXPECT_EQ(runResultJson(cfg, a).dump(2),
               runResultJson(cfg, b).dump(2));

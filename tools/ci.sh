@@ -1,20 +1,21 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 verify (full build + test suite), a parallel-run
-# determinism check (--run-jobs 4 must match serial byte-for-byte), a
-# scale-out smoke (32-core/8-VM parallel determinism and
-# checkpoint-resume byte-identity), a scale-to-256 smoke (128-core
-# over-committed parallel determinism + resume byte-identity), a
-# zero-allocation assertion over the measure window, an isolation
-# smoke (QoS must protect the VM) and a dyn-sched smoke (migration
-# must beat the static placement on the bursty mix, and resume across
-# migration epochs must be byte-identical), a checked-mode
-# pass (full suite with every runtime invariant checker
+# CI gate: tier-1 verify (full build + test suite), resume equivalence
+# (an interrupted+resumed run must match the uninterrupted one byte for
+# byte) on the 16-core chip, a scale-out smoke (the same at 32 cores,
+# 8 VMs), a scale-to-256 smoke (the same at 128 cores, over-committed),
+# a --dump-stats check (the dump must report the very run the plain
+# path reports), a zero-allocation assertion over the measure window,
+# an isolation smoke (QoS must protect the VM) and a dyn-sched smoke
+# (migration must beat the static placement on the bursty mix, and
+# resume across migration epochs must be byte-identical), a
+# checked-mode pass (full suite with every runtime invariant checker
 # enabled) plus a fault-injection smoke over the whole catalog, a
 # perf-regression smoke against the committed BENCH_*.json, an
 # ASan+UBSan pass over the whole tier-1 suite (memory safety of the
 # registry, JSON layer, and simulator core), plus a ThreadSanitizer
 # pass over the concurrency surface (thread pool + parallel sweep +
-# tile-parallel event core + event queue).
+# event queue, and multi-seed QoS and migrating runs on sweep
+# workers).
 #
 # Usage: tools/ci.sh [--skip-tsan] [--skip-asan] [--skip-checked]
 #                    [--skip-perf]
@@ -36,26 +37,14 @@ for arg in "$@"; do
     esac
 done
 
+# One work directory for every stage's files, removed on any exit.
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+
 echo "=== tier-1: build + full test suite ==="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
-
-echo "=== parallel-run determinism: --run-jobs 4 == serial ==="
-# The tile-parallel event core must reproduce the serial engine
-# byte-for-byte, envelope included (runJobs never enters the config
-# echo, so the documents are directly comparable).
-par_dir="$(mktemp -d)"
-trap 'rm -rf "$par_dir"' EXIT
-./build/tools/consim_run --mix "Mix 5" \
-    --warmup 300000 --measure 300000 \
-    --json "$par_dir/serial.json" >/dev/null
-./build/tools/consim_run --mix "Mix 5" \
-    --warmup 300000 --measure 300000 --run-jobs 4 \
-    --json "$par_dir/par.json" >/dev/null
-diff -u "$par_dir/serial.json" "$par_dir/par.json" || {
-    echo "parallel-run determinism: --run-jobs 4 diverged" >&2; exit 1; }
-echo "parallel-run determinism: envelopes byte-identical"
 
 echo "=== resume equivalence: interrupted+resumed == uninterrupted ==="
 # 2M simulated cycles, snapshot at 1M, deadline-trip at 1.1M, resume
@@ -63,8 +52,8 @@ echo "=== resume equivalence: interrupted+resumed == uninterrupted ==="
 # byte-identical to the uninterrupted run. (The config echo alone may
 # differ — the tripped run carries the deadline knob — so compare from
 # the result object onward.)
-ckpt_dir="$(mktemp -d)"
-trap 'rm -rf "$ckpt_dir" "$par_dir"' EXIT
+ckpt_dir="$work/resume"
+mkdir "$ckpt_dir"
 ./build/tools/consim_run --vm tpcw --vm jbb \
     --warmup 1000000 --measure 1000000 --watchdog 200000 \
     --json "$ckpt_dir/full.json" >/dev/null
@@ -85,47 +74,18 @@ diff -u "$ckpt_dir/full.result" "$ckpt_dir/resumed.result" || {
     echo "resume equivalence: resumed result diverged" >&2; exit 1; }
 echo "resume equivalence: result blocks byte-identical"
 
-# Same contract with the tile-parallel engine on both sides: the
-# interrupted run snapshots from parallel windows (boundaries only),
-# and the resume itself runs parallel.
-if ./build/tools/consim_run --vm tpcw --vm jbb --run-jobs 4 \
-    --warmup 1000000 --measure 1000000 --watchdog 200000 \
-    --deadline 1100000 --ckpt-every 1000000 \
-    --ckpt-out "$ckpt_dir/trip-par.ckpt" >/dev/null 2>&1; then
-    echo "resume equivalence (parallel): deadline run unexpectedly succeeded" >&2
-    exit 1
-fi
-[[ -s "$ckpt_dir/trip-par.ckpt" ]] || {
-    echo "resume equivalence (parallel): no checkpoint written" >&2; exit 1; }
-diff -u "$ckpt_dir/trip.ckpt" "$ckpt_dir/trip-par.ckpt" || {
-    echo "resume equivalence (parallel): snapshot diverged from serial" >&2
-    exit 1; }
-./build/tools/consim_run --resume "$ckpt_dir/trip-par.ckpt" --run-jobs 4 \
-    --json "$ckpt_dir/resumed-par.json" >/dev/null
-awk '/"result": \{/,0' "$ckpt_dir/resumed-par.json" \
-    >"$ckpt_dir/resumed-par.result"
-diff -u "$ckpt_dir/full.result" "$ckpt_dir/resumed-par.result" || {
-    echo "resume equivalence (parallel): resumed result diverged" >&2
-    exit 1; }
-echo "resume equivalence (parallel): snapshots and results byte-identical"
-
 echo "=== scale-out smoke: 32-core chip, 8 VMs ==="
-# The parametric scale model must uphold the same two contracts beyond
-# the paper's 16-core chip: the tile-parallel engine reproduces serial
-# byte-for-byte, and an interrupted+resumed run matches uninterrupted.
-scale_dir="$(mktemp -d)"
-trap 'rm -rf "$ckpt_dir" "$par_dir" "$scale_dir"' EXIT
+# The parametric scale model must uphold the resume contract beyond
+# the paper's 16-core chip: an interrupted+resumed run matches the
+# uninterrupted one.
+scale_dir="$work/scale"
+mkdir "$scale_dir"
 scale_args=(--mesh 8x4 --sharing 8
     --vm jbb --vm tpcw --vm tpch --vm web
     --vm jbb --vm tpcw --vm tpch --vm web
     --warmup 600000 --measure 600000 --watchdog 200000)
 ./build/tools/consim_run "${scale_args[@]}" \
-    --json "$scale_dir/serial.json" >/dev/null
-./build/tools/consim_run "${scale_args[@]}" --run-jobs 4 \
-    --json "$scale_dir/par.json" >/dev/null
-diff -u "$scale_dir/serial.json" "$scale_dir/par.json" || {
-    echo "scale-out smoke: --run-jobs 4 diverged at 32 cores" >&2
-    exit 1; }
+    --json "$scale_dir/full.json" >/dev/null
 if ./build/tools/consim_run "${scale_args[@]}" \
     --deadline 700000 --ckpt-every 600000 \
     --ckpt-out "$scale_dir/trip.ckpt" >/dev/null 2>&1; then
@@ -136,32 +96,27 @@ fi
     echo "scale-out smoke: no checkpoint written" >&2; exit 1; }
 ./build/tools/consim_run --resume "$scale_dir/trip.ckpt" \
     --json "$scale_dir/resumed.json" >/dev/null
-awk '/"result": \{/,0' "$scale_dir/serial.json" >"$scale_dir/serial.result"
+awk '/"result": \{/,0' "$scale_dir/full.json" >"$scale_dir/full.result"
 awk '/"result": \{/,0' "$scale_dir/resumed.json" >"$scale_dir/resumed.result"
-diff -u "$scale_dir/serial.result" "$scale_dir/resumed.result" || {
+diff -u "$scale_dir/full.result" "$scale_dir/resumed.result" || {
     echo "scale-out smoke: resumed result diverged at 32 cores" >&2
     exit 1; }
-echo "scale-out smoke: 32-core parallel + resume byte-identical"
+echo "scale-out smoke: 32-core resume byte-identical"
 
 echo "=== scale-to-256 smoke: 128-core chip, over-committed ==="
-# The same two contracts at the consolidation-study scale: a 16x8 mesh
+# The same contract at the consolidation-study scale: a 16x8 mesh
 # running Mix 1 with 1.5x over-committed schedules (192 threads on 128
 # cores, so the time-sliced context rotation is live). Short windows —
 # this is a correctness smoke, not a perf point (bench/fig16_scale256
 # owns the throughput numbers).
-big_dir="$(mktemp -d)"
-trap 'rm -rf "$ckpt_dir" "$par_dir" "$scale_dir" "$big_dir"' EXIT
+big_dir="$work/big"
+mkdir "$big_dir"
 big_args=(--mesh 16x8 --sharing 8
     --vm jbb --vm tpcw --vm tpch --vm web
     --vm-threads 48,48,48,48
     --warmup 10000 --measure 10000 --watchdog 20000)
 ./build/tools/consim_run "${big_args[@]}" \
-    --json "$big_dir/serial.json" >/dev/null
-./build/tools/consim_run "${big_args[@]}" --run-jobs 4 \
-    --json "$big_dir/par.json" >/dev/null
-diff -u "$big_dir/serial.json" "$big_dir/par.json" || {
-    echo "scale-to-256 smoke: --run-jobs 4 diverged at 128 cores" >&2
-    exit 1; }
+    --json "$big_dir/full.json" >/dev/null
 if ./build/tools/consim_run "${big_args[@]}" \
     --deadline 12000 --ckpt-every 10000 \
     --ckpt-out "$big_dir/trip.ckpt" >/dev/null 2>&1; then
@@ -172,12 +127,43 @@ fi
     echo "scale-to-256 smoke: no checkpoint written" >&2; exit 1; }
 ./build/tools/consim_run --resume "$big_dir/trip.ckpt" \
     --json "$big_dir/resumed.json" >/dev/null
-awk '/"result": \{/,0' "$big_dir/serial.json" >"$big_dir/serial.result"
+awk '/"result": \{/,0' "$big_dir/full.json" >"$big_dir/full.result"
 awk '/"result": \{/,0' "$big_dir/resumed.json" >"$big_dir/resumed.result"
-diff -u "$big_dir/serial.result" "$big_dir/resumed.result" || {
+diff -u "$big_dir/full.result" "$big_dir/resumed.result" || {
     echo "scale-to-256 smoke: resumed result diverged at 128 cores" >&2
     exit 1; }
-echo "scale-to-256 smoke: 128-core parallel + resume byte-identical"
+echo "scale-to-256 smoke: 128-core resume byte-identical"
+
+echo "=== dump-stats: the dump reports the plain run ==="
+# --dump-stats must run exactly the point the plain path runs: same
+# per-VM table on stdout (the component statistics follow it), and the
+# same result block in its envelope. Heterogeneous thread counts and a
+# short timeslice make any knob the dump path dropped show up.
+dump_dir="$work/dump"
+mkdir "$dump_dir"
+dump_args=(--mix "Mix 5" --vm-threads 2,2,2,2 --timeslice 4000
+    --warmup 20000 --measure 40000)
+./build/tools/consim_run "${dump_args[@]}" \
+    --json "$dump_dir/plain.json" >"$dump_dir/plain.txt"
+./build/tools/consim_run "${dump_args[@]}" --dump-stats \
+    --json "$dump_dir/dump.json" >"$dump_dir/dump.txt"
+head -n "$(wc -l <"$dump_dir/plain.txt")" "$dump_dir/dump.txt" |
+    diff -u "$dump_dir/plain.txt" - || {
+    echo "dump-stats: table differs from the plain run" >&2; exit 1; }
+grep -q '^# component statistics$' "$dump_dir/dump.txt" || {
+    echo "dump-stats: no component statistics printed" >&2; exit 1; }
+# The result block, minus the comma a following "stats" member adds.
+result_block() {
+    awk '/^  "result": \{/,/^  \}/ { sub(/^  \},$/, "  }"); print }' "$1"
+}
+result_block "$dump_dir/plain.json" >"$dump_dir/plain.result"
+result_block "$dump_dir/dump.json" >"$dump_dir/dump.result"
+[[ -s "$dump_dir/plain.result" ]] &&
+    diff -u "$dump_dir/plain.result" "$dump_dir/dump.result" || {
+    echo "dump-stats: result block differs from the plain run" >&2; exit 1; }
+grep -q '^  "stats": {' "$dump_dir/dump.json" || {
+    echo "dump-stats: no stats member in the envelope" >&2; exit 1; }
+echo "dump-stats: table and result block match the plain run"
 
 echo "=== zero-allocation: measure window allocates nothing ==="
 # The pooled/arena hot paths must keep the steady state off the heap:
@@ -194,8 +180,8 @@ echo "=== isolation smoke: protected VM vs bullies, QoS bound ==="
 # protected VM's cycles/transaction by a real margin, and the throttle
 # stalls must land on the bullies (mc_throttle_stalls present only in
 # the QoS envelope, and only on bully VMs).
-iso_dir="$(mktemp -d)"
-trap 'rm -rf "$ckpt_dir" "$par_dir" "$scale_dir" "$iso_dir"' EXIT
+iso_dir="$work/iso"
+mkdir "$iso_dir"
 # Fully-shared LLC: with the default 4-core groups the bullies never
 # touch the protected VM's bank and the way restriction is pure loss.
 iso_args=(--vm jbb --vm bully --vm bully --vm bully
@@ -239,8 +225,8 @@ echo "=== dyn-sched smoke: migration beats static on the bursty mix ==="
 # aggregate cy/txn), must actually migrate, and a run interrupted and
 # resumed across migration epochs must match the uninterrupted run
 # byte-for-byte.
-dyn_dir="$(mktemp -d)"
-trap 'rm -rf "$ckpt_dir" "$par_dir" "$scale_dir" "$iso_dir" "$dyn_dir"' EXIT
+dyn_dir="$work/dyn"
+mkdir "$dyn_dir"
 dyn_args=(--vm bursty --vm bursty --vm bursty --vm-threads 4,4,4
     --sharing 2 --l2 2097152
     --warmup 200000 --measure 1200000 --watchdog 200000)
@@ -325,10 +311,10 @@ else
     if [[ -z "$baseline" ]]; then
         echo "perf smoke: no committed BENCH_*.json baseline; skipping"
     else
-        ./build/bench/perf_smoke > "$ckpt_dir/perf.json"
+        ./build/bench/perf_smoke > "$work/perf.json"
         base_cps="$(grep -o '"cycles_per_sec":[0-9]*' "$baseline" |
             head -n1 | cut -d: -f2)"
-        new_cps="$(grep -o '"cycles_per_sec":[0-9]*' "$ckpt_dir/perf.json" |
+        new_cps="$(grep -o '"cycles_per_sec":[0-9]*' "$work/perf.json" |
             head -n1 | cut -d: -f2)"
         [[ -n "$base_cps" && -n "$new_cps" ]] || {
             echo "perf smoke: cannot extract cycles_per_sec" >&2; exit 1; }
@@ -357,26 +343,28 @@ if [[ "$skip_tsan" == 1 ]]; then
     exit 0
 fi
 
-echo "=== tsan: thread pool + parallel sweep + tile-parallel core ==="
+echo "=== tsan: thread pool + parallel sweep + event queue ==="
+# A simulation is single-threaded; the concurrency is the sweep engine
+# running whole simulations on pool workers.
 cmake -B build-tsan -S . -DCONSIM_SAN=thread >/dev/null
 cmake --build build-tsan -j "$(nproc)" \
-    --target test_determinism test_event_queue test_parallel_run \
+    --target test_determinism test_event_queue test_hardening \
     consim_run
 (cd build-tsan && ctest --output-on-failure -j "$(nproc)" \
-    -R 'Determinism|CalendarQueue|ParallelRun')
+    -R 'Determinism|CalendarQueue|SweepHardening')
 
-# The QoS hot paths (way-mask victim scans, VC reservation, MC token
-# buckets, the epoch repartitioner) must be race-free under the
-# tile-parallel engine: one isolation run with workers on.
+# Four seeds of the isolation point run as four simulations on sweep
+# workers in one process, so any state the QoS paths (way-mask victim
+# scans, VC reservation, MC token buckets, the epoch repartitioner)
+# shared across simulations would race.
 ./build-tsan/tools/consim_run "${iso_args[@]}" --qos "$iso_qos" \
-    --run-jobs 4 >/dev/null
-echo "tsan: isolation run clean under --run-jobs 4"
+    --seeds 4 >/dev/null
+echo "tsan: four concurrent isolation runs clean"
 
-# Likewise the migration paths (epoch sampling, deferred rebinds at
-# the window boundary, the feedback loop): one migrating bursty run
-# with workers on.
+# Likewise the migration paths (epoch sampling, deferred rebinds, the
+# feedback loop): four seeds of the migrating bursty run.
 ./build-tsan/tools/consim_run "${dyn_args[@]}" --dyn-sched "$dyn_spec" \
-    --run-jobs 4 >/dev/null
-echo "tsan: migrating run clean under --run-jobs 4"
+    --seeds 4 >/dev/null
+echo "tsan: four concurrent migrating runs clean"
 
 echo "=== ci.sh: all green ==="

@@ -63,12 +63,10 @@
  *     --resume PATH            resume a consim.ckpt.v5 snapshot; the
  *                              run config comes from the checkpoint
  *                              (exclusive with --mix/--vm/--seeds)
- *     --run-jobs N             worker threads inside each simulation
- *                              (tile-parallel event core; results are
- *                              byte-identical to serial; default
- *                              CONSIM_RUN_JOBS, 1)
  *     --csv                    machine-readable per-VM output
- *     --dump-stats             full component statistics dump
+ *     --dump-stats             full component statistics dump after
+ *                              the report (single seed; with --json
+ *                              the envelope gains a "stats" member)
  *     --json PATH              write the consim.run.v1 JSON envelope
  *                              (also via the CONSIM_JSON env var)
  *
@@ -124,8 +122,7 @@ usage(const char *msg = nullptr)
         "[--deadline N] [--fault PLAN] [--qos SPEC] "
         "[--dyn-sched SPEC]\n"
         "       [--ckpt-every N] [--ckpt-out PATH] [--resume PATH] "
-        "[--run-jobs N]\n"
-        "       [--json PATH]\n";
+        "[--json PATH]\n";
     std::exit(2);
 }
 
@@ -169,6 +166,29 @@ reportSimError(const std::string &kind, const std::string &msg,
         }
     }
     std::exit(1);
+}
+
+/**
+ * A failed front-end run: write its pre-trip snapshot to @p ckpt_out
+ * (when asked for and one exists), then report the error and exit 1.
+ */
+[[noreturn]] void
+failRun(std::uint64_t seed, const std::string &kind,
+        const std::string &msg, const std::string &diag,
+        const std::string &ckpt, const std::string &ckpt_out)
+{
+    std::cerr << "consim_run: seed " << seed << " failed\n";
+    if (!ckpt_out.empty() && !ckpt.empty()) {
+        std::ofstream out(ckpt_out);
+        if (out) {
+            out << ckpt << "\n";
+            std::cerr << "consim_run: wrote pre-trip checkpoint to "
+                      << ckpt_out << " (resume with --resume)\n";
+        } else {
+            std::cerr << "consim_run: cannot open " << ckpt_out << "\n";
+        }
+    }
+    reportSimError(kind, msg, diag);
 }
 
 WorkloadKind
@@ -411,9 +431,6 @@ main(int argc, char **argv)
                 ::setenv("CONSIM_CKPT", "0", 1);
             else
                 cfg.ckptEveryCycles = n;
-        } else if (a == "--run-jobs") {
-            if (!parseIntInRange(next_arg(i), 1, 4096, cfg.runJobs))
-                usage("--run-jobs wants a count in 1..4096");
         } else if (a == "--ckpt-out") {
             ckpt_out = next_arg(i);
         } else if (a == "--resume") {
@@ -448,13 +465,6 @@ main(int argc, char **argv)
                   "(drop --dump-stats/--seeds)");
 
         consim::logging::setVerbose(false);
-
-        // runJobs never enters the checkpoint context, so thread the
-        // flag through the environment the resume driver resolves it
-        // from (a resume may use a different count than the original).
-        if (cfg.runJobs)
-            ::setenv("CONSIM_RUN_JOBS",
-                     std::to_string(cfg.runJobs).c_str(), 1);
 
         std::ifstream in(resume_path);
         if (!in) {
@@ -506,14 +516,27 @@ main(int argc, char **argv)
     if (dump && num_seeds > 1)
         usage("--dump-stats needs a live machine (use --seeds 1)");
 
-    const Cycle measure = cfg.measureCycles ? cfg.measureCycles
-                                            : defaultMeasureCycles();
-
-    if (!dump) {
-        // Standard path: run every seed on the parallel sweep engine
-        // and report the averaged RunResult. Unlike batch sweeps,
-        // a front-end run fails loudly: no retries, and the first
-        // tripped checker/watchdog/deadline exits with its diag.
+    // Unlike batch sweeps, a front-end run fails loudly: no retries,
+    // and the first tripped checker/watchdog/deadline exits with its
+    // diag.
+    std::vector<RunResult> group;
+    std::ostringstream stats_text;
+    json::Value stats_json;
+    if (dump) {
+        // The same single run the plain path makes, read through
+        // runExperiment's post-run hook while the machine is live.
+        try {
+            group.push_back(runExperiment(cfg, [&](const System &sys) {
+                sys.dumpStats(stats_text);
+                stats_json = sys.statsRoot().toJson();
+            }));
+        } catch (const SimError &e) {
+            failRun(cfg.seed, toString(e.kind()), e.what(), e.diag(),
+                    e.ckpt(), ckpt_out);
+        }
+    } else {
+        // Every seed runs on the parallel sweep engine; the report
+        // is their average.
         std::vector<RunConfig> seed_cfgs;
         for (int s = 0; s < num_seeds; ++s) {
             seed_cfgs.push_back(cfg);
@@ -523,194 +546,24 @@ main(int argc, char **argv)
         SweepOptions opts;
         opts.maxRetries = 0;
         std::vector<SweepRun> runs = runSweepEx(seed_cfgs, opts);
-        std::vector<RunResult> group;
-        group.reserve(runs.size());
         for (std::size_t s = 0; s < runs.size(); ++s) {
-            if (!runs[s].ok) {
-                std::cerr << "consim_run: seed "
-                          << seed_cfgs[s].seed << " failed\n";
-                if (!ckpt_out.empty() && !runs[s].ckpt.empty()) {
-                    std::ofstream out(ckpt_out);
-                    if (out) {
-                        out << runs[s].ckpt << "\n";
-                        std::cerr << "consim_run: wrote pre-trip "
-                                     "checkpoint to "
-                                  << ckpt_out << " (resume with "
-                                     "--resume)\n";
-                    } else {
-                        std::cerr << "consim_run: cannot open "
-                                  << ckpt_out << "\n";
-                    }
-                }
-                reportSimError(runs[s].errorKind,
-                               runs[s].errorMessage, runs[s].diag);
-            }
+            if (!runs[s].ok)
+                failRun(seed_cfgs[s].seed, runs[s].errorKind,
+                        runs[s].errorMessage, runs[s].diag,
+                        runs[s].ckpt, ckpt_out);
             group.push_back(std::move(runs[s].result));
         }
-        const RunResult r = averageRunResults(std::move(group));
-
-        if (!json_path.empty())
-            writeJsonDoc(json_path, runResultJson(cfg, r));
-
-        if (csv) {
-            std::cout
-                << "vm,kind,threads,transactions,cycles_per_txn,"
-                   "l2_accesses,l2_misses,miss_rate,c2c_clean,"
-                   "c2c_dirty,miss_latency\n";
-        } else {
-            std::cout << "consim_run: " << cfg.workloads.size()
-                      << " VMs, " << toString(cfg.policy) << ", "
-                      << toString(cfg.machine.sharing)
-                      << ", measured " << measure << " cycles";
-            if (num_seeds > 1)
-                std::cout << " x " << num_seeds << " seeds";
-            std::cout << "\n\n";
-        }
-
-        TextTable table({"vm", "cycles/txn", "LLC miss rate",
-                         "miss lat (cy)", "c2c clean", "c2c dirty"});
-        for (std::size_t i = 0; i < r.vms.size(); ++i) {
-            const VmResult &v = r.vms[i];
-            if (csv) {
-                std::cout
-                    << i << "," << toString(v.kind) << ","
-                    << WorkloadProfile::get(v.kind).numThreads << ","
-                    << v.transactions << ","
-                    << v.cyclesPerTransaction << "," << v.l2Accesses
-                    << "," << v.l2Misses << "," << v.missRate << ","
-                    << v.c2cClean << "," << v.c2cDirty << ","
-                    << v.avgMissLatency << "\n";
-            } else {
-                table.addRow({toString(v.kind) + " #" +
-                                  std::to_string(i),
-                              TextTable::num(v.cyclesPerTransaction,
-                                             0),
-                              TextTable::pct(v.missRate),
-                              TextTable::num(v.avgMissLatency, 1),
-                              std::to_string(v.c2cClean),
-                              std::to_string(v.c2cDirty)});
-            }
-        }
-        if (!csv)
-            table.print(std::cout);
-        return 0;
     }
-
-    // --dump-stats needs the live System, so inline the run here
-    // instead of using the sweep engine.
-    std::vector<std::unique_ptr<VirtualMachine>> storage;
-    std::vector<VirtualMachine *> vms;
-    std::vector<int> threads;
-    for (std::size_t i = 0; i < cfg.workloads.size(); ++i) {
-        const auto &prof = WorkloadProfile::get(cfg.workloads[i]);
-        storage.push_back(std::make_unique<VirtualMachine>(
-            prof, static_cast<VmId>(i),
-            cfg.seed * 1000003ull + i * 7919ull));
-        vms.push_back(storage.back().get());
-        threads.push_back(prof.numThreads);
-    }
-    const auto placements =
-        scheduleThreads(cfg.machine, threads, cfg.policy, cfg.seed);
-    System sys(cfg.machine, vms, placements);
-    sys.setWatchdogInterval(cfg.watchdogIntervalCycles
-                                ? cfg.watchdogIntervalCycles
-                                : defaultWatchdogIntervalCycles());
-    if (cfg.cycleDeadline != 0)
-        sys.setCycleDeadline(cfg.cycleDeadline);
-    sys.setRunJobs(cfg.runJobs ? cfg.runJobs : defaultRunJobs());
-    if (!cfg.faults.empty())
-        sys.setFaultPlan(cfg.faults);
-    if (cfg.qos.enabled())
-        sys.setQosConfig(cfg.qos);
-    if (cfg.dynSched.enabled())
-        sys.setDynSched(cfg.dynSched);
-
-    const Cycle warmup =
-        cfg.warmupCycles ? cfg.warmupCycles : defaultWarmupCycles();
-    Rng mig_rng(cfg.seed ^ 0xd15ea5e);
-    auto run_phase = [&](Cycle total) {
-        if (cfg.migrationIntervalCycles == 0) {
-            sys.run(total);
-            return;
-        }
-        Cycle done = 0;
-        while (done < total) {
-            const Cycle chunk =
-                std::min(cfg.migrationIntervalCycles, total - done);
-            sys.run(chunk);
-            done += chunk;
-            if (done < total)
-                sys.swapRandomThreads(mig_rng);
-        }
-    };
-    try {
-        run_phase(warmup);
-        if (CONSIM_CHECK_ACTIVE(Full))
-            sys.auditWindow();
-        sys.resetStats();
-        run_phase(measure);
-        if (CONSIM_CHECK_ACTIVE(Full))
-            sys.auditWindow();
-    } catch (const SimError &e) {
-        reportSimError(toString(e.kind()), e.what(), e.diag());
-    }
-
-    if (csv) {
-        std::cout << "vm,kind,threads,transactions,cycles_per_txn,"
-                     "l2_accesses,l2_misses,miss_rate,c2c_clean,"
-                     "c2c_dirty,miss_latency\n";
-    } else {
-        std::cout << "consim_run: " << cfg.workloads.size()
-                  << " VMs, " << toString(cfg.policy) << ", "
-                  << toString(cfg.machine.sharing) << ", measured "
-                  << measure << " cycles\n\n";
-    }
-
-    TextTable table({"vm", "cycles/txn", "LLC miss rate",
-                     "miss lat (cy)", "c2c clean", "c2c dirty"});
-    for (auto *vm : vms) {
-        const auto &s = vm->vmStats();
-        const double cpt =
-            s.transactions.value()
-                ? static_cast<double>(measure) /
-                      static_cast<double>(s.transactions.value())
-                : 0.0;
-        if (csv) {
-            std::cout << vm->id() << ","
-                      << toString(vm->profile().kind) << ","
-                      << vm->profile().numThreads << ","
-                      << s.transactions.value() << "," << cpt << ","
-                      << s.l2Accesses.value() << ","
-                      << s.l2Misses.value() << "," << s.missRate()
-                      << "," << s.c2cClean.value() << ","
-                      << s.c2cDirty.value() << ","
-                      << s.missLatency.mean() << "\n";
-        } else {
-            table.addRow({toString(vm->profile().kind) + " #" +
-                              std::to_string(vm->id()),
-                          TextTable::num(cpt, 0),
-                          TextTable::pct(s.missRate()),
-                          TextTable::num(s.missLatency.mean(), 1),
-                          std::to_string(s.c2cClean.value()),
-                          std::to_string(s.c2cDirty.value())});
-        }
-    }
-    if (!csv)
-        table.print(std::cout);
-
-    if (dump) {
-        std::cout << "\n# component statistics\n";
-        sys.dumpStats(std::cout);
-    }
+    const RunResult r = averageRunResults(std::move(group));
 
     if (!json_path.empty()) {
-        // No averaged RunResult on this path; export the config echo
-        // and the full registry tree instead.
-        auto doc = json::Value::object();
-        doc.set("schema", "consim.run.v1");
-        doc.set("config", toJson(cfg));
-        doc.set("stats", sys.statsRoot().toJson());
+        json::Value doc = runResultJson(cfg, r);
+        if (dump)
+            doc.set("stats", std::move(stats_json));
         writeJsonDoc(json_path, doc);
     }
+    printRunResult(cfg, r, csv, num_seeds, nullptr);
+    if (dump)
+        std::cout << "\n# component statistics\n" << stats_text.str();
     return 0;
 }
