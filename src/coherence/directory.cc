@@ -97,7 +97,7 @@ DirectorySlice::startTxn(Msg m)
         t.dirFetched = true;
     }
     fab_.scheduleEvent(SimEvent(SimEventKind::DirProcess, tile_, block),
-                       lat, [this, block] { process(block); });
+                       lat);
 }
 
 bool

@@ -192,10 +192,13 @@ class DirectorySlice
     /** Active/waiting transaction snapshot for `consim.diag.v1`. */
     json::Value diagJson() const;
 
+    /** DirProcess event entry point (System::execEvent and the mock
+     *  fabric): serve @p block's active transaction once its
+     *  directory-state access has completed. */
+    void process(BlockAddr block);
+
   private:
-    /** System dispatches typed events (DirProcess) and the
-     *  checkpoint layer reads raw state. */
-    friend class System;
+    /** The checkpoint layer reads raw state. */
     friend struct CkptAccess;
 
     struct DirCacheLine : CacheLineBase
@@ -214,7 +217,6 @@ class DirectorySlice
     };
 
     void startTxn(Msg m);
-    void process(BlockAddr block);
     void processGetS(Txn &t, DirEntry &e);
     void processGetM(Txn &t, DirEntry &e);
     void processPut(Txn &t, DirEntry &e);

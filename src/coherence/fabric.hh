@@ -8,25 +8,25 @@
 #ifndef CONSIM_COHERENCE_FABRIC_HH
 #define CONSIM_COHERENCE_FABRIC_HH
 
+#include <type_traits>
+
 #include "coherence/protocol.hh"
 #include "common/config.hh"
-#include "common/event_fn.hh"
 #include "common/types.hh"
 
 namespace consim
 {
 
 /**
- * Kind tag of a typed simulator event. Typed events describe the
- * handful of recurring callback shapes in the machine as plain data,
- * which is what lets a checkpoint serialize a pending event queue:
- * an Opaque closure cannot be written to disk, but (kind, tile,
- * block, msg) can.
+ * Kind tag of a simulator event. Events describe the handful of
+ * recurring callback shapes in the machine as plain data, which is
+ * what lets a checkpoint serialize a pending event queue. Checkpoints
+ * store the kind as its integer value, so the numbers are part of
+ * the `consim.ckpt.v5` format: never renumber, only append.
  */
 enum class SimEventKind : std::uint8_t
 {
-    Opaque,        ///< arbitrary closure; not checkpointable
-    Deliver,       ///< deliver msg to its destination unit
+    Deliver = 1,   ///< deliver msg to its destination unit
     BankDispatch,  ///< L2Bank at tile dispatches block's queue head
     BankFillRetry, ///< L2Bank at tile retries a stalled fill of block
     DirProcess,    ///< DirectorySlice at tile processes block
@@ -36,10 +36,9 @@ enum class SimEventKind : std::uint8_t
 };
 
 /**
- * A typed simulator event: every scheduled callback in the machine
- * expressed as data plus an escape hatch (Opaque) holding a closure.
- * The System's executor switches on `kind` to re-dispatch into the
- * owning component; checkpoints refuse to serialize Opaque events.
+ * A simulator event: every scheduled callback in the machine
+ * expressed as plain data. The System's executor switches on `kind`
+ * to re-dispatch into the owning component.
  *
  * Ordering key: same-cycle events run sorted by (src, seq), where
  * `src` names the scheduling source (tile id, or a virtual source for
@@ -51,17 +50,15 @@ enum class SimEventKind : std::uint8_t
  */
 struct SimEvent
 {
-    SimEventKind kind = SimEventKind::Opaque;
+    SimEventKind kind;
     CoreId tile = invalidCore; ///< owning component's tile
     BlockAddr block = 0;
     std::int32_t src = -1;  ///< ordering key: scheduling source
     std::uint64_t seq = 0;  ///< ordering key: per-source sequence
     Msg msg{};
-    EventFn fn; ///< Opaque only
 
-    SimEvent() = default;
     SimEvent(SimEventKind k, CoreId t, BlockAddr b) : kind(k), tile(t), block(b) {}
-    SimEvent(SimEventKind k, Msg m) : kind(k), msg(std::move(m)) {}
+    SimEvent(SimEventKind k, const Msg &m) : kind(k), msg(m) {}
 
     /** Strict weak order of same-cycle events. */
     static bool
@@ -70,6 +67,11 @@ struct SimEvent
         return a.src != b.src ? a.src < b.src : a.seq < b.seq;
     }
 };
+
+// Every queue push, sort and dispatch copies events: keep them plain
+// bytes, and no larger than the key, the routing fields and one Msg.
+static_assert(std::is_trivially_copyable_v<SimEvent>);
+static_assert(sizeof(SimEvent) == 96, "SimEvent grew");
 
 /** Interface to the surrounding machine (clock, transport, mapping). */
 class Fabric
@@ -86,23 +88,8 @@ class Fabric
      */
     virtual void send(Msg m) = 0;
 
-    /** Run a callback after @p delay cycles (delay >= 1). */
-    virtual void schedule(Cycle delay, EventFn fn) = 0;
-
-    /**
-     * Schedule a typed event after @p delay cycles (delay >= 1).
-     * @p fallback must perform the same action as @p ev; the default
-     * implementation runs it through schedule(), so mock fabrics in
-     * unit tests keep working without knowing about typed events.
-     * The System overrides this to enqueue `ev` itself, keeping the
-     * event queue serializable.
-     */
-    virtual void
-    scheduleEvent(SimEvent ev, Cycle delay, EventFn fallback)
-    {
-        (void)ev;
-        schedule(delay, std::move(fallback));
-    }
+    /** Run event @p ev after @p delay cycles (delay >= 1). */
+    virtual void scheduleEvent(SimEvent ev, Cycle delay) = 0;
 
     /** @return the machine configuration. */
     virtual const MachineConfig &config() const = 0;

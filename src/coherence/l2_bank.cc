@@ -149,8 +149,7 @@ L2Bank::onL1Request(const Msg &m)
     active_[block] = std::move(t);
     fab_.scheduleEvent(
         SimEvent(SimEventKind::BankDispatch, tile_, block),
-        fab_.config().l2Latency,
-        [this, block] { dispatchLocal(block); });
+        fab_.config().l2Latency);
 }
 
 void
@@ -293,8 +292,7 @@ L2Bank::startOp(Msg m)
         active_[block] = std::move(t);
         fab_.scheduleEvent(
             SimEvent(SimEventKind::BankDispatch, tile_, block),
-            fab_.config().l2Latency,
-            [this, block] { dispatchLocal(block); });
+            fab_.config().l2Latency);
         break;
       }
       case MsgType::FwdGetS:
@@ -626,8 +624,7 @@ L2Bank::tryCompleteFill(BlockAddr block)
         // Every candidate in the set is mid-operation; retry shortly.
         ++stats_.fillRetries;
         fab_.scheduleEvent(
-            SimEvent(SimEventKind::BankFillRetry, tile_, block), 8,
-            [this, block] { fillRetry(block); });
+            SimEvent(SimEventKind::BankFillRetry, tile_, block), 8);
         return;
     }
     if (slot->valid) {

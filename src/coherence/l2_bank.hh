@@ -129,10 +129,18 @@ class L2Bank
     /** Active/waiting/writeback snapshot for `consim.diag.v1`. */
     json::Value diagJson() const;
 
+    // --- event entry points (System::execEvent and the mock fabric) ---
+
+    /** BankDispatch: look up @p block's active L1 request once the
+     *  L2 access latency has elapsed. */
+    void dispatchLocal(BlockAddr block);
+
+    /** BankFillRetry: retry @p block's fill, stalled because every
+     *  victim candidate in its set was mid-operation. */
+    void fillRetry(BlockAddr block);
+
   private:
-    /** System dispatches typed events (BankDispatch/BankFillRetry)
-     *  and the checkpoint layer reads raw state. */
-    friend class System;
+    /** The checkpoint layer reads raw state. */
     friend struct CkptAccess;
 
     enum class Phase
@@ -172,7 +180,6 @@ class L2Bank
 
     // --- message handlers ---
     void onL1Request(const Msg &m);
-    void dispatchLocal(BlockAddr block);
     void onL1PutM(const Msg &m);
     void onL1WbData(const Msg &m);
     void onFwd(const Msg &m);
@@ -190,7 +197,6 @@ class L2Bank
     void serveFwdFromWb(const Msg &m, WbEntry &wb);
     void handleExtractionData(BlockAddr txn_block);
     void tryCompleteFill(BlockAddr block);
-    void fillRetry(BlockAddr block);
     void installAndFinish(BlockAddr block);
     void grantLocal(const Msg &req, L2CacheLine *line);
     void finishLocal(BlockAddr block);

@@ -115,8 +115,7 @@ MemoryController::handle(const Msg &msg)
     reply.dstUnit = Unit::L2Bank;
     reply.c2cTransfer = false;
     reply.dirtyData = false;
-    fab_.scheduleEvent(SimEvent(SimEventKind::MemDone, reply), done,
-                       [this, reply] { finishAccess(reply); });
+    fab_.scheduleEvent(SimEvent(SimEventKind::MemDone, reply), done);
 }
 
 void

@@ -46,9 +46,9 @@ class MemoryController
     void setQos(VmId protected_vm, int num_vms, std::uint64_t tokens,
                 Cycle refill_cycles);
 
-    /** Complete an access: send @p reply (a fully-formed Data
-     *  message) back toward the requester. Dispatched by the typed
-     *  MemDone event (or its fallback closure in mock fabrics). */
+    /** MemDone event entry point: complete an access by sending
+     *  @p reply (a fully-formed Data message) back toward the
+     *  requester. */
     void finishAccess(const Msg &reply);
 
     /** @return true when no access is outstanding. */

@@ -6,7 +6,7 @@
  * malloc/free wrappers that bump a relaxed atomic counter per
  * allocation. The hot paths are engineered to be allocation-free in
  * steady state (pooled transaction tables, ring-buffered queues,
- * in-place sharer sets, small-buffer event closures); the counter is
+ * in-place sharer sets, pre-sized calendar buckets); the counter is
  * how tests and benches *prove* that instead of assuming it. The
  * counter costs one relaxed atomic increment per allocation, which
  * is noise precisely because steady state performs none.

@@ -93,6 +93,14 @@ coreSetJson(const CoreSet &s)
     return v;
 }
 
+/** @return true for event kinds whose record carries a message. */
+bool
+carriesMsg(SimEventKind k)
+{
+    return k == SimEventKind::Deliver || k == SimEventKind::MemDone ||
+           k == SimEventKind::NetDeliver;
+}
+
 CoreSet
 coreSetFromJson(const Value &v)
 {
@@ -244,11 +252,6 @@ struct CkptAccess
         std::vector<Rec> recs;
         s.events_.forEachPending(
             s.now_, [&](Cycle when, const SimEvent &ev) {
-                if (ev.kind == SimEventKind::Opaque)
-                    throw SimError(
-                        SimErrorKind::Invariant,
-                        "cannot checkpoint: opaque event pending "
-                        "(scheduled via the closure escape hatch)");
                 recs.push_back(Rec{when, &ev});
             });
         // Canonical (when, src, seq) order: the same machine state
@@ -268,9 +271,7 @@ struct CkptAccess
             rec.push(static_cast<int>(r.ev->kind));
             rec.push(r.ev->tile);
             rec.push(static_cast<std::uint64_t>(r.ev->block));
-            if (r.ev->kind == SimEventKind::Deliver ||
-                r.ev->kind == SimEventKind::MemDone ||
-                r.ev->kind == SimEventKind::NetDeliver)
+            if (carriesMsg(r.ev->kind))
                 rec.push(msgToJson(r.ev->msg));
             pending.push(std::move(rec));
         }
@@ -293,18 +294,49 @@ struct CkptAccess
         for (std::size_t i = 0; i < s.seqBySrc_.size(); ++i)
             s.seqBySrc_[i] = seqs.at(i).asUint();
         s.events_.setExecuted(get(v, "executed").asUint());
-        for (const Value &rec : get(v, "pending").items()) {
-            SimEvent ev;
-            ev.src = static_cast<std::int32_t>(asInt(rec.at(1)));
-            ev.seq = rec.at(2).asUint();
-            ev.kind = static_cast<SimEventKind>(asInt(rec.at(3)));
-            ev.tile = static_cast<CoreId>(asInt(rec.at(4)));
-            ev.block = rec.at(5).asUint();
-            if (rec.size() > 6)
-                ev.msg = msgFromJson(rec.at(6));
+        for (const Value &rec : get(v, "pending").items())
             s.events_.insertAbs(s.now_, rec.at(0).asUint(),
-                                std::move(ev));
-        }
+                                eventFromJson(s, rec));
+    }
+
+    /**
+     * Decode one pending-event record strictly: a corrupt record
+     * would otherwise be dropped by the executor switch or index a
+     * component out of range when it fires.
+     */
+    static SimEvent
+    eventFromJson(const System &s, const Value &rec)
+    {
+        const bool has_msg = rec.size() == 7;
+        CONSIM_ASSERT(rec.size() == 6 || has_msg,
+                      "checkpoint: bad event record (", rec.size(),
+                      " fields)");
+        const std::int64_t kind = asInt(rec.at(3));
+        CONSIM_ASSERT(
+            kind >= static_cast<std::int64_t>(SimEventKind::Deliver) &&
+                kind <= static_cast<std::int64_t>(SimEventKind::NetDeliver),
+            "checkpoint: bad event record (kind ", kind, ")");
+        const auto k = static_cast<SimEventKind>(kind);
+        CONSIM_ASSERT(has_msg == carriesMsg(k),
+                      "checkpoint: bad event record (kind ", kind,
+                      has_msg ? " with" : " without", " a message)");
+        const std::int64_t src = asInt(rec.at(1));
+        CONSIM_ASSERT(src >= 0 && static_cast<std::size_t>(src) <
+                                      s.seqBySrc_.size(),
+                      "checkpoint: bad event record (src ", src, ")");
+        const std::int64_t tile = asInt(rec.at(4));
+        CONSIM_ASSERT(tile >= invalidCore && tile < s.cfg_.numCores(),
+                      "checkpoint: bad event record (tile ", tile, ")");
+        SimEvent ev(k, static_cast<CoreId>(tile), rec.at(5).asUint());
+        if (has_msg)
+            ev.msg = msgFromJson(rec.at(6));
+        ev.src = static_cast<std::int32_t>(src);
+        ev.seq = rec.at(2).asUint();
+        // The tile the executor indexes when the event fires.
+        const CoreId owner = s.ownerTileOf(ev);
+        CONSIM_ASSERT(owner >= 0 && owner < s.cfg_.numCores(),
+                      "checkpoint: bad event record (tile ", owner, ")");
+        return ev;
     }
 
     // --- cores ---

@@ -4,7 +4,7 @@
  * deterministic machine state.
  *
  * A checkpoint captures everything the next cycle's behaviour depends
- * on — the clock, the event queue (typed events only; see fabric.hh),
+ * on — the clock, the event queue (SimEvents; see fabric.hh),
  * every cache array slot-index-exact (victim() choices depend on slot
  * order and LRU stamps), the bank/directory transaction tables, the
  * NoC's VC queues, credits and in-flight transmissions, the

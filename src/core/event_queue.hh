@@ -14,20 +14,16 @@
  * min-heap and are merged back when their cycle arrives.
  *
  * Ordering: events run in (when, src, seq) order — `src`/`seq` are
- * the per-source key carried inside each SimEvent (see fabric.hh).
- * runDue() gathers a cycle's due events into its bucket, sorts them
- * once by key, and dispatches the whole batch in one tight loop, so
- * ordering is a function of the keys alone (not of insertion order)
- * and the dispatch loop amortizes the per-event bookkeeping. Sources
- * with a single global key domain (the standalone `schedule`
- * overloads used by tests) get FIFO semantics among same-cycle
- * events, exactly like the old (when, schedule-order) queue.
+ * the per-source key carried inside each SimEvent (see fabric.hh),
+ * assigned by the caller before the event is queued. runDue()
+ * gathers a cycle's due events into its bucket, sorts them once by
+ * key, and dispatches the whole batch in one tight loop, so ordering
+ * is a function of the keys alone (not of insertion order) and the
+ * dispatch loop amortizes the per-event bookkeeping.
  *
- * Events are typed SimEvents (see fabric.hh): plain data the
- * checkpoint layer can serialize, with an Opaque closure escape hatch
- * for tests and one-off callbacks. runDue() hands each due event to
- * an executor callback (the System's dispatch switch); the
- * executor-less overload runs Opaque closures directly.
+ * Events are SimEvents (see fabric.hh): plain data the checkpoint
+ * layer can serialize. runDue() hands each due event to an executor
+ * callback (the System's dispatch switch).
  *
  * The ring invariant requires runDue(now) to be called for every
  * cycle in ascending order (the System ticks every cycle, so this is
@@ -42,7 +38,6 @@
 #include <vector>
 
 #include "coherence/fabric.hh"
-#include "common/event_fn.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 
@@ -58,35 +53,14 @@ class CalendarQueue
     static constexpr Cycle ringCycles = 256;
 
     /**
-     * Schedule typed event @p ev (whose src/seq key the caller has
-     * already assigned) to run @p delay cycles after @p now.
+     * Schedule event @p ev (whose src/seq key the caller has already
+     * assigned) to run @p delay cycles after @p now.
      */
     void
-    scheduleKeyed(Cycle now, Cycle delay, SimEvent ev)
+    schedule(Cycle now, Cycle delay, const SimEvent &ev)
     {
         CONSIM_ASSERT(delay >= 1, "zero-delay events are forbidden");
-        insert(now, now + delay, std::move(ev));
-    }
-
-    /**
-     * Schedule typed event @p ev, keying it from this queue's own
-     * auto counter (src stays -1). Standalone use only — a System
-     * assigns per-source keys itself and calls scheduleKeyed().
-     */
-    void
-    schedule(Cycle now, Cycle delay, SimEvent ev)
-    {
-        ev.seq = autoSeq_++;
-        scheduleKeyed(now, delay, std::move(ev));
-    }
-
-    /** Schedule a bare closure (wrapped as an Opaque event). */
-    void
-    schedule(Cycle now, Cycle delay, EventFn fn)
-    {
-        SimEvent ev;
-        ev.fn = std::move(fn);
-        schedule(now, delay, std::move(ev));
+        insert(now, now + delay, ev);
     }
 
     /**
@@ -109,7 +83,7 @@ class CalendarQueue
                           "event missed its cycle");
             std::pop_heap(overflow_.begin(), overflow_.end(),
                           HeapEvent::later);
-            bucket.push_back(std::move(overflow_.back().ev));
+            bucket.push_back(overflow_.back().ev);
             overflow_.pop_back();
         }
         if (bucket.size() > 1)
@@ -118,20 +92,9 @@ class CalendarQueue
         // loop body is just the (inlined) executor call.
         size_ -= bucket.size();
         executed_ += bucket.size();
-        for (auto &e : bucket)
+        for (const SimEvent &e : bucket)
             exec(e);
         bucket.clear();
-    }
-
-    /** Executor-less runDue: runs Opaque closures (tests). */
-    void
-    runDue(Cycle now)
-    {
-        runDue(now, [](SimEvent &ev) {
-            CONSIM_ASSERT(ev.kind == SimEventKind::Opaque && ev.fn,
-                          "typed event needs an executor");
-            ev.fn();
-        });
     }
 
     /** @return number of pending events. */
@@ -171,10 +134,10 @@ class CalendarQueue
      * works — runDue() sorts.
      */
     void
-    insertAbs(Cycle now, Cycle when, SimEvent ev)
+    insertAbs(Cycle now, Cycle when, const SimEvent &ev)
     {
         CONSIM_ASSERT(when >= now, "restoring an overdue event");
-        insert(now, when, std::move(ev));
+        insert(now, when, ev);
     }
 
     void setExecuted(std::uint64_t e) { executed_ = e; }
@@ -215,12 +178,12 @@ class CalendarQueue
     };
 
     void
-    insert(Cycle now, Cycle when, SimEvent ev)
+    insert(Cycle now, Cycle when, const SimEvent &ev)
     {
         if (when - now < ringCycles) {
-            ring_[when & mask_].push_back(std::move(ev));
+            ring_[when & mask_].push_back(ev);
         } else {
-            overflow_.push_back(HeapEvent{when, std::move(ev)});
+            overflow_.push_back(HeapEvent{when, ev});
             std::push_heap(overflow_.begin(), overflow_.end(),
                            HeapEvent::later);
         }
@@ -229,7 +192,6 @@ class CalendarQueue
 
     std::vector<SimEvent> ring_[ringCycles];
     std::vector<HeapEvent> overflow_; ///< min-heap via std heap ops
-    std::uint64_t autoSeq_ = 0; ///< key domain for standalone use
     std::size_t size_ = 0;
     std::uint64_t executed_ = 0;
 };

@@ -84,10 +84,7 @@ System::System(const MachineConfig &cfg,
     // Mesh ejections reach their destination unit netHandoff_ cycles
     // after ejection, as a NET-keyed event (the NI->protocol latency).
     net_->setDeliver([this](const Msg &m) {
-        SimEvent ev(SimEventKind::Deliver, m);
-        ev.src = netSrc_;
-        ev.seq = seqBySrc_[static_cast<std::size_t>(netSrc_)]++;
-        events_.scheduleKeyed(now_, netHandoff_, std::move(ev));
+        enqueue(netSrc_, netHandoff_, SimEvent(SimEventKind::Deliver, m));
     });
 
     for (CoreId t = 0; t < n; ++t) {
@@ -410,55 +407,42 @@ System::send(Msg m)
     const auto src = static_cast<std::int32_t>(m.srcTile);
     if (m.srcTile == m.dstTile) {
         // Local hop: fixed one-cycle on-tile transfer.
-        SimEvent ev(SimEventKind::Deliver, std::move(m));
-        ev.src = src;
-        ev.seq = seqBySrc_[static_cast<std::size_t>(src)]++;
-        events_.scheduleKeyed(now_, 1, std::move(ev));
+        enqueue(src, 1, SimEvent(SimEventKind::Deliver, m));
         return;
     }
     if (cfg_.flatIntraGroup && isIntraGroup(m.type)) {
         // On-partition path: the paper models a constant L2 access
         // latency regardless of sharing degree, so traffic between a
         // core and its partition's banks bypasses the mesh.
-        SimEvent ev(SimEventKind::Deliver, std::move(m));
-        ev.src = src;
-        ev.seq = seqBySrc_[static_cast<std::size_t>(src)]++;
-        events_.scheduleKeyed(now_, cfg_.intraGroupLatency,
-                              std::move(ev));
+        enqueue(src, cfg_.intraGroupLatency,
+                SimEvent(SimEventKind::Deliver, m));
         return;
     }
     if (netBypass_) {
         // Ideal network, modelled as a scheduled arrival (see ctor).
-        SimEvent ev(SimEventKind::NetDeliver, std::move(m));
-        ev.src = src;
-        ev.seq = seqBySrc_[static_cast<std::size_t>(src)]++;
         net_->countInject();
-        events_.scheduleKeyed(now_, cfg_.idealNocLatency, std::move(ev));
+        enqueue(src, cfg_.idealNocLatency,
+                SimEvent(SimEventKind::NetDeliver, m));
         return;
     }
     net_->inject(std::move(m));
 }
 
 void
-System::schedule(Cycle delay, EventFn fn)
+System::scheduleEvent(SimEvent ev, Cycle delay)
 {
-    SimEvent ev;
-    ev.fn = std::move(fn);
-    ev.src = sysSrc_;
-    ev.seq = seqBySrc_[static_cast<std::size_t>(sysSrc_)]++;
-    events_.scheduleKeyed(now_, delay, std::move(ev));
+    const CoreId owner = ownerTileOf(ev);
+    CONSIM_ASSERT(owner >= 0 && owner < cfg_.numCores(),
+                  "event without an owning tile");
+    enqueue(static_cast<std::int32_t>(owner), delay, ev);
 }
 
 void
-System::scheduleEvent(SimEvent ev, Cycle delay, EventFn fallback)
+System::enqueue(std::int32_t src, Cycle delay, SimEvent ev)
 {
-    (void)fallback;
-    const CoreId owner = ownerTileOf(ev);
-    CONSIM_ASSERT(owner >= 0 && owner < cfg_.numCores(),
-                  "typed event without an owning tile");
-    ev.src = static_cast<std::int32_t>(owner);
-    ev.seq = seqBySrc_[static_cast<std::size_t>(owner)]++;
-    events_.scheduleKeyed(now_, delay, std::move(ev));
+    ev.src = src;
+    ev.seq = seqBySrc_[static_cast<std::size_t>(src)]++;
+    events_.schedule(now_, delay, ev);
 }
 
 CoreId
@@ -583,7 +567,7 @@ System::deliver(const Msg &m)
 }
 
 void
-System::execEvent(SimEvent &ev)
+System::execEvent(const SimEvent &ev)
 {
     switch (ev.kind) {
       case SimEventKind::Deliver:
@@ -614,16 +598,13 @@ System::execEvent(SimEvent &ev)
         deliver(ev.msg);
         break;
       }
-      case SimEventKind::Opaque:
-        ev.fn();
-        break;
     }
 }
 
 void
 System::tick()
 {
-    events_.runDue(now_, [this](SimEvent &ev) { execEvent(ev); });
+    events_.runDue(now_, [this](const SimEvent &ev) { execEvent(ev); });
     for (auto &c : cores_)
         c->tick();
     if (!netBypass_)
@@ -987,12 +968,8 @@ System::setFaultPlan(const FaultPlan &plan)
             if (e.at <= now_) {
                 cores_[c]->wedge();
             } else {
-                SimEvent ev(SimEventKind::WedgeCore, c, 0);
-                ev.src = sysSrc_;
-                ev.seq =
-                    seqBySrc_[static_cast<std::size_t>(sysSrc_)]++;
-                events_.scheduleKeyed(now_, e.at - now_,
-                                      std::move(ev));
+                enqueue(sysSrc_, e.at - now_,
+                        SimEvent(SimEventKind::WedgeCore, c, 0));
             }
             break;
           }

@@ -99,13 +99,9 @@ class System : public Fabric
     // --- Fabric interface ---
     Cycle now() const override { return now_; }
     void send(Msg m) override;
-    void schedule(Cycle delay, EventFn fn) override;
-    /** Typed events go straight into the calendar queue (the
-     *  fallback closure is dropped), keeping the queue serializable.
-     *  The event is keyed (src, seq) from its owning tile's
-     *  sequence counter. */
-    void scheduleEvent(SimEvent ev, Cycle delay,
-                       EventFn fallback) override;
+    /** Queue @p ev in the calendar, keyed (src, seq) from its owning
+     *  tile's sequence counter. */
+    void scheduleEvent(SimEvent ev, Cycle delay) override;
     const MachineConfig &config() const override { return cfg_; }
     GroupId groupOfTile(CoreId tile) const override
     {
@@ -309,8 +305,7 @@ class System : public Fabric
      * tables, NoC, RNG streams, stats registry) as a
      * `consim.ckpt.v5` document. The embedded
      * experiment context (setCheckpointContext) rides along so the
-     * experiment layer can resume its warmup/measure loop. Throws
-     * SimError(Invariant) if an Opaque event is pending.
+     * experiment layer can resume its warmup/measure loop.
      */
     json::Value saveCheckpoint() const;
 
@@ -348,8 +343,12 @@ class System : public Fabric
   private:
     friend struct CkptAccess;
 
-    /** Dispatch a due typed event into its owning component. */
-    void execEvent(SimEvent &ev);
+    /** Dispatch a due event into its owning component. */
+    void execEvent(const SimEvent &ev);
+
+    /** Key @p ev from source @p src's sequence counter and queue it
+     *  @p delay cycles from now: the one place keys are assigned. */
+    void enqueue(std::int32_t src, Cycle delay, SimEvent ev);
 
     /** Take a periodic snapshot into the ring. */
     void takeSnapshot();

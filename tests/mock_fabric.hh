@@ -8,6 +8,8 @@
 #ifndef CONSIM_TESTS_MOCK_FABRIC_HH
 #define CONSIM_TESTS_MOCK_FABRIC_HH
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <functional>
 #include <queue>
@@ -15,11 +17,18 @@
 
 #include "coherence/directory.hh"
 #include "coherence/fabric.hh"
+#include "coherence/l2_bank.hh"
+#include "coherence/memory_controller.hh"
 
 namespace consim
 {
 
-/** A hand-cranked Fabric: records sends, runs scheduled events. */
+/**
+ * A hand-cranked Fabric: records sends and queues scheduled events,
+ * running them in (cycle, scheduling order) on demand. Each event is
+ * dispatched to the unit the fixture attached, through the same
+ * entry point System::execEvent calls.
+ */
 class MockFabric : public Fabric
 {
   public:
@@ -30,10 +39,15 @@ class MockFabric : public Fabric
     void send(Msg m) override { sent.push_back(std::move(m)); }
 
     void
-    schedule(Cycle delay, EventFn fn) override
+    scheduleEvent(SimEvent ev, Cycle delay) override
     {
-        events_.push({now_ + delay, seq_++, std::move(fn)});
+        events_.push({now_ + delay, seq_++, ev});
     }
+
+    /** Dispatch events of the unit under test to @p u. */
+    void attach(L2Bank &u) { bank_ = &u; }
+    void attach(DirectorySlice &u) { dir_ = &u; }
+    void attach(MemoryController &u) { mc_ = &u; }
 
     const MachineConfig &config() const override { return cfg_; }
 
@@ -84,13 +98,21 @@ class MockFabric : public Fabric
         const Cycle end = now_ + max_cycles;
         while (!events_.empty() && now_ < end) {
             now_ = std::max(now_ + 1, events_.top().when);
-            while (!events_.empty() && events_.top().when <= now_) {
-                auto fn = std::move(
-                    const_cast<Event &>(events_.top()).fn);
-                events_.pop();
-                fn();
-            }
+            runDue();
         }
+    }
+
+    /** Advance the clock @p cycles cycles, running the events due on
+     *  the way. */
+    void
+    advance(Cycle cycles)
+    {
+        const Cycle end = now_ + cycles;
+        while (!events_.empty() && events_.top().when <= end) {
+            now_ = events_.top().when;
+            runDue();
+        }
+        now_ = end;
     }
 
     /** @return sent messages of one type. */
@@ -123,16 +145,57 @@ class MockFabric : public Fabric
     {
         Cycle when;
         std::uint64_t seq;
-        EventFn fn;
+        SimEvent ev;
         bool operator>(const Event &o) const
         {
             return when != o.when ? when > o.when : seq > o.seq;
         }
     };
+
+    /** Run every event due at or before now_, in order. */
+    void
+    runDue()
+    {
+        while (!events_.empty() && events_.top().when <= now_) {
+            const SimEvent ev = events_.top().ev;
+            events_.pop();
+            exec(ev);
+        }
+    }
+
+    void
+    exec(const SimEvent &ev)
+    {
+        switch (ev.kind) {
+          case SimEventKind::BankDispatch:
+            ASSERT_NE(bank_, nullptr) << "no L2Bank attached";
+            bank_->dispatchLocal(ev.block);
+            break;
+          case SimEventKind::BankFillRetry:
+            ASSERT_NE(bank_, nullptr) << "no L2Bank attached";
+            bank_->fillRetry(ev.block);
+            break;
+          case SimEventKind::DirProcess:
+            ASSERT_NE(dir_, nullptr) << "no DirectorySlice attached";
+            dir_->process(ev.block);
+            break;
+          case SimEventKind::MemDone:
+            ASSERT_NE(mc_, nullptr) << "no MemoryController attached";
+            mc_->finishAccess(ev.msg);
+            break;
+          default:
+            FAIL() << "unit scheduled a System-only event kind "
+                   << static_cast<int>(ev.kind);
+        }
+    }
+
     Cycle now_ = 0;
     std::uint64_t seq_ = 0;
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
         events_;
+    L2Bank *bank_ = nullptr;
+    DirectorySlice *dir_ = nullptr;
+    MemoryController *mc_ = nullptr;
 };
 
 } // namespace consim

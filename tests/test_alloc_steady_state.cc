@@ -6,8 +6,8 @@
  * heap allocations. The global operator-new hook
  * (common/alloc_hook.hh) counts every allocation in the process, so
  * a nonzero delta pinpoints a hot-path regression (a std::deque
- * sneaking back in, a map rehash mid-window, a per-message closure
- * that outgrew the inline buffer).
+ * sneaking back in, a map rehash mid-window, a calendar bucket
+ * outgrowing its reservation).
  */
 
 #include <gtest/gtest.h>
@@ -101,6 +101,18 @@ TEST(AllocSteadyState, PrivateSharingWindowIsAllocationFree)
     const RunConfig cfg = mixConfig(Mix::byName("Mix 1"),
                                     SchedPolicy::RoundRobin,
                                     SharingDegree::Private);
+    expectZeroAllocWindow(cfg, 60'000, 30'000);
+}
+
+TEST(AllocSteadyState, IdealNocWindowIsAllocationFree)
+{
+    // Ideal NoC: every cross-tile message becomes a NetDeliver
+    // calendar event instead of mesh flits, so the event core carries
+    // the whole message load.
+    RunConfig cfg = mixConfig(Mix::byName("Mix 1"),
+                              SchedPolicy::Affinity,
+                              SharingDegree::Shared4);
+    cfg.machine.idealNoc = true;
     expectZeroAllocWindow(cfg, 60'000, 30'000);
 }
 

@@ -47,6 +47,7 @@ class DirectoryUnit : public ::testing::Test
     DirectoryUnit() : slice_(fab_, 0, store_)
     {
         store_.registerVm(0, 4096);
+        fab_.attach(slice_);
     }
 
     void
@@ -314,6 +315,7 @@ TEST(MemoryControllerUnit, ReadRepliesWithDataAfterLatency)
 {
     MockFabric fab;
     MemoryController mc(fab, 15);
+    fab.attach(mc);
     Msg m;
     m.type = MsgType::MemRead;
     m.block = 7;
@@ -334,6 +336,7 @@ TEST(MemoryControllerUnit, WritesAreAbsorbed)
 {
     MockFabric fab;
     MemoryController mc(fab, 15);
+    fab.attach(mc);
     Msg m;
     m.type = MsgType::MemWrite;
     m.block = 7;
@@ -347,6 +350,7 @@ TEST(MemoryControllerUnit, BandwidthQueuesBackToBackRequests)
 {
     MockFabric fab;
     MemoryController mc(fab, 15);
+    fab.attach(mc);
     for (int i = 0; i < 8; ++i) {
         Msg m;
         m.type = MsgType::MemRead;
@@ -364,6 +368,7 @@ TEST(MemoryControllerUnit, OverlappedFetchIsCheaper)
 {
     MockFabric fab;
     MemoryController mc(fab, 15);
+    fab.attach(mc);
     // Normal read.
     Msg slow;
     slow.type = MsgType::MemRead;
@@ -375,6 +380,7 @@ TEST(MemoryControllerUnit, OverlappedFetchIsCheaper)
 
     MockFabric fab2;
     MemoryController mc2(fab2, 15);
+    fab2.attach(mc2);
     Msg fast = slow;
     fast.overlappedFetch = true;
     mc2.handle(fast);

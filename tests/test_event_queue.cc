@@ -1,12 +1,14 @@
 /**
  * @file
- * Unit tests for the calendar-queue event core: (when, seq) ordering,
- * FIFO tie-break among same-cycle events, the overflow-heap path for
- * delays beyond the bucket ring, and the zero-delay guard.
+ * Unit tests for the calendar-queue event core: (when, src, seq)
+ * ordering, scheduling-order tie-break among same-cycle events of one
+ * source, the overflow-heap path for delays beyond the bucket ring,
+ * and the zero-delay guard.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "core/event_queue.hh"
@@ -16,25 +18,50 @@ namespace consim
 namespace
 {
 
-/** Drive the queue one cycle at a time, recording event firings. */
+/** An event carrying test id @p id in its block field. */
+SimEvent
+idEvent(int id)
+{
+    return SimEvent(SimEventKind::BankDispatch, 0,
+                    static_cast<BlockAddr>(id));
+}
+
+/**
+ * Drive the queue one cycle at a time, recording event firings
+ * through an executor. The harness is one key source: it numbers its
+ * events itself, as a System source does, so same-cycle events run
+ * in scheduling order.
+ */
 struct Harness
 {
     CalendarQueue q;
     Cycle now = 0;
+    std::uint64_t seq = 0;
     std::vector<int> fired;
+    /** Called after each firing; may schedule more events. */
+    std::function<void(int)> onFire;
 
     void
     at(Cycle delay, int id)
     {
-        q.schedule(now, delay, [this, id] { fired.push_back(id); });
+        SimEvent ev = idEvent(id);
+        ev.src = 0;
+        ev.seq = seq++;
+        q.schedule(now, delay, ev);
     }
 
     /** Tick through cycle `now`..`upto` inclusive. */
     void
     runTo(Cycle upto)
     {
-        for (; now <= upto; ++now)
-            q.runDue(now);
+        for (; now <= upto; ++now) {
+            q.runDue(now, [this](const SimEvent &ev) {
+                const int id = static_cast<int>(ev.block);
+                fired.push_back(id);
+                if (onFire)
+                    onFire(id);
+            });
+        }
     }
 };
 
@@ -104,14 +131,15 @@ TEST(CalendarQueue, OverflowHeapOrdersByWhenThenSeq)
 TEST(CalendarQueue, EventsMayScheduleMoreEvents)
 {
     Harness h;
-    h.q.schedule(0, 1, [&h] {
-        h.fired.push_back(0);
+    h.onFire = [&h](int id) {
+        if (id != 0)
+            return;
         // Reentrant schedules from inside runDue, one short (ring)
         // and one long (overflow).
-        h.q.schedule(h.now, 2, [&h] { h.fired.push_back(1); });
-        h.q.schedule(h.now, CalendarQueue::ringCycles + 5,
-                     [&h] { h.fired.push_back(2); });
-    });
+        h.at(2, 1);
+        h.at(CalendarQueue::ringCycles + 5, 2);
+    };
+    h.at(1, 0);
     h.runTo(CalendarQueue::ringCycles + 10);
     EXPECT_EQ(h.fired, (std::vector<int>{0, 1, 2}));
     EXPECT_TRUE(h.q.empty());
@@ -131,10 +159,31 @@ TEST(CalendarQueue, SizeTracksPendingEvents)
     EXPECT_TRUE(h.q.empty());
 }
 
+TEST(CalendarQueue, SameCycleEventsRunInKeyOrderNotInsertionOrder)
+{
+    // Keys, not insertion order, decide a cycle's order: src first,
+    // then seq within a source.
+    CalendarQueue q;
+    const std::int32_t srcs[] = {2, 0, 1, 0};
+    const std::uint64_t seqs[] = {0, 7, 3, 5};
+    for (int i = 0; i < 4; ++i) {
+        SimEvent ev = idEvent(i);
+        ev.src = srcs[i];
+        ev.seq = seqs[i];
+        q.schedule(0, 4, ev);
+    }
+    std::vector<int> fired;
+    for (Cycle c = 0; c <= 4; ++c)
+        q.runDue(c, [&](const SimEvent &ev) {
+            fired.push_back(static_cast<int>(ev.block));
+        });
+    EXPECT_EQ(fired, (std::vector<int>{3, 1, 2, 0}));
+}
+
 TEST(CalendarQueueDeathTest, ZeroDelayIsForbidden)
 {
     CalendarQueue q;
-    EXPECT_DEATH(q.schedule(10, 0, [] {}), "zero-delay");
+    EXPECT_DEATH(q.schedule(10, 0, idEvent(0)), "zero-delay");
 }
 
 } // namespace

@@ -200,8 +200,7 @@ TEST_F(L1Unit, MissLatencyIsRecorded)
     const auto res = l1_.access(6, false);
     ASSERT_FALSE(res.hit);
     // Simulate 40 cycles of fabric time before the fill arrives.
-    fab_.schedule(40, [] {});
-    fab_.drainEvents();
+    fab_.advance(40);
     fill(6, false);
     EXPECT_EQ(fab_.lastMissLatency, 40u);
     EXPECT_EQ(l1_.l1Stats().missLatency.count(), 1u);

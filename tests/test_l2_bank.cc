@@ -24,7 +24,7 @@ namespace
 class L2BankUnit : public ::testing::Test
 {
   protected:
-    L2BankUnit() : bank_(fab_, 0) {}
+    L2BankUnit() : bank_(fab_, 0) { fab_.attach(bank_); }
 
     Msg
     l1Req(MsgType t, BlockAddr block, CoreId core)
