@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 verify (full build + test suite), resume equivalence
 # (an interrupted+resumed run must match the uninterrupted one byte for
-# byte) on the 16-core chip, a scale-out smoke (the same at 32 cores,
-# 8 VMs), a scale-to-256 smoke (the same at 128 cores, over-committed),
-# a --dump-stats check (the dump must report the very run the plain
-# path reports), a zero-allocation assertion over the measure window,
-# an isolation smoke (QoS must protect the VM) and a dyn-sched smoke
-# (migration must beat the static placement on the bursty mix, and
-# resume across migration epochs must be byte-identical), a
+# byte) on the 16-core chip, a resume chain (a resumed run that trips
+# again must save its own snapshot, and that must resume), a scale-out
+# smoke (the same at 32 cores, 8 VMs), a scale-to-256 smoke (the same
+# at 128 cores, over-committed), a --dump-stats check (the dump must
+# report the very run the plain path reports), a zero-allocation
+# assertion over the measure window, an isolation smoke (QoS must
+# protect the VM) and a dyn-sched smoke (migration must beat the
+# static placement on the bursty mix, and resume across migration
+# epochs must be byte-identical), a
 # checked-mode pass (full suite with every runtime invariant checker
 # enabled) plus a fault-injection smoke over the whole catalog, a
 # perf-regression smoke against the committed BENCH_*.json, an
@@ -73,6 +75,34 @@ awk '/"result": \{/,0' "$ckpt_dir/resumed.json" >"$ckpt_dir/resumed.result"
 diff -u "$ckpt_dir/full.result" "$ckpt_dir/resumed.result" || {
     echo "resume equivalence: resumed result diverged" >&2; exit 1; }
 echo "resume equivalence: result blocks byte-identical"
+
+echo "=== resume chain: a resumed run that trips keeps its snapshot ==="
+# A wedged core trips the watchdog at every attempt. Snapshots come
+# more often than watchdog checks, and a resumed run re-arms the
+# watchdog from its restore cycle, so the resumed run snapshots again
+# before it trips. --ckpt-out must save that newer snapshot too, and
+# it must resume (and trip) in turn.
+chain_dir="$work/chain"
+mkdir "$chain_dir"
+run_chain() {
+    local out="$1"; shift
+    local rc=0
+    ./build/tools/consim_run "$@" --ckpt-out "$out" >/dev/null 2>&1 ||
+        rc=$?
+    [[ "$rc" == 1 ]] || {
+        echo "resume chain: wanted exit 1 (watchdog), got $rc" >&2
+        exit 1; }
+    [[ -s "$out" ]] || {
+        echo "resume chain: no checkpoint written to $out" >&2; exit 1; }
+}
+run_chain "$chain_dir/a.ckpt" --vm tpcw --vm jbb \
+    --warmup 20000 --measure 40000 --watchdog 10000 --ckpt-every 4000 \
+    --fault "wedge:core=3,at=15000"
+run_chain "$chain_dir/b.ckpt" --resume "$chain_dir/a.ckpt"
+cmp -s "$chain_dir/a.ckpt" "$chain_dir/b.ckpt" && {
+    echo "resume chain: second snapshot equals the first" >&2; exit 1; }
+run_chain "$chain_dir/c.ckpt" --resume "$chain_dir/b.ckpt"
+echo "resume chain: each resumed trip saved a resumable snapshot"
 
 echo "=== scale-out smoke: 32-core chip, 8 VMs ==="
 # The parametric scale model must uphold the resume contract beyond
@@ -168,8 +198,8 @@ echo "dump-stats: table and result block match the plain run"
 echo "=== zero-allocation: measure window allocates nothing ==="
 # The pooled/arena hot paths must keep the steady state off the heap:
 # the global operator-new hook counts every allocation inside the
-# measure window across paper-machine, 64-core, and over-committed
-# configurations, and the count must be exactly zero.
+# measure window across paper-machine, ideal-NoC, 64-core, and
+# over-committed configurations, and the count must be exactly zero.
 ./build/tests/test_alloc_steady_state
 echo "zero-allocation: measure window clean"
 
