@@ -88,9 +88,10 @@ runCustom(const char *title,
     const auto placements =
         scheduleThreads(machine, threads, policy, 1);
     System sys(machine, vms, placements);
-    sys.run(defaultWarmupCycles());
+    const RunConfig windows = RunConfig::fromEnv();
+    sys.run(windows.warmupCycles);
     sys.resetStats();
-    const Cycle measure = defaultMeasureCycles();
+    const Cycle measure = windows.measureCycles;
     sys.run(measure);
 
     std::cout << title << "\n";

@@ -101,7 +101,7 @@ main(int argc, char **argv)
     std::vector<bool> hetero;
     for (const Chip &chip : chips) {
         for (const int degree : degrees) {
-            RunConfig cfg;
+            RunConfig cfg = RunConfig::fromEnv();
             cfg.machine.meshX = chip.meshX;
             cfg.machine.meshY = chip.meshY;
             cfg.machine.sharing = sharingDegree(degree);
@@ -111,7 +111,7 @@ main(int argc, char **argv)
             hetero.push_back(false);
         }
         if (chip.cores() > 16) {
-            RunConfig cfg;
+            RunConfig cfg = RunConfig::fromEnv();
             cfg.machine.meshX = chip.meshX;
             cfg.machine.meshY = chip.meshY;
             cfg.machine.sharing = sharingDegree(4);

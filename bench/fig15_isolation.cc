@@ -103,7 +103,7 @@ qosSpec(const std::string &mode, int ways)
 RunConfig
 scenarioConfig(const Scenario &sc, const std::string &qos_spec)
 {
-    RunConfig cfg;
+    RunConfig cfg = RunConfig::fromEnv();
     cfg.machine = constrainedMachine(sc);
     cfg.workloads.push_back(WorkloadKind::SpecJbb);
     cfg.vmThreads.push_back(0); // protected VM: profile default
@@ -125,7 +125,7 @@ scenarioConfig(const Scenario &sc, const std::string &qos_spec)
 RunConfig
 isolatedConfig(const Scenario &sc)
 {
-    RunConfig cfg;
+    RunConfig cfg = RunConfig::fromEnv();
     cfg.machine = constrainedMachine(sc);
     cfg.workloads.push_back(WorkloadKind::SpecJbb);
     cfg.warmupCycles = 500'000;

@@ -97,7 +97,7 @@ constexpr std::size_t kNumScenarios = std::size(kScenarios);
 RunConfig
 scenarioConfig(const Scenario &sc, const PolicyPoint &pp)
 {
-    RunConfig cfg;
+    RunConfig cfg = RunConfig::fromEnv();
     if (sc.mix != nullptr) {
         const Mix &mix = Mix::byName(sc.mix);
         cfg.workloads = mix.vms;

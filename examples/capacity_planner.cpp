@@ -56,7 +56,7 @@ main(int argc, char **argv)
               << " (affinity scheduling); protecting "
               << toString(protectee) << "\n\n";
 
-    RunConfig base;
+    RunConfig base = RunConfig::fromEnv();
     base.workloads = {protectee, protectee, corunner, corunner};
     base.policy = SchedPolicy::Affinity;
     base.warmupCycles = 1'500'000;

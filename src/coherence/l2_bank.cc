@@ -79,14 +79,17 @@ L2Bank::idxOfCore(CoreId core) const
 void
 L2Bank::handle(const Msg &msg)
 {
-    // Strict: junk in CONSIM_TRACE_BLOCK used to fall through
-    // strtoll and silently trace block 0 (or nothing); envU64 makes
-    // malformed or negative values fatal. Unset disables the trace.
+    // Decimal or 0x-hex (the form describe() prints); junk is fatal
+    // rather than silently tracing block 0. Unset disables the trace.
     static const char *trace_env = std::getenv("CONSIM_TRACE_BLOCK");
-    static const BlockAddr trace_block =
-        trace_env
-            ? static_cast<BlockAddr>(envU64("CONSIM_TRACE_BLOCK", 0))
-            : 0;
+    static const BlockAddr trace_block = [] {
+        std::uint64_t b = 0;
+        if (trace_env && !parseU64OrHex(trace_env, b))
+            CONSIM_FATAL("CONSIM_TRACE_BLOCK='", trace_env,
+                         "' is not a block address; pass a decimal or "
+                         "0x-prefixed hex value");
+        return static_cast<BlockAddr>(b);
+    }();
     if (trace_env != nullptr && msg.block == trace_block) {
         std::fprintf(stderr,
                      "[%llu] bank%d %s act=%zu wait=%zu wb=%zu\n",

@@ -20,16 +20,29 @@
 namespace consim
 {
 
-/** Parse an unsigned decimal; the whole string must be consumed. */
+/** Parse an unsigned decimal (or @p base) number; the whole string
+ *  must be consumed. */
 inline bool
-parseU64(std::string_view s, std::uint64_t &out)
+parseU64(std::string_view s, std::uint64_t &out, int base = 10)
 {
     if (s.empty())
         return false;
     const auto *first = s.data();
     const auto *last = s.data() + s.size();
-    const auto res = std::from_chars(first, last, out, 10);
+    const auto res = std::from_chars(first, last, out, base);
     return res.ec == std::errc{} && res.ptr == last;
+}
+
+/**
+ * parseU64 that also takes a 0x-prefixed hexadecimal value, the form
+ * block addresses are printed in (`blk=0x...`).
+ */
+inline bool
+parseU64OrHex(std::string_view s, std::uint64_t &out)
+{
+    if (s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X'))
+        return parseU64(s.substr(2), out, 16);
+    return parseU64(s, out);
 }
 
 /** Parse an int in [lo, hi]; the whole string must be consumed. */

@@ -15,48 +15,20 @@
 namespace consim
 {
 
-namespace
+RunConfig
+RunConfig::fromEnv()
 {
-
-/**
- * Window defaults treat an explicit "0" like unset (you cannot ask for
- * a zero-cycle window); malformed values are fatal via envU64 rather
- * than silently running the built-in default.
- */
-Cycle
-envCycles(const char *name, Cycle fallback)
-{
-    const std::uint64_t v = envU64(name, 0);
-    return v ? v : fallback;
-}
-
-} // namespace
-
-Cycle
-defaultWarmupCycles()
-{
-    return envCycles("CONSIM_WARMUP", 4'000'000);
-}
-
-Cycle
-defaultMeasureCycles()
-{
-    return envCycles("CONSIM_MEASURE", 3'000'000);
-}
-
-Cycle
-defaultWatchdogIntervalCycles()
-{
-    // Unlike the window defaults, an explicit "0" here is meaningful:
-    // it disables the watchdog.
-    return envU64("CONSIM_WATCHDOG", 1'000'000);
-}
-
-Cycle
-defaultCheckpointIntervalCycles()
-{
-    // Periodic snapshotting is opt-in; "0" (or unset) keeps it off.
-    return envU64("CONSIM_CKPT", 0);
+    RunConfig cfg;
+    if (const std::uint64_t w = envU64("CONSIM_WARMUP", 0))
+        cfg.warmupCycles = w;
+    if (const std::uint64_t m = envU64("CONSIM_MEASURE", 0))
+        cfg.measureCycles = m;
+    cfg.watchdogIntervalCycles =
+        envU64("CONSIM_WATCHDOG", cfg.watchdogIntervalCycles);
+    cfg.ckptEveryCycles = envU64("CONSIM_CKPT", cfg.ckptEveryCycles);
+    cfg.timesliceCycles =
+        envU64("CONSIM_TIMESLICE", cfg.timesliceCycles);
+    return cfg;
 }
 
 double
@@ -203,38 +175,30 @@ machineFromCtx(const json::Value &v)
 }
 
 json::Value
-configCtxJson(const RunConfig &res, const RunConfig &raw)
+configCtxJson(const RunConfig &cfg)
 {
     auto v = json::Value::object();
-    v.set("machine", machineCtxJson(res.machine));
+    v.set("machine", machineCtxJson(cfg.machine));
     auto wl = json::Value::array();
-    for (WorkloadKind k : res.workloads)
+    for (WorkloadKind k : cfg.workloads)
         wl.push(static_cast<int>(k));
     v.set("workloads", std::move(wl));
     auto vt = json::Value::array();
-    for (int t : res.vmThreads)
+    for (int t : cfg.vmThreads)
         vt.push(t);
     v.set("vm_threads", std::move(vt));
-    v.set("policy", static_cast<int>(res.policy));
-    v.set("seed", res.seed);
-    v.set("warmup_cycles", res.warmupCycles);
-    v.set("measure_cycles", res.measureCycles);
-    v.set("migration_interval_cycles", res.migrationIntervalCycles);
-    v.set("timeslice_cycles", res.timesliceCycles);
-    v.set("watchdog_interval_cycles", res.watchdogIntervalCycles);
-    v.set("cycle_deadline", res.cycleDeadline);
-    v.set("ckpt_every_cycles", res.ckptEveryCycles);
-    v.set("faults", res.faults.spec());
-    v.set("qos", res.qos.spec());
-    v.set("dyn_sched", res.dynSched.spec());
-    // The as-configured (pre-env-resolution) values of the four
-    // resolvable knobs, so a resume can echo the original config
-    // verbatim in its consim.run.v1 envelope while still running
-    // under the resolved values.
-    v.set("raw_warmup_cycles", raw.warmupCycles);
-    v.set("raw_measure_cycles", raw.measureCycles);
-    v.set("raw_watchdog_interval_cycles", raw.watchdogIntervalCycles);
-    v.set("raw_ckpt_every_cycles", raw.ckptEveryCycles);
+    v.set("policy", static_cast<int>(cfg.policy));
+    v.set("seed", cfg.seed);
+    v.set("warmup_cycles", cfg.warmupCycles);
+    v.set("measure_cycles", cfg.measureCycles);
+    v.set("migration_interval_cycles", cfg.migrationIntervalCycles);
+    v.set("timeslice_cycles", cfg.timesliceCycles);
+    v.set("watchdog_interval_cycles", cfg.watchdogIntervalCycles);
+    v.set("cycle_deadline", cfg.cycleDeadline);
+    v.set("ckpt_every_cycles", cfg.ckptEveryCycles);
+    v.set("faults", cfg.faults.spec());
+    v.set("qos", cfg.qos.spec());
+    v.set("dyn_sched", cfg.dynSched.spec());
     return v;
 }
 
@@ -292,20 +256,6 @@ configFromCtx(const json::Value &v)
     return cfg;
 }
 
-/** The config as originally passed to runExperiment (raw knobs). */
-RunConfig
-configEchoFromCtx(const json::Value &v)
-{
-    RunConfig cfg = configFromCtx(v);
-    cfg.warmupCycles = ctxGet(v, "raw_warmup_cycles").asUint();
-    cfg.measureCycles = ctxGet(v, "raw_measure_cycles").asUint();
-    cfg.watchdogIntervalCycles =
-        ctxGet(v, "raw_watchdog_interval_cycles").asUint();
-    cfg.ckptEveryCycles =
-        ctxGet(v, "raw_ckpt_every_cycles").asUint();
-    return cfg;
-}
-
 // --- experiment rig and phase driver ------------------------------
 
 /** The pieces a System borrows: VM storage and thread placements. */
@@ -360,54 +310,12 @@ buildRig(const RunConfig &cfg)
     return rig;
 }
 
-/**
- * Resolve every env-defaulted knob so the config is self-contained:
- * the checkpoint context embeds the resolved copy, making a resume
- * independent of the environment it runs in.
- */
-RunConfig
-resolveConfig(const RunConfig &cfg)
-{
-    RunConfig res = cfg;
-    res.warmupCycles =
-        cfg.warmupCycles ? cfg.warmupCycles : defaultWarmupCycles();
-    // 0 stays 0 when the env is unset too: the run.v1 echo emits the
-    // knob only when configured, and the Core falls back to its
-    // built-in default quantum.
-    res.timesliceCycles = cfg.timesliceCycles
-                              ? cfg.timesliceCycles
-                              : envU64("CONSIM_TIMESLICE", 0);
-    res.measureCycles =
-        cfg.measureCycles ? cfg.measureCycles : defaultMeasureCycles();
-    res.watchdogIntervalCycles = cfg.watchdogIntervalCycles
-                                     ? cfg.watchdogIntervalCycles
-                                     : defaultWatchdogIntervalCycles();
-    res.ckptEveryCycles = cfg.ckptEveryCycles
-                              ? cfg.ckptEveryCycles
-                              : defaultCheckpointIntervalCycles();
-    return res;
-}
-
-/** Re-arm operational knobs (resolved config; fault plan excluded). */
-void
-armSystem(System &sys, const RunConfig &res)
-{
-    sys.setWatchdogInterval(res.watchdogIntervalCycles);
-    if (res.timesliceCycles != 0)
-        sys.setTimeslice(res.timesliceCycles);
-    if (res.cycleDeadline != 0)
-        sys.setCycleDeadline(res.cycleDeadline);
-    if (res.ckptEveryCycles != 0)
-        sys.setCheckpointInterval(res.ckptEveryCycles);
-}
-
 /** Experiment context embedded verbatim in periodic snapshots. */
 json::Value
-phaseContext(const RunConfig &res, const RunConfig &raw,
-             const char *phase, const Rng *mig)
+phaseContext(const RunConfig &cfg, const char *phase, const Rng *mig)
 {
     auto ctx = json::Value::object();
-    ctx.set("config", configCtxJson(res, raw));
+    ctx.set("config", configCtxJson(cfg));
     ctx.set("phase", phase);
     if (mig) {
         auto st = json::Value::array();
@@ -431,14 +339,14 @@ phaseContext(const RunConfig &res, const RunConfig &raw,
  * carries.
  */
 void
-runOnePhase(System &sys, const RunConfig &res, const RunConfig &raw,
-            const char *phase, Cycle total, Cycle done, Rng *mig)
+runOnePhase(System &sys, const RunConfig &cfg, const char *phase,
+            Cycle total, Cycle done, Rng *mig)
 {
-    const Cycle interval = res.migrationIntervalCycles;
+    const Cycle interval = cfg.migrationIntervalCycles;
     if (mig && done > 0 && done < total && done % interval == 0)
         sys.swapRandomThreads(*mig);
     while (done < total) {
-        sys.setCheckpointContext(phaseContext(res, raw, phase, mig));
+        sys.setCheckpointContext(phaseContext(cfg, phase, mig));
         Cycle next = total;
         if (mig)
             next = std::min(total, (done / interval + 1) * interval);
@@ -517,38 +425,90 @@ extractResult(System &sys, const std::vector<VirtualMachine *> &vms,
     return out;
 }
 
-} // namespace
-
+/**
+ * The one run driver behind runExperiment and resumeExperiment. A
+ * fresh run (@p ckpt null) arms the fault plan and the cycle deadline
+ * and starts at ("warmup", 0). A resume restores @p ckpt instead and
+ * continues from its context's phase and the restored clock (see
+ * resumeExperiment for why neither faults nor deadline are re-armed).
+ */
 RunResult
-runExperiment(const RunConfig &cfg,
-              const std::function<void(const System &)> &after)
+drive(const RunConfig &cfg, const json::Value *ckpt,
+      const std::function<void(const System &)> &after)
 {
-    const RunConfig res = resolveConfig(cfg);
-    ExperimentRig rig = buildRig(res);
-    System sys(res.machine, rig.vms, rig.placements);
-    armSystem(sys, res);
-    if (res.qos.enabled())
-        sys.setQosConfig(res.qos);
-    if (res.dynSched.enabled())
-        sys.setDynSched(res.dynSched);
-    if (!res.faults.empty())
-        sys.setFaultPlan(res.faults);
-    Rng mig_rng(res.seed ^ 0xd15ea5e);
-    Rng *mig = res.migrationIntervalCycles ? &mig_rng : nullptr;
+    ExperimentRig rig = buildRig(cfg);
+    System sys(cfg.machine, rig.vms, rig.placements);
+    // QoS and dyn-sched go in before a restore: the loaders check the
+    // MC token-bucket layout, the repartitioner and the epoch
+    // baselines against an already-configured machine, then
+    // overwrite their mutable parts.
+    if (cfg.qos.enabled())
+        sys.setQosConfig(cfg.qos);
+    if (cfg.dynSched.enabled())
+        sys.setDynSched(cfg.dynSched);
+    Rng mig_rng(cfg.seed ^ 0xd15ea5e);
+    Rng *mig = cfg.migrationIntervalCycles ? &mig_rng : nullptr;
+    std::string phase = "warmup";
+    if (ckpt) {
+        sys.restoreCheckpoint(*ckpt);
+        const json::Value &ctx = *ckpt->find("context");
+        phase = ctxGet(ctx, "phase").str();
+        if (mig) {
+            const json::Value &st = ctxGet(ctx, "mig_rng");
+            CONSIM_ASSERT(st.size() == 4, "resume: bad mig_rng state");
+            mig_rng.setState({st.at(0).asUint(), st.at(1).asUint(),
+                              st.at(2).asUint(), st.at(3).asUint()});
+        }
+    } else {
+        if (!cfg.faults.empty())
+            sys.setFaultPlan(cfg.faults);
+        if (cfg.cycleDeadline != 0)
+            sys.setCycleDeadline(cfg.cycleDeadline);
+    }
+    // Armed against the (restored) clock; a wedged resume still trips.
+    sys.setWatchdogInterval(cfg.watchdogIntervalCycles);
+    if (cfg.timesliceCycles != 0)
+        sys.setTimeslice(cfg.timesliceCycles);
+    if (cfg.ckptEveryCycles != 0)
+        sys.setCheckpointInterval(cfg.ckptEveryCycles);
+
     // Cross-component audits fire at measurement-window boundaries
     // when CONSIM_CHECK=full; they are free otherwise.
     const auto audit = [&] {
         if (CONSIM_CHECK_ACTIVE(Full))
             sys.auditWindow();
     };
-    runOnePhase(sys, res, cfg, "warmup", res.warmupCycles, 0, mig);
-    audit();
-    sys.resetStats();
-    runOnePhase(sys, res, cfg, "measure", res.measureCycles, 0, mig);
+    const Cycle now = sys.now();
+    if (phase == "warmup") {
+        CONSIM_ASSERT(now <= cfg.warmupCycles,
+                      "resume: clock ", now, " past warmup window");
+        runOnePhase(sys, cfg, "warmup", cfg.warmupCycles, now, mig);
+        audit();
+        sys.resetStats();
+        runOnePhase(sys, cfg, "measure", cfg.measureCycles, 0, mig);
+    } else {
+        CONSIM_ASSERT(phase == "measure", "resume: unknown phase '",
+                      phase, "'");
+        CONSIM_ASSERT(now >= cfg.warmupCycles &&
+                          now - cfg.warmupCycles <= cfg.measureCycles,
+                      "resume: clock ", now,
+                      " outside the measurement window");
+        runOnePhase(sys, cfg, "measure", cfg.measureCycles,
+                    now - cfg.warmupCycles, mig);
+    }
     audit();
     if (after)
         after(sys);
-    return extractResult(sys, rig.vms, res.measureCycles);
+    return extractResult(sys, rig.vms, cfg.measureCycles);
+}
+
+} // namespace
+
+RunResult
+runExperiment(const RunConfig &cfg,
+              const std::function<void(const System &)> &after)
+{
+    return drive(cfg, nullptr, after);
 }
 
 RunConfig
@@ -558,7 +518,7 @@ configFromCheckpoint(const json::Value &ckpt)
     CONSIM_ASSERT(ctx && ctx->find("config"),
                   "checkpoint has no experiment context (saved outside "
                   "runExperiment?); cannot seed a resume");
-    return configEchoFromCtx(ctxGet(*ctx, "config"));
+    return configFromCtx(ctxGet(*ctx, "config"));
 }
 
 RunResult
@@ -578,79 +538,7 @@ resumeExperiment(const json::Value &ckpt)
                   "baselines and migration count — so none can be "
                   "restored; re-run the original configuration to "
                   "take a fresh snapshot)");
-    const json::Value *ctxp = ckpt.find("context");
-    CONSIM_ASSERT(ctxp && ctxp->find("config"),
-                  "checkpoint has no experiment context (saved outside "
-                  "runExperiment?); cannot seed a resume");
-    const json::Value &ctx = *ctxp;
-    // The embedded config is already env-resolved (resolveConfig ran
-    // before the snapshot), so no environment lookups happen here.
-    const RunConfig res = configFromCtx(ctxGet(ctx, "config"));
-    const RunConfig raw = configEchoFromCtx(ctxGet(ctx, "config"));
-
-    ExperimentRig rig = buildRig(res);
-    System sys(res.machine, rig.vms, rig.placements);
-    // The QoS config must be reinstalled before restore: the loaders
-    // check the MC token-bucket layout and the dynamic repartitioner
-    // state against an already-configured machine, then overwrite the
-    // mutable parts (dyn_ways, miss-curve samples, buckets). Same for
-    // the dyn-sched config and its epoch baselines.
-    if (res.qos.enabled())
-        sys.setQosConfig(res.qos);
-    if (res.dynSched.enabled())
-        sys.setDynSched(res.dynSched);
-    sys.restoreCheckpoint(ckpt);
-    // Re-arm operational knobs against the restored clock. The fault
-    // plan is deliberately NOT re-armed: one-shot faults that already
-    // fired are baked into the restored state, runtime flags (drop
-    // countdowns, memburst windows) were restored directly, and
-    // pending wedge events ride in the serialized event queue. The
-    // cycle deadline is not re-armed either — the restored clock
-    // typically sits at or past it, and a resume exists precisely to
-    // finish the work beyond the original attempt's budget (re-arming
-    // would deterministically re-trip). The watchdog stays armed, so
-    // a genuinely wedged resume still fails.
-    RunConfig arm = res;
-    arm.cycleDeadline = 0;
-    armSystem(sys, arm);
-
-    Rng mig_rng(res.seed ^ 0xd15ea5e);
-    Rng *mig = nullptr;
-    if (res.migrationIntervalCycles != 0) {
-        const json::Value &st = ctxGet(ctx, "mig_rng");
-        CONSIM_ASSERT(st.size() == 4, "resume: bad mig_rng state");
-        mig_rng.setState({st.at(0).asUint(), st.at(1).asUint(),
-                          st.at(2).asUint(), st.at(3).asUint()});
-        mig = &mig_rng;
-    }
-
-    const std::string phase = ctxGet(ctx, "phase").str();
-    const Cycle now = sys.now();
-    const auto audit = [&] {
-        if (CONSIM_CHECK_ACTIVE(Full))
-            sys.auditWindow();
-    };
-    if (phase == "warmup") {
-        CONSIM_ASSERT(now <= res.warmupCycles,
-                      "resume: clock ", now, " past warmup window");
-        runOnePhase(sys, res, raw, "warmup", res.warmupCycles, now,
-                    mig);
-        audit();
-        sys.resetStats();
-        runOnePhase(sys, res, raw, "measure", res.measureCycles, 0,
-                    mig);
-    } else {
-        CONSIM_ASSERT(phase == "measure", "resume: unknown phase '",
-                      phase, "'");
-        CONSIM_ASSERT(now >= res.warmupCycles &&
-                          now - res.warmupCycles <= res.measureCycles,
-                      "resume: clock ", now,
-                      " outside the measurement window");
-        runOnePhase(sys, res, raw, "measure", res.measureCycles,
-                    now - res.warmupCycles, mig);
-    }
-    audit();
-    return extractResult(sys, rig.vms, res.measureCycles);
+    return drive(configFromCheckpoint(ckpt), &ckpt, {});
 }
 
 RunResult
@@ -712,7 +600,7 @@ RunConfig
 isolationConfig(WorkloadKind kind, SchedPolicy policy,
                 SharingDegree sharing)
 {
-    RunConfig cfg;
+    RunConfig cfg = RunConfig::fromEnv();
     cfg.machine.sharing = sharing;
     cfg.workloads = {kind};
     cfg.policy = policy;
@@ -722,7 +610,7 @@ isolationConfig(WorkloadKind kind, SchedPolicy policy,
 RunConfig
 mixConfig(const Mix &mix, SchedPolicy policy, SharingDegree sharing)
 {
-    RunConfig cfg;
+    RunConfig cfg = RunConfig::fromEnv();
     cfg.machine.sharing = sharing;
     cfg.workloads = mix.vms;
     cfg.vmThreads = mix.threads;

@@ -25,7 +25,13 @@
 namespace consim
 {
 
-/** Everything that defines one simulation point. */
+/**
+ * Everything that defines one simulation point. Every field means
+ * what it says: runExperiment reads no environment, so a config
+ * built by hand runs exactly as written. The run knobs enter only
+ * through fromEnv(), which front ends, mixConfig and isolationConfig
+ * start from.
+ */
 struct RunConfig
 {
     MachineConfig machine;
@@ -37,16 +43,15 @@ struct RunConfig
     std::vector<int> vmThreads;
     SchedPolicy policy = SchedPolicy::Affinity;
     std::uint64_t seed = 1;
-    Cycle warmupCycles = 0;  ///< 0 = library default
-    Cycle measureCycles = 0; ///< 0 = library default
+    Cycle warmupCycles = 4'000'000;  ///< warmup window (cycles)
+    Cycle measureCycles = 3'000'000; ///< measurement window (cycles)
     /** Dynamic-scheduling extension (paper SSVII): swap the threads
      *  of two random cores every this many cycles (0 = static
      *  binding, the paper's methodology). */
     Cycle migrationIntervalCycles = 0;
     /** Preemption quantum for over-committed cores (schedules with
-     *  more VM threads than cores). 0 = resolve from CONSIM_TIMESLICE
-     *  env, falling back to Core::kDefaultTimesliceCycles. Ignored
-     *  when no core holds more than one thread. */
+     *  more VM threads than cores). 0 = Core::kDefaultTimesliceCycles.
+     *  Ignored when no core holds more than one thread. */
     Cycle timesliceCycles = 0;
     /** Deterministic fault injection (hardening tests; empty = none). */
     FaultPlan faults;
@@ -59,31 +64,26 @@ struct RunConfig
      *  paper's methodology). Echoed in the run.v1 config only when
      *  enabled (envelope byte-stability). */
     DynSchedConfig dynSched;
-    /** Forward-progress watchdog check interval. 0 = resolve from
-     *  CONSIM_WATCHDOG env, falling back to 1,000,000 cycles;
-     *  CONSIM_WATCHDOG=0 disables. */
-    Cycle watchdogIntervalCycles = 0;
+    /** Forward-progress watchdog check interval (cycles; 0 = off).
+     *  Echoed in the run.v1 config only when it departs the default. */
+    Cycle watchdogIntervalCycles = 1'000'000;
     /** Per-point simulated-cycle budget: run() raises
      *  SimError(Deadline) past this absolute cycle. 0 = none. */
     Cycle cycleDeadline = 0;
     /** Periodic checkpoint interval: keep a small ring of
      *  `consim.ckpt.v5` snapshots every this many cycles and attach
-     *  the most recent one to watchdog/deadline SimErrors. 0 = resolve
-     *  from CONSIM_CKPT env, which defaults to off. */
+     *  the most recent one to watchdog/deadline SimErrors. 0 = off. */
     Cycle ckptEveryCycles = 0;
+
+    /**
+     * The defaults above, overridden by CONSIM_WARMUP, CONSIM_MEASURE,
+     * CONSIM_WATCHDOG, CONSIM_CKPT and CONSIM_TIMESLICE: the only
+     * reader of those knobs. A malformed value is fatal; "0" keeps
+     * the default window (a zero-cycle window cannot be asked for)
+     * and turns the watchdog or snapshots off.
+     */
+    static RunConfig fromEnv();
 };
-
-/** Default warmup window (overridable via env CONSIM_WARMUP). */
-Cycle defaultWarmupCycles();
-
-/** Default measurement window (overridable via env CONSIM_MEASURE). */
-Cycle defaultMeasureCycles();
-
-/** Default watchdog interval (CONSIM_WATCHDOG env; 0 disables). */
-Cycle defaultWatchdogIntervalCycles();
-
-/** Default checkpoint interval (CONSIM_CKPT env; 0 = off, the default). */
-Cycle defaultCheckpointIntervalCycles();
 
 /** Metrics for one VM instance in one run. */
 struct VmResult
@@ -163,12 +163,11 @@ runExperiment(const RunConfig &cfg,
               const std::function<void(const System &)> &after = {});
 
 /**
- * Recover the full RunConfig embedded in a `consim.ckpt.v5` document's
- * experiment context, with the env-resolvable knobs (warmup, measure,
- * watchdog, checkpoint interval) restored to their as-configured
- * values — i.e. exactly the config originally passed to runExperiment,
- * suitable for a byte-identical `consim.run.v1` echo. Fatal-asserts
- * when @p ckpt was saved outside the experiment driver (no context).
+ * Recover the RunConfig embedded in a `consim.ckpt.v5` document's
+ * experiment context: exactly the config originally passed to
+ * runExperiment, suitable for a byte-identical `consim.run.v1` echo.
+ * Fatal-asserts when @p ckpt was saved outside the experiment driver
+ * (no context).
  */
 RunConfig configFromCheckpoint(const json::Value &ckpt);
 
@@ -208,7 +207,8 @@ RunResult runAveraged(RunConfig cfg,
 /**
  * Paper baseline: one workload in isolation on the 16-core chip with
  * the full 16 MB fully-shared LLC (its four threads spread per the
- * default placement).
+ * default placement). Starts from RunConfig::fromEnv(), as does
+ * mixConfig.
  */
 RunConfig isolationConfig(WorkloadKind kind,
                           SchedPolicy policy = SchedPolicy::Affinity,

@@ -168,15 +168,16 @@ toJson(const RunConfig &cfg)
     // set, keeping the default envelope byte-stable across versions.
     if (cfg.timesliceCycles != 0)
         v.set("timeslice_cycles", cfg.timesliceCycles);
-    // Hardening knobs are echoed only when set, keeping the default
-    // envelope byte-stable across versions.
+    // Hardening knobs are echoed only when set (the watchdog: when it
+    // departs the default), keeping the default envelope byte-stable
+    // across versions.
     if (!cfg.faults.empty())
         v.set("faults", cfg.faults.toJson());
     if (cfg.qos.enabled())
         v.set("qos", cfg.qos.toJson());
     if (cfg.dynSched.enabled())
         v.set("dyn_sched", cfg.dynSched.toJson());
-    if (cfg.watchdogIntervalCycles != 0)
+    if (cfg.watchdogIntervalCycles != RunConfig{}.watchdogIntervalCycles)
         v.set("watchdog_interval_cycles", cfg.watchdogIntervalCycles);
     if (cfg.cycleDeadline != 0)
         v.set("cycle_deadline", cfg.cycleDeadline);

@@ -5,8 +5,8 @@
  * migration-boundary corner), FNV-1a pins of the snapshot text,
  * watchdog-trip checkpoints under fault injection, the sweep
  * engine's resume-before-reseed retry ladder and its seed-honesty
- * reporting, and the strict env parsing the experiment defaults
- * rely on.
+ * reporting, the strict env parsing of RunConfig::fromEnv, and a
+ * run that reads no env at all.
  */
 
 #include <gtest/gtest.h>
@@ -218,8 +218,7 @@ tripSnapshot(RunConfig cfg)
 
 TEST(CheckpointPin, DeadlineTripSnapshotsByteIdentical)
 {
-    // Hashes of the snapshot text, captured from a build that still
-    // had the closure event kind (number 0). Event kinds are stored as
+    // Hashes of the snapshot text. Event kinds are stored as
     // integers, so any renumbering (or any other change to the
     // document) shows here.
     struct SnapshotPin
@@ -229,8 +228,8 @@ TEST(CheckpointPin, DeadlineTripSnapshotsByteIdentical)
         std::uint64_t hash;
     };
     const SnapshotPin pins[] = {
-        {"mesh", false, 0xae38faa3fa15e982ull},
-        {"ideal NoC", true, 0x3f0b758e828ac94dull},
+        {"mesh", false, 0x258d875a5210ee24ull},
+        {"ideal NoC", true, 0x835cab467e996b7dull},
     };
     std::set<SimEventKind> kinds;
     for (const SnapshotPin &pin : pins) {
@@ -546,7 +545,7 @@ TEST(CheckpointCodec, MsgRoundTrips)
 }
 
 // ---------------------------------------------------------------- //
-// Strict env parsing for the experiment defaults.                   //
+// Run knobs: strict env parsing, in RunConfig::fromEnv alone.      //
 // ---------------------------------------------------------------- //
 
 namespace
@@ -581,23 +580,27 @@ TEST(EnvDefaults, WellFormedValuesApply)
 {
     {
         ScopedEnv e("CONSIM_WARMUP", "123456");
-        EXPECT_EQ(defaultWarmupCycles(), 123456u);
+        EXPECT_EQ(RunConfig::fromEnv().warmupCycles, 123456u);
     }
     {
         // Explicit 0 means "use the built-in default" for windows...
         ScopedEnv e("CONSIM_MEASURE", "0");
-        EXPECT_EQ(defaultMeasureCycles(), 3'000'000u);
+        EXPECT_EQ(RunConfig::fromEnv().measureCycles, 3'000'000u);
     }
     {
         // ...but is meaningful (disable) for the watchdog.
         ScopedEnv e("CONSIM_WATCHDOG", "0");
-        EXPECT_EQ(defaultWatchdogIntervalCycles(), 0u);
+        EXPECT_EQ(RunConfig::fromEnv().watchdogIntervalCycles, 0u);
     }
     {
         ScopedEnv e("CONSIM_CKPT", "250000");
-        EXPECT_EQ(defaultCheckpointIntervalCycles(), 250000u);
+        EXPECT_EQ(RunConfig::fromEnv().ckptEveryCycles, 250000u);
     }
-    EXPECT_EQ(defaultCheckpointIntervalCycles(), 0u);
+    {
+        ScopedEnv e("CONSIM_TIMESLICE", "4000");
+        EXPECT_EQ(RunConfig::fromEnv().timesliceCycles, 4000u);
+    }
+    EXPECT_EQ(RunConfig::fromEnv().ckptEveryCycles, 0u);
 }
 
 TEST(EnvDefaultsDeathTest, MalformedValuesAreFatal)
@@ -605,22 +608,53 @@ TEST(EnvDefaultsDeathTest, MalformedValuesAreFatal)
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     {
         ScopedEnv e("CONSIM_WARMUP", "4m");
-        EXPECT_EXIT(defaultWarmupCycles(),
+        EXPECT_EXIT(RunConfig::fromEnv(),
                     ::testing::ExitedWithCode(1), "CONSIM_WARMUP");
     }
     {
         ScopedEnv e("CONSIM_MEASURE", "");
-        EXPECT_EXIT(defaultMeasureCycles(),
+        EXPECT_EXIT(RunConfig::fromEnv(),
                     ::testing::ExitedWithCode(1), "CONSIM_MEASURE");
     }
     {
         ScopedEnv e("CONSIM_WATCHDOG", "-5");
-        EXPECT_EXIT(defaultWatchdogIntervalCycles(),
+        EXPECT_EXIT(RunConfig::fromEnv(),
                     ::testing::ExitedWithCode(1), "CONSIM_WATCHDOG");
     }
     {
         ScopedEnv e("CONSIM_CKPT", "1e6");
-        EXPECT_EXIT(defaultCheckpointIntervalCycles(),
+        EXPECT_EXIT(RunConfig::fromEnv(),
                     ::testing::ExitedWithCode(1), "CONSIM_CKPT");
+    }
+    {
+        ScopedEnv e("CONSIM_TIMESLICE", "10k");
+        EXPECT_EXIT(RunConfig::fromEnv(),
+                    ::testing::ExitedWithCode(1), "CONSIM_TIMESLICE");
+    }
+}
+
+TEST(EnvDefaults, RunExperimentReadsNoEnv)
+{
+    // Junk the run would die on and a watchdog the wedge would trip,
+    // were the env read past RunConfig::fromEnv: a config built by
+    // hand must run exactly as written.
+    ScopedEnv ckpt("CONSIM_CKPT", "junk");
+    ScopedEnv slice("CONSIM_TIMESLICE", "junk");
+    ScopedEnv wd("CONSIM_WATCHDOG", "2000");
+    RunConfig cfg;
+    cfg.workloads = Mix::byName("Mix 1").vms;
+    cfg.seed = 7;
+    cfg.warmupCycles = 10'000;
+    cfg.measureCycles = 20'000;
+    cfg.watchdogIntervalCycles = 0;
+    cfg.ckptEveryCycles = 0;
+    cfg.cycleDeadline = 25'000;
+    ASSERT_TRUE(FaultPlan::parse("wedge:core=0,at=15000", cfg.faults));
+    try {
+        runExperiment(cfg);
+        FAIL() << "deadline did not trip";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), SimErrorKind::Deadline);
+        EXPECT_TRUE(e.ckpt().empty()) << "a snapshot was attached";
     }
 }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common substrate: RNG, bit utilities, stats,
- * table rendering, and machine configuration / group topology.
+ * table rendering, strict number parsing, and machine configuration /
+ * group topology.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 
 #include "common/bitops.hh"
 #include "common/config.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -232,6 +234,33 @@ TEST(Table, Formatters)
 {
     EXPECT_EQ(TextTable::num(1.2345, 2), "1.23");
     EXPECT_EQ(TextTable::pct(0.153, 1), "15.3%");
+}
+
+TEST(Parse, U64OrHexTakesDecimalAndPrefixedHex)
+{
+    std::uint64_t v = 0;
+    EXPECT_TRUE(parseU64OrHex("16", v));
+    EXPECT_EQ(v, 16u);
+    EXPECT_TRUE(parseU64OrHex("0x10", v));
+    EXPECT_EQ(v, 16u);
+    EXPECT_TRUE(parseU64OrHex("0XfF", v));
+    EXPECT_EQ(v, 255u);
+    EXPECT_TRUE(parseU64OrHex("0", v));
+    EXPECT_EQ(v, 0u);
+    EXPECT_TRUE(parseU64OrHex("0xffffffffffffffff", v));
+    EXPECT_EQ(v, ~std::uint64_t{0});
+}
+
+TEST(Parse, U64OrHexRejectsJunkEmptyAndOverflow)
+{
+    std::uint64_t v = 0;
+    for (const char *bad :
+         {"", "0x", "x10", "10z", "0x1g", "0x0x1", " 1", "0x 1", "-1",
+          "0x-1", "+1", "0x+1", "18446744073709551616",
+          "0x10000000000000000"})
+        EXPECT_FALSE(parseU64OrHex(bad, v)) << "'" << bad << "'";
+    // Plain parseU64 stays decimal-only.
+    EXPECT_FALSE(parseU64("0x10", v));
 }
 
 TEST(Config, CoresPerGroup)

@@ -117,8 +117,8 @@ TEST(ConfigHelpers, MixConfig)
 
 TEST(ConfigHelpers, DefaultWindowsArePositive)
 {
-    EXPECT_GT(defaultWarmupCycles(), 0u);
-    EXPECT_GT(defaultMeasureCycles(), 0u);
+    EXPECT_GT(RunConfig{}.warmupCycles, 0u);
+    EXPECT_GT(RunConfig{}.measureCycles, 0u);
 }
 
 TEST(Averaging, MultiSeedAveragesMetrics)

@@ -2,10 +2,13 @@
 # CI gate: tier-1 verify (full build + test suite), resume equivalence
 # (an interrupted+resumed run must match the uninterrupted one byte for
 # byte) on the 16-core chip, a resume chain (a resumed run that trips
-# again must save its own snapshot, and that must resume), a scale-out
-# smoke (the same at 32 cores, 8 VMs), a scale-to-256 smoke (the same
-# at 128 cores, over-committed), a --dump-stats check (the dump must
-# report the very run the plain path reports), a zero-allocation
+# again must save its own snapshot, and that must resume; a flag the
+# resume would ignore is refused), a scale-out smoke (the same at 32
+# cores, 8 VMs), a scale-to-256 smoke (the same at 128 cores,
+# over-committed), a --dump-stats check (the dump must report the very
+# run the plain path reports, and --csv the threads that ran), an env
+# edge check (run knobs set through the env and through flags make
+# the same envelope), a zero-allocation
 # assertion over the measure window, an isolation smoke (QoS must
 # protect the VM) and a dyn-sched smoke (migration must beat the
 # static placement on the bursty mix, and resume across migration
@@ -103,6 +106,15 @@ cmp -s "$chain_dir/a.ckpt" "$chain_dir/b.ckpt" && {
     echo "resume chain: second snapshot equals the first" >&2; exit 1; }
 run_chain "$chain_dir/c.ckpt" --resume "$chain_dir/b.ckpt"
 echo "resume chain: each resumed trip saved a resumable snapshot"
+# The checkpoint carries the run config: a flag that would change it
+# is refused (exit 2), never silently dropped.
+rc=0
+./build/tools/consim_run --resume "$chain_dir/a.ckpt" --measure 5 \
+    >/dev/null 2>&1 || rc=$?
+[[ "$rc" == 2 ]] || {
+    echo "resume chain: --resume with --measure wanted exit 2, got $rc" >&2
+    exit 1; }
+echo "resume chain: --resume refuses a flag it would ignore"
 
 echo "=== scale-out smoke: 32-core chip, 8 VMs ==="
 # The parametric scale model must uphold the resume contract beyond
@@ -194,6 +206,33 @@ result_block "$dump_dir/dump.json" >"$dump_dir/dump.result"
 grep -q '^  "stats": {' "$dump_dir/dump.json" || {
     echo "dump-stats: no stats member in the envelope" >&2; exit 1; }
 echo "dump-stats: table and result block match the plain run"
+# --csv reports the threads each VM ran, not its profile default (4).
+./build/tools/consim_run "${dump_args[@]}" --csv >"$dump_dir/plain.csv"
+csv_threads="$(awk -F, 'NR > 1 { print $3 }' "$dump_dir/plain.csv" |
+    sort -u | tr '\n' ' ')"
+[[ "$csv_threads" == "2 " ]] || {
+    echo "dump-stats: --csv threads column is '$csv_threads', want 2" >&2
+    exit 1; }
+echo "dump-stats: --csv threads column reports the configured threads"
+
+echo "=== env edge: env knobs and flags make the same envelope ==="
+# RunConfig::fromEnv is the only reader of the run knobs, so a point
+# set through CONSIM_WARMUP/MEASURE/WATCHDOG/TIMESLICE must run and
+# echo exactly what the same point set through flags does. The
+# over-committed mix keeps the timeslice live.
+env_dir="$work/env"
+mkdir "$env_dir"
+env_args=(--mix "Mix 5" --vm-threads 8,8,8,8)
+CONSIM_WARMUP=3000 CONSIM_MEASURE=2000 CONSIM_WATCHDOG=500000 \
+    CONSIM_TIMESLICE=4000 ./build/tools/consim_run "${env_args[@]}" \
+    --json "$env_dir/env.json" >/dev/null
+./build/tools/consim_run "${env_args[@]}" --warmup 3000 --measure 2000 \
+    --watchdog 500000 --timeslice 4000 \
+    --json "$env_dir/flags.json" >/dev/null
+diff -u "$env_dir/flags.json" "$env_dir/env.json" || {
+    echo "env edge: env-set envelope differs from the flag-set one" >&2
+    exit 1; }
+echo "env edge: env and flag envelopes byte-identical"
 
 echo "=== zero-allocation: measure window allocates nothing ==="
 # The pooled/arena hot paths must keep the steady state off the heap:

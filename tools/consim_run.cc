@@ -32,7 +32,8 @@
  *                              accepts (default 4; raise to model a
  *                              bandwidth-constrained node, e.g. the
  *                              isolation experiments use 96)
- *     --warmup N --measure N   cycles          (default library)
+ *     --warmup N --measure N   cycles (default 4000000 / 3000000, or
+ *                              CONSIM_WARMUP / CONSIM_MEASURE)
  *     --seed N                                 (default 1)
  *     --seeds N                average N seeds (seed..seed+N-1), run
  *                              in parallel on CONSIM_JOBS threads
@@ -42,7 +43,8 @@
  *     --ideal-noc              ablation: fixed-latency interconnect
  *     --check off|basic|full   runtime check level (CONSIM_CHECK)
  *     --watchdog N             progress-watchdog interval in cycles
- *                              (0 disables; default CONSIM_WATCHDOG)
+ *                              (0 disables; default 1000000, or
+ *                              CONSIM_WATCHDOG)
  *     --deadline N             abort the point after N sim cycles
  *     --fault PLAN             inject faults, e.g.
  *                              "wedge:core=3,at=250000;drop:nth=800"
@@ -57,14 +59,15 @@
  *                              (also via CONSIM_DYN_SCHED)
  *     --ckpt-every N           keep periodic consim.ckpt.v5 snapshots
  *                              every N cycles (0 disables; default
- *                              CONSIM_CKPT, off)
+ *                              off, or CONSIM_CKPT)
  *     --ckpt-out PATH          on failure, write the last pre-trip
  *                              snapshot to PATH (needs --ckpt-every;
  *                              a resumed run keeps the interval it
  *                              was saved with)
  *     --resume PATH            resume a consim.ckpt.v5 snapshot; the
- *                              run config comes from the checkpoint
- *                              (exclusive with --mix/--vm/--seeds)
+ *                              run config comes from the checkpoint,
+ *                              so only --ckpt-out, --json, --csv and
+ *                              --check may join it
  *     --csv                    machine-readable per-VM output
  *     --dump-stats             full component statistics dump after
  *                              the report (single seed; with --json
@@ -302,9 +305,13 @@ printRunResult(const RunConfig &cfg, const RunResult &r, bool csv,
     for (std::size_t i = 0; i < r.vms.size(); ++i) {
         const VmResult &v = r.vms[i];
         if (csv) {
-            std::cout << i << "," << toString(v.kind) << ","
-                      << WorkloadProfile::get(v.kind).numThreads << ","
-                      << v.transactions << ","
+            // The threads that ran: the override, else the profile's.
+            const int threads =
+                i < cfg.vmThreads.size() && cfg.vmThreads[i] > 0
+                    ? cfg.vmThreads[i]
+                    : WorkloadProfile::get(v.kind).numThreads;
+            std::cout << i << "," << toString(v.kind) << "," << threads
+                      << "," << v.transactions << ","
                       << v.cyclesPerTransaction << "," << v.l2Accesses
                       << "," << v.l2Misses << "," << v.missRate << ","
                       << v.c2cClean << "," << v.c2cDirty << ","
@@ -327,7 +334,8 @@ printRunResult(const RunConfig &cfg, const RunResult &r, bool csv,
 int
 main(int argc, char **argv)
 {
-    RunConfig cfg;
+    // Env knobs first, so the flags below override them.
+    RunConfig cfg = RunConfig::fromEnv();
     bool csv = false;
     bool dump = false;
     int num_seeds = 1;
@@ -335,6 +343,7 @@ main(int argc, char **argv)
     std::string json_path;
     std::string ckpt_out;
     std::string resume_path;
+    std::string run_flag; // first flag that --resume would ignore
     if (const char *env = std::getenv("CONSIM_JSON"))
         json_path = env;
     if (const char *env = std::getenv("CONSIM_QOS")) {
@@ -359,6 +368,9 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
+        if (run_flag.empty() && a != "--resume" && a != "--ckpt-out" &&
+            a != "--json" && a != "--csv" && a != "--check")
+            run_flag = a;
         if (a == "--mix") {
             mix_name = next_arg(i);
         } else if (a == "--vm") {
@@ -403,13 +415,7 @@ main(int argc, char **argv)
                 usage("--check wants off|basic|full");
             check::setLevel(lvl);
         } else if (a == "--watchdog") {
-            const std::uint64_t n = parseCount(a, next_arg(i));
-            // In RunConfig, 0 means "library default", so an explicit
-            // --watchdog 0 disables via the env override instead.
-            if (n == 0)
-                ::setenv("CONSIM_WATCHDOG", "0", 1);
-            else
-                cfg.watchdogIntervalCycles = n;
+            cfg.watchdogIntervalCycles = parseCount(a, next_arg(i));
         } else if (a == "--deadline") {
             cfg.cycleDeadline = parseCount(a, next_arg(i));
         } else if (a == "--fault") {
@@ -426,13 +432,7 @@ main(int argc, char **argv)
                                        &err))
                 usage(("bad --dyn-sched spec: " + err).c_str());
         } else if (a == "--ckpt-every") {
-            const std::uint64_t n = parseCount(a, next_arg(i));
-            // In RunConfig, 0 means "library default", so an explicit
-            // --ckpt-every 0 disables via the env override instead.
-            if (n == 0)
-                ::setenv("CONSIM_CKPT", "0", 1);
-            else
-                cfg.ckptEveryCycles = n;
+            cfg.ckptEveryCycles = parseCount(a, next_arg(i));
         } else if (a == "--ckpt-out") {
             ckpt_out = next_arg(i);
         } else if (a == "--resume") {
@@ -458,13 +458,12 @@ main(int argc, char **argv)
 
     if (!resume_path.empty()) {
         // Resume takes everything — workloads, policy, machine,
-        // windows, seed — from the checkpoint's embedded context.
-        if (!cfg.workloads.empty() || !mix_name.empty())
-            usage("--resume takes its configuration from the "
-                  "checkpoint (drop --mix/--vm)");
-        if (dump || num_seeds > 1)
-            usage("--resume runs a single live point "
-                  "(drop --dump-stats/--seeds)");
+        // windows, seed — from the checkpoint's embedded context, so
+        // a flag that would change the run is refused, not dropped.
+        if (!run_flag.empty())
+            usage(("--resume takes its configuration from the "
+                   "checkpoint (drop " + run_flag + ")")
+                      .c_str());
 
         consim::logging::setVerbose(false);
 
