@@ -178,7 +178,7 @@ main(int argc, char **argv)
             scen_of.push_back(static_cast<int>(s));
         }
     }
-    // Baseline index per scenario, deduped by machine signature.
+    // Isolated-run index per scenario, deduped by machine signature.
     std::vector<std::size_t> base_of(kNumScenarios);
     {
         std::vector<Scenario> done;

@@ -1,51 +1,15 @@
 #include "core/report.hh"
 
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
-#include <tuple>
+#include <iostream>
+#include <sstream>
 
 #include "common/logging.hh"
 #include "common/parse.hh"
-#include "exec/sweep.hh"
-#include "workload/profile.hh"
 
 namespace consim
 {
-
-namespace
-{
-
-using BaselineKey = std::tuple<int, int, int, std::size_t>;
-
-BaselineKey
-baselineKey(WorkloadKind kind, SchedPolicy policy,
-            SharingDegree sharing, std::size_t num_seeds)
-{
-    return {static_cast<int>(kind), static_cast<int>(policy),
-            static_cast<int>(sharing), num_seeds};
-}
-
-/** Memoized baselines; main-thread access only. */
-std::map<BaselineKey, Baseline> &
-baselineCache()
-{
-    static std::map<BaselineKey, Baseline> cache;
-    return cache;
-}
-
-Baseline
-baselineOf(WorkloadKind kind, const RunResult &r)
-{
-    Baseline b;
-    b.cyclesPerTxn = r.meanCyclesPerTxn(kind);
-    b.missRate = r.meanMissRate(kind);
-    b.missLatency = r.meanMissLatency(kind);
-    return b;
-}
-
-} // namespace
 
 const std::vector<std::uint64_t> &
 benchSeeds()
@@ -62,58 +26,6 @@ benchSeeds()
         return s;
     }();
     return seeds;
-}
-
-const Baseline &
-isolationBaseline(WorkloadKind kind, SchedPolicy policy,
-                  SharingDegree sharing,
-                  const std::vector<std::uint64_t> &seeds)
-{
-    auto &cache = baselineCache();
-    const auto key = baselineKey(kind, policy, sharing, seeds.size());
-    auto it = cache.find(key);
-    if (it != cache.end())
-        return it->second;
-
-    const RunConfig cfg = isolationConfig(kind, policy, sharing);
-    const RunResult r = runAveraged(cfg, seeds);
-    return cache.emplace(key, baselineOf(kind, r)).first->second;
-}
-
-void
-prewarmIsolationBaselines(const std::vector<BaselineRequest> &wants,
-                          const std::vector<std::uint64_t> &seeds)
-{
-    auto &cache = baselineCache();
-    std::vector<BaselineRequest> missing;
-    std::vector<RunConfig> configs;
-    for (const auto &w : wants) {
-        const auto key =
-            baselineKey(w.kind, w.policy, w.sharing, seeds.size());
-        if (cache.count(key))
-            continue;
-        // Skip duplicates within one request batch.
-        bool seen = false;
-        for (const auto &m : missing) {
-            if (m.kind == w.kind && m.policy == w.policy &&
-                m.sharing == w.sharing) {
-                seen = true;
-                break;
-            }
-        }
-        if (seen)
-            continue;
-        missing.push_back(w);
-        configs.push_back(
-            isolationConfig(w.kind, w.policy, w.sharing));
-    }
-    const auto results = runSweepAveraged(configs, seeds);
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-        const auto &w = missing[i];
-        cache.emplace(
-            baselineKey(w.kind, w.policy, w.sharing, seeds.size()),
-            baselineOf(w.kind, results[i]));
-    }
 }
 
 json::Value
@@ -280,13 +192,49 @@ dumpStats(std::ostream &os, const stats::Group &root)
     root.dump(os);
 }
 
+namespace
+{
+
+[[noreturn]] void
+refuseArg(const std::string &why, const std::string &usage)
+{
+    std::cerr << "error: " << why << "\nusage: " << usage << "\n";
+    std::exit(2);
+}
+
+} // namespace
+
+std::string
+jsonArg(int argc, char **argv, const std::string &usage,
+        const std::function<bool(const std::string &)> &operand)
+{
+    std::string value;
+    bool seen = false;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg != "--json") {
+            if (!operand || !operand(arg))
+                refuseArg("unexpected argument '" + arg + "'", usage);
+            continue;
+        }
+        if (seen)
+            refuseArg("--json given twice", usage);
+        if (i + 1 >= argc || argv[i + 1][0] == '\0')
+            refuseArg("--json wants a value", usage);
+        seen = true;
+        value = argv[++i];
+    }
+    return value;
+}
+
 std::string
 JsonReport::pathFromArgs(int argc, char **argv)
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0)
-            return argv[i + 1];
-    }
+    const std::string prog = argc > 0 ? argv[0] : "bench";
+    const std::string path =
+        jsonArg(argc, argv, prog + " [--json <path>]");
+    if (!path.empty())
+        return path;
     if (const char *env = std::getenv("CONSIM_JSON"))
         return env;
     return "";
@@ -305,17 +253,22 @@ JsonReport::JsonReport(std::string id, std::string title,
 void
 JsonReport::set(const std::string &key, json::Value v)
 {
-    if (!enabled())
-        return;
     doc_.set(key, std::move(v));
 }
 
 void
 JsonReport::point(json::Value v)
 {
-    if (!enabled())
-        return;
     doc_.find("points")->push(std::move(v));
+}
+
+std::string
+JsonReport::text() const
+{
+    std::ostringstream os;
+    doc_.write(os, 2);
+    os << "\n";
+    return os.str();
 }
 
 void
@@ -326,8 +279,7 @@ JsonReport::write() const
     std::ofstream out(path_);
     if (!out)
         CONSIM_FATAL("cannot open JSON output path ", path_);
-    doc_.write(out, 2);
-    out << "\n";
+    out << text();
     if (!out)
         CONSIM_FATAL("failed writing JSON output to ", path_);
 }

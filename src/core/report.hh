@@ -1,16 +1,16 @@
 /**
  * @file
- * Reporting helpers for the benchmark harness: cached isolation
- * baselines (every figure normalizes to a workload's isolated run),
- * uniform normalized-table printing, and the shared JSON result
+ * Reporting helpers for the benchmark harness: the bench seed set,
+ * section headers, strict bench argv, and the shared JSON result
  * format (schema-versioned, config echo + registry-derived metrics)
- * that every bench and consim_run emit behind --json / CONSIM_JSON.
+ * that every bench and consim_run emit behind --json.
  */
 
 #ifndef CONSIM_CORE_REPORT_HH
 #define CONSIM_CORE_REPORT_HH
 
 #include <cstdint>
+#include <functional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -20,40 +20,6 @@
 
 namespace consim
 {
-
-/** Isolation reference numbers for one workload/policy/sharing. */
-struct Baseline
-{
-    double cyclesPerTxn = 0.0;
-    double missRate = 0.0;
-    double missLatency = 0.0;
-};
-
-/**
- * Compute (and memoize per process) a workload's isolation baseline
- * under a given policy and sharing degree, averaged over @p seeds.
- */
-const Baseline &isolationBaseline(
-    WorkloadKind kind, SchedPolicy policy, SharingDegree sharing,
-    const std::vector<std::uint64_t> &seeds);
-
-/** One isolation baseline a bench will need. */
-struct BaselineRequest
-{
-    WorkloadKind kind;
-    SchedPolicy policy;
-    SharingDegree sharing;
-};
-
-/**
- * Compute all not-yet-cached baselines in @p wants with one parallel
- * sweep and populate the isolationBaseline memo, so later
- * isolationBaseline calls are cache hits. Call from the main thread
- * only (the memo is not locked).
- */
-void prewarmIsolationBaselines(
-    const std::vector<BaselineRequest> &wants,
-    const std::vector<std::uint64_t> &seeds);
 
 /** @return the standard seed set used by the bench harness. */
 const std::vector<std::uint64_t> &benchSeeds();
@@ -91,16 +57,28 @@ json::Value runResultJson(const RunConfig &cfg, const RunResult &r);
 void dumpStats(std::ostream &os, const stats::Group &root);
 
 /**
+ * Strict bench argv: at most one `--json <value>`, and every other
+ * argument must be accepted by @p operand (none is, when it is
+ * empty). A refused argument, a second --json or a --json without a
+ * value prints the reason and @p usage to stderr and exits 2.
+ * @return the --json value ("" when absent).
+ */
+std::string
+jsonArg(int argc, char **argv, const std::string &usage,
+        const std::function<bool(const std::string &)> &operand = {});
+
+/**
  * Accumulates a bench's data points and writes one consim.bench.v1
- * document on destruction-free explicit write(). Disabled (all calls
- * no-ops) when the resolved path is empty, so benches can call it
- * unconditionally.
+ * document on an explicit write(). With an empty path, write() is a
+ * no-op, so benches can call it unconditionally (and skip building
+ * points when !enabled()).
  */
 class JsonReport
 {
   public:
     /**
-     * Resolve the output path: `--json <path>` from argv wins,
+     * Resolve the output path of a bench that takes no other
+     * argument: `--json <path>` from argv (strict, see jsonArg) wins,
      * otherwise the CONSIM_JSON environment variable, otherwise ""
      * (disabled).
      */
@@ -117,7 +95,12 @@ class JsonReport
     /** Append one data point (typically runResultJson + labels). */
     void point(json::Value v);
 
-    /** Write the document to the path; fatal on I/O failure. */
+    /** The document as write() stores it: two-space indent and a
+     *  trailing newline. */
+    std::string text() const;
+
+    /** Write text() to the path (none when disabled); fatal on I/O
+     *  failure. */
     void write() const;
 
   private:

@@ -2,12 +2,16 @@
  * @file
  * Tests for the reporting layer (bench harness support): table
  * separators and formatting edge cases, section headers, bench seed
- * parsing, and logging verbosity control.
+ * parsing, strict bench argv, the bench.v1 document text, and logging
+ * verbosity control.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -75,6 +79,57 @@ TEST(Report, BenchSeedsNonEmptyAndDistinct)
     ASSERT_FALSE(seeds.empty());
     for (std::size_t i = 1; i < seeds.size(); ++i)
         EXPECT_NE(seeds[i], seeds[i - 1]);
+}
+
+std::vector<char *>
+argvOf(std::vector<std::string> &args)
+{
+    std::vector<char *> argv;
+    for (auto &a : args)
+        argv.push_back(a.data());
+    return argv;
+}
+
+TEST(Report, PathFromArgsTakesOneJson)
+{
+    std::vector<std::string> args = {"bench", "--json", "out.json"};
+    auto argv = argvOf(args);
+    EXPECT_EQ(JsonReport::pathFromArgs(3, argv.data()), "out.json");
+}
+
+TEST(ReportDeathTest, PathFromArgsRefusesEverythingElse)
+{
+    const auto path = [](std::vector<std::string> args) {
+        auto argv = argvOf(args);
+        JsonReport::pathFromArgs(static_cast<int>(argv.size()),
+                                 argv.data());
+    };
+    EXPECT_EXIT(path({"bench", "--jsn", "x.json"}),
+                ::testing::ExitedWithCode(2), "'--jsn'");
+    EXPECT_EXIT(path({"bench", "extra"}), ::testing::ExitedWithCode(2),
+                "'extra'");
+    EXPECT_EXIT(path({"bench", "--json"}), ::testing::ExitedWithCode(2),
+                "--json wants a value");
+    EXPECT_EXIT(path({"bench", "--json", ""}),
+                ::testing::ExitedWithCode(2), "--json wants a value");
+    EXPECT_EXIT(path({"bench", "--json", "a", "--json", "b"}),
+                ::testing::ExitedWithCode(2), "--json given twice");
+}
+
+TEST(Report, JsonReportTextIsTheWrittenDocument)
+{
+    const std::string path = ::testing::TempDir() + "report_text.json";
+    JsonReport rep("t", "Title", path);
+    auto pt = json::Value::object();
+    pt.set("x", 1);
+    rep.point(std::move(pt));
+    rep.write();
+    std::ifstream in(path);
+    std::stringstream written;
+    written << in.rdbuf();
+    EXPECT_EQ(written.str(), rep.text());
+    EXPECT_NE(rep.text().find("\"schema\": \"consim.bench.v1\""),
+              std::string::npos);
 }
 
 TEST(Logging, VerbosityToggle)

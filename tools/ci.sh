@@ -8,7 +8,9 @@
 # over-committed), a --dump-stats check (the dump must report the very
 # run the plain path reports, and --csv the threads that ran), an env
 # edge check (run knobs set through the env and through flags make
-# the same envelope), a zero-allocation
+# the same envelope), a paper-figures check (one all-figures run of
+# bench/paper_figures prints and writes exactly what the thirteen solo
+# runs do), a zero-allocation
 # assertion over the measure window, an isolation smoke (QoS must
 # protect the VM) and a dyn-sched smoke (migration must beat the
 # static placement on the bursty mix, and resume across migration
@@ -234,6 +236,41 @@ diff -u "$env_dir/flags.json" "$env_dir/env.json" || {
     exit 1; }
 echo "env edge: env and flag envelopes byte-identical"
 
+echo "=== paper figures: one union run == thirteen solo runs ==="
+# paper_figures runs each distinct point of Table II and Figs. 2-13
+# once and renders every figure from the shared runs. At 100k-cycle
+# windows, where the normalized tables are not degenerate, the
+# all-figures run must print, section by section, and write, file by
+# file, exactly what each figure's solo run does. A stray argument
+# exits 2.
+fig_dir="$work/figures"
+mkdir "$fig_dir"
+fig_ids=(table2 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
+    fig12 fig13)
+paper_figures() {
+    CONSIM_WARMUP=100000 CONSIM_MEASURE=100000 \
+        ./build/bench/paper_figures "$@"
+}
+paper_figures --json "$fig_dir/all" >"$fig_dir/all.txt"
+[[ "$(ls "$fig_dir/all" | wc -l)" == "${#fig_ids[@]}" ]] || {
+    echo "paper figures: want ${#fig_ids[@]} documents in all/" >&2
+    exit 1; }
+for id in "${fig_ids[@]}"; do
+    paper_figures "$id" --json "$fig_dir/$id" >"$fig_dir/$id.txt"
+    cmp "$fig_dir/all/$id.json" "$fig_dir/$id/$id.json" || {
+        echo "paper figures: $id.json differs from its solo run" >&2
+        exit 1; }
+done
+(cd "$fig_dir" && cat "${fig_ids[@]/%/.txt}") >"$fig_dir/solo.txt"
+diff -u "$fig_dir/solo.txt" "$fig_dir/all.txt" || {
+    echo "paper figures: all-figures stdout differs from the solo runs" >&2
+    exit 1; }
+rc=0
+./build/bench/paper_figures --bogus >/dev/null 2>&1 || rc=$?
+[[ "$rc" == 2 ]] || {
+    echo "paper figures: --bogus wanted exit 2, got $rc" >&2; exit 1; }
+echo "paper figures: union run matches the thirteen solo runs"
+
 echo "=== zero-allocation: measure window allocates nothing ==="
 # The pooled/arena hot paths must keep the steady state off the heap:
 # the global operator-new hook counts every allocation inside the
@@ -369,14 +406,17 @@ if [[ "$skip_perf" == 1 ]]; then
 else
     echo "=== perf smoke: throughput vs committed baseline ==="
     # Single-sim throughput must stay within 15% of the most recent
-    # committed BENCH_*.json. perf_smoke reports the median of three
+    # committed BENCH_*.json that records perf_smoke's cycles_per_sec
+    # (other BENCH files record other measurements, such as
+    # figure-regeneration wall time). perf_smoke reports the median of three
     # timed repetitions (the sim is deterministic, so the repeats
     # differ only by host noise) and stamps the envelope with host
     # metadata (host_cpus, cpu_model, loadavg_1m) so a tripped gate
     # can be triaged against the machine it ran on. The floor is
     # still deliberately loose — it catches order-of-magnitude
     # regressions in the event core, not percent drift.
-    baseline="$(ls BENCH_*.json 2>/dev/null | sort -V | tail -n1 || true)"
+    baseline="$(grep -l '"cycles_per_sec"' BENCH_*.json 2>/dev/null |
+        sort -V | tail -n1 || true)"
     if [[ -z "$baseline" ]]; then
         echo "perf smoke: no committed BENCH_*.json baseline; skipping"
     else
