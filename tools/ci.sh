@@ -408,8 +408,8 @@ else
     # Single-sim throughput must stay within 15% of the most recent
     # committed BENCH_*.json that records perf_smoke's cycles_per_sec
     # (other BENCH files record other measurements, such as
-    # figure-regeneration wall time). perf_smoke reports the median of three
-    # timed repetitions (the sim is deterministic, so the repeats
+    # figure-regeneration wall time). perf_smoke reports the median
+    # of three timed repetitions (the sim is deterministic, so the repeats
     # differ only by host noise) and stamps the envelope with host
     # metadata (host_cpus, cpu_model, loadavg_1m) so a tripped gate
     # can be triaged against the machine it ran on. The floor is
