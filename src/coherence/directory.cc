@@ -119,18 +119,19 @@ DirectorySlice::process(BlockAddr block)
     Txn *tp = active_.find(block);
     CONSIM_ASSERT(tp, "process() for inactive block");
     Txn &t = *tp;
-    DirEntry &e = store_.entry(block);
 
+    // A request leaves its block's entry non-default, so it is
+    // inserted; a Put only looks its entry up.
     switch (t.req.type) {
       case MsgType::GetS:
-        processGetS(t, e);
+        processGetS(t, store_.insert(block));
         break;
       case MsgType::GetM:
-        processGetM(t, e);
+        processGetM(t, store_.insert(block));
         break;
       case MsgType::PutM:
       case MsgType::PutS:
-        processPut(t, e);
+        processPut(t);
         break;
       default:
         CONSIM_PANIC("bad txn type ", toString(t.req.type));
@@ -252,29 +253,28 @@ DirectorySlice::processGetM(Txn &t, DirEntry &e)
 }
 
 void
-DirectorySlice::processPut(Txn &t, DirEntry &e)
+DirectorySlice::processPut(Txn &t)
 {
     const GroupId g = t.req.reqGroup;
     const bool is_put_m = t.req.type == MsgType::PutM;
-    const bool is_owner =
-        (e.state == L2State::Exclusive || e.state == L2State::Modified) &&
-        static_cast<GroupId>(e.owner) == g;
 
-    // Clearing in place (rather than e = DirEntry{}) keeps the
-    // sharer set's spilled storage for the block's next use.
-    if (is_owner) {
-        if (is_put_m && t.req.dirtyData)
-            sendMemWrite(t.req);
-        e.state = L2State::Invalid;
-        e.owner = -1;
-        e.sharers.reset();
-    } else if (e.state == L2State::Shared && e.sharers.test(g)) {
-        // A demoted owner's PutM degenerates to PutS; any dirty data
-        // was already written back when the line was forwarded.
-        e.sharers.clear(g);
-        if (e.sharers.none()) {
-            e.state = L2State::Invalid;
-            e.owner = -1;
+    // An entry that returns to default leaves the store. An absent
+    // entry is Invalid, so a Put that finds none is stale.
+    if (DirEntry *e = store_.find(t.req.block)) {
+        const bool is_owner = (e->state == L2State::Exclusive ||
+                               e->state == L2State::Modified) &&
+                              static_cast<GroupId>(e->owner) == g;
+        if (is_owner) {
+            if (is_put_m && t.req.dirtyData)
+                sendMemWrite(t.req);
+            store_.erase(*e);
+        } else if (e->state == L2State::Shared && e->sharers.test(g)) {
+            // A demoted owner's PutM degenerates to PutS; any dirty
+            // data was already written back when the line was
+            // forwarded.
+            e->sharers.clear(g);
+            if (e->sharers.none())
+                store_.erase(*e);
         }
     }
     // Otherwise the Put is stale (the line moved on); just ack.

@@ -12,6 +12,7 @@
 #ifndef CONSIM_COHERENCE_DIRECTORY_HH
 #define CONSIM_COHERENCE_DIRECTORY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -54,7 +55,10 @@ vmBaseBlock(VmId vm, int span_bits = vmSpanBits)
     return static_cast<BlockAddr>(vm) << span_bits;
 }
 
-/** One directory entry: partition-granular MESI + full sharer map. */
+/** One directory entry: partition-granular MESI + full sharer map.
+ *  The default entry (Invalid, no owner, no sharers) is the only
+ *  Invalid one: the protocol never leaves an owner or a sharer
+ *  behind in state I. */
 struct DirEntry
 {
     L2State state = L2State::Invalid;
@@ -63,10 +67,23 @@ struct DirEntry
 };
 
 /**
- * Backing store for directory entries: one flat array per registered
- * VM, indexed by block offset within the VM's address window. The
- * storage is logically distributed across the tiles (each slice only
- * touches entries it is home for); a single allocation keeps it fast.
+ * Backing store for directory entries, holding only the non-default
+ * ones. An entry is non-default only while an L2 partition caches
+ * its block or a fill or Put on it is in flight, so the live set is
+ * bounded by the aggregate L2 line count, not by the VMs' footprints
+ * (System derives the bound and reserve()s it). An absent block
+ * reads as the default entry, and the directory slice erases an
+ * entry as soon as a Put returns it to default, so "absent" and
+ * "default" are one state.
+ *
+ * The map never grows after reserve(): an insert that would rehash
+ * is an invariant failure, so the steady state allocates nothing.
+ * Above 64 groups a sharer set spills words to the heap; an erased
+ * entry hands its spill storage to a free list that inserts take
+ * from, and reserve() fills the list to the bound up front.
+ *
+ * The storage is logically distributed across the tiles (each slice
+ * only touches entries it is home for); one map keeps it simple.
  */
 class DirectoryStorage
 {
@@ -78,7 +95,7 @@ class DirectoryStorage
     {
         CONSIM_ASSERT(bits >= vmSpanBits, "window narrower than "
                       "default");
-        CONSIM_ASSERT(perVm_.empty(),
+        CONSIM_ASSERT(windows_.empty(),
                       "span change after VM registration");
         spanBits_ = bits;
     }
@@ -92,39 +109,137 @@ class DirectoryStorage
         CONSIM_ASSERT(vm >= 0, "bad vm");
         CONSIM_ASSERT(num_blocks <= (1ull << spanBits_),
                       "VM footprint exceeds its address window");
-        if (static_cast<std::size_t>(vm) >= perVm_.size())
-            perVm_.resize(vm + 1);
-        perVm_[vm].assign(num_blocks, DirEntry{});
+        if (static_cast<std::size_t>(vm) >= windows_.size())
+            windows_.resize(vm + 1, 0);
+        windows_[vm] = num_blocks;
     }
 
-    /** @return mutable entry for a block. */
-    DirEntry &
-    entry(BlockAddr block)
+    /**
+     * Pre-size for @p max_live entries on a chip of @p num_groups
+     * groups. Must precede the first insert; the map never grows
+     * after it.
+     */
+    void
+    reserve(std::size_t max_live, int num_groups)
+    {
+        CONSIM_ASSERT(map_.empty(), "directory reserve after use");
+        map_.reserve(max_live);
+        capacity_ = map_.capacity();
+        spares_.clear();
+        if (num_groups > 64) {
+            GroupSet wide;
+            wide.set(num_groups - 1);
+            wide.reset();
+            spares_.assign(max_live, wide);
+        }
+    }
+
+    /** @return true when @p block lies inside a registered window. */
+    bool
+    inWindow(BlockAddr block) const
     {
         const auto vm = static_cast<std::size_t>(block >> spanBits_);
         const auto off = block & ((1ull << spanBits_) - 1);
-        CONSIM_ASSERT(vm < perVm_.size() && off < perVm_[vm].size(),
-                      "directory access outside registered windows: "
-                      "block ", block);
-        return perVm_[vm][off];
+        return vm < windows_.size() && off < windows_[vm];
     }
 
-    /** Walk all registered entries (invariant checks, stats). */
+    /** @return a block's entry; the default entry when absent. */
+    const DirEntry &
+    entry(BlockAddr block) const
+    {
+        checkWindow(block);
+        static const DirEntry none;
+        const DirEntry *e = map_.find(block);
+        return e ? *e : none;
+    }
+
+    /** @return a block's stored entry, or nullptr when default. The
+     *  pointer is valid until the next insert or erase. */
+    DirEntry *
+    find(BlockAddr block)
+    {
+        checkWindow(block);
+        return map_.find(block);
+    }
+
+    /** @return a block's entry, inserted as default when absent.
+     *  The caller must leave it non-default or erase it. */
+    DirEntry &
+    insert(BlockAddr block)
+    {
+        checkWindow(block);
+        const std::size_t before = map_.size();
+        DirEntry &e = map_[block];
+        if (map_.size() != before) {
+            CONSIM_ASSERT(map_.capacity() == capacity_,
+                          "directory store outgrew its live-set bound "
+                          "(", map_.size(), " entries)");
+            if (!spares_.empty()) {
+                e.sharers = std::move(spares_.back());
+                spares_.pop_back();
+            }
+        }
+        return e;
+    }
+
+    /** Drop the stored entry @p e (from find() or insert()); its
+     *  block reads as default afterwards, and any spilled sharer
+     *  storage goes back to the free list. */
+    void
+    erase(DirEntry &e)
+    {
+        if (e.sharers.spilled()) {
+            e.sharers.reset();
+            spares_.push_back(std::move(e.sharers));
+        }
+        map_.eraseAt(&e);
+    }
+
+    /** Drop @p block's entry, if stored. */
+    void
+    erase(BlockAddr block)
+    {
+        if (DirEntry *e = find(block))
+            erase(*e);
+    }
+
+    /** @return number of stored (non-default) entries. */
+    std::size_t size() const { return map_.size(); }
+
+    /** @return true when @p block has a stored entry. */
+    bool contains(BlockAddr block) const { return map_.contains(block); }
+
+    /** @return the blocks with stored entries, ascending. */
+    std::vector<BlockAddr>
+    blocks() const
+    {
+        std::vector<BlockAddr> out = map_.keys();
+        std::sort(out.begin(), out.end());
+        return out;
+    }
+
+    /** Walk the stored entries in ascending block order. */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
-        for (std::size_t vm = 0; vm < perVm_.size(); ++vm) {
-            for (std::size_t off = 0; off < perVm_[vm].size(); ++off) {
-                const BlockAddr block =
-                    (static_cast<BlockAddr>(vm) << spanBits_) | off;
-                fn(block, perVm_[vm][off]);
-            }
-        }
+        for (const BlockAddr block : blocks())
+            fn(block, map_.at(block));
     }
 
   private:
-    std::vector<std::vector<DirEntry>> perVm_;
+    void
+    checkWindow(BlockAddr block) const
+    {
+        CONSIM_ASSERT(inWindow(block),
+                      "directory access outside registered windows: "
+                      "block ", block);
+    }
+
+    BlockMap<DirEntry> map_;
+    std::size_t capacity_ = map_.capacity();
+    std::vector<GroupSet> spares_;       ///< empty, spilled sharer sets
+    std::vector<std::uint64_t> windows_; ///< blocks per VM window
     int spanBits_ = vmSpanBits;
 };
 
@@ -219,7 +334,7 @@ class DirectorySlice
     void startTxn(Msg m);
     void processGetS(Txn &t, DirEntry &e);
     void processGetM(Txn &t, DirEntry &e);
-    void processPut(Txn &t, DirEntry &e);
+    void processPut(Txn &t);
     void onInvAck(const Msg &m);
     void onFwdAck(const Msg &m);
     void onDone(const Msg &m);

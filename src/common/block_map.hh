@@ -57,6 +57,9 @@ class BlockMap
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
+    /** @return slot count; changes only when the table grows. */
+    std::size_t capacity() const { return keys_.size(); }
+
     /** Pre-size so @p n entries fit without growing. */
     void
     reserve(std::size_t n)
@@ -127,6 +130,17 @@ class BlockMap
             return 0;
         eraseSlot(i);
         return 1;
+    }
+
+    /** Erase the entry @p v points at (a pointer find() or
+     *  operator[] returned), without probing for its key again. */
+    void
+    eraseAt(const V *v)
+    {
+        const auto i = static_cast<std::size_t>(v - vals_.data());
+        CONSIM_ASSERT(i < vals_.size() && keys_[i] != kEmpty,
+                      "BlockMap::eraseAt: not a live entry");
+        eraseSlot(i);
     }
 
     /** Drop every entry; capacity is retained. */

@@ -16,8 +16,12 @@
  *
  * Sets auto-grow on set(): callers never declare a width up front,
  * and a default-constructed CoreSet is the empty set. This keeps
- * sizeof(CoreSet) at two pointers, which matters because DirEntry is
- * allocated once per block for every VM footprint (~1M entries/VM).
+ * sizeof(CoreSet) at two pointers, which matters because every L2
+ * line carries a presence set and every live directory entry a
+ * sharer set (a few hundred thousand of each on a 16 MB L2). A
+ * moved-from set hands over its spilled words, so a pool of spilled
+ * empty sets can be recycled without allocating (the directory store
+ * keeps one above 64 groups).
  *
  * Semantics are pure value semantics: copies are deep, equality
  * ignores trailing zero words, and word I/O (words()/fromWords())
@@ -169,6 +173,9 @@ class CoreSet
 
     /** @return true iff the set is empty. */
     bool none() const { return !any(); }
+
+    /** @return true when members >= 64 have heap storage. */
+    bool spilled() const { return ext_ != nullptr; }
 
     /** @return number of members. */
     int

@@ -10,6 +10,30 @@
 namespace consim
 {
 
+namespace
+{
+
+/**
+ * @return the blocks a directory audit walks, ascending: every
+ * stored entry, and every block in @p cached (keyed by block). An
+ * absent entry reads as Invalid, so a cached block without one is a
+ * violation only the second set shows.
+ */
+template <typename Map>
+std::vector<BlockAddr>
+auditedBlocks(const DirectoryStorage &dir, const Map &cached)
+{
+    std::vector<BlockAddr> blocks = dir.blocks();
+    for (const auto &kv : cached) {
+        if (!dir.contains(kv.first))
+            blocks.push_back(kv.first);
+    }
+    std::sort(blocks.begin(), blocks.end());
+    return blocks;
+}
+
+} // namespace
+
 System::System(const MachineConfig &cfg,
                std::vector<VirtualMachine *> vms,
                const std::vector<ThreadPlacement> &placements)
@@ -33,6 +57,27 @@ System::System(const MachineConfig &cfg,
     dirStorage_.setSpanBits(spanBits_);
     for (std::size_t i = 0; i < vms_.size(); ++i)
         dirStorage_.registerVm(vms_[i]->id(), vms_[i]->totalBlocks());
+    // The directory stores only non-default entries. A non-default
+    // entry names at least one group (the owner, or a sharer), and
+    // each group it names
+    //  (a) caches the block in its L2 partition: the partitions
+    //      together hold l2TotalBytes / blockBytes lines;
+    //  (b) was granted the block and has not filled it yet: a fill
+    //      serves an L1 demand miss, and an in-order core has one
+    //      outstanding, so numCores such blocks at most; or
+    //  (c) evicted the block, and its Put has not reached the home:
+    //      a bank sends a Put only when a fill evicts a victim, so
+    //      Puts trail fills by the home's queueing delay; allow
+    //      kPutsPerCore of them per core.
+    // BlockMap::reserve adds load-factor headroom and rounds to a
+    // power of two on top. The store never grows after this (its
+    // insert asserts so), so a bound that is wrong shows up as an
+    // invariant failure, not as mid-run allocation.
+    constexpr std::size_t kPutsPerCore = 15;
+    dirStorage_.reserve(
+        static_cast<std::size_t>(cfg_.l2TotalBytes / blockBytes) +
+            static_cast<std::size_t>(n) * (1 + kPutsPerCore),
+        cfg_.numGroups());
 
     groupOf_.resize(n);
     for (CoreId t = 0; t < n; ++t)
@@ -890,7 +935,8 @@ System::checkGlobalCoherence() const
     }
 
     // Directory agreement in both directions.
-    dirStorage_.forEach([&](BlockAddr block, const DirEntry &e) {
+    for (const BlockAddr block : auditedBlocks(dirStorage_, copies)) {
+        const DirEntry &e = dirStorage_.entry(block);
         auto it = copies.find(block);
         static const GroupSet no_copies;
         const GroupSet &held =
@@ -899,6 +945,9 @@ System::checkGlobalCoherence() const
           case L2State::Invalid:
             CONSIM_ASSERT(held.none(),
                           "cached block directory thinks invalid: 0x",
+                          std::hex, block);
+            CONSIM_ASSERT(!dirStorage_.contains(block),
+                          "stored default directory entry, block 0x",
                           std::hex, block);
             break;
           case L2State::Shared:
@@ -922,7 +971,7 @@ System::checkGlobalCoherence() const
                           "directory entry, block 0x",
                           std::hex, block);
         }
-    });
+    }
 
     // L1 inclusion: every valid L1 line is covered by its group's
     // partition line and presence bits.
@@ -1123,17 +1172,21 @@ System::auditSharerState() const
         return true;
     };
 
-    dirStorage_.forEach([&](BlockAddr block, const DirEntry &e) {
+    for (const BlockAddr block : auditedBlocks(dirStorage_, held)) {
+        const DirEntry &e = dirStorage_.entry(block);
         const auto it = held.find(block);
         static const GroupSet no_copies;
         const GroupSet &copies =
             it == held.end() ? no_copies : it->second;
-        if (e.state == L2State::Invalid && copies.none())
-            return; // fast path: the overwhelming majority
         if (!quiet(block))
-            return;
+            continue;
         switch (e.state) {
           case L2State::Invalid:
+            if (copies.none()) {
+                CONSIM_CHECK_FAIL("sharer audit: block 0x", std::hex,
+                                  block, std::dec, " has a stored "
+                                  "default directory entry");
+            }
             CONSIM_CHECK_FAIL("sharer audit: block 0x", std::hex,
                               block, std::dec, " cached in ",
                               copies.count(), " partition(s) but "
@@ -1160,7 +1213,7 @@ System::auditSharerState() const
             }
             break;
         }
-    });
+    }
 }
 
 json::Value

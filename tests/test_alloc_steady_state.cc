@@ -13,49 +13,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <memory>
-#include <vector>
 
 #include "common/alloc_hook.hh"
 #include "core/experiment.hh"
 #include "core/mix.hh"
-#include "core/scheduler.hh"
 #include "core/system.hh"
-#include "core/vm.hh"
+#include "system_rig.hh"
 
 using namespace consim;
 
 namespace
 {
-
-/** VM storage + placements for @p cfg (runExperiment's rig, inlined
- *  here because the experiment driver doesn't expose phases). */
-struct Rig
-{
-    std::vector<std::unique_ptr<VirtualMachine>> storage;
-    std::vector<VirtualMachine *> vms;
-    std::vector<ThreadPlacement> placements;
-};
-
-Rig
-buildRig(const RunConfig &cfg)
-{
-    Rig rig;
-    std::vector<int> threads_per_vm;
-    for (std::size_t i = 0; i < cfg.workloads.size(); ++i) {
-        const auto &prof = WorkloadProfile::get(cfg.workloads[i]);
-        const int nthreads =
-            i < cfg.vmThreads.size() ? cfg.vmThreads[i] : 0;
-        rig.storage.push_back(std::make_unique<VirtualMachine>(
-            prof, static_cast<VmId>(i),
-            cfg.seed * 1000003ull + i * 7919ull, nthreads));
-        rig.vms.push_back(rig.storage.back().get());
-        threads_per_vm.push_back(rig.storage.back()->numThreads());
-    }
-    rig.placements = scheduleThreads(cfg.machine, threads_per_vm,
-                                     cfg.policy, cfg.seed);
-    return rig;
-}
 
 /** Warm @p cfg up, then require an allocation-free measure window. */
 void
@@ -138,5 +106,20 @@ TEST(AllocSteadyState, OverCommittedWindowIsAllocationFree)
                               SchedPolicy::Affinity,
                               SharingDegree::Shared4);
     cfg.vmThreads = {8, 8, 8, 8};
+    expectZeroAllocWindow(cfg, 60'000, 30'000);
+}
+
+TEST(AllocSteadyState, OverSixtyFourGroupWindowIsAllocationFree)
+{
+    // 128 private groups on a 16x8 mesh: every sharer set spills
+    // past its inline word. Directory entries come and go as blocks
+    // are cached and evicted, so their spill storage must be
+    // recycled, not freed and re-allocated.
+    RunConfig cfg = mixConfig(Mix::byName("Mix 1"),
+                              SchedPolicy::RoundRobin,
+                              SharingDegree::Private);
+    cfg.machine.meshX = 16;
+    cfg.machine.meshY = 8;
+    cfg.vmThreads = {32, 32, 32, 32};
     expectZeroAllocWindow(cfg, 60'000, 30'000);
 }

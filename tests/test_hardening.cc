@@ -1,12 +1,15 @@
 /**
  * @file
  * Hardening-layer tests: check levels, SimError, the deterministic
- * fault catalog tripping its matching checker/watchdog, and the
- * crash-isolated sweep engine salvaging poisoned batches.
+ * fault catalog tripping its matching checker/watchdog, the
+ * directory audits catching a cached block with no directory entry,
+ * and the crash-isolated sweep engine salvaging poisoned batches.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,6 +19,7 @@
 #include "core/fault.hh"
 #include "core/mix.hh"
 #include "exec/sweep.hh"
+#include "system_rig.hh"
 
 using namespace consim;
 
@@ -227,6 +231,75 @@ TEST(FaultCatalog, CleanRunPassesFullChecks)
     const RunResult r = runExperiment(cfg);
     ASSERT_FALSE(r.vms.empty());
     EXPECT_GT(r.vms[0].instructions, 0u);
+}
+
+// ---------------------------------------------------------------- //
+// Directory audits: a cached block must have a directory entry.     //
+// ---------------------------------------------------------------- //
+
+namespace
+{
+
+/**
+ * A short Mix 1 run brought to quiescence (every core stopped, every
+ * transaction drained), after which the directory entry of the
+ * lowest block some L2 partition holds is removed through the
+ * store's own API. The directory then reads that block as Invalid
+ * while a partition caches it.
+ */
+class DirectoryAudit : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        const RunConfig cfg = quickConfig(1);
+        rig_ = buildRig(cfg);
+        sys_ = std::make_unique<System>(cfg.machine, rig_.vms,
+                                        rig_.placements);
+        sys_->run(20'000);
+        for (CoreId c = 0; c < cfg.machine.numCores(); ++c)
+            sys_->core(c).wedge();
+        ASSERT_TRUE(sys_->runUntilQuiescent(100'000));
+        sys_->auditWindow();
+        sys_->checkGlobalCoherence();
+
+        DirectoryStorage &dir = sys_->directoryStorage();
+        const std::vector<BlockAddr> stored = dir.blocks();
+        ASSERT_FALSE(stored.empty());
+        std::ostringstream os;
+        os << "0x" << std::hex << stored.front();
+        block_ = os.str();
+        dir.erase(stored.front());
+    }
+
+    Rig rig_;
+    std::unique_ptr<System> sys_;
+    std::string block_; ///< the stripped block, as the audits print it
+};
+
+using DirectoryAuditDeathTest = DirectoryAudit;
+
+} // namespace
+
+TEST_F(DirectoryAudit, WindowAuditNamesCachedBlockWithoutEntry)
+{
+    try {
+        sys_->auditWindow();
+        FAIL() << "window audit passed with block " << block_
+               << " cached but absent from the directory";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find(block_ + " cached in"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST_F(DirectoryAuditDeathTest, GlobalCheckNamesCachedBlockWithoutEntry)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(sys_->checkGlobalCoherence(),
+                 "cached block directory thinks invalid: " + block_);
 }
 
 // ---------------------------------------------------------------- //
