@@ -34,6 +34,7 @@
 #include "coherence/l1_controller.hh"
 #include "coherence/l2_bank.hh"
 #include "coherence/memory_controller.hh"
+#include "common/bitops.hh"
 #include "common/check.hh"
 #include "core/system.hh"
 #include "core/vm.hh"
@@ -691,17 +692,15 @@ struct CkptAccess
         loadMsgQueues(d.waiting_, get(v, "waiting"));
     }
 
-    // --- directory storage (sparse: non-default entries only) ---
+    // --- directory storage (the store's own form: non-default
+    // entries only, [block, state, sharers, owner]) ---
 
     static Value
     saveDirEntries(const DirectoryStorage &st)
     {
         Value v = Value::array();
-        // forEach walks (vm, offset) ascending: deterministic order.
+        // forEach walks blocks ascending: deterministic order.
         st.forEach([&](BlockAddr block, const DirEntry &e) {
-            if (e.state == L2State::Invalid && e.sharers.none() &&
-                e.owner == -1)
-                return;
             Value rec = Value::array();
             rec.push(static_cast<std::uint64_t>(block));
             rec.push(static_cast<int>(e.state));
@@ -712,17 +711,64 @@ struct CkptAccess
         return v;
     }
 
+    /**
+     * Decode the directory entries strictly: the store holds exactly
+     * the non-default entries, so a default, duplicate or malformed
+     * record would break "absent means default" or the protocol's
+     * entry invariants.
+     */
     static void
-    loadDirEntries(DirectoryStorage &st, const Value &v)
+    loadDirEntries(System &s, const Value &v)
     {
+        DirectoryStorage &st = s.dirStorage_;
+        const int groups = s.cfg_.numGroups();
         // The target System is freshly constructed, so every entry
         // not listed here is already default.
+        CONSIM_ASSERT(st.size() == 0, "checkpoint: directory not fresh");
+        bool first = true;
+        BlockAddr prev = 0;
         for (const Value &rec : v.items()) {
-            DirEntry e;
-            e.state = static_cast<L2State>(asInt(rec.at(1)));
-            e.sharers = coreSetFromJson(rec.at(2));
-            e.owner = static_cast<std::int16_t>(asInt(rec.at(3)));
-            st.entry(rec.at(0).asUint()) = e;
+            CONSIM_ASSERT(rec.size() == 4,
+                          "checkpoint: bad directory entry (",
+                          rec.size(), " fields)");
+            const BlockAddr block = rec.at(0).asUint();
+            CONSIM_ASSERT(first || block > prev,
+                          "checkpoint: bad directory entry (block ",
+                          block, " not above ", prev, ")");
+            CONSIM_ASSERT(st.inWindow(block),
+                          "checkpoint: bad directory entry (block ",
+                          block, " outside the VM windows)");
+            first = false;
+            prev = block;
+            const std::int64_t state = asInt(rec.at(1));
+            CONSIM_ASSERT(
+                state >= static_cast<int>(L2State::Shared) &&
+                    state <= static_cast<int>(L2State::Modified),
+                "checkpoint: bad directory entry (block ", block,
+                ", state ", state, ")");
+            const CoreSet sharers = coreSetFromJson(rec.at(2));
+            const std::int64_t owner = asInt(rec.at(3));
+            bool in_chip = true;
+            sharers.forEachSet([&](int g) { in_chip &= g < groups; });
+            CONSIM_ASSERT(in_chip && owner < groups,
+                          "checkpoint: bad directory entry (block ",
+                          block, ", group outside the ", groups,
+                          "-group chip)");
+            const bool valid =
+                static_cast<L2State>(state) == L2State::Shared
+                    ? owner == -1 && sharers.any()
+                    : owner >= 0 &&
+                          sharers.isExactly(static_cast<int>(owner));
+            CONSIM_ASSERT(valid, "checkpoint: bad directory entry "
+                                 "(block ", block, ", state ", state,
+                          " with owner ", owner, " and ",
+                          sharers.count(), " sharers)");
+            // Set the bits into the entry's own (possibly recycled)
+            // sharer storage rather than copying the decoded set.
+            DirEntry &e = st.insert(block);
+            e.state = static_cast<L2State>(state);
+            e.owner = static_cast<std::int16_t>(owner);
+            sharers.forEachSet([&](int g) { e.sharers.set(g); });
         }
     }
 
@@ -1010,9 +1056,12 @@ struct CkptAccess
             }
             const Footprint &fp = inst.footprint_;
             Value touched = Value::array();
-            for (std::size_t i = 0; i < fp.touched_.size(); ++i) {
-                if (fp.touched_[i])
-                    touched.push(static_cast<std::uint64_t>(i));
+            for (std::size_t w = 0; w < fp.words_.size(); ++w) {
+                for (std::uint64_t bits = fp.words_[w]; bits;
+                     bits &= bits - 1) {
+                    touched.push(static_cast<std::uint64_t>(
+                        w * 64 + lowestSetBit(bits)));
+                }
             }
             Value fpv = Value::object();
             fpv.set("count", fp.count_);
@@ -1054,17 +1103,29 @@ struct CkptAccess
                 st.refsInTxn_ = static_cast<std::uint32_t>(
                     get(sv, "refs_in_txn").asUint());
             }
+            // Offsets must ascend strictly and fit the footprint; the
+            // count is derived from them and must match the record.
             Footprint &fp = inst.footprint_;
             const Value &fpv = get(e, "footprint");
-            std::fill(fp.touched_.begin(), fp.touched_.end(), 0);
-            for (const Value &idx : get(fpv, "touched").items()) {
-                const std::uint64_t off = idx.asUint();
-                CONSIM_ASSERT(off < fp.touched_.size(),
-                              "checkpoint: footprint index out of "
-                              "range");
-                fp.touched_[off] = 1;
+            const Value &touched = get(fpv, "touched");
+            std::fill(fp.words_.begin(), fp.words_.end(), 0);
+            fp.count_ = 0;
+            for (std::size_t j = 0; j < touched.size(); ++j) {
+                const std::uint64_t off = touched.at(j).asUint();
+                CONSIM_ASSERT(j == 0 || off > touched.at(j - 1).asUint(),
+                              "checkpoint: bad footprint in vm ", i,
+                              " (offset ", off, " not ascending)");
+                CONSIM_ASSERT(off < fp.capacity_,
+                              "checkpoint: bad footprint in vm ", i,
+                              " (offset ", off, " outside ",
+                              fp.capacity_, " blocks)");
+                fp.touch(off);
             }
-            fp.count_ = get(fpv, "count").asUint();
+            const std::uint64_t count = get(fpv, "count").asUint();
+            CONSIM_ASSERT(count == fp.count_,
+                          "checkpoint: bad footprint in vm ", i,
+                          " (count ", count, " for ", fp.count_,
+                          " offsets)");
         }
     }
 
@@ -1209,7 +1270,7 @@ struct CkptAccess
                       "checkpoint: MC count mismatch");
         for (std::size_t i = 0; i < s.mcs_.size(); ++i)
             loadMc(*s.mcs_[i], mcs.at(i));
-        loadDirEntries(s.dirStorage_, get(m, "dir_entries"));
+        loadDirEntries(s, get(m, "dir_entries"));
         loadNet(s, get(m, "net"));
         loadFaults(s, get(m, "faults"));
         if (const Value *q = m.find("qos")) {

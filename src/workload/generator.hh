@@ -20,12 +20,13 @@
 namespace consim
 {
 
-/** Tracks the distinct blocks a VM has touched (Table II column). */
+/** Tracks the distinct blocks a VM has touched (Table II column):
+ *  one bit per block of the VM's footprint. */
 class Footprint
 {
   public:
     explicit Footprint(std::uint64_t capacity_blocks)
-        : touched_(capacity_blocks)
+        : words_((capacity_blocks + 63) / 64), capacity_(capacity_blocks)
     {
     }
 
@@ -33,9 +34,13 @@ class Footprint
     void
     touch(std::uint64_t offset)
     {
-        if (offset >= touched_.size() || touched_[offset])
+        if (offset >= capacity_)
             return;
-        touched_[offset] = 1;
+        std::uint64_t &w = words_[offset / 64];
+        const std::uint64_t bit = std::uint64_t(1) << (offset % 64);
+        if (w & bit)
+            return;
+        w |= bit;
         ++count_;
     }
 
@@ -45,7 +50,8 @@ class Footprint
   private:
     friend struct CkptAccess;
 
-    std::vector<std::uint8_t> touched_; ///< one flag per block
+    std::vector<std::uint64_t> words_; ///< one bit per block
+    std::uint64_t capacity_;           ///< blocks in the footprint
     std::uint64_t count_ = 0;
 };
 

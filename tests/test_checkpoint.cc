@@ -347,6 +347,145 @@ TEST(CheckpointRestoreDeathTest, BadEventRecordsRefused)
                  refusal);
 }
 
+namespace
+{
+
+/** @p doc with its machine.dir_entries replaced by edit(entries). */
+json::Value
+withEditedDirEntries(
+    const json::Value &doc,
+    const std::function<json::Value(const json::Value &)> &edit)
+{
+    json::Value out = doc;
+    json::Value *machine = out.find("machine");
+    machine->set("dir_entries", edit(*machine->find("dir_entries")));
+    return out;
+}
+
+/** @p doc with VM 0's footprint replaced by edit(footprint). */
+json::Value
+withEditedFootprint(
+    const json::Value &doc,
+    const std::function<json::Value(const json::Value &)> &edit)
+{
+    json::Value out = doc;
+    const json::Value &vms = *out.find("vms");
+    json::Value vm = vms.at(0);
+    vm.set("footprint", edit(*vm.find("footprint")));
+    out.set("vms", replaced(vms, 0, vm));
+    return out;
+}
+
+/** @return the index of the first Modified dir_entries record. */
+std::size_t
+firstModified(const json::Value &entries)
+{
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (entries.at(i).at(1).asUint() ==
+            static_cast<unsigned>(L2State::Modified))
+            return i;
+    }
+    ADD_FAILURE() << "no Modified directory entry";
+    return 0;
+}
+
+} // namespace
+
+TEST(CheckpointRestoreDeathTest, BadDirEntriesRefused)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // A real Mix 1 snapshot on a 4-group chip; each case corrupts one
+    // directory record or VM 0's footprint.
+    json::Value doc;
+    ASSERT_TRUE(json::parse(tripSnapshot(wedgedConfig(false)), doc));
+    const json::Value &entries =
+        *doc.find("machine")->find("dir_entries");
+    ASSERT_GE(entries.size(), 2u);
+    const std::size_t m = firstModified(entries);
+    const auto resumeEdited =
+        [&](const std::function<json::Value(const json::Value &)> &edit) {
+            resumeExperiment(withEditedDirEntries(doc, edit));
+        };
+    const auto editRecord =
+        [&](std::size_t i, std::size_t field, json::Value v) {
+            resumeEdited([=](const json::Value &es) {
+                return replaced(es, i, replaced(es.at(i), field, v));
+            });
+        };
+    const char *refusal = "checkpoint: bad directory entry";
+    // A state outside I/S/E/M.
+    EXPECT_DEATH(editRecord(m, 1, 9), refusal);
+    // An owner outside the chip.
+    EXPECT_DEATH(editRecord(m, 3, 99), refusal);
+    // A sharer outside the chip.
+    json::Value wide = json::Value::array();
+    wide.push(static_cast<std::uint64_t>(
+        entries.at(m).at(2).at(0).asUint() | (std::uint64_t(1) << 40)));
+    EXPECT_DEATH(editRecord(m, 2, wide), refusal);
+    // A Shared entry with no sharers.
+    EXPECT_DEATH(resumeEdited([&](const json::Value &es) {
+                     json::Value rec = json::Value::array();
+                     rec.push(es.at(m).at(0));
+                     rec.push(static_cast<int>(L2State::Shared));
+                     rec.push(json::Value::array());
+                     rec.push(-1);
+                     return replaced(es, m, rec);
+                 }),
+                 refusal);
+    // An all-default record: the store holds non-default entries only.
+    EXPECT_DEATH(resumeEdited([](const json::Value &es) {
+                     json::Value rec = json::Value::array();
+                     rec.push(es.at(0).at(0));
+                     rec.push(0);
+                     rec.push(json::Value::array());
+                     rec.push(-1);
+                     return replaced(es, 0, rec);
+                 }),
+                 refusal);
+    // A duplicated record.
+    EXPECT_DEATH(resumeEdited([](const json::Value &es) {
+                     json::Value out = json::Value::array();
+                     out.push(es.at(0));
+                     for (const json::Value &rec : es.items())
+                         out.push(rec);
+                     return out;
+                 }),
+                 refusal);
+    // A block in no VM's window (the snapshot has four VMs).
+    EXPECT_DEATH(resumeEdited([](const json::Value &es) {
+                     json::Value out = es;
+                     out.push(replaced(es.at(es.size() - 1), 0,
+                                       vmBaseBlock(7)));
+                     return out;
+                 }),
+                 refusal);
+
+    // VM 0's footprint: offsets ascend strictly inside the footprint,
+    // and the count is theirs.
+    const json::Value &touched =
+        *doc.find("vms")->at(0).find("footprint")->find("touched");
+    ASSERT_GE(touched.size(), 2u);
+    const auto editFootprint = [&](const char *key, json::Value v) {
+        resumeExperiment(
+            withEditedFootprint(doc, [=](json::Value fp) {
+                fp.set(key, v);
+                return fp;
+            }));
+    };
+    const json::Value swapped =
+        replaced(replaced(touched, 0, touched.at(1)), 1, touched.at(0));
+    EXPECT_DEATH(editFootprint("touched", swapped), "not ascending");
+    EXPECT_DEATH(editFootprint("touched",
+                               replaced(touched, 1, touched.at(0))),
+                 "not ascending");
+    EXPECT_DEATH(editFootprint("touched",
+                               replaced(touched, touched.size() - 1,
+                                        std::uint64_t(1) << 40)),
+                 "outside");
+    EXPECT_DEATH(editFootprint("count", std::uint64_t(123456789)),
+                 "count 123456789");
+}
+
 TEST(CheckpointSchemaDeathTest, OldSnapshotsRefusedWithExplanation)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
