@@ -17,15 +17,16 @@
 # epochs must be byte-identical), a
 # checked-mode pass (full suite with every runtime invariant checker
 # enabled) plus a fault-injection smoke over the whole catalog, a
-# perf-regression smoke against the committed BENCH_*.json, an
-# ASan+UBSan pass over the whole tier-1 suite (memory safety of the
-# registry, JSON layer, and simulator core), plus a ThreadSanitizer
+# same-host perf A/B against a base commit (tools/perf_ab.sh; only
+# with --perf-base), an ASan+UBSan pass over the whole tier-1 suite
+# (memory safety of the registry, JSON layer, and simulator core),
+# plus a ThreadSanitizer
 # pass over the concurrency surface (thread pool + parallel sweep +
 # event queue, and multi-seed QoS and migrating runs on sweep
 # workers).
 #
 # Usage: tools/ci.sh [--skip-tsan] [--skip-asan] [--skip-checked]
-#                    [--skip-perf]
+#                    [--skip-perf] [--perf-base <ref>]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -34,14 +35,20 @@ skip_tsan=0
 skip_asan=0
 skip_checked=0
 skip_perf=0
-for arg in "$@"; do
-    case "$arg" in
+perf_base=""
+while [[ $# -gt 0 ]]; do
+    case "$1" in
         --skip-tsan) skip_tsan=1 ;;
         --skip-asan) skip_asan=1 ;;
         --skip-checked) skip_checked=1 ;;
         --skip-perf) skip_perf=1 ;;
-        *) echo "unknown option: $arg" >&2; exit 2 ;;
+        --perf-base)
+            [[ $# -ge 2 && -n "$2" ]] || {
+                echo "--perf-base needs a git ref" >&2; exit 2; }
+            perf_base="$2"; shift ;;
+        *) echo "unknown option: $1" >&2; exit 2 ;;
     esac
+    shift
 done
 
 # One work directory for every stage's files, removed on any exit.
@@ -402,40 +409,15 @@ else
 fi
 
 if [[ "$skip_perf" == 1 ]]; then
-    echo "=== perf smoke: skipped ==="
+    echo "=== perf A/B: skipped ==="
+elif [[ -z "$perf_base" ]]; then
+    echo "=== perf A/B: skipped (no --perf-base <ref> given) ==="
 else
-    echo "=== perf smoke: throughput vs committed baseline ==="
-    # Single-sim throughput must stay within 15% of the most recent
-    # committed BENCH_*.json that records perf_smoke's cycles_per_sec
-    # (other BENCH files record other measurements, such as
-    # figure-regeneration wall time). perf_smoke reports the median
-    # of three timed repetitions (the sim is deterministic, so the repeats
-    # differ only by host noise) and stamps the envelope with host
-    # metadata (host_cpus, cpu_model, loadavg_1m) so a tripped gate
-    # can be triaged against the machine it ran on. The floor is
-    # still deliberately loose — it catches order-of-magnitude
-    # regressions in the event core, not percent drift.
-    baseline="$(grep -l '"cycles_per_sec"' BENCH_*.json 2>/dev/null |
-        sort -V | tail -n1 || true)"
-    if [[ -z "$baseline" ]]; then
-        echo "perf smoke: no committed BENCH_*.json baseline; skipping"
-    else
-        ./build/bench/perf_smoke > "$work/perf.json"
-        base_cps="$(grep -o '"cycles_per_sec":[0-9]*' "$baseline" |
-            head -n1 | cut -d: -f2)"
-        new_cps="$(grep -o '"cycles_per_sec":[0-9]*' "$work/perf.json" |
-            head -n1 | cut -d: -f2)"
-        [[ -n "$base_cps" && -n "$new_cps" ]] || {
-            echo "perf smoke: cannot extract cycles_per_sec" >&2; exit 1; }
-        awk -v base="$base_cps" -v cur="$new_cps" 'BEGIN {
-            floor = base * 0.85;
-            printf "perf smoke: %s cycles/s vs baseline %s (floor %.0f)\n",
-                cur, base, floor;
-            exit (cur + 0 < floor) ? 1 : 0;
-        }' || {
-            echo "perf smoke: throughput dropped >15% vs $baseline" >&2
-            exit 1; }
-    fi
+    echo "=== perf A/B: perfbench vs $perf_base on this host ==="
+    # Alternating perfbench pairs of the base commit and this working
+    # tree on every BENCHMARK.json workload; fails when a median
+    # crosses its BENCHMARK.json bound in the worse direction.
+    tools/perf_ab.sh --out "$work/perf_ab.json" "$perf_base"
 fi
 
 if [[ "$skip_asan" == 1 ]]; then
