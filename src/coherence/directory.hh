@@ -125,7 +125,6 @@ class DirectoryStorage
         CONSIM_ASSERT(map_.empty(), "directory reserve after use");
         map_.reserve(max_live);
         capacity_ = map_.capacity();
-        spares_.clear();
         if (num_groups > 64) {
             GroupSet wide;
             wide.set(num_groups - 1);

@@ -724,7 +724,6 @@ struct CkptAccess
         const int groups = s.cfg_.numGroups();
         // The target System is freshly constructed, so every entry
         // not listed here is already default.
-        CONSIM_ASSERT(st.size() == 0, "checkpoint: directory not fresh");
         bool first = true;
         BlockAddr prev = 0;
         for (const Value &rec : v.items()) {
