@@ -194,17 +194,6 @@ class DirectoryStorage
         map_.eraseAt(&e);
     }
 
-    /** Drop @p block's entry, if stored. */
-    void
-    erase(BlockAddr block)
-    {
-        if (DirEntry *e = find(block))
-            erase(*e);
-    }
-
-    /** @return number of stored (non-default) entries. */
-    std::size_t size() const { return map_.size(); }
-
     /** @return true when @p block has a stored entry. */
     bool contains(BlockAddr block) const { return map_.contains(block); }
 

@@ -270,7 +270,7 @@ class DirectoryAudit : public ::testing::Test
         std::ostringstream os;
         os << "0x" << std::hex << stored.front();
         block_ = os.str();
-        dir.erase(stored.front());
+        dir.erase(*dir.find(stored.front()));
     }
 
     Rig rig_;
