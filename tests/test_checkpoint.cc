@@ -3,6 +3,7 @@
  * Checkpoint/resume (`consim.ckpt.v5`) tests: resume byte-identity
  * across every sharing degree and scheduling policy (including the
  * migration-boundary corner), FNV-1a pins of the snapshot text,
+ * strict decoding of event, directory and footprint records,
  * watchdog-trip checkpoints under fault injection, the sweep
  * engine's resume-before-reseed retry ladder and its seed-honesty
  * reporting, the strict env parsing of RunConfig::fromEnv, and a
