@@ -76,11 +76,13 @@ struct DirEntry
  * entry as soon as a Put returns it to default, so "absent" and
  * "default" are one state.
  *
- * The map never grows after reserve(): an insert that would rehash
- * is an invariant failure, so the steady state allocates nothing.
- * Above 64 groups a sharer set spills words to the heap; an erased
- * entry hands its spill storage to a free list that inserts take
- * from, and reserve() fills the list to the bound up front.
+ * reserve() fixes the live-set bound and sizes the map so it never
+ * rehashes below it; an insert past the bound is an invariant
+ * failure, so the steady state allocates nothing. Above 64 groups a
+ * sharer set spills words to the heap; an erased entry hands its
+ * spill storage to a free list that inserts take from, and reserve()
+ * fills the list to the bound up front, so within the bound no
+ * insert finds it empty.
  *
  * The storage is logically distributed across the tiles (each slice
  * only touches entries it is home for); one map keeps it simple.
@@ -88,6 +90,8 @@ struct DirEntry
 class DirectoryStorage
 {
   public:
+    DirectoryStorage() { map_.reserve(maxLive_); }
+
     /** Adopt the run's window width (see requiredVmSpanBits); must
      *  happen before any VM is registered. */
     void
@@ -116,15 +120,15 @@ class DirectoryStorage
 
     /**
      * Pre-size for @p max_live entries on a chip of @p num_groups
-     * groups. Must precede the first insert; the map never grows
-     * after it.
+     * groups. Must precede the first insert; inserts assert that the
+     * store never holds more, so the map never grows after it.
      */
     void
     reserve(std::size_t max_live, int num_groups)
     {
         CONSIM_ASSERT(map_.empty(), "directory reserve after use");
+        maxLive_ = max_live;
         map_.reserve(max_live);
-        capacity_ = map_.capacity();
         if (num_groups > 64) {
             GroupSet wide;
             wide.set(num_groups - 1);
@@ -170,9 +174,10 @@ class DirectoryStorage
         const std::size_t before = map_.size();
         DirEntry &e = map_[block];
         if (map_.size() != before) {
-            CONSIM_ASSERT(map_.capacity() == capacity_,
+            CONSIM_ASSERT(map_.size() <= maxLive_,
                           "directory store outgrew its live-set bound "
-                          "(", map_.size(), " entries)");
+                          "(", map_.size(), " > ", maxLive_,
+                          " entries)");
             if (!spares_.empty()) {
                 e.sharers = std::move(spares_.back());
                 spares_.pop_back();
@@ -206,15 +211,6 @@ class DirectoryStorage
         return out;
     }
 
-    /** Walk the stored entries in ascending block order. */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (const BlockAddr block : blocks())
-            fn(block, map_.at(block));
-    }
-
   private:
     void
     checkWindow(BlockAddr block) const
@@ -224,8 +220,12 @@ class DirectoryStorage
                       "block ", block);
     }
 
+    /** Live-set bound of a store that is never reserve()d (the unit
+     *  rigs drive a handful of blocks). */
+    static constexpr std::size_t kUnreservedLive = 64;
+
+    std::size_t maxLive_ = kUnreservedLive;
     BlockMap<DirEntry> map_;
-    std::size_t capacity_ = map_.capacity();
     std::vector<GroupSet> spares_;       ///< empty, spilled sharer sets
     std::vector<std::uint64_t> windows_; ///< blocks per VM window
     int spanBits_ = vmSpanBits;

@@ -39,16 +39,22 @@ L2Bank::L2Bank(Fabric &fabric, CoreId tile)
     auto it = std::find(members_.begin(), members_.end(), tile_);
     CONSIM_ASSERT(it != members_.end(), "tile not in its own group");
     myBankIdx_ = static_cast<int>(it - members_.begin());
-    // Pre-size the transaction tables from the machine: in the worst
-    // case every core in the machine has a request parked at this
-    // bank, and growing the tables mid-run would break the
-    // zero-allocation steady state the alloc tests enforce.
-    const auto n = std::max<std::size_t>(
-        128, static_cast<std::size_t>(fabric.config().numCores()));
+    const std::size_t n = tableSlots(fabric.config());
     active_.reserve(n);
     wb_.reserve(n);
     waiting_.reserve(n, 2 * n);
     stats_.registerIn(statsGroup_);
+}
+
+std::size_t
+L2Bank::tableSlots(const MachineConfig &cfg)
+{
+    // Pre-size the transaction tables from the machine: in the worst
+    // case every core in the machine has a request parked at this
+    // bank, and growing the tables mid-run would break the
+    // zero-allocation steady state the alloc tests enforce.
+    return std::max<std::size_t>(
+        128, static_cast<std::size_t>(cfg.numCores()));
 }
 
 BlockAddr

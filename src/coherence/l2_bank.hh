@@ -76,6 +76,10 @@ class L2Bank
   public:
     L2Bank(Fabric &fabric, CoreId tile);
 
+    /** @return the entries a bank's transaction tables and writeback
+     *  buffer are pre-sized for on @p cfg's machine. */
+    static std::size_t tableSlots(const MachineConfig &cfg);
+
     /** Handle any bank-bound message. */
     void handle(const Msg &msg);
 

@@ -57,9 +57,6 @@ class BlockMap
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
-    /** @return slot count; changes only when the table grows. */
-    std::size_t capacity() const { return keys_.size(); }
-
     /** Pre-size so @p n entries fit without growing. */
     void
     reserve(std::size_t n)

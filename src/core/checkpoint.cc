@@ -699,15 +699,16 @@ struct CkptAccess
     saveDirEntries(const DirectoryStorage &st)
     {
         Value v = Value::array();
-        // forEach walks blocks ascending: deterministic order.
-        st.forEach([&](BlockAddr block, const DirEntry &e) {
+        // blocks() is ascending: deterministic order.
+        for (const BlockAddr block : st.blocks()) {
+            const DirEntry &e = st.entry(block);
             Value rec = Value::array();
             rec.push(static_cast<std::uint64_t>(block));
             rec.push(static_cast<int>(e.state));
             rec.push(coreSetJson(e.sharers));
             rec.push(static_cast<int>(e.owner));
             v.push(std::move(rec));
-        });
+        }
         return v;
     }
 

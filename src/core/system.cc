@@ -66,17 +66,17 @@ System::System(const MachineConfig &cfg,
     //      serves an L1 demand miss, and an in-order core has one
     //      outstanding, so numCores such blocks at most; or
     //  (c) evicted the block, and its Put has not reached the home:
-    //      a bank sends a Put only when a fill evicts a victim, so
-    //      Puts trail fills by the home's queueing delay; allow
-    //      kPutsPerCore of them per core.
+    //      the evicting bank keeps the victim in its writeback
+    //      buffer until the PutAck, and each of the numCores banks
+    //      pre-sizes that buffer for L2Bank::tableSlots() entries,
+    //      which the zero-allocation steady state keeps it within.
     // BlockMap::reserve adds load-factor headroom and rounds to a
-    // power of two on top. The store never grows after this (its
-    // insert asserts so), so a bound that is wrong shows up as an
-    // invariant failure, not as mid-run allocation.
-    constexpr std::size_t kPutsPerCore = 15;
+    // power of two on top. Every insert asserts the bound, so a
+    // bound that is wrong shows up as an invariant failure, not as
+    // mid-run allocation.
     dirStorage_.reserve(
         static_cast<std::size_t>(cfg_.l2TotalBytes / blockBytes) +
-            static_cast<std::size_t>(n) * (1 + kPutsPerCore),
+            static_cast<std::size_t>(n) * (1 + L2Bank::tableSlots(cfg_)),
         cfg_.numGroups());
 
     groupOf_.resize(n);

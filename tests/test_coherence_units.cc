@@ -311,6 +311,24 @@ TEST_F(DirectoryUnit, OverlappedFetchFlagsWhenDirCacheMisses)
     sendDone(10);
 }
 
+// The live-set bound is exact: an insert past the reserved count dies
+// even though the map's load-factor headroom would still fit it.
+TEST(DirectoryStorageDeathTest, InsertPastLiveSetBoundDies)
+{
+    DirectoryStorage store;
+    store.registerVm(0, 4096);
+    store.reserve(3, 16);
+    for (BlockAddr b = 0; b < 3; ++b) {
+        DirEntry &e = store.insert(b);
+        e.state = L2State::Exclusive;
+        e.owner = 1;
+        e.sharers.set(1);
+    }
+    // Finding a stored entry at the bound is fine.
+    EXPECT_EQ(store.insert(2).state, L2State::Exclusive);
+    EXPECT_DEATH(store.insert(3), "outgrew its live-set bound");
+}
+
 TEST(MemoryControllerUnit, ReadRepliesWithDataAfterLatency)
 {
     MockFabric fab;
