@@ -11,7 +11,8 @@
 # the same envelope), a paper-figures check (one all-figures run of
 # bench/paper_figures prints and writes exactly what the thirteen solo
 # runs do), a zero-allocation
-# assertion over the measure window, an isolation smoke (QoS must
+# assertion over the measure window, a perf_smoke run (no floor: it
+# only has to run), an isolation smoke (QoS must
 # protect the VM) and a dyn-sched smoke (migration must beat the
 # static placement on the bursty mix, and resume across migration
 # epochs must be byte-identical), a
@@ -27,6 +28,7 @@
 #
 # Usage: tools/ci.sh [--skip-tsan] [--skip-asan] [--skip-checked]
 #                    [--skip-perf] [--perf-base <ref>]
+# (--skip-perf only matters together with --perf-base.)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -285,6 +287,13 @@ echo "=== zero-allocation: measure window allocates nothing ==="
 # over-committed configurations, and the count must be exactly zero.
 ./build/tests/test_alloc_steady_state
 echo "zero-allocation: measure window clean"
+
+echo "=== perf_smoke: the PGO training bench runs ==="
+# perf_smoke trains PGO builds and reports the sweep speed-up. Its
+# numbers vary too much between runs to gate on (the same-host A/B
+# below is the perf gate), but it must keep running.
+./build/bench/perf_smoke >/dev/null
+echo "perf_smoke: ran"
 
 echo "=== isolation smoke: protected VM vs bullies, QoS bound ==="
 # A protected SPECjbb VM against three 4-thread bully antagonists on a

@@ -1,24 +1,21 @@
 #!/usr/bin/env bash
 # Same-host A/B of the host-cost benchmark that BENCHMARK.json
 # declares. Exports <base-ref> with `git archive` into a temporary
-# directory, then, for each workload, runs `perfbench/run.py --trace 0`
-# alternately on the base and on this checkout's working tree (the
-# change), the side that goes first alternating from pair to pair.
-# Prints each end-to-end metric's medians, quartiles and change/base
-# ratio, and writes the pairs and host metadata as JSON.
+# directory, then, for every workload it declares, runs
+# `perfbench/run.py --trace 0` for its run_seconds, alternately on the
+# base and on this checkout's working tree (the change), the side that
+# goes first alternating from pair to pair. Prints each end-to-end
+# metric's medians, quartiles and change/base ratio, and writes the
+# pairs and host metadata as JSON.
 #
 # Exits 1 when a median crosses its BENCHMARK.json bound in the worse
 # direction, or when the change fails a larger share of operations
 # than the base; exits 2 on bad usage or when a run produces no result.
 #
-# Usage: tools/perf_ab.sh [--out FILE] [--workloads W,...] [--seconds N]
-#                         <base-ref> [pairs] [seed]
+# Usage: tools/perf_ab.sh [--out FILE] <base-ref> [pairs] [seed]
 #   pairs      A/B pairs per workload (default 3)
 #   seed       perfbench seed (default 1)
-#   --out      JSON document to write (default perf_ab.json); an
-#              existing perf_ab document there gains this run
-#   --workloads  comma-separated subset (default: every workload)
-#   --seconds  perfbench --seconds (default: BENCHMARK.json run_seconds)
+#   --out      JSON document to write (default perf_ab.json)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,16 +26,10 @@ usage() {
 }
 
 out=perf_ab.json
-workloads=""
-seconds=""
 positional=()
 while [[ $# -gt 0 ]]; do
     case "$1" in
         --out) [[ $# -ge 2 && -n "$2" ]] || usage; out="$2"; shift 2 ;;
-        --workloads) [[ $# -ge 2 && -n "$2" ]] || usage
-            workloads="$2"; shift 2 ;;
-        --seconds) [[ $# -ge 2 && "$2" =~ ^[1-9][0-9]*$ ]] || usage
-            seconds="$2"; shift 2 ;;
         -*) usage ;;
         *) positional+=("$1"); shift ;;
     esac
@@ -56,7 +47,7 @@ trap 'rm -rf "$base_dir"' EXIT
 git archive "$base_commit" | tar -x -C "$base_dir"
 
 python3 - "$base_dir" "$base_ref" "$base_commit" "$pairs" "$seed" \
-    "$out" "$workloads" "$seconds" <<'PY'
+    "$out" <<'PY'
 import json
 import os
 import platform
@@ -66,18 +57,12 @@ import sys
 import time
 from pathlib import Path
 
-base_dir, base_ref, base_commit, pairs, seed, out, only, seconds = \
-    sys.argv[1:]
+base_dir, base_ref, base_commit, pairs, seed, out = sys.argv[1:]
 pairs, seed = int(pairs), int(seed)
 change_dir = Path.cwd()
 spec = json.loads((change_dir / "BENCHMARK.json").read_text())
-seconds = int(seconds) if seconds else int(spec["run_seconds"])
+seconds = int(spec["run_seconds"])
 names = [w["name"] for w in spec["workloads"]]
-if only:
-    unknown = set(only.split(",")) - set(names)
-    if unknown:
-        sys.exit(f"perf_ab: unknown workload(s) {sorted(unknown)}")
-    names = [n for n in names if n in only.split(",")]
 metrics = spec["end_to_end"]
 sides = {"base": Path(base_dir), "change": change_dir}
 
@@ -190,17 +175,7 @@ for workload in names:
           f"  change {failed['change'][0]}/{failed['change'][1]}")
     run["workloads"][workload] = {"pairs": recs, "summary": summary}
 run["verdict"] = "worse" if worse else "ok"
-
-doc = {"schema": "consim.perf_ab.v1", "runs": []}
-if os.path.exists(out):
-    try:
-        prev = json.loads(Path(out).read_text())
-        if prev.get("schema") == "consim.perf_ab.v1":
-            doc = prev
-    except ValueError:
-        pass
-doc["runs"].append(run)
-Path(out).write_text(json.dumps(doc, indent=2) + "\n")
+Path(out).write_text(json.dumps(run, indent=2) + "\n")
 print(f"\nperf_ab: wrote {out}")
 if worse:
     print("perf_ab: FAIL: " + "; ".join(worse), file=sys.stderr)
