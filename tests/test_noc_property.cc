@@ -3,16 +3,19 @@
  * Property tests for the mesh interconnect, swept over virtual
  * channel configurations with parameterized gtest: packet
  * conservation under sustained random traffic, bounded latency after
- * drain, and per-vnet isolation.
+ * drain, and per-vnet isolation; plus FNV-1a pins of the ejection
+ * order of a saturated mesh, which hold every arbitration decision.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 
 #include "common/config.hh"
 #include "common/rng.hh"
 #include "noc/mesh.hh"
+#include "noc/routing.hh"
 
 namespace consim
 {
@@ -104,6 +107,145 @@ INSTANTIATE_TEST_SUITE_P(
                    static_cast<int>(info.param.dataFraction * 10)) +
                "_n" + std::to_string(info.param.packets);
     });
+
+/** A standalone mesh under saturating random traffic, with the
+ *  FNV-1a hash of its ejection sequence. */
+struct ArbitrationPin
+{
+    const char *name;
+    int meshX;
+    int meshY;
+    int vcsPerVnet;
+    int vcBufferFlits;
+    double dataFraction;
+    int packets;
+    bool qos;           ///< reserve one VC per vnet for VM 1
+    std::uint64_t hash; ///< over every (cycle, tile, block) ejection
+};
+
+/** Fold @p v's eight bytes into FNV-1a state @p h. */
+std::uint64_t
+fnv1aWord(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(MeshArbitration, EjectionOrderPinnedUnderSaturation)
+{
+    // When and in what order packets leave a saturated mesh depends
+    // on every arbitration decision: the round-robin pointer, one
+    // grant per input and output port, back-pressure from full
+    // downstream VCs and, with QoS, the protected-only pass and its
+    // every-fourth-cycle yield. The first six rows are the VcSweep
+    // configurations above.
+    const ArbitrationPin pins[] = {
+        {"4x4 vc1 buf5 d0.3", 4, 4, 1, 5, 0.3, 800, false,
+         0xbfa9d54b10d2181aull},
+        {"4x4 vc1 buf8 d0.7", 4, 4, 1, 8, 0.7, 800, false,
+         0xd9611c0fad713b3dull},
+        {"4x4 vc2 buf4 d0.3", 4, 4, 2, 4, 0.3, 1500, false,
+         0x2104390f62d4833bull},
+        {"4x4 vc2 buf8 d0.5", 4, 4, 2, 8, 0.5, 1500, false,
+         0x1e0ca8fa7591c453ull},
+        {"4x4 vc4 buf8 d0.3", 4, 4, 4, 8, 0.3, 2000, false,
+         0x7a8c2d077a7d447eull},
+        {"4x4 vc4 buf16 d0.9", 4, 4, 4, 16, 0.9, 2000, false,
+         0x21704c14f2279f2eull},
+        {"8x8 vc2 buf4 d0.5", 8, 8, 2, 4, 0.5, 4000, false,
+         0xad3cec2783234bbfull},
+        {"4x4 vc2 buf8 d0.5 qos", 4, 4, 2, 8, 0.5, 2000, true,
+         0x9ec12e48ce64922dull},
+    };
+    for (const ArbitrationPin &pin : pins) {
+        MachineConfig cfg;
+        cfg.meshX = pin.meshX;
+        cfg.meshY = pin.meshY;
+        cfg.vcsPerVnet = pin.vcsPerVnet;
+        cfg.vcBufferFlits = pin.vcBufferFlits;
+        Mesh mesh(cfg);
+        if (pin.qos)
+            mesh.setQos(1, 1);
+        const int tiles = cfg.numCores();
+
+        Cycle now = 0;
+        std::uint64_t hash = 0xcbf29ce484222325ull;
+        int delivered = 0, contended = 0;
+        int protectedSent = 0, protectedDelivered = 0;
+        mesh.setDeliver([&](const Msg &m) {
+            ++delivered;
+            hash = fnv1aWord(hash, now);
+            hash = fnv1aWord(hash, static_cast<std::uint64_t>(m.dstTile));
+            hash = fnv1aWord(hash, m.block);
+            // The uncontended latency: pipeline delay plus
+            // serialization at each router on the path, the
+            // ejecting one included.
+            const int len = mesh.params().flitsOf(m.type);
+            const Cycle bound = static_cast<Cycle>(
+                (hopDistance(m.srcTile, m.dstTile, cfg.meshX) + 1) *
+                (mesh.params().pipelineDelay + len));
+            contended += now - m.injectCycle > bound;
+            protectedDelivered += m.vm == 1;
+        });
+
+        // Every tile offers a packet on half of the cycles, more than
+        // the mesh can carry, so NI queues and VC buffers fill.
+        Rng rng(static_cast<std::uint64_t>(pin.packets) * 131 +
+                static_cast<std::uint64_t>(tiles));
+        int injected = 0;
+        BlockAddr tag = 0;
+        for (; injected < pin.packets || !mesh.idle(); ++now) {
+            for (CoreId src = 0; src < tiles && injected < pin.packets;
+                 ++src) {
+                if (rng.uniform() < 0.5)
+                    continue;
+                const auto dst = static_cast<CoreId>(
+                    rng.below(static_cast<std::uint64_t>(tiles)));
+                if (dst == src)
+                    continue;
+                Msg m;
+                const double r = rng.uniform();
+                if (r < pin.dataFraction)
+                    m.type = MsgType::Data; // vnet 2, data-sized
+                else if (r < pin.dataFraction + 0.3)
+                    m.type = MsgType::GetS; // vnet 0, 1 flit
+                else
+                    m.type = MsgType::Inv; // vnet 1, 1 flit
+                m.srcTile = src;
+                m.dstTile = dst;
+                m.block = tag++;
+                m.vm = pin.qos ? static_cast<VmId>(rng.below(2)) : 0;
+                protectedSent += m.vm == 1;
+                m.injectCycle = now;
+                mesh.inject(m);
+                ++injected;
+            }
+            mesh.tick(now);
+            if (now % 32 == 0)
+                mesh.checkConservation();
+            ASSERT_LT(now, Cycle(200'000)) << pin.name << ": no drain";
+        }
+        mesh.checkConservation();
+        EXPECT_EQ(delivered, pin.packets) << pin.name;
+        if (pin.qos) {
+            EXPECT_EQ(protectedDelivered, protectedSent) << pin.name;
+            EXPECT_GT(protectedSent, pin.packets / 3) << pin.name;
+        }
+        // The traffic contends: most packets wait beyond their
+        // uncontended latency.
+        EXPECT_GT(2 * contended, delivered)
+            << pin.name << ": only " << contended << " of " << delivered
+            << " packets contended";
+        EXPECT_EQ(hash, pin.hash)
+            << pin.name << ": ejection order changed (now 0x" << std::hex
+            << hash << "ull, " << std::dec << contended << " of "
+            << delivered << " packets contended, drained at cycle "
+            << now << ")";
+    }
+}
 
 TEST(MeshLatencyProperty, UncontendedLatencyTracksHopCount)
 {
