@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "common/logging.hh"
-
 namespace consim
 {
 
@@ -36,59 +34,6 @@ toString(MsgType t)
       case MsgType::MemWrite: return "MemWrite";
     }
     return "?";
-}
-
-int
-vnetOf(MsgType t)
-{
-    switch (t) {
-      // requests
-      case MsgType::L1GetS:
-      case MsgType::L1GetM:
-      case MsgType::L1PutM:
-      case MsgType::GetS:
-      case MsgType::GetM:
-      case MsgType::PutM:
-      case MsgType::PutS:
-        return 0;
-      // forwards (generated by a directory while blocked on a request)
-      case MsgType::L1Inv:
-      case MsgType::L1WbReq:
-      case MsgType::FwdGetS:
-      case MsgType::FwdGetM:
-      case MsgType::Inv:
-      case MsgType::MemRead:
-      case MsgType::MemWrite:
-        return 1;
-      // responses (sink)
-      case MsgType::L1Data:
-      case MsgType::L1InvAck:
-      case MsgType::L1WbData:
-      case MsgType::Data:
-      case MsgType::Grant:
-      case MsgType::InvAck:
-      case MsgType::FwdAck:
-      case MsgType::PutAck:
-      case MsgType::Done:
-        return 2;
-    }
-    CONSIM_PANIC("vnetOf: bad message type");
-}
-
-bool
-carriesData(MsgType t)
-{
-    switch (t) {
-      case MsgType::L1PutM:
-      case MsgType::L1Data:
-      case MsgType::L1WbData:
-      case MsgType::PutM:
-      case MsgType::Data:
-      case MsgType::MemWrite:
-        return true;
-      default:
-        return false;
-    }
 }
 
 bool

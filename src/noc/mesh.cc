@@ -9,6 +9,7 @@ namespace consim
 {
 
 Mesh::Mesh(const MachineConfig &cfg)
+    : shared_(cfg.meshX, cfg.numCores())
 {
     params_.meshX = cfg.meshX;
     params_.meshY = cfg.meshY;
@@ -27,7 +28,7 @@ Mesh::Mesh(const MachineConfig &cfg)
     nis_.reserve(n);
     for (CoreId t = 0; t < n; ++t)
         routers_.push_back(std::make_unique<Router>(t, params_,
-                                                    &stats_));
+                                                    &stats_, &shared_));
     for (CoreId t = 0; t < n; ++t) {
         const int x = t % cfg.meshX, y = t / cfg.meshX;
         Router &r = *routers_[t];
@@ -43,8 +44,8 @@ Mesh::Mesh(const MachineConfig &cfg)
             recordEject(m, lastTick_, len);
             deliver_(m);
         });
-        nis_.push_back(
-            std::make_unique<NetworkInterface>(t, params_, &r));
+        nis_.push_back(std::make_unique<NetworkInterface>(
+            t, params_, &r, &shared_));
     }
 }
 
@@ -62,15 +63,17 @@ void
 Mesh::tick(Cycle now)
 {
     lastTick_ = now;
+    // Each phase visits, in ascending tile order, only the routers or
+    // NIs that have work; the others would do nothing.
     // Phase 1: finish transmissions (arrivals land, ejections fire).
-    for (auto &r : routers_)
-        r->tickOutputs(now);
+    shared_.busy.forEach([&](CoreId t) { routers_[t]->tickOutputs(now); });
     // Phase 2: sources inject into local input VCs.
-    for (auto &ni : nis_)
-        ni->tick(now);
-    // Phase 3: switch allocation everywhere.
-    for (auto &r : routers_)
-        r->tickAllocate(now);
+    shared_.queued.forEach([&](CoreId t) { nis_[t]->tick(now); });
+    // Phase 3: switch allocation, at routers whose wake cycle has come.
+    shared_.buffered.forEach([&](CoreId t) {
+        if (shared_.wake[t] <= now)
+            routers_[t]->tickAllocate(now);
+    });
 }
 
 void
@@ -83,15 +86,8 @@ Mesh::setQos(VmId protected_vm, int reserved_vcs)
 bool
 Mesh::idle() const
 {
-    for (const auto &r : routers_) {
-        if (!r->idle())
-            return false;
-    }
-    for (const auto &ni : nis_) {
-        if (!ni->idle())
-            return false;
-    }
-    return true;
+    return shared_.buffered.empty() && shared_.busy.empty() &&
+           shared_.queued.empty();
 }
 
 int
@@ -124,17 +120,25 @@ Mesh::checkConservation() const
             });
     }
 
-    // Pass 2: per-router credit equations plus the packet census.
+    // Pass 2: per-router credit equations and derived state, plus
+    // the packet census. The next tick is lastTick_ + 1.
     int buffered = 0, transit = 0, queued = 0;
     for (const auto &r : routers_) {
         const CoreId t = r->tile();
         r->checkInvariants(
-            [&](int port, int vc) { return slot(t, port, vc); });
+            [&](int port, int vc) { return slot(t, port, vc); },
+            lastTick_ + 1);
         buffered += r->bufferedPackets();
         transit += r->transitPackets();
     }
-    for (const auto &ni : nis_)
-        queued += ni->queued();
+    for (CoreId t = 0; t < static_cast<CoreId>(nis_.size()); ++t) {
+        queued += nis_[t]->queued();
+        if (shared_.queued.contains(t) != !nis_[t]->idle()) {
+            CONSIM_CHECK_FAIL("NI ", t, ": queued-set membership ",
+                              shared_.queued.contains(t), " with ",
+                              nis_[t]->queued(), " queued messages");
+        }
+    }
 
     const std::uint64_t inNetwork =
         static_cast<std::uint64_t>(buffered + transit + queued);

@@ -6,8 +6,8 @@ namespace consim
 {
 
 NetworkInterface::NetworkInterface(CoreId tile, const NocParams &params,
-                                   Router *router)
-    : tile_(tile), params_(params), router_(router),
+                                   Router *router, MeshShared *shared)
+    : tile_(tile), params_(params), router_(router), shared_(shared),
       queues_(params.numVnets)
 {
     CONSIM_ASSERT(router_ != nullptr, "NI without router at ", tile_);
@@ -18,11 +18,12 @@ NetworkInterface::enqueue(Msg m)
 {
     const int vnet = vnetOf(m.type);
     queues_[vnet].push_back(std::move(m));
-    ++queuedTotal_;
+    if (queuedTotal_++ == 0)
+        shared_->queued.insert(tile_);
 }
 
 void
-NetworkInterface::tickSlow(Cycle now)
+NetworkInterface::tick(Cycle now)
 {
     for (int vnet = 0; vnet < params_.numVnets; ++vnet) {
         auto &q = queues_[vnet];
@@ -39,8 +40,10 @@ NetworkInterface::tickSlow(Cycle now)
         q.pop_front();
         --queuedTotal_;
         pkt.lenFlits = len;
-        router_->arrive(PortLocal, vc, std::move(pkt), now);
+        router_->arrive(PortLocal, vc, pkt, now);
     }
+    if (queuedTotal_ == 0)
+        shared_->queued.erase(tile_);
 }
 
 void
@@ -49,6 +52,10 @@ NetworkInterface::recountQueued()
     queuedTotal_ = 0;
     for (const auto &q : queues_)
         queuedTotal_ += static_cast<int>(q.size());
+    if (queuedTotal_ != 0)
+        shared_->queued.insert(tile_);
+    else
+        shared_->queued.erase(tile_);
 }
 
 } // namespace consim

@@ -18,23 +18,20 @@
 namespace consim
 {
 
-/** Injection-side NI; ejection is handled by the router's ejector. */
+/** Injection-side NI; ejection is handled by the router's ejector.
+ *  The NI keeps its tile in the mesh's `queued` set while it holds
+ *  messages, so the mesh visits only NIs with work. */
 class NetworkInterface
 {
   public:
-    NetworkInterface(CoreId tile, const NocParams &params, Router *router);
+    NetworkInterface(CoreId tile, const NocParams &params, Router *router,
+                     MeshShared *shared);
 
     /** Queue a message for injection (unbounded source queue). */
     void enqueue(Msg m);
 
-    /** Try to inject up to one packet per vnet into the router. The
-     *  empty early-out lives here so the mesh loop inlines it. */
-    void
-    tick(Cycle now)
-    {
-        if (queuedTotal_ != 0)
-            tickSlow(now);
-    }
+    /** Try to inject up to one packet per vnet into the router. */
+    void tick(Cycle now);
 
     /** @return true when no messages await injection. */
     bool idle() const { return queuedTotal_ == 0; }
@@ -45,14 +42,14 @@ class NetworkInterface
   private:
     friend struct CkptAccess;
 
-    void tickSlow(Cycle now);
-
-    /** Recount queuedTotal_ (checkpoint restore refills queues). */
+    /** Recount queuedTotal_ and the queued-set membership
+     *  (checkpoint restore refills queues). */
     void recountQueued();
 
     CoreId tile_;
     NocParams params_;
     Router *router_;
+    MeshShared *shared_;
     std::vector<RingBuf<Msg>> queues_; ///< one per vnet
     int queuedTotal_ = 0;              ///< across all vnets
 };

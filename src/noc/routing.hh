@@ -38,23 +38,34 @@ oppositePort(int port)
 }
 
 /**
+ * XY dimension-order routing from tile @p here in column @p here_x
+ * to tile @p dest in column @p dest_x: the division-free form the
+ * routers use, with every tile's column precomputed.
+ */
+inline int
+xyRoute(CoreId here, int here_x, CoreId dest, int dest_x)
+{
+    if (dest_x > here_x)
+        return PortEast;
+    if (dest_x < here_x)
+        return PortWest;
+    // Same column: tiles are numbered row by row, so tile order is
+    // row order.
+    if (dest > here)
+        return PortSouth;
+    if (dest < here)
+        return PortNorth;
+    return PortLocal;
+}
+
+/**
  * Compute the output port for a packet at tile @p here going to tile
  * @p dest on an meshX x meshY mesh, using XY dimension-order routing.
  */
 inline int
 xyRoute(CoreId here, CoreId dest, int mesh_x)
 {
-    const int hx = here % mesh_x, hy = here / mesh_x;
-    const int dx = dest % mesh_x, dy = dest / mesh_x;
-    if (dx > hx)
-        return PortEast;
-    if (dx < hx)
-        return PortWest;
-    if (dy > hy)
-        return PortSouth;
-    if (dy < hy)
-        return PortNorth;
-    return PortLocal;
+    return xyRoute(here, here % mesh_x, dest, dest % mesh_x);
 }
 
 /** @return Manhattan hop distance between two tiles. */

@@ -232,7 +232,8 @@ TEST(RouterQos, ReservedVcsAdmitOnlyTheProtectedVm)
 {
     NocParams params; // 3 vnets x 2 VCs, 8-flit buffers
     NetworkStats stats;
-    Router router(0, params, &stats);
+    MeshShared shared(params.meshX, params.meshX * params.meshY);
+    Router router(0, params, &stats, &shared);
     router.setQos(0, 1);
 
     // Unprotected traffic is confined to the shared VC 0 of its vnet.
@@ -263,7 +264,7 @@ TEST(RouterQos, ReservedVcsAdmitOnlyTheProtectedVm)
 
     // Zero reservation restores the original first-fit scan exactly:
     // every VM may use every VC.
-    Router plain(0, params, &stats);
+    Router plain(0, params, &stats, &shared);
     plain.setQos(invalidVm, 0);
     ASSERT_TRUE(plain.canAccept(PortLocal, 0, 1, 1, &vc));
     EXPECT_EQ(vc, 0);
