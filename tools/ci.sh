@@ -27,8 +27,7 @@
 # workers).
 #
 # Usage: tools/ci.sh [--skip-tsan] [--skip-asan] [--skip-checked]
-#                    [--skip-perf] [--perf-base <ref>]
-# (--skip-perf only matters together with --perf-base.)
+#                    [--perf-base <ref>]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -36,14 +35,12 @@ cd "$(dirname "$0")/.."
 skip_tsan=0
 skip_asan=0
 skip_checked=0
-skip_perf=0
 perf_base=""
 while [[ $# -gt 0 ]]; do
     case "$1" in
         --skip-tsan) skip_tsan=1 ;;
         --skip-asan) skip_asan=1 ;;
         --skip-checked) skip_checked=1 ;;
-        --skip-perf) skip_perf=1 ;;
         --perf-base)
             [[ $# -ge 2 && -n "$2" ]] || {
                 echo "--perf-base needs a git ref" >&2; exit 2; }
@@ -417,9 +414,7 @@ else
     echo "fault-injection smoke: all faults caught"
 fi
 
-if [[ "$skip_perf" == 1 ]]; then
-    echo "=== perf A/B: skipped ==="
-elif [[ -z "$perf_base" ]]; then
+if [[ -z "$perf_base" ]]; then
     echo "=== perf A/B: skipped (no --perf-base <ref> given) ==="
 else
     echo "=== perf A/B: perfbench vs $perf_base on this host ==="
