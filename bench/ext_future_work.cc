@@ -6,8 +6,9 @@
  *  1. Dynamic scheduling: instead of the paper's static startup
  *     binding, threads are periodically migrated between cores (a
  *     hypervisor reassigning virtual CPUs / an over-committed
- *     system). Sweeping the migration interval shows the cost of
- *     losing cache affinity.
+ *     system): the dyn-sched `random` policy swaps one random pair
+ *     every epoch. Sweeping the epoch shows the cost of losing cache
+ *     affinity.
  *
  *  2. Different numbers of threads per workload: an asymmetric mix
  *     (one 8-thread SPECjbb + two 4-thread TPC-H) on the same chip.
@@ -49,7 +50,8 @@ dynamicSchedulingSweep(JsonReport &jrep)
         RunConfig cfg = mixConfig(Mix::byName("Mix C"),
                                   SchedPolicy::Affinity,
                                   SharingDegree::Shared4);
-        cfg.migrationIntervalCycles = pt.interval;
+        if (pt.interval != 0)
+            cfg.dynSched = {DynSchedPolicy::Random, pt.interval};
         const RunResult r = runAveraged(cfg, benchSeeds());
         if (jrep.enabled()) {
             auto jpt = runResultJson(cfg, r);

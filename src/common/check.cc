@@ -22,28 +22,25 @@ toString(SimErrorKind k)
 namespace check
 {
 
-namespace
-{
-
-int
+Level
 levelFromEnv()
 {
-    if (const char *v = std::getenv("CONSIM_CHECK")) {
-        Level l;
-        if (parseLevel(v, l))
-            return static_cast<int>(l);
-        CONSIM_WARN("CONSIM_CHECK='", v,
-                    "' is not off|basic|full; checks stay off");
+    const char *v = std::getenv("CONSIM_CHECK");
+    if (!v)
+        return Level::Off;
+    Level l;
+    if (!parseLevel(v, l)) {
+        CONSIM_FATAL("CONSIM_CHECK='", v,
+                     "' is not off|basic|full; unset it or pass one of "
+                     "those levels");
     }
-    return static_cast<int>(Level::Off);
+    return l;
 }
-
-} // namespace
 
 std::atomic<int> &
 levelStorage()
 {
-    static std::atomic<int> storage{levelFromEnv()};
+    static std::atomic<int> storage{static_cast<int>(levelFromEnv())};
     return storage;
 }
 

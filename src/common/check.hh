@@ -95,7 +95,14 @@ enum class Level : int
     Full = 2,
 };
 
-/** Cached level; initialized from CONSIM_CHECK on first use. */
+/**
+ * @return the level CONSIM_CHECK names (off when unset). A value that
+ * is not off|basic|full (or 0/1/2) is fatal: running unchecked would
+ * not be the run asked for.
+ */
+Level levelFromEnv();
+
+/** Cached level; initialized from levelFromEnv() on first use. */
 std::atomic<int> &levelStorage();
 
 /** @return the current check level. */

@@ -4,8 +4,6 @@
 #include <memory>
 #include <string>
 
-#include "common/rng.hh"
-
 #include "common/check.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
@@ -191,7 +189,6 @@ configCtxJson(const RunConfig &cfg)
     v.set("seed", cfg.seed);
     v.set("warmup_cycles", cfg.warmupCycles);
     v.set("measure_cycles", cfg.measureCycles);
-    v.set("migration_interval_cycles", cfg.migrationIntervalCycles);
     v.set("timeslice_cycles", cfg.timesliceCycles);
     v.set("watchdog_interval_cycles", cfg.watchdogIntervalCycles);
     v.set("cycle_deadline", cfg.cycleDeadline);
@@ -222,8 +219,6 @@ configFromCtx(const json::Value &v)
     cfg.seed = ctxGet(v, "seed").asUint();
     cfg.warmupCycles = ctxGet(v, "warmup_cycles").asUint();
     cfg.measureCycles = ctxGet(v, "measure_cycles").asUint();
-    cfg.migrationIntervalCycles =
-        ctxGet(v, "migration_interval_cycles").asUint();
     // Optional: absent in checkpoints from before over-commit.
     if (const json::Value *ts = v.find("timeslice_cycles"))
         cfg.timesliceCycles = ts->asUint();
@@ -312,49 +307,12 @@ buildRig(const RunConfig &cfg)
 
 /** Experiment context embedded verbatim in periodic snapshots. */
 json::Value
-phaseContext(const RunConfig &cfg, const char *phase, const Rng *mig)
+phaseContext(const RunConfig &cfg, const char *phase)
 {
     auto ctx = json::Value::object();
     ctx.set("config", configCtxJson(cfg));
     ctx.set("phase", phase);
-    if (mig) {
-        auto st = json::Value::array();
-        for (std::uint64_t w : mig->state())
-            st.push(w);
-        ctx.set("mig_rng", std::move(st));
-    }
     return ctx;
-}
-
-/**
- * Drive one phase from @p done to @p total phase-relative cycles,
- * refreshing the checkpoint context before every run() chunk (the
- * migration RNG mutates only between chunks, so the context captured
- * at chunk start is exact for any snapshot inside it).
- *
- * Resume subtlety: a periodic snapshot landing exactly on an interior
- * migration boundary is taken before the swap (run() returns first,
- * then the driver swaps), so a resume starting on such a boundary
- * must redo the swap — with the pre-swap RNG state the context
- * carries.
- */
-void
-runOnePhase(System &sys, const RunConfig &cfg, const char *phase,
-            Cycle total, Cycle done, Rng *mig)
-{
-    const Cycle interval = cfg.migrationIntervalCycles;
-    if (mig && done > 0 && done < total && done % interval == 0)
-        sys.swapRandomThreads(*mig);
-    while (done < total) {
-        sys.setCheckpointContext(phaseContext(cfg, phase, mig));
-        Cycle next = total;
-        if (mig)
-            next = std::min(total, (done / interval + 1) * interval);
-        sys.run(next - done);
-        done = next;
-        if (mig && done < total)
-            sys.swapRandomThreads(*mig);
-    }
 }
 
 /**
@@ -445,20 +403,11 @@ drive(const RunConfig &cfg, const json::Value *ckpt,
     if (cfg.qos.enabled())
         sys.setQosConfig(cfg.qos);
     if (cfg.dynSched.enabled())
-        sys.setDynSched(cfg.dynSched);
-    Rng mig_rng(cfg.seed ^ 0xd15ea5e);
-    Rng *mig = cfg.migrationIntervalCycles ? &mig_rng : nullptr;
+        sys.setDynSched(cfg.dynSched, cfg.seed);
     std::string phase = "warmup";
     if (ckpt) {
         sys.restoreCheckpoint(*ckpt);
-        const json::Value &ctx = *ckpt->find("context");
-        phase = ctxGet(ctx, "phase").str();
-        if (mig) {
-            const json::Value &st = ctxGet(ctx, "mig_rng");
-            CONSIM_ASSERT(st.size() == 4, "resume: bad mig_rng state");
-            mig_rng.setState({st.at(0).asUint(), st.at(1).asUint(),
-                              st.at(2).asUint(), st.at(3).asUint()});
-        }
+        phase = ctxGet(*ckpt->find("context"), "phase").str();
     } else {
         if (!cfg.faults.empty())
             sys.setFaultPlan(cfg.faults);
@@ -478,14 +427,20 @@ drive(const RunConfig &cfg, const json::Value *ckpt,
         if (CONSIM_CHECK_ACTIVE(Full))
             sys.auditWindow();
     };
+    // Each phase is one run() call; snapshots inside it carry the
+    // phase in their context.
+    const auto runPhase = [&](const char *name, Cycle cycles) {
+        sys.setCheckpointContext(phaseContext(cfg, name));
+        sys.run(cycles);
+    };
     const Cycle now = sys.now();
     if (phase == "warmup") {
         CONSIM_ASSERT(now <= cfg.warmupCycles,
                       "resume: clock ", now, " past warmup window");
-        runOnePhase(sys, cfg, "warmup", cfg.warmupCycles, now, mig);
+        runPhase("warmup", cfg.warmupCycles - now);
         audit();
         sys.resetStats();
-        runOnePhase(sys, cfg, "measure", cfg.measureCycles, 0, mig);
+        runPhase("measure", cfg.measureCycles);
     } else {
         CONSIM_ASSERT(phase == "measure", "resume: unknown phase '",
                       phase, "'");
@@ -493,8 +448,7 @@ drive(const RunConfig &cfg, const json::Value *ckpt,
                           now - cfg.warmupCycles <= cfg.measureCycles,
                       "resume: clock ", now,
                       " outside the measurement window");
-        runOnePhase(sys, cfg, "measure", cfg.measureCycles,
-                    now - cfg.warmupCycles, mig);
+        runPhase("measure", cfg.warmupCycles + cfg.measureCycles - now);
     }
     audit();
     if (after)
@@ -518,7 +472,17 @@ configFromCheckpoint(const json::Value &ckpt)
     CONSIM_ASSERT(ctx && ctx->find("config"),
                   "checkpoint has no experiment context (saved outside "
                   "runExperiment?); cannot seed a resume");
-    return configFromCtx(ctxGet(*ctx, "config"));
+    // Older builds' --migrate runs swapped threads off an RNG the
+    // context carried; a zero interval is a non-migrating run.
+    const json::Value &config = ctxGet(*ctx, "config");
+    const json::Value *interval = config.find("migration_interval_cycles");
+    CONSIM_ASSERT(!ctx->find("mig_rng") &&
+                      (!interval || interval->asUint() == 0),
+                  "checkpoint comes from a --migrate run, whose swaps "
+                  "no current run reproduces, so it cannot resume; "
+                  "random migration is now --dyn-sched random,epoch=N "
+                  "— re-run with it to take a fresh snapshot");
+    return configFromCtx(config);
 }
 
 RunResult

@@ -45,10 +45,6 @@ struct RunConfig
     std::uint64_t seed = 1;
     Cycle warmupCycles = 4'000'000;  ///< warmup window (cycles)
     Cycle measureCycles = 3'000'000; ///< measurement window (cycles)
-    /** Dynamic-scheduling extension (paper SSVII): swap the threads
-     *  of two random cores every this many cycles (0 = static
-     *  binding, the paper's methodology). */
-    Cycle migrationIntervalCycles = 0;
     /** Preemption quantum for over-committed cores (schedules with
      *  more VM threads than cores). 0 = Core::kDefaultTimesliceCycles.
      *  Ignored when no core holds more than one thread. */
@@ -61,8 +57,9 @@ struct RunConfig
     QosConfig qos;
     /** Dynamic hypervisor scheduling: an online migration policy
      *  re-evaluated every epoch (policy off = static binding, the
-     *  paper's methodology). Echoed in the run.v1 config only when
-     *  enabled (envelope byte-stability). */
+     *  paper's methodology; `random` is the paper's SSVII thread
+     *  migration). Echoed in the run.v1 config only when enabled
+     *  (envelope byte-stability). */
     DynSchedConfig dynSched;
     /** Forward-progress watchdog check interval (cycles; 0 = off).
      *  Echoed in the run.v1 config only when it departs the default. */
@@ -167,7 +164,9 @@ runExperiment(const RunConfig &cfg,
  * experiment context: exactly the config originally passed to
  * runExperiment, suitable for a byte-identical `consim.run.v1` echo.
  * Fatal-asserts when @p ckpt was saved outside the experiment driver
- * (no context).
+ * (no context), or by a `--migrate` run of an older build (a nonzero
+ * `migration_interval_cycles` or a `mig_rng` key), which no current
+ * run can continue.
  */
 RunConfig configFromCheckpoint(const json::Value &ckpt);
 

@@ -75,7 +75,11 @@ toJson(const RunConfig &cfg)
     v.set("seed", cfg.seed);
     v.set("warmup_cycles", cfg.warmupCycles);
     v.set("measure_cycles", cfg.measureCycles);
-    v.set("migration_interval_cycles", cfg.migrationIntervalCycles);
+    // The paper's SSVII migration interval: the `random` epoch.
+    v.set("migration_interval_cycles",
+          cfg.dynSched.policy == DynSchedPolicy::Random
+              ? cfg.dynSched.epochCycles
+              : 0);
     // Only over-committed runs configure a timeslice; echoed when
     // set, keeping the default envelope byte-stable across versions.
     if (cfg.timesliceCycles != 0)

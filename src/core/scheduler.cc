@@ -5,6 +5,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "common/bitops.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "common/rng.hh"
@@ -231,7 +232,7 @@ namespace
 
 constexpr const char *dynGrammar =
     "off | load-balance[,epoch=E] | affinity-repair[,epoch=E] | "
-    "contention-aware[,epoch=E]";
+    "contention-aware[,epoch=E] | random[,epoch=E]";
 
 bool
 dynFail(std::string *err, const std::string &msg)
@@ -275,6 +276,8 @@ toString(DynSchedPolicy p)
         return "affinity-repair";
       case DynSchedPolicy::ContentionAware:
         return "contention-aware";
+      case DynSchedPolicy::Random:
+        return "random";
     }
     return "?";
 }
@@ -301,10 +304,12 @@ DynSchedConfig::parse(const std::string &text, DynSchedConfig &out,
         d.policy = DynSchedPolicy::AffinityRepair;
     } else if (policy == "contention-aware") {
         d.policy = DynSchedPolicy::ContentionAware;
+    } else if (policy == "random") {
+        d.policy = DynSchedPolicy::Random;
     } else {
         return dynFail(err, "unknown dyn-sched policy '" + policy +
                                 "' (off|load-balance|affinity-repair|"
-                                "contention-aware)");
+                                "contention-aware|random)");
     }
     for (std::size_t i = 1; i < parts.size(); ++i) {
         const std::string &kv = parts[i];
@@ -351,7 +356,7 @@ DynSchedConfig::toJson() const
 }
 
 // ---------------------------------------------------------------- //
-// The three migration policies.                                     //
+// The migration policies.                                           //
 // ---------------------------------------------------------------- //
 
 namespace
@@ -611,10 +616,51 @@ class ContentionAwarePolicy : public MigrationPolicy
     }
 };
 
+/**
+ * Random: the paper's SSVII hypervisor churn. Every epoch swaps a
+ * pair drawn uniformly from the legal pairs (two distinct eligible
+ * cores, not both idle). The draw hashes (run seed, epoch index), so
+ * the policy keeps no RNG state and a resumed run draws the same
+ * pairs.
+ */
+class RandomPolicy : public MigrationPolicy
+{
+  public:
+    explicit RandomPolicy(std::uint64_t seed) : seed_(seed) {}
+
+    const char *name() const override { return "random"; }
+
+    ThreadSwap
+    decide(const MachineConfig &, const DynSample &s) const override
+    {
+        std::vector<CoreId> eligible;
+        bool busy = false;
+        for (CoreId c = 0; c < static_cast<CoreId>(s.cores.size()); ++c) {
+            if (s.cores[c].eligible) {
+                eligible.push_back(c);
+                busy |= !s.cores[c].idle;
+            }
+        }
+        if (!busy || eligible.size() < 2)
+            return {};
+        // Rejection sampling ends: a legal pair exists.
+        Rng rng(mixBits(seed_) ^ s.epoch);
+        for (;;) {
+            const CoreId a = eligible[rng.below(eligible.size())];
+            const CoreId b = eligible[rng.below(eligible.size())];
+            if (a != b && !(s.cores[a].idle && s.cores[b].idle))
+                return {a, b};
+        }
+    }
+
+  private:
+    std::uint64_t seed_;
+};
+
 } // namespace
 
 std::unique_ptr<MigrationPolicy>
-makeMigrationPolicy(DynSchedPolicy p)
+makeMigrationPolicy(DynSchedPolicy p, std::uint64_t seed)
 {
     switch (p) {
       case DynSchedPolicy::LoadBalance:
@@ -623,6 +669,8 @@ makeMigrationPolicy(DynSchedPolicy p)
         return std::make_unique<AffinityRepairPolicy>();
       case DynSchedPolicy::ContentionAware:
         return std::make_unique<ContentionAwarePolicy>();
+      case DynSchedPolicy::Random:
+        return std::make_unique<RandomPolicy>(seed);
       case DynSchedPolicy::Off:
         break;
     }

@@ -18,8 +18,9 @@
  * and proposes at most one thread swap per epoch, which System::run
  * applies at the epoch service point (a migration boundary, the same
  * machinery checkpoints serialize). Every policy is a deterministic
- * pure function of the epoch-delta sample — no RNG — so a checkpoint
- * only needs the epoch baselines to resume byte-identically.
+ * pure function of the epoch-delta sample and the run seed; the random
+ * policy hashes (seed, epoch index) instead of keeping RNG state, so a
+ * checkpoint only needs the epoch baselines to resume byte-identically.
  */
 
 #ifndef CONSIM_CORE_SCHEDULER_HH
@@ -75,6 +76,8 @@ enum class DynSchedPolicy
     AffinityRepair,  ///< re-pack a c2c-heavy VM toward shared groups
     ContentionAware, ///< evict the worst thread from the most-
                      ///< contended L2 group toward the least-contended
+    Random,          ///< hypervisor churn (paper SSVII): swap a random
+                     ///< legal pair every epoch, never judged
 };
 
 /** @return the grammar keyword for a policy. */
@@ -89,6 +92,7 @@ const char *toString(DynSchedPolicy p);
  *   load-balance[,epoch=E]
  *   affinity-repair[,epoch=E]
  *   contention-aware[,epoch=E]
+ *   random[,epoch=E]
  * e.g. "contention-aware,epoch=20000"
  */
 struct DynSchedConfig
@@ -143,6 +147,7 @@ struct DynGroupSample
 /** The full epoch sample a policy decides from. */
 struct DynSample
 {
+    std::uint64_t epoch = 0;            ///< now / epochCycles
     std::vector<DynCoreSample> cores;   ///< by CoreId
     std::vector<DynVmSample> vms;       ///< by VmId
     std::vector<DynGroupSample> groups; ///< by GroupId
@@ -158,10 +163,10 @@ struct ThreadSwap
 };
 
 /**
- * Interface of the three dynamic policies. decide() must be a pure
- * function of its arguments (deterministic, ties broken toward the
- * lowest id) so that an uninterrupted run and a resumed checkpoint
- * reach identical verdicts from identical samples.
+ * Interface of the dynamic policies. decide() must be a pure function
+ * of its arguments and the run seed (deterministic, ties broken
+ * toward the lowest id) so that an uninterrupted run and a resumed
+ * checkpoint reach identical verdicts from identical samples.
  */
 class MigrationPolicy
 {
@@ -180,8 +185,10 @@ class MigrationPolicy
                               const DynSample &s) const = 0;
 };
 
-/** @return the policy object for @p p (never null; p != Off). */
-std::unique_ptr<MigrationPolicy> makeMigrationPolicy(DynSchedPolicy p);
+/** @return the policy object for @p p (never null; p != Off); only
+ *  `random` reads the run @p seed. */
+std::unique_ptr<MigrationPolicy> makeMigrationPolicy(DynSchedPolicy p,
+                                                     std::uint64_t seed);
 
 } // namespace consim
 

@@ -285,7 +285,7 @@ System::qosRepartition()
 }
 
 void
-System::setDynSched(const DynSchedConfig &dyn)
+System::setDynSched(const DynSchedConfig &dyn, std::uint64_t seed)
 {
     if (dyn.enabled()) {
         CONSIM_ASSERT(cfg_.numGroups() >= 1,
@@ -293,7 +293,7 @@ System::setDynSched(const DynSchedConfig &dyn)
     }
     dynSched_ = dyn;
     dynPolicy_ =
-        dyn.enabled() ? makeMigrationPolicy(dyn.policy) : nullptr;
+        dyn.enabled() ? makeMigrationPolicy(dyn.policy, seed) : nullptr;
     dynMigrations_ = 0;
     dynLastRetired_.assign(cfg_.numCores(), 0);
     dynLastVm_.assign(vms_.size(), {0, 0, 0});
@@ -309,6 +309,7 @@ DynSample
 System::dynTakeSample()
 {
     DynSample s;
+    s.epoch = now_ / dynSched_.epochCycles;
     s.cores.resize(cfg_.numCores());
     for (CoreId c = 0; c < cfg_.numCores(); ++c) {
         const Core &core = *cores_[c];
@@ -415,13 +416,17 @@ System::dynSchedEpoch()
         return;
     Core &ca = *cores_.at(swap.a);
     Core &cb = *cores_.at(swap.b);
-    CONSIM_ASSERT(!ca.multiplexed() && !cb.multiplexed() &&
-                      !ca.wedged() && !cb.wedged() &&
-                      !(ca.idle() && cb.idle()),
+    CONSIM_ASSERT(swap.a != swap.b && !ca.multiplexed() &&
+                      !cb.multiplexed() && !ca.wedged() &&
+                      !cb.wedged() && !(ca.idle() && cb.idle()),
                   "policy '", dynPolicy_->name(),
                   "' proposed an illegal swap (", swap.a, " <-> ",
                   swap.b, ")");
     applySwap(swap);
+    // Random swaps model churn, not a search for a better placement:
+    // the feedback loop never judges (or reverts) them.
+    if (dynSched_.policy == DynSchedPolicy::Random)
+        return;
     dynEval_ = swap;
     dynPreMiss_ = epochMiss;
     dynPreAcc_ = epochAcc;
@@ -663,13 +668,6 @@ System::run(Cycle cycles)
     const Cycle end = now_ + cycles;
     const Cycle qosEpoch = qosEpochInterval();
     const Cycle dynEpoch = dynEpochInterval();
-    if (watchdogInterval_ == 0 && deadline_ == 0 &&
-        ckptInterval_ == 0 && qosEpoch == 0 && dynEpoch == 0) {
-        // Fast path: the per-cycle loop carries no hardening checks.
-        while (now_ < end)
-            tick();
-        return;
-    }
     while (now_ < end) {
         Cycle chunkEnd = end;
         // Epochs are absolute multiples of the interval, so a resumed
@@ -789,37 +787,6 @@ System::resetStats()
               std::array<std::uint64_t, 2>{0, 0});
 }
 
-bool
-System::swapRandomThreads(Rng &rng)
-{
-    const int n = cfg_.numCores();
-    for (int attempt = 0; attempt < 32; ++attempt) {
-        const auto a = static_cast<CoreId>(rng.below(n));
-        const auto b = static_cast<CoreId>(rng.below(n));
-        if (a == b)
-            continue;
-        Core &ca = *cores_[a];
-        Core &cb = *cores_[b];
-        if (ca.blocked() || cb.blocked())
-            continue;
-        if (ca.idle() && cb.idle())
-            continue;
-        // Over-committed cores rotate through a run queue; swapping
-        // the live binding out from under it would be undone at the
-        // next timeslice boundary. Skip them.
-        if (ca.multiplexed() || cb.multiplexed())
-            continue;
-        InstrStream *sa = ca.stream();
-        const VmId va = ca.vm();
-        InstrStream *sb = cb.stream();
-        const VmId vb = cb.vm();
-        ca.bindThread(sb, vb);
-        cb.bindThread(sa, va);
-        return true;
-    }
-    return false;
-}
-
 void
 System::dumpStats(std::ostream &os) const
 {
@@ -901,6 +868,16 @@ System::checkInvariants() const
         l1->checkInvariants();
     for (const auto &b : banks_)
         b->checkInvariants();
+    // Binding audit: a thread runs on one core at a time. Threads
+    // need not all be held (tests bind hand-built streams).
+    std::unordered_map<const InstrStream *, CoreId> holder;
+    for (const auto &c : cores_) {
+        c->forEachHeld([&](const InstrStream *stream) {
+            const auto [it, fresh] = holder.emplace(stream, c->tile());
+            CONSIM_ASSERT(fresh, "instruction stream held by 2 cores (",
+                          it->second, " and ", c->tile(), ")");
+        });
+    }
 }
 
 void

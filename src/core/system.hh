@@ -16,7 +16,6 @@
 
 #include "common/check.hh"
 #include "common/json.hh"
-#include "common/rng.hh"
 #include "common/stats.hh"
 
 #include "core/event_queue.hh"
@@ -153,16 +152,6 @@ class System : public Fabric
     stats::Group &statsRoot() { return statsRoot_; }
     const stats::Group &statsRoot() const { return statsRoot_; }
 
-    /**
-     * Dynamic-scheduling extension (paper SSVII): migrate by swapping
-     * the threads of two random cores (one may be idle). Mimics a
-     * hypervisor reassigning virtual CPUs over time; the migrated
-     * threads restart cold in their new L1s and pull their working
-     * sets across partitions. Cores blocked on a miss are skipped.
-     * @return true when a swap happened.
-     */
-    bool swapRandomThreads(Rng &rng);
-
     /** Dump the whole stats tree as "sys.path.stat value" lines. */
     void dumpStats(std::ostream &os) const;
 
@@ -180,7 +169,11 @@ class System : public Fabric
     ReplicationSnapshot replicationSnapshot() const;
     OccupancySnapshot occupancySnapshot() const;
 
-    /** Run protocol invariant checks over all components. */
+    /**
+     * Run protocol invariant checks over all components, and the
+     * binding audit: no instruction stream is held by two cores
+     * (Core::forEachHeld).
+     */
     void checkInvariants() const;
 
     /**
@@ -269,10 +262,10 @@ class System : public Fabric
      * policy reads the epoch's per-core / per-VM / per-group counter
      * deltas from the stats registry and proposes at most one thread
      * swap, applied through deferred rebinds. Policies are
-     * deterministic (no RNG), so checkpoints only carry the epoch
-     * baselines.
+     * deterministic in the sample and the run @p seed (no RNG
+     * state), so checkpoints only carry the epoch baselines.
      */
-    void setDynSched(const DynSchedConfig &dyn);
+    void setDynSched(const DynSchedConfig &dyn, std::uint64_t seed);
     const DynSchedConfig &dynSchedConfig() const { return dynSched_; }
 
     /** Thread migrations performed by the dynamic scheduler. */
@@ -326,8 +319,8 @@ class System : public Fabric
     void setCheckpointInterval(Cycle interval);
 
     /**
-     * Experiment-layer context (run config echo, phase, migration
-     * RNG state) embedded verbatim in every snapshot.
+     * Experiment-layer context (run config echo, phase) embedded
+     * verbatim in every snapshot.
      */
     void setCheckpointContext(json::Value ctx)
     {

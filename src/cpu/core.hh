@@ -84,6 +84,26 @@ class Core
     /** @return true while a deferred rebind awaits a boundary. */
     bool rebindPending() const { return rebindPending_; }
 
+    /**
+     * Call @p fn with every stream this core holds: each queued
+     * context when time-sliced, else the latched rebind stream when
+     * one is pending, else the bound stream (nothing when that is
+     * null). The binding audit requires no stream be held twice.
+     */
+    template <typename Fn>
+    void
+    forEachHeld(Fn &&fn) const
+    {
+        if (multiplexed()) {
+            for (const Context &ctx : contexts_)
+                fn(ctx.stream);
+            return;
+        }
+        const InstrStream *held = rebindPending_ ? rebindStream_ : stream_;
+        if (held != nullptr)
+            fn(held);
+    }
+
     /** Set the preemption quantum; 0 restores the default. */
     void
     setTimeslice(Cycle interval)

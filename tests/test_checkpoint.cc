@@ -50,11 +50,13 @@ smallConfig(SharingDegree sharing, SchedPolicy policy)
  * Trip @p cfg with a mid-run cycle deadline while snapshotting every
  * @p every cycles, resume the attached pre-trip checkpoint, and
  * require the resumed run's `consim.run.v1` envelope to be
- * byte-identical to the uninterrupted run's.
+ * byte-identical to the uninterrupted run's. @p inspect, when set,
+ * sees the snapshot first.
  */
 void
-expectResumeByteIdentity(const RunConfig &cfg, Cycle deadline,
-                         Cycle every)
+expectResumeByteIdentity(
+    const RunConfig &cfg, Cycle deadline, Cycle every,
+    const std::function<void(const json::Value &)> &inspect = {})
 {
     const RunResult full = runExperiment(cfg);
     const std::string full_doc = runResultJson(cfg, full).dump(2);
@@ -76,6 +78,8 @@ expectResumeByteIdentity(const RunConfig &cfg, Cycle deadline,
         // The embedded config echo round-trips to the original.
         const RunConfig echoed = configFromCheckpoint(doc);
         EXPECT_EQ(toJson(echoed).dump(), toJson(trip).dump());
+        if (inspect)
+            inspect(doc);
 
         const RunResult resumed = resumeExperiment(doc);
         // Same (deadline-free) config echo on both sides: equality
@@ -128,12 +132,19 @@ TEST(CheckpointResume, ByteIdenticalUnderMigration)
 {
     RunConfig cfg =
         smallConfig(SharingDegree::Shared4, SchedPolicy::Affinity);
-    cfg.migrationIntervalCycles = 6'000;
-    // Snapshot at absolute 22000 = 12000 cycles into the measurement
-    // phase — exactly an interior migration boundary. The snapshot is
-    // taken before the swap, so the resume must redo it with the
-    // pre-swap RNG state carried in the context.
-    expectResumeByteIdentity(cfg, 23'000, 11'000);
+    cfg.dynSched = {DynSchedPolicy::Random, 6'000};
+    // The latest snapshot (absolute 24000, mid-measure) lands exactly
+    // on an epoch boundary. The epoch's swap is latched before the
+    // snapshot, so its two rebinds ride in the snapshot and the
+    // resume installs them without drawing the pair again.
+    expectResumeByteIdentity(
+        cfg, 25'000, 12'000, [](const json::Value &doc) {
+            int latched = 0;
+            for (const json::Value &core :
+                 doc.find("machine")->find("cores")->items())
+                latched += core.find("rebind_vm") != nullptr;
+            EXPECT_EQ(latched, 2);
+        });
 }
 
 TEST(CheckpointResume, ByteIdenticalAt64Cores)
@@ -229,8 +240,8 @@ TEST(CheckpointPin, DeadlineTripSnapshotsByteIdentical)
         std::uint64_t hash;
     };
     const SnapshotPin pins[] = {
-        {"mesh", false, 0x258d875a5210ee24ull},
-        {"ideal NoC", true, 0x835cab467e996b7dull},
+        {"mesh", false, 0x056da5fb58ab60daull},
+        {"ideal NoC", true, 0x1add590080b460d9ull},
     };
     std::set<SimEventKind> kinds;
     for (const SnapshotPin &pin : pins) {
@@ -694,6 +705,35 @@ TEST(CheckpointSchemaDeathTest, OldSnapshotsRefusedWithExplanation)
                  "not a consim.ckpt.v5 document");
 }
 
+TEST(CheckpointSchemaDeathTest, MigrateSnapshotsRefused)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // Older builds' --migrate runs swapped threads between run()
+    // chunks, echoing the interval in the context config and the
+    // migration RNG beside it. No current run continues them, so
+    // either mark is refused with the option that replaced them.
+    json::Value doc;
+    ASSERT_TRUE(json::parse(tripSnapshot(wedgedConfig(false)), doc));
+    const RunConfig cfg = configFromCheckpoint(doc);
+    const auto withInterval = [&](std::uint64_t interval) {
+        json::Value out = doc;
+        out.find("context")->find("config")->set(
+            "migration_interval_cycles", interval);
+        return out;
+    };
+    EXPECT_DEATH(resumeExperiment(withInterval(6'000)),
+                 "--dyn-sched random");
+    json::Value rng = doc;
+    json::Value state = json::Value::array();
+    for (std::uint64_t w : {1u, 2u, 3u, 4u})
+        state.push(w);
+    rng.find("context")->set("mig_rng", std::move(state));
+    EXPECT_DEATH(resumeExperiment(rng), "--dyn-sched random");
+    // A zero interval is a non-migrating run: the key is ignored.
+    EXPECT_EQ(toJson(configFromCheckpoint(withInterval(0))).dump(),
+              toJson(cfg).dump());
+}
+
 // ---------------------------------------------------------------- //
 // Watchdog trips under fault injection carry a resumable snapshot.  //
 // ---------------------------------------------------------------- //
@@ -961,6 +1001,12 @@ TEST(EnvDefaultsDeathTest, MalformedValuesAreFatal)
         ScopedEnv e("CONSIM_TIMESLICE", "10k");
         EXPECT_EXIT(RunConfig::fromEnv(),
                     ::testing::ExitedWithCode(1), "CONSIM_TIMESLICE");
+    }
+    {
+        // A misspelt level would otherwise run unchecked.
+        ScopedEnv e("CONSIM_CHECK", "fulll");
+        EXPECT_EXIT(check::levelFromEnv(), ::testing::ExitedWithCode(1),
+                    "CONSIM_CHECK='fulll' is not off\\|basic\\|full");
     }
 }
 

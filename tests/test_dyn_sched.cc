@@ -1,9 +1,10 @@
 /**
  * @file
  * Dynamic hypervisor scheduling tests: strict `--dyn-sched` spec
- * parsing, the three MigrationPolicy decision functions on synthetic
- * epoch samples (including their no-churn guards and tie-breaks), a
- * forced-migration bursty run under CONSIM_CHECK=full, envelope
+ * parsing, the four MigrationPolicy decision functions on synthetic
+ * epoch samples (including their no-churn guards and tie-breaks, and
+ * the random policy's legal, seeded pairs), forced-migration and
+ * random-migration bursty runs under CONSIM_CHECK=full, envelope
  * stability of the conditional dyn-sched fields, and
  * `consim.ckpt.v5` round-tripping of the migration-policy runtime
  * state.
@@ -11,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hh"
@@ -135,6 +138,13 @@ TEST(DynSchedParse, DefaultsAndRoundTrip)
         << err;
     EXPECT_EQ(d.policy, DynSchedPolicy::AffinityRepair);
 
+    ASSERT_TRUE(DynSchedConfig::parse("random,epoch=25000", d, &err))
+        << err;
+    EXPECT_EQ(d.policy, DynSchedPolicy::Random);
+    EXPECT_EQ(d.epochCycles, 25'000u);
+    ASSERT_TRUE(DynSchedConfig::parse(d.spec(), d2, &err)) << err;
+    EXPECT_EQ(d2.spec(), "random,epoch=25000");
+
     ASSERT_TRUE(DynSchedConfig::parse("off", d, &err)) << err;
     EXPECT_FALSE(d.enabled());
 
@@ -162,6 +172,7 @@ TEST(DynSchedParse, RejectsMalformedSpecsWithGrammar)
         {"contention-aware,foo=1",
          "unknown dyn-sched parameter 'foo'"},
         {"contention-aware,epoch", "expected key=value, got 'epoch'"},
+        {"random,seed=3", "unknown dyn-sched parameter 'seed'"},
         {"load-balance;epoch=5",
          "unknown dyn-sched policy 'load-balance;epoch=5'"},
     };
@@ -176,6 +187,8 @@ TEST(DynSchedParse, RejectsMalformedSpecsWithGrammar)
         EXPECT_NE(err.find("affinity-repair[,epoch=E]"),
                   std::string::npos)
             << err;
+        EXPECT_NE(err.find("random[,epoch=E]"), std::string::npos)
+            << err;
     }
 }
 
@@ -189,7 +202,7 @@ TEST(DynSchedPolicies, LoadBalanceMovesBusiestTowardLightest)
     // core-id ranges, so every binding goes through coresOfGroup().
     const MachineConfig cfg = quadMachine();
     const auto policy =
-        makeMigrationPolicy(DynSchedPolicy::LoadBalance);
+        makeMigrationPolicy(DynSchedPolicy::LoadBalance, 1);
     DynSample s = emptySample(cfg, 4);
     // Group 0 heavy (3400), group 1 light (400), groups 2/3 middling.
     const std::uint64_t heavy[] = {1000, 900, 800, 700};
@@ -224,7 +237,7 @@ TEST(DynSchedPolicies, ContentionAwareEvictsFromHotPartition)
 {
     const MachineConfig cfg = quadMachine();
     const auto policy =
-        makeMigrationPolicy(DynSchedPolicy::ContentionAware);
+        makeMigrationPolicy(DynSchedPolicy::ContentionAware, 1);
     DynSample s = emptySample(cfg, 2);
     // Group 0: vm 0, thrashing (50% miss rate). Group 1: vm 1, quiet.
     // Groups 2/3: idle (group 2 is the first zero-rate target).
@@ -267,7 +280,7 @@ TEST(DynSchedPolicies, AffinityRepairRePacksSplitVm)
 {
     const MachineConfig cfg = quadMachine();
     const auto policy =
-        makeMigrationPolicy(DynSchedPolicy::AffinityRepair);
+        makeMigrationPolicy(DynSchedPolicy::AffinityRepair, 1);
     DynSample s = emptySample(cfg, 2);
     // VM 0: three threads at home in group 0, one stray in group 1,
     // paying a 40% c2c fraction. Group 0's last slot stays idle.
@@ -294,6 +307,50 @@ TEST(DynSchedPolicies, AffinityRepairRePacksSplitVm)
     EXPECT_FALSE(policy->decide(cfg, cheap).decided());
 }
 
+TEST(DynSchedPolicies, RandomPicksLegalSeededPairs)
+{
+    const MachineConfig cfg = quadMachine();
+    // Busy cores 0-5 (core 5 wedged or time-sliced: not eligible),
+    // idle cores 6-15 (core 15 not eligible either).
+    DynSample s = emptySample(cfg, 2);
+    for (CoreId c = 0; c < 6; ++c)
+        bind(s, c, c % 2, 100);
+    s.cores[5].eligible = false;
+    s.cores[15].eligible = false;
+    const auto policy = makeMigrationPolicy(DynSchedPolicy::Random, 7);
+    std::set<std::pair<CoreId, CoreId>> seen;
+    for (std::uint64_t epoch = 0; epoch < 64; ++epoch) {
+        SCOPED_TRACE(epoch);
+        s.epoch = epoch;
+        const ThreadSwap swap = policy->decide(cfg, s);
+        ASSERT_TRUE(swap.decided());
+        EXPECT_NE(swap.a, swap.b);
+        EXPECT_TRUE(s.cores[swap.a].eligible && s.cores[swap.b].eligible);
+        EXPECT_FALSE(s.cores[swap.a].idle && s.cores[swap.b].idle);
+        // A pure function of (seed, epoch): the same draw again.
+        const ThreadSwap again = policy->decide(cfg, s);
+        EXPECT_EQ(again.a, swap.a);
+        EXPECT_EQ(again.b, swap.b);
+        seen.insert({std::min(swap.a, swap.b), std::max(swap.a, swap.b)});
+    }
+    // 5 busy x 13 others, less the 10 busy-busy pairs counted twice:
+    // 55 legal pairs. 64 draws must spread over many of them.
+    EXPECT_GE(seen.size(), 30u);
+    // Another seed draws another sequence.
+    const auto other = makeMigrationPolicy(DynSchedPolicy::Random, 8);
+    int same = 0;
+    for (std::uint64_t epoch = 0; epoch < 64; ++epoch) {
+        s.epoch = epoch;
+        const ThreadSwap a = policy->decide(cfg, s);
+        const ThreadSwap b = other->decide(cfg, s);
+        same += a.a == b.a && a.b == b.b;
+    }
+    EXPECT_LT(same, 16);
+    // No busy eligible core: nothing to move.
+    DynSample quiet = emptySample(cfg, 2);
+    EXPECT_FALSE(policy->decide(cfg, quiet).decided());
+}
+
 // ---------------------------------------------------------------- //
 // Forced migrations under CONSIM_CHECK=full.                        //
 // ---------------------------------------------------------------- //
@@ -313,6 +370,22 @@ TEST(DynSchedRun, FullCheckBurstyRunMigrates)
         SCOPED_TRACE(v);
         EXPECT_GT(r.vms[v].instructions, 0u);
     }
+}
+
+TEST(DynSchedRun, RandomMigratesAtEveryEpochBoundary)
+{
+    // Random swaps are never judged, so none is reverted and no
+    // backoff idles an epoch: every boundary from 5000 to the run's
+    // last cycle (80000) migrates, and the binding audit holds.
+    ScopedCheckLevel lvl(check::Level::Full);
+    const RunConfig cfg = burstyConfig("random,epoch=5000");
+    const RunResult r = runExperiment(cfg);
+    EXPECT_EQ(r.dynMigrations,
+              (cfg.warmupCycles + cfg.measureCycles) / 5'000);
+    const json::Value doc = runResultJson(cfg, r);
+    EXPECT_EQ(doc.find("config")->find("migration_interval_cycles")
+                  ->asUint(),
+              5'000u);
 }
 
 // ---------------------------------------------------------------- //

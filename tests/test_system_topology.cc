@@ -209,19 +209,35 @@ TEST_F(SystemTopology, SwapThreadsMovesWork)
     ASSERT_FALSE(sys_->core(0).idle());
     ASSERT_TRUE(sys_->core(7).idle());
 
-    // Swapping must eventually move the single thread elsewhere.
-    Rng rng(3);
+    // Random migration must eventually move the single thread
+    // elsewhere.
+    sys_->setDynSched({DynSchedPolicy::Random, 20}, 3);
     bool moved = false;
     for (int i = 0; i < 200 && !moved; ++i) {
         sys_->run(20);
-        sys_->swapRandomThreads(rng);
         moved = sys_->core(0).idle();
     }
     EXPECT_TRUE(moved);
-    int active = 0;
+    EXPECT_GT(sys_->dynMigrations(), 0u);
+    // Conservation: exactly one core holds the thread, counting a
+    // latched rebind as held by the core it moves to.
+    int held = 0;
     for (CoreId c = 0; c < 16; ++c)
-        active += sys_->core(c).idle() ? 0 : 1;
-    EXPECT_EQ(active, 1); // conservation: exactly one bound thread
+        sys_->core(c).forEachHeld([&](const InstrStream *) { ++held; });
+    EXPECT_EQ(held, 1);
+}
+
+TEST_F(SystemTopology, BindingAuditCatchesAStreamOnTwoCores)
+{
+    auto s0 = std::make_unique<SeqStream>(std::vector<WorkSlice>{});
+    sys_->core(0).bindThread(s0.get(), 0);
+    sys_->checkInvariants();
+    // The same stream on a second core: one thread running twice.
+    sys_->core(5).bindThread(s0.get(), 0);
+    const check::Level old = check::level();
+    check::setLevel(check::Level::Basic); // assertions throw
+    EXPECT_THROW(sys_->checkInvariants(), SimError);
+    check::setLevel(old);
 }
 
 TEST_F(SystemTopology, GlobalCoherenceHoldsAfterScriptedTraffic)

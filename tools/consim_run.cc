@@ -37,7 +37,6 @@
  *     --seed N                                 (default 1)
  *     --seeds N                average N seeds (seed..seed+N-1), run
  *                              in parallel on CONSIM_JOBS threads
- *     --migrate N              swap threads every N cycles
  *     --no-dir-cache           ablation: no directory caches
  *     --no-clean-fwd           ablation: memory supplies clean data
  *     --ideal-noc              ablation: fixed-latency interconnect
@@ -54,9 +53,11 @@
  *                              (also via the CONSIM_QOS env var)
  *     --dyn-sched SPEC         online thread-migration policy, e.g.
  *                              "load-balance,epoch=100000",
- *                              "affinity-repair" or
- *                              "contention-aware,epoch=50000"
- *                              (also via CONSIM_DYN_SCHED)
+ *                              "affinity-repair",
+ *                              "contention-aware,epoch=50000" or
+ *                              "random,epoch=25000" (swap a random
+ *                              pair of threads every epoch; paper
+ *                              SSVII) (also via CONSIM_DYN_SCHED)
  *     --ckpt-every N           keep periodic consim.ckpt.v5 snapshots
  *                              every N cycles (0 disables; default
  *                              off, or CONSIM_CKPT)
@@ -119,8 +120,7 @@ usage(const char *msg = nullptr)
         "[--policy P] [--sharing N]\n"
         "       [--mesh XxY] [--vm-threads N,N,...] [--timeslice N] "
         "[--l2 BYTES] [--mem-issue N]\n"
-        "       [--warmup N] [--measure N] [--seed N] [--seeds N] "
-        "[--migrate N]\n"
+        "       [--warmup N] [--measure N] [--seed N] [--seeds N]\n"
         "       [--no-dir-cache] [--no-clean-fwd] [--ideal-noc] "
         "[--csv] [--dump-stats]\n"
         "       [--check off|basic|full] [--watchdog N] "
@@ -407,8 +407,6 @@ main(int argc, char **argv)
         } else if (a == "--seeds") {
             if (!parseIntInRange(next_arg(i), 1, 1024, num_seeds))
                 usage("--seeds wants a count in 1..1024");
-        } else if (a == "--migrate") {
-            cfg.migrationIntervalCycles = parseCount(a, next_arg(i));
         } else if (a == "--check") {
             check::Level lvl;
             if (!check::parseLevel(next_arg(i), lvl))
