@@ -14,8 +14,10 @@
 # assertion over the measure window, a perf_smoke run (no floor: it
 # only has to run), an isolation smoke (QoS must
 # protect the VM) and a dyn-sched smoke (migration must beat the
-# static placement on the bursty mix, and resume across migration
-# epochs must be byte-identical), a
+# static placement on the bursty mix, resume across migration epochs
+# must be byte-identical, random migration must swap at every epoch
+# boundary under the checked-mode binding audit, and the retired
+# --migrate option must be refused), a
 # checked-mode pass (full suite with every runtime invariant checker
 # enabled) plus a fault-injection smoke over the whole catalog, a
 # same-host perf A/B against a base commit (tools/perf_ab.sh; only
@@ -392,7 +394,25 @@ awk '/"result": \{/,0' "$dyn_dir/dyn.json" >"$dyn_dir/dyn.result"
 awk '/"result": \{/,0' "$dyn_dir/resumed.json" >"$dyn_dir/resumed.result"
 diff -u "$dyn_dir/dyn.result" "$dyn_dir/resumed.result" || {
     echo "dyn-sched smoke: resumed migrating run diverged" >&2; exit 1; }
-echo "dyn-sched smoke: dynamic wins, resume across migrations clean"
+# Random migration (the paper's SSVII churn) is never judged, so it
+# swaps at every epoch boundary with no rebind still latched: 56 in
+# this 1.4M-cycle run. --check full runs the binding audit at both
+# window boundaries.
+./build/tools/consim_run "${dyn_args[@]}" --dyn-sched random,epoch=25000 \
+    --check full --json "$dyn_dir/random.json" >/dev/null
+random_migs="$(grep -o '"dyn_migrations": *[0-9]*' "$dyn_dir/random.json" |
+    sed 's/.*: *//')"
+[[ -n "$random_migs" && "$random_migs" -ge 53 ]] || {
+    echo "dyn-sched smoke: random migrated ${random_migs:-0} times" \
+        "at 56 epoch boundaries (want >= 53)" >&2
+    exit 1; }
+# --dyn-sched random replaced --migrate, which is now unknown (exit 2).
+rc=0
+./build/tools/consim_run --migrate 5 >/dev/null 2>&1 || rc=$?
+[[ "$rc" == 2 ]] || {
+    echo "dyn-sched smoke: --migrate wanted exit 2, got $rc" >&2; exit 1; }
+echo "dyn-sched smoke: dynamic wins, resume across migrations clean," \
+    "random migrated $random_migs of 56 epochs"
 
 if [[ "$skip_checked" == 1 ]]; then
     echo "=== checked mode: skipped ==="
