@@ -1,7 +1,6 @@
 #include "coherence/directory.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <vector>
 
@@ -489,25 +488,6 @@ DirectorySlice::diagJson() const
     }
     v.set("waiting", std::move(waitv));
     return v;
-}
-
-void
-DirectorySlice::debugDump() const
-{
-    active_.forEach([&](BlockAddr block, const Txn &t) {
-        std::fprintf(stderr,
-                     "  dir%d blk=0x%llx req=%s from=%d acks=%d "
-                     "fwdAck=%d grant=%d done=%d\n",
-                     tile_, (unsigned long long)block,
-                     toString(t.req.type), t.req.srcTile,
-                     t.acksPending, t.fwdAckPending, t.grantSent,
-                     t.doneReceived);
-    });
-    for (const BlockAddr block : waiting_.keys()) {
-        std::fprintf(stderr, "  dir%d blk=0x%llx waiting=%zu\n",
-                     tile_, (unsigned long long)block,
-                     waiting_.depth(block));
-    }
 }
 
 } // namespace consim

@@ -276,9 +276,6 @@ class DirectorySlice
     /** Registry node ("dir") holding this slice's stats. */
     stats::Group &statsGroup() { return statsGroup_; }
 
-    /** Write active/waiting transaction state to stderr. */
-    void debugDump() const;
-
     /**
      * Hardening audit: throw SimError for any transaction older than
      * @p limit cycles (a blocked home that will never unblock).

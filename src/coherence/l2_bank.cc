@@ -919,29 +919,4 @@ L2Bank::diagJson() const
     return v;
 }
 
-void
-L2Bank::debugDump() const
-{
-    active_.forEach([&](BlockAddr block, const BankTxn &t) {
-        std::fprintf(stderr,
-                     "  bank%d blk=0x%llx phase=%d req=%s data=%d "
-                     "grant=%d victim=0x%llx expectPutM=%d\n",
-                     tile_, (unsigned long long)block,
-                     static_cast<int>(t.phase), toString(t.req.type),
-                     t.dataArrived, t.grantArrived,
-                     (unsigned long long)t.victimBlock, t.expectPutM);
-    });
-    for (const BlockAddr block : waiting_.keys()) {
-        std::fprintf(stderr, "  bank%d blk=0x%llx waiting=%zu "
-                     "front=%s\n",
-                     tile_, (unsigned long long)block,
-                     waiting_.depth(block),
-                     toString(waiting_.front(block).type));
-    }
-    wb_.forEach([&](BlockAddr block, const WbEntry &wb) {
-        std::fprintf(stderr, "  bank%d blk=0x%llx wb dirty=%d\n",
-                     tile_, (unsigned long long)block, wb.dirty);
-    });
-}
-
 } // namespace consim

@@ -111,9 +111,6 @@ class L2Bank
     /** Protocol invariant checks (tests); panics on violation. */
     void checkInvariants() const;
 
-    /** Write active/waiting/writeback state to stderr (debugging). */
-    void debugDump() const;
-
     /**
      * Hardening audit: throw SimError for any transaction or
      * writeback entry older than @p limit cycles — a leaked MSHR

@@ -10,15 +10,39 @@
 #ifndef CONSIM_COMMON_PARSE_HH
 #define CONSIM_COMMON_PARSE_HH
 
+#include <cctype>
 #include <charconv>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/logging.hh"
 
 namespace consim
 {
+
+/** Split spec text @p s on @p sep, dropping whitespace and empty
+ *  pieces (the fault, QoS and dyn-sched grammars). */
+inline std::vector<std::string>
+splitSpec(std::string_view s, char sep)
+{
+    std::vector<std::string> out;
+    std::string cur;
+    for (const char c : s) {
+        if (c == sep) {
+            if (!cur.empty())
+                out.push_back(std::move(cur));
+            cur.clear();
+        } else if (!std::isspace(static_cast<unsigned char>(c))) {
+            cur.push_back(c);
+        }
+    }
+    if (!cur.empty())
+        out.push_back(std::move(cur));
+    return out;
+}
 
 /** Parse an unsigned decimal (or @p base) number; the whole string
  *  must be consumed. */

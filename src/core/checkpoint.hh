@@ -34,18 +34,31 @@
  * rebuild that System without out-of-band information.
  *
  * Entry points are System::saveCheckpoint / System::restoreCheckpoint
- * (core/system.hh); this header only exposes the protocol-message
- * codec, which tests reuse.
+ * (core/system.hh); this header exposes the schema check resume runs
+ * before it rebuilds a System, the required-field reader the QoS and
+ * dyn-sched controllers load their own sections with, and the
+ * protocol-message codec, which tests reuse.
  */
 
 #ifndef CONSIM_CORE_CHECKPOINT_HH
 #define CONSIM_CORE_CHECKPOINT_HH
+
+#include <string_view>
 
 #include "coherence/protocol.hh"
 #include "common/json.hh"
 
 namespace consim
 {
+
+/** Refuse @p doc unless it is a `consim.ckpt.v5` document, naming
+ *  what each older schema lacks. */
+void checkCkptSchema(const json::Value &doc);
+
+/** @return required member @p key of a checkpoint object (refuses
+ *  the document when it is missing). */
+const json::Value &ckptField(const json::Value &obj,
+                             std::string_view key);
 
 /** Serialize a protocol message as a fixed-position JSON array. */
 json::Value msgToJson(const Msg &m);

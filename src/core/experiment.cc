@@ -7,6 +7,7 @@
 #include "common/check.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
+#include "core/checkpoint.hh"
 #include "core/scheduler.hh"
 #include "exec/sweep.hh"
 
@@ -172,6 +173,20 @@ machineFromCtx(const json::Value &v)
     return m;
 }
 
+/** Context member @p key, a @p what spec in T's grammar, parsed. */
+template <typename T>
+T
+ctxSpec(const json::Value &obj, const char *key, const char *what)
+{
+    const std::string spec = ctxGet(obj, key).str();
+    T out;
+    std::string err;
+    const bool ok = T::parse(spec, out, &err);
+    CONSIM_ASSERT(ok, "checkpoint context: bad ", what, " spec '", spec,
+                  "': ", err);
+    return out;
+}
+
 json::Value
 configCtxJson(const RunConfig &cfg)
 {
@@ -226,28 +241,9 @@ configFromCtx(const json::Value &v)
         ctxGet(v, "watchdog_interval_cycles").asUint();
     cfg.cycleDeadline = ctxGet(v, "cycle_deadline").asUint();
     cfg.ckptEveryCycles = ctxGet(v, "ckpt_every_cycles").asUint();
-    const std::string spec = ctxGet(v, "faults").str();
-    if (!spec.empty()) {
-        std::string err;
-        const bool ok = FaultPlan::parse(spec, cfg.faults, &err);
-        CONSIM_ASSERT(ok, "checkpoint context: bad fault spec '", spec,
-                      "': ", err);
-    }
-    {
-        const std::string qspec = ctxGet(v, "qos").str();
-        std::string err;
-        const bool ok = QosConfig::parse(qspec, cfg.qos, &err);
-        CONSIM_ASSERT(ok, "checkpoint context: bad qos spec '",
-                      qspec, "': ", err);
-    }
-    {
-        const std::string dspec = ctxGet(v, "dyn_sched").str();
-        std::string err;
-        const bool ok =
-            DynSchedConfig::parse(dspec, cfg.dynSched, &err);
-        CONSIM_ASSERT(ok, "checkpoint context: bad dyn-sched spec '",
-                      dspec, "': ", err);
-    }
+    cfg.faults = ctxSpec<FaultPlan>(v, "faults", "fault");
+    cfg.qos = ctxSpec<QosConfig>(v, "qos", "qos");
+    cfg.dynSched = ctxSpec<DynSchedConfig>(v, "dyn_sched", "dyn-sched");
     return cfg;
 }
 
@@ -488,20 +484,9 @@ configFromCheckpoint(const json::Value &ckpt)
 RunResult
 resumeExperiment(const json::Value &ckpt)
 {
-    const json::Value *schema = ckpt.find("schema");
-    CONSIM_ASSERT(schema && schema->str() == "consim.ckpt.v5",
-                  "resume: not a consim.ckpt.v5 document (v1 snapshots "
-                  "predate per-source event keys; v2 snapshots encode "
-                  "sharer/presence state as fixed 16-bit masks, which "
-                  "the parametric scale model replaced with "
-                  "variable-width word arrays; v3 snapshots lack the "
-                  "QoS runtime state — per-VM memory-controller token "
-                  "buckets and the dynamic repartitioner's way "
-                  "allocation; v4 snapshots lack the migration-policy "
-                  "runtime state — the dynamic scheduler's epoch "
-                  "baselines and migration count — so none can be "
-                  "restored; re-run the original configuration to "
-                  "take a fresh snapshot)");
+    // The schema first: an older document may lack the context the
+    // config is read from.
+    checkCkptSchema(ckpt);
     return drive(configFromCheckpoint(ckpt), &ckpt, {});
 }
 

@@ -1,6 +1,5 @@
 #include "core/fault.hh"
 
-#include <cctype>
 #include <sstream>
 
 #include "common/parse.hh"
@@ -10,26 +9,6 @@ namespace consim
 
 namespace
 {
-
-/** Split @p s on @p sep, dropping empty pieces. */
-std::vector<std::string>
-split(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (const char c : s) {
-        if (c == sep) {
-            if (!cur.empty())
-                out.push_back(std::move(cur));
-            cur.clear();
-        } else if (!std::isspace(static_cast<unsigned char>(c))) {
-            cur.push_back(c);
-        }
-    }
-    if (!cur.empty())
-        out.push_back(std::move(cur));
-    return out;
-}
 
 constexpr const char *catalog =
     "wedge:core=C,at=CYCLE | drop:nth=N | "
@@ -139,13 +118,13 @@ FaultPlan::parse(const std::string &text, FaultPlan &out,
                  std::string *err)
 {
     FaultPlan plan;
-    for (const auto &ev : split(text, ';')) {
+    for (const auto &ev : splitSpec(text, ';')) {
         const auto colon = ev.find(':');
         const std::string kind = ev.substr(0, colon);
         const std::vector<std::string> params =
             colon == std::string::npos
                 ? std::vector<std::string>{}
-                : split(ev.substr(colon + 1), ',');
+                : splitSpec(ev.substr(colon + 1), ',');
         FaultEvent e;
         if (kind == "wedge") {
             e.kind = FaultKind::WedgeCore;

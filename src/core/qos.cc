@@ -1,36 +1,21 @@
 #include "core/qos.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cctype>
 #include <sstream>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/parse.hh"
+#include "core/checkpoint.hh"
+#include "core/system.hh"
 
 namespace consim
 {
 
 namespace
 {
-
-/** Split @p s on @p sep, dropping empty pieces and whitespace. */
-std::vector<std::string>
-split(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (const char c : s) {
-        if (c == sep) {
-            if (!cur.empty())
-                out.push_back(std::move(cur));
-            cur.clear();
-        } else if (!std::isspace(static_cast<unsigned char>(c))) {
-            cur.push_back(c);
-        }
-    }
-    if (!cur.empty())
-        out.push_back(std::move(cur));
-    return out;
-}
 
 constexpr const char *grammar =
     "off | static:vm=V,ways=W[,vcs=N][,tokens=T][,refill=R] | "
@@ -88,7 +73,7 @@ QosConfig::parse(const std::string &text, QosConfig &out,
     const std::vector<std::string> kvs =
         colon == std::string::npos
             ? std::vector<std::string>{}
-            : split(text.substr(colon + 1), ',');
+            : splitSpec(text.substr(colon + 1), ',');
     bool have_vm = false, have_ways = false;
     for (const std::string &kv : kvs) {
         const auto eq = kv.find('=');
@@ -168,6 +153,105 @@ QosConfig::toJson() const
     if (mode == QosMode::Dynamic)
         v.set("epoch_cycles", epochCycles);
     return v;
+}
+
+void
+QosController::configure(const QosConfig &qos, const MachineConfig &m,
+                         int num_vms)
+{
+    if (qos.enabled()) {
+        CONSIM_ASSERT(qos.protectedVm >= 0 && qos.protectedVm < num_vms,
+                      "QoS protects VM ", qos.protectedVm,
+                      " but the mix has ", num_vms, " VMs");
+        CONSIM_ASSERT(qos.protectedWays >= 1 &&
+                          qos.protectedWays < m.l2Assoc,
+                      "QoS ways must leave the other VMs at least "
+                      "one way (ways=", qos.protectedWays,
+                      " assoc=", m.l2Assoc, ")");
+        CONSIM_ASSERT(m.l2Assoc <= 64,
+                      "QoS way masks support at most 64 ways");
+        CONSIM_ASSERT(qos.reservedVcs >= 0 &&
+                          qos.reservedVcs < m.vcsPerVnet,
+                      "QoS must leave at least one shared VC per "
+                      "vnet (vcs=", qos.reservedVcs,
+                      " vcsPerVnet=", m.vcsPerVnet, ")");
+    }
+    cfg_ = qos;
+    allWays_ = m.l2Assoc >= 64 ? ~0ull : ((1ull << m.l2Assoc) - 1);
+    ways_ = qos.enabled() ? qos.protectedWays : 0;
+    rebaseline();
+}
+
+void
+QosController::repartition(System &sys)
+{
+    const MachineConfig &m = sys.config();
+    // Miss-curve sample: how many LLC misses did the protected VM
+    // take this epoch, and did the last way granted help?
+    const std::uint64_t total =
+        sys.vm(cfg_.protectedVm).vmStats().l2Misses.value();
+    const std::uint64_t delta = total - lastMissTotal_;
+
+    // Occupancy gate: granting another way is pointless (and unfair)
+    // while the protected VM is not close to filling its current
+    // allocation somewhere on chip.
+    const OccupancySnapshot occ = sys.occupancySnapshot();
+    double share = 0.0;
+    for (GroupId g = 0; g < m.numGroups(); ++g)
+        share = std::max(share, occ.share(g, cfg_.protectedVm));
+    const double allocFrac =
+        static_cast<double>(ways_) / static_cast<double>(m.l2Assoc);
+
+    if (delta == 0 && ways_ > cfg_.protectedWays) {
+        // The VM stopped missing: hand a way back (never below the
+        // configured floor).
+        --ways_;
+    } else if (ways_ < m.l2Assoc - 1 && delta > 0 &&
+               delta >= prevDelta_ && share >= 0.8 * allocFrac) {
+        // Still missing at least as hard as last epoch and actually
+        // using the space it has: grow the partition.
+        ++ways_;
+    }
+    prevDelta_ = delta;
+    lastMissTotal_ = total;
+}
+
+json::Value
+QosController::saveState() const
+{
+    auto v = json::Value::object();
+    v.set("dyn_ways", ways_);
+    v.set("last_miss_total", lastMissTotal_);
+    v.set("prev_delta", prevDelta_);
+    return v;
+}
+
+void
+QosController::restoreState(const json::Value &v)
+{
+    CONSIM_ASSERT(enabled(),
+                  "checkpoint carries QoS runtime state but "
+                  "the rebuilt machine has QoS off — "
+                  "reinstall the QoS config before restore");
+    const double ways = ckptField(v, "dyn_ways").number();
+    // The way count sizes a shift in wayMask(), so it must stay
+    // inside the range the repartitioner itself keeps it in.
+    CONSIM_ASSERT(ways >= cfg_.protectedWays &&
+                      ways < static_cast<double>(std::popcount(allWays_)),
+                  "checkpoint: bad QoS way count ", ways);
+    ways_ = static_cast<int>(ways);
+    lastMissTotal_ = ckptField(v, "last_miss_total").asUint();
+    prevDelta_ = ckptField(v, "prev_delta").asUint();
+}
+
+json::Value
+QosController::diagJson() const
+{
+    auto q = json::Value::object();
+    q.set("mode", toString(cfg_.mode));
+    q.set("protected_vm", cfg_.protectedVm);
+    q.set("dyn_ways", ways_);
+    return q;
 }
 
 } // namespace consim

@@ -20,8 +20,9 @@
  *
  * Mode `dynamic` additionally re-sizes the protected way slice at
  * epoch boundaries from the stats registry's per-VM miss counters
- * (grow-only, from the configured floor toward assoc-1), so the
- * partition adapts to observed pressure.
+ * (from the configured floor toward assoc-1, and back down once the
+ * VM stops missing), so the partition adapts to observed pressure.
+ * QosController is that enforcement state for one System.
  *
  * Spec grammar (CLI `--qos` / env `CONSIM_QOS` / checkpoint context):
  *   off
@@ -36,11 +37,14 @@
 #include <cstdint>
 #include <string>
 
+#include "common/config.hh"
 #include "common/json.hh"
 #include "common/types.hh"
 
 namespace consim
 {
+
+class System;
 
 /** QoS enforcement mode. */
 enum class QosMode
@@ -91,6 +95,80 @@ struct QosConfig
 
     /** @return JSON object for the run.v1 config echo. */
     json::Value toJson() const;
+};
+
+/**
+ * The QoS state of one System: the validated config, the protected
+ * VM's current way count and the L2 fill masks that enforce it, and
+ * in dynamic mode the epoch repartitioner with its two miss-curve
+ * samples. It reads the machine only through System's public API and
+ * saves its own `machine.qos` checkpoint section.
+ */
+class QosController
+{
+  public:
+    /**
+     * Validate @p qos against machine @p m running @p num_vms VMs
+     * (ways vs associativity, VCs vs vcsPerVnet, VM id range; throws
+     * SimError on mismatch) and adopt it, the protected VM starting
+     * at its configured way floor.
+     */
+    void configure(const QosConfig &qos, const MachineConfig &m,
+                   int num_vms);
+
+    bool enabled() const { return cfg_.enabled(); }
+
+    /** Repartition epoch length (0 unless dynamic). */
+    Cycle
+    epochCycles() const
+    {
+        return cfg_.mode == QosMode::Dynamic ? cfg_.epochCycles : 0;
+    }
+
+    /**
+     * L2 fill mask of @p vm (every way when QoS is off). CAT-style
+     * exclusive partition: the protected VM fills only the low
+     * ways_ ways of every set; everyone else fills only the
+     * remaining high ways. Existing lines stay valid wherever they
+     * are — the mask governs fills and victim choice, not lookups.
+     */
+    std::uint64_t
+    wayMask(VmId vm) const
+    {
+        if (!cfg_.enabled())
+            return ~0ull;
+        const std::uint64_t prot = (1ull << ways_) - 1;
+        return vm == cfg_.protectedVm ? prot : (allWays_ & ~prot);
+    }
+
+    /** Epoch boundary: re-size the protected way slice. */
+    void repartition(System &sys);
+
+    /** The miss counters the samples diff went back to zero. */
+    void
+    rebaseline()
+    {
+        lastMissTotal_ = 0;
+        prevDelta_ = 0;
+    }
+
+    /** The `machine.qos` checkpoint section. */
+    json::Value saveState() const;
+
+    /** Strict inverse of saveState(); refuses the section when QoS
+     *  is off (the config must be installed before restore). */
+    void restoreState(const json::Value &v);
+
+    /** The `consim.diag.v1` dump's "qos" member. */
+    json::Value diagJson() const;
+
+  private:
+    QosConfig cfg_;
+    std::uint64_t allWays_ = ~0ull; ///< mask of every way of a set
+    int ways_ = 0;                  ///< protected VM's current ways
+    /** Epoch-boundary miss-curve samples (dynamic repartitioner). */
+    std::uint64_t lastMissTotal_ = 0; ///< protected-VM L2 misses
+    std::uint64_t prevDelta_ = 0;     ///< last epoch's miss delta
 };
 
 } // namespace consim

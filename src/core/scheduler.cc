@@ -1,7 +1,6 @@
 #include "core/scheduler.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <numeric>
 #include <sstream>
 
@@ -9,6 +8,8 @@
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "common/rng.hh"
+#include "core/checkpoint.hh"
+#include "core/system.hh"
 
 namespace consim
 {
@@ -242,26 +243,6 @@ dynFail(std::string *err, const std::string &msg)
     return false;
 }
 
-/** Split @p s on @p sep, dropping empty pieces and whitespace. */
-std::vector<std::string>
-dynSplit(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (const char c : s) {
-        if (c == sep) {
-            if (!cur.empty())
-                out.push_back(std::move(cur));
-            cur.clear();
-        } else if (!std::isspace(static_cast<unsigned char>(c))) {
-            cur.push_back(c);
-        }
-    }
-    if (!cur.empty())
-        out.push_back(std::move(cur));
-    return out;
-}
-
 } // namespace
 
 const char *
@@ -287,7 +268,7 @@ DynSchedConfig::parse(const std::string &text, DynSchedConfig &out,
                       std::string *err)
 {
     DynSchedConfig d;
-    const std::vector<std::string> parts = dynSplit(text, ',');
+    const std::vector<std::string> parts = splitSpec(text, ',');
     if (parts.empty())
         return dynFail(err, "empty dyn-sched spec");
     const std::string &policy = parts[0];
@@ -675,6 +656,263 @@ makeMigrationPolicy(DynSchedPolicy p, std::uint64_t seed)
         break;
     }
     CONSIM_FATAL("no migration policy for '", toString(p), "'");
+}
+
+namespace
+{
+
+/** Baseline rows as a JSON array of arrays. */
+template <std::size_t N>
+json::Value
+rowsJson(const std::vector<std::array<std::uint64_t, N>> &rows)
+{
+    auto out = json::Value::array();
+    for (const auto &r : rows) {
+        auto row = json::Value::array();
+        for (const std::uint64_t x : r)
+            row.push(x);
+        out.push(std::move(row));
+    }
+    return out;
+}
+
+/** Inverse of rowsJson; the row count must match the machine's. */
+template <std::size_t N>
+void
+loadRows(const json::Value &v,
+         std::vector<std::array<std::uint64_t, N>> &rows, const char *what)
+{
+    CONSIM_ASSERT(v.size() == rows.size(), "checkpoint: dyn-sched ",
+                  what, "-baseline count mismatch");
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        for (std::size_t k = 0; k < N; ++k)
+            rows[i][k] = v.at(i).at(k).asUint();
+}
+
+} // namespace
+
+void
+DynScheduler::configure(const DynSchedConfig &dyn, std::uint64_t seed,
+                        const MachineConfig &m, int num_vms)
+{
+    if (dyn.enabled()) {
+        CONSIM_ASSERT(m.numGroups() >= 1,
+                      "dyn-sched needs at least one sharing group");
+    }
+    *this = DynScheduler();
+    cfg_ = dyn;
+    policy_ =
+        dyn.enabled() ? makeMigrationPolicy(dyn.policy, seed) : nullptr;
+    lastRetired_.assign(m.numCores(), 0);
+    lastVm_.assign(num_vms, {0, 0, 0});
+    lastGroup_.assign(m.numGroups(), {0, 0});
+}
+
+void
+DynScheduler::rebaseline()
+{
+    std::fill(lastRetired_.begin(), lastRetired_.end(), 0);
+    std::fill(lastVm_.begin(), lastVm_.end(),
+              std::array<std::uint64_t, 3>{0, 0, 0});
+    std::fill(lastGroup_.begin(), lastGroup_.end(),
+              std::array<std::uint64_t, 2>{0, 0});
+}
+
+DynSample
+DynScheduler::takeSample(System &sys)
+{
+    const MachineConfig &m = sys.config();
+    DynSample s;
+    s.epoch = sys.now() / cfg_.epochCycles;
+    s.cores.resize(m.numCores());
+    for (CoreId c = 0; c < m.numCores(); ++c) {
+        const Core &core = sys.core(c);
+        DynCoreSample &cs = s.cores[c];
+        cs.vm = core.vm();
+        cs.idle = core.idle();
+        // Migration legality: over-committed cores rotate a run
+        // queue the swap would fight with, and wedged cores never
+        // reach the instruction boundary a deferred rebind lands on.
+        // Cores blocked on a miss ARE eligible — in a memory-bound
+        // workload a busy core is mid-miss at almost every epoch
+        // boundary, so requiring !blocked() here would starve every
+        // policy; scheduleRebind() parks the migration until the
+        // fill returns instead.
+        cs.eligible = !core.multiplexed() && !core.wedged();
+        const std::uint64_t now = core.coreStats().instructions.value();
+        cs.retired = now - lastRetired_[c];
+        lastRetired_[c] = now;
+    }
+    s.vms.resize(lastVm_.size());
+    for (VmId v = 0; v < sys.numVms(); ++v) {
+        const VmStats &vs = sys.vm(v).vmStats();
+        const std::uint64_t acc = vs.l2Accesses.value();
+        const std::uint64_t miss = vs.l2Misses.value();
+        const std::uint64_t c2c =
+            vs.c2cClean.value() + vs.c2cDirty.value();
+        DynVmSample &out = s.vms[v];
+        out.l2Accesses = acc - lastVm_[v][0];
+        out.l2Misses = miss - lastVm_[v][1];
+        out.c2cTransfers = c2c - lastVm_[v][2];
+        lastVm_[v] = {acc, miss, c2c};
+    }
+    s.groups.resize(m.numGroups());
+    std::vector<std::array<std::uint64_t, 2>> totals(
+        m.numGroups(), std::array<std::uint64_t, 2>{0, 0});
+    for (CoreId t = 0; t < m.numCores(); ++t) {
+        const L2BankStats &bs = sys.bank(t).bankStats();
+        totals[sys.groupOfTile(t)][0] += bs.hits.value();
+        totals[sys.groupOfTile(t)][1] += bs.misses.value();
+    }
+    for (GroupId g = 0; g < m.numGroups(); ++g) {
+        s.groups[g].l2Hits = totals[g][0] - lastGroup_[g][0];
+        s.groups[g].l2Misses = totals[g][1] - lastGroup_[g][1];
+        lastGroup_[g] = totals[g];
+    }
+    return s;
+}
+
+void
+DynScheduler::epoch(System &sys)
+{
+    // A prior swap whose endpoints were mid-miss may still be
+    // parked; deciding on top of it would double-bind a stream.
+    // Miss latencies are orders of magnitude below any epoch, so
+    // this skip fires only when an epoch boundary races a fill.
+    for (CoreId c = 0; c < sys.config().numCores(); ++c)
+        if (sys.core(c).rebindPending())
+            return;
+    // Baselines advance every epoch even while holding, so a
+    // decision after a backoff window sees one epoch's delta, not a
+    // stale accumulation.
+    const DynSample s = takeSample(sys);
+    std::uint64_t epochMiss = 0, epochAcc = 0;
+    for (const DynVmSample &v : s.vms) {
+        epochMiss += v.l2Misses;
+        epochAcc += v.l2Accesses;
+    }
+    if (hold_ > 0) {
+        --hold_;
+        return;
+    }
+    if (eval_.decided()) {
+        // Verdict on the last swap: the chip miss rate must have
+        // dropped by at least one point (integer cross-product
+        // comparison; no float rounding in the resume path). A swap
+        // that did not pay is reverted and the policy backs off
+        // exponentially, so steady workloads converge to near-zero
+        // churn while a later phase change re-engages within epochs.
+        const bool helped =
+            epochAcc > 0 && preAcc_ > 0 &&
+            100 * epochMiss * preAcc_ + epochAcc * preAcc_ <=
+                100 * preMiss_ * epochAcc;
+        if (helped) {
+            backoff_ = 1;
+        } else {
+            // Revert unless an endpoint was wedged by fault
+            // injection in the meantime (it can never reach the
+            // rebind boundary).
+            if (!sys.core(eval_.a).wedged() && !sys.core(eval_.b).wedged())
+                applySwap(sys, eval_);
+            hold_ = backoff_;
+            backoff_ = std::min<std::uint32_t>(backoff_ * 2, 64);
+            eval_ = {};
+            return;
+        }
+        eval_ = {};
+    }
+    const ThreadSwap swap = policy_->decide(sys.config(), s);
+    if (!swap.decided())
+        return;
+    const Core &ca = sys.core(swap.a);
+    const Core &cb = sys.core(swap.b);
+    CONSIM_ASSERT(swap.a != swap.b && !ca.multiplexed() &&
+                      !cb.multiplexed() && !ca.wedged() &&
+                      !cb.wedged() && !(ca.idle() && cb.idle()),
+                  "policy '", policy_->name(),
+                  "' proposed an illegal swap (", swap.a, " <-> ",
+                  swap.b, ")");
+    applySwap(sys, swap);
+    // Random swaps model churn, not a search for a better placement:
+    // the feedback loop never judges (or reverts) them.
+    if (cfg_.policy == DynSchedPolicy::Random)
+        return;
+    eval_ = swap;
+    preMiss_ = epochMiss;
+    preAcc_ = epochAcc;
+    hold_ = 1; // one warm-up epoch before the verdict
+}
+
+void
+DynScheduler::applySwap(System &sys, const ThreadSwap &swap)
+{
+    // Exchange the bindings; each endpoint installs at its own next
+    // clean instruction boundary (immediately when free, at the fill
+    // return when blocked).
+    Core &ca = sys.core(swap.a);
+    Core &cb = sys.core(swap.b);
+    InstrStream *sa = ca.stream();
+    const VmId va = ca.vm();
+    InstrStream *sb = cb.stream();
+    const VmId vb = cb.vm();
+    ca.scheduleRebind(sb, vb);
+    cb.scheduleRebind(sa, va);
+    ++migrations_;
+}
+
+json::Value
+DynScheduler::saveState() const
+{
+    auto d = json::Value::object();
+    d.set("migrations", migrations_);
+    auto retired = json::Value::array();
+    for (const std::uint64_t r : lastRetired_)
+        retired.push(r);
+    d.set("last_retired", std::move(retired));
+    d.set("last_vm", rowsJson(lastVm_));
+    d.set("last_group", rowsJson(lastGroup_));
+    // Feedback-loop state: backoff window and (when a swap awaits its
+    // verdict) the swap plus the pre-swap epoch miss/access totals it
+    // is judged against.
+    d.set("hold", hold_);
+    d.set("backoff", backoff_);
+    if (eval_.decided()) {
+        auto ev = json::Value::array();
+        ev.push(eval_.a);
+        ev.push(eval_.b);
+        ev.push(preMiss_);
+        ev.push(preAcc_);
+        d.set("eval", std::move(ev));
+    }
+    return d;
+}
+
+void
+DynScheduler::restoreState(const json::Value &d)
+{
+    CONSIM_ASSERT(enabled(),
+                  "checkpoint carries dynamic-scheduling "
+                  "runtime state but the rebuilt machine has "
+                  "it off — reinstall the dyn-sched config "
+                  "before restore");
+    migrations_ = ckptField(d, "migrations").asUint();
+    const json::Value &retired = ckptField(d, "last_retired");
+    CONSIM_ASSERT(retired.size() == lastRetired_.size(),
+                  "checkpoint: dyn-sched core-baseline count "
+                  "mismatch");
+    for (std::size_t i = 0; i < retired.size(); ++i)
+        lastRetired_[i] = retired.at(i).asUint();
+    loadRows(ckptField(d, "last_vm"), lastVm_, "VM");
+    loadRows(ckptField(d, "last_group"), lastGroup_, "group");
+    hold_ = static_cast<std::uint32_t>(ckptField(d, "hold").asUint());
+    backoff_ =
+        static_cast<std::uint32_t>(ckptField(d, "backoff").asUint());
+    if (const json::Value *ev = d.find("eval")) {
+        eval_.a = static_cast<CoreId>(ev->at(0).number());
+        eval_.b = static_cast<CoreId>(ev->at(1).number());
+        preMiss_ = ev->at(2).asUint();
+        preAcc_ = ev->at(3).asUint();
+    }
 }
 
 } // namespace consim

@@ -41,7 +41,7 @@ Mesh::Mesh(const MachineConfig &cfg)
         if (x > 0)
             r.setNeighbor(PortWest, routers_[t - 1].get());
         r.setEjector([this](const Msg &m, int len) {
-            recordEject(m, lastTick_, len);
+            countEject(m, lastTick_, len);
             deliver_(m);
         });
         nis_.push_back(std::make_unique<NetworkInterface>(
@@ -54,8 +54,7 @@ Mesh::inject(Msg m)
 {
     CONSIM_ASSERT(m.srcTile != m.dstTile,
                   "mesh injection for a same-tile message");
-    ++stats_.packetsInjected;
-    ++injectedTotal_;
+    countInject();
     nis_.at(m.srcTile)->enqueue(std::move(m));
 }
 

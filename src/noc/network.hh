@@ -1,8 +1,9 @@
 /**
  * @file
- * Abstract interconnect interface plus an idealized fixed-latency
- * implementation used as an ablation baseline. The real interconnect
- * is the flit-level Mesh (mesh.hh).
+ * Abstract interconnect interface plus the statistics holder of the
+ * idealized fixed-latency network used as an ablation baseline (its
+ * transport is System's NetDeliver events). The real interconnect is
+ * the flit-level Mesh (mesh.hh).
  */
 
 #ifndef CONSIM_NOC_NETWORK_HH
@@ -13,7 +14,7 @@
 
 #include "coherence/protocol.hh"
 #include "common/json.hh"
-#include "common/ring.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -103,25 +104,17 @@ class Network
         (void)reserved_vcs;
     }
 
-    /** Monotonic inject/eject packet counts (never reset; the
-     *  watchdog and conservation audits diff these, so they must
-     *  survive resetStats). */
-    std::uint64_t injectedTotal() const { return injectedTotal_; }
+    /** Monotonic eject packet count (never reset; the watchdog
+     *  diffs it, so it must survive resetStats). */
     std::uint64_t ejectedTotal() const { return ejectedTotal_; }
 
     NetworkStats &netStats() { return stats_; }
     const NetworkStats &netStats() const { return stats_; }
 
-    // --- transport bypass (System's event-core delivery) ---
-    //
-    // When the ideal network's constant latency is modelled as a
-    // scheduled event instead of an inflight_ entry (see
-    // System::send), the System still owns this object's statistics:
-    // these hooks account an inject/eject performed on the network's
-    // behalf so every counter reads exactly as if tick() had
-    // delivered the message itself.
+    // --- packet accounting: the Mesh's own transport, and System's
+    // NetDeliver events for the ideal network (see System::send) ---
 
-    /** Account one bypassed injection. */
+    /** Account one injection. */
     void
     countInject()
     {
@@ -129,23 +122,9 @@ class Network
         ++injectedTotal_;
     }
 
-    /** Account one bypassed ejection (same math as recordEject). */
+    /** Account the ejection of a @p len_flits packet at @p now. */
     void
     countEject(const Msg &m, Cycle now, int len_flits)
-    {
-        recordEject(m, now, len_flits);
-    }
-
-    /** Registry node ("net") holding the interconnect stats. */
-    stats::Group &statsGroup() { return statsGroup_; }
-
-  protected:
-    friend struct CkptAccess;
-
-    Network() { stats_.registerIn(statsGroup_); }
-
-    void
-    recordEject(const Msg &m, Cycle now, int len_flits)
     {
         ++stats_.packetsEjected;
         ++ejectedTotal_;
@@ -157,6 +136,14 @@ class Network
             stats_.latencyCtrl.sample(lat);
     }
 
+    /** Registry node ("net") holding the interconnect stats. */
+    stats::Group &statsGroup() { return statsGroup_; }
+
+  protected:
+    friend struct CkptAccess;
+
+    Network() { stats_.registerIn(statsGroup_); }
+
     DeliverFn deliver_;
     NetworkStats stats_;
     std::uint64_t injectedTotal_ = 0;
@@ -167,41 +154,24 @@ class Network
 /**
  * Ablation network: every message is delivered after a fixed latency,
  * with unlimited bandwidth. Comparing against the Mesh isolates the
- * congestion component of the scheduling-policy results.
+ * congestion component of the scheduling-policy results. System
+ * carries each message itself, as a NetDeliver event (so same-cycle
+ * arrivals follow the canonical (src, seq) order), and this object
+ * only keeps the statistics: it never holds a packet.
  */
 class IdealNetwork : public Network
 {
   public:
-    explicit IdealNetwork(int latency) : latency_(latency) {}
-
     void
-    inject(Msg m) override
+    inject(Msg) override
     {
-        ++stats_.packetsInjected;
-        ++injectedTotal_;
-        inflight_.push_back({m.injectCycle + latency_, std::move(m)});
+        CONSIM_PANIC("the ideal network's transport is System's "
+                     "NetDeliver events");
     }
 
-    void
-    tick(Cycle now) override
-    {
-        while (!inflight_.empty() && inflight_.front().first <= now) {
-            Msg m = std::move(inflight_.front().second);
-            inflight_.pop_front();
-            recordEject(m, now, carriesData(m.type) ? 5 : 1);
-            deliver_(m);
-        }
-    }
+    void tick(Cycle) override {}
 
-    bool idle() const override { return inflight_.empty(); }
-
-  private:
-    friend struct CkptAccess;
-
-    int latency_;
-    // FIFO works because latency is constant. RingBuf keeps the
-    // warmed-up queue allocation-free (see common/ring.hh).
-    RingBuf<std::pair<Cycle, Msg>> inflight_;
+    bool idle() const override { return true; }
 };
 
 } // namespace consim

@@ -687,6 +687,19 @@ TEST(CheckpointRestoreDeathTest, BadRouterRecordsRefused)
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), SimErrorKind::Watchdog) << e.what();
     }
+
+    // The ideal network holds no packet (its messages travel as
+    // NetDeliver events), so its in-flight list must be empty.
+    json::Value ideal;
+    ASSERT_TRUE(json::parse(tripSnapshot(wedgedConfig(true)), ideal));
+    json::Value entry = json::Value::array();
+    entry.push(std::uint64_t(11'005));
+    entry.push(pkt.at(0));
+    json::Value inflight = json::Value::array();
+    inflight.push(entry);
+    ideal.find("machine")->find("net")->set("inflight", inflight);
+    EXPECT_DEATH(resumeExperiment(ideal),
+                 "checkpoint: bad ideal-network record");
 }
 
 TEST(CheckpointSchemaDeathTest, OldSnapshotsRefusedWithExplanation)

@@ -424,13 +424,20 @@ else
         -j "$(nproc)" -E 'DeathTest')
 
     echo "=== fault-injection smoke: every catalog fault must be caught ==="
-    ./build/tools/repro_hang --cycles 400000 --watchdog 50000 \
-        --fault "wedge:core=3,at=100000" --expect-trip >/dev/null
-    ./build/tools/repro_hang --cycles 600000 --watchdog 50000 \
-        --fault "drop:nth=500" --expect-trip >/dev/null
-    ./build/tools/repro_hang --cycles 400000 --watchdog 50000 \
-        --fault "memburst:at=100000,len=200000,extra=400000" \
-        --expect-trip >/dev/null
+    # Each catalog fault stalls a core of a fully shared TPC-H run;
+    # consim_run must stop on the watchdog: exit 1, the trip on stderr.
+    fault_args=(--vm tpch --sharing 16 --warmup 200000 --measure 200000
+        --watchdog 50000 --check basic)
+    for plan in "wedge:core=3,at=100000" "drop:nth=500" \
+        "memburst:at=100000,len=200000,extra=400000"; do
+        rc=0
+        ./build/tools/consim_run "${fault_args[@]}" --fault "$plan" \
+            >/dev/null 2>"$work/fault.err" || rc=$?
+        [[ "$rc" == 1 ]] && grep -q 'watchdog error' "$work/fault.err" || {
+            echo "fault-injection smoke: $plan wanted exit 1 and a" \
+                "watchdog trip, got exit $rc" >&2
+            exit 1; }
+    done
     echo "fault-injection smoke: all faults caught"
 fi
 
