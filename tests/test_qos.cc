@@ -405,6 +405,36 @@ TEST(QosCheckpoint, V4RoundTripsBucketAndRepartitionerState)
     }
 }
 
+TEST(QosCheckpointDeathTest, OutOfRangeWayCountRefused)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // The restored way count sizes the fill masks, so it must lie
+    // where the repartitioner keeps it: from the configured floor (2)
+    // to one below the associativity (8).
+    RunConfig trip = bullyConfig(
+        "dynamic:vm=0,ways=2,vcs=1,tokens=1,refill=512,epoch=10000");
+    trip.cycleDeadline = 30'000;
+    trip.ckptEveryCycles = 15'000;
+    json::Value doc;
+    try {
+        runExperiment(trip);
+        FAIL() << "deadline did not trip";
+    } catch (const SimError &e) {
+        ASSERT_TRUE(json::parse(e.ckpt(), doc));
+    }
+    const auto withWays = [&](int ways) {
+        json::Value out = doc;
+        out.find("machine")->find("qos")->set("dyn_ways", ways);
+        return out;
+    };
+    EXPECT_DEATH(resumeExperiment(withWays(1)),
+                 "checkpoint: bad QoS way count 1");
+    EXPECT_DEATH(resumeExperiment(withWays(8)),
+                 "checkpoint: bad QoS way count 8");
+    EXPECT_DEATH(resumeExperiment(withWays(64)),
+                 "checkpoint: bad QoS way count 64");
+}
+
 TEST(QosCheckpointDeathTest, V3RefusedWithQosExplanation)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
