@@ -11,6 +11,7 @@
  */
 
 #include <iostream>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -52,29 +53,40 @@ main(int argc, char **argv)
          WorkloadKind::SpecJbb},
     };
 
+    // One sweep over every (case, network, policy) point, rendered
+    // in the same order: kPerCase rows per case.
+    constexpr std::size_t kPerCase = 4; // {mesh, ideal} x 2 policies
+    std::vector<RunConfig> configs;
     for (const auto &c : cases) {
         for (bool ideal : {false, true}) {
             for (auto policy :
                  {SchedPolicy::Affinity, SchedPolicy::RoundRobin}) {
-                RunConfig cfg = c.cfg;
-                cfg.machine.idealNoc = ideal;
-                cfg.policy = policy;
-                const RunResult r = runAveraged(cfg, benchSeeds());
-                table.addRow(
-                    {c.label, ideal ? "ideal" : "mesh",
-                     toString(policy),
-                     TextTable::num(r.netAvgLatency, 1),
-                     TextTable::num(r.meanMissLatency(c.focus), 1),
-                     TextTable::num(r.meanCyclesPerTxn(c.focus), 0)});
-                if (jrep.enabled()) {
-                    auto jpt = runResultJson(cfg, r);
-                    jpt.set("label", c.label);
-                    jpt.set("network", ideal ? "ideal" : "mesh");
-                    jrep.point(std::move(jpt));
-                }
+                configs.push_back(c.cfg);
+                configs.back().machine.idealNoc = ideal;
+                configs.back().policy = policy;
             }
         }
-        table.addSeparator();
+    }
+    const auto results = benchSweepAveraged(configs, benchSeeds());
+
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const RunConfig &cfg = configs[i];
+        const RunResult &r = results[i];
+        const Case &c = cases[i / kPerCase];
+        const bool ideal = cfg.machine.idealNoc;
+        table.addRow({c.label, ideal ? "ideal" : "mesh",
+                      toString(cfg.policy),
+                      TextTable::num(r.netAvgLatency, 1),
+                      TextTable::num(r.meanMissLatency(c.focus), 1),
+                      TextTable::num(r.meanCyclesPerTxn(c.focus), 0)});
+        if (jrep.enabled()) {
+            auto jpt = runResultJson(cfg, r);
+            jpt.set("label", c.label);
+            jpt.set("network", ideal ? "ideal" : "mesh");
+            jrep.point(std::move(jpt));
+        }
+        if (i % kPerCase == kPerCase - 1)
+            table.addSeparator();
     }
     table.print(std::cout);
     std::cout << "\n(ideal = fixed-latency, infinite-bandwidth "

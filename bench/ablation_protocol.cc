@@ -17,6 +17,8 @@
  */
 
 #include <iostream>
+#include <iterator>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -28,40 +30,47 @@ namespace
 
 using namespace consim;
 
+struct Grid
+{
+    const char *title;
+    RunConfig base;
+    WorkloadKind focus;
+};
+
+/** Rows per grid: clean forwarding x directory cache, on then off. */
+constexpr std::size_t kPerGrid = 4;
+
+/** Print @p grid from its kPerGrid configs and results. */
 void
-runGrid(const char *title, RunConfig base, WorkloadKind focus,
-        JsonReport &jrep)
+printGrid(const Grid &grid, const RunConfig *configs,
+          const RunResult *results, JsonReport &jrep)
 {
     TextTable table({"clean fwd", "dir cache", "miss lat (cy)",
                      "cycles/txn", "c2c fraction"});
-    for (bool clean_fwd : {true, false}) {
-        for (bool dir_cache : {true, false}) {
-            RunConfig cfg = base;
-            cfg.machine.cleanForwarding = clean_fwd;
-            cfg.machine.dirCacheEnabled = dir_cache;
-            const RunResult r = runAveraged(cfg, benchSeeds());
-            double c2c = 0.0;
-            int n = 0;
-            for (const auto &v : r.vms) {
-                if (v.kind == focus) {
-                    c2c += v.c2cFraction;
-                    ++n;
-                }
-            }
-            table.addRow({clean_fwd ? "on" : "off",
-                          dir_cache ? "on" : "off",
-                          TextTable::num(r.meanMissLatency(focus), 1),
-                          TextTable::num(r.meanCyclesPerTxn(focus), 0),
-                          TextTable::pct(n ? c2c / n : 0.0, 0)});
-            if (jrep.enabled()) {
-                auto jpt = runResultJson(cfg, r);
-                jpt.set("label", title);
-                jpt.set("focus", toString(focus));
-                jrep.point(std::move(jpt));
+    for (std::size_t i = 0; i < kPerGrid; ++i) {
+        const RunConfig &cfg = configs[i];
+        const RunResult &r = results[i];
+        double c2c = 0.0;
+        int n = 0;
+        for (const auto &v : r.vms) {
+            if (v.kind == grid.focus) {
+                c2c += v.c2cFraction;
+                ++n;
             }
         }
+        table.addRow({cfg.machine.cleanForwarding ? "on" : "off",
+                      cfg.machine.dirCacheEnabled ? "on" : "off",
+                      TextTable::num(r.meanMissLatency(grid.focus), 1),
+                      TextTable::num(r.meanCyclesPerTxn(grid.focus), 0),
+                      TextTable::pct(n ? c2c / n : 0.0, 0)});
+        if (jrep.enabled()) {
+            auto jpt = runResultJson(cfg, r);
+            jpt.set("label", grid.title);
+            jpt.set("focus", toString(grid.focus));
+            jrep.point(std::move(jpt));
+        }
     }
-    std::cout << title << "\n";
+    std::cout << grid.title << "\n";
     table.print(std::cout);
     std::cout << "\n";
 }
@@ -82,16 +91,33 @@ main(int argc, char **argv)
     JsonReport jrep("ablation_protocol", "Protocol design choices",
                     JsonReport::pathFromArgs(argc, argv));
 
-    runGrid("TPC-H isolated, private L2s (c2c-heavy):",
-            isolationConfig(WorkloadKind::TpcH, SchedPolicy::RoundRobin,
-                            SharingDegree::Private),
-            WorkloadKind::TpcH, jrep);
+    const Grid grids[] = {
+        {"TPC-H isolated, private L2s (c2c-heavy):",
+         isolationConfig(WorkloadKind::TpcH, SchedPolicy::RoundRobin,
+                         SharingDegree::Private),
+         WorkloadKind::TpcH},
+        {"Mix 5 (2x SPECjbb + 2x TPC-H), affinity, shared-4-way "
+         "(SPECjbb metrics):",
+         mixConfig(Mix::byName("Mix 5"), SchedPolicy::Affinity,
+                   SharingDegree::Shared4),
+         WorkloadKind::SpecJbb},
+    };
 
-    runGrid("Mix 5 (2x SPECjbb + 2x TPC-H), affinity, shared-4-way "
-            "(SPECjbb metrics):",
-            mixConfig(Mix::byName("Mix 5"), SchedPolicy::Affinity,
-                      SharingDegree::Shared4),
-            WorkloadKind::SpecJbb, jrep);
+    // One sweep over both grids, rendered grid by grid.
+    std::vector<RunConfig> configs;
+    for (const Grid &grid : grids) {
+        for (bool clean_fwd : {true, false}) {
+            for (bool dir_cache : {true, false}) {
+                configs.push_back(grid.base);
+                configs.back().machine.cleanForwarding = clean_fwd;
+                configs.back().machine.dirCacheEnabled = dir_cache;
+            }
+        }
+    }
+    const auto results = benchSweepAveraged(configs, benchSeeds());
+    for (std::size_t g = 0; g < std::size(grids); ++g)
+        printGrid(grids[g], &configs[g * kPerGrid],
+                  &results[g * kPerGrid], jrep);
     jrep.write();
     return 0;
 }

@@ -18,7 +18,8 @@
  */
 
 #include <iostream>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -30,107 +31,34 @@ namespace
 
 using namespace consim;
 
-void
-dynamicSchedulingSweep(JsonReport &jrep)
+/** A point reported VM by VM. */
+struct PerVm
 {
-    std::cout << "1) Dynamic thread migration (Mix C, affinity "
-                 "start, shared-4-way):\n";
-    TextTable table({"migration interval", "cycles/txn",
-                     "LLC miss rate", "miss lat (cy)"});
-    struct Point
-    {
-        Cycle interval;
-        const char *label;
-    };
-    const Point points[] = {{0, "static (paper)"},
-                            {400'000, "every 400K cycles"},
-                            {100'000, "every 100K cycles"},
-                            {25'000, "every 25K cycles"}};
-    for (const auto &pt : points) {
-        RunConfig cfg = mixConfig(Mix::byName("Mix C"),
-                                  SchedPolicy::Affinity,
-                                  SharingDegree::Shared4);
-        if (pt.interval != 0)
-            cfg.dynSched = {DynSchedPolicy::Random, pt.interval};
-        const RunResult r = runAveraged(cfg, benchSeeds());
-        if (jrep.enabled()) {
-            auto jpt = runResultJson(cfg, r);
-            jpt.set("label", pt.label);
-            jrep.point(std::move(jpt));
-        }
-        table.addRow(
-            {pt.label,
-             TextTable::num(r.meanCyclesPerTxn(WorkloadKind::SpecJbb),
-                            0),
-             TextTable::pct(r.meanMissRate(WorkloadKind::SpecJbb)),
-             TextTable::num(
-                 r.meanMissLatency(WorkloadKind::SpecJbb), 1)});
-    }
-    table.print(std::cout);
-    std::cout << "\n";
-}
+    const char *title;
+    RunConfig cfg;
+};
 
-/** Run a custom set of (profile, seed) VMs and report per VM. */
 void
-runCustom(const char *title,
-          const std::vector<WorkloadProfile> &profiles,
-          SchedPolicy policy, JsonReport &jrep)
+printPerVm(const PerVm &point, const RunResult &r, JsonReport &jrep)
 {
-    std::vector<std::unique_ptr<VirtualMachine>> storage;
-    std::vector<VirtualMachine *> vms;
-    std::vector<int> threads;
-    for (std::size_t i = 0; i < profiles.size(); ++i) {
-        storage.push_back(std::make_unique<VirtualMachine>(
-            profiles[i], static_cast<VmId>(i), 1000003ull + i));
-        vms.push_back(storage.back().get());
-        threads.push_back(profiles[i].numThreads);
-    }
-    MachineConfig machine;
-    machine.sharing = SharingDegree::Shared4;
-    const auto placements =
-        scheduleThreads(machine, threads, policy, 1);
-    System sys(machine, vms, placements);
-    const RunConfig windows = RunConfig::fromEnv();
-    sys.run(windows.warmupCycles);
-    sys.resetStats();
-    const Cycle measure = windows.measureCycles;
-    sys.run(measure);
-
-    std::cout << title << "\n";
+    std::cout << point.title << "\n";
     TextTable table({"vm", "threads", "cycles/txn", "LLC miss rate",
                      "miss lat (cy)"});
-    for (auto *vm : vms) {
-        const auto &s = vm->vmStats();
-        const double cpt =
-            s.transactions.value()
-                ? static_cast<double>(measure) /
-                      static_cast<double>(s.transactions.value())
-                : 0.0;
-        table.addRow({toString(vm->profile().kind) + " #" +
-                          std::to_string(vm->id()),
-                      std::to_string(vm->profile().numThreads),
-                      TextTable::num(cpt, 0),
-                      TextTable::pct(s.missRate()),
-                      TextTable::num(s.missLatency.mean(), 1)});
+    for (std::size_t v = 0; v < r.vms.size(); ++v) {
+        const VmResult &vm = r.vms[v];
+        table.addRow({toString(vm.kind) + " #" + std::to_string(v),
+                      std::to_string(point.cfg.vmThreads[v]),
+                      TextTable::num(vm.cyclesPerTransaction, 0),
+                      TextTable::pct(vm.missRate),
+                      TextTable::num(vm.avgMissLatency, 1)});
     }
     table.print(std::cout);
     std::cout << "\n";
     if (jrep.enabled()) {
-        // Custom-built Systems have no RunConfig; export the whole
-        // registry tree instead.
-        auto jpt = json::Value::object();
-        jpt.set("label", title);
-        jpt.set("stats", sys.statsRoot().toJson());
+        auto jpt = runResultJson(point.cfg, r);
+        jpt.set("label", point.title);
         jrep.point(std::move(jpt));
     }
-}
-
-WorkloadProfile
-withThreads(WorkloadKind kind, int threads)
-{
-    WorkloadProfile p = WorkloadProfile::get(kind);
-    p.numThreads = threads;
-    return p;
 }
 
 } // namespace
@@ -139,6 +67,7 @@ int
 main(int argc, char **argv)
 {
     using namespace consim;
+    using K = WorkloadKind;
     logging::setVerbose(false);
 
     printHeader(std::cout,
@@ -150,20 +79,62 @@ main(int argc, char **argv)
     JsonReport jrep("ext_future_work", "Paper SSVII future work",
                     JsonReport::pathFromArgs(argc, argv));
 
-    dynamicSchedulingSweep(jrep);
+    struct Migration
+    {
+        Cycle interval;
+        const char *label;
+    };
+    const Migration migrations[] = {{0, "static (paper)"},
+                                    {400'000, "every 400K cycles"},
+                                    {100'000, "every 100K cycles"},
+                                    {25'000, "every 25K cycles"}};
+    const PerVm per_vm[] = {
+        {"2) Asymmetric mix: 8-thread SPECjbb + 2x 4-thread "
+         "TPC-H (affinity):",
+         mixConfig({"", {K::SpecJbb, K::TpcH, K::TpcH}, {8, 4, 4}},
+                   SchedPolicy::Affinity)},
+        {"3) Higher degree: 2x 8-thread SPECjbb (affinity) -- "
+         "compare with Mix C's 4x4:",
+         mixConfig({"", {K::SpecJbb, K::SpecJbb}, {8, 8}},
+                   SchedPolicy::Affinity)},
+    };
 
-    runCustom("2) Asymmetric mix: 8-thread SPECjbb + 2x 4-thread "
-              "TPC-H (affinity):",
-              {withThreads(WorkloadKind::SpecJbb, 8),
-               withThreads(WorkloadKind::TpcH, 4),
-               withThreads(WorkloadKind::TpcH, 4)},
-              SchedPolicy::Affinity, jrep);
+    // One sweep over every table's points, rendered table by table.
+    std::vector<RunConfig> configs;
+    for (const auto &m : migrations) {
+        configs.push_back(mixConfig(Mix::byName("Mix C"),
+                                    SchedPolicy::Affinity,
+                                    SharingDegree::Shared4));
+        if (m.interval != 0)
+            configs.back().dynSched = {DynSchedPolicy::Random,
+                                       m.interval};
+    }
+    for (const auto &point : per_vm)
+        configs.push_back(point.cfg);
+    const auto results = benchSweepAveraged(configs, benchSeeds());
 
-    runCustom("3) Higher degree: 2x 8-thread SPECjbb (affinity) -- "
-              "compare with Mix C's 4x4:",
-              {withThreads(WorkloadKind::SpecJbb, 8),
-               withThreads(WorkloadKind::SpecJbb, 8)},
-              SchedPolicy::Affinity, jrep);
+    std::cout << "1) Dynamic thread migration (Mix C, affinity "
+                 "start, shared-4-way):\n";
+    TextTable table({"migration interval", "cycles/txn",
+                     "LLC miss rate", "miss lat (cy)"});
+    const std::size_t n = std::size(migrations);
+    for (std::size_t i = 0; i < n; ++i) {
+        const RunResult &r = results[i];
+        if (jrep.enabled()) {
+            auto jpt = runResultJson(configs[i], r);
+            jpt.set("label", migrations[i].label);
+            jrep.point(std::move(jpt));
+        }
+        table.addRow(
+            {migrations[i].label,
+             TextTable::num(r.meanCyclesPerTxn(K::SpecJbb), 0),
+             TextTable::pct(r.meanMissRate(K::SpecJbb)),
+             TextTable::num(r.meanMissLatency(K::SpecJbb), 1)});
+    }
+    table.print(std::cout);
+    std::cout << "\n";
+    for (std::size_t i = 0; i < std::size(per_vm); ++i)
+        printPerVm(per_vm[i], results[n + i], jrep);
     jrep.write();
     return 0;
 }

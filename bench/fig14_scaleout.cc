@@ -22,7 +22,6 @@
 #include "common/table.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
-#include "exec/sweep.hh"
 
 namespace
 {
@@ -121,7 +120,7 @@ main(int argc, char **argv)
             hetero.push_back(true);
         }
     }
-    const auto results = runSweepAveraged(configs, benchSeeds());
+    const auto results = benchSweepAveraged(configs, benchSeeds());
 
     TextTable table({"chip", "cores", "sharing", "VMs",
                      "cycles/txn (mean)", "miss latency", "net latency"});
@@ -133,9 +132,7 @@ main(int argc, char **argv)
             cpt += v.cyclesPerTransaction;
             lat += v.avgMissLatency;
         }
-        const double n = r.vms.empty()
-                             ? 1.0
-                             : static_cast<double>(r.vms.size());
+        const double n = static_cast<double>(r.vms.size());
         table.addRow({labels[i],
                       std::to_string(cfg.machine.numCores()),
                       toString(cfg.machine.sharing),

@@ -41,7 +41,6 @@
 #include "common/table.hh"
 #include "core/experiment.hh"
 #include "core/report.hh"
-#include "exec/sweep.hh"
 
 namespace
 {
@@ -203,7 +202,7 @@ main(int argc, char **argv)
         }
     }
 
-    auto results = runSweepAveraged(configs, benchSeeds());
+    auto results = benchSweepAveraged(configs, benchSeeds());
 
     TextTable table({"scenario", "qos", "protected cy/txn", "slowdown",
                      "prot miss lat", "bully stalls"});

@@ -45,7 +45,6 @@
 #include "core/experiment.hh"
 #include "core/mix.hh"
 #include "core/report.hh"
-#include "exec/sweep.hh"
 
 namespace
 {
@@ -174,7 +173,7 @@ main(int argc, char **argv)
             configs.push_back(
                 scenarioConfig(kScenarios[s], kPolicies[p]));
 
-    const auto results = runSweepAveraged(configs, benchSeeds());
+    const auto results = benchSweepAveraged(configs, benchSeeds());
 
     // Per-scenario best static / best dynamic by aggregate cy/txn.
     double best_static[kNumScenarios];

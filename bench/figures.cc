@@ -1,8 +1,6 @@
 #include "figures.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <iostream>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -10,7 +8,6 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "core/mix.hh"
-#include "exec/sweep.hh"
 
 namespace consim::paper
 {
@@ -655,25 +652,11 @@ regenerate(const std::vector<const Figure *> &figs, const RunConfig &base,
         configs.push_back(run.point.config(base));
         configs.back().seed = run.seed;
     }
-    std::vector<SweepRun> outcomes = runSweepEx(configs);
+    std::vector<RunResult> outcomes = benchSweep(configs);
 
     std::map<Run, RunResult> results;
-    bool failed = false;
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        SweepRun &out = outcomes[i];
-        if (!out.ok) {
-            std::cerr << "error: paper point failed after "
-                      << out.retries + 1 << " attempts ("
-                      << out.errorKind << "): " << out.errorMessage
-                      << "\n  config: " << toJson(configs[i]).dump()
-                      << "\n";
-            failed = true;
-            continue;
-        }
-        results.emplace(runs[i], std::move(out.result));
-    }
-    if (failed)
-        std::exit(1);
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        results.emplace(runs[i], std::move(outcomes[i]));
 
     std::vector<Rendered> rendered;
     for (const Figure *fig : figs) {

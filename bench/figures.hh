@@ -99,12 +99,11 @@ struct Rendered
 };
 
 /**
- * Run plan(@p figs, @p seeds) over @p base as one sweep and render
- * each figure from the shared runs, in the order given. A run that
- * still fails after the sweep's retries is fatal: its config echo,
- * error kind and message go to stderr and the process exits 1 before
- * any figure renders. Each Rendered::json writes
- * `<jsonDir>/<id>.json` ("" = nowhere).
+ * Run plan(@p figs, @p seeds) over @p base as one sweep (benchSweep)
+ * and render each figure from the shared runs, in the order given. A
+ * failed run is fatal: its config echo, error kind and message go to
+ * stderr and the process exits 1 before any figure renders. Each
+ * Rendered::json writes `<jsonDir>/<id>.json` ("" = nowhere).
  */
 std::vector<Rendered> regenerate(const std::vector<const Figure *> &figs,
                                  const RunConfig &base,

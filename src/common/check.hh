@@ -3,13 +3,15 @@
  * Hardening layer core: recoverable simulation errors and runtime
  * check levels.
  *
- * Philosophy: a production sweep service must contain failures, not
- * die of them. Three pieces cooperate:
+ * Philosophy: a failed point must say why it failed, and must not
+ * take the other points of its sweep down with it. Three pieces
+ * cooperate:
  *
  *  - SimError: a recoverable exception carrying a machine-readable
  *    kind and (optionally) a `consim.diag.v1` JSON dump. One wedged
- *    simulation point throws; the sweep engine catches, retries, and
- *    salvages the rest of the batch.
+ *    simulation point throws; the sweep engine records the failure
+ *    against that point alone, and the caller decides (every bench
+ *    exits 1 on it).
  *
  *  - Check levels (CONSIM_CHECK env / setCheckLevel):
  *      off   — seed behaviour: invariant violations abort the process
@@ -41,7 +43,7 @@
 namespace consim
 {
 
-/** What went wrong, machine-readable (serialized into sweep.v2). */
+/** What went wrong, machine-readable (SweepRun::errorKind). */
 enum class SimErrorKind
 {
     Invariant, ///< a CONSIM_ASSERT / checker audit failed

@@ -9,7 +9,6 @@
 #include "common/parse.hh"
 #include "core/checkpoint.hh"
 #include "core/scheduler.hh"
-#include "exec/sweep.hh"
 
 namespace consim
 {
@@ -537,12 +536,6 @@ averageRunResults(std::vector<RunResult> runs)
     // acc.replication / acc.occupancy keep the first run's snapshot
     // (see RunResult docs).
     return acc;
-}
-
-RunResult
-runAveraged(RunConfig cfg, const std::vector<std::uint64_t> &seeds)
-{
-    return runSweepAveraged({cfg}, seeds).front();
 }
 
 RunConfig

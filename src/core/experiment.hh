@@ -67,9 +67,9 @@ struct RunConfig
     /** Per-point simulated-cycle budget: run() raises
      *  SimError(Deadline) past this absolute cycle. 0 = none. */
     Cycle cycleDeadline = 0;
-    /** Periodic checkpoint interval: keep a small ring of
-     *  `consim.ckpt.v5` snapshots every this many cycles and attach
-     *  the most recent one to watchdog/deadline SimErrors. 0 = off. */
+    /** Periodic checkpoint interval: take a `consim.ckpt.v5`
+     *  snapshot every this many cycles and attach the most recent
+     *  one to watchdog/deadline SimErrors. 0 = off. */
     Cycle ckptEveryCycles = 0;
 
     /**
@@ -113,8 +113,7 @@ struct VmResult
 /**
  * Metrics for one full run.
  *
- * Multi-seed aggregation semantics (runAveraged / runSweepAveraged /
- * averageRunResults):
+ * Multi-seed aggregation semantics (averageRunResults):
  *  - Raw per-VM event counters (transactions, instructions, l1Misses,
  *    l2Accesses, l2Misses, c2cClean, c2cDirty) are SUMMED across
  *    seeds — they stay exact totals over all measured windows.
@@ -193,15 +192,6 @@ RunResult resumeExperiment(const json::Value &ckpt);
  * @p runs must all come from the same config and be non-empty.
  */
 RunResult averageRunResults(std::vector<RunResult> runs);
-
-/**
- * Run one point under several seeds and reduce with
- * averageRunResults. Seeds run in parallel on the sweep engine
- * (CONSIM_JOBS threads); results are identical to running them
- * serially.
- */
-RunResult runAveraged(RunConfig cfg,
-                      const std::vector<std::uint64_t> &seeds);
 
 /**
  * Paper baseline: one workload in isolation on the 16-core chip with

@@ -19,7 +19,7 @@ namespace
 Mix
 make(std::string name, std::vector<WorkloadKind> vms)
 {
-    return Mix{std::move(name), std::move(vms)};
+    return Mix{std::move(name), std::move(vms), {}};
 }
 
 std::vector<Mix>

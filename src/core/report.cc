@@ -3,10 +3,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <sstream>
 
 #include "common/logging.hh"
 #include "common/parse.hh"
+#include "exec/sweep.hh"
 
 namespace consim
 {
@@ -26,6 +28,53 @@ benchSeeds()
         return s;
     }();
     return seeds;
+}
+
+std::vector<RunResult>
+benchSweep(const std::vector<RunConfig> &configs)
+{
+    std::vector<SweepRun> runs = runSweep(configs);
+    std::vector<RunResult> results;
+    results.reserve(runs.size());
+    bool failed = false;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        if (!runs[i].ok) {
+            std::cerr << "error: simulation point failed ("
+                      << runs[i].errorKind
+                      << "): " << runs[i].errorMessage
+                      << "\n  config: " << toJson(configs[i]).dump()
+                      << "\n";
+            failed = true;
+        }
+        results.push_back(std::move(runs[i].result));
+    }
+    if (failed)
+        std::exit(1);
+    return results;
+}
+
+std::vector<RunResult>
+benchSweepAveraged(const std::vector<RunConfig> &configs,
+                   const std::vector<std::uint64_t> &seeds)
+{
+    CONSIM_ASSERT(!seeds.empty(), "need at least one seed");
+    std::vector<RunConfig> flat;
+    flat.reserve(configs.size() * seeds.size());
+    for (const auto &cfg : configs) {
+        for (const auto seed : seeds) {
+            flat.push_back(cfg);
+            flat.back().seed = seed;
+        }
+    }
+    std::vector<RunResult> runs = benchSweep(flat);
+    std::vector<RunResult> out;
+    out.reserve(configs.size());
+    const auto n = static_cast<std::ptrdiff_t>(seeds.size());
+    for (auto group = runs.begin(); group != runs.end(); group += n)
+        out.push_back(averageRunResults(std::vector<RunResult>(
+            std::make_move_iterator(group),
+            std::make_move_iterator(group + n))));
+    return out;
 }
 
 json::Value

@@ -1,9 +1,10 @@
 /**
  * @file
  * Reporting helpers for the benchmark harness: the bench seed set,
- * section headers, strict bench argv, and the shared JSON result
- * format (schema-versioned, config echo + registry-derived metrics)
- * that every bench and consim_run emit behind --json.
+ * the benches' one sweep with its one failure exit, section headers,
+ * strict bench argv, and the shared JSON result format
+ * (schema-versioned, config echo + registry-derived metrics) that
+ * every bench and consim_run emit behind --json.
  */
 
 #ifndef CONSIM_CORE_REPORT_HH
@@ -24,6 +25,23 @@ namespace consim
 /** @return the standard seed set used by the bench harness. */
 const std::vector<std::uint64_t> &benchSeeds();
 
+/**
+ * Run a bench's configs as one sweep (runSweep) and return the
+ * results positionally. A failed run is fatal: each failed run's
+ * config echo, error kind and message go to stderr, and the process
+ * exits 1 before the bench renders anything.
+ */
+std::vector<RunResult> benchSweep(const std::vector<RunConfig> &configs);
+
+/**
+ * benchSweep over every (config, seed) pair, reduced per config by
+ * averageRunResults: result[i] is configs[i] averaged over @p seeds
+ * (its own `seed` field is ignored).
+ */
+std::vector<RunResult>
+benchSweepAveraged(const std::vector<RunConfig> &configs,
+                   const std::vector<std::uint64_t> &seeds);
+
 /** Print a titled section header for bench output. */
 void printHeader(std::ostream &os, const std::string &title,
                  const std::string &paper_ref,
@@ -33,7 +51,6 @@ void printHeader(std::ostream &os, const std::string &title,
 //
 // One shared format for every front end. Schemas:
 //   consim.run.v1   {schema, config, result}        (one point)
-//   consim.sweep.v1 {schema, points: [run.v1...]}   (a sweep)
 //   consim.bench.v1 {schema, id, title, points}     (a figure bench)
 // All numbers are written with shortest-round-trip formatting, so
 // bit-identical results produce byte-identical documents.

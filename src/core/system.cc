@@ -447,8 +447,7 @@ System::setCheckpointInterval(Cycle interval)
 void
 System::takeSnapshot()
 {
-    ckptLatest_ ^= 1;
-    ckptRing_[ckptLatest_] = saveCheckpoint().dump(1);
+    ckptLatest_ = saveCheckpoint().dump(1);
     services_[Snapshot].at = now_ + ckptInterval_;
 }
 

@@ -306,9 +306,9 @@ class System : public Fabric
 
     /**
      * Periodic snapshotting: every @p interval cycles of run(), save
-     * a checkpoint into a two-deep ring; the most recent one is
-     * attached to every watchdog/deadline SimError. 0 disables (the
-     * default; `CONSIM_CKPT` / --ckpt-every turn it on).
+     * a checkpoint over the previous one; the latest is attached to
+     * every watchdog/deadline SimError. 0 disables (the default;
+     * `CONSIM_CKPT` / --ckpt-every turn it on).
      */
     void setCheckpointInterval(Cycle interval);
 
@@ -479,8 +479,7 @@ class System : public Fabric
     // --- checkpoint state ---
     Cycle ckptInterval_ = 0;      ///< 0 = periodic snapshots off
     json::Value ckptCtx_;         ///< experiment context for snapshots
-    std::string ckptRing_[2];     ///< latest two snapshot texts
-    int ckptLatest_ = 0;
+    std::string ckptLatest_;      ///< the latest snapshot's text
 
     stats::Group statsRoot_{"sys"};
     /** Per-tile registry nodes ("tileNN") under statsRoot_. */

@@ -84,7 +84,7 @@ System::trip(SimErrorKind kind, const std::string &msg,
              const std::string &reason) const
 {
     SimError err(kind, msg, diagJson(reason).dump(2));
-    err.setCkpt(ckptRing_[ckptLatest_]);
+    err.setCkpt(ckptLatest_);
     throw err;
 }
 

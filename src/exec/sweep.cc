@@ -1,271 +1,77 @@
 #include "exec/sweep.hh"
 
-#include <chrono>
+#include <algorithm>
+#include <atomic>
 #include <thread>
 
 #include "common/check.hh"
-#include "common/logging.hh"
-#include "core/report.hh"
-#include "exec/thread_pool.hh"
+#include "common/parse.hh"
 
 namespace consim
 {
 
 int
-sweepJobs(const SweepOptions &opts)
+sweepJobs()
 {
-    return opts.jobs > 0 ? opts.jobs : ThreadPool::defaultThreads();
+    // Strict parse: CONSIM_JOBS=garbage is fatal rather than silently
+    // falling back to hardware_concurrency.
+    const int jobs =
+        envIntInRange("CONSIM_JOBS", 1, 4096, 0 /* unset */);
+    if (jobs > 0)
+        return jobs;
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? static_cast<int>(hw) : 1;
 }
 
 namespace
 {
 
-/**
- * Run one point with crash isolation. The retry ladder:
- *
- *   attempt 0   — the configured seed, full run;
- *   attempt 1   — if the failure carried a pre-trip checkpoint
- *                 (periodic snapshotting on), resume it: same seed,
- *                 and only the cycles after the snapshot re-run;
- *   attempt 2+  — full re-runs with a per-attempt seed offset (a
- *                 failure tied to one seed's event interleaving must
- *                 not recur verbatim).
- *
- * Each retry backs off exponentially. The seed that finally succeeded
- * is recorded as effectiveSeed: a mutated seed means the point's
- * statistics answer a different question than configured, so that
- * recovery also warns loudly. If every attempt fails, the last error
- * is recorded.
- */
+/** Run one point once, turning any exception into its outcome. */
 SweepRun
-runPoint(const RunConfig &cfg, const SweepOptions &opts)
+runPoint(const RunConfig &cfg)
 {
     SweepRun out;
-    out.effectiveSeed = cfg.seed;
-    RunConfig base = cfg;
-    if (opts.pointDeadlineCycles != 0 && base.cycleDeadline == 0)
-        base.cycleDeadline = opts.pointDeadlineCycles;
-    std::string ckpt_text; // last snapshot attached to a SimError
-    const auto run_attempt = [&](bool resume, const json::Value *doc,
-                                 const RunConfig &c) -> bool {
-        try {
-            out.result = resume ? resumeExperiment(*doc)
-                                : runExperiment(c);
-            return true;
-        } catch (const SimError &e) {
-            out.errorKind = toString(e.kind());
-            out.errorMessage = e.what();
-            out.diag = e.diag();
-            if (!e.ckpt().empty())
-                ckpt_text = e.ckpt();
-            out.ckpt = ckpt_text;
-        } catch (const std::exception &e) {
-            out.errorKind = "exception";
-            out.errorMessage = e.what();
-            out.diag.clear();
-        }
-        return false;
-    };
-    for (int attempt = 0;; ++attempt) {
-        json::Value doc;
-        const bool can_resume = attempt == 1 && !ckpt_text.empty() &&
-                                json::parse(ckpt_text, doc) &&
-                                doc.find("context") != nullptr;
-        RunConfig c = base;
-        c.seed = base.seed + static_cast<std::uint64_t>(attempt) *
-                                 0x9e3779b97f4a7c15ull;
-        if (run_attempt(can_resume, &doc, c)) {
-            out.ok = true;
-            out.retries = attempt;
-            out.resumed = can_resume;
-            out.effectiveSeed = can_resume ? base.seed : c.seed;
-            out.errorKind.clear();
-            out.errorMessage.clear();
-            out.diag.clear();
-            out.ckpt.clear();
-            if (out.effectiveSeed != cfg.seed) {
-                CONSIM_WARN("sweep point recovered under mutated seed ",
-                            out.effectiveSeed, " (configured seed ",
-                            cfg.seed,
-                            "); its statistics reflect the mutated "
-                            "seed, see effective_seed in the output");
-            }
-            return out;
-        }
-        out.retries = attempt;
-        if (attempt >= opts.maxRetries)
-            return out;
-        // Backoff before retrying: cheap insurance against failures
-        // caused by transient host pressure (the deterministic ones
-        // will simply fail again and land in the error record).
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(1L << attempt));
+    try {
+        out.result = runExperiment(cfg);
+        out.ok = true;
+    } catch (const SimError &e) {
+        out.errorKind = toString(e.kind());
+        out.errorMessage = e.what();
+        out.diag = e.diag();
+        out.ckpt = e.ckpt();
+    } catch (const std::exception &e) {
+        out.errorKind = "exception";
+        out.errorMessage = e.what();
     }
+    return out;
 }
 
 } // namespace
 
 std::vector<SweepRun>
-runSweepEx(const std::vector<RunConfig> &configs,
-           const SweepOptions &opts)
+runSweep(const std::vector<RunConfig> &configs, int jobs)
 {
     std::vector<SweepRun> runs(configs.size());
-    if (configs.empty())
-        return runs;
-
-    const int jobs = sweepJobs(opts);
-    if (jobs == 1 || configs.size() == 1) {
-        // No pool: keep single-threaded sweeps trivially debuggable.
-        for (std::size_t i = 0; i < configs.size(); ++i)
-            runs[i] = runPoint(configs[i], opts);
+    std::atomic<std::size_t> next{0};
+    const auto worker = [&] {
+        for (std::size_t i = next++; i < configs.size(); i = next++)
+            runs[i] = runPoint(configs[i]);
+    };
+    const std::size_t threads = std::min(
+        static_cast<std::size_t>(jobs > 0 ? jobs : sweepJobs()),
+        configs.size());
+    if (threads <= 1) {
+        // No threads: keep single-threaded sweeps trivially debuggable.
+        worker();
         return runs;
     }
-
-    ThreadPool pool(jobs);
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        pool.submit([&runs, &configs, &opts, i] {
-            runs[i] = runPoint(configs[i], opts);
-        });
-    }
-    pool.wait();
+    // A jthread joins when destroyed, so every started thread is
+    // joined before runs is read, or unwound if one fails to start.
+    std::vector<std::jthread> workers;
+    for (std::size_t t = 0; t < threads; ++t)
+        workers.emplace_back(worker);
+    workers.clear();
     return runs;
-}
-
-std::vector<RunResult>
-runSweep(const std::vector<RunConfig> &configs,
-         const SweepOptions &opts)
-{
-    std::vector<SweepRun> runs = runSweepEx(configs, opts);
-    std::vector<RunResult> results(configs.size());
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        if (runs[i].ok) {
-            results[i] = std::move(runs[i].result);
-        } else {
-            CONSIM_WARN("sweep point ", i, " failed after ",
-                        runs[i].retries, " retries (",
-                        runs[i].errorKind, ": ",
-                        runs[i].errorMessage,
-                        "); salvaging the rest of the batch");
-        }
-    }
-    return results;
-}
-
-std::vector<RunResult>
-runSweepAveraged(const std::vector<RunConfig> &configs,
-                 const std::vector<std::uint64_t> &seeds,
-                 const SweepOptions &opts)
-{
-    CONSIM_ASSERT(!seeds.empty(), "need at least one seed");
-
-    std::vector<RunConfig> flat;
-    flat.reserve(configs.size() * seeds.size());
-    for (const auto &cfg : configs) {
-        for (const auto seed : seeds) {
-            flat.push_back(cfg);
-            flat.back().seed = seed;
-        }
-    }
-
-    std::vector<SweepRun> runs = runSweepEx(flat, opts);
-
-    std::vector<RunResult> out;
-    out.reserve(configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        std::vector<RunResult> group;
-        group.reserve(seeds.size());
-        for (std::size_t s = 0; s < seeds.size(); ++s) {
-            SweepRun &run = runs[i * seeds.size() + s];
-            if (run.ok) {
-                group.push_back(std::move(run.result));
-            } else {
-                CONSIM_WARN("config ", i, " seed ", seeds[s],
-                            " failed (", run.errorKind, ": ",
-                            run.errorMessage,
-                            "); averaging the surviving seeds");
-            }
-        }
-        if (group.empty()) {
-            CONSIM_WARN("config ", i, " failed under every seed; "
-                        "emitting an empty result");
-            out.emplace_back();
-        } else {
-            out.push_back(averageRunResults(std::move(group)));
-        }
-    }
-    return out;
-}
-
-namespace
-{
-
-json::Value
-errorJson(const SweepRun &run)
-{
-    auto e = json::Value::object();
-    e.set("kind", run.errorKind);
-    e.set("message", run.errorMessage);
-    if (!run.diag.empty()) {
-        json::Value diag;
-        if (json::parse(run.diag, diag))
-            e.set("diag", std::move(diag));
-        else
-            e.set("diag_text", run.diag);
-    }
-    return e;
-}
-
-} // namespace
-
-json::Value
-sweepResultsJson(const std::vector<RunConfig> &configs,
-                 const std::vector<SweepRun> &runs)
-{
-    CONSIM_ASSERT(configs.size() == runs.size(),
-                  "sweep JSON: configs/runs size mismatch");
-    auto doc = json::Value::object();
-    doc.set("schema", "consim.sweep.v2");
-    auto points = json::Value::array();
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        const SweepRun &run = runs[i];
-        auto p = json::Value::object();
-        p.set("ok", run.ok);
-        p.set("retries", run.retries);
-        if (run.ok) {
-            // Seed honesty: the config echo below repeats the seed as
-            // *asked*; effective_seed is the seed the surviving
-            // attempt actually ran under.
-            p.set("effective_seed", run.effectiveSeed);
-            if (run.resumed)
-                p.set("resumed", true);
-            // Inline the consim.run.v1 envelope fields after the
-            // outcome header.
-            const auto envelope = runResultJson(configs[i], run.result);
-            for (const auto &[key, val] : envelope.members())
-                p.set(key, val);
-        } else {
-            p.set("config", toJson(configs[i]));
-            p.set("error", errorJson(run));
-        }
-        points.push(std::move(p));
-    }
-    doc.set("points", std::move(points));
-    return doc;
-}
-
-json::Value
-sweepResultsJson(const std::vector<RunConfig> &configs,
-                 const std::vector<RunResult> &results)
-{
-    CONSIM_ASSERT(configs.size() == results.size(),
-                  "sweep JSON: configs/results size mismatch");
-    std::vector<SweepRun> runs(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        runs[i].ok = true;
-        runs[i].result = results[i];
-        runs[i].effectiveSeed = configs[i].seed;
-    }
-    return sweepResultsJson(configs, runs);
 }
 
 } // namespace consim

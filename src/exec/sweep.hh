@@ -5,9 +5,9 @@
  * Every paper figure is a sweep over independent
  * (mix x sharing-degree x policy x seed) points; each point is a
  * self-contained single-threaded System, so host-level parallelism
- * is embarrassingly available. runSweep farms the configs out to a
- * work-queue thread pool (CONSIM_JOBS threads, default
- * hardware_concurrency) and returns results positionally.
+ * is embarrassingly available. runSweep runs each config exactly
+ * once, under its own seed, on up to CONSIM_JOBS host threads
+ * (default hardware_concurrency), and returns outcomes positionally.
  *
  * Determinism contract: a simulation's result depends only on its
  * RunConfig (including seed) — never on which host thread ran it,
@@ -19,110 +19,47 @@
 #ifndef CONSIM_EXEC_SWEEP_HH
 #define CONSIM_EXEC_SWEEP_HH
 
-#include <cstdint>
+#include <string>
 #include <vector>
 
-#include "common/json.hh"
 #include "core/experiment.hh"
 
 namespace consim
 {
 
-/** Sweep-engine knobs. */
-struct SweepOptions
-{
-    /** Worker threads; 0 = CONSIM_JOBS / hardware_concurrency. */
-    int jobs = 0;
-    /** Extra attempts per failed point (each with a fresh seed
-     *  offset and exponential backoff). 0 = fail fast. */
-    int maxRetries = 2;
-    /** Per-point simulated-cycle budget applied to configs that do
-     *  not set their own cycleDeadline. 0 = none. */
-    Cycle pointDeadlineCycles = 0;
-};
-
-/** @return the resolved worker count for @p opts. */
-int sweepJobs(const SweepOptions &opts = {});
+/**
+ * @return the default worker count: CONSIM_JOBS (strict parse; a
+ * malformed value is fatal), else std::thread::hardware_concurrency.
+ */
+int sweepJobs();
 
 /**
- * Outcome of one crash-isolated sweep point. A point that throws
- * (SimError from a tripped checker/watchdog/deadline, or any other
- * exception) is retried up to SweepOptions::maxRetries times with a
- * per-attempt seed offset; if every attempt fails, the last error is
- * recorded here and the rest of the batch is unaffected.
+ * Outcome of one crash-isolated sweep point: its result, or why its
+ * one run failed (a SimError from a tripped checker, watchdog or
+ * deadline, or any other exception). A failure touches no other point.
  */
 struct SweepRun
 {
     bool ok = false;
-    int retries = 0;          ///< failed attempts before the outcome
     RunResult result;         ///< valid when ok
-    /** Seed the successful attempt actually ran under. Retries mutate
-     *  the seed, so this can differ from the config's seed — in which
-     *  case the point's statistics answer a *different* question than
-     *  asked, and consumers must be told (`effective_seed` in
-     *  consim.sweep.v2, plus a warning at recovery time). */
-    std::uint64_t effectiveSeed = 0;
-    /** True when the point recovered by resuming the failed run from
-     *  its pre-trip checkpoint (same seed) rather than re-running. */
-    bool resumed = false;
     std::string errorKind;    ///< "invariant"|"watchdog"|"deadline"|
                               ///< "exception" (when !ok)
     std::string errorMessage; ///< exception what() (when !ok)
     std::string diag;         ///< consim.diag.v1 text ("" if none)
-    /** `consim.ckpt.v5` text of the last pre-trip snapshot attached
-     *  to the final error ("" when snapshotting was off or the point
-     *  succeeded) — resumable via resumeExperiment / --resume. */
+    /** `consim.ckpt.v5` text of the last pre-trip snapshot ("" when
+     *  snapshotting was off or the point succeeded), resumable with
+     *  resumeExperiment / --resume. */
     std::string ckpt;
 };
 
 /**
- * Crash-isolated sweep: run every config (in parallel) and return
- * per-point outcomes positionally. Never throws for a point failure;
- * a failed point yields an !ok entry carrying the error and its
- * diagnostic dump.
+ * Run every config once on min(@p jobs, configs.size()) threads
+ * (@p jobs 0 = sweepJobs(); one thread runs inline) and return the
+ * outcomes positionally: runs[i] belongs to configs[i]. Never throws
+ * for a point failure.
  */
-std::vector<SweepRun> runSweepEx(const std::vector<RunConfig> &configs,
-                                 const SweepOptions &opts = {});
-
-/**
- * Run every config (in parallel) and return results positionally:
- * result[i] corresponds to configs[i]. Points that fail even after
- * retries are salvaged as default-constructed RunResults with a
- * warning on stderr (use runSweepEx to see per-point outcomes).
- */
-std::vector<RunResult> runSweep(const std::vector<RunConfig> &configs,
-                                const SweepOptions &opts = {});
-
-/**
- * Expand each config over @p seeds, run the flat (config x seed)
- * sweep in parallel, and reduce each config's seed runs with
- * averageRunResults. result[i] corresponds to configs[i]; each
- * config's own `seed` field is ignored in favour of @p seeds.
- * Failed seed runs are dropped from their config's average (with a
- * warning); a config whose every seed fails yields a default
- * RunResult.
- */
-std::vector<RunResult>
-runSweepAveraged(const std::vector<RunConfig> &configs,
-                 const std::vector<std::uint64_t> &seeds,
-                 const SweepOptions &opts = {});
-
-/**
- * Serialize a sweep's outcomes as one "consim.sweep.v2" document.
- * points[i] carries {ok, retries} plus, for good points, the
- * consim.run.v1 envelope of configs[i]/results[i], or, for failed
- * points, the config echo and a structured error (kind, message,
- * parsed consim.diag.v1 dump). Because the JSON writer is
- * deterministic, parallel and serial sweeps of the same configs
- * produce byte-identical documents (tests/test_determinism.cc
- * enforces this).
- */
-json::Value sweepResultsJson(const std::vector<RunConfig> &configs,
-                             const std::vector<SweepRun> &runs);
-
-/** Same envelope for an all-good result set (ok=true, retries=0). */
-json::Value sweepResultsJson(const std::vector<RunConfig> &configs,
-                             const std::vector<RunResult> &results);
+std::vector<SweepRun> runSweep(const std::vector<RunConfig> &configs,
+                               int jobs = 0);
 
 } // namespace consim
 

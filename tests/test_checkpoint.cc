@@ -4,10 +4,10 @@
  * across every sharing degree and scheduling policy (including the
  * migration-boundary corner), FNV-1a pins of the snapshot text,
  * strict decoding of event, directory, footprint, router and NI
- * records, watchdog-trip checkpoints under fault injection, the sweep
- * engine's resume-before-reseed retry ladder and its seed-honesty
- * reporting, the strict env parsing of RunConfig::fromEnv, and a
- * run that reads no env at all.
+ * records, watchdog-trip checkpoints under fault injection, the
+ * strict env parsing of RunConfig::fromEnv, and a run that reads no
+ * env at all. (A sweep point's snapshot is tested with the sweep, in
+ * test_hardening.cc.)
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@
 #include "core/fault.hh"
 #include "core/mix.hh"
 #include "core/report.hh"
-#include "exec/sweep.hh"
 
 using namespace consim;
 
@@ -778,114 +777,6 @@ TEST(CheckpointResume, WatchdogTripCheckpointIsRestorable)
             EXPECT_EQ(again.kind(), SimErrorKind::Watchdog);
         }
     }
-}
-
-// ---------------------------------------------------------------- //
-// Sweep retry ladder: resume first, reseed only after.              //
-// ---------------------------------------------------------------- //
-
-TEST(SweepRetry, ResumesFromPreTripSnapshotUnderConfiguredSeed)
-{
-    RunConfig cfg =
-        smallConfig(SharingDegree::Shared4, SchedPolicy::Affinity);
-    const RunResult full = runExperiment(cfg);
-
-    RunConfig trip = cfg;
-    trip.cycleDeadline = 18'000;
-    trip.ckptEveryCycles = 6'000;
-    SweepOptions opts;
-    opts.jobs = 1;
-    opts.maxRetries = 1;
-    const std::vector<SweepRun> runs = runSweepEx({trip}, opts);
-    ASSERT_EQ(runs.size(), 1u);
-    EXPECT_TRUE(runs[0].ok);
-    EXPECT_EQ(runs[0].retries, 1);
-    EXPECT_TRUE(runs[0].resumed);
-    // Seed honesty: the resume kept the configured seed, so the
-    // result answers the configured question...
-    EXPECT_EQ(runs[0].effectiveSeed, trip.seed);
-    // ...bit-for-bit: the salvaged point equals the uninterrupted
-    // run of the same seed.
-    EXPECT_EQ(runResultJson(cfg, runs[0].result).dump(2),
-              runResultJson(cfg, full).dump(2));
-
-    // And consim.sweep.v2 reports the recovery.
-    const json::Value doc = sweepResultsJson({trip}, runs);
-    const json::Value &p = doc.find("points")->at(0);
-    EXPECT_TRUE(p.find("ok")->boolean());
-    ASSERT_NE(p.find("effective_seed"), nullptr);
-    EXPECT_EQ(p.find("effective_seed")->asUint(), trip.seed);
-    ASSERT_NE(p.find("resumed"), nullptr);
-    EXPECT_TRUE(p.find("resumed")->boolean());
-}
-
-TEST(SweepRetry, WithoutSnapshotsFallsBackToMutatedSeed)
-{
-    // No periodic snapshots: the deterministic wedge fails every
-    // attempt, and the ladder's later rungs run under mutated seeds
-    // (recorded faithfully even though they also fail).
-    RunConfig cfg =
-        smallConfig(SharingDegree::Shared4, SchedPolicy::Affinity);
-    ASSERT_TRUE(
-        FaultPlan::parse("wedge:core=0,at=15000", cfg.faults));
-    cfg.watchdogIntervalCycles = 2'000;
-    SweepOptions opts;
-    opts.jobs = 1;
-    opts.maxRetries = 1;
-    const std::vector<SweepRun> runs = runSweepEx({cfg}, opts);
-    ASSERT_EQ(runs.size(), 1u);
-    EXPECT_FALSE(runs[0].ok);
-    EXPECT_FALSE(runs[0].resumed);
-    EXPECT_EQ(runs[0].retries, opts.maxRetries);
-    EXPECT_EQ(runs[0].errorKind, "watchdog");
-    EXPECT_TRUE(runs[0].ckpt.empty());
-}
-
-// ---------------------------------------------------------------- //
-// Averaged sweeps disclose how many seeds survived.                 //
-// ---------------------------------------------------------------- //
-
-TEST(SweepAveraged, PoisonedSeedGroupYieldsEmptyResultNotNan)
-{
-    RunConfig clean =
-        smallConfig(SharingDegree::Shared4, SchedPolicy::Affinity);
-    RunConfig poisoned = clean;
-    ASSERT_TRUE(FaultPlan::parse("wedge:core=0,at=15000",
-                                 poisoned.faults));
-    poisoned.watchdogIntervalCycles = 2'000;
-
-    const std::vector<std::uint64_t> seeds = {1, 2};
-    SweepOptions opts;
-    opts.jobs = 2;
-    opts.maxRetries = 0;
-    const auto results =
-        runSweepAveraged({clean, poisoned}, seeds, opts);
-    ASSERT_EQ(results.size(), 2u);
-
-    // Clean config: both seeds averaged in, and the result says so.
-    EXPECT_GT(results[0].vms.size(), 0u);
-    EXPECT_EQ(results[0].seedsUsed, 2);
-    for (const auto &vm : results[0].vms) {
-        EXPECT_EQ(vm.cyclesPerTransaction, vm.cyclesPerTransaction)
-            << "NaN leaked into an averaged metric";
-    }
-
-    // Fault-poisoned config: every seed failed; the salvage result is
-    // a well-formed empty (no division by zero), marked as covering
-    // zero seeds.
-    EXPECT_EQ(results[1].vms.size(), 0u);
-    EXPECT_EQ(results[1].seedsUsed, 0);
-    EXPECT_EQ(results[1].netPackets, 0u);
-    EXPECT_EQ(results[1].netAvgLatency, 0.0);
-
-    // seeds_used reaches the JSON envelope only for averaged results.
-    const json::Value ok_doc = runResultJson(clean, results[0]);
-    ASSERT_NE(ok_doc.find("result")->find("seeds_used"), nullptr);
-    EXPECT_EQ(
-        ok_doc.find("result")->find("seeds_used")->asUint(), 2u);
-    const RunResult single = runExperiment(clean);
-    const json::Value single_doc = runResultJson(clean, single);
-    EXPECT_EQ(single_doc.find("result")->find("seeds_used"), nullptr);
 }
 
 // ---------------------------------------------------------------- //

@@ -3,19 +3,21 @@
  * Determinism contract of the simulator and the sweep engine:
  *  (a) the same RunConfig + seed always produces bit-identical
  *      RunResults, and
- *  (b) the parallel sweep engine (runSweep / runSweepAveraged) is
- *      bit-identical to serial runExperiment / averaging, regardless
- *      of worker count.
+ *  (b) the parallel sweep engine (runSweep, and averageRunResults
+ *      over its outcomes) is bit-identical to serial runExperiment /
+ *      averaging, regardless of worker count.
  * This is what makes the paper figures reproducible and lets the
  * benches fan out over host threads without changing any number.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/experiment.hh"
 #include "core/mix.hh"
+#include "core/report.hh"
 #include "exec/sweep.hh"
 
 namespace consim
@@ -33,6 +35,23 @@ quickConfig(SchedPolicy policy, SharingDegree sharing,
     cfg.warmupCycles = 10'000;
     cfg.measureCycles = 20'000;
     return cfg;
+}
+
+/** Run @p cfg under each of @p seeds on a @p jobs-thread sweep and
+ *  average the outcomes. */
+RunResult
+sweepAveraged(const RunConfig &cfg,
+              const std::vector<std::uint64_t> &seeds, int jobs = 0)
+{
+    std::vector<RunConfig> configs(seeds.size(), cfg);
+    for (std::size_t s = 0; s < seeds.size(); ++s)
+        configs[s].seed = seeds[s];
+    std::vector<RunResult> group;
+    for (SweepRun &run : runSweep(configs, jobs)) {
+        EXPECT_TRUE(run.ok) << run.errorMessage;
+        group.push_back(std::move(run.result));
+    }
+    return averageRunResults(std::move(group));
 }
 
 ::testing::AssertionResult
@@ -98,15 +117,14 @@ TEST(Determinism, ParallelSweepMatchesSerialRuns)
         quickConfig(SchedPolicy::Random, SharingDegree::Shared8, 4),
     };
 
-    // Force real pool parallelism even on a single-core host.
-    SweepOptions opts;
-    opts.jobs = 4;
-    const auto parallel = runSweep(configs, opts);
+    // Force real thread parallelism even on a single-core host.
+    const auto parallel = runSweep(configs, 4);
 
     ASSERT_EQ(parallel.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
+        ASSERT_TRUE(parallel[i].ok) << parallel[i].errorMessage;
         const RunResult serial = runExperiment(configs[i]);
-        EXPECT_TRUE(identical(serial, parallel[i]))
+        EXPECT_TRUE(identical(serial, parallel[i].result))
             << "config " << i;
     }
 }
@@ -117,10 +135,7 @@ TEST(Determinism, SweepAveragedMatchesSerialAveraging)
     const RunConfig cfg = quickConfig(SchedPolicy::Affinity,
                                       SharingDegree::Shared4, 999);
 
-    SweepOptions opts;
-    opts.jobs = 3;
-    const RunResult parallel =
-        runSweepAveraged({cfg}, seeds, opts).front();
+    const RunResult parallel = sweepAveraged(cfg, seeds, 3);
 
     std::vector<RunResult> runs;
     for (const auto seed : seeds) {
@@ -136,7 +151,7 @@ TEST(Determinism, ParallelAndSerialSweepJsonIsByteIdentical)
 {
     // The JSON writer formats numbers with shortest-round-trip
     // std::to_chars and objects keep insertion order, so bit-identical
-    // sweep results must serialize to byte-identical documents.
+    // sweep results must serialize to byte-identical run.v1 envelopes.
     std::vector<RunConfig> configs = {
         quickConfig(SchedPolicy::Affinity, SharingDegree::Shared4, 5),
         quickConfig(SchedPolicy::RoundRobin, SharingDegree::Shared2,
@@ -144,27 +159,26 @@ TEST(Determinism, ParallelAndSerialSweepJsonIsByteIdentical)
         quickConfig(SchedPolicy::Random, SharingDegree::Shared16, 7),
     };
 
-    SweepOptions parallel_opts;
-    parallel_opts.jobs = 3;
-    const std::string parallel_doc =
-        sweepResultsJson(configs, runSweep(configs, parallel_opts))
-            .dump(2);
+    const auto parallel = runSweep(configs, 3);
+    const auto serial = runSweep(configs, 1);
+    ASSERT_EQ(parallel.size(), configs.size());
+    ASSERT_EQ(serial.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        ASSERT_TRUE(parallel[i].ok) << parallel[i].errorMessage;
+        ASSERT_TRUE(serial[i].ok) << serial[i].errorMessage;
+        const std::string doc =
+            runResultJson(configs[i], parallel[i].result).dump(2);
+        EXPECT_EQ(doc,
+                  runResultJson(configs[i], serial[i].result).dump(2))
+            << "config " << i;
 
-    SweepOptions serial_opts;
-    serial_opts.jobs = 1;
-    const std::string serial_doc =
-        sweepResultsJson(configs, runSweep(configs, serial_opts))
-            .dump(2);
-
-    EXPECT_EQ(parallel_doc, serial_doc);
-
-    // And the document is valid JSON with the expected schema tag.
-    json::Value parsed;
-    std::string err;
-    ASSERT_TRUE(json::parse(parallel_doc, parsed, &err)) << err;
-    ASSERT_NE(parsed.find("schema"), nullptr);
-    EXPECT_EQ(parsed.find("schema")->str(), "consim.sweep.v2");
-    EXPECT_EQ(parsed.find("points")->size(), configs.size());
+        // And each envelope is valid JSON with the run.v1 tag.
+        json::Value parsed;
+        std::string err;
+        ASSERT_TRUE(json::parse(doc, parsed, &err)) << err;
+        ASSERT_NE(parsed.find("schema"), nullptr);
+        EXPECT_EQ(parsed.find("schema")->str(), "consim.run.v1");
+    }
 }
 
 TEST(Determinism, AveragedNetPacketsIsAMeanNotASum)
@@ -178,7 +192,7 @@ TEST(Determinism, AveragedNetPacketsIsAMeanNotASum)
     c2.seed = 2;
     const RunResult a = runExperiment(c1);
     const RunResult b = runExperiment(c2);
-    const RunResult avg = runAveraged(cfg, seeds);
+    const RunResult avg = sweepAveraged(cfg, seeds);
     const std::uint64_t expected = static_cast<std::uint64_t>(
         (static_cast<double>(a.netPackets) +
          static_cast<double>(b.netPackets)) /

@@ -3,12 +3,14 @@
  * Hardening-layer tests: check levels, SimError, the deterministic
  * fault catalog tripping its matching checker/watchdog, the
  * directory audit catching a cached block with no directory entry
- * through both its entry points, and the crash-isolated sweep engine
- * salvaging poisoned batches.
+ * through both its entry points, the crash-isolated sweep engine
+ * running each point once and isolating its failure, and the bench
+ * sweep exiting on a failed run.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -20,6 +22,7 @@
 #include "core/experiment.hh"
 #include "core/fault.hh"
 #include "core/mix.hh"
+#include "core/report.hh"
 #include "exec/sweep.hh"
 #include "system_rig.hh"
 
@@ -314,91 +317,108 @@ TEST_F(DirectoryAuditDeathTest, GlobalCheckNamesCachedBlockWithoutEntry)
 }
 
 // ---------------------------------------------------------------- //
-// Crash-isolated sweeps.                                            //
+// Crash-isolated sweeps: each point runs once, under its own seed.  //
 // ---------------------------------------------------------------- //
 
-TEST(SweepHardening, PoisonedPointIsIsolatedAndRetried)
+namespace
 {
-    std::vector<RunConfig> configs = {quickConfig(1), quickConfig(2),
-                                      poisonedConfig(3),
-                                      quickConfig(4)};
-    SweepOptions opts;
-    opts.jobs = 2;
-    opts.maxRetries = 1;
-    const std::vector<SweepRun> runs = runSweepEx(configs, opts);
+
+/** Expect @p run to be exactly what one direct run of @p cfg throws:
+ *  the same error under the configured seed, with no second try. */
+void
+expectFailsOnce(const SweepRun &run, const RunConfig &cfg)
+{
+    EXPECT_FALSE(run.ok);
+    try {
+        runExperiment(cfg);
+        ADD_FAILURE() << "expected the point to trip";
+    } catch (const SimError &e) {
+        EXPECT_EQ(run.errorKind, toString(e.kind()));
+        EXPECT_EQ(run.errorMessage, e.what());
+        EXPECT_EQ(run.diag, e.diag());
+        EXPECT_EQ(run.ckpt, e.ckpt());
+    }
+}
+
+/** @p text as a POSIX extended regex that matches it literally. */
+std::string
+regexQuote(const std::string &text)
+{
+    std::string out;
+    for (const char c : text) {
+        if (std::strchr("\\^$.|?*+()[]{}", c))
+            out += '\\';
+        out += c;
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(SweepHardening, PoisonedPointIsIsolatedAndFailsOnce)
+{
+    const std::vector<RunConfig> configs = {quickConfig(1), quickConfig(2),
+                                            poisonedConfig(3),
+                                            quickConfig(4)};
+    const std::vector<SweepRun> runs = runSweep(configs, 2);
     ASSERT_EQ(runs.size(), 4u);
     for (const std::size_t i : {0u, 1u, 3u}) {
         EXPECT_TRUE(runs[i].ok) << "point " << i;
-        EXPECT_EQ(runs[i].retries, 0) << "point " << i;
+        EXPECT_GT(runs[i].result.vms.size(), 0u) << "point " << i;
     }
-    EXPECT_FALSE(runs[2].ok);
-    EXPECT_EQ(runs[2].retries, opts.maxRetries);
     EXPECT_EQ(runs[2].errorKind, "watchdog");
     EXPECT_FALSE(runs[2].errorMessage.empty());
     EXPECT_FALSE(runs[2].diag.empty());
-
-    // runSweep salvages the batch: good points keep their results.
-    const std::vector<RunResult> salvaged = runSweep(configs, opts);
-    ASSERT_EQ(salvaged.size(), 4u);
-    EXPECT_GT(salvaged[0].vms.size(), 0u);
-    EXPECT_EQ(salvaged[2].vms.size(), 0u); // default-constructed
-    EXPECT_GT(salvaged[3].vms.size(), 0u);
+    expectFailsOnce(runs[2], configs[2]);
 }
 
-TEST(SweepHardening, PointDeadlineAppliesToConfigsWithoutOne)
+TEST(SweepHardening, ConfigDeadlineFailsItsPoint)
 {
-    SweepOptions opts;
-    opts.jobs = 1;
-    opts.maxRetries = 0;
-    opts.pointDeadlineCycles = 5'000;
-    const auto runs = runSweepEx({quickConfig(1)}, opts);
-    ASSERT_EQ(runs.size(), 1u);
+    // RunConfig::cycleDeadline is the per-point budget; it fails its
+    // own point and no other.
+    RunConfig late = quickConfig(1);
+    late.cycleDeadline = 5'000;
+    const auto runs = runSweep({late, quickConfig(2)}, 1);
+    ASSERT_EQ(runs.size(), 2u);
     EXPECT_FALSE(runs[0].ok);
     EXPECT_EQ(runs[0].errorKind, "deadline");
+    EXPECT_TRUE(runs[1].ok);
 }
 
 TEST(SweepHardening, PoisonedSweepJsonIsByteIdenticalSerialVsParallel)
 {
     std::vector<RunConfig> configs = {quickConfig(5), poisonedConfig(6),
                                       quickConfig(7), quickConfig(8)};
+    const auto parallel = runSweep(configs, 3);
+    const auto serial = runSweep(configs, 1);
+    ASSERT_EQ(parallel.size(), configs.size());
+    ASSERT_EQ(serial.size(), configs.size());
 
-    SweepOptions parallel_opts;
-    parallel_opts.jobs = 3;
-    parallel_opts.maxRetries = 1;
-    const std::string parallel_doc =
-        sweepResultsJson(configs, runSweepEx(configs, parallel_opts))
-            .dump(2);
+    // Outcome by outcome, field by field; a good point by the bytes
+    // of its consim.run.v1 envelope.
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        const SweepRun &p = parallel[i];
+        const SweepRun &s = serial[i];
+        EXPECT_EQ(p.ok, s.ok) << "point " << i;
+        EXPECT_EQ(p.errorKind, s.errorKind) << "point " << i;
+        EXPECT_EQ(p.errorMessage, s.errorMessage) << "point " << i;
+        EXPECT_EQ(p.diag, s.diag) << "point " << i;
+        EXPECT_EQ(p.ckpt, s.ckpt) << "point " << i;
+        EXPECT_EQ(runResultJson(configs[i], p.result).dump(2),
+                  runResultJson(configs[i], s.result).dump(2))
+            << "point " << i;
+    }
 
-    SweepOptions serial_opts;
-    serial_opts.jobs = 1;
-    serial_opts.maxRetries = 1;
-    const std::string serial_doc =
-        sweepResultsJson(configs, runSweepEx(configs, serial_opts))
-            .dump(2);
-
-    EXPECT_EQ(parallel_doc, serial_doc);
-
-    json::Value parsed;
+    // The poisoned point carries its kind and the consim.diag.v1
+    // dump; the good points succeed.
+    EXPECT_FALSE(parallel[1].ok);
+    EXPECT_EQ(parallel[1].errorKind, "watchdog");
+    json::Value diag;
     std::string err;
-    ASSERT_TRUE(json::parse(parallel_doc, parsed, &err)) << err;
-    EXPECT_EQ(parsed.find("schema")->str(), "consim.sweep.v2");
-    const json::Value *points = parsed.find("points");
-    ASSERT_NE(points, nullptr);
-    ASSERT_EQ(points->size(), configs.size());
-
-    // The poisoned point carries a structured error with the parsed
-    // consim.diag.v1 dump; the good points inline consim.run.v1.
-    const json::Value &bad = points->at(1);
-    EXPECT_FALSE(bad.find("ok")->boolean());
-    const json::Value *error = bad.find("error");
-    ASSERT_NE(error, nullptr);
-    EXPECT_EQ(error->find("kind")->str(), "watchdog");
-    const json::Value *diag = error->find("diag");
-    ASSERT_NE(diag, nullptr);
-    EXPECT_EQ(diag->find("schema")->str(), "consim.diag.v1");
-    const json::Value &good = points->at(0);
-    EXPECT_TRUE(good.find("ok")->boolean());
-    EXPECT_EQ(good.find("schema")->str(), "consim.run.v1");
+    ASSERT_TRUE(json::parse(parallel[1].diag, diag, &err)) << err;
+    EXPECT_EQ(diag.find("schema")->str(), "consim.diag.v1");
+    for (const std::size_t i : {0u, 2u, 3u})
+        EXPECT_TRUE(parallel[i].ok) << "point " << i;
 }
 
 TEST(SweepHardening, SixteenPointSweepWithTwoFaultsSalvagesFourteen)
@@ -407,9 +427,7 @@ TEST(SweepHardening, SixteenPointSweepWithTwoFaultsSalvagesFourteen)
     for (std::uint64_t s = 1; s <= 16; ++s)
         configs.push_back(s == 4 || s == 11 ? poisonedConfig(s)
                                             : quickConfig(s));
-    SweepOptions opts;
-    opts.maxRetries = 1;
-    const std::vector<SweepRun> runs = runSweepEx(configs, opts);
+    const std::vector<SweepRun> runs = runSweep(configs);
     ASSERT_EQ(runs.size(), 16u);
     int good = 0, bad = 0;
     for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -419,7 +437,6 @@ TEST(SweepHardening, SixteenPointSweepWithTwoFaultsSalvagesFourteen)
             ++bad;
             EXPECT_TRUE(i == 3 || i == 10) << "unexpected failure at "
                                            << i;
-            EXPECT_EQ(runs[i].retries, opts.maxRetries);
             EXPECT_EQ(runs[i].errorKind, "watchdog");
         }
     }
@@ -427,19 +444,98 @@ TEST(SweepHardening, SixteenPointSweepWithTwoFaultsSalvagesFourteen)
     EXPECT_EQ(bad, 2);
 }
 
-TEST(SweepHardening, AveragedSweepDropsFailedSeeds)
+TEST(SweepHardening, AveragedSweepReportsSeedsUsed)
 {
-    // One config whose faults only fire under its own plan: averaging
-    // over seeds where every seed fails yields a default result, and
-    // a mixed batch drops only the failing config's seeds.
-    std::vector<RunConfig> configs = {quickConfig(0),
-                                      poisonedConfig(0)};
+    // benchSweepAveraged reduces each config's seed runs, in config
+    // order, to what serial averaging gives, and says how many seeds
+    // it folded in.
+    RunConfig rr = quickConfig(0);
+    rr.policy = SchedPolicy::RoundRobin;
+    const std::vector<RunConfig> configs = {quickConfig(0), rr};
     const std::vector<std::uint64_t> seeds = {1, 2};
-    SweepOptions opts;
-    opts.jobs = 2;
-    opts.maxRetries = 0;
-    const auto results = runSweepAveraged(configs, seeds, opts);
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_GT(results[0].vms.size(), 0u);
-    EXPECT_EQ(results[1].vms.size(), 0u);
+    const auto results = benchSweepAveraged(configs, seeds);
+    ASSERT_EQ(results.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        std::vector<RunResult> group;
+        for (const auto seed : seeds) {
+            RunConfig c = configs[i];
+            c.seed = seed;
+            group.push_back(runExperiment(c));
+        }
+        EXPECT_EQ(runResultJson(configs[i], results[i]).dump(2),
+                  runResultJson(configs[i],
+                                averageRunResults(std::move(group)))
+                      .dump(2))
+            << "config " << i;
+        EXPECT_EQ(results[i].seedsUsed, 2);
+        for (const auto &vm : results[i].vms) {
+            EXPECT_EQ(vm.cyclesPerTransaction, vm.cyclesPerTransaction)
+                << "NaN leaked into an averaged metric";
+        }
+    }
+
+    // seeds_used reaches the JSON envelope only for averaged results.
+    const json::Value avg_doc = runResultJson(configs[0], results[0]);
+    ASSERT_NE(avg_doc.find("result")->find("seeds_used"), nullptr);
+    EXPECT_EQ(avg_doc.find("result")->find("seeds_used")->asUint(), 2u);
+    const json::Value single_doc =
+        runResultJson(configs[0], runExperiment(configs[0]));
+    EXPECT_EQ(single_doc.find("result")->find("seeds_used"), nullptr);
+}
+
+TEST(SweepHardeningDeathTest, AveragedSweepExitsOnFailedSeed)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // A bench renders nothing from a failed run: any failed seed of
+    // any config exits 1, naming the error kind and echoing the
+    // config that ran.
+    RunConfig failed = poisonedConfig(0);
+    failed.seed = 1;
+    EXPECT_EXIT(benchSweepAveraged({quickConfig(0), poisonedConfig(0)},
+                                   {1, 2}),
+                ::testing::ExitedWithCode(1),
+                "failed \\(watchdog\\): [^\n]*\n  config: " +
+                    regexQuote(toJson(failed).dump()));
+}
+
+// ---------------------------------------------------------------- //
+// Retrying a failed point is its caller's call: resume its snapshot. //
+// ---------------------------------------------------------------- //
+
+TEST(SweepRetry, ResumesFromPreTripSnapshotUnderConfiguredSeed)
+{
+    // The sweep runs a tripped point once and hands back its pre-trip
+    // snapshot; resuming that snapshot finishes the configured run.
+    RunConfig cfg = quickConfig(7);
+    cfg.watchdogIntervalCycles = 5'000;
+    const RunResult full = runExperiment(cfg);
+
+    RunConfig trip = cfg;
+    trip.cycleDeadline = 18'000;
+    trip.ckptEveryCycles = 6'000;
+    const std::vector<SweepRun> runs = runSweep({trip}, 1);
+    ASSERT_EQ(runs.size(), 1u);
+    EXPECT_FALSE(runs[0].ok);
+    EXPECT_EQ(runs[0].errorKind, "deadline");
+    ASSERT_FALSE(runs[0].ckpt.empty());
+    json::Value doc;
+    std::string err;
+    ASSERT_TRUE(json::parse(runs[0].ckpt, doc, &err)) << err;
+    // The snapshot carries the configured seed...
+    EXPECT_EQ(configFromCheckpoint(doc).seed, trip.seed);
+    // ...and resuming it reproduces the uninterrupted run bit for bit.
+    EXPECT_EQ(runResultJson(cfg, resumeExperiment(doc)).dump(2),
+              runResultJson(cfg, full).dump(2));
+}
+
+TEST(SweepRetry, WithoutSnapshotsFailsOnceUnderItsOwnSeed)
+{
+    // No periodic snapshots: the wedged point fails exactly as one
+    // direct run of its own config does, and carries no snapshot.
+    const RunConfig cfg = poisonedConfig(7);
+    const std::vector<SweepRun> runs = runSweep({cfg}, 1);
+    ASSERT_EQ(runs.size(), 1u);
+    EXPECT_EQ(runs[0].errorKind, "watchdog");
+    EXPECT_TRUE(runs[0].ckpt.empty());
+    expectFailsOnce(runs[0], cfg);
 }

@@ -9,6 +9,7 @@
 
 #include "core/experiment.hh"
 #include "core/system.hh"
+#include "exec/sweep.hh"
 
 namespace consim
 {
@@ -129,7 +130,15 @@ TEST(Averaging, MultiSeedAveragesMetrics)
     cfg.warmupCycles = 3'000;
     cfg.measureCycles = 10'000;
     const RunResult one = runExperiment(cfg);
-    const RunResult avg = runAveraged(cfg, {1, 2, 3});
+    std::vector<RunConfig> seeds(3, cfg);
+    for (std::size_t s = 0; s < seeds.size(); ++s)
+        seeds[s].seed = 1 + s;
+    std::vector<RunResult> group;
+    for (SweepRun &run : runSweep(seeds)) {
+        ASSERT_TRUE(run.ok) << run.errorMessage;
+        group.push_back(std::move(run.result));
+    }
+    const RunResult avg = averageRunResults(std::move(group));
     ASSERT_EQ(avg.vms.size(), 1u);
     // Counters accumulate; rates average. The averaged rate must be
     // in the convex hull of per-seed rates, so just sanity-check it

@@ -148,7 +148,7 @@ TEST(PaperFiguresDeathTest, FailedPointIsFatal)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     // Core 0 runs a Table II thread and wedges; the watchdog trips on
-    // every attempt of the sweep's retry ladder.
+    // the point's one run.
     RunConfig base = shortBase(5000);
     base.watchdogIntervalCycles = 2000;
     std::string err;
@@ -157,7 +157,7 @@ TEST(PaperFiguresDeathTest, FailedPointIsFatal)
         << err;
     EXPECT_EXIT(regenerate(select({"table2"}), base, {1}),
                 ::testing::ExitedWithCode(1),
-                "paper point failed after 3 attempts \\(watchdog\\)");
+                "point failed \\(watchdog\\)");
 }
 
 std::vector<char *>

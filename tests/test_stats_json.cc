@@ -293,9 +293,10 @@ TEST(RunResultJson, ExtractionMatchesLiveRegistry)
         EXPECT_GT(accesses[v], 0u);
         EXPECT_EQ(accesses[v], a.vms[v].l2Accesses) << "vm " << v;
     }
-    const RunResult b = runSweep({cfg}).front();
+    const SweepRun b = runSweep({cfg}).front();
+    ASSERT_TRUE(b.ok) << b.errorMessage;
     EXPECT_EQ(runResultJson(cfg, a).dump(2),
-              runResultJson(cfg, b).dump(2));
+              runResultJson(cfg, b.result).dump(2));
 }
 
 } // namespace

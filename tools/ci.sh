@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 verify (full build + test suite), resume equivalence
+# CI gate: tier-1 verify (warning-free full build + test suite), resume
+# equivalence
 # (an interrupted+resumed run must match the uninterrupted one byte for
 # byte) on the 16-core chip, a resume chain (a resumed run that trips
 # again must save its own snapshot, and that must resume; a flag the
@@ -10,7 +11,8 @@
 # edge check (run knobs set through the env and through flags make
 # the same envelope), a paper-figures check (one all-figures run of
 # bench/paper_figures prints and writes exactly what the thirteen solo
-# runs do), a zero-allocation
+# runs do), a bench smoke (every extension and ablation bench exits 0
+# and writes one bench.v1 document), a zero-allocation
 # assertion over the measure window, a perf_smoke run (no floor: it
 # only has to run), an isolation smoke (QoS must
 # protect the VM) and a dyn-sched smoke (migration must beat the
@@ -24,9 +26,9 @@
 # with --perf-base), an ASan+UBSan pass over the whole tier-1 suite
 # (memory safety of the registry, JSON layer, and simulator core),
 # plus a ThreadSanitizer
-# pass over the concurrency surface (thread pool + parallel sweep +
-# event queue, and multi-seed QoS and migrating runs on sweep
-# workers).
+# pass over the concurrency surface (the parallel sweep with every
+# sweep test, the event queue, and multi-seed QoS and migrating runs
+# on sweep threads).
 #
 # Usage: tools/ci.sh [--skip-tsan] [--skip-asan] [--skip-checked]
 #                    [--perf-base <ref>]
@@ -56,8 +58,8 @@ done
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-echo "=== tier-1: build + full test suite ==="
-cmake -B build -S . >/dev/null
+echo "=== tier-1: warning-free build + full test suite ==="
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
@@ -279,6 +281,32 @@ rc=0
     echo "paper figures: --bogus wanted exit 2, got $rc" >&2; exit 1; }
 echo "paper figures: union run matches the thirteen solo runs"
 
+echo "=== bench smoke: every extension and ablation bench runs ==="
+# Each bench renders its points from one sweep and exits 1 on a failed
+# run, so exit 0 and one consim.bench.v1 document mean every point ran.
+# The windowed benches run at 20k-cycle windows; fig15 and fig17 fix
+# their own.
+bench_dir="$work/benches"
+mkdir "$bench_dir"
+bench_smoke() {
+    local bench="$1"; shift
+    local rc=0
+    env "$@" "./build/bench/$bench" --json "$bench_dir/$bench.json" \
+        >/dev/null || rc=$?
+    [[ "$rc" == 0 ]] || {
+        echo "bench smoke: $bench exited $rc" >&2; exit 1; }
+    [[ "$(grep -c '^  "schema": "consim.bench.v1",$' \
+        "$bench_dir/$bench.json")" == 1 ]] || {
+        echo "bench smoke: $bench wrote no consim.bench.v1 document" >&2
+        exit 1; }
+}
+for bench in fig14_scaleout ablation_noc ablation_protocol ext_future_work; do
+    bench_smoke "$bench" CONSIM_WARMUP=20000 CONSIM_MEASURE=20000
+done
+bench_smoke fig15_isolation
+bench_smoke fig17_dynsched
+echo "bench smoke: six benches ran, one bench.v1 document each"
+
 echo "=== zero-allocation: measure window allocates nothing ==="
 # The pooled/arena hot paths must keep the steady state off the heap:
 # the global operator-new hook counts every allocation inside the
@@ -465,15 +493,16 @@ if [[ "$skip_tsan" == 1 ]]; then
     exit 0
 fi
 
-echo "=== tsan: thread pool + parallel sweep + event queue ==="
+echo "=== tsan: parallel sweep + event queue ==="
 # A simulation is single-threaded; the concurrency is the sweep engine
-# running whole simulations on pool workers.
+# running whole simulations on sweep threads. Every sweep test lives
+# in test_hardening (SweepHardening, SweepRetry) or test_determinism.
 cmake -B build-tsan -S . -DCONSIM_SAN=thread >/dev/null
 cmake --build build-tsan -j "$(nproc)" \
     --target test_determinism test_event_queue test_hardening \
     consim_run
 (cd build-tsan && ctest --output-on-failure -j "$(nproc)" \
-    -R 'Determinism|CalendarQueue|SweepHardening')
+    -R 'Determinism|CalendarQueue|SweepHardening|SweepRetry')
 
 # Four seeds of the isolation point run as four simulations on sweep
 # workers in one process, so any state the QoS paths (way-mask victim

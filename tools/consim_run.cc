@@ -519,9 +519,8 @@ main(int argc, char **argv)
     if (dump && num_seeds > 1)
         usage("--dump-stats needs a live machine (use --seeds 1)");
 
-    // Unlike batch sweeps, a front-end run fails loudly: no retries,
-    // and the first tripped checker/watchdog/deadline exits with its
-    // diag.
+    // A front-end run fails loudly: the first tripped checker,
+    // watchdog or deadline exits with its diag.
     std::vector<RunResult> group;
     std::ostringstream stats_text;
     json::Value stats_json;
@@ -546,9 +545,7 @@ main(int argc, char **argv)
             seed_cfgs.back().seed =
                 cfg.seed + static_cast<std::uint64_t>(s);
         }
-        SweepOptions opts;
-        opts.maxRetries = 0;
-        std::vector<SweepRun> runs = runSweepEx(seed_cfgs, opts);
+        std::vector<SweepRun> runs = runSweep(seed_cfgs);
         for (std::size_t s = 0; s < runs.size(); ++s) {
             if (!runs[s].ok)
                 failRun(seed_cfgs[s].seed, runs[s].errorKind,
