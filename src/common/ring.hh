@@ -1,17 +1,17 @@
 /**
  * @file
- * Fixed-stride circular FIFO used on the NoC hot path.
+ * Growable circular FIFO: the NIs' per-vnet injection queues.
  *
  * `std::deque` allocates and frees 512-byte chunks as a queue's head
  * crosses chunk boundaries, which shows up as steady-state malloc
- * traffic once a mesh has hundreds of routers ticking every cycle.
- * RingBuf keeps one power-of-two buffer that only grows (never
- * shrinks), so a warmed-up queue performs push/pop with two index
- * updates and no allocator calls.
+ * traffic once a mesh has hundreds of NIs injecting every cycle.
+ * RingBuf keeps one power-of-two buffer that only grows (doubling,
+ * never shrinking), so a warmed-up queue performs push/pop with two
+ * index updates and no allocator calls.
  *
- * The interface is the subset of std::deque the NoC and the
- * checkpoint codec use: front/push_back/push_front/pop_front, size
- * inspection, clear(), and forward iteration in FIFO order.
+ * The interface is the subset of std::deque the NIs and the
+ * checkpoint codec use: front/push_back/pop_front, size inspection,
+ * clear(), and forward iteration in FIFO order.
  */
 
 #ifndef CONSIM_COMMON_RING_HH
@@ -21,13 +21,12 @@
 #include <utility>
 #include <vector>
 
-#include "common/bitops.hh"
 #include "common/logging.hh"
 
 namespace consim
 {
 
-/** Growable power-of-two circular buffer (FIFO + push_front). */
+/** Growable power-of-two circular FIFO. */
 template <typename T>
 class RingBuf
 {
@@ -36,6 +35,8 @@ class RingBuf
 
     bool empty() const { return n_ == 0; }
     std::size_t size() const { return n_; }
+    /** @return slots allocated: 0, then 8, doubling on each growth. */
+    std::size_t capacity() const { return buf_.size(); }
 
     T &
     front()
@@ -59,13 +60,6 @@ class RingBuf
         return buf_[(head_ + i) & mask_];
     }
 
-    T &
-    back()
-    {
-        CONSIM_ASSERT(n_ != 0, "RingBuf::back on empty ring");
-        return buf_[(head_ + n_ - 1) & mask_];
-    }
-
     /** Append a copy of @p v: one copy, straight into the slot. */
     void
     push_back(const T &v)
@@ -73,16 +67,6 @@ class RingBuf
         if (n_ == buf_.size())
             grow();
         buf_[(head_ + n_) & mask_] = v;
-        ++n_;
-    }
-
-    void
-    push_front(T v)
-    {
-        if (n_ == buf_.size())
-            grow();
-        head_ = (head_ + mask_) & mask_; // head - 1 mod capacity
-        buf_[head_] = std::move(v);
         ++n_;
     }
 
@@ -103,14 +87,6 @@ class RingBuf
     {
         head_ = 0;
         n_ = 0;
-    }
-
-    /** Pre-size the buffer to at least @p cap elements. */
-    void
-    reserve(std::size_t cap)
-    {
-        if (cap > buf_.size())
-            rebuffer(roundUpPow2(cap));
     }
 
     class const_iterator
@@ -148,20 +124,10 @@ class RingBuf
     const_iterator end() const { return {this, n_}; }
 
   private:
-    static std::size_t
-    roundUpPow2(std::size_t x)
-    {
-        return isPow2(x) ? x
-                         : std::size_t(1)
-                               << (floorLog2(x) + 1);
-    }
-
-    void grow() { rebuffer(buf_.empty() ? 8 : buf_.size() * 2); }
-
     void
-    rebuffer(std::size_t cap)
+    grow()
     {
-        std::vector<T> next(cap);
+        std::vector<T> next(buf_.empty() ? 8 : buf_.size() * 2);
         for (std::size_t i = 0; i < n_; ++i)
             next[i] = std::move((*this)[i]);
         buf_ = std::move(next);

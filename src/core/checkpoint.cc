@@ -902,28 +902,35 @@ struct CkptAccess
         return p;
     }
 
+    /**
+     * Encode router @p r at snapshot cycle @p now (the mesh last
+     * ticked now - 1): each VC's queue in FIFO order, and each busy
+     * output's flits still to send, remaining = done - now + 1.
+     */
     static Value
-    saveRouter(const Router &r)
+    saveRouter(const Router &r, Cycle now)
     {
+        const PacketPool &pool = *r.pool_;
         Value ins = Value::array();
-        for (const Router::InputVc &ivc : r.inputs_) {
+        for (int i = 0; i < NumPorts * r.totalVcs_; ++i) {
             Value q = Value::array();
-            for (const RouterPacket &p : ivc.q)
-                q.push(savePacket(p));
+            for (unsigned k = 0; k < r.qLen_[i]; ++k)
+                q.push(savePacket(pool[r.slot(i, k)]));
             Value e = Value::object();
-            e.set("free", ivc.freeFlits);
+            e.set("free", int(r.credits_[i]));
             e.set("q", std::move(q));
             ins.push(std::move(e));
         }
         Value outs = Value::array();
         for (int p = 0; p < NumPorts; ++p) {
             const Router::OutPort &o = r.outputs_[p];
+            const bool busy = (r.outBusy_ >> p) & 1;
             Value e = Value::object();
-            e.set("busy", o.busy);
-            if (o.busy) {
-                e.set("remaining", o.remaining);
+            e.set("busy", busy);
+            if (busy) {
+                e.set("remaining", static_cast<int>(o.done - now + 1));
                 e.set("dst_vc", o.dstVc);
-                e.set("pkt", savePacket(o.pkt));
+                e.set("pkt", savePacket(pool[o.pkt]));
             }
             outs.push(std::move(e));
         }
@@ -932,85 +939,100 @@ struct CkptAccess
         v.set("outputs", std::move(outs));
         v.set("rr", r.rrInput_);
         v.set("buffered", r.buffered_);
-        v.set("busy_outputs", r.busyOutputs_);
+        v.set("busy_outputs", r.transitPackets());
         return v;
     }
 
     /**
-     * Decode one router record strictly. The wake cycle, activity
-     * sets and occupancy mask restore derives, and the allocator's
-     * indexing, all trust these fields, so each must be one a run can
-     * reach; per-VC credit conservation across the mesh is checked
-     * once every record is in (loadNet).
+     * Decode one router record strictly into the mesh's cleared
+     * packet pool. The wake cycle, activity sets, finishing ring and
+     * occupancy mask restore derives, and the allocator's indexing,
+     * all trust these fields, so each must be one a run can reach;
+     * per-VC credit conservation across the mesh and the pool census
+     * are checked once every record is in (loadNet).
      */
     static void
     loadRouter(Router &r, const Value &v, Cycle now)
     {
         const char *refusal = "checkpoint: bad router record";
         const NocParams &np = r.params_;
+        PacketPool &pool = *r.pool_;
+        const auto pooled = [&](const RouterPacket &pkt) {
+            CONSIM_ASSERT(pool.live() < pool.bound(), refusal,
+                          " (router ", r.tile_, ": more packets than "
+                          "the mesh's ", pool.bound(), " pool slots)");
+            const PacketId h = pool.alloc();
+            pool[h] = pkt;
+            return h;
+        };
         const Value &ins = ckptField(v, "inputs");
-        CONSIM_ASSERT(ins.size() == r.inputs_.size(),
+        const int vcs = NumPorts * r.totalVcs_;
+        CONSIM_ASSERT(ins.size() == static_cast<std::size_t>(vcs),
                       "checkpoint: router VC layout mismatch");
         int buffered = 0;
-        for (std::size_t i = 0; i < r.inputs_.size(); ++i) {
-            Router::InputVc &ivc = r.inputs_[i];
+        for (int i = 0; i < vcs; ++i) {
             const Value &e = ins.at(i);
             const std::int64_t free = asInt(ckptField(e, "free"));
             CONSIM_ASSERT(free >= 0 && free <= np.vcBufferFlits, refusal,
                           " (router ", r.tile_, ": VC ", i, " free ",
                           free, ")");
-            ivc.freeFlits = static_cast<int>(free);
-            const int vnet = static_cast<int>(i) % r.totalVcs_ /
-                             np.vcsPerVnet;
-            ivc.q.clear();
-            for (const Value &p : ckptField(e, "q").items()) {
-                ivc.q.push_back(loadPacket(r, p, vnet, -1, now));
+            r.credits_[i] = static_cast<std::int16_t>(free);
+            const int vnet = i % r.totalVcs_ / np.vcsPerVnet;
+            const Value &q = ckptField(e, "q");
+            // A packet holds at least one flit of its VC's buffer.
+            CONSIM_ASSERT(q.size() <= static_cast<std::size_t>(
+                                          np.vcBufferFlits),
+                          refusal, " (router ", r.tile_, ": VC ", i,
+                          " holds ", q.size(), " packets)");
+            r.qHead_[i] = 0;
+            r.qLen_[i] = 0;
+            for (const Value &p : q.items()) {
+                const PacketId h = pooled(loadPacket(r, p, vnet, -1, now));
+                r.slot(i, r.qLen_[i]++) = h;
                 ++buffered;
             }
         }
         const Value &outs = ckptField(v, "outputs");
         CONSIM_ASSERT(outs.size() == NumPorts,
                       "checkpoint: router port count mismatch");
-        int busy = 0;
+        r.outBusy_ = 0;
         for (int p = 0; p < NumPorts; ++p) {
             Router::OutPort &o = r.outputs_[p];
             const Value &e = outs.at(p);
-            o.busy = ckptField(e, "busy").boolean();
-            if (o.busy) {
-                o.pkt = loadPacket(r, ckptField(e, "pkt"), -1, p, now);
-                // Its VC downstream belongs to its vnet.
-                const int vnet = vnetOf(o.pkt.msg.type);
-                const std::int64_t rem = asInt(ckptField(e, "remaining"));
-                const std::int64_t dst = asInt(ckptField(e, "dst_vc"));
-                const int lo = vnet * np.vcsPerVnet;
-                const bool dst_ok =
-                    p == PortLocal
-                        ? dst == 0
-                        : dst >= lo && dst < lo + np.vcsPerVnet;
-                CONSIM_ASSERT(rem >= 1 && rem <= o.pkt.lenFlits && dst_ok,
-                              refusal, " (router ", r.tile_, ": port ", p,
-                              " remaining ", rem, " dst_vc ", dst, ")");
-                o.remaining = static_cast<int>(rem);
-                o.dstVc = static_cast<int>(dst);
-                ++busy;
-            } else {
-                o.remaining = 0;
-                o.dstVc = 0;
-                o.pkt = RouterPacket{};
-            }
+            o = Router::OutPort{};
+            if (!ckptField(e, "busy").boolean())
+                continue;
+            const RouterPacket pkt =
+                loadPacket(r, ckptField(e, "pkt"), -1, p, now);
+            // Its VC downstream belongs to its vnet.
+            const int vnet = vnetOf(pkt.msg.type);
+            const std::int64_t rem = asInt(ckptField(e, "remaining"));
+            const std::int64_t dst = asInt(ckptField(e, "dst_vc"));
+            const int lo = vnet * np.vcsPerVnet;
+            const bool dst_ok =
+                p == PortLocal ? dst == 0
+                               : dst >= lo && dst < lo + np.vcsPerVnet;
+            CONSIM_ASSERT(rem >= 1 && rem <= pkt.lenFlits && dst_ok,
+                          refusal, " (router ", r.tile_, ": port ", p,
+                          " remaining ", rem, " dst_vc ", dst, ")");
+            o.done = now + static_cast<Cycle>(rem) - 1;
+            o.pkt = pooled(pkt);
+            o.dstVc = static_cast<int>(dst);
+            r.outBusy_ |= 1u << p;
         }
         const std::int64_t rr = asInt(ckptField(v, "rr"));
-        CONSIM_ASSERT(rr >= 0 && rr < NumPorts * r.totalVcs_, refusal,
-                      " (router ", r.tile_, ": rr ", rr, ")");
+        CONSIM_ASSERT(rr >= 0 && rr < vcs, refusal, " (router ", r.tile_,
+                      ": rr ", rr, ")");
         r.rrInput_ = static_cast<int>(rr);
         const std::int64_t rec_buffered = asInt(ckptField(v, "buffered"));
         const std::int64_t rec_busy = asInt(ckptField(v, "busy_outputs"));
-        CONSIM_ASSERT(rec_buffered == buffered && rec_busy == busy,
+        CONSIM_ASSERT(rec_buffered == buffered &&
+                          rec_busy == r.transitPackets(),
                       refusal, " (router ", r.tile_, ": buffered ",
                       rec_buffered, " for ", buffered, " packets, ",
-                      "busy_outputs ", rec_busy, " for ", busy, ")");
+                      "busy_outputs ", rec_busy, " for ",
+                      r.transitPackets(), ")");
         r.buffered_ = buffered;
-        r.busyOutputs_ = busy;
         r.restoreDerived();
     }
 
@@ -1025,7 +1047,7 @@ struct CkptAccess
             v.set("kind", "mesh");
             Value routers = Value::array();
             for (const auto &r : mesh->routers_)
-                routers.push(saveRouter(*r));
+                routers.push(saveRouter(*r, s.now_));
             v.set("routers", std::move(routers));
             Value nis = Value::array();
             for (const auto &ni : mesh->nis_) {
@@ -1063,6 +1085,11 @@ struct CkptAccess
             const Value &routers = ckptField(v, "routers");
             CONSIM_ASSERT(routers.size() == mesh->routers_.size(),
                           "checkpoint: router count mismatch");
+            // The snapshot is taken between ticks: the mesh last
+            // ticked the cycle before, and the records rebuild the
+            // packet pool and the output stamps.
+            mesh->lastTick_ = s.now_ == 0 ? 0 : s.now_ - 1;
+            mesh->shared_.clearTraffic();
             for (std::size_t i = 0; i < mesh->routers_.size(); ++i)
                 loadRouter(*mesh->routers_[i], routers.at(i), s.now_);
             const Value &nis = ckptField(v, "nis");

@@ -8,21 +8,31 @@
 namespace consim
 {
 
-Mesh::Mesh(const MachineConfig &cfg)
-    : shared_(cfg.meshX, cfg.numCores())
+namespace
 {
-    params_.meshX = cfg.meshX;
-    params_.meshY = cfg.meshY;
-    params_.numVnets = cfg.numVnets;
-    params_.vcsPerVnet = cfg.vcsPerVnet;
-    // One header flit plus the 64B block payload.
-    params_.dataFlits =
-        (blockBytes + cfg.flitBytes - 1) / cfg.flitBytes + 1;
-    params_.ctrlFlits = 1;
-    params_.vcBufferFlits =
-        std::max(cfg.vcBufferFlits, params_.dataFlits);
-    params_.pipelineDelay = 2; // 3-stage pipe: RC, VA/SA, ST
 
+NocParams
+nocParams(const MachineConfig &cfg)
+{
+    NocParams p;
+    p.meshX = cfg.meshX;
+    p.meshY = cfg.meshY;
+    p.numVnets = cfg.numVnets;
+    p.vcsPerVnet = cfg.vcsPerVnet;
+    // One header flit plus the 64B block payload.
+    p.dataFlits = (blockBytes + cfg.flitBytes - 1) / cfg.flitBytes + 1;
+    p.ctrlFlits = 1;
+    p.vcBufferFlits = std::max(cfg.vcBufferFlits, p.dataFlits);
+    p.pipelineDelay = 2; // 3-stage pipe: RC, VA/SA, ST
+    return p;
+}
+
+} // namespace
+
+Mesh::Mesh(const MachineConfig &cfg)
+    : params_(nocParams(cfg)),
+      shared_(params_, packetPoolBound(params_, cfg.numCores()))
+{
     const int n = cfg.numCores();
     routers_.reserve(n);
     nis_.reserve(n);
@@ -62,10 +72,15 @@ void
 Mesh::tick(Cycle now)
 {
     lastTick_ = now;
+    // Every busy output transmits one flit this cycle.
+    stats_.linkBusyCycles += static_cast<std::uint64_t>(shared_.busyOutputs);
     // Each phase visits, in ascending tile order, only the routers or
     // NIs that have work; the others would do nothing.
-    // Phase 1: finish transmissions (arrivals land, ejections fire).
-    shared_.busy.forEach([&](CoreId t) { routers_[t]->tickOutputs(now); });
+    // Phase 1: finish the outputs stamped with this cycle (arrivals
+    // land, ejections fire).
+    TileSet &finishing = shared_.finishingAt(now);
+    finishing.forEach([&](CoreId t) { routers_[t]->tickOutputs(now); });
+    finishing.clear();
     // Phase 2: sources inject into local input VCs.
     shared_.queued.forEach([&](CoreId t) { nis_[t]->tick(now); });
     // Phase 3: switch allocation, at routers whose wake cycle has come.
@@ -85,7 +100,7 @@ Mesh::setQos(VmId protected_vm, int reserved_vcs)
 bool
 Mesh::idle() const
 {
-    return shared_.buffered.empty() && shared_.busy.empty() &&
+    return shared_.buffered.empty() && shared_.busyOutputs == 0 &&
            shared_.queued.empty();
 }
 
@@ -137,6 +152,44 @@ Mesh::checkConservation() const
                               shared_.queued.contains(t), " with ",
                               nis_[t]->queued(), " queued messages");
         }
+    }
+
+    if (shared_.busyOutputs != transit) {
+        CONSIM_CHECK_FAIL("mesh busy-output count drifted (cached=",
+                          shared_.busyOutputs, " recount=", transit, ")");
+    }
+
+    // The pool census: each live slot holds one buffered or in-transit
+    // packet, each such packet's handle is held once, and the free
+    // list holds distinct slots that no one holds.
+    const PacketPool &pool = shared_.pool;
+    if (pool.live() != static_cast<std::size_t>(buffered + transit)) {
+        CONSIM_CHECK_FAIL("packet pool census: ", pool.live(),
+                          " live slots for ", buffered,
+                          " buffered and ", transit,
+                          " in-transit packets");
+    }
+    enum : std::uint8_t { Unseen, Held, Free };
+    std::vector<std::uint8_t> seen(pool.highWater(), Unseen);
+    for (const auto &r : routers_) {
+        r->forEachHeld([&](PacketId h) {
+            if (h >= seen.size() || seen[h] != Unseen) {
+                CONSIM_CHECK_FAIL("packet pool census: router ",
+                                  r->tile(), " holds handle ", h,
+                                  h >= seen.size() ? ", outside the pool"
+                                                   : ", held twice");
+            }
+            seen[h] = Held;
+        });
+    }
+    for (const PacketId h : pool.freeList()) {
+        if (h >= seen.size() || seen[h] != Unseen) {
+            CONSIM_CHECK_FAIL("packet pool census: free-list entry ", h,
+                              h >= seen.size() ? " outside the pool"
+                              : seen[h] == Held ? " is live"
+                                                : " listed twice");
+        }
+        seen[h] = Free;
     }
 
     const std::uint64_t inNetwork =

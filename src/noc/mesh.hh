@@ -22,12 +22,14 @@ namespace consim
 /**
  * Flit-level 2-D mesh interconnect.
  *
- * A tick visits only routers and NIs with work: it walks three
- * activity sets (routers with a busy output, NIs with queued
+ * A tick visits only routers and NIs with work: it walks three sets
+ * (routers with an output finishing this cycle, NIs with queued
  * messages, routers with buffered packets) in ascending tile order,
  * the order a loop over every tile would take, and runs a router's
  * allocation pass only from its wake cycle on (see MeshShared).
- * Checkpoint restore rebuilds this derived state from the queues.
+ * Packets stay in one pool slot from injection to ejection.
+ * Checkpoint restore rebuilds the pool and this derived state from
+ * the queues.
  */
 class Mesh : public Network
 {
@@ -40,10 +42,12 @@ class Mesh : public Network
 
     /**
      * Hardening audit: per-VC flit/credit conservation across every
-     * router (folding in-transit reservations into the equation) and
+     * router (folding in-transit reservations into the equation),
      * global packet conservation (injected - ejected must equal
-     * buffered + NI-queued + in-transit). Throws SimError on
-     * violation.
+     * buffered + NI-queued + in-transit) and the packet pool census
+     * (live slots are the buffered and in-transit packets, each held
+     * once; free-list entries are distinct, in range and not live).
+     * Throws SimError on violation.
      */
     void checkConservation() const override;
 
@@ -55,6 +59,9 @@ class Mesh : public Network
 
     /** @return router at a tile (tests/diagnostics). */
     Router &router(CoreId tile) { return *routers_.at(tile); }
+
+    /** @return the packet pool (tests/diagnostics). */
+    const PacketPool &pool() const { return shared_.pool; }
 
     /** @return the derived NoC parameters. */
     const NocParams &params() const { return params_; }

@@ -35,12 +35,15 @@ NetworkInterface::tick(Cycle now)
                                 &vc))
             continue;
         router_->reserve(PortLocal, vc, len);
-        RouterPacket pkt;
+        // The packet takes its pool slot here and keeps it until it
+        // is ejected.
+        const PacketId h = shared_->pool.alloc();
+        RouterPacket &pkt = shared_->pool[h];
         pkt.msg = std::move(q.front());
+        pkt.lenFlits = len;
         q.pop_front();
         --queuedTotal_;
-        pkt.lenFlits = len;
-        router_->arrive(PortLocal, vc, pkt, now);
+        router_->arrive(PortLocal, vc, h, now);
     }
     if (queuedTotal_ == 0)
         shared_->queued.erase(tile_);

@@ -8,37 +8,54 @@
 namespace consim
 {
 
-MeshShared::MeshShared(int mesh_x, int tiles)
-    : col(static_cast<std::size_t>(tiles)),
-      wake(static_cast<std::size_t>(tiles), 0), buffered(tiles),
-      busy(tiles), queued(tiles)
+MeshShared::MeshShared(const NocParams &params, std::size_t pool_bound)
+    : col(static_cast<std::size_t>(params.meshX * params.meshY)),
+      wake(col.size(), 0), buffered(static_cast<int>(col.size())),
+      queued(static_cast<int>(col.size())),
+      // Outputs finish 1..dataFlits cycles after their grant.
+      finishing(std::size_t(1) << ceilLog2(params.dataFlits + 1),
+                TileSet(static_cast<int>(col.size()))),
+      finishMask(finishing.size() - 1), pool(pool_bound)
 {
-    for (CoreId t = 0; t < tiles; ++t)
-        col[t] = t % mesh_x;
+    for (std::size_t t = 0; t < col.size(); ++t)
+        col[t] = static_cast<int>(t) % params.meshX;
+}
+
+void
+MeshShared::clearTraffic()
+{
+    for (TileSet &s : finishing)
+        s.clear();
+    busyOutputs = 0;
+    pool.clear();
 }
 
 Router::Router(CoreId tile, const NocParams &params, NetworkStats *stats,
                MeshShared *shared)
-    : inputs_(NumPorts * params.totalVcs()), shared_(shared),
-      wake_(&shared->wake.at(tile)), tile_(tile), x_(shared->col.at(tile)),
-      totalVcs_(params.totalVcs()),
-      portVcs_((std::uint64_t(1) << totalVcs_) - 1), params_(params),
-      stats_(stats)
+    : totalVcs_(params.totalVcs()), vcsPerVnet_(params.vcsPerVnet),
+      ringShift_(static_cast<unsigned>(ceilLog2(params.vcBufferFlits))),
+      ringMask_((1u << ringShift_) - 1), shared_(shared),
+      pool_(&shared->pool), wake_(&shared->wake.at(tile)), tile_(tile),
+      x_(shared->col.at(tile)),
+      pipelineDelay_(static_cast<Cycle>(params.pipelineDelay)),
+      portVcs_((std::uint64_t(1) << totalVcs_) - 1),
+      // A VC holds at most vcBufferFlits packets (1 flit minimum).
+      ring_(static_cast<std::size_t>(NumPorts * totalVcs_) << ringShift_),
+      params_(params), stats_(stats)
 {
     CONSIM_ASSERT(params_.vcBufferFlits >= params_.dataFlits,
                   "VC buffer must hold a full data packet");
+    CONSIM_ASSERT(params_.vcBufferFlits <= maxVcBufferFlits,
+                  "a VC's ring position and length fit a byte; ",
+                  params_.vcBufferFlits, "-flit VC buffers exceed it");
     CONSIM_ASSERT(NumPorts * totalVcs_ <= maxInputVcs,
                   "switch allocator tracks input-VC occupancy in one "
                   "64-bit word; ", NumPorts * totalVcs_,
                   " input VCs exceed it");
-    for (auto &vc : inputs_) {
-        vc.freeFlits = params_.vcBufferFlits;
-        // A VC holds at most vcBufferFlits packets (1 flit minimum),
-        // so a warmed ring never grows mid-run.
-        vc.q.reserve(static_cast<std::size_t>(params_.vcBufferFlits));
-    }
-    for (int idx = 0; idx < NumPorts * totalVcs_; ++idx)
+    for (int idx = 0; idx < NumPorts * totalVcs_; ++idx) {
+        credits_[idx] = static_cast<std::int16_t>(params_.vcBufferFlits);
         portOf_[idx] = static_cast<std::uint8_t>(idx / totalVcs_);
+    }
 }
 
 void
@@ -68,13 +85,14 @@ Router::canAccept(int in_port, int vnet, int len, VmId vm,
     // vnet; protected traffic prefers its reserved high VCs and falls
     // back to the shared ones. With no reservation this is exactly
     // the original first-fit scan.
-    const int shared = params_.vcsPerVnet - qosReservedVcs_;
+    const int shared = vcsPerVnet_ - qosReservedVcs_;
     const bool prot =
         qosReservedVcs_ > 0 && vm == qosProtectedVm_;
+    const std::int16_t *credits = &credits_[in_port * totalVcs_];
     if (prot) {
-        for (int i = shared; i < params_.vcsPerVnet; ++i) {
+        for (int i = shared; i < vcsPerVnet_; ++i) {
             const int vc = vcIndex(vnet, i);
-            if (in(in_port, vc).freeFlits >= len) {
+            if (credits[vc] >= len) {
                 if (vc_out)
                     *vc_out = vc;
                 return true;
@@ -83,7 +101,7 @@ Router::canAccept(int in_port, int vnet, int len, VmId vm,
     }
     for (int i = 0; i < shared; ++i) {
         const int vc = vcIndex(vnet, i);
-        if (in(in_port, vc).freeFlits >= len) {
+        if (credits[vc] >= len) {
             if (vc_out)
                 *vc_out = vc;
             return true;
@@ -95,24 +113,24 @@ Router::canAccept(int in_port, int vnet, int len, VmId vm,
 void
 Router::reserve(int in_port, int vc, int len)
 {
-    auto &ivc = in(in_port, vc);
-    CONSIM_ASSERT(ivc.freeFlits >= len, "reserve without space");
-    ivc.freeFlits -= len;
+    std::int16_t &credits = credits_[in_port * totalVcs_ + vc];
+    CONSIM_ASSERT(credits >= len, "reserve without space");
+    credits = static_cast<std::int16_t>(credits - len);
 }
 
 void
-Router::arrive(int in_port, int vc, const RouterPacket &pkt, Cycle now)
+Router::arrive(int in_port, int vc, PacketId pkt, Cycle now)
 {
     const int idx = in_port * totalVcs_ + vc;
-    auto &q = inputs_[idx].q;
-    q.push_back(pkt);
     // RC stage: compute the output port once, on arrival.
-    RouterPacket &p = q.back();
+    RouterPacket &p = (*pool_)[pkt];
     const CoreId dst = p.msg.dstTile;
     p.outPort = xyRoute(tile_, x_, dst, shared_->col[dst]);
-    p.readyCycle = now + params_.pipelineDelay;
+    p.readyCycle = now + pipelineDelay_;
     *wake_ = std::min(*wake_, p.readyCycle);
-    if (q.size() == 1) {
+    const unsigned queued = qLen_[idx]++;
+    slot(idx, queued) = pkt;
+    if (queued == 0) {
         setHead(idx, p);
         occ_ |= std::uint64_t(1) << idx;
     }
@@ -123,20 +141,18 @@ Router::arrive(int in_port, int vc, const RouterPacket &pkt, Cycle now)
 void
 Router::tickOutputs(Cycle now)
 {
-    // Every busy output transmits one flit this cycle.
-    stats_->linkBusyCycles += busyOutputs_;
     for (unsigned bits = outBusy_; bits != 0; bits &= bits - 1) {
         const int port = lowestSetBit(bits);
-        auto &out = outputs_[port];
-        if (--out.remaining > 0)
+        const OutPort &out = outputs_[port];
+        if (out.done != now)
             continue;
-        out.busy = false;
         outBusy_ &= ~(1u << port);
-        if (--busyOutputs_ == 0)
-            shared_->busy.erase(tile_);
+        --shared_->busyOutputs;
         if (port == PortLocal) {
             CONSIM_ASSERT(eject_, "no ejector on router ", tile_);
-            eject_(out.pkt.msg, out.pkt.lenFlits);
+            const RouterPacket &p = (*pool_)[out.pkt];
+            eject_(p.msg, p.lenFlits);
+            pool_->release(out.pkt);
         } else {
             Router *next = neighbor_[port];
             CONSIM_ASSERT(next, "transmit into mesh edge at ", tile_);
@@ -214,8 +230,8 @@ Router::allocatePass(Cycle now, std::uint64_t &used, bool protected_only)
         // ready and whose output is free.
         if (headReady_[idx] > now || ((outBusy_ >> headOut_[idx]) & 1))
             continue;
-        auto &ivc = inputs_[idx];
-        RouterPacket &pkt = ivc.q.front();
+        const PacketId h = slot(idx, 0);
+        const RouterPacket &pkt = (*pool_)[h];
         if (protected_only && pkt.msg.vm != qosProtectedVm_)
             continue;
 
@@ -236,22 +252,28 @@ Router::allocatePass(Cycle now, std::uint64_t &used, bool protected_only)
         }
 
         // Grant: occupy the output for the packet's serialization
-        // latency, free this VC's buffer space, advance fairness.
-        auto &out = outputs_[pkt.outPort];
-        out.busy = true;
+        // latency (stamping the cycle it finishes), free this VC's
+        // buffer space, advance fairness.
+        OutPort &out = outputs_[pkt.outPort];
         outBusy_ |= 1u << pkt.outPort;
-        if (busyOutputs_++ == 0)
-            shared_->busy.insert(tile_);
-        out.remaining = pkt.lenFlits;
+        ++shared_->busyOutputs;
+        out.done = now + static_cast<Cycle>(pkt.lenFlits);
+        out.pkt = h;
         out.dstVc = downVc;
-        out.pkt = pkt;
-        ivc.q.pop_front();
-        if (ivc.q.empty())
+        shared_->finishingAt(out.done).insert(tile_);
+        credits_[idx] = static_cast<std::int16_t>(credits_[idx] +
+                                                  pkt.lenFlits);
+        if (--qLen_[idx] == 0) {
+            // An emptied ring restarts at slot 0, so a VC that seldom
+            // holds more than one packet keeps reusing one warm slot.
+            qHead_[idx] = 0;
             occ_ &= ~(std::uint64_t(1) << idx);
-        else
-            setHead(idx, ivc.q.front());
+        } else {
+            qHead_[idx] = static_cast<std::uint8_t>((qHead_[idx] + 1) &
+                                                    ringMask_);
+            setHead(idx, (*pool_)[slot(idx, 0)]);
+        }
         --buffered_;
-        ivc.freeFlits += out.pkt.lenFlits;
         used |= portVcs_ << (portOf_[idx] * totalVcs_);
         rrInput_ = idx + 1 == total ? 0 : idx + 1;
     }
@@ -261,53 +283,55 @@ void
 Router::restoreDerived()
 {
     occ_ = 0;
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
-        if (inputs_[i].q.empty())
+    for (int idx = 0; idx < NumPorts * totalVcs_; ++idx) {
+        if (qLen_[idx] == 0)
             continue;
-        occ_ |= std::uint64_t(1) << i;
-        setHead(static_cast<int>(i), inputs_[i].q.front());
+        occ_ |= std::uint64_t(1) << idx;
+        setHead(idx, (*pool_)[slot(idx, 0)]);
     }
-    outBusy_ = 0;
-    for (int port = 0; port < NumPorts; ++port)
-        outBusy_ |= unsigned(outputs_[port].busy) << port;
+    for (unsigned bits = outBusy_; bits != 0; bits &= bits - 1) {
+        shared_->finishingAt(outputs_[lowestSetBit(bits)].done)
+            .insert(tile_);
+        ++shared_->busyOutputs;
+    }
     *wake_ = 0;
     if (buffered_ != 0)
         shared_->buffered.insert(tile_);
     else
         shared_->buffered.erase(tile_);
-    if (busyOutputs_ != 0)
-        shared_->busy.insert(tile_);
-    else
-        shared_->busy.erase(tile_);
-}
-
-bool
-Router::idle() const
-{
-    return buffered_ == 0 && busyOutputs_ == 0;
 }
 
 int
 Router::bufferedPackets() const
 {
     int n = 0;
-    for (const auto &ivc : inputs_)
-        n += static_cast<int>(ivc.q.size());
+    for (int idx = 0; idx < NumPorts * totalVcs_; ++idx)
+        n += qLen_[idx];
     return n;
+}
+
+void
+Router::forEachHeld(const std::function<void(PacketId)> &fn) const
+{
+    for (int idx = 0; idx < NumPorts * totalVcs_; ++idx) {
+        for (unsigned k = 0; k < qLen_[idx]; ++k)
+            fn(slot(idx, k));
+    }
+    for (unsigned bits = outBusy_; bits != 0; bits &= bits - 1)
+        fn(outputs_[lowestSetBit(bits)].pkt);
 }
 
 void
 Router::forEachTransit(
     const std::function<void(CoreId, int, int, int)> &fn) const
 {
-    for (int port = 0; port < NumPorts; ++port) {
-        const auto &out = outputs_[port];
-        if (!out.busy || port == PortLocal)
-            continue;
+    for (unsigned bits = outBusy_ & ~1u; bits != 0; bits &= bits - 1) {
+        const int port = lowestSetBit(bits);
+        const OutPort &out = outputs_[port];
         // Non-null: asserted when the grant was issued.
         const Router *next = neighbor_[port];
         fn(next->tile_, oppositePort(port), out.dstVc,
-           out.pkt.lenFlits);
+           (*pool_)[out.pkt].lenFlits);
     }
 }
 
@@ -316,20 +340,38 @@ Router::checkInvariants(
     const std::function<int(int, int)> &inbound_reserved,
     Cycle next) const
 {
+    const PacketPool &pool = *pool_;
+    const auto inPool = [&](PacketId h) -> const RouterPacket & {
+        if (h >= pool.highWater()) {
+            CONSIM_CHECK_FAIL("router ", tile_, ": handle ", h,
+                              " outside the packet pool's ",
+                              pool.highWater(), " slots");
+        }
+        return pool[h];
+    };
     int buffered = 0;
     for (int port = 0; port < NumPorts; ++port) {
-        for (int vc = 0; vc < params_.totalVcs(); ++vc) {
-            const auto &ivc = in(port, vc);
+        for (int vc = 0; vc < totalVcs_; ++vc) {
             const int idx = port * totalVcs_ + vc;
+            const unsigned queued = qLen_[idx];
             const bool occupied = (occ_ >> idx) & 1;
-            if (occupied == ivc.q.empty()) {
+            if (occupied != (queued != 0)) {
                 CONSIM_CHECK_FAIL("router ", tile_, " port ", port,
                                   " vc ", vc, ": occupancy bit ",
-                                  occupied, " with ", ivc.q.size(),
+                                  occupied, " with ", queued,
                                   " queued packets");
             }
-            if (!ivc.q.empty()) {
-                const RouterPacket &head = ivc.q.front();
+            if (queued > ringMask_ + 1 ||
+                (queued == 0 && qHead_[idx] != 0) ||
+                qHead_[idx] > ringMask_) {
+                CONSIM_CHECK_FAIL("router ", tile_, " port ", port,
+                                  " vc ", vc, ": ring head ",
+                                  int(qHead_[idx]), " with ", queued,
+                                  " queued packets in ", ringMask_ + 1,
+                                  " slots");
+            }
+            if (queued != 0) {
+                const RouterPacket &head = inPool(slot(idx, 0));
                 if (headReady_[idx] != head.readyCycle ||
                     headOut_[idx] != head.outPort) {
                     CONSIM_CHECK_FAIL(
@@ -348,7 +390,8 @@ Router::checkInvariants(
                 }
             }
             int queuedFlits = 0;
-            for (const auto &pkt : ivc.q) {
+            for (unsigned k = 0; k < queued; ++k) {
+                const RouterPacket &pkt = inPool(slot(idx, k));
                 if (pkt.lenFlits < 1 ||
                     pkt.lenFlits > params_.vcBufferFlits) {
                     CONSIM_CHECK_FAIL("router ", tile_,
@@ -357,28 +400,28 @@ Router::checkInvariants(
                 }
                 queuedFlits += pkt.lenFlits;
             }
-            buffered += static_cast<int>(ivc.q.size());
-            if (ivc.freeFlits < 0 ||
-                ivc.freeFlits > params_.vcBufferFlits) {
+            buffered += static_cast<int>(queued);
+            const int credits = credits_[idx];
+            if (credits < 0 || credits > params_.vcBufferFlits) {
                 CONSIM_CHECK_FAIL("router ", tile_, " port ", port,
                                   " vc ", vc, ": credit count ",
-                                  ivc.freeFlits, " out of range");
+                                  credits, " out of range");
             }
-            const int held = ivc.freeFlits + queuedFlits;
+            const int held = credits + queuedFlits;
             if (inbound_reserved) {
                 const int transit = inbound_reserved(port, vc);
                 if (held + transit != params_.vcBufferFlits) {
                     CONSIM_CHECK_FAIL(
                         "router ", tile_, " port ", port, " vc ", vc,
                         ": flit credits not conserved (free=",
-                        ivc.freeFlits, " queued=", queuedFlits,
+                        credits, " queued=", queuedFlits,
                         " in_transit=", transit, " buffer=",
                         params_.vcBufferFlits, ")");
                 }
             } else if (held > params_.vcBufferFlits) {
                 CONSIM_CHECK_FAIL(
                     "router ", tile_, " port ", port, " vc ", vc,
-                    ": credits exceed buffer (free=", ivc.freeFlits,
+                    ": credits exceed buffer (free=", credits,
                     " queued=", queuedFlits, " buffer=",
                     params_.vcBufferFlits, ")");
             }
@@ -389,36 +432,36 @@ Router::checkInvariants(
                           ": buffered packet count drifted (cached=",
                           buffered_, " recount=", buffered, ")");
     }
-    int busy = 0;
-    for (int port = 0; port < NumPorts; ++port) {
-        const auto &out = outputs_[port];
-        if (out.busy != ((outBusy_ >> port) & 1)) {
+    // A busy output finishes from the next tick on, within its
+    // packet's length, and its router is in that cycle's finishing
+    // set; a router is in no other set.
+    for (unsigned bits = outBusy_; bits != 0; bits &= bits - 1) {
+        const int port = lowestSetBit(bits);
+        const OutPort &out = outputs_[port];
+        const int len = inPool(out.pkt).lenFlits;
+        if (out.done < next || out.done - next >= Cycle(len)) {
             CONSIM_CHECK_FAIL("router ", tile_, " port ", port,
-                              ": busy-output mask bit ",
-                              (outBusy_ >> port) & 1, " for busy ",
-                              out.busy);
-        }
-        if (out.busy) {
-            ++busy;
-            if (out.remaining < 1) {
-                CONSIM_CHECK_FAIL("router ", tile_,
-                                  ": busy output with ",
-                                  out.remaining, " flits remaining");
-            }
+                              ": busy output finishing at ", out.done,
+                              " with the next tick at ", next,
+                              " for a ", len, "-flit packet");
         }
     }
-    if (busy != busyOutputs_) {
-        CONSIM_CHECK_FAIL("router ", tile_,
-                          ": busy output count drifted (cached=",
-                          busyOutputs_, " recount=", busy, ")");
+    for (Cycle s = 0; s <= shared_->finishMask; ++s) {
+        bool stamped = false;
+        for (unsigned bits = outBusy_; bits != 0; bits &= bits - 1) {
+            stamped |= (outputs_[lowestSetBit(bits)].done &
+                        shared_->finishMask) == s;
+        }
+        if (shared_->finishing[s].contains(tile_) != stamped) {
+            CONSIM_CHECK_FAIL("router ", tile_, ": finishing-ring slot ",
+                              s, " membership ", !stamped,
+                              " disagrees with the busy outputs' stamps");
+        }
     }
-    if (shared_->buffered.contains(tile_) != (buffered_ != 0) ||
-        shared_->busy.contains(tile_) != (busyOutputs_ != 0)) {
-        CONSIM_CHECK_FAIL("router ", tile_, ": activity sets (buffered ",
-                          shared_->buffered.contains(tile_), ", busy ",
-                          shared_->busy.contains(tile_), ") disagree with ",
-                          buffered_, " buffered packets and ",
-                          busyOutputs_, " busy outputs");
+    if (shared_->buffered.contains(tile_) != (buffered_ != 0)) {
+        CONSIM_CHECK_FAIL("router ", tile_, ": buffered-set membership ",
+                          shared_->buffered.contains(tile_), " with ",
+                          buffered_, " buffered packets");
     }
 }
 
@@ -428,24 +471,24 @@ Router::creditJson() const
     auto v = json::Value::object();
     v.set("tile", tile_);
     v.set("buffered", buffered_);
-    v.set("busy_outputs", busyOutputs_);
+    v.set("busy_outputs", transitPackets());
     auto vcs = json::Value::array();
     for (int port = 0; port < NumPorts; ++port) {
-        for (int vc = 0; vc < params_.totalVcs(); ++vc) {
-            const auto &ivc = in(port, vc);
+        for (int vc = 0; vc < totalVcs_; ++vc) {
+            const int idx = port * totalVcs_ + vc;
             // Only VCs holding packets or missing credits are
             // interesting in a hang dump.
-            if (ivc.q.empty() &&
-                ivc.freeFlits == params_.vcBufferFlits) {
+            if (qLen_[idx] == 0 &&
+                credits_[idx] == params_.vcBufferFlits) {
                 continue;
             }
             auto e = json::Value::object();
             e.set("port", port);
             e.set("vc", vc);
-            e.set("free_flits", ivc.freeFlits);
-            e.set("queued", static_cast<int>(ivc.q.size()));
-            if (!ivc.q.empty())
-                e.set("head", describe(ivc.q.front().msg));
+            e.set("free_flits", int(credits_[idx]));
+            e.set("queued", int(qLen_[idx]));
+            if (qLen_[idx] != 0)
+                e.set("head", describe((*pool_)[slot(idx, 0)].msg));
             vcs.push(std::move(e));
         }
     }

@@ -22,7 +22,9 @@
 #ifndef CONSIM_NOC_ROUTER_HH
 #define CONSIM_NOC_ROUTER_HH
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -30,7 +32,7 @@
 #include "coherence/protocol.hh"
 #include "common/bitops.hh"
 #include "common/json.hh"
-#include "common/ring.hh"
+#include "common/logging.hh"
 #include "noc/network.hh"
 #include "noc/routing.hh"
 
@@ -65,6 +67,81 @@ struct RouterPacket
     int outPort = PortLocal;
 };
 
+/** Handle of a packet in its mesh's PacketPool. */
+using PacketId = std::uint32_t;
+
+/**
+ * Every packet of a mesh, from NI injection to ejection, in one slot
+ * of one pool: input VCs and outputs hold 4-byte handles, so a hop
+ * moves an index, not the packet. The slots are reserved up to a
+ * bound (packetPoolBound) but constructed only up to the high-water
+ * mark, and freed slots are reused last in, first out, so the live
+ * ones stay few and warm. An allocation past the bound is an
+ * invariant failure, never growth.
+ */
+class PacketPool
+{
+  public:
+    explicit PacketPool(std::size_t bound) : bound_(bound)
+    {
+        slots_.reserve(bound);
+        free_.reserve(bound);
+    }
+
+    PacketId
+    alloc()
+    {
+        if (!free_.empty()) {
+            const PacketId h = free_.back();
+            free_.pop_back();
+            return h;
+        }
+        CONSIM_ASSERT(slots_.size() < bound_, "packet pool outgrew its "
+                      "bound of ", bound_, " slots");
+        slots_.emplace_back();
+        return static_cast<PacketId>(slots_.size() - 1);
+    }
+
+    void release(PacketId h) { free_.push_back(h); }
+
+    RouterPacket &operator[](PacketId h) { return slots_[h]; }
+    const RouterPacket &operator[](PacketId h) const { return slots_[h]; }
+
+    std::size_t bound() const { return bound_; }
+    /** @return slots ever constructed: the most ever live at once. */
+    std::size_t highWater() const { return slots_.size(); }
+    std::size_t live() const { return slots_.size() - free_.size(); }
+    const std::vector<PacketId> &freeList() const { return free_; }
+
+    /** Free every slot (checkpoint restore refills the pool). */
+    void
+    clear()
+    {
+        slots_.clear();
+        free_.clear();
+    }
+
+  private:
+    std::vector<RouterPacket> slots_;
+    std::vector<PacketId> free_;
+    std::size_t bound_;
+};
+
+/**
+ * @return the most packets a mesh of @p tiles routers can hold at
+ * once. A queued or in-transit packet holds at least one credit flit
+ * of one input VC; an ejecting packet holds none, and each router
+ * ejects at most one at a time.
+ */
+inline std::size_t
+packetPoolBound(const NocParams &params, int tiles)
+{
+    return static_cast<std::size_t>(tiles) *
+           (static_cast<std::size_t>(NumPorts) * params.totalVcs() *
+                params.vcBufferFlits +
+            1);
+}
+
 /** A fixed set of tiles, sized at construction, walked in ascending
  *  tile order. */
 class TileSet
@@ -78,6 +155,8 @@ class TileSet
     void insert(CoreId t) { words_[t >> 6] |= bit(t); }
     void erase(CoreId t) { words_[t >> 6] &= ~bit(t); }
     bool contains(CoreId t) const { return (words_[t >> 6] & bit(t)) != 0; }
+
+    void clear() { std::fill(words_.begin(), words_.end(), 0); }
 
     bool
     empty() const
@@ -114,9 +193,16 @@ class TileSet
 
 /**
  * What a mesh's routers and NIs share: each tile's column, so that
- * routing needs no division, and what Mesh::tick reads to visit only
- * routers and NIs with work: the activity sets and the routers' wake
- * cycles, dense so that a skipped router is never loaded.
+ * routing needs no division; the packet pool; and what Mesh::tick
+ * reads to visit only routers and NIs with work: the activity sets,
+ * the finishing ring and the routers' wake cycles, dense so that a
+ * skipped router is never loaded.
+ *
+ * A grant stamps the cycle its output finishes, and puts the router
+ * in the finishing ring's set for that cycle: a power-of-two number
+ * of sets above the longest packet's flit count, so the sets of the
+ * cycles an output can finish in never alias. Phase 1 of a tick
+ * visits only the routers of the current cycle's set.
  *
  * A router's wake cycle is the earliest cycle at which its
  * allocation pass could grant: the minimum over occupied input VCs
@@ -127,13 +213,24 @@ class TileSet
  */
 struct MeshShared
 {
-    MeshShared(int mesh_x, int tiles);
+    MeshShared(const NocParams &params, std::size_t pool_bound);
+
+    /** @return the set of routers with an output finishing at
+     *  @p cycle. */
+    TileSet &finishingAt(Cycle cycle) { return finishing[cycle & finishMask]; }
+
+    /** Drop every packet, stamp and busy output (checkpoint restore
+     *  rebuilds them from the records). */
+    void clearTraffic();
 
     std::vector<int> col;    ///< tile -> x
     std::vector<Cycle> wake; ///< tile -> router wake cycle
     TileSet buffered;        ///< routers with buffered packets
-    TileSet busy;            ///< routers with a busy output
     TileSet queued;          ///< NIs with queued messages
+    std::vector<TileSet> finishing; ///< cycle & finishMask -> routers
+    Cycle finishMask;
+    int busyOutputs = 0;     ///< outputs mid-transmission, mesh-wide
+    PacketPool pool;
 };
 
 /**
@@ -141,12 +238,19 @@ struct MeshShared
  * registers an ejector for the local port.
  *
  * Only routers with work are visited: the router keeps its tile in
- * the mesh's `buffered` and `busy` sets while it has buffered packets
- * or a busy output. It also keeps a wake cycle, the earliest cycle at
- * which an allocation pass could grant, and the mesh skips the pass
- * before it. Per input VC, the head packet's ready cycle and output
- * port are kept in small arrays, and the busy outputs in a mask, so
- * deciding that a head cannot go reads no packet and no output.
+ * the mesh's `buffered` set while it has buffered packets, and in the
+ * finishing ring's set of each cycle one of its outputs finishes. It
+ * also keeps a wake cycle, the earliest cycle at which an allocation
+ * pass could grant, and the mesh skips the pass before it.
+ *
+ * Packets live in the mesh's PacketPool; an input VC is a ring of
+ * handles, and an output holds the handle of the packet it sends and
+ * the cycle it finishes. The per-VC credits, ring heads and lengths
+ * sit in small arrays apart from the handle rings, which share one
+ * contiguous array. Per input VC, the head packet's ready cycle and
+ * output port are kept in small arrays, and the busy outputs in a
+ * mask, so deciding that a head cannot go reads no packet and no
+ * output.
  */
 class Router
 {
@@ -185,12 +289,13 @@ class Router
     void reserve(int in_port, int vc, int len);
 
     /**
-     * Deliver a packet into an input VC whose space was reserved.
-     * Computes the route (RC stage) and the SA-ready cycle.
+     * Deliver pooled packet @p pkt into an input VC whose space was
+     * reserved. Computes the route (RC stage) and the SA-ready cycle.
      */
-    void arrive(int in_port, int vc, const RouterPacket &pkt, Cycle now);
+    void arrive(int in_port, int vc, PacketId pkt, Cycle now);
 
-    /** Phase 1: advance output transmissions; land arrivals. */
+    /** Phase 1: finish the outputs stamped @p now (arrivals land,
+     *  ejections fire). */
     void tickOutputs(Cycle now);
 
     /** Phase 2: switch allocation (speculative VA+SA), then the next
@@ -198,7 +303,7 @@ class Router
     void tickAllocate(Cycle now);
 
     /** @return true when no buffered packets or active transfers. */
-    bool idle() const;
+    bool idle() const { return buffered_ == 0 && outBusy_ == 0; }
 
     CoreId tile() const { return tile_; }
 
@@ -206,7 +311,11 @@ class Router
     int bufferedPackets() const;
 
     /** @return packets mid-transmission on this router's outputs. */
-    int transitPackets() const { return busyOutputs_; }
+    int transitPackets() const { return popCount(outBusy_); }
+
+    /** Call @p fn on the handle of every buffered and in-transit
+     *  packet (the pool census). */
+    void forEachHeld(const std::function<void(PacketId)> &fn) const;
 
     /**
      * Report every neighbor-bound in-transit packet's downstream
@@ -221,12 +330,12 @@ class Router
     /**
      * Hardening audit: verify credit and packet accounting. For each
      * input VC, freeFlits + queued flits + inbound in-transit flits
-     * must equal vcBufferFlits; buffered_/busyOutputs_ must match a
-     * recount. The derived state must match the queues and outputs:
-     * the occupancy and busy-output masks, the head summaries, the
-     * activity-set membership, and a wake cycle no later than the
-     * first cycle from @p next on at which a head could go. Throws
-     * SimError on violation.
+     * must equal vcBufferFlits; buffered_ must match a recount. The
+     * derived state must match the queues and outputs: the occupancy
+     * mask, the head summaries, the activity-set and finishing-ring
+     * membership, output stamps from @p next on, and a wake cycle no
+     * later than the first cycle from @p next on at which a head
+     * could go. Throws SimError on violation.
      * @param inbound_reserved flits reserved in (port, vc) by packets
      *        in transit from upstream; when null the per-VC equation
      *        degrades to an upper-bound check.
@@ -243,32 +352,39 @@ class Router
     /** Checkpoint layer saves/restores VC queues and output ports. */
     friend struct CkptAccess;
 
-    struct InputVc
-    {
-        RingBuf<RouterPacket> q;
-        int freeFlits = 0;
-    };
-
+    /** A busy output: the packet it sends, the cycle its last flit
+     *  goes (the grant cycle plus the packet's length) and the
+     *  downstream VC it reserved. */
     struct OutPort
     {
-        bool busy = false;
-        int remaining = 0;
+        Cycle done = 0;
+        PacketId pkt = 0;
         int dstVc = 0;
-        RouterPacket pkt;
     };
 
     /** The allocator tracks input-VC occupancy in one 64-bit word. */
     static constexpr int maxInputVcs = 64;
+    /** A VC's ring position and length fit a byte. */
+    static constexpr int maxVcBufferFlits = 255;
 
     int vcIndex(int vnet, int vc_in_vnet) const
     {
-        return vnet * params_.vcsPerVnet + vc_in_vnet;
+        return vnet * vcsPerVnet_ + vc_in_vnet;
     }
 
-    InputVc &in(int port, int vc) { return inputs_[port * totalVcs_ + vc]; }
-    const InputVc &in(int port, int vc) const
+    /** @return input VC @p idx's ring slot @p k places behind its
+     *  head. */
+    PacketId &
+    slot(int idx, unsigned k)
     {
-        return inputs_[port * totalVcs_ + vc];
+        return ring_[(static_cast<unsigned>(idx) << ringShift_) |
+                     ((qHead_[idx] + k) & ringMask_)];
+    }
+    PacketId
+    slot(int idx, unsigned k) const
+    {
+        return ring_[(static_cast<unsigned>(idx) << ringShift_) |
+                     ((qHead_[idx] + k) & ringMask_)];
     }
 
     /** Record input VC @p idx's head packet in the summaries. */
@@ -284,34 +400,42 @@ class Router
     void allocatePass(Cycle now, std::uint64_t &used,
                       bool protected_only);
 
-    /** Rebuild the occupancy mask, head summaries and activity-set
-     *  membership from the queues and outputs, and wake at once
-     *  (checkpoint restore rebuilds queues behind our back). */
+    /** Rebuild the occupancy mask, head summaries, activity-set and
+     *  finishing-ring membership and the mesh's busy-output count
+     *  from the queues and outputs, and wake at once (checkpoint
+     *  restore rebuilds queues behind our back). */
     void restoreDerived();
 
     // Hot state first, so that the lines a neighbour's arrive() and
     // canAccept() and an allocation pass read are few and adjacent.
-    std::vector<InputVc> inputs_;       ///< [port][vc]
     std::uint64_t occ_ = 0;             ///< input VCs with packets
     unsigned outBusy_ = 0;              ///< busy output ports
+    int totalVcs_;                      ///< VCs per input port
+    int vcsPerVnet_;
+    int qosReservedVcs_ = 0;            ///< QoS: reserved VCs per vnet
+    VmId qosProtectedVm_ = invalidVm;   ///< QoS: protected VM (config)
+    unsigned ringShift_;                ///< log2 of a VC's ring slots
+    unsigned ringMask_;                 ///< a VC's ring slots - 1
     MeshShared *shared_;
+    PacketPool *pool_;
     Cycle *wake_;                       ///< this tile's wake cycle
     CoreId tile_;
     int x_;                             ///< this tile's column
-    int totalVcs_;                      ///< VCs per input port
+    Cycle pipelineDelay_;
     std::uint64_t portVcs_;             ///< port 0's VCs in occ_
     int rrInput_ = 0;                   ///< SA fairness pointer
     int buffered_ = 0;                  ///< packets across input VCs
-    int busyOutputs_ = 0;               ///< outputs mid-transmission
-    VmId qosProtectedVm_ = invalidVm;   ///< QoS: protected VM (config)
-    int qosReservedVcs_ = 0;            ///< QoS: reserved VCs per vnet
-    NocParams params_;
-    NetworkStats *stats_;
+    std::array<std::int16_t, maxInputVcs> credits_{}; ///< free flits
+    std::array<std::uint8_t, maxInputVcs> qHead_{};   ///< ring heads
+    std::array<std::uint8_t, maxInputVcs> qLen_{};    ///< ring lengths
     std::array<std::uint8_t, maxInputVcs> headOut_{}; ///< occupied VCs
     std::array<std::uint8_t, maxInputVcs> portOf_{};  ///< VC -> port
     std::array<Cycle, maxInputVcs> headReady_{};      ///< occupied VCs
-    Router *neighbor_[NumPorts] = {};
     OutPort outputs_[NumPorts];
+    Router *neighbor_[NumPorts] = {};
+    std::vector<PacketId> ring_;        ///< [port][vc][slot] handles
+    NocParams params_;
+    NetworkStats *stats_;
     EjectFn eject_;
 };
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the common substrate: RNG, bit utilities, stats,
- * table rendering, strict number parsing, and machine configuration /
- * group topology.
+ * Unit tests for the common substrate: RNG, bit utilities, the ring
+ * buffer, stats, table rendering, strict number parsing, and machine
+ * configuration / group topology.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "common/bitops.hh"
 #include "common/config.hh"
 #include "common/parse.hh"
+#include "common/ring.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -267,6 +268,80 @@ TEST(Config, CoresPerGroup)
 {
     EXPECT_EQ(coresPerGroup(SharingDegree::Private), 1);
     EXPECT_EQ(coresPerGroup(SharingDegree::Shared8), 8);
+}
+
+/** @return @p r's elements in iteration order. */
+std::vector<int>
+contents(const RingBuf<int> &r)
+{
+    std::vector<int> out;
+    for (const int v : r)
+        out.push_back(v);
+    return out;
+}
+
+TEST(RingBuf, WrapsGrowsByDoublingAndIteratesInFifoOrder)
+{
+    RingBuf<int> r;
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(r.capacity(), 0u);
+    for (int i = 0; i < 8; ++i)
+        r.push_back(i);
+    EXPECT_EQ(r.capacity(), 8u);
+
+    // Wrap-around: three pops free the ring's first slots, and three
+    // pushes fill them without growing.
+    for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(r.front(), i);
+        r.pop_front();
+    }
+    for (int i = 8; i < 11; ++i)
+        r.push_back(i);
+    EXPECT_EQ(r.capacity(), 8u);
+    EXPECT_EQ(r.size(), 8u);
+    EXPECT_EQ(contents(r), (std::vector<int>{3, 4, 5, 6, 7, 8, 9, 10}));
+    EXPECT_EQ(r[7], 10);
+
+    // A push into a full, wrapped ring doubles it and keeps the order.
+    r.push_back(11);
+    EXPECT_EQ(r.capacity(), 16u);
+    EXPECT_EQ(contents(r),
+              (std::vector<int>{3, 4, 5, 6, 7, 8, 9, 10, 11}));
+    for (int i = 12; i < 20; ++i)
+        r.push_back(i);
+    EXPECT_EQ(r.capacity(), 32u);
+    EXPECT_EQ(r.size(), 17u);
+    for (int i = 3; i < 20; ++i) {
+        EXPECT_EQ(r.front(), i);
+        r.pop_front();
+    }
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(r.capacity(), 32u); // capacity is never given back
+}
+
+TEST(RingBuf, EmptiedRingRestartsAtSlotZero)
+{
+    RingBuf<int> r;
+    r.push_back(1);
+    const int *slot0 = &r.front();
+    r.push_back(2);
+    r.pop_front();
+    EXPECT_EQ(&r.front(), slot0 + 1);
+    // Emptying the ring moves its head back to slot 0, so a queue that
+    // seldom holds more than one element reuses one warm slot.
+    r.pop_front();
+    r.push_back(3);
+    EXPECT_EQ(&r.front(), slot0);
+    EXPECT_EQ(r.front(), 3);
+
+    // clear() keeps the capacity and restarts at slot 0 as well.
+    r.push_back(4);
+    r.pop_front();
+    r.clear();
+    EXPECT_TRUE(r.empty());
+    r.push_back(5);
+    EXPECT_EQ(&r.front(), slot0);
+    EXPECT_EQ(contents(r), std::vector<int>{5});
 }
 
 TEST(Config, GroupCountsAndPartitionSizes)

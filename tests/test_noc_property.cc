@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 
@@ -123,6 +124,98 @@ struct ArbitrationPin
     std::uint64_t hash; ///< over every (cycle, tile, block) ejection
 };
 
+// The first six rows are the VcSweep configurations above.
+const ArbitrationPin kArbitrationPins[] = {
+    {"4x4 vc1 buf5 d0.3", 4, 4, 1, 5, 0.3, 800, false,
+     0xbfa9d54b10d2181aull},
+    {"4x4 vc1 buf8 d0.7", 4, 4, 1, 8, 0.7, 800, false,
+     0xd9611c0fad713b3dull},
+    {"4x4 vc2 buf4 d0.3", 4, 4, 2, 4, 0.3, 1500, false,
+     0x2104390f62d4833bull},
+    {"4x4 vc2 buf8 d0.5", 4, 4, 2, 8, 0.5, 1500, false,
+     0x1e0ca8fa7591c453ull},
+    {"4x4 vc4 buf8 d0.3", 4, 4, 4, 8, 0.3, 2000, false,
+     0x7a8c2d077a7d447eull},
+    {"4x4 vc4 buf16 d0.9", 4, 4, 4, 16, 0.9, 2000, false,
+     0x21704c14f2279f2eull},
+    {"8x8 vc2 buf4 d0.5", 8, 8, 2, 4, 0.5, 4000, false,
+     0xad3cec2783234bbfull},
+    {"4x4 vc2 buf8 d0.5 qos", 4, 4, 2, 8, 0.5, 2000, true,
+     0x9ec12e48ce64922dull},
+};
+
+/** A pin's machine: its mesh and VC configuration. */
+MachineConfig
+pinConfig(const ArbitrationPin &pin)
+{
+    MachineConfig cfg;
+    cfg.meshX = pin.meshX;
+    cfg.meshY = pin.meshY;
+    cfg.vcsPerVnet = pin.vcsPerVnet;
+    cfg.vcBufferFlits = pin.vcBufferFlits;
+    return cfg;
+}
+
+/**
+ * A pin's offered load: every tile offers a packet on half of the
+ * cycles, more than the mesh can carry, so NI queues and VC buffers
+ * fill. With QoS, half of the packets are the protected VM 1's.
+ */
+class SaturatingTraffic
+{
+  public:
+    SaturatingTraffic(const ArbitrationPin &pin, int tiles)
+        : pin_(pin), tiles_(tiles),
+          rng_(static_cast<std::uint64_t>(pin.packets) * 131 +
+               static_cast<std::uint64_t>(tiles))
+    {
+    }
+
+    /** @return true once every packet has been offered. */
+    bool done() const { return injected_ == pin_.packets; }
+
+    /** @return packets of the protected VM offered so far. */
+    int protectedSent() const { return protectedSent_; }
+
+    /** Offer cycle @p now's packets to @p mesh. */
+    void
+    offer(Mesh &mesh, Cycle now)
+    {
+        for (CoreId src = 0; src < tiles_ && !done(); ++src) {
+            if (rng_.uniform() < 0.5)
+                continue;
+            const auto dst = static_cast<CoreId>(
+                rng_.below(static_cast<std::uint64_t>(tiles_)));
+            if (dst == src)
+                continue;
+            Msg m;
+            const double r = rng_.uniform();
+            if (r < pin_.dataFraction)
+                m.type = MsgType::Data; // vnet 2, data-sized
+            else if (r < pin_.dataFraction + 0.3)
+                m.type = MsgType::GetS; // vnet 0, 1 flit
+            else
+                m.type = MsgType::Inv; // vnet 1, 1 flit
+            m.srcTile = src;
+            m.dstTile = dst;
+            m.block = tag_++;
+            m.vm = pin_.qos ? static_cast<VmId>(rng_.below(2)) : 0;
+            protectedSent_ += m.vm == 1;
+            m.injectCycle = now;
+            mesh.inject(m);
+            ++injected_;
+        }
+    }
+
+  private:
+    const ArbitrationPin &pin_;
+    int tiles_;
+    Rng rng_;
+    int injected_ = 0;
+    int protectedSent_ = 0;
+    BlockAddr tag_ = 0;
+};
+
 /** Fold @p v's eight bytes into FNV-1a state @p h. */
 std::uint64_t
 fnv1aWord(std::uint64_t h, std::uint64_t v)
@@ -140,32 +233,9 @@ TEST(MeshArbitration, EjectionOrderPinnedUnderSaturation)
     // on every arbitration decision: the round-robin pointer, one
     // grant per input and output port, back-pressure from full
     // downstream VCs and, with QoS, the protected-only pass and its
-    // every-fourth-cycle yield. The first six rows are the VcSweep
-    // configurations above.
-    const ArbitrationPin pins[] = {
-        {"4x4 vc1 buf5 d0.3", 4, 4, 1, 5, 0.3, 800, false,
-         0xbfa9d54b10d2181aull},
-        {"4x4 vc1 buf8 d0.7", 4, 4, 1, 8, 0.7, 800, false,
-         0xd9611c0fad713b3dull},
-        {"4x4 vc2 buf4 d0.3", 4, 4, 2, 4, 0.3, 1500, false,
-         0x2104390f62d4833bull},
-        {"4x4 vc2 buf8 d0.5", 4, 4, 2, 8, 0.5, 1500, false,
-         0x1e0ca8fa7591c453ull},
-        {"4x4 vc4 buf8 d0.3", 4, 4, 4, 8, 0.3, 2000, false,
-         0x7a8c2d077a7d447eull},
-        {"4x4 vc4 buf16 d0.9", 4, 4, 4, 16, 0.9, 2000, false,
-         0x21704c14f2279f2eull},
-        {"8x8 vc2 buf4 d0.5", 8, 8, 2, 4, 0.5, 4000, false,
-         0xad3cec2783234bbfull},
-        {"4x4 vc2 buf8 d0.5 qos", 4, 4, 2, 8, 0.5, 2000, true,
-         0x9ec12e48ce64922dull},
-    };
-    for (const ArbitrationPin &pin : pins) {
-        MachineConfig cfg;
-        cfg.meshX = pin.meshX;
-        cfg.meshY = pin.meshY;
-        cfg.vcsPerVnet = pin.vcsPerVnet;
-        cfg.vcBufferFlits = pin.vcBufferFlits;
+    // every-fourth-cycle yield.
+    for (const ArbitrationPin &pin : kArbitrationPins) {
+        const MachineConfig cfg = pinConfig(pin);
         Mesh mesh(cfg);
         if (pin.qos)
             mesh.setQos(1, 1);
@@ -174,7 +244,7 @@ TEST(MeshArbitration, EjectionOrderPinnedUnderSaturation)
         Cycle now = 0;
         std::uint64_t hash = 0xcbf29ce484222325ull;
         int delivered = 0, contended = 0;
-        int protectedSent = 0, protectedDelivered = 0;
+        int protectedDelivered = 0;
         mesh.setDeliver([&](const Msg &m) {
             ++delivered;
             hash = fnv1aWord(hash, now);
@@ -191,38 +261,9 @@ TEST(MeshArbitration, EjectionOrderPinnedUnderSaturation)
             protectedDelivered += m.vm == 1;
         });
 
-        // Every tile offers a packet on half of the cycles, more than
-        // the mesh can carry, so NI queues and VC buffers fill.
-        Rng rng(static_cast<std::uint64_t>(pin.packets) * 131 +
-                static_cast<std::uint64_t>(tiles));
-        int injected = 0;
-        BlockAddr tag = 0;
-        for (; injected < pin.packets || !mesh.idle(); ++now) {
-            for (CoreId src = 0; src < tiles && injected < pin.packets;
-                 ++src) {
-                if (rng.uniform() < 0.5)
-                    continue;
-                const auto dst = static_cast<CoreId>(
-                    rng.below(static_cast<std::uint64_t>(tiles)));
-                if (dst == src)
-                    continue;
-                Msg m;
-                const double r = rng.uniform();
-                if (r < pin.dataFraction)
-                    m.type = MsgType::Data; // vnet 2, data-sized
-                else if (r < pin.dataFraction + 0.3)
-                    m.type = MsgType::GetS; // vnet 0, 1 flit
-                else
-                    m.type = MsgType::Inv; // vnet 1, 1 flit
-                m.srcTile = src;
-                m.dstTile = dst;
-                m.block = tag++;
-                m.vm = pin.qos ? static_cast<VmId>(rng.below(2)) : 0;
-                protectedSent += m.vm == 1;
-                m.injectCycle = now;
-                mesh.inject(m);
-                ++injected;
-            }
+        SaturatingTraffic traffic(pin, tiles);
+        for (; !traffic.done() || !mesh.idle(); ++now) {
+            traffic.offer(mesh, now);
             mesh.tick(now);
             if (now % 32 == 0)
                 mesh.checkConservation();
@@ -231,8 +272,9 @@ TEST(MeshArbitration, EjectionOrderPinnedUnderSaturation)
         mesh.checkConservation();
         EXPECT_EQ(delivered, pin.packets) << pin.name;
         if (pin.qos) {
-            EXPECT_EQ(protectedDelivered, protectedSent) << pin.name;
-            EXPECT_GT(protectedSent, pin.packets / 3) << pin.name;
+            EXPECT_EQ(protectedDelivered, traffic.protectedSent())
+                << pin.name;
+            EXPECT_GT(traffic.protectedSent(), pin.packets / 3) << pin.name;
         }
         // The traffic contends: most packets wait beyond their
         // uncontended latency.
@@ -245,6 +287,58 @@ TEST(MeshArbitration, EjectionOrderPinnedUnderSaturation)
             << delivered << " packets contended, drained at cycle "
             << now << ")";
     }
+}
+
+TEST(MeshArbitration, SaturatedMeshDrainsItsPacketPool)
+{
+    // Every packet takes one pool slot from injection to ejection.
+    // Under the pins' saturating load the census holds every cycle,
+    // the pool never outgrows its bound, and a drained mesh has every
+    // slot it ever used back on the free list.
+    for (const ArbitrationPin &pin : kArbitrationPins) {
+        const MachineConfig cfg = pinConfig(pin);
+        Mesh mesh(cfg);
+        if (pin.qos)
+            mesh.setQos(1, 1);
+        mesh.setDeliver([](const Msg &) {});
+        const PacketPool &pool = mesh.pool();
+        EXPECT_EQ(pool.bound(),
+                  packetPoolBound(mesh.params(), cfg.numCores()))
+            << pin.name;
+
+        SaturatingTraffic traffic(pin, cfg.numCores());
+        std::size_t peakLive = 0;
+        Cycle now = 0;
+        for (; !traffic.done() || !mesh.idle(); ++now) {
+            traffic.offer(mesh, now);
+            mesh.tick(now);
+            mesh.checkConservation();
+            peakLive = std::max(peakLive, pool.live());
+            ASSERT_LT(now, Cycle(200'000)) << pin.name << ": no drain";
+        }
+        // Saturated: the VCs held more packets than the mesh has
+        // routers, and the last-in, first-out free list never built
+        // more slots than were live at once.
+        EXPECT_GT(peakLive, static_cast<std::size_t>(cfg.numCores()))
+            << pin.name;
+        EXPECT_EQ(pool.highWater(), peakLive) << pin.name;
+        EXPECT_LE(pool.highWater(), pool.bound()) << pin.name;
+        EXPECT_EQ(pool.live(), 0u) << pin.name;
+        EXPECT_EQ(pool.freeList().size(), pool.highWater()) << pin.name;
+    }
+}
+
+TEST(PacketPoolDeathTest, AllocationPastTheBoundFails)
+{
+    PacketPool pool(2);
+    const PacketId a = pool.alloc();
+    const PacketId b = pool.alloc();
+    EXPECT_NE(a, b);
+    // A freed slot is the next one handed out.
+    pool.release(a);
+    EXPECT_EQ(pool.alloc(), a);
+    EXPECT_EQ(pool.highWater(), 2u);
+    EXPECT_DEATH(pool.alloc(), "packet pool outgrew its bound of 2");
 }
 
 TEST(MeshLatencyProperty, UncontendedLatencyTracksHopCount)

@@ -232,7 +232,8 @@ TEST(RouterQos, ReservedVcsAdmitOnlyTheProtectedVm)
 {
     NocParams params; // 3 vnets x 2 VCs, 8-flit buffers
     NetworkStats stats;
-    MeshShared shared(params.meshX, params.meshX * params.meshY);
+    MeshShared shared(params,
+                      packetPoolBound(params, params.meshX * params.meshY));
     Router router(0, params, &stats, &shared);
     router.setQos(0, 1);
 

@@ -22,8 +22,10 @@
 # --migrate option must be refused), a
 # checked-mode pass (full suite with every runtime invariant checker
 # enabled) plus a fault-injection smoke over the whole catalog, a
-# same-host perf A/B against a base commit (tools/perf_ab.sh; only
-# with --perf-base), an ASan+UBSan pass over the whole tier-1 suite
+# snapshot interchange check (a base commit's build and this tree's
+# write byte-identical snapshots and resume each other's) and a
+# same-host perf A/B against that base commit (tools/perf_ab.sh; both
+# only with --perf-base), an ASan+UBSan pass over the whole tier-1 suite
 # (memory safety of the registry, JSON layer, and simulator core),
 # plus a ThreadSanitizer
 # pass over the concurrency surface (the parallel sweep with every
@@ -470,8 +472,68 @@ else
 fi
 
 if [[ -z "$perf_base" ]]; then
+    echo "=== snapshot interchange: skipped (no --perf-base <ref> given) ==="
     echo "=== perf A/B: skipped (no --perf-base <ref> given) ==="
 else
+    echo "=== snapshot interchange: $perf_base and this tree ==="
+    # The snapshot text is a contract between builds. The base's
+    # consim_run (built from its git archive) and this tree's must
+    # write byte-identical snapshots of one 64-core run, tripped
+    # mid-run with mesh packets queued and in transit, and each must
+    # resume the other's to the uninterrupted run's result block.
+    xchg_dir="$work/interchange"
+    mkdir -p "$xchg_dir/base"
+    base_commit="$(git rev-parse --verify --quiet "$perf_base^{commit}")" || {
+        echo "snapshot interchange: unknown base ref '$perf_base'" >&2
+        exit 2; }
+    git archive "$base_commit" | tar -x -C "$xchg_dir/base"
+    cmake -B "$xchg_dir/base/build" -S "$xchg_dir/base" >/dev/null
+    cmake --build "$xchg_dir/base/build" -j "$(nproc)" \
+        --target consim_run >/dev/null
+    declare -A xchg_bin=([base]="$xchg_dir/base/build/tools/consim_run"
+        [change]=./build/tools/consim_run)
+    xchg_args=(--mix "Mix 5" --mesh 8x8 --sharing 8
+        --vm-threads 24,24,24,24 --warmup 60000 --measure 120000
+        --watchdog 200000)
+    ./build/tools/consim_run "${xchg_args[@]}" \
+        --json "$xchg_dir/full.json" >/dev/null
+    awk '/"result": \{/,0' "$xchg_dir/full.json" >"$xchg_dir/full.result"
+    for side in base change; do
+        if "${xchg_bin[$side]}" "${xchg_args[@]}" --deadline 90000 \
+            --ckpt-every 80000 --ckpt-out "$xchg_dir/$side.ckpt" \
+            >/dev/null 2>&1; then
+            echo "snapshot interchange: $side deadline run unexpectedly" \
+                "succeeded" >&2
+            exit 1
+        fi
+        [[ -s "$xchg_dir/$side.ckpt" ]] || {
+            echo "snapshot interchange: $side wrote no checkpoint" >&2
+            exit 1; }
+    done
+    cmp "$xchg_dir/base.ckpt" "$xchg_dir/change.ckpt" || {
+        echo "snapshot interchange: the two builds' snapshots differ" >&2
+        exit 1; }
+    # A queued packet's VC record opens a non-empty list.
+    grep -q '"busy": true' "$xchg_dir/change.ckpt" &&
+        grep -q '"q": \[$' "$xchg_dir/change.ckpt" || {
+        echo "snapshot interchange: no mesh packet queued and in" \
+            "transit at the snapshot" >&2
+        exit 1; }
+    for pair in "base change" "change base"; do
+        read -r writer reader <<<"$pair"
+        "${xchg_bin[$reader]}" --resume "$xchg_dir/$writer.ckpt" \
+            --json "$xchg_dir/$writer-on-$reader.json" >/dev/null
+        awk '/"result": \{/,0' "$xchg_dir/$writer-on-$reader.json" \
+            >"$xchg_dir/$writer-on-$reader.result"
+        diff -u "$xchg_dir/full.result" \
+            "$xchg_dir/$writer-on-$reader.result" || {
+            echo "snapshot interchange: the $writer snapshot resumed on" \
+                "the $reader build diverged" >&2
+            exit 1; }
+    done
+    echo "snapshot interchange: identical snapshots, each resumes on" \
+        "the other build to the uninterrupted result"
+
     echo "=== perf A/B: perfbench vs $perf_base on this host ==="
     # Alternating perfbench pairs of the base commit and this working
     # tree on every BENCHMARK.json workload; fails when a median

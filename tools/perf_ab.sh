@@ -6,15 +6,22 @@
 # base and on this checkout's working tree (the change), the side that
 # goes first alternating from pair to pair. Prints each end-to-end
 # metric's medians, quartiles and change/base ratio, and writes the
-# pairs and host metadata as JSON.
+# pairs and host metadata as JSON (consim.perf_ab.v1).
+#
+# With --trace the runs are `perfbench/run.py --trace 1` instead, and
+# the metrics are the per-layer ledger's (host time per simulator
+# layer, and the simulated work): the document (consim.trace_ab.v1)
+# holds each side's per-layer medians and quartiles, and no metric is
+# judged against a bound.
 #
 # Exits 1 when a median crosses its BENCHMARK.json bound in the worse
 # direction, or when the change fails a larger share of operations
 # than the base; exits 2 on bad usage or when a run produces no result.
 #
-# Usage: tools/perf_ab.sh [--out FILE] <base-ref> [pairs] [seed]
+# Usage: tools/perf_ab.sh [--trace] [--out FILE] <base-ref> [pairs] [seed]
 #   pairs      A/B pairs per workload (default 3)
 #   seed       perfbench seed (default 1)
+#   --trace    A/B the per-layer ledger, not the end-to-end metrics
 #   --out      JSON document to write (default perf_ab.json)
 set -euo pipefail
 
@@ -26,10 +33,12 @@ usage() {
 }
 
 out=perf_ab.json
+trace=0
 positional=()
 while [[ $# -gt 0 ]]; do
     case "$1" in
         --out) [[ $# -ge 2 && -n "$2" ]] || usage; out="$2"; shift 2 ;;
+        --trace) trace=1; shift ;;
         -*) usage ;;
         *) positional+=("$1"); shift ;;
     esac
@@ -47,7 +56,7 @@ trap 'rm -rf "$base_dir"' EXIT
 git archive "$base_commit" | tar -x -C "$base_dir"
 
 python3 - "$base_dir" "$base_ref" "$base_commit" "$pairs" "$seed" \
-    "$out" <<'PY'
+    "$out" "$trace" <<'PY'
 import json
 import os
 import platform
@@ -57,13 +66,13 @@ import sys
 import time
 from pathlib import Path
 
-base_dir, base_ref, base_commit, pairs, seed, out = sys.argv[1:]
-pairs, seed = int(pairs), int(seed)
+base_dir, base_ref, base_commit, pairs, seed, out, trace = sys.argv[1:]
+pairs, seed, trace = int(pairs), int(seed), trace == "1"
 change_dir = Path.cwd()
 spec = json.loads((change_dir / "BENCHMARK.json").read_text())
 seconds = int(spec["run_seconds"])
 names = [w["name"] for w in spec["workloads"]]
-metrics = spec["end_to_end"]
+metrics = spec["per_layer" if trace else "end_to_end"]
 sides = {"base": Path(base_dir), "change": change_dir}
 
 
@@ -92,7 +101,7 @@ def perfbench(side, workload):
     root = sides[side]
     cmd = [sys.executable, str(root / "perfbench" / "run.py"),
            "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", "1" if trace else "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -112,9 +121,10 @@ def quartiles(xs):
 
 
 run = {
-    "schema": "consim.perf_ab.v1",
-    "what": "alternating perfbench/run.py --trace 0 pairs, base vs "
-            "change, on one host",
+    "schema": "consim.trace_ab.v1" if trace else "consim.perf_ab.v1",
+    "what": f"alternating perfbench/run.py --trace {int(trace)} pairs"
+            f"{' (per-layer ledger)' if trace else ''}, base vs change, "
+            "on one host",
     "base": {"ref": base_ref, "commit": base_commit},
     "change": {"commit": git("rev-parse", "HEAD"),
                "dirty": bool(git("status", "--porcelain",
@@ -143,24 +153,28 @@ for workload in names:
         vals = {s: [r[s]["metrics"][name]["value"] for r in recs]
                 for s in sides}
         med = {s: statistics.median(vals[s]) for s in sides}
-        ratio = med["change"] / med["base"] if med["base"] else float("inf")
-        crossed = (ratio > 1 + m["bound"]) if lower else \
-            (ratio < 1 - m["bound"])
+        ratio = (med["change"] / med["base"] if med["base"] else
+                 1.0 if med["change"] == med["base"] else float("inf"))
+        # Per-layer metrics have no bound: they locate a change, the
+        # end-to-end metrics judge it.
+        crossed = "bound" in m and ((ratio > 1 + m["bound"]) if lower else
+                                    (ratio < 1 - m["bound"]))
         wins = sum((c < b) if lower else (c > b)
                    for b, c in zip(vals["base"], vals["change"]))
         summary[name] = {
-            "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+            "unit": m["unit"], "better": m["better"],
+            **({"bound": m["bound"]} if "bound" in m else {}),
             **{f"{s}_median": med[s] for s in sides},
             **{f"{s}_q1": quartiles(vals[s])[0] for s in sides},
             **{f"{s}_q3": quartiles(vals[s])[1] for s in sides},
             "ratio": ratio, "change_wins": wins,
-            "crosses_bound": crossed,
+            **({"crosses_bound": crossed} if "bound" in m else {}),
         }
         if crossed:
             worse.append(f"{workload} {name} ratio {ratio:.3f}")
         fmt = lambda s: (f"{med[s]:.4g} [{quartiles(vals[s])[0]:.4g}, "
                          f"{quartiles(vals[s])[1]:.4g}]")
-        print(f"  {name:13s} base {fmt('base'):30s} change "
+        print(f"  {name:14s} base {fmt('base'):30s} change "
               f"{fmt('change'):30s} ratio {ratio:.3f}  wins "
               f"{wins}/{pairs}{'  WORSE THAN BOUND' if crossed else ''}")
     failed = {s: (sum(r[s]["failed"] for r in recs),
@@ -171,7 +185,7 @@ for workload in names:
     if share["change"] > share["base"]:
         worse.append(f"{workload} failed share {share['change']:.3f} > "
                      f"base {share['base']:.3f}")
-    print(f"  failed        base {failed['base'][0]}/{failed['base'][1]}"
+    print(f"  failed         base {failed['base'][0]}/{failed['base'][1]}"
           f"  change {failed['change'][0]}/{failed['change'][1]}")
     run["workloads"][workload] = {"pairs": recs, "summary": summary}
 run["verdict"] = "worse" if worse else "ok"
@@ -180,5 +194,6 @@ print(f"\nperf_ab: wrote {out}")
 if worse:
     print("perf_ab: FAIL: " + "; ".join(worse), file=sys.stderr)
     sys.exit(1)
-print("perf_ab: every median is within its BENCHMARK.json bound")
+print("perf_ab: " + ("no more failed operations than the base" if trace
+                     else "every median is within its BENCHMARK.json bound"))
 PY
