@@ -59,11 +59,19 @@ struct Scenario
     int ways;              ///< protected way floor for static/dynamic
     std::string name() const
     {
-        return std::to_string(meshX * meshY) + "-core" +
-               (l2Bytes ? "/" + std::to_string(l2Bytes >> 20) + "MB"
-                        : "") +
-               " x" + std::to_string(bullies) + " bully(t=" +
-               std::to_string(bullyThreads) + ")";
+        std::string s = std::to_string(meshX * meshY);
+        s += "-core";
+        if (l2Bytes) {
+            s += "/";
+            s += std::to_string(l2Bytes >> 20);
+            s += "MB";
+        }
+        s += " x";
+        s += std::to_string(bullies);
+        s += " bully(t=";
+        s += std::to_string(bullyThreads);
+        s += ")";
+        return s;
     }
 };
 

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "common/table.hh"
 #include "core/experiment.hh"
@@ -108,8 +109,11 @@ main(int argc, char **argv)
 
     std::cout << "Per-partition occupancy (rows = VMs):\n";
     std::vector<std::string> headers = {"vm"};
-    for (std::size_t g = 0; g < r.occupancy.lines.size(); ++g)
-        headers.push_back("$" + std::to_string(g));
+    for (std::size_t g = 0; g < r.occupancy.lines.size(); ++g) {
+        std::string header = "$";
+        header += std::to_string(g);
+        headers.push_back(std::move(header));
+    }
     TextTable occ(headers);
     for (std::size_t vm = 0; vm < r.vms.size(); ++vm) {
         std::vector<std::string> row = {toString(r.vms[vm].kind) +

@@ -4,32 +4,31 @@
  *
  * The array stores metadata only: consim is a timing simulator, so
  * lines never carry data payloads. Clients instantiate the template
- * with a line type derived from CacheLineBase (see cache_line.hh) and
- * drive the replacement decisions explicitly:
+ * with a line type holding their own per-line state (see
+ * cache_line.hh) and drive the replacement decisions explicitly:
  *
  *   line = array.lookup(block);         // nullptr on miss
  *   victim = array.victim(block);       // slot a fill would take
- *   ... evict victim's contents if valid ...
+ *   if (auto old = array.blockAt(victim)) ... evict *old ...
  *   array.install(victim, block);       // claim the slot
  *
- * Hot-path layout: lookup() and victim() are the two most-executed
- * loops in the simulator, and they only need (valid, tag) resp.
- * (valid, lruStamp) — a handful of bytes out of every LineT they pull
- * into cache when scanning the AoS lines_ vector. The array therefore
- * keeps two dense mirrors: key_ (tag + 1 for valid lines, 0 for
- * invalid — one compare tests both) and lru_ (lruStamp). The set scan
- * touches 8 bytes per way instead of a whole LineT, and the mirrors of
- * one set share a cache line for the common associativities. lines_
- * stays authoritative; every mutator keeps the mirrors in sync, and
- * the escape hatches that hand out mutable LineT references
- * (forEachLine, forEachInSet, the checkpoint restore path) re-derive
- * them afterwards via rebuildIndex()/rebuildSet().
+ * Each slot's block and LRU stamp are stored once, in two dense
+ * vectors beside the client payloads: key_ (block + 1 for a held
+ * slot, 0 for an empty one, so one compare tests both) and lru_ (the
+ * stamp of the slot's last install or touch). lookup() and victim(),
+ * the two most-executed loops in the simulator, scan only these: 8
+ * bytes per way, and one set's words share a cache line for the
+ * common associativities. lines_ holds the client's payload, which
+ * install() and invalidate() reset, so an empty slot's payload is
+ * always default-constructed.
  */
 
 #ifndef CONSIM_CACHE_CACHE_ARRAY_HH
 #define CONSIM_CACHE_CACHE_ARRAY_HH
 
 #include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_line.hh"
@@ -57,14 +56,20 @@ struct CacheGeometry
 };
 
 /**
- * Set-associative array over lines of type LineT (derived from
- * CacheLineBase). Indexing uses the low-order bits of the block
- * address above any bank-interleave bits, which the owner strips by
- * passing a pre-shifted index address when banked (see L2Bank).
+ * Set-associative array over client payloads of type LineT. Indexing
+ * uses the low-order bits of the block address above any
+ * bank-interleave bits, which the owner strips by passing a
+ * pre-shifted index address when banked (see L2Bank).
  */
 template <typename LineT>
 class CacheArray
 {
+    /** victim()'s default predicate: every held line may go. */
+    struct AnyLine
+    {
+        bool operator()(BlockAddr, const LineT &) const { return true; }
+    };
+
   public:
     explicit CacheArray(const CacheGeometry &geom)
         : geom_(geom), lines_(geom.numLines()),
@@ -73,16 +78,9 @@ class CacheArray
         geom_.check();
     }
 
-    /** @return set index for a block (callers may want it for stats). */
-    std::uint64_t
-    setIndex(BlockAddr block) const
-    {
-        return block % geom_.numSets();
-    }
-
     /**
      * Look up a block.
-     * @return pointer to the valid matching line, or nullptr on miss.
+     * @return pointer to the held matching line, or nullptr on miss.
      * Does not update LRU; call touch() on an actual access.
      */
     LineT *
@@ -105,48 +103,49 @@ class CacheArray
     }
 
     /**
-     * @return the slot a fill of @p block would claim: an invalid slot
-     * in the set if one exists, else the LRU line. Never nullptr.
+     * @return the slot a fill of @p block would claim among the ways
+     * whose bit is set in @p way_mask (QoS way partitioning; all ways
+     * by default): the first empty way, else the least recently used
+     * held line that eligible(held block, line) accepts, else
+     * nullptr. The mask must cover at least one way of the set.
      */
+    template <typename Eligible = AnyLine>
     LineT *
-    victim(BlockAddr block)
+    victim(BlockAddr block, std::uint64_t way_mask = ~0ull,
+           Eligible eligible = {})
     {
         auto [begin, end] = setRange(block);
-        std::uint64_t lru = begin;
-        for (auto i = begin; i != end; ++i) {
-            if (key_[i] == 0)
-                return &lines_[i];
-            if (lru_[i] < lru_[lru])
-                lru = i;
-        }
-        return &lines_[lru];
-    }
-
-    /**
-     * Way-restricted victim(): the slot a fill of @p block would
-     * claim when only the ways whose bit is set in @p way_mask may be
-     * used (QoS way partitioning). With every way allowed this makes
-     * the same choice as victim(); the mask must cover at least one
-     * way.
-     */
-    LineT *
-    victimInWays(BlockAddr block, std::uint64_t way_mask)
-    {
-        auto [begin, end] = setRange(block);
-        std::uint64_t lru = end;
-        int way = 0;
-        for (auto i = begin; i != end; ++i, ++way) {
-            if (!((way_mask >> way) & 1))
+        LineT *best = nullptr;
+        std::uint64_t best_stamp = ~0ull;
+        std::uint64_t way_bit = 1;
+        for (auto i = begin; i != end; ++i, way_bit <<= 1) {
+            if (!(way_mask & way_bit))
                 continue;
             if (key_[i] == 0)
                 return &lines_[i];
-            if (lru == end || lru_[i] < lru_[lru])
-                lru = i;
+            if (lru_[i] < best_stamp && eligible(key_[i] - 1, lines_[i])) {
+                best = &lines_[i];
+                best_stamp = lru_[i];
+            }
         }
-        CONSIM_ASSERT(lru != end,
-                      "victimInWays: empty way mask for set of block ",
-                      block);
-        return &lines_[lru];
+        if (best == nullptr) {
+            const std::uint64_t set_ways =
+                geom_.assoc == 64 ? ~0ull : (1ull << geom_.assoc) - 1;
+            CONSIM_ASSERT((way_mask & set_ways) != 0,
+                          "victim: empty way mask for set of block ",
+                          block);
+        }
+        return best;
+    }
+
+    /** @return the block @p slot holds, or nullopt when it is empty. */
+    std::optional<BlockAddr>
+    blockAt(const LineT *slot) const
+    {
+        const std::uint64_t key = key_[indexOf(slot)];
+        if (key == 0)
+            return std::nullopt;
+        return key - 1;
     }
 
     /** @return the way index (0..assoc-1) a line of @p block's set
@@ -160,28 +159,25 @@ class CacheArray
 
     /**
      * Claim a (previously vacated) slot for a block. The caller must
-     * have handled eviction of the old contents. Resets the line to a
-     * default-constructed LineT with tag/valid/LRU set.
+     * have handled eviction of the old contents. Resets the payload
+     * to a default-constructed LineT and makes the line the set's
+     * most recently used.
      */
     void
     install(LineT *slot, BlockAddr block)
     {
         CONSIM_ASSERT(slot != nullptr, "install into null slot");
         *slot = LineT{};
-        slot->tag = block;
-        slot->valid = true;
-        slot->lruStamp = ++stamp_;
         const std::uint64_t i = indexOf(slot);
         key_[i] = block + 1;
-        lru_[i] = slot->lruStamp;
+        lru_[i] = ++stamp_;
     }
 
     /** Record an access for replacement purposes. */
     void
     touch(LineT *line)
     {
-        line->lruStamp = ++stamp_;
-        lru_[indexOf(line)] = line->lruStamp;
+        lru_[indexOf(line)] = ++stamp_;
     }
 
     /** Invalidate a line (slot becomes reusable). */
@@ -194,7 +190,7 @@ class CacheArray
         lru_[i] = 0;
     }
 
-    /** @return number of valid lines (walks the array; for stats). */
+    /** @return number of held lines (walks the array; for stats). */
     std::uint64_t
     countValid() const
     {
@@ -204,53 +200,23 @@ class CacheArray
         return n;
     }
 
-    /** Iterate all lines (valid or not) for snapshots/invariants. */
+    /** Visit every held line as fn(block, line), in slot order
+     *  (snapshots, invariants). */
     template <typename Fn>
     void
     forEachLine(Fn &&fn) const
     {
-        for (const auto &l : lines_)
-            fn(l);
-    }
-
-    /** Iterate the lines of the set that holds @p block (mutable). */
-    template <typename Fn>
-    void
-    forEachInSet(BlockAddr block, Fn &&fn)
-    {
-        auto [begin, end] = setRange(block);
-        for (auto i = begin; i != end; ++i)
-            fn(lines_[i]);
-        // The callback saw mutable lines; refresh this set's mirrors.
-        for (auto i = begin; i != end; ++i)
-            syncSlot(i);
-    }
-
-    /** Mutable iteration (e.g. bulk invalidation in tests). */
-    template <typename Fn>
-    void
-    forEachLine(Fn &&fn)
-    {
-        for (auto &l : lines_)
-            fn(l);
-        rebuildIndex();
+        for (std::uint64_t i = 0; i < key_.size(); ++i) {
+            if (key_[i] != 0)
+                fn(BlockAddr{key_[i] - 1}, lines_[i]);
+        }
     }
 
     const CacheGeometry &geometry() const { return geom_; }
 
-    /** Re-derive the lookup/LRU mirrors from lines_ after external
-     *  mutation (checkpoint restore writes lines_ directly). */
-    void
-    rebuildIndex()
-    {
-        for (std::uint64_t i = 0; i < lines_.size(); ++i)
-            syncSlot(i);
-    }
-
   private:
-    /** Checkpoint layer restores slots index-exact (victim() choice
-     *  depends on slot order and lruStamp values); it must call
-     *  rebuildIndex() once the lines are in place. */
+    /** Checkpoint layer saves and restores slots index-exact (the
+     *  victim() choice depends on slot order and LRU stamps). */
     friend struct CkptAccess;
 
     /** [begin, end) line indices of the set holding @p block. */
@@ -268,18 +234,12 @@ class CacheArray
         return static_cast<std::uint64_t>(line - lines_.data());
     }
 
-    void
-    syncSlot(std::uint64_t i)
-    {
-        key_[i] = lines_[i].valid ? lines_[i].tag + 1 : 0;
-        lru_[i] = lines_[i].valid ? lines_[i].lruStamp : 0;
-    }
-
     CacheGeometry geom_;
+    /** Client payloads; default-constructed in empty slots. */
     std::vector<LineT> lines_;
-    /** tag + 1 of valid lines, 0 otherwise (lookup/victim scan). */
+    /** block + 1 of held slots, 0 of empty ones. */
     std::vector<std::uint64_t> key_;
-    /** lruStamp mirror (victim scan). */
+    /** Stamp of each held slot's last install or touch (0 empty). */
     std::vector<std::uint64_t> lru_;
     std::uint64_t stamp_ = 0;
 };

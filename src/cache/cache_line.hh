@@ -1,7 +1,9 @@
 /**
  * @file
- * Cache line base type and coherence state enums shared by the private
- * (L0/L1) and last-level (L2) caches.
+ * Cache line payloads and coherence state enums shared by the private
+ * (L0/L1) and last-level (L2) caches. A payload holds only its cache's
+ * own per-line state: which block a slot holds and when it was last
+ * touched are the CacheArray's.
  */
 
 #ifndef CONSIM_CACHE_CACHE_LINE_HH
@@ -73,22 +75,14 @@ toString(L2State s)
     return "?";
 }
 
-/** Common bookkeeping for any cache line; caches derive from this. */
-struct CacheLineBase
-{
-    BlockAddr tag = 0;          ///< block address stored in this slot
-    bool valid = false;
-    std::uint64_t lruStamp = 0; ///< last-touch stamp for LRU
-};
-
 /** A line in a private L0 or L1 cache. */
-struct PrivateCacheLine : CacheLineBase
+struct PrivateCacheLine
 {
     L1State state = L1State::Invalid;
 };
 
 /** A line in an L2 partition bank. */
-struct L2CacheLine : CacheLineBase
+struct L2CacheLine
 {
     L2State state = L2State::Invalid;
     bool dirty = false;          ///< modified relative to memory

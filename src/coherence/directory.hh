@@ -301,7 +301,9 @@ class DirectorySlice
     /** The checkpoint layer reads raw state. */
     friend struct CkptAccess;
 
-    struct DirCacheLine : CacheLineBase
+    /** The directory cache is a tag array: a slot holds a block and
+     *  nothing else. */
+    struct DirCacheLine
     {
     };
 

@@ -78,13 +78,13 @@ L1Controller::handle(const Msg &msg)
         PrivateCacheLine *line = l1_.lookup(msg.block);
         if (line == nullptr) {
             PrivateCacheLine *victim = l1_.victim(msg.block);
-            if (victim->valid) {
+            if (const auto old = l1_.blockAt(victim)) {
                 if (victim->state == L1State::Modified) {
                     ++stats_.writebacks;
-                    sendToBank(MsgType::L1PutM, victim->tag);
+                    sendToBank(MsgType::L1PutM, *old);
                 }
                 // Keep L0 c L1 inclusion.
-                if (auto *l0v = l0_.lookup(victim->tag))
+                if (auto *l0v = l0_.lookup(*old))
                     l0_.invalidate(l0v);
             }
             l1_.install(victim, msg.block);
@@ -200,12 +200,10 @@ L1Controller::auditStuckMiss(Cycle now, Cycle limit) const
 void
 L1Controller::checkInvariants() const
 {
-    l0_.forEachLine([&](const PrivateCacheLine &l0line) {
-        if (!l0line.valid)
-            return;
-        CONSIM_ASSERT(l1_.lookup(l0line.tag) != nullptr,
+    l0_.forEachLine([&](BlockAddr block, const PrivateCacheLine &) {
+        CONSIM_ASSERT(l1_.lookup(block) != nullptr,
                       "L0 inclusion violated for block 0x", std::hex,
-                      l0line.tag);
+                      block);
     });
 }
 

@@ -113,9 +113,8 @@ class L1Controller
     void
     forEachL1Line(Fn &&fn) const
     {
-        l1_.forEachLine([&](const PrivateCacheLine &line) {
-            if (line.valid)
-                fn(line.tag, line.state);
+        l1_.forEachLine([&](BlockAddr block, const PrivateCacheLine &line) {
+            fn(block, line.state);
         });
     }
 

@@ -636,10 +636,10 @@ L2Bank::tryCompleteFill(BlockAddr block)
             SimEvent(SimEventKind::BankFillRetry, tile_, block), 8);
         return;
     }
-    if (slot->valid) {
+    if (const auto held = array_.blockAt(slot)) {
         if (slot->ownerCore >= 0) {
             // The victim's data lives dirty in a member L1.
-            const BlockAddr victim = globalOf(slot->tag);
+            const BlockAddr victim = globalOf(*held);
             t.phase = Phase::WaitVictimL1;
             t.victimBlock = victim;
             t.extractTarget = members_[slot->ownerCore];
@@ -669,12 +669,10 @@ L2Bank::installAndFinish(BlockAddr block)
     BankTxn &t = *tp;
 
     // Fills honour the owning VM's QoS way mask (all-ones when
-    // partitioning is off, where victim() is the identical choice).
+    // partitioning is off).
     const std::uint64_t mask = fab_.qosWayMask(fab_.vmOfBlock(block));
-    L2CacheLine *slot =
-        mask == ~0ull ? array_.victim(localOf(block))
-                      : array_.victimInWays(localOf(block), mask);
-    CONSIM_ASSERT(slot && !slot->valid,
+    L2CacheLine *slot = array_.victim(localOf(block), mask);
+    CONSIM_ASSERT(slot && !array_.blockAt(slot),
                   "no free slot at install time");
     if (CONSIM_CHECK_ACTIVE(Full)) {
         const int way = array_.wayOf(localOf(block), slot);
@@ -701,42 +699,25 @@ L2Bank::installAndFinish(BlockAddr block)
 L2CacheLine *
 L2Bank::pickVictim(BlockAddr block)
 {
-    // Scan the set ourselves: the generic victim() cannot see pins or
-    // per-block operation state. Only ways the owning VM's QoS mask
-    // allows are candidates (the mask is all-ones when off).
-    const BlockAddr local = localOf(block);
-    const std::uint64_t mask = fab_.qosWayMask(fab_.vmOfBlock(block));
-    L2CacheLine *best = nullptr;
-    int way = -1;
-    array_.forEachInSet(local, [&](L2CacheLine &line) {
-        ++way;
-        if (!((mask >> way) & 1))
-            return;
-        if (line.pinned)
-            return;
-        if (!line.valid) {
-            if (best == nullptr || best->valid)
-                best = &line;
-            return;
-        }
-        const BlockAddr gblock = globalOf(line.tag);
-        if (active_.contains(gblock) || wb_.contains(gblock))
-            return;
-        if (waiting_.has(gblock))
-            return;
-        if (best == nullptr ||
-            (best->valid && line.lruStamp < best->lruStamp))
-            best = &line;
-    });
-    return best;
+    // Only ways the owning VM's QoS mask allows are candidates (the
+    // mask is all-ones when off). A pinned line is mid-extraction,
+    // and a line with an operation in flight or queued cannot go yet.
+    return array_.victim(
+        localOf(block), fab_.qosWayMask(fab_.vmOfBlock(block)),
+        [this](BlockAddr local, const L2CacheLine &line) {
+            const BlockAddr held = globalOf(local);
+            return !line.pinned && !active_.contains(held) &&
+                   !wb_.contains(held) && !waiting_.has(held);
+        });
 }
 
 void
 L2Bank::evictLineNow(L2CacheLine *line)
 {
-    CONSIM_ASSERT(line->valid && line->ownerCore < 0,
+    const auto local = array_.blockAt(line);
+    CONSIM_ASSERT(local && line->ownerCore < 0,
                   "evicting an owned line");
-    const BlockAddr block = globalOf(line->tag);
+    const BlockAddr block = globalOf(*local);
     line->presence.forEachSet([&](int i) {
         sendL1(MsgType::L1Inv, members_[i], block, false);
         ++stats_.backInvals;
@@ -820,9 +801,7 @@ L2Bank::sendDone(BlockAddr block)
 void
 L2Bank::checkInvariants() const
 {
-    array_.forEachLine([&](const L2CacheLine &line) {
-        if (!line.valid)
-            return;
+    array_.forEachLine([&](BlockAddr, const L2CacheLine &line) {
         // An owner must also be present.
         if (line.ownerCore >= 0) {
             CONSIM_ASSERT(line.presence.test(line.ownerCore),

@@ -90,15 +90,24 @@ class L2Bank
         return active_.empty() && waiting_.empty() && wb_.empty();
     }
 
-    /** Walk all lines (replication/occupancy snapshots). The walker
-     *  receives the global block address alongside the line. */
+    /** Walk the held lines (replication/occupancy snapshots,
+     *  audits). The walker receives each line's global block
+     *  address alongside the line. */
     template <typename Fn>
     void
     forEachLine(Fn &&fn) const
     {
-        array_.forEachLine([&](const L2CacheLine &line) {
-            fn(line.valid ? globalOf(line.tag) : BlockAddr{0}, line);
+        array_.forEachLine([&](BlockAddr local, const L2CacheLine &line) {
+            fn(globalOf(local), line);
         });
+    }
+
+    /** @return @p block's line in this bank, or nullptr (audits; no
+     *  LRU effect). @p block must map to this bank. */
+    const L2CacheLine *
+    lookup(BlockAddr block) const
+    {
+        return array_.lookup(localOf(block));
     }
 
     L2BankStats &bankStats() { return stats_; }

@@ -17,8 +17,9 @@
  *  - unordered_map contents are written sorted by block key so the
  *    same machine state always produces the same text;
  *  - cache arrays are restored slot-index-exact: victim() picks the
- *    first invalid slot in set order (else the lowest lruStamp), so
- *    which slot holds which line is architecturally visible.
+ *    first empty slot in set order (else the held line with the
+ *    lowest LRU stamp), so which slot holds which line is
+ *    architecturally visible.
  */
 
 #include "core/checkpoint.hh"
@@ -202,19 +203,18 @@ struct CkptAccess
     saveArray(const CacheArray<LineT> &a, SaveExtra &&extra)
     {
         Value lines = Value::array();
-        for (std::size_t i = 0; i < a.lines_.size(); ++i) {
-            const LineT &l = a.lines_[i];
-            if (!l.valid)
+        for (std::size_t i = 0; i < a.key_.size(); ++i) {
+            if (a.key_[i] == 0)
                 continue;
             Value rec = Value::array();
             rec.push(static_cast<std::uint64_t>(i));
-            rec.push(static_cast<std::uint64_t>(l.tag));
-            rec.push(l.lruStamp);
-            extra(l, rec);
+            rec.push(a.key_[i] - 1);
+            rec.push(a.lru_[i]);
+            extra(a.lines_[i], rec);
             lines.push(std::move(rec));
         }
         Value v = Value::object();
-        v.set("num_lines", static_cast<std::uint64_t>(a.lines_.size()));
+        v.set("num_lines", static_cast<std::uint64_t>(a.key_.size()));
         v.set("stamp", a.stamp_);
         v.set("lines", std::move(lines));
         return v;
@@ -224,23 +224,28 @@ struct CkptAccess
     static void
     loadArray(CacheArray<LineT> &a, const Value &v, LoadExtra &&extra)
     {
-        CONSIM_ASSERT(ckptField(v, "num_lines").asUint() == a.lines_.size(),
+        CONSIM_ASSERT(ckptField(v, "num_lines").asUint() == a.key_.size(),
                       "checkpoint: cache geometry mismatch");
         a.stamp_ = ckptField(v, "stamp").asUint();
         std::fill(a.lines_.begin(), a.lines_.end(), LineT{});
+        std::fill(a.key_.begin(), a.key_.end(), 0);
+        std::fill(a.lru_.begin(), a.lru_.end(), 0);
         for (const Value &rec : ckptField(v, "lines").items()) {
-            const std::size_t i = rec.at(0).asUint();
-            CONSIM_ASSERT(i < a.lines_.size(),
-                          "checkpoint: line slot out of range");
-            LineT &l = a.lines_[i];
-            l.tag = rec.at(1).asUint();
-            l.valid = true;
-            l.lruStamp = rec.at(2).asUint();
-            extra(l, rec);
+            const std::uint64_t i = rec.at(0).asUint();
+            const std::uint64_t key = rec.at(1).asUint() + 1;
+            const std::uint64_t stamp = rec.at(2).asUint();
+            // The slot must lie in its block's set (else lookup()
+            // never finds the line) and be free (else a line is
+            // dropped); the stamp must be one the array handed out.
+            const auto [begin, end] = a.setRange(key - 1);
+            CONSIM_ASSERT(key != 0 && i >= begin && i < end &&
+                              a.key_[i] == 0 && stamp != 0 &&
+                              stamp <= a.stamp_,
+                          "checkpoint: bad cache line record");
+            a.key_[i] = key;
+            a.lru_[i] = stamp;
+            extra(a.lines_[i], rec);
         }
-        // lines_ was written directly; re-derive the SoA mirrors that
-        // lookup()/victim() actually scan.
-        a.rebuildIndex();
     }
 
     static Value

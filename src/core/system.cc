@@ -505,17 +505,13 @@ System::replicationSnapshot() const
     // block across banks counts partitions.
     std::unordered_map<BlockAddr, std::uint32_t> copies;
     for (const auto &b : banks_) {
-        b->forEachLine([&](BlockAddr block, const L2CacheLine &line) {
-            if (!line.valid)
-                return;
+        b->forEachLine([&](BlockAddr block, const L2CacheLine &) {
             ++copies[block];
         });
     }
     snap.distinctBlocks = copies.size();
     for (const auto &b : banks_) {
-        b->forEachLine([&](BlockAddr block, const L2CacheLine &line) {
-            if (!line.valid)
-                return;
+        b->forEachLine([&](BlockAddr block, const L2CacheLine &) {
             ++snap.validLines;
             const VmId vm = vmOfBlock(block);
             if (vm >= 0 && vm < static_cast<VmId>(vms_.size()))
@@ -546,9 +542,7 @@ System::occupancySnapshot() const
         const GroupId g = groupOf_[t];
         snap.capacity[g] += lines_per_bank;
         banks_[t]->forEachLine(
-            [&](BlockAddr block, const L2CacheLine &line) {
-                if (!line.valid)
-                    return;
+            [&](BlockAddr block, const L2CacheLine &) {
                 const VmId vm = vmOfBlock(block);
                 if (vm >= 0 && vm < static_cast<VmId>(vms_.size()))
                     ++snap.lines[g][vm];

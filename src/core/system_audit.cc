@@ -205,8 +205,6 @@ System::auditDirectory() const
         const GroupId g = groupOf_[t];
         banks_[t]->forEachLine(
             [&](BlockAddr block, const L2CacheLine &line) {
-                if (!line.valid)
-                    return;
                 Copies &c = copies[block];
                 c.doubled = c.doubled || c.held.test(g);
                 c.held.set(g);
@@ -279,25 +277,17 @@ System::checkGlobalCoherence() const
     for (CoreId t = 0; t < cfg_.numCores(); ++t) {
         const GroupId g = groupOf_[t];
         l1s_[t]->forEachL1Line([&](BlockAddr block, L1State state) {
-            const CoreId bank_tile = bankTileFor(g, block);
-            bool covered = false;
-            banks_[bank_tile]->forEachLine(
-                [&](BlockAddr b, const L2CacheLine &line) {
-                    if (!line.valid || b != block)
-                        return;
-                    covered = true;
-                    if (state == L1State::Modified &&
-                        line.ownerCore < 0) {
-                        CONSIM_CHECK_FAIL(
-                            "L1 owner unknown to its bank, block 0x",
-                            std::hex, block);
-                    }
-                });
-            if (!covered) {
+            const L2CacheLine *line =
+                banks_[bankTileFor(g, block)]->lookup(block);
+            if (line == nullptr) {
                 CONSIM_CHECK_FAIL("L1 line not backed by its partition "
                                   "(inclusion violated), block 0x",
                                   std::hex, block, std::dec, " core ",
                                   t);
+            }
+            if (state == L1State::Modified && line->ownerCore < 0) {
+                CONSIM_CHECK_FAIL("L1 owner unknown to its bank, block 0x",
+                                  std::hex, block);
             }
         });
     }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <list>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -107,11 +108,9 @@ TEST_P(CacheArrayProperty, NeverExceedsCapacityAndStaysInSet)
     }
     EXPECT_LE(cache.countValid(), g.numLines());
 
-    // Every valid line must be findable again (set discipline).
-    cache.forEachLine([&](const PrivateCacheLine &line) {
-        if (!line.valid)
-            return;
-        EXPECT_NE(cache.lookup(line.tag), nullptr);
+    // Every held line must be findable again (set discipline).
+    cache.forEachLine([&](BlockAddr block, const PrivateCacheLine &) {
+        EXPECT_NE(cache.lookup(block), nullptr);
     });
 }
 
@@ -122,8 +121,11 @@ INSTANTIATE_TEST_SUITE_P(
                       Geometry{65536, 4}, Geometry{65536, 16},
                       Geometry{131072, 8}),
     [](const ::testing::TestParamInfo<Geometry> &info) {
-        return "b" + std::to_string(info.param.bytes) + "_a" +
-               std::to_string(info.param.assoc);
+        std::string name = "b";
+        name += std::to_string(info.param.bytes);
+        name += "_a";
+        name += std::to_string(info.param.assoc);
+        return name;
     });
 
 } // namespace

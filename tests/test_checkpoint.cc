@@ -500,6 +500,83 @@ TEST(CheckpointRestoreDeathTest, BadDirEntriesRefused)
 namespace
 {
 
+/** @p doc with the line records of machine.<@p units>[@p i].<@p key>
+ *  (a cache array) replaced by edit(lines). */
+json::Value
+withEditedCacheLines(
+    const json::Value &doc, const char *units, std::size_t i,
+    const char *key,
+    const std::function<json::Value(const json::Value &)> &edit)
+{
+    json::Value out = doc;
+    json::Value *machine = out.find("machine");
+    const json::Value &all = *machine->find(units);
+    json::Value unit = all.at(i);
+    json::Value array = *unit.find(key);
+    array.set("lines", edit(*array.find("lines")));
+    unit.set(key, array);
+    machine->set(units, replaced(all, i, unit));
+    return out;
+}
+
+} // namespace
+
+TEST(CheckpointRestoreDeathTest, BadCacheLinesRefused)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // A real Mix 1 snapshot; each case corrupts the first line record
+    // of a core's L1, of an L2 bank's array or of a directory slice's
+    // cache.
+    json::Value doc;
+    ASSERT_TRUE(json::parse(tripSnapshot(wedgedConfig(false)), doc));
+    const char *refusal = "checkpoint: bad cache line record";
+    struct Target
+    {
+        const char *units;
+        const char *key;
+    };
+    for (const Target target : {Target{"l1s", "l1"}, Target{"banks", "array"},
+                                Target{"dirs", "cache"}}) {
+        SCOPED_TRACE(target.key);
+        // The first unit whose array holds a line.
+        const json::Value &units = *doc.find("machine")->find(target.units);
+        std::size_t u = 0;
+        while (u < units.size() &&
+               units.at(u).find(target.key)->find("lines")->size() == 0)
+            ++u;
+        ASSERT_LT(u, units.size());
+        const json::Value &array = *units.at(u).find(target.key);
+        const json::Value &rec = array.find("lines")->at(0);
+        const auto resumeEdited =
+            [&](const std::function<json::Value(const json::Value &)>
+                    &edit) {
+                resumeExperiment(withEditedCacheLines(
+                    doc, target.units, u, target.key, edit));
+            };
+        const auto editRecord = [&](std::size_t field, json::Value v) {
+            resumeEdited([=](const json::Value &lines) {
+                return replaced(lines, 0, replaced(lines.at(0), field, v));
+            });
+        };
+        // A slot outside its block's set: the next block maps to the
+        // next set.
+        EXPECT_DEATH(editRecord(1, rec.at(1).asUint() + 1), refusal);
+        // A slot listed twice.
+        EXPECT_DEATH(resumeEdited([](json::Value lines) {
+                         lines.push(lines.at(0));
+                         return lines;
+                     }),
+                     refusal);
+        // A stamp the array never handed out.
+        EXPECT_DEATH(editRecord(2, std::uint64_t{0}), refusal);
+        EXPECT_DEATH(editRecord(2, array.find("stamp")->asUint() + 1),
+                     refusal);
+    }
+}
+
+namespace
+{
+
 /** @p doc with machine.net.<key>[@p i] replaced by edit(record). */
 json::Value
 withEditedNet(const json::Value &doc, const char *key, std::size_t i,

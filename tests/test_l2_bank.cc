@@ -3,8 +3,8 @@
  * Unit tests for the L2 partition bank through the mock fabric:
  * local miss/hit flows against a hand-played home directory, forward
  * service (clean, dirty, with owner extraction), invalidations,
- * inclusive back-invalidation, eviction writebacks, and the
- * writeback-buffer window.
+ * inclusive back-invalidation, eviction writebacks (and the victim
+ * choice around busy lines), and the writeback-buffer window.
  *
  * The bank under test sits at tile 0 (shared-4-way: group 0 =
  * {0,1,4,5}, bank index 0 serves blocks with block % 4 == 0).
@@ -331,6 +331,30 @@ TEST_F(L2BankUnit, ConflictFillEvictsWithPutAndWbWindow)
     bank_.handle(ack);
     fab_.drainEvents();
     EXPECT_EQ(fab_.ofType(MsgType::GetS).size(), 1u);
+}
+
+TEST_F(L2BankUnit, ConflictFillSkipsLineWithUpgradePending)
+{
+    // Fill set 0 as above; block 0 is its LRU line.
+    const BlockAddr stride = 4 * 2048;
+    for (int i = 0; i < 8; ++i)
+        coldRead(i * stride, 1, L2State::Shared);
+    // Core 1 writes block 0: its upgrade is now pending at the home.
+    bank_.handle(l1Req(MsgType::L1GetM, 0, 1));
+    fab_.drainEvents();
+    ASSERT_EQ(fab_.ofType(MsgType::GetM).size(), 1u);
+    fab_.sent.clear();
+
+    // A conflicting fill passes over the busy LRU line and evicts the
+    // next-LRU block.
+    coldRead(8 * stride, 1, L2State::Shared);
+    const auto puts = fab_.ofType(MsgType::PutS);
+    ASSERT_EQ(puts.size(), 1u);
+    EXPECT_EQ(puts[0].block, stride);
+
+    // Block 0 is still held, so its upgrade completes.
+    grantAndData(0, L2State::Modified, /*no_data=*/true);
+    EXPECT_EQ(fab_.ofType(MsgType::L1Data).size(), 2u);
 }
 
 TEST_F(L2BankUnit, DirtyEvictionSendsPutM)

@@ -183,45 +183,49 @@ TEST(FaultPlanStrict, RejectsUnknownKindsAndParameters)
 
 TEST(VictimInWays, RestrictsReplacementToMaskedWays)
 {
-    // One 8-way set is enough; two sets keep setIndex honest.
+    // A tag-only array: the mask needs no per-line payload.
+    struct Line
+    {
+    };
+    // One 8-way set is enough; two sets keep the set indexing honest.
     CacheGeometry geom;
     geom.sizeBytes = static_cast<std::uint64_t>(blockBytes) * 16;
     geom.assoc = 8;
-    CacheArray<CacheLineBase> array(geom);
+    CacheArray<Line> array(geom);
 
     // Empty set: the first masked way wins, not way 0.
-    CacheLineBase *slot = array.victimInWays(0, 0xF0);
+    Line *slot = array.victim(0, 0xF0);
     EXPECT_EQ(array.wayOf(0, slot), 4);
 
     // Fill the set with blocks 0, 2, 4, ... (set 0 of 2), touching in
     // install order so way 0 holds the globally-LRU line.
     for (int w = 0; w < 8; ++w) {
-        CacheLineBase *v = array.victim(2 * w);
+        Line *v = array.victim(2 * w);
         array.install(v, 2 * w);
         EXPECT_EQ(array.wayOf(2 * w, v), w);
     }
 
-    // Unrestricted: victimInWays(all ways) agrees with victim().
-    EXPECT_EQ(array.victimInWays(16, 0xFF), array.victim(16));
+    // Unrestricted: victim(all ways) is the default victim().
+    EXPECT_EQ(array.victim(16, 0xFF), array.victim(16));
     EXPECT_EQ(array.wayOf(16, array.victim(16)), 0);
 
     // Restricted to the high half: the masked LRU (way 4), even
     // though ways 0..3 hold strictly older lines.
-    slot = array.victimInWays(16, 0xF0);
+    slot = array.victim(16, 0xF0);
     EXPECT_EQ(array.wayOf(16, slot), 4);
 
     // Refresh way 4; the masked LRU moves to way 5.
     array.touch(array.lookup(2 * 4));
-    slot = array.victimInWays(16, 0xF0);
+    slot = array.victim(16, 0xF0);
     EXPECT_EQ(array.wayOf(16, slot), 5);
 
     // A single-way mask is a direct-mapped partition.
-    slot = array.victimInWays(16, 1u << 7);
+    slot = array.victim(16, 1u << 7);
     EXPECT_EQ(array.wayOf(16, slot), 7);
 
     // An empty mask is a wiring bug: recoverable invariant failure.
     ScopedCheckLevel lvl(check::Level::Basic);
-    EXPECT_THROW(array.victimInWays(16, 0), SimError);
+    EXPECT_THROW(array.victim(16, 0), SimError);
 }
 
 // ---------------------------------------------------------------- //

@@ -61,7 +61,8 @@ work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
 echo "=== tier-1: warning-free build + full test suite ==="
-cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
