@@ -86,15 +86,6 @@ System::System(const MachineConfig &cfg,
     sysSrc_ = n + 1;
     seqBySrc_.assign(static_cast<std::size_t>(n) + 2, 0);
 
-    if (cfg_.idealNoc)
-        net_ = std::make_unique<IdealNetwork>();
-    else
-        net_ = std::make_unique<Mesh>(cfg_);
-    // The ideal network's constant latency is modelled as scheduled
-    // NetDeliver events (transport bypass) so same-cycle arrivals
-    // follow the canonical (src, seq) order instead of global
-    // injection order; the network itself is never ticked.
-    netBypass_ = cfg_.idealNoc;
     netHandoff_ = std::max<Cycle>(
         3, static_cast<Cycle>(cfg_.meshX + cfg_.meshY) / 4);
     // Pre-size the calendar ring from the machine size: a few events
@@ -104,9 +95,16 @@ System::System(const MachineConfig &cfg,
     events_.reserveBuckets(static_cast<std::size_t>(4 * n));
     // Mesh ejections reach their destination unit netHandoff_ cycles
     // after ejection, as a NET-keyed event (the NI->protocol latency).
-    net_->setDeliver([this](const Msg &m) {
-        enqueue(netSrc_, netHandoff_, SimEvent(SimEventKind::Deliver, m));
-    });
+    // The ideal network builds no mesh: its constant latency is
+    // modelled as scheduled NetDeliver events, so same-cycle arrivals
+    // follow the canonical (src, seq) order instead of global
+    // injection order.
+    if (!cfg_.idealNoc) {
+        mesh_ = std::make_unique<Mesh>(cfg_, netStats_, [this](const Msg &m) {
+            enqueue(netSrc_, netHandoff_,
+                    SimEvent(SimEventKind::Deliver, m));
+        });
+    }
 
     for (CoreId t = 0; t < n; ++t) {
         l1s_.push_back(std::make_unique<L1Controller>(*this, t));
@@ -146,7 +144,7 @@ System::System(const MachineConfig &cfg,
     }
     for (std::size_t i = 0; i < mcs_.size(); ++i)
         tileGroups_[mcTiles_[i]]->addChild(&mcs_[i]->statsGroup());
-    statsRoot_.addChild(&net_->statsGroup());
+    statsRoot_.addChild(&netStats_.group);
     for (auto *vm : vms_)
         statsRoot_.addChild(&vm->statsGroup());
 
@@ -179,8 +177,10 @@ System::setQosConfig(const QosConfig &qos)
 {
     isolation_.configure(qos, cfg_, numVms());
     services_[QosEpoch].epoch = isolation_.epochCycles();
-    net_->setQos(qos.enabled() ? qos.protectedVm : invalidVm,
-                 qos.enabled() ? qos.reservedVcs : 0);
+    if (mesh_) {
+        mesh_->setQos(qos.enabled() ? qos.protectedVm : invalidVm,
+                      qos.enabled() ? qos.reservedVcs : 0);
+    }
     for (auto &mc : mcs_) {
         mc->setQos(qos.protectedVm, numVms(),
                    qos.enabled() ? qos.mcTokens : 0,
@@ -221,14 +221,14 @@ System::send(Msg m)
                 SimEvent(SimEventKind::Deliver, m));
         return;
     }
-    if (netBypass_) {
+    if (!mesh_) {
         // Ideal network, modelled as a scheduled arrival (see ctor).
-        net_->countInject();
+        netStats_.countInject();
         enqueue(src, cfg_.idealNocLatency,
                 SimEvent(SimEventKind::NetDeliver, m));
         return;
     }
-    net_->inject(std::move(m));
+    mesh_->inject(std::move(m));
 }
 
 void
@@ -395,9 +395,9 @@ System::execEvent(const SimEvent &ev)
         cores_.at(ev.tile)->wedge();
         break;
       case SimEventKind::NetDeliver: {
-        // Transport-bypass arrival: account the ejection the ideal
-        // network would have recorded, then deliver.
-        net_->countEject(ev.msg, now_, carriesData(ev.msg.type) ? 5 : 1);
+        // Ideal-network arrival: account the ejection, then deliver.
+        netStats_.countEject(ev.msg, now_,
+                             carriesData(ev.msg.type) ? 5 : 1);
         deliver(ev.msg);
         break;
       }
@@ -410,8 +410,8 @@ System::tick()
     events_.runDue(now_, [this](const SimEvent &ev) { execEvent(ev); });
     for (auto &c : cores_)
         c->tick();
-    if (!netBypass_)
-        net_->tick(now_);
+    if (mesh_)
+        mesh_->tick(now_);
     ++now_;
 }
 
@@ -470,7 +470,7 @@ System::quiesced() const
         return std::all_of(units.begin(), units.end(),
                            [](const auto &u) { return u->idle(); });
     };
-    return events_.empty() && net_->idle() && idle(l1s_) &&
+    return events_.empty() && (!mesh_ || mesh_->idle()) && idle(l1s_) &&
            idle(banks_) && idle(dirs_) && idle(mcs_);
 }
 

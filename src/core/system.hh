@@ -45,6 +45,8 @@
 namespace consim
 {
 
+class Mesh;
+
 /** Chip-wide replication snapshot (paper Fig. 12). */
 struct ReplicationSnapshot
 {
@@ -426,7 +428,10 @@ class System : public Fabric
 
     int spanBits_ = vmSpanBits; ///< run's VM-window width (decode)
     DirectoryStorage dirStorage_;
-    std::unique_ptr<Network> net_;
+    NetworkStats netStats_;
+    /** The interconnect; null on the ideal NoC, whose messages travel
+     *  as NetDeliver events. */
+    std::unique_ptr<Mesh> mesh_;
     std::vector<std::unique_ptr<L1Controller>> l1s_;
     std::vector<std::unique_ptr<Core>> cores_;
     std::vector<std::unique_ptr<L2Bank>> banks_;
@@ -447,8 +452,6 @@ class System : public Fabric
     std::vector<std::uint64_t> seqBySrc_;
     std::int32_t netSrc_ = 0;
     std::int32_t sysSrc_ = 0;
-
-    bool netBypass_ = false; ///< ideal NoC modelled as events
 
     // --- hardening state ---
     FaultPlan faultPlan_;

@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "common/logging.hh"
+#include "noc/mesh.hh"
 
 namespace consim
 {
@@ -114,7 +115,7 @@ System::watchdogBaseline()
 {
     services_[Watchdog].at = now_ + watchdogInterval_;
     wdSnap_.executed = events_.executed();
-    wdSnap_.ejected = net_->ejectedTotal();
+    wdSnap_.ejected = netStats_.ejectedTotal;
     wdSnap_.retired.resize(cores_.size());
     wdSnap_.blocked.resize(cores_.size());
     wdSnap_.retiredSum = 0;
@@ -137,7 +138,7 @@ System::watchdogCheck()
     // instructions retired — yet work is still in flight.
     const bool globalProgress =
         events_.executed() != wdSnap_.executed ||
-        net_->ejectedTotal() != wdSnap_.ejected ||
+        netStats_.ejectedTotal != wdSnap_.ejected ||
         retiredSum != wdSnap_.retiredSum;
     if (!globalProgress && !quiesced()) {
         trip(SimErrorKind::Watchdog,
@@ -303,7 +304,8 @@ System::auditWindow() const
         checkInvariants();
 
         // NoC credit/flit conservation and packet census.
-        net_->checkConservation();
+        if (mesh_)
+            mesh_->checkConservation();
 
         // Stuck transactions: a leaked entry never completes, so its
         // age grows without bound. Anything older than the limit is
@@ -382,7 +384,7 @@ System::diagJson(const std::string &reason) const
     }
     v.set("directories", std::move(dirs));
 
-    v.set("net", net_->diagJson());
+    v.set("net", mesh_ ? mesh_->diagJson() : json::Value::object());
 
     // Per-VM L2 occupancy (valid lines chip-wide): which VM holds
     // the shared cache when a run hangs or trips its deadline.

@@ -1,6 +1,7 @@
 #include "noc/mesh.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hh"
 #include "common/logging.hh"
@@ -17,7 +18,6 @@ nocParams(const MachineConfig &cfg)
     NocParams p;
     p.meshX = cfg.meshX;
     p.meshY = cfg.meshY;
-    p.numVnets = cfg.numVnets;
     p.vcsPerVnet = cfg.vcsPerVnet;
     // One header flit plus the 64B block payload.
     p.dataFlits = (blockBytes + cfg.flitBytes - 1) / cfg.flitBytes + 1;
@@ -29,9 +29,11 @@ nocParams(const MachineConfig &cfg)
 
 } // namespace
 
-Mesh::Mesh(const MachineConfig &cfg)
-    : params_(nocParams(cfg)),
-      shared_(params_, packetPoolBound(params_, cfg.numCores()))
+Mesh::Mesh(const MachineConfig &cfg, NetworkStats &stats,
+           MeshShared::DeliverFn deliver)
+    : params_(nocParams(cfg)), stats_(stats),
+      shared_(params_, packetPoolBound(params_, cfg.numCores()),
+              std::move(deliver))
 {
     const int n = cfg.numCores();
     routers_.reserve(n);
@@ -50,10 +52,6 @@ Mesh::Mesh(const MachineConfig &cfg)
             r.setNeighbor(PortEast, routers_[t + 1].get());
         if (x > 0)
             r.setNeighbor(PortWest, routers_[t - 1].get());
-        r.setEjector([this](const Msg &m, int len) {
-            countEject(m, lastTick_, len);
-            deliver_(m);
-        });
         nis_.push_back(std::make_unique<NetworkInterface>(
             t, params_, &r, &shared_));
     }
@@ -64,7 +62,7 @@ Mesh::inject(Msg m)
 {
     CONSIM_ASSERT(m.srcTile != m.dstTile,
                   "mesh injection for a same-tile message");
-    countInject();
+    stats_.countInject();
     nis_.at(m.srcTile)->enqueue(std::move(m));
 }
 
@@ -194,10 +192,10 @@ Mesh::checkConservation() const
 
     const std::uint64_t inNetwork =
         static_cast<std::uint64_t>(buffered + transit + queued);
-    if (injectedTotal_ - ejectedTotal_ != inNetwork) {
+    if (stats_.injectedTotal - stats_.ejectedTotal != inNetwork) {
         CONSIM_CHECK_FAIL(
             "mesh packet conservation broken: injected=",
-            injectedTotal_, " ejected=", ejectedTotal_,
+            stats_.injectedTotal, " ejected=", stats_.ejectedTotal,
             " buffered=", buffered, " in_transit=", transit,
             " ni_queued=", queued);
     }
@@ -207,8 +205,8 @@ json::Value
 Mesh::diagJson() const
 {
     auto v = json::Value::object();
-    v.set("injected_total", injectedTotal_);
-    v.set("ejected_total", ejectedTotal_);
+    v.set("injected_total", stats_.injectedTotal);
+    v.set("ejected_total", stats_.ejectedTotal);
     v.set("in_flight", inFlight());
     auto routers = json::Value::array();
     for (const auto &r : routers_) {

@@ -7,8 +7,7 @@ namespace consim
 
 NetworkInterface::NetworkInterface(CoreId tile, const NocParams &params,
                                    Router *router, MeshShared *shared)
-    : tile_(tile), params_(params), router_(router), shared_(shared),
-      queues_(params.numVnets)
+    : tile_(tile), params_(params), router_(router), shared_(shared)
 {
     CONSIM_ASSERT(router_ != nullptr, "NI without router at ", tile_);
 }
@@ -25,7 +24,7 @@ NetworkInterface::enqueue(Msg m)
 void
 NetworkInterface::tick(Cycle now)
 {
-    for (int vnet = 0; vnet < params_.numVnets; ++vnet) {
+    for (int vnet = 0; vnet < numVnets; ++vnet) {
         auto &q = queues_[vnet];
         if (q.empty())
             continue;

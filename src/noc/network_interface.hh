@@ -9,7 +9,7 @@
 #ifndef CONSIM_NOC_NETWORK_INTERFACE_HH
 #define CONSIM_NOC_NETWORK_INTERFACE_HH
 
-#include <vector>
+#include <array>
 
 #include "coherence/protocol.hh"
 #include "common/ring.hh"
@@ -18,7 +18,7 @@
 namespace consim
 {
 
-/** Injection-side NI; ejection is handled by the router's ejector.
+/** Injection-side NI; a packet ejects at its destination router.
  *  The NI keeps its tile in the mesh's `queued` set while it holds
  *  messages, so the mesh visits only NIs with work. */
 class NetworkInterface
@@ -50,7 +50,7 @@ class NetworkInterface
     NocParams params_;
     Router *router_;
     MeshShared *shared_;
-    std::vector<RingBuf<Msg>> queues_; ///< one per vnet
+    std::array<RingBuf<Msg>, numVnets> queues_; ///< one per vnet
     int queuedTotal_ = 0;              ///< across all vnets
 };
 

@@ -1,6 +1,7 @@
 #include "noc/router.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hh"
 #include "common/logging.hh"
@@ -8,14 +9,16 @@
 namespace consim
 {
 
-MeshShared::MeshShared(const NocParams &params, std::size_t pool_bound)
+MeshShared::MeshShared(const NocParams &params, std::size_t pool_bound,
+                       DeliverFn deliver_fn)
     : col(static_cast<std::size_t>(params.meshX * params.meshY)),
       wake(col.size(), 0), buffered(static_cast<int>(col.size())),
       queued(static_cast<int>(col.size())),
       // Outputs finish 1..dataFlits cycles after their grant.
       finishing(std::size_t(1) << ceilLog2(params.dataFlits + 1),
                 TileSet(static_cast<int>(col.size()))),
-      finishMask(finishing.size() - 1), pool(pool_bound)
+      finishMask(finishing.size() - 1), pool(pool_bound),
+      deliver(std::move(deliver_fn))
 {
     for (std::size_t t = 0; t < col.size(); ++t)
         col[t] = static_cast<int>(t) % params.meshX;
@@ -149,9 +152,9 @@ Router::tickOutputs(Cycle now)
         outBusy_ &= ~(1u << port);
         --shared_->busyOutputs;
         if (port == PortLocal) {
-            CONSIM_ASSERT(eject_, "no ejector on router ", tile_);
             const RouterPacket &p = (*pool_)[out.pkt];
-            eject_(p.msg, p.lenFlits);
+            stats_->countEject(p.msg, now, p.lenFlits);
+            shared_->deliver(p.msg);
             pool_->release(out.pkt);
         } else {
             Router *next = neighbor_[port];

@@ -44,7 +44,6 @@ struct NocParams
 {
     int meshX = 4;
     int meshY = 4;
-    int numVnets = 3;
     int vcsPerVnet = 2;
     int vcBufferFlits = 8;   ///< must hold a full data packet
     int pipelineDelay = 2;   ///< cycles from full arrival to SA
@@ -193,7 +192,8 @@ class TileSet
 
 /**
  * What a mesh's routers and NIs share: each tile's column, so that
- * routing needs no division; the packet pool; and what Mesh::tick
+ * routing needs no division; the packet pool; the function that
+ * delivers an ejected packet's message; and what Mesh::tick
  * reads to visit only routers and NIs with work: the activity sets,
  * the finishing ring and the routers' wake cycles, dense so that a
  * skipped router is never loaded.
@@ -213,7 +213,10 @@ class TileSet
  */
 struct MeshShared
 {
-    MeshShared(const NocParams &params, std::size_t pool_bound);
+    using DeliverFn = std::function<void(const Msg &)>;
+
+    MeshShared(const NocParams &params, std::size_t pool_bound,
+               DeliverFn deliver_fn);
 
     /** @return the set of routers with an output finishing at
      *  @p cycle. */
@@ -231,11 +234,13 @@ struct MeshShared
     Cycle finishMask;
     int busyOutputs = 0;     ///< outputs mid-transmission, mesh-wide
     PacketPool pool;
+    DeliverFn deliver;       ///< called on each ejected message
 };
 
 /**
- * One mesh router. The Mesh wires routers to their neighbors and
- * registers an ejector for the local port.
+ * One mesh router. The Mesh wires routers to their neighbors; a
+ * packet leaving the local port is counted as ejected and its message
+ * handed to the mesh's deliver function.
  *
  * Only routers with work are visited: the router keeps its tile in
  * the mesh's `buffered` set while it has buffered packets, and in the
@@ -255,16 +260,11 @@ struct MeshShared
 class Router
 {
   public:
-    using EjectFn = std::function<void(const Msg &, int len_flits)>;
-
     Router(CoreId tile, const NocParams &params, NetworkStats *stats,
            MeshShared *shared);
 
     /** Wire port @p port to neighbor @p r (nullptr at mesh edges). */
     void setNeighbor(int port, Router *r);
-
-    /** Register the local-port delivery callback. */
-    void setEjector(EjectFn fn) { eject_ = std::move(fn); }
 
     /**
      * Enable per-VM QoS: the top @p reserved_vcs VCs of every vnet
@@ -436,7 +436,6 @@ class Router
     std::vector<PacketId> ring_;        ///< [port][vc][slot] handles
     NocParams params_;
     NetworkStats *stats_;
-    EjectFn eject_;
 };
 
 } // namespace consim

@@ -61,11 +61,10 @@ TEST(Routing, HopDistance)
 class MeshTest : public ::testing::Test
 {
   protected:
-    MeshTest() : mesh_(cfg_)
+    MeshTest()
+        : mesh_(cfg_, stats_,
+                [this](const Msg &m) { delivered_.push_back(m); })
     {
-        mesh_.setDeliver([this](const Msg &m) {
-            delivered_.push_back(m);
-        });
     }
 
     void
@@ -76,9 +75,10 @@ class MeshTest : public ::testing::Test
     }
 
     MachineConfig cfg_;
+    NetworkStats stats_;
+    std::vector<Msg> delivered_;
     Mesh mesh_;
     Cycle now_ = 0;
-    std::vector<Msg> delivered_;
 };
 
 TEST_F(MeshTest, DeliversSingleControlPacket)
@@ -146,7 +146,7 @@ TEST_F(MeshTest, ManyPacketsAllArrive)
     runCycles(2000);
     EXPECT_EQ(static_cast<int>(delivered_.size()), injected);
     EXPECT_TRUE(mesh_.idle());
-    EXPECT_EQ(mesh_.netStats().packetsEjected.value(),
+    EXPECT_EQ(stats_.packetsEjected.value(),
               static_cast<std::uint64_t>(injected));
 }
 
@@ -222,7 +222,7 @@ TEST_F(MeshTest, StatsAccumulate)
     m.injectCycle = now_;
     mesh_.inject(m);
     runCycles(200);
-    const auto &s = mesh_.netStats();
+    const auto &s = stats_;
     EXPECT_EQ(s.packetsInjected.value(), 1u);
     EXPECT_EQ(s.packetsEjected.value(), 1u);
     EXPECT_GT(s.flitHops.value(), 0u);

@@ -16,6 +16,7 @@
 #include "common/config.hh"
 #include "common/rng.hh"
 #include "noc/mesh.hh"
+#include "noc/network.hh"
 #include "noc/routing.hh"
 
 namespace consim
@@ -41,11 +42,10 @@ TEST_P(MeshProperty, ConservesAllPacketsUnderRandomLoad)
     MachineConfig cfg;
     cfg.vcsPerVnet = param.vcsPerVnet;
     cfg.vcBufferFlits = param.vcBufferFlits;
-    Mesh mesh(cfg);
-
     std::map<BlockAddr, int> outstanding;
     int delivered = 0;
-    mesh.setDeliver([&](const Msg &m) {
+    NetworkStats stats;
+    Mesh mesh(cfg, stats, [&](const Msg &m) {
         ++delivered;
         auto it = outstanding.find(m.block);
         ASSERT_NE(it, outstanding.end()) << "phantom packet";
@@ -89,7 +89,7 @@ TEST_P(MeshProperty, ConservesAllPacketsUnderRandomLoad)
     EXPECT_TRUE(mesh.idle()) << "packets stuck in the mesh";
     EXPECT_EQ(delivered, injected);
     EXPECT_TRUE(outstanding.empty());
-    EXPECT_EQ(mesh.netStats().packetsEjected.value(),
+    EXPECT_EQ(stats.packetsEjected.value(),
               static_cast<std::uint64_t>(injected));
 }
 
@@ -236,16 +236,14 @@ TEST(MeshArbitration, EjectionOrderPinnedUnderSaturation)
     // every-fourth-cycle yield.
     for (const ArbitrationPin &pin : kArbitrationPins) {
         const MachineConfig cfg = pinConfig(pin);
-        Mesh mesh(cfg);
-        if (pin.qos)
-            mesh.setQos(1, 1);
         const int tiles = cfg.numCores();
 
         Cycle now = 0;
         std::uint64_t hash = 0xcbf29ce484222325ull;
         int delivered = 0, contended = 0;
         int protectedDelivered = 0;
-        mesh.setDeliver([&](const Msg &m) {
+        NetworkStats stats;
+        Mesh mesh(cfg, stats, [&](const Msg &m) {
             ++delivered;
             hash = fnv1aWord(hash, now);
             hash = fnv1aWord(hash, static_cast<std::uint64_t>(m.dstTile));
@@ -260,6 +258,8 @@ TEST(MeshArbitration, EjectionOrderPinnedUnderSaturation)
             contended += now - m.injectCycle > bound;
             protectedDelivered += m.vm == 1;
         });
+        if (pin.qos)
+            mesh.setQos(1, 1);
 
         SaturatingTraffic traffic(pin, tiles);
         for (; !traffic.done() || !mesh.idle(); ++now) {
@@ -297,10 +297,10 @@ TEST(MeshArbitration, SaturatedMeshDrainsItsPacketPool)
     // slot it ever used back on the free list.
     for (const ArbitrationPin &pin : kArbitrationPins) {
         const MachineConfig cfg = pinConfig(pin);
-        Mesh mesh(cfg);
+        NetworkStats stats;
+        Mesh mesh(cfg, stats, [](const Msg &) {});
         if (pin.qos)
             mesh.setQos(1, 1);
-        mesh.setDeliver([](const Msg &) {});
         const PacketPool &pool = mesh.pool();
         EXPECT_EQ(pool.bound(),
                   packetPoolBound(mesh.params(), cfg.numCores()))
@@ -344,16 +344,20 @@ TEST(PacketPoolDeathTest, AllocationPastTheBoundFails)
 TEST(MeshLatencyProperty, UncontendedLatencyTracksHopCount)
 {
     MachineConfig cfg;
-    Mesh mesh(cfg);
+    Cycle now = 0;
     Cycle delivered_at = 0;
-    mesh.setDeliver([&](const Msg &) {});
+    bool got = false;
+    NetworkStats stats;
+    Mesh mesh(cfg, stats, [&](const Msg &) {
+        got = true;
+        delivered_at = now;
+    });
 
     // For each src/dst pair, an uncontended control packet's latency
     // must be a monotone-ish function of hop distance: check that
     // max-latency(dist d) < min-latency(dist d+3) never inverts
     // wildly by sampling all pairs.
     std::map<int, std::pair<Cycle, Cycle>> by_dist; // min,max
-    Cycle now = 0;
     for (CoreId s = 0; s < 16; ++s) {
         for (CoreId d = 0; d < 16; ++d) {
             if (s == d)
@@ -363,11 +367,7 @@ TEST(MeshLatencyProperty, UncontendedLatencyTracksHopCount)
             m.srcTile = s;
             m.dstTile = d;
             m.injectCycle = now;
-            bool got = false;
-            mesh.setDeliver([&](const Msg &) {
-                got = true;
-                delivered_at = now;
-            });
+            got = false;
             mesh.inject(m);
             const Cycle start = now;
             while (!got)

@@ -237,7 +237,8 @@ TEST(RouterQos, ReservedVcsAdmitOnlyTheProtectedVm)
     NocParams params; // 3 vnets x 2 VCs, 8-flit buffers
     NetworkStats stats;
     MeshShared shared(params,
-                      packetPoolBound(params, params.meshX * params.meshY));
+                      packetPoolBound(params, params.meshX * params.meshY),
+                      [](const Msg &) {});
     Router router(0, params, &stats, &shared);
     router.setQos(0, 1);
 

@@ -299,9 +299,9 @@ TEST(ScaledRouting, AllPairsReachableOn8x4And6x6)
 TEST(ScaledRouting, MeshDeliversAllPairsOn8x4)
 {
     MachineConfig cfg = meshConfig(8, 4, 8);
-    Mesh mesh(cfg);
     std::vector<Msg> delivered;
-    mesh.setDeliver([&](const Msg &m) { delivered.push_back(m); });
+    NetworkStats stats;
+    Mesh mesh(cfg, stats, [&](const Msg &m) { delivered.push_back(m); });
     Cycle now = 0;
     int injected = 0;
     for (CoreId src = 0; src < 32; ++src) {
@@ -331,9 +331,9 @@ TEST(ScaledRouting, MeshDeliversAllPairsOn8x4)
 TEST(ScaledRouting, MeshDeliversAllPairsOn6x6)
 {
     MachineConfig cfg = meshConfig(6, 6, 6);
-    Mesh mesh(cfg);
     int delivered = 0;
-    mesh.setDeliver([&](const Msg &) { ++delivered; });
+    NetworkStats stats;
+    Mesh mesh(cfg, stats, [&](const Msg &) { ++delivered; });
     Cycle now = 0;
     int injected = 0;
     for (CoreId src = 0; src < 36; ++src) {
