@@ -798,24 +798,34 @@ L2Bank::sendDone(BlockAddr block)
     fab_.send(m);
 }
 
+const char *
+L2Bank::lineFault(BlockAddr local, const L2CacheLine &line) const
+{
+    if (line.state != L2State::Shared && line.state != L2State::Exclusive &&
+        line.state != L2State::Modified)
+        return "held line in no valid state";
+    bool outside = false;
+    line.presence.forEachSet([&](int idx) { outside |= idx >= groupSize_; });
+    if (outside)
+        return "presence bit outside the group";
+    if (line.ownerCore >= groupSize_ || line.ownerCore < -1)
+        return "L1 owner outside the group";
+    if (line.ownerCore >= 0 && !line.presence.test(line.ownerCore))
+        return "owner without presence bit";
+    if (line.ownerCore >= 0 && line.state == L2State::Shared)
+        return "L1 owner under a Shared partition line";
+    if (line.vm != fab_.vmOfBlock(globalOf(local)))
+        return "line of another VM's block";
+    return nullptr;
+}
+
 void
 L2Bank::checkInvariants() const
 {
-    array_.forEachLine([&](BlockAddr, const L2CacheLine &line) {
-        // An owner must also be present.
-        if (line.ownerCore >= 0) {
-            CONSIM_ASSERT(line.presence.test(line.ownerCore),
-                          "owner without presence bit");
-            CONSIM_ASSERT(line.state == L2State::Exclusive ||
-                              line.state == L2State::Modified,
-                          "L1 owner under a Shared partition line");
-        }
-        CONSIM_ASSERT(line.presence.count() <= groupSize_,
-                      "presence bits exceed group size");
-        if (line.state == L2State::Shared)
-            CONSIM_ASSERT(!line.dirty || true,
-                          "unreachable"); // S may be dirty only
-                                          // transiently; tolerated
+    array_.forEachLine([&](BlockAddr local, const L2CacheLine &line) {
+        const char *fault = lineFault(local, line);
+        CONSIM_ASSERT(fault == nullptr, "bank ", tile_, " block 0x",
+                      std::hex, globalOf(local), std::dec, ": ", fault);
     });
 }
 

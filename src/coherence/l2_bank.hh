@@ -188,6 +188,16 @@ class L2Bank
     BlockAddr globalOf(BlockAddr local) const;
     int idxOfCore(CoreId core) const;
 
+    /**
+     * @return why @p line cannot be this bank's line of local block
+     * @p local, or nullptr when it can. A held line is Shared,
+     * Exclusive or Modified; it marks only member cores present; an
+     * L1 owner is a present member under an E or M line; and the line
+     * belongs to its block's VM. checkInvariants() asserts this of
+     * every line, and checkpoint restore refuses a line it rejects.
+     */
+    const char *lineFault(BlockAddr local, const L2CacheLine &line) const;
+
     // --- message handlers ---
     void onL1Request(const Msg &m);
     void onL1PutM(const Msg &m);
