@@ -479,9 +479,11 @@ else
     echo "=== snapshot interchange: $perf_base and this tree ==="
     # The snapshot text is a contract between builds. The base's
     # consim_run (built from its git archive) and this tree's must
-    # write byte-identical snapshots of one 64-core run, tripped
-    # mid-run with mesh packets queued and in transit, and each must
-    # resume the other's to the uninterrupted run's result block.
+    # write byte-identical snapshots of a run tripped mid-run, and
+    # each must resume the other's to the uninterrupted run's result
+    # block. Two runs: a 64-core mesh run with packets queued and in
+    # transit, and a 16-core ideal-NoC run with messages in flight as
+    # NetDeliver events.
     xchg_dir="$work/interchange"
     mkdir -p "$xchg_dir/base"
     base_commit="$(git rev-parse --verify --quiet "$perf_base^{commit}")" || {
@@ -493,45 +495,60 @@ else
         --target consim_run >/dev/null
     declare -A xchg_bin=([base]="$xchg_dir/base/build/tools/consim_run"
         [change]=./build/tools/consim_run)
-    xchg_args=(--mix "Mix 5" --mesh 8x8 --sharing 8
-        --vm-threads 24,24,24,24 --warmup 60000 --measure 120000
-        --watchdog 200000)
-    ./build/tools/consim_run "${xchg_args[@]}" \
-        --json "$xchg_dir/full.json" >/dev/null
-    awk '/"result": \{/,0' "$xchg_dir/full.json" >"$xchg_dir/full.result"
-    for side in base change; do
-        if "${xchg_bin[$side]}" "${xchg_args[@]}" --deadline 90000 \
-            --ckpt-every 80000 --ckpt-out "$xchg_dir/$side.ckpt" \
-            >/dev/null 2>&1; then
-            echo "snapshot interchange: $side deadline run unexpectedly" \
-                "succeeded" >&2
-            exit 1
-        fi
-        [[ -s "$xchg_dir/$side.ckpt" ]] || {
-            echo "snapshot interchange: $side wrote no checkpoint" >&2
+    # xchg NAME DEADLINE SNAPSHOT-CYCLE RUN-FLAGS...: both builds trip
+    # the run at DEADLINE with the snapshot taken at SNAPSHOT-CYCLE.
+    xchg() {
+        local name="$1" deadline="$2" every="$3"
+        shift 3
+        local dir="$xchg_dir/$name"
+        mkdir "$dir"
+        ./build/tools/consim_run "$@" --json "$dir/full.json" >/dev/null
+        awk '/"result": \{/,0' "$dir/full.json" >"$dir/full.result"
+        local side pair writer reader
+        for side in base change; do
+            if "${xchg_bin[$side]}" "$@" --deadline "$deadline" \
+                --ckpt-every "$every" --ckpt-out "$dir/$side.ckpt" \
+                >/dev/null 2>&1; then
+                echo "snapshot interchange: $name: $side deadline run" \
+                    "unexpectedly succeeded" >&2
+                exit 1
+            fi
+            [[ -s "$dir/$side.ckpt" ]] || {
+                echo "snapshot interchange: $name: $side wrote no" \
+                    "checkpoint" >&2
+                exit 1; }
+        done
+        cmp "$dir/base.ckpt" "$dir/change.ckpt" || {
+            echo "snapshot interchange: $name: the two builds'" \
+                "snapshots differ" >&2
             exit 1; }
-    done
-    cmp "$xchg_dir/base.ckpt" "$xchg_dir/change.ckpt" || {
-        echo "snapshot interchange: the two builds' snapshots differ" >&2
-        exit 1; }
+        for pair in "base change" "change base"; do
+            read -r writer reader <<<"$pair"
+            "${xchg_bin[$reader]}" --resume "$dir/$writer.ckpt" \
+                --json "$dir/$writer-on-$reader.json" >/dev/null
+            awk '/"result": \{/,0' "$dir/$writer-on-$reader.json" \
+                >"$dir/$writer-on-$reader.result"
+            diff -u "$dir/full.result" "$dir/$writer-on-$reader.result" || {
+                echo "snapshot interchange: $name: the $writer snapshot" \
+                    "resumed on the $reader build diverged" >&2
+                exit 1; }
+        done
+    }
+    xchg over64 90000 80000 --mix "Mix 5" --mesh 8x8 --sharing 8 \
+        --vm-threads 24,24,24,24 --warmup 60000 --measure 120000 \
+        --watchdog 200000
     # A queued packet's VC record opens a non-empty list.
-    grep -q '"busy": true' "$xchg_dir/change.ckpt" &&
-        grep -q '"q": \[$' "$xchg_dir/change.ckpt" || {
+    grep -q '"busy": true' "$xchg_dir/over64/change.ckpt" &&
+        grep -q '"q": \[$' "$xchg_dir/over64/change.ckpt" || {
         echo "snapshot interchange: no mesh packet queued and in" \
-            "transit at the snapshot" >&2
+            "transit at the over64 snapshot" >&2
         exit 1; }
-    for pair in "base change" "change base"; do
-        read -r writer reader <<<"$pair"
-        "${xchg_bin[$reader]}" --resume "$xchg_dir/$writer.ckpt" \
-            --json "$xchg_dir/$writer-on-$reader.json" >/dev/null
-        awk '/"result": \{/,0' "$xchg_dir/$writer-on-$reader.json" \
-            >"$xchg_dir/$writer-on-$reader.result"
-        diff -u "$xchg_dir/full.result" \
-            "$xchg_dir/$writer-on-$reader.result" || {
-            echo "snapshot interchange: the $writer snapshot resumed on" \
-                "the $reader build diverged" >&2
-            exit 1; }
-    done
+    xchg ideal16 150000 140000 --mix "Mix 5" --ideal-noc \
+        --warmup 100000 --measure 100000 --watchdog 200000
+    grep -q '"kind": "ideal"' "$xchg_dir/ideal16/change.ckpt" || {
+        echo "snapshot interchange: the ideal16 snapshot holds no" \
+            "ideal-network record" >&2
+        exit 1; }
     echo "snapshot interchange: identical snapshots, each resumes on" \
         "the other build to the uninterrupted result"
 
