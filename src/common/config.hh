@@ -306,6 +306,11 @@ struct MachineConfig
                 CONSIM_FATAL(field, " ", cycles,
                              " is below the 1-cycle minimum");
         }
+        // The MC adds the interval to a cycle count, so a negative
+        // one would wrap into "no issue limit".
+        if (memIssueInterval < 0)
+            CONSIM_FATAL("mem_issue_interval ", memIssueInterval,
+                         " is negative");
         if (flitBytes < 1)
             CONSIM_FATAL("flit_bytes ", flitBytes,
                          " is below the 1-byte minimum");

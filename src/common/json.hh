@@ -113,6 +113,7 @@ class Value
 
     std::size_t size() const;
     const Value &at(std::size_t i) const { return arr_.at(i); }
+    Value &at(std::size_t i) { return arr_.at(i); }
     const std::vector<Value> &items() const { return arr_; }
 
     // --- object interface ---

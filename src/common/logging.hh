@@ -63,9 +63,11 @@ format(Args &&...args)
 
 } // namespace consim
 
+/** An unreachable branch: fails like a CONSIM_ASSERT (aborts under
+ *  CONSIM_CHECK=off, throws SimError under checked levels). */
 #define CONSIM_PANIC(...)                                                    \
-    ::consim::logging::panicImpl(__FILE__, __LINE__,                         \
-                                 ::consim::logging::format(__VA_ARGS__))
+    ::consim::logging::invariantFailImpl(                                    \
+        __FILE__, __LINE__, ::consim::logging::format(__VA_ARGS__))
 
 #define CONSIM_FATAL(...)                                                    \
     ::consim::logging::fatalImpl(__FILE__, __LINE__,                         \

@@ -1,30 +1,25 @@
 /**
  * @file
  * `consim.ckpt.v5` serializer: System::saveCheckpoint /
- * System::restoreCheckpoint plus the protocol-message codec. See
- * checkpoint.hh for the document layout and the byte-identity
- * contract. (v2 replaced the single event sequence counter with the
- * per-source counters and per-event (src, seq) keys that fix each
- * cycle's event order.)
+ * System::restoreCheckpoint, the field-list walkers and the
+ * protocol-message codec. See checkpoint.hh for the document layout
+ * and the byte-identity contract, DESIGN §8 for what restore checks.
  *
  * All component access goes through CkptAccess, the single friend
- * every stateful class declares. Conventions:
- *
- *  - unsigned 64-bit quantities (cycles, tags, LRU stamps, RNG words,
- *    seq numbers) are written as Uint and read back with asUint(),
- *    which is exact; possibly-negative small integers (core ids,
- *    owners) are written as Int and read through number();
- *  - unordered_map contents are written sorted by block key so the
- *    same machine state always produces the same text;
- *  - cache arrays are restored slot-index-exact: victim() picks the
- *    first empty slot in set order (else the held line with the
- *    lowest LRU stamp), so which slot holds which line is
- *    architecturally visible.
+ * every stateful class declares. Each record is one field list, a
+ * template over the walker and the record's constness; `if constexpr
+ * (Io::loading)` guards the checks that relate decoded fields and the
+ * steps that install them. Block-keyed maps are written sorted by
+ * block, so one machine state always gives one text; cache arrays are
+ * restored slot-index-exact, since victim() picks by slot order and
+ * LRU stamp.
  */
 
 #include "core/checkpoint.hh"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -35,7 +30,6 @@
 #include "coherence/l1_controller.hh"
 #include "coherence/l2_bank.hh"
 #include "coherence/memory_controller.hh"
-#include "common/bitops.hh"
 #include "common/check.hh"
 #include "core/system.hh"
 #include "core/vm.hh"
@@ -45,44 +39,130 @@
 namespace consim
 {
 
+namespace ckpt
+{
+
+void
+Save::put(const char *name, json::Value x)
+{
+    if (v.kind() == json::Value::Kind::Object)
+        v.set(name, std::move(x));
+    else
+        v.push(std::move(x));
+}
+
+Load::Load(const json::Value &v, const char *refusal, const Load *outer,
+           const char *name, bool keyed)
+    : v_(v), refusal_(refusal), outer_(outer), name_(name),
+      idx_(outer ? outer->pos_ - 1 : 0)
+{
+    if (v.kind() != (keyed ? json::Value::Kind::Object
+                           : json::Value::Kind::Array))
+        refuse(nullptr, keyed ? "is not an object" : "is not an array");
+}
+
+const json::Value &
+Load::member(std::string_view name)
+{
+    const json::Value *p = v_.find(name);
+    if (p == nullptr)
+        refuse(std::string(name).c_str(), "is missing");
+    return *p;
+}
+
+const json::Value &
+Load::next(const char *name)
+{
+    if (v_.kind() == json::Value::Kind::Object)
+        return member(name);
+    if (pos_ >= v_.size())
+        refuse(name, "is missing (", v_.size(), " fields)");
+    return v_.at(pos_++);
+}
+
+void
+Load::done() const
+{
+    if (v_.kind() == json::Value::Kind::Array && pos_ != v_.size())
+        refuse(nullptr, "has ", v_.size(), " fields, want ", pos_);
+}
+
+std::string
+Load::path() const
+{
+    if (outer_ == nullptr)
+        return name_;
+    const std::string p = outer_->path();
+    if (*name_)
+        return p.empty() ? name_ : p + "." + name_;
+    return p + "[" + std::to_string(idx_) + "]";
+}
+
+void
+Load::fail(const char *field, const std::string &detail) const
+{
+    std::string where = path();
+    if (field && *field)
+        where += (where.empty() ? "" : ".") + std::string(field);
+    else if (field)
+        where += "[" + std::to_string(pos_ - 1) + "]";
+    logging::invariantFailImpl(
+        __FILE__, __LINE__,
+        logging::format(refusal_, " (", where, " ", detail, ")"));
+}
+
+const json::Value &
+Load::of(const char *name, const json::Value &f, json::Value::Kind k,
+         const char *what) const
+{
+    if (f.kind() != k)
+        refuse(name, "is not ", what);
+    return f;
+}
+
+std::uint64_t
+Load::integer(const char *name, const json::Value &f, Dom d) const
+{
+    if (f.kind() != json::Value::Kind::Uint &&
+        f.kind() != json::Value::Kind::Int)
+        refuse(name, "is not an integer");
+    // A Uint above INT64_MAX fits an unbounded unsigned domain alone;
+    // an Int (negative, or an in-memory edit) hands its int64 back
+    // bit for bit.
+    const std::uint64_t u = f.asUint();
+    const auto x = static_cast<std::int64_t>(u);
+    const bool big = f.kind() == json::Value::Kind::Uint && x < 0;
+    if (big ? d.lo < 0 || d.hi != unbounded : x < d.lo || x > d.hi)
+        refuse(name, f.dump(), " outside ", d.lo, "..", d.hi);
+    return u;
+}
+
+CoreSet
+Load::wordSet(const char *name, const json::Value &f, Dom d) const
+{
+    std::vector<std::uint64_t> words;
+    for (const json::Value &w : of(name, f, json::Value::Kind::Array,
+                                   "an array").items()) {
+        if (w.kind() != json::Value::Kind::Uint)
+            refuse(name, "holds a word that is not a non-negative integer");
+        words.push_back(w.asUint());
+    }
+    const CoreSet s = CoreSet::fromWords(words);
+    s.forEachSet([&](int bit) {
+        if (bit < d.lo || bit > d.hi)
+            refuse(name, "bit ", bit, " outside ", d.lo, "..", d.hi);
+    });
+    return s;
+}
+
+} // namespace ckpt
+
 namespace
 {
 
-using json::Value;
-
-/** @return a (possibly negative) integral field. */
-std::int64_t
-asInt(const Value &v)
-{
-    return static_cast<std::int64_t>(v.number());
-}
-
-/** @return a block map's keys in ascending order. */
-template <typename V>
-std::vector<BlockAddr>
-sortedKeys(const BlockMap<V> &m)
-{
-    std::vector<BlockAddr> keys = m.keys();
-    std::sort(keys.begin(), keys.end());
-    return keys;
-}
-
-Value
-cyclesJson(Cycle c)
-{
-    return Value(static_cast<std::uint64_t>(c));
-}
-
-/** Sharer/presence sets serialize as trimmed little-endian word
- *  arrays, so the document layout is independent of machine width. */
-Value
-coreSetJson(const CoreSet &s)
-{
-    Value v = Value::array();
-    for (const std::uint64_t w : s.words())
-        v.push(w);
-    return v;
-}
+using ckpt::below;
+using ckpt::belowOrNone;
+using ckpt::Dom;
 
 /** @return true for event kinds whose record carries a message. */
 bool
@@ -92,38 +172,93 @@ carriesMsg(SimEventKind k)
            k == SimEventKind::NetDeliver;
 }
 
-/** @return integral field @p v as a T, refused with @p refusal
- *  unless T holds it exactly. */
-template <typename T>
-T
-exactAs(const Value &v, const char *refusal)
+/** @return the unit a message of type @p t is bound for (its
+ *  handler's switch panics on any other type). */
+Unit
+destOf(MsgType t)
 {
-    const std::int64_t x = asInt(v);
-    const T t = static_cast<T>(x);
-    CONSIM_ASSERT(static_cast<std::int64_t>(t) == x, refusal);
-    return t;
+    using enum Unit;
+    static constexpr Unit dest[] = {
+        L2Bank, L2Bank, L2Bank, L1,     L1,     L1,   L2Bank, L2Bank, // L1*
+        Dir,    Dir,    Dir,    Dir,    L2Bank, L2Bank, L2Bank,       // GetS..
+        L2Bank, L2Bank, Dir,    Dir,    L2Bank, Dir,                  // Data..
+        Mem,    Mem};                                                 // Mem*
+    static_assert(std::size(dest) ==
+                  static_cast<std::size_t>(MsgType::MemWrite) + 1);
+    return dest[static_cast<std::size_t>(t)];
 }
 
-CoreSet
-coreSetFromJson(const Value &v)
+/** @return true when @p m is an operation @p unit (a bank of the
+ *  cores @p members, or a directory slice) queues and tracks per
+ *  block, naming its requester: an L1 request a member core, a Get
+ *  or a forward the requesting group and bank, a Put its group. */
+bool
+operation(Unit unit, const Msg &m, const std::vector<CoreId> &members)
 {
-    std::vector<std::uint64_t> words;
-    words.reserve(v.size());
-    for (const Value &w : v.items())
-        words.push_back(w.asUint());
-    return CoreSet::fromWords(words);
+    using enum MsgType;
+    const MsgType t = m.type;
+    const bool from = m.reqGroup >= 0 && m.reqBankTile >= 0;
+    if (unit == Unit::Dir)
+        return ((t == GetS || t == GetM) && from) ||
+               ((t == PutS || t == PutM) && m.reqGroup >= 0);
+    if (t == L1GetS || t == L1GetM)
+        return std::find(members.begin(), members.end(), m.reqCore) !=
+               members.end();
+    return (t == FwdGetS || t == FwdGetM || t == Inv) && from;
 }
+
+/** The machine counts a message's fields are bounded by. */
+struct Shape
+{
+    int cores;
+    int groups;
+    int vms;
+};
+
+/** The protocol message, positional (20 fields). */
+template <typename Io, typename M>
+void
+msgFields(Io &io, M &m, const Shape &sh)
+{
+    io("type", m.type, ckpt::span(MsgType::L1GetS, MsgType::MemWrite));
+    io("block", m.block);
+    io("srcTile", m.srcTile, belowOrNone(sh.cores));
+    io("dstTile", m.dstTile, belowOrNone(sh.cores));
+    io("srcUnit", m.srcUnit, ckpt::span(Unit::L1, Unit::Mem));
+    io("dstUnit", m.dstUnit, ckpt::span(Unit::L1, Unit::Mem));
+    io("reqCore", m.reqCore, belowOrNone(sh.cores));
+    io("reqBankTile", m.reqBankTile, belowOrNone(sh.cores));
+    io("reqGroup", m.reqGroup, belowOrNone(sh.groups));
+    io("vm", m.vm, belowOrNone(sh.vms));
+    io("isWrite", m.isWrite);
+    io("dirtyData", m.dirtyData);
+    io("noDataNeeded", m.noDataNeeded);
+    io("c2cTransfer", m.c2cTransfer);
+    io("stale", m.stale);
+    io("toInvalid", m.toInvalid);
+    io("overlappedFetch", m.overlappedFetch);
+    // A Grant installs its state, so it grants S, E or M.
+    io("grantState", m.grantState,
+       ckpt::span(m.type == MsgType::Grant ? L2State::Shared
+                                           : L2State::Invalid,
+                  L2State::Modified));
+    io("ackCount", m.ackCount);
+    io("injectCycle", m.injectCycle);
+}
+
+/** @return the field list of a message on machine @p sh. */
+auto
+msgs(const Shape &sh)
+{
+    return [&sh](auto &io, auto &m) { msgFields(io, m, sh); };
+}
+
+/** List items that are plain values of their type. */
+constexpr auto values = [](auto &io, auto &x, std::size_t) { io("", x); };
+
+constexpr const char *badLine = "checkpoint: bad cache line record";
 
 } // namespace
-
-const json::Value &
-ckptField(const json::Value &obj, std::string_view key)
-{
-    const json::Value *p = obj.find(key);
-    CONSIM_ASSERT(p != nullptr, "checkpoint: missing field \"",
-                  std::string(key), "\"");
-    return *p;
-}
 
 void
 checkCkptSchema(const json::Value &doc)
@@ -145,848 +280,677 @@ checkCkptSchema(const json::Value &doc)
                   "original configuration to take a fresh snapshot)");
 }
 
+const json::Value &
+ckptField(const json::Value &obj, std::string_view key)
+{
+    return ckpt::Load(obj, "checkpoint: bad document", "", true)
+        .member(key);
+}
+
 json::Value
 msgToJson(const Msg &m)
 {
-    Value v = Value::array();
-    v.push(static_cast<int>(m.type));
-    v.push(static_cast<std::uint64_t>(m.block));
-    v.push(m.srcTile);
-    v.push(m.dstTile);
-    v.push(static_cast<int>(m.srcUnit));
-    v.push(static_cast<int>(m.dstUnit));
-    v.push(m.reqCore);
-    v.push(m.reqBankTile);
-    v.push(m.reqGroup);
-    v.push(m.vm);
-    v.push(m.isWrite);
-    v.push(m.dirtyData);
-    v.push(m.noDataNeeded);
-    v.push(m.c2cTransfer);
-    v.push(m.stale);
-    v.push(m.toInvalid);
-    v.push(m.overlappedFetch);
-    v.push(static_cast<int>(m.grantState));
-    v.push(static_cast<int>(m.ackCount));
-    v.push(static_cast<std::uint64_t>(m.injectCycle));
-    return v;
+    ckpt::Save io;
+    msgFields(io, m, Shape{});
+    return std::move(io.v);
 }
 
 Msg
 msgFromJson(const json::Value &v)
 {
-    CONSIM_ASSERT(v.size() == 20, "checkpoint: bad message record");
+    constexpr int most = std::numeric_limits<std::int32_t>::max();
+    ckpt::Load io(v, "checkpoint: bad message record");
     Msg m;
-    m.type = static_cast<MsgType>(asInt(v.at(0)));
-    m.block = v.at(1).asUint();
-    m.srcTile = static_cast<CoreId>(asInt(v.at(2)));
-    m.dstTile = static_cast<CoreId>(asInt(v.at(3)));
-    m.srcUnit = static_cast<Unit>(asInt(v.at(4)));
-    m.dstUnit = static_cast<Unit>(asInt(v.at(5)));
-    m.reqCore = static_cast<CoreId>(asInt(v.at(6)));
-    m.reqBankTile = static_cast<CoreId>(asInt(v.at(7)));
-    m.reqGroup = static_cast<GroupId>(asInt(v.at(8)));
-    m.vm = static_cast<VmId>(asInt(v.at(9)));
-    m.isWrite = v.at(10).boolean();
-    m.dirtyData = v.at(11).boolean();
-    m.noDataNeeded = v.at(12).boolean();
-    m.c2cTransfer = v.at(13).boolean();
-    m.stale = v.at(14).boolean();
-    m.toInvalid = v.at(15).boolean();
-    m.overlappedFetch = v.at(16).boolean();
-    m.grantState = static_cast<L2State>(asInt(v.at(17)));
-    m.ackCount = static_cast<std::int16_t>(asInt(v.at(18)));
-    m.injectCycle = v.at(19).asUint();
+    msgFields(io, m, Shape{most, most, most});
     return m;
 }
 
-/**
- * The one class every stateful component befriends. Static helpers
- * only; each saveX returns the JSON for one component, each loadX
- * restores it into a freshly constructed counterpart.
- */
 struct CkptAccess
 {
-    // --- cache arrays (slot-index-exact) ---
-
-    static constexpr const char *badLine =
-        "checkpoint: bad cache line record";
-
-    template <typename LineT, typename SaveExtra>
-    static Value
-    saveArray(const CacheArray<LineT> &a, SaveExtra &&extra)
-    {
-        Value lines = Value::array();
-        for (std::size_t i = 0; i < a.key_.size(); ++i) {
-            if (a.key_[i] == 0)
-                continue;
-            Value rec = Value::array();
-            rec.push(static_cast<std::uint64_t>(i));
-            rec.push(a.key_[i] - 1);
-            rec.push(a.lru_[i]);
-            extra(a.lines_[i], rec);
-            lines.push(std::move(rec));
-        }
-        Value v = Value::object();
-        v.set("num_lines", static_cast<std::uint64_t>(a.key_.size()));
-        v.set("stamp", a.stamp_);
-        v.set("lines", std::move(lines));
-        return v;
-    }
-
-    template <typename LineT, typename LoadExtra>
+    /** Refuse message @p m unless its destination unit exists and
+     *  takes its type, and its block lies in a VM's window. */
     static void
-    loadArray(CacheArray<LineT> &a, const Value &v, LoadExtra &&extra)
+    arriving(const System &s, const Msg &m, const char *refusal)
     {
-        CONSIM_ASSERT(ckptField(v, "num_lines").asUint() == a.key_.size(),
-                      "checkpoint: cache geometry mismatch");
-        a.stamp_ = ckptField(v, "stamp").asUint();
-        std::fill(a.lines_.begin(), a.lines_.end(), LineT{});
-        std::fill(a.key_.begin(), a.key_.end(), 0);
-        std::fill(a.lru_.begin(), a.lru_.end(), 0);
-        for (const Value &rec : ckptField(v, "lines").items()) {
-            const std::uint64_t i = rec.at(0).asUint();
-            const std::uint64_t key = rec.at(1).asUint() + 1;
-            const std::uint64_t stamp = rec.at(2).asUint();
-            // The slot must lie in its block's set (else lookup()
-            // never finds the line) and be free (else a line is
-            // dropped); the stamp must be one the array handed out.
-            const auto [begin, end] = a.setRange(key - 1);
-            CONSIM_ASSERT(key != 0 && i >= begin && i < end &&
-                              a.key_[i] == 0 && stamp != 0 &&
-                              stamp <= a.stamp_,
-                          badLine);
-            a.key_[i] = key;
-            a.lru_[i] = stamp;
-            extra(a.lines_[i], rec);
-        }
+        CONSIM_ASSERT(m.dstUnit == destOf(m.type) && m.dstTile >= 0 &&
+                          (m.dstUnit != Unit::Mem ||
+                           s.mcIndexOfTile_[m.dstTile] >= 0) &&
+                          s.dirStorage_.inWindow(m.block),
+                      refusal, " (", describe(m), ")");
     }
 
-    static Value
-    savePrivArray(const CacheArray<PrivateCacheLine> &a)
+    // --- cache arrays: num_lines, the last LRU stamp handed out, and
+    // [slot, block, lru, payload...] per held slot in slot order ---
+
+    template <typename LineT>
+    struct Held
     {
-        return saveArray(a, [](const PrivateCacheLine &l, Value &rec) {
-            rec.push(static_cast<int>(l.state));
+        std::uint64_t slot = 0;
+        BlockAddr block = 0;
+        std::uint64_t lru = 0;
+        LineT line{};
+    };
+
+    /** Restore refuses a slot outside its block's set (lookup() would
+     *  never find the line), a slot listed twice and a stamp the array
+     *  never handed out. */
+    template <typename Io, typename A, typename P>
+    static void
+    cacheArray(Io &io, A &a, P &&payload)
+    {
+        using LineT = std::decay_t<decltype(a.lines_[0])>;
+        const auto n = static_cast<std::int64_t>(a.key_.size());
+        std::uint64_t num_lines = a.key_.size();
+        io("num_lines", num_lines, Dom{n, n});
+        io("stamp", a.stamp_);
+        std::vector<Held<LineT>> held;
+        if constexpr (!Io::loading) {
+            for (std::size_t i = 0; i < a.key_.size(); ++i)
+                if (a.key_[i] != 0)
+                    held.push_back({i, a.key_[i] - 1, a.lru_[i], a.lines_[i]});
+        }
+        io.list("lines", held, [&](auto &io, Held<LineT> &h, std::size_t) {
+            io.record("", h, [&](auto &io, Held<LineT> &h) {
+                io("slot", h.slot, below(n));
+                io("block", h.block);
+                io("lru", h.lru);
+                payload(io, h.line);
+            });
         });
+        if constexpr (Io::loading) {
+            for (const Held<LineT> &h : held) {
+                const auto [begin, end] = a.setRange(h.block);
+                CONSIM_ASSERT(h.block + 1 != 0 && h.slot >= begin &&
+                                  h.slot < end && a.key_[h.slot] == 0 &&
+                                  h.lru != 0 && h.lru <= a.stamp_,
+                              badLine, " (slot ", h.slot, " of block ",
+                              h.block, " with stamp ", h.lru, ")");
+                a.key_[h.slot] = h.block + 1;
+                a.lru_[h.slot] = h.lru;
+                a.lines_[h.slot] = h.line;
+            }
+        }
     }
 
-    /** An L1 line is Shared or Modified. An L0 line (@p l0) carries
-     *  no coherence state, its L1 line does, so its payload is the
-     *  Invalid that install() writes. */
+    /** An L1 line is Shared or Modified; an L0 line carries no state
+     *  of its own (its L1 line does), only the Invalid install()
+     *  writes. */
+    template <typename Io, typename A>
     static void
-    loadPrivArray(CacheArray<PrivateCacheLine> &a, const Value &v,
-                  bool l0)
+    privArray(Io &io, A &a, L1State lo, L1State hi)
     {
-        loadArray(a, v, [&](PrivateCacheLine &l, const Value &rec) {
-            l.state = exactAs<L1State>(rec.at(3), badLine);
-            CONSIM_ASSERT(l0 ? l.state == L1State::Invalid
-                             : l.state == L1State::Shared ||
-                                   l.state == L1State::Modified,
-                          badLine, " (", l0 ? "L0" : "L1", " state ",
-                          int(l.state), ")");
+        cacheArray(io, a, [&](auto &io, auto &line) {
+            io("state", line.state, ckpt::span(lo, hi));
         });
     }
 
     // --- event queue ---
 
-    static Value
-    saveEvents(const System &s)
+    struct Pending
     {
-        struct Rec
-        {
-            Cycle when;
-            const SimEvent *ev;
-        };
-        std::vector<Rec> recs;
-        s.events_.forEachPending(
-            s.now_, [&](Cycle when, const SimEvent &ev) {
-                recs.push_back(Rec{when, &ev});
-            });
-        // Canonical (when, src, seq) order: the same machine state
-        // always serializes to the same text.
-        std::sort(recs.begin(), recs.end(),
-                  [](const Rec &a, const Rec &b) {
-                      return a.when != b.when
-                                 ? a.when < b.when
-                                 : SimEvent::keyLess(*a.ev, *b.ev);
-                  });
-        Value pending = Value::array();
-        for (const Rec &r : recs) {
-            Value rec = Value::array();
-            rec.push(cyclesJson(r.when));
-            rec.push(r.ev->src);
-            rec.push(r.ev->seq);
-            rec.push(static_cast<int>(r.ev->kind));
-            rec.push(r.ev->tile);
-            rec.push(static_cast<std::uint64_t>(r.ev->block));
-            if (carriesMsg(r.ev->kind))
-                rec.push(msgToJson(r.ev->msg));
-            pending.push(std::move(rec));
-        }
-        Value seqs = Value::array();
-        for (std::uint64_t c : s.seqBySrc_)
-            seqs.push(c);
-        Value v = Value::object();
-        v.set("seq_by_src", std::move(seqs));
-        v.set("executed", s.events_.executed());
-        v.set("pending", std::move(pending));
-        return v;
-    }
+        Cycle when = 0;
+        SimEvent ev{SimEventKind::Deliver, invalidCore, 0};
+    };
 
+    template <typename Io, typename S>
     static void
-    loadEvents(System &s, const Value &v)
+    events(Io &io, S &s, const Shape &sh)
     {
-        const Value &seqs = ckptField(v, "seq_by_src");
-        CONSIM_ASSERT(seqs.size() == s.seqBySrc_.size(),
-                      "checkpoint: sequence-counter count mismatch");
-        for (std::size_t i = 0; i < s.seqBySrc_.size(); ++i)
-            s.seqBySrc_[i] = seqs.at(i).asUint();
-        s.events_.setExecuted(ckptField(v, "executed").asUint());
-        for (const Value &rec : ckptField(v, "pending").items())
-            s.events_.insertAbs(s.now_, rec.at(0).asUint(),
-                                eventFromJson(s, rec));
+        const char *refusal = "checkpoint: bad event record";
+        io.each("seq_by_src", s.seqBySrc_, values);
+        std::uint64_t executed = s.events_.executed();
+        io("executed", executed);
+        std::vector<Pending> pending;
+        if constexpr (!Io::loading) {
+            s.events_.forEachPending(
+                s.now_, [&](Cycle when, const SimEvent &ev) {
+                    pending.push_back({when, ev});
+                });
+            // Canonical (when, src, seq) order.
+            std::sort(pending.begin(), pending.end(),
+                      [](const Pending &a, const Pending &b) {
+                          return a.when != b.when
+                                     ? a.when < b.when
+                                     : SimEvent::keyLess(a.ev, b.ev);
+                      });
+        }
+        const Dom due{static_cast<std::int64_t>(s.now_), ckpt::unbounded};
+        io.list("pending", pending, [&](auto &io, Pending &p, std::size_t) {
+            io.record("", p, [&](auto &io, Pending &p) {
+                io("when", p.when, due);
+                io("src", p.ev.src,
+                   below(static_cast<std::int64_t>(s.seqBySrc_.size())));
+                io("seq", p.ev.seq);
+                io("kind", p.ev.kind,
+                   ckpt::span(SimEventKind::Deliver, SimEventKind::NetDeliver));
+                io("tile", p.ev.tile, belowOrNone(sh.cores));
+                io("block", p.ev.block);
+                if (carriesMsg(p.ev.kind))
+                    io.record("msg", p.ev.msg, msgs(sh));
+            });
+        }, refusal);
+        if constexpr (Io::loading) {
+            s.events_.setExecuted(executed);
+            for (const Pending &p : pending) {
+                // The tile the executor indexes when the event fires;
+                // a MemDone's message is its controller's reply.
+                const CoreId owner = s.ownerTileOf(p.ev);
+                CONSIM_ASSERT(owner >= 0 && owner < sh.cores &&
+                                  (p.ev.kind != SimEventKind::MemDone ||
+                                   s.mcIndexOfTile_[owner] >= 0),
+                              refusal, " (kind ", int(p.ev.kind),
+                              " owned by tile ", owner, ")");
+                if (carriesMsg(p.ev.kind))
+                    arriving(s, p.ev.msg, refusal);
+                s.events_.insertAbs(s.now_, p.when, p.ev);
+            }
+        }
     }
 
-    /**
-     * Decode one pending-event record strictly: a corrupt record
-     * would otherwise be dropped by the executor switch or index a
-     * component out of range when it fires.
-     */
-    static SimEvent
-    eventFromJson(const System &s, const Value &rec)
+    /** Refuse an event whose handler finds no transaction: a
+     *  DirProcess needs its slice's, a BankDispatch its bank's in the
+     *  lookup phase. */
+    static void
+    eventsFindWork(const System &s)
     {
-        const bool has_msg = rec.size() == 7;
-        CONSIM_ASSERT(rec.size() == 6 || has_msg,
-                      "checkpoint: bad event record (", rec.size(),
-                      " fields)");
-        const std::int64_t kind = asInt(rec.at(3));
-        CONSIM_ASSERT(
-            kind >= static_cast<std::int64_t>(SimEventKind::Deliver) &&
-                kind <= static_cast<std::int64_t>(SimEventKind::NetDeliver),
-            "checkpoint: bad event record (kind ", kind, ")");
-        const auto k = static_cast<SimEventKind>(kind);
-        CONSIM_ASSERT(has_msg == carriesMsg(k),
-                      "checkpoint: bad event record (kind ", kind,
-                      has_msg ? " with" : " without", " a message)");
-        const std::int64_t src = asInt(rec.at(1));
-        CONSIM_ASSERT(src >= 0 && static_cast<std::size_t>(src) <
-                                      s.seqBySrc_.size(),
-                      "checkpoint: bad event record (src ", src, ")");
-        const std::int64_t tile = asInt(rec.at(4));
-        CONSIM_ASSERT(tile >= invalidCore && tile < s.cfg_.numCores(),
-                      "checkpoint: bad event record (tile ", tile, ")");
-        SimEvent ev(k, static_cast<CoreId>(tile), rec.at(5).asUint());
-        if (has_msg)
-            ev.msg = msgFromJson(rec.at(6));
-        ev.src = static_cast<std::int32_t>(src);
-        ev.seq = rec.at(2).asUint();
-        // The tile the executor indexes when the event fires.
-        const CoreId owner = s.ownerTileOf(ev);
-        CONSIM_ASSERT(owner >= 0 && owner < s.cfg_.numCores(),
-                      "checkpoint: bad event record (tile ", owner, ")");
-        return ev;
+        s.events_.forEachPending(s.now_, [&](Cycle, const SimEvent &ev) {
+            const L2Bank::BankTxn *t =
+                ev.kind == SimEventKind::BankDispatch
+                    ? s.banks_[ev.tile]->active_.find(ev.block)
+                    : nullptr;
+            CONSIM_ASSERT(ev.kind == SimEventKind::DirProcess
+                              ? s.dirs_[ev.tile]->active_.contains(ev.block)
+                              : ev.kind != SimEventKind::BankDispatch ||
+                                    (t && t->phase == L2Bank::Phase::Lookup),
+                          "checkpoint: bad event record (kind ", int(ev.kind),
+                          " at tile ", ev.tile, " for block ", ev.block,
+                          ", which has no transaction there)");
+        });
     }
 
     // --- cores ---
 
-    /** Recover a thread index from a stream pointer; the binding is
-     *  restored by index into the same VM set. */
-    static int
-    threadIndexOf(const System &s, VmId vm, const InstrStream *stream,
-                  CoreId tile)
+    /** A thread binding as the snapshot names it: a VM and one of its
+     *  threads, or -1 and -1. */
+    struct Binding
     {
+        VmId vm = invalidVm;
+        int thread = -1;
+    };
+
+    static Binding
+    bindingOf(const System &s, VmId vm, const InstrStream *stream,
+              CoreId tile)
+    {
+        if (stream == nullptr)
+            return {};
         WorkloadInstance &inst = s.vms_.at(vm)->instance();
         for (int i = 0; i < inst.numThreads(); ++i)
             if (&inst.thread(i) == stream)
-                return i;
-        CONSIM_CHECK_FAIL("checkpoint: unbindable stream on core ",
-                          tile);
-        return -1;
+                return {vm, i};
+        CONSIM_CHECK_FAIL("checkpoint: unbindable stream on core ", tile);
     }
 
-    static Value
-    saveCore(const System &s, const Core &c)
-    {
-        Value v = Value::object();
-        if (c.stream_ != nullptr) {
-            v.set("vm", c.vm_);
-            v.set("thread",
-                  threadIndexOf(s, c.vm_, c.stream_, c.tile_));
-        } else {
-            v.set("vm", -1);
-            v.set("thread", -1);
-        }
-        v.set("blocked", c.blocked_);
-        v.set("wedged", c.wedged_);
-        v.set("retired", c.retiredTotal_);
-        v.set("have_slice", c.haveSlice_);
-        Value sl = Value::array();
-        sl.push(static_cast<unsigned>(c.slice_.computeCycles));
-        sl.push(static_cast<std::uint64_t>(c.slice_.block));
-        sl.push(c.slice_.isWrite);
-        sl.push(c.slice_.endsTransaction);
-        sl.push(c.slice_.noMemRef);
-        v.set("slice", std::move(sl));
-        v.set("busy_until", cyclesJson(c.busyUntil_));
-        v.set("block_start", cyclesJson(c.blockStart_));
-        // Parked dynamic-scheduling migration (absent unless a swap
-        // was decided while this core was mid-miss): the deferred
-        // target binding, serialized like the live one.
-        if (c.rebindPending_) {
-            if (c.rebindStream_ != nullptr) {
-                v.set("rebind_vm", c.rebindVm_);
-                v.set("rebind_thread",
-                      threadIndexOf(s, c.rebindVm_, c.rebindStream_,
-                                    c.tile_));
-            } else {
-                v.set("rebind_vm", -1);
-                v.set("rebind_thread", -1);
-            }
-        }
-        // Over-commit rotation state; the run-queue contents are
-        // rebuilt from the placements by the System constructor, so
-        // only the position and next boundary need saving.
-        if (c.contexts_.size() > 1) {
-            v.set("ctx_pos",
-                  static_cast<std::uint64_t>(c.ctxPos_));
-            v.set("next_slice", cyclesJson(c.nextSlice_));
-        }
-        return v;
-    }
-
+    template <typename Io>
     static void
-    loadCore(System &s, Core &c, const Value &v)
+    binding(Io &io, const System &s, Binding &b, const char *vm,
+            const char *thread)
     {
-        // Direct field writes: bindThread() would reset the in-flight
-        // slice and blocked state we are about to restore.
-        const auto vm = static_cast<VmId>(asInt(ckptField(v, "vm")));
-        if (vm >= 0) {
-            const int thread =
-                static_cast<int>(asInt(ckptField(v, "thread")));
-            c.stream_ = &s.vms_.at(vm)->instance().thread(thread);
-            c.vm_ = vm;
-        } else {
-            c.stream_ = nullptr;
-            c.vm_ = invalidVm;
-        }
-        c.blocked_ = ckptField(v, "blocked").boolean();
-        c.wedged_ = ckptField(v, "wedged").boolean();
-        c.retiredTotal_ = ckptField(v, "retired").asUint();
-        c.haveSlice_ = ckptField(v, "have_slice").boolean();
-        const Value &sl = ckptField(v, "slice");
-        c.slice_.computeCycles =
-            static_cast<std::uint32_t>(sl.at(0).asUint());
-        c.slice_.block = sl.at(1).asUint();
-        c.slice_.isWrite = sl.at(2).boolean();
-        c.slice_.endsTransaction = sl.at(3).boolean();
-        c.slice_.noMemRef = sl.at(4).boolean();
-        c.busyUntil_ = ckptField(v, "busy_until").asUint();
-        c.blockStart_ = ckptField(v, "block_start").asUint();
-        if (const Value *rv = v.find("rebind_vm")) {
-            c.rebindPending_ = true;
-            const auto rvm = static_cast<VmId>(asInt(*rv));
-            if (rvm >= 0) {
-                const int th = static_cast<int>(
-                    asInt(ckptField(v, "rebind_thread")));
-                c.rebindStream_ =
-                    &s.vms_.at(rvm)->instance().thread(th);
-                c.rebindVm_ = rvm;
-            } else {
-                c.rebindStream_ = nullptr;
-                c.rebindVm_ = invalidVm;
-            }
-        }
-        // Optional (absent on single-context cores and in snapshots
-        // from before over-commit existed).
-        if (const Value *cp = v.find("ctx_pos")) {
-            CONSIM_ASSERT(c.contexts_.size() > 1,
-                          "checkpoint: rotation state for core ",
-                          c.tile_, " which is not over-committed");
-            const auto pos = static_cast<std::size_t>(cp->asUint());
-            CONSIM_ASSERT(pos < c.contexts_.size(),
-                          "checkpoint: ctx_pos ", pos, " out of range");
-            c.ctxPos_ = pos;
-            c.nextSlice_ = ckptField(v, "next_slice").asUint();
-        }
+        io(vm, b.vm, belowOrNone(static_cast<std::int64_t>(s.vms_.size())));
+        io(thread, b.thread,
+           b.vm < 0 ? Dom{-1, -1}
+                    : below(s.vms_[b.vm]->instance().numThreads()));
     }
 
-    // --- L1 controllers ---
-
-    static Value
-    saveL1(const L1Controller &l)
+    static InstrStream *
+    streamOf(const System &s, const Binding &b)
     {
-        Value p = Value::array();
-        p.push(l.pending_.active);
-        p.push(static_cast<std::uint64_t>(l.pending_.block));
-        p.push(l.pending_.isWrite);
-        p.push(cyclesJson(l.pending_.start));
-        Value v = Value::object();
-        v.set("l0", savePrivArray(l.l0_));
-        v.set("l1", savePrivArray(l.l1_));
-        v.set("pending", std::move(p));
-        return v;
+        return b.vm < 0 ? nullptr : &s.vms_[b.vm]->instance().thread(b.thread);
     }
 
+    /** A core. Restore writes the fields directly: bindThread() would
+     *  reset the in-flight slice and blocked state. */
+    template <typename Io, typename C>
     static void
-    loadL1(L1Controller &l, const Value &v)
+    core(Io &io, const System &s, C &c)
     {
-        loadPrivArray(l.l0_, ckptField(v, "l0"), true);
-        loadPrivArray(l.l1_, ckptField(v, "l1"), false);
-        const Value &p = ckptField(v, "pending");
-        l.pending_.active = p.at(0).boolean();
-        l.pending_.block = p.at(1).asUint();
-        l.pending_.isWrite = p.at(2).boolean();
-        l.pending_.start = p.at(3).asUint();
+        Binding live, parked;
+        if constexpr (!Io::loading) {
+            live = bindingOf(s, c.vm_, c.stream_, c.tile_);
+            parked = bindingOf(s, c.rebindVm_, c.rebindStream_, c.tile_);
+        }
+        binding(io, s, live, "vm", "thread");
+        io("blocked", c.blocked_);
+        io("wedged", c.wedged_);
+        io("retired", c.retiredTotal_);
+        io("have_slice", c.haveSlice_);
+        io.record("slice", c.slice_, [](auto &io, auto &sl) {
+            io("compute", sl.computeCycles);
+            io("block", sl.block);
+            io("isWrite", sl.isWrite);
+            io("endsTransaction", sl.endsTransaction);
+            io("noMemRef", sl.noMemRef);
+        });
+        io("busy_until", c.busyUntil_);
+        io("block_start", c.blockStart_);
+        // A dynamic-scheduling migration parked while this core was
+        // mid-miss: the deferred target binding.
+        const bool rebind = io.has("rebind_vm", c.rebindPending_);
+        if (rebind)
+            binding(io, s, parked, "rebind_vm", "rebind_thread");
+        // Over-commit rotation state; the System constructor rebuilds
+        // the run queue from the placements.
+        if (io.has("ctx_pos", c.contexts_.size() > 1)) {
+            io("ctx_pos", c.ctxPos_,
+               below(static_cast<std::int64_t>(c.contexts_.size())));
+            io("next_slice", c.nextSlice_);
+        }
+        if constexpr (Io::loading) {
+            c.stream_ = streamOf(s, live);
+            c.vm_ = live.vm;
+            c.rebindPending_ = rebind;
+            c.rebindStream_ = streamOf(s, parked);
+            c.rebindVm_ = parked.vm;
+        }
     }
 
-    // --- L2 banks ---
-
-    static Value
-    saveL2Array(const CacheArray<L2CacheLine> &a)
+    template <typename Io, typename L>
+    static void
+    l1(Io &io, const System &s, L &l)
     {
-        return saveArray(a, [](const L2CacheLine &l, Value &rec) {
-            rec.push(static_cast<int>(l.state));
-            rec.push(l.dirty);
-            rec.push(l.pinned);
-            rec.push(coreSetJson(l.presence));
-            rec.push(static_cast<int>(l.ownerCore));
-            rec.push(l.vm);
+        io.record("l0", l.l0_, [](auto &io, auto &a) {
+            privArray(io, a, L1State::Invalid, L1State::Invalid);
+        }, true, badLine);
+        io.record("l1", l.l1_, [](auto &io, auto &a) {
+            privArray(io, a, L1State::Shared, L1State::Modified);
+        }, true, badLine);
+        io.record("pending", l.pending_, [&](auto &io, auto &p) {
+            io("active", p.active);
+            io("block", p.block);
+            io("isWrite", p.isWrite);
+            io("start", p.start);
+            if constexpr (Io::loading)
+                if (p.active && !s.dirStorage_.inWindow(p.block))
+                    io.refuse("block", p.block, " outside the VM windows");
         });
     }
 
-    /** Every line must pass the bank's own line predicate. */
-    static void
-    loadL2Array(L2Bank &b, const Value &v)
-    {
-        loadArray(b.array_, v, [](L2CacheLine &l, const Value &rec) {
-            l.state = exactAs<L2State>(rec.at(3), badLine);
-            l.dirty = rec.at(4).boolean();
-            l.pinned = rec.at(5).boolean();
-            l.presence = coreSetFromJson(rec.at(6));
-            l.ownerCore = exactAs<std::int16_t>(rec.at(7), badLine);
-            l.vm = exactAs<VmId>(rec.at(8), badLine);
-        });
-        b.array_.forEachLine([&](BlockAddr local, const L2CacheLine &l) {
-            const char *fault = b.lineFault(local, l);
-            CONSIM_ASSERT(fault == nullptr, badLine, " (bank ", b.tile_,
-                          ": ", fault, ")");
-        });
-    }
-
-    static Value
-    saveBankTxn(const L2Bank::BankTxn &t)
-    {
-        Value v = Value::object();
-        v.set("phase", static_cast<int>(t.phase));
-        v.set("req", msgToJson(t.req));
-        v.set("started", cyclesJson(t.started));
-        v.set("data_arrived", t.dataArrived);
-        v.set("grant_arrived", t.grantArrived);
-        v.set("data_msg", msgToJson(t.dataMsg));
-        v.set("grant_msg", msgToJson(t.grantMsg));
-        v.set("victim", static_cast<std::uint64_t>(t.victimBlock));
-        v.set("expect_putm", t.expectPutM);
-        v.set("extract", t.extractTarget);
-        return v;
-    }
-
-    static L2Bank::BankTxn
-    loadBankTxn(const Value &v)
-    {
-        L2Bank::BankTxn t;
-        t.phase = static_cast<L2Bank::Phase>(asInt(ckptField(v, "phase")));
-        t.req = msgFromJson(ckptField(v, "req"));
-        t.started = ckptField(v, "started").asUint();
-        t.dataArrived = ckptField(v, "data_arrived").boolean();
-        t.grantArrived = ckptField(v, "grant_arrived").boolean();
-        t.dataMsg = msgFromJson(ckptField(v, "data_msg"));
-        t.grantMsg = msgFromJson(ckptField(v, "grant_msg"));
-        t.victimBlock = ckptField(v, "victim").asUint();
-        t.expectPutM = ckptField(v, "expect_putm").boolean();
-        t.extractTarget =
-            static_cast<CoreId>(asInt(ckptField(v, "extract")));
-        return t;
-    }
-
-    /** Serialize the per-block waiting queues (sorted by block).
-     *  Empty queues cannot exist (popFront drops emptied keys). */
-    static Value
-    saveMsgQueues(const WaitQueueMap<Msg> &m)
-    {
-        Value v = Value::array();
-        std::vector<BlockAddr> keys = m.keys();
-        std::sort(keys.begin(), keys.end());
-        for (BlockAddr k : keys) {
-            Value q = Value::array();
-            m.forEachMsg(
-                k, [&](const Msg &msg) { q.push(msgToJson(msg)); });
-            Value e = Value::array();
-            e.push(static_cast<std::uint64_t>(k));
-            e.push(std::move(q));
-            v.push(std::move(e));
-        }
-        return v;
-    }
-
-    static void
-    loadMsgQueues(WaitQueueMap<Msg> &m, const Value &v)
-    {
-        m.clear();
-        for (const Value &e : v.items()) {
-            const BlockAddr k = e.at(0).asUint();
-            for (const Value &msg : e.at(1).items())
-                m.pushBack(k, msgFromJson(msg));
-        }
-    }
-
-    static Value
-    saveBank(const L2Bank &b)
-    {
-        Value active = Value::array();
-        for (BlockAddr k : sortedKeys(b.active_)) {
-            Value e = Value::array();
-            e.push(static_cast<std::uint64_t>(k));
-            e.push(saveBankTxn(b.active_.at(k)));
-            active.push(std::move(e));
-        }
-        Value wb = Value::array();
-        for (BlockAddr k : sortedKeys(b.wb_)) {
-            const L2Bank::WbEntry &w = b.wb_.at(k);
-            Value e = Value::array();
-            e.push(static_cast<std::uint64_t>(k));
-            e.push(w.dirty);
-            e.push(w.vm);
-            e.push(cyclesJson(w.started));
-            wb.push(std::move(e));
-        }
-        Value extract = Value::array();
-        for (BlockAddr k : sortedKeys(b.victimExtract_)) {
-            Value e = Value::array();
-            e.push(static_cast<std::uint64_t>(k));
-            e.push(static_cast<std::uint64_t>(b.victimExtract_.at(k)));
-            extract.push(std::move(e));
-        }
-        Value v = Value::object();
-        v.set("array", saveL2Array(b.array_));
-        v.set("active", std::move(active));
-        v.set("waiting", saveMsgQueues(b.waiting_));
-        v.set("wb", std::move(wb));
-        v.set("victim_extract", std::move(extract));
-        return v;
-    }
-
-    static void
-    loadBank(L2Bank &b, const Value &v)
-    {
-        loadL2Array(b, ckptField(v, "array"));
-        b.active_.clear();
-        for (const Value &e : ckptField(v, "active").items())
-            b.active_[e.at(0).asUint()] = loadBankTxn(e.at(1));
-        loadMsgQueues(b.waiting_, ckptField(v, "waiting"));
-        b.wb_.clear();
-        for (const Value &e : ckptField(v, "wb").items()) {
-            L2Bank::WbEntry w;
-            w.dirty = e.at(1).boolean();
-            w.vm = static_cast<VmId>(asInt(e.at(2)));
-            w.started = e.at(3).asUint();
-            b.wb_[e.at(0).asUint()] = w;
-        }
-        b.victimExtract_.clear();
-        for (const Value &e : ckptField(v, "victim_extract").items())
-            b.victimExtract_[e.at(0).asUint()] = e.at(1).asUint();
-    }
-
-    // --- directory slices ---
-
-    static Value
-    saveDir(const DirectorySlice &d)
-    {
-        Value active = Value::array();
-        for (BlockAddr k : sortedKeys(d.active_)) {
-            const DirectorySlice::Txn &t = d.active_.at(k);
-            Value e = Value::array();
-            e.push(static_cast<std::uint64_t>(k));
-            e.push(msgToJson(t.req));
-            e.push(cyclesJson(t.started));
-            e.push(t.acksPending);
-            e.push(t.fwdAckPending);
-            e.push(t.grantSent);
-            e.push(t.doneReceived);
-            e.push(t.dirFetched);
-            active.push(std::move(e));
-        }
-        Value v = Value::object();
-        // The directory cache is timing state: a hit or miss on it
-        // decides whether a transaction pays the off-chip fetch.
-        v.set("cache", saveArray(d.dirCache_,
-                                 [](const auto &, Value &) {}));
-        v.set("active", std::move(active));
-        v.set("waiting", saveMsgQueues(d.waiting_));
-        return v;
-    }
-
-    static void
-    loadDir(DirectorySlice &d, const Value &v)
-    {
-        loadArray(d.dirCache_, ckptField(v, "cache"),
-                  [](auto &, const Value &) {});
-        d.active_.clear();
-        for (const Value &e : ckptField(v, "active").items()) {
-            DirectorySlice::Txn t;
-            t.req = msgFromJson(e.at(1));
-            t.started = e.at(2).asUint();
-            t.acksPending = static_cast<int>(asInt(e.at(3)));
-            t.fwdAckPending = e.at(4).boolean();
-            t.grantSent = e.at(5).boolean();
-            t.doneReceived = e.at(6).boolean();
-            t.dirFetched = e.at(7).boolean();
-            d.active_[e.at(0).asUint()] = std::move(t);
-        }
-        loadMsgQueues(d.waiting_, ckptField(v, "waiting"));
-    }
-
-    // --- directory storage (the store's own form: non-default
-    // entries only, [block, state, sharers, owner]) ---
-
-    static Value
-    saveDirEntries(const DirectoryStorage &st)
-    {
-        Value v = Value::array();
-        // blocks() is ascending: deterministic order.
-        for (const BlockAddr block : st.blocks()) {
-            const DirEntry &e = st.entry(block);
-            Value rec = Value::array();
-            rec.push(static_cast<std::uint64_t>(block));
-            rec.push(static_cast<int>(e.state));
-            rec.push(coreSetJson(e.sharers));
-            rec.push(static_cast<int>(e.owner));
-            v.push(std::move(rec));
-        }
-        return v;
-    }
+    // --- L2 banks and directory slices ---
 
     /**
-     * Decode the directory entries strictly: the store holds exactly
-     * the non-default entries, so a default, duplicate or malformed
-     * record would break "absent means default" or the protocol's
-     * entry invariants.
+     * Block-keyed @p entries as [block, fields(io, block, value)...]
+     * in ascending block order. Restore refuses a repeated key and one
+     * its unit does not serve (@p mine).
      */
+    template <typename Io, typename V, typename Mine, typename F>
     static void
-    loadDirEntries(System &s, const Value &v)
+    keyed(Io &io, const char *name,
+          std::vector<std::pair<BlockAddr, V>> &entries, Mine &&mine,
+          F &&fields)
     {
-        DirectoryStorage &st = s.dirStorage_;
+        io.list(name, entries, [&](auto &io, auto &e, std::size_t) {
+            io.record("", e, [&](auto &io, auto &e) {
+                io("block", e.first);
+                fields(io, e.first, e.second);
+            });
+        });
+        if constexpr (Io::loading) {
+            for (std::size_t i = 0; i < entries.size(); ++i) {
+                const BlockAddr k = entries[i].first;
+                if (i > 0 && k <= entries[i - 1].first)
+                    io.refuse(name, "block ", k, " repeated or out of order");
+                mine(k, name);
+            }
+        }
+    }
+
+    /** A block map as keyed() entries. */
+    template <typename Io, typename M, typename Mine, typename F>
+    static void
+    blockMap(Io &io, const char *name, M &m, Mine &&mine, F &&fields)
+    {
+        std::vector<std::pair<BlockAddr, std::decay_t<decltype(*m.find(0))>>>
+            entries;
+        if constexpr (!Io::loading) {
+            for (const BlockAddr k : m.keys())
+                entries.emplace_back(k, *m.find(k));
+            std::sort(entries.begin(), entries.end(),
+                      [](const auto &a, const auto &b) {
+                          return a.first < b.first;
+                      });
+        }
+        keyed(io, name, entries, mine, fields);
+        if constexpr (Io::loading)
+            for (auto &[k, v] : entries)
+                m[k] = std::move(v);
+    }
+
+    /** Per-block waiting queues [block, [msg...]], each holding only
+     *  operations() of its unit. Empty queues cannot exist (popFront
+     *  drops emptied keys). */
+    template <typename Io, typename Q, typename Mine>
+    static void
+    waiting(Io &io, Q &q, const Shape &sh, Mine &&mine, Unit unit,
+            const std::vector<CoreId> &members)
+    {
+        std::vector<std::pair<BlockAddr, std::vector<Msg>>> queues;
+        if constexpr (!Io::loading) {
+            std::vector<BlockAddr> keys = q.keys();
+            std::sort(keys.begin(), keys.end());
+            for (const BlockAddr k : keys) {
+                auto &e = queues.emplace_back(k, std::vector<Msg>{});
+                q.forEachMsg(k, [&](const Msg &m) { e.second.push_back(m); });
+            }
+        }
+        keyed(io, "waiting", queues, mine,
+              [&](auto &io, BlockAddr k, auto &ms) {
+                  io.list("msgs", ms, [&](auto &io, Msg &m, std::size_t) {
+                      io.record("", m, msgs(sh));
+                      if constexpr (Io::loading)
+                          if (m.block != k || !operation(unit, m, members))
+                              io.refuse("", "waits on block ", k, ": ",
+                                        describe(m));
+                  });
+              });
+        if constexpr (Io::loading)
+            for (const auto &[k, ms] : queues)
+                for (const Msg &m : ms)
+                    q.pushBack(k, m);
+    }
+
+    /** Refuse transaction @p req unless it is an operation() of
+     *  @p unit on block @p k. */
+    template <typename Io>
+    static void
+    tracks(Io &io, Unit unit, BlockAddr k, const Msg &req,
+           const std::vector<CoreId> &members)
+    {
+        if constexpr (Io::loading)
+            if (req.block != k || !operation(unit, req, members))
+                io.refuse(nullptr, "holds ", describe(req));
+    }
+
+    template <typename Io, typename B>
+    static void
+    bank(Io &io, const System &s, B &b, const Shape &sh)
+    {
+        const auto mine = [&](BlockAddr k, const char *list) {
+            CONSIM_ASSERT(s.dirStorage_.inWindow(k) &&
+                              s.bankTileFor(b.group_, k) == b.tile_,
+                          "checkpoint: bad bank record (", list, " block ",
+                          k, " is not bank ", b.tile_, "'s)");
+        };
+        io.record("array", b.array_, [&](auto &io, auto &a) {
+            cacheArray(io, a, [&](auto &io, auto &l) {
+                io("state", l.state,
+                   ckpt::span(L2State::Shared, L2State::Modified));
+                io("dirty", l.dirty);
+                io("pinned", l.pinned);
+                io("presence", l.presence, below(b.groupSize_));
+                io("owner", l.ownerCore, belowOrNone(b.groupSize_));
+                io("vm", l.vm, below(sh.vms));
+            });
+            // Every line must pass the bank's own line predicate.
+            if constexpr (Io::loading)
+                a.forEachLine([&](BlockAddr local, const L2CacheLine &l) {
+                    const char *fault = b.lineFault(local, l);
+                    CONSIM_ASSERT(fault == nullptr, badLine, " (bank ",
+                                  b.tile_, ": ", fault, ")");
+                });
+        }, true, badLine);
+        blockMap(io, "active", b.active_, mine,
+                 [&](auto &io, BlockAddr k, auto &t) {
+            using Phase = L2Bank::Phase;
+            io.record("txn", t, [&](auto &io, auto &t) {
+                io("phase", t.phase,
+                   ckpt::span(Phase::Lookup, Phase::WaitVictimL1));
+                io.record("req", t.req, msgs(sh));
+                io("started", t.started);
+                io("data_arrived", t.dataArrived);
+                io("grant_arrived", t.grantArrived);
+                io.record("data_msg", t.dataMsg, msgs(sh));
+                io.record("grant_msg", t.grantMsg, msgs(sh));
+                io("victim", t.victimBlock);
+                io("expect_putm", t.expectPutM);
+                io("extract", t.extractTarget, belowOrNone(sh.cores));
+            }, true);
+            tracks(io, Unit::L2Bank, k, t.req, b.members_);
+        });
+        waiting(io, b.waiting_, sh, mine, Unit::L2Bank, b.members_);
+        blockMap(io, "wb", b.wb_, mine, [&](auto &io, BlockAddr, auto &w) {
+            io("dirty", w.dirty);
+            io("vm", w.vm, below(sh.vms));
+            io("started", w.started);
+        });
+        blockMap(io, "victim_extract", b.victimExtract_, mine,
+                 [](auto &io, BlockAddr, auto &fill) { io("fill", fill); });
+    }
+
+    template <typename Io, typename D>
+    static void
+    dir(Io &io, const System &s, D &d, const Shape &sh)
+    {
+        const auto mine = [&](BlockAddr k, const char *list) {
+            CONSIM_ASSERT(s.dirStorage_.inWindow(k) &&
+                              s.homeTileFor(k) == d.tile_,
+                          "checkpoint: bad directory record (", list,
+                          " block ", k, " is not slice ", d.tile_, "'s)");
+        };
+        // The directory cache is timing state: a hit or miss on it
+        // decides whether a transaction pays the off-chip fetch.
+        io.record("cache", d.dirCache_, [](auto &io, auto &a) {
+            cacheArray(io, a, [](auto &, auto &) {});
+        }, true, badLine);
+        blockMap(io, "active", d.active_, mine,
+                 [&](auto &io, BlockAddr k, auto &t) {
+            io.record("req", t.req, msgs(sh));
+            io("started", t.started);
+            io("acks", t.acksPending, Dom{0, sh.groups});
+            io("fwd_ack", t.fwdAckPending);
+            io("grant_sent", t.grantSent);
+            io("done", t.doneReceived);
+            io("fetched", t.dirFetched);
+            tracks(io, Unit::Dir, k, t.req, {});
+        });
+        waiting(io, d.waiting_, sh, mine, Unit::Dir, {});
+    }
+
+    // --- directory storage: the store's own form, its non-default
+    // entries as [block, state, sharers, owner] ---
+
+    struct DirRec
+    {
+        BlockAddr block = 0;
+        L2State state = L2State::Invalid;
+        CoreSet sharers;
+        std::int16_t owner = -1;
+    };
+
+    /** A default, repeated or malformed record would break "absent
+     *  means default" or the protocol's entry invariants. */
+    template <typename Io, typename S>
+    static void
+    dirEntries(Io &io, S &s)
+    {
+        const char *refusal = "checkpoint: bad directory entry";
+        std::vector<DirRec> recs;
+        if constexpr (!Io::loading) {
+            for (const BlockAddr block : s.dirStorage_.blocks()) {
+                const DirEntry &e = s.dirStorage_.entry(block);
+                recs.push_back({block, e.state, e.sharers, e.owner});
+            }
+        }
         const int groups = s.cfg_.numGroups();
-        // The target System is freshly constructed, so every entry
-        // not listed here is already default.
-        bool first = true;
-        BlockAddr prev = 0;
-        for (const Value &rec : v.items()) {
-            CONSIM_ASSERT(rec.size() == 4,
-                          "checkpoint: bad directory entry (",
-                          rec.size(), " fields)");
-            const BlockAddr block = rec.at(0).asUint();
-            CONSIM_ASSERT(first || block > prev,
-                          "checkpoint: bad directory entry (block ",
-                          block, " not above ", prev, ")");
-            CONSIM_ASSERT(st.inWindow(block),
-                          "checkpoint: bad directory entry (block ",
-                          block, " outside the VM windows)");
-            first = false;
-            prev = block;
-            const std::int64_t state = asInt(rec.at(1));
-            CONSIM_ASSERT(
-                state >= static_cast<int>(L2State::Shared) &&
-                    state <= static_cast<int>(L2State::Modified),
-                "checkpoint: bad directory entry (block ", block,
-                ", state ", state, ")");
-            const CoreSet sharers = coreSetFromJson(rec.at(2));
-            const std::int64_t owner = asInt(rec.at(3));
-            bool in_chip = true;
-            sharers.forEachSet([&](int g) { in_chip &= g < groups; });
-            CONSIM_ASSERT(in_chip && owner < groups,
-                          "checkpoint: bad directory entry (block ",
-                          block, ", group outside the ", groups,
-                          "-group chip)");
-            const bool valid =
-                static_cast<L2State>(state) == L2State::Shared
-                    ? owner == -1 && sharers.any()
-                    : owner >= 0 &&
-                          sharers.isExactly(static_cast<int>(owner));
-            CONSIM_ASSERT(valid, "checkpoint: bad directory entry "
-                                 "(block ", block, ", state ", state,
-                          " with owner ", owner, " and ",
-                          sharers.count(), " sharers)");
-            // Set the bits into the entry's own (possibly recycled)
-            // sharer storage rather than copying the decoded set.
-            DirEntry &e = st.insert(block);
-            e.state = static_cast<L2State>(state);
-            e.owner = static_cast<std::int16_t>(owner);
-            sharers.forEachSet([&](int g) { e.sharers.set(g); });
-        }
-    }
-
-    // --- memory controllers ---
-
-    static Value
-    saveMc(const MemoryController &mc)
-    {
-        Value v = Value::object();
-        v.set("next_free", cyclesJson(mc.nextFree_));
-        v.set("outstanding", mc.outstanding_);
-        // QoS token buckets (v4): per-VM [window, tokens, issued].
-        // The configuration itself (caps, refill) is reinstalled by
-        // the experiment layer before restore; only the mutable
-        // bucket state rides in the snapshot.
-        if (!mc.buckets_.empty()) {
-            Value bs = Value::array();
-            for (const auto &b : mc.buckets_) {
-                Value e = Value::array();
-                e.push(b.window);
-                e.push(b.tokens);
-                e.push(b.issued);
-                bs.push(std::move(e));
+        io.list("dir_entries", recs, [&](auto &io, DirRec &r, std::size_t) {
+            io.record("", r, [&](auto &io, DirRec &r) {
+                io("block", r.block);
+                io("state", r.state,
+                   ckpt::span(L2State::Shared, L2State::Modified));
+                io("sharers", r.sharers, below(groups));
+                io("owner", r.owner, belowOrNone(groups));
+            });
+        }, refusal);
+        if constexpr (Io::loading) {
+            DirectoryStorage &st = s.dirStorage_;
+            for (std::size_t i = 0; i < recs.size(); ++i) {
+                const DirRec &r = recs[i];
+                CONSIM_ASSERT(i == 0 || r.block > recs[i - 1].block,
+                              refusal, " (block ", r.block,
+                              " repeated or out of order)");
+                CONSIM_ASSERT(st.inWindow(r.block), refusal, " (block ",
+                              r.block, " outside the VM windows)");
+                const bool valid =
+                    r.state == L2State::Shared
+                        ? r.owner == -1 && r.sharers.any()
+                        : r.owner >= 0 && r.sharers.isExactly(r.owner);
+                CONSIM_ASSERT(valid, refusal, " (block ", r.block,
+                              ", state ", int(r.state), " with owner ",
+                              r.owner, " and ", r.sharers.count(),
+                              " sharers)");
+                // Into the entry's own (possibly recycled) storage.
+                DirEntry &e = st.insert(r.block);
+                e.state = r.state;
+                e.owner = r.owner;
+                r.sharers.forEachSet([&](int g) { e.sharers.set(g); });
             }
-            v.set("buckets", std::move(bs));
         }
-        return v;
     }
 
+    /** A memory controller's channel and, under QoS (v4), its per-VM
+     *  token buckets; the experiment layer reinstalls their
+     *  configuration before restore. */
+    template <typename Io, typename M>
     static void
-    loadMc(MemoryController &mc, const Value &v)
+    mc(Io &io, M &mc)
     {
-        mc.nextFree_ = ckptField(v, "next_free").asUint();
-        mc.outstanding_ =
-            static_cast<int>(asInt(ckptField(v, "outstanding")));
-        if (const Value *bs = v.find("buckets")) {
-            CONSIM_ASSERT(bs->size() == mc.buckets_.size(),
-                          "checkpoint: MC token-bucket count "
-                          "mismatch (snapshot ", bs->size(),
-                          ", machine ", mc.buckets_.size(),
-                          " — was the QoS config reinstalled before "
-                          "restore?)");
-            for (std::size_t i = 0; i < mc.buckets_.size(); ++i) {
-                const Value &e = bs->at(i);
-                auto &b = mc.buckets_[i];
-                b.window = e.at(0).asUint();
-                b.tokens = e.at(1).asUint();
-                b.issued = e.at(2).asUint();
-            }
+        io("next_free", mc.nextFree_);
+        io("outstanding", mc.outstanding_, ckpt::counts);
+        if (io.has("buckets", !mc.buckets_.empty())) {
+            io.each("buckets", mc.buckets_, [](auto &io, auto &b, std::size_t) {
+                io.record("", b, [](auto &io, auto &b) {
+                    io("window", b.window);
+                    io("tokens", b.tokens);
+                    io("issued", b.issued);
+                });
+            });
         }
     }
 
     // --- interconnect ---
 
-    static Value
-    savePacket(const RouterPacket &p)
+    struct Vc
     {
-        Value v = Value::array();
-        v.push(msgToJson(p.msg));
-        v.push(p.lenFlits);
-        v.push(cyclesJson(p.readyCycle));
-        v.push(p.outPort);
-        return v;
-    }
+        int free = 0;
+        std::vector<RouterPacket> q;
+    };
 
-    /** @return true when @p m is a known message type travelling
-     *  between two distinct tiles of a @p tiles-tile chip. */
-    static bool
-    meshMsgValid(const Msg &m, int tiles)
+    /** A busy output port's flits still to send, downstream VC and
+     *  packet. */
+    struct Out
     {
-        return static_cast<unsigned>(m.type) <=
-                   static_cast<unsigned>(MsgType::MemWrite) &&
-               m.srcTile >= 0 && m.srcTile < tiles && m.dstTile >= 0 &&
-               m.dstTile < tiles && m.srcTile != m.dstTile;
-    }
+        bool busy = false;
+        int remaining = 0;
+        int dstVc = 0;
+        RouterPacket pkt;
+    };
 
-    /**
-     * Decode one packet of router @p r's record strictly: a valid
-     * message on virtual network @p vnet (any when negative), its
-     * type's length, the XY route from this tile (and output @p port
-     * when not negative), and a ready cycle no later than an arrival
-     * in the cycle before snapshot cycle @p now gives it.
-     */
-    static RouterPacket
-    loadPacket(const Router &r, const Value &v, int vnet, int port,
-               Cycle now)
+    template <typename Io>
+    static void
+    packet(Io &io, RouterPacket &p, const Shape &sh)
     {
-        CONSIM_ASSERT(v.size() == 4, "checkpoint: bad router record "
-                      "(router ", r.tile_, ": packet with ", v.size(),
-                      " fields)");
-        RouterPacket p;
-        p.msg = msgFromJson(v.at(0));
-        const int tiles = static_cast<int>(r.shared_->col.size());
-        CONSIM_ASSERT(meshMsgValid(p.msg, tiles),
-                      "checkpoint: bad router record (router ", r.tile_,
-                      ": ", describe(p.msg), ")");
-        const std::int64_t len = asInt(v.at(1));
-        const std::int64_t out = asInt(v.at(3));
-        const int route = xyRoute(r.tile_, p.msg.dstTile, r.params_.meshX);
-        p.readyCycle = v.at(2).asUint();
-        CONSIM_ASSERT(
-            (vnet < 0 || vnetOf(p.msg.type) == vnet) &&
-                len == r.params_.flitsOf(p.msg.type) && out == route &&
-                (port < 0 || out == port) &&
-                p.readyCycle <= now + r.params_.pipelineDelay,
-            "checkpoint: bad router record (router ", r.tile_, ": ",
-            toString(p.msg.type), " on vnet ", vnet, " with ", len,
-            " flits, port ", out, " (route ", route, "), ready at ",
-            p.readyCycle, ")");
-        p.lenFlits = static_cast<int>(len);
-        p.outPort = static_cast<int>(out);
-        return p;
+        io.record("msg", p.msg, msgs(sh));
+        io("len", p.lenFlits, Dom{1, 255});
+        io("ready", p.readyCycle);
+        io("port", p.outPort, below(NumPorts));
     }
 
     /**
-     * Encode router @p r at snapshot cycle @p now (the mesh last
-     * ticked now - 1): each VC's queue in FIFO order, and each busy
-     * output's flits still to send, remaining = done - now + 1.
-     */
-    static Value
-    saveRouter(const Router &r, Cycle now)
-    {
-        const PacketPool &pool = *r.pool_;
-        Value ins = Value::array();
-        for (int i = 0; i < NumPorts * r.totalVcs_; ++i) {
-            Value q = Value::array();
-            for (unsigned k = 0; k < r.qLen_[i]; ++k)
-                q.push(savePacket(pool[r.slot(i, k)]));
-            Value e = Value::object();
-            e.set("free", int(r.credits_[i]));
-            e.set("q", std::move(q));
-            ins.push(std::move(e));
-        }
-        Value outs = Value::array();
-        for (int p = 0; p < NumPorts; ++p) {
-            const Router::OutPort &o = r.outputs_[p];
-            const bool busy = (r.outBusy_ >> p) & 1;
-            Value e = Value::object();
-            e.set("busy", busy);
-            if (busy) {
-                e.set("remaining", static_cast<int>(o.done - now + 1));
-                e.set("dst_vc", o.dstVc);
-                e.set("pkt", savePacket(pool[o.pkt]));
-            }
-            outs.push(std::move(e));
-        }
-        Value v = Value::object();
-        v.set("inputs", std::move(ins));
-        v.set("outputs", std::move(outs));
-        v.set("rr", r.rrInput_);
-        v.set("buffered", r.buffered_);
-        v.set("busy_outputs", r.transitPackets());
-        return v;
-    }
-
-    /**
-     * Decode one router record strictly into the mesh's cleared
-     * packet pool. The wake cycle, activity sets, finishing ring and
-     * occupancy mask restore derives, and the allocator's indexing,
-     * all trust these fields, so each must be one a run can reach;
-     * per-VC credit conservation across the mesh and the pool census
-     * are checked once every record is in (loadNet).
+     * A packet of router @p r holds a message between two distinct
+     * tiles on virtual network @p vnet (any when negative), its type's
+     * length, the XY route from this tile (and output @p port when not
+     * negative), and a ready cycle no later than an arrival in the
+     * cycle before snapshot cycle @p now gives it.
      */
     static void
-    loadRouter(Router &r, const Value &v, Cycle now)
+    checkPacket(const System &s, const Router &r, const RouterPacket &p,
+                int vnet, int port, Cycle now)
+    {
+        arriving(s, p.msg, "checkpoint: bad router record");
+        const int route = xyRoute(r.tile_, p.msg.dstTile, r.params_.meshX);
+        CONSIM_ASSERT(
+            p.msg.srcTile >= 0 && p.msg.srcTile != p.msg.dstTile &&
+                (vnet < 0 || vnetOf(p.msg.type) == vnet) &&
+                p.lenFlits == r.params_.flitsOf(p.msg.type) &&
+                p.outPort == route && (port < 0 || p.outPort == port) &&
+                p.readyCycle <= now + r.params_.pipelineDelay,
+            "checkpoint: bad router record (router ", r.tile_, ": ",
+            describe(p.msg), " on vnet ", vnet, " with ", p.lenFlits,
+            " flits, port ", p.outPort, " (route ", route, "), ready at ",
+            p.readyCycle, ")");
+    }
+
+    /**
+     * A router at snapshot cycle now, the mesh having last ticked
+     * now - 1: each VC's credits and FIFO queue, and each busy output's
+     * flits still to send, remaining = done - now + 1. Restore derives
+     * the wake cycle, activity sets, finishing ring and occupancy mask;
+     * net() checks credit conservation and the pool census once every
+     * record is in.
+     */
+    template <typename Io, typename R>
+    static void
+    router(Io &io, const System &s, R &r, const Shape &sh)
+    {
+        const int vcs = NumPorts * r.totalVcs_;
+        std::vector<Vc> ins(static_cast<std::size_t>(vcs));
+        std::array<Out, NumPorts> outs{};
+        int rr = r.rrInput_, buffered = r.buffered_;
+        int transit = r.transitPackets();
+        if constexpr (!Io::loading) {
+            for (int i = 0; i < vcs; ++i) {
+                ins[i].free = r.credits_[i];
+                for (unsigned k = 0; k < r.qLen_[i]; ++k)
+                    ins[i].q.push_back((*r.pool_)[r.slot(i, k)]);
+            }
+            for (int p = 0; p < NumPorts; ++p) {
+                const Router::OutPort &o = r.outputs_[p];
+                if ((r.outBusy_ >> p) & 1)
+                    outs[p] = {true, static_cast<int>(o.done - s.now_ + 1),
+                               o.dstVc, (*r.pool_)[o.pkt]};
+            }
+        }
+        const auto pkt = [&](auto &io, RouterPacket &p) { packet(io, p, sh); };
+        io.each("inputs", ins, [&](auto &io, Vc &e, std::size_t) {
+            io.record("", e, [&](auto &io, Vc &e) {
+                io("free", e.free, Dom{0, r.params_.vcBufferFlits});
+                io.list("q", e.q, [&](auto &io, RouterPacket &p, std::size_t) {
+                    io.record("", p, pkt);
+                });
+            }, true);
+        });
+        io.each("outputs", outs, [&](auto &io, Out &o, std::size_t) {
+            io.record("", o, [&](auto &io, Out &o) {
+                io("busy", o.busy);
+                if (o.busy) {
+                    io("remaining", o.remaining, Dom{1, 255});
+                    io("dst_vc", o.dstVc, below(r.totalVcs_));
+                    io.record("pkt", o.pkt, pkt);
+                }
+            }, true);
+        });
+        io("rr", rr, below(vcs));
+        io("buffered", buffered, ckpt::counts);
+        io("busy_outputs", transit, Dom{0, NumPorts});
+        if constexpr (Io::loading)
+            install(s, r, ins, outs, rr, buffered, transit);
+    }
+
+    /** Check a decoded router record and install it into the mesh's
+     *  cleared packet pool. */
+    static void
+    install(const System &s, Router &r, const std::vector<Vc> &ins,
+            const std::array<Out, NumPorts> &outs, int rr, int buffered,
+            int transit)
     {
         const char *refusal = "checkpoint: bad router record";
         const NocParams &np = r.params_;
@@ -999,431 +963,370 @@ struct CkptAccess
             pool[h] = pkt;
             return h;
         };
-        const Value &ins = ckptField(v, "inputs");
-        const int vcs = NumPorts * r.totalVcs_;
-        CONSIM_ASSERT(ins.size() == static_cast<std::size_t>(vcs),
-                      "checkpoint: router VC layout mismatch");
-        int buffered = 0;
-        for (int i = 0; i < vcs; ++i) {
-            const Value &e = ins.at(i);
-            const std::int64_t free = asInt(ckptField(e, "free"));
-            CONSIM_ASSERT(free >= 0 && free <= np.vcBufferFlits, refusal,
-                          " (router ", r.tile_, ": VC ", i, " free ",
-                          free, ")");
-            r.credits_[i] = static_cast<std::int16_t>(free);
-            const int vnet = i % r.totalVcs_ / np.vcsPerVnet;
-            const Value &q = ckptField(e, "q");
+        int held = 0;
+        for (std::size_t i = 0; i < ins.size(); ++i) {
+            const Vc &e = ins[i];
             // A packet holds at least one flit of its VC's buffer.
-            CONSIM_ASSERT(q.size() <= static_cast<std::size_t>(
-                                          np.vcBufferFlits),
+            CONSIM_ASSERT(e.q.size() <=
+                              static_cast<std::size_t>(np.vcBufferFlits),
                           refusal, " (router ", r.tile_, ": VC ", i,
-                          " holds ", q.size(), " packets)");
+                          " holds ", e.q.size(), " packets)");
+            r.credits_[i] = static_cast<std::int16_t>(e.free);
             r.qHead_[i] = 0;
             r.qLen_[i] = 0;
-            for (const Value &p : q.items()) {
-                const PacketId h = pooled(loadPacket(r, p, vnet, -1, now));
-                r.slot(i, r.qLen_[i]++) = h;
-                ++buffered;
+            for (const RouterPacket &p : e.q) {
+                checkPacket(s, r, p,
+                            static_cast<int>(i) % r.totalVcs_ / np.vcsPerVnet,
+                            -1, s.now_);
+                r.slot(static_cast<int>(i), r.qLen_[i]++) = pooled(p);
+                ++held;
             }
         }
-        const Value &outs = ckptField(v, "outputs");
-        CONSIM_ASSERT(outs.size() == NumPorts,
-                      "checkpoint: router port count mismatch");
         r.outBusy_ = 0;
         for (int p = 0; p < NumPorts; ++p) {
-            Router::OutPort &o = r.outputs_[p];
-            const Value &e = outs.at(p);
-            o = Router::OutPort{};
-            if (!ckptField(e, "busy").boolean())
+            const Out &o = outs[p];
+            r.outputs_[p] = Router::OutPort{};
+            if (!o.busy)
                 continue;
-            const RouterPacket pkt =
-                loadPacket(r, ckptField(e, "pkt"), -1, p, now);
+            checkPacket(s, r, o.pkt, -1, p, s.now_);
             // Its VC downstream belongs to its vnet.
-            const int vnet = vnetOf(pkt.msg.type);
-            const std::int64_t rem = asInt(ckptField(e, "remaining"));
-            const std::int64_t dst = asInt(ckptField(e, "dst_vc"));
-            const int lo = vnet * np.vcsPerVnet;
-            const bool dst_ok =
-                p == PortLocal ? dst == 0
-                               : dst >= lo && dst < lo + np.vcsPerVnet;
-            CONSIM_ASSERT(rem >= 1 && rem <= pkt.lenFlits && dst_ok,
-                          refusal, " (router ", r.tile_, ": port ", p,
-                          " remaining ", rem, " dst_vc ", dst, ")");
-            o.done = now + static_cast<Cycle>(rem) - 1;
-            o.pkt = pooled(pkt);
-            o.dstVc = static_cast<int>(dst);
+            const int lo = vnetOf(o.pkt.msg.type) * np.vcsPerVnet;
+            const bool dst_ok = p == PortLocal
+                                    ? o.dstVc == 0
+                                    : o.dstVc >= lo &&
+                                          o.dstVc < lo + np.vcsPerVnet;
+            CONSIM_ASSERT(o.remaining <= o.pkt.lenFlits && dst_ok, refusal,
+                          " (router ", r.tile_, ": port ", p, " remaining ",
+                          o.remaining, " dst_vc ", o.dstVc, ")");
+            r.outputs_[p] = {s.now_ + static_cast<Cycle>(o.remaining) - 1,
+                             pooled(o.pkt), o.dstVc};
             r.outBusy_ |= 1u << p;
         }
-        const std::int64_t rr = asInt(ckptField(v, "rr"));
-        CONSIM_ASSERT(rr >= 0 && rr < vcs, refusal, " (router ", r.tile_,
-                      ": rr ", rr, ")");
-        r.rrInput_ = static_cast<int>(rr);
-        const std::int64_t rec_buffered = asInt(ckptField(v, "buffered"));
-        const std::int64_t rec_busy = asInt(ckptField(v, "busy_outputs"));
-        CONSIM_ASSERT(rec_buffered == buffered &&
-                          rec_busy == r.transitPackets(),
+        CONSIM_ASSERT(buffered == held && transit == r.transitPackets(),
                       refusal, " (router ", r.tile_, ": buffered ",
-                      rec_buffered, " for ", buffered, " packets, ",
-                      "busy_outputs ", rec_busy, " for ",
-                      r.transitPackets(), ")");
-        r.buffered_ = buffered;
+                      buffered, " for ", held, " packets, busy_outputs ",
+                      transit, " for ", r.transitPackets(), ")");
+        r.rrInput_ = rr;
+        r.buffered_ = held;
         r.restoreDerived();
     }
 
-    static Value
-    saveNet(const System &s)
+    template <typename Io, typename S>
+    static void
+    net(Io &io, S &s, const Shape &sh)
     {
-        Value v = Value::object();
-        v.set("injected", s.netStats_.injectedTotal);
-        v.set("ejected", s.netStats_.ejectedTotal);
+        io("injected", s.netStats_.injectedTotal);
+        io("ejected", s.netStats_.ejectedTotal);
+        std::string kind = s.mesh_ ? "mesh" : "ideal";
+        io("kind", kind);
+        CONSIM_ASSERT(kind == (s.mesh_ ? "mesh" : "ideal"),
+                      "checkpoint: network kind mismatch");
         if (!s.mesh_) {
             // The ideal network's messages travel as NetDeliver
             // events; the list stays in the document, always empty.
-            v.set("kind", "ideal");
-            v.set("inflight", Value::array());
-            return v;
-        }
-        const Mesh &mesh = *s.mesh_;
-        v.set("kind", "mesh");
-        Value routers = Value::array();
-        for (const auto &r : mesh.routers_)
-            routers.push(saveRouter(*r, s.now_));
-        v.set("routers", std::move(routers));
-        Value nis = Value::array();
-        for (const auto &ni : mesh.nis_) {
-            Value vnets = Value::array();
-            for (const auto &q : ni->queues_) {
-                Value msgs = Value::array();
-                for (const Msg &m : q)
-                    msgs.push(msgToJson(m));
-                vnets.push(std::move(msgs));
-            }
-            nis.push(std::move(vnets));
-        }
-        v.set("nis", std::move(nis));
-        return v;
-    }
-
-    static void
-    loadNet(System &s, const Value &v)
-    {
-        s.netStats_.injectedTotal = ckptField(v, "injected").asUint();
-        s.netStats_.ejectedTotal = ckptField(v, "ejected").asUint();
-        CONSIM_ASSERT(ckptField(v, "kind").str() ==
-                          (s.mesh_ ? "mesh" : "ideal"),
-                      "checkpoint: network kind mismatch");
-        if (!s.mesh_) {
-            const std::size_t inflight = ckptField(v, "inflight").size();
-            CONSIM_ASSERT(inflight == 0,
-                          "checkpoint: bad ideal-network record (",
-                          inflight, " in-flight messages; the ideal "
-                          "network's messages travel as events)");
+            std::array<int, 0> none{};
+            io.each("inflight", none, values,
+                    "checkpoint: bad ideal-network record");
             return;
         }
-        Mesh &mesh = *s.mesh_;
-        const Value &routers = ckptField(v, "routers");
-        CONSIM_ASSERT(routers.size() == mesh.routers_.size(),
-                      "checkpoint: router count mismatch");
-        // The snapshot is taken between ticks: the mesh last ticked
-        // the cycle before, and the records rebuild the packet pool
-        // and the output stamps.
-        mesh.lastTick_ = s.now_ == 0 ? 0 : s.now_ - 1;
-        mesh.shared_.clearTraffic();
-        for (std::size_t i = 0; i < mesh.routers_.size(); ++i)
-            loadRouter(*mesh.routers_[i], routers.at(i), s.now_);
-        const Value &nis = ckptField(v, "nis");
-        CONSIM_ASSERT(nis.size() == mesh.nis_.size(),
-                      "checkpoint: NI count mismatch");
-        const int tiles = static_cast<int>(mesh.nis_.size());
-        for (std::size_t i = 0; i < mesh.nis_.size(); ++i) {
-            NetworkInterface &ni = *mesh.nis_[i];
-            const Value &vnets = nis.at(i);
-            CONSIM_ASSERT(vnets.size() == ni.queues_.size(),
-                          "checkpoint: NI vnet count mismatch");
-            for (std::size_t q = 0; q < ni.queues_.size(); ++q) {
-                ni.queues_[q].clear();
-                for (const Value &e : vnets.at(q).items()) {
-                    const Msg m = msgFromJson(e);
-                    CONSIM_ASSERT(meshMsgValid(m, tiles) &&
-                                      m.srcTile == ni.tile_ &&
-                                      vnetOf(m.type) == static_cast<int>(q),
-                                  "checkpoint: bad NI record (NI ", i,
-                                  " vnet ", q, ": ", describe(m), ")");
-                    ni.queues_[q].push_back(m);
+        auto &mesh = *s.mesh_;
+        if constexpr (Io::loading) {
+            // The records rebuild the packet pool and output stamps.
+            mesh.lastTick_ = s.now_ == 0 ? 0 : s.now_ - 1;
+            mesh.shared_.clearTraffic();
+        }
+        io.each("routers", mesh.routers_, [&](auto &io, auto &r, std::size_t) {
+            io.record("", *r, [&](auto &io, auto &r) { router(io, s, r, sh); },
+                      true);
+        }, "checkpoint: bad router record");
+        io.each("nis", mesh.nis_, [&](auto &io, auto &ni, std::size_t) {
+            io.each("", ni->queues_, [&](auto &io, auto &q, std::size_t vnet) {
+                std::vector<Msg> ms(q.size());
+                for (std::size_t k = 0; k < q.size(); ++k)
+                    ms[k] = q[k];
+                io.list("", ms, [&](auto &io, Msg &m, std::size_t) {
+                    io.record("", m, msgs(sh));
+                });
+                if constexpr (Io::loading) {
+                    for (const Msg &m : ms) {
+                        CONSIM_ASSERT(m.srcTile == ni->tile_ &&
+                                          m.dstTile != m.srcTile &&
+                                          vnetOf(m.type) == int(vnet),
+                                      "checkpoint: bad NI record (NI ",
+                                      ni->tile_, " vnet ", vnet, ": ",
+                                      describe(m), ")");
+                        arriving(s, m, "checkpoint: bad NI record");
+                        q.push_back(m);
+                    }
                 }
+            });
+            if constexpr (Io::loading)
+                ni->recountQueued();
+        }, "checkpoint: bad NI record");
+        if constexpr (Io::loading) {
+            try {
+                mesh.checkConservation();
+            } catch (const SimError &e) {
+                CONSIM_ASSERT(false, "checkpoint: bad router record (",
+                              e.what(), ")");
             }
-            ni.recountQueued();
-        }
-        // Per-VC credits and the packet census must balance across
-        // the mesh, in-transit reservations included.
-        try {
-            mesh.checkConservation();
-        } catch (const SimError &e) {
-            CONSIM_ASSERT(false, "checkpoint: bad router record (",
-                          e.what(), ")");
         }
     }
 
-    // --- fault-injection runtime state ---
-
-    static Value
-    saveFaults(const System &s)
+    /** @return the blocks the messages in flight name, sorted. Right
+     *  after restore every packet-pool slot is live. */
+    static std::vector<BlockAddr>
+    moving(const System &s)
     {
-        // Only live runtime state: pending WedgeCore events ride in
-        // the serialized event queue, so the restored System must NOT
-        // re-run setFaultPlan (it would double-fire them).
-        Value v = Value::object();
-        v.set("drop_armed", s.dropArmed_);
-        v.set("drop_countdown", s.dropCountdown_);
-        v.set("memburst_armed", s.memBurstArmed_);
-        v.set("memburst_start", cyclesJson(s.memBurstStart_));
-        v.set("memburst_end", cyclesJson(s.memBurstEnd_));
-        v.set("memburst_extra", cyclesJson(s.memBurstExtra_));
-        return v;
+        std::vector<BlockAddr> out;
+        s.events_.forEachPending(s.now_, [&](Cycle, const SimEvent &ev) {
+            if (carriesMsg(ev.kind))
+                out.push_back(ev.msg.block);
+        });
+        if (s.mesh_) {
+            const PacketPool &pool = s.mesh_->shared_.pool;
+            for (std::size_t h = 0; h < pool.highWater(); ++h)
+                out.push_back(pool[static_cast<PacketId>(h)].msg.block);
+            for (const auto &ni : s.mesh_->nis_)
+                for (const auto &q : ni->queues_)
+                    for (std::size_t k = 0; k < q.size(); ++k)
+                        out.push_back(q[k].block);
+        }
+        std::sort(out.begin(), out.end());
+        return out;
     }
 
+    // --- runtime state of faults, QoS and dynamic scheduling ---
+
+    /** Pending WedgeCore events ride in the event queue, so the
+     *  restored System must NOT re-run setFaultPlan. */
+    template <typename Io, typename S>
     static void
-    loadFaults(System &s, const Value &v)
+    faults(Io &io, S &s)
     {
-        s.dropArmed_ = ckptField(v, "drop_armed").boolean();
-        s.dropCountdown_ = ckptField(v, "drop_countdown").asUint();
-        s.memBurstArmed_ = ckptField(v, "memburst_armed").boolean();
-        s.memBurstStart_ = ckptField(v, "memburst_start").asUint();
-        s.memBurstEnd_ = ckptField(v, "memburst_end").asUint();
-        s.memBurstExtra_ = ckptField(v, "memburst_extra").asUint();
+        io("drop_armed", s.dropArmed_);
+        io("drop_countdown", s.dropCountdown_);
+        io("memburst_armed", s.memBurstArmed_);
+        io("memburst_start", s.memBurstStart_);
+        io("memburst_end", s.memBurstEnd_);
+        io("memburst_extra", s.memBurstExtra_);
     }
 
-    // --- workload streams / footprints ---
-
-    static Value
-    saveVms(const System &s)
-    {
-        Value v = Value::array();
-        for (VirtualMachine *vm : s.vms_) {
-            WorkloadInstance &inst = vm->instance();
-            Value streams = Value::array();
-            for (int i = 0; i < inst.numThreads(); ++i) {
-                SyntheticStream &st = inst.thread(i);
-                Value rng = Value::array();
-                for (std::uint64_t w : st.rng_.state())
-                    rng.push(w);
-                Value sv = Value::object();
-                sv.set("rng", std::move(rng));
-                sv.set("hot_shared", st.hotSharedPos_);
-                sv.set("hot_private", st.hotPrivatePos_);
-                sv.set("refs", st.refs_);
-                sv.set("refs_in_txn",
-                       static_cast<unsigned>(st.refsInTxn_));
-                streams.push(std::move(sv));
-            }
-            const Footprint &fp = inst.footprint_;
-            Value touched = Value::array();
-            for (std::size_t w = 0; w < fp.words_.size(); ++w) {
-                for (std::uint64_t bits = fp.words_[w]; bits;
-                     bits &= bits - 1) {
-                    touched.push(static_cast<std::uint64_t>(
-                        w * 64 + lowestSetBit(bits)));
-                }
-            }
-            Value fpv = Value::object();
-            fpv.set("count", fp.count_);
-            fpv.set("touched", std::move(touched));
-            Value e = Value::object();
-            e.set("streams", std::move(streams));
-            e.set("footprint", std::move(fpv));
-            v.push(std::move(e));
-        }
-        return v;
-    }
-
+    /** The repartitioner's way allocation and miss-curve samples. */
+    template <typename Io, typename Q>
     static void
-    loadVms(System &s, const Value &v)
+    qos(Io &io, Q &q)
     {
-        CONSIM_ASSERT(v.size() == s.vms_.size(),
-                      "checkpoint: VM count mismatch");
-        for (std::size_t i = 0; i < s.vms_.size(); ++i) {
-            WorkloadInstance &inst = s.vms_[i]->instance();
-            const Value &e = v.at(i);
-            const Value &streams = ckptField(e, "streams");
-            CONSIM_ASSERT(
-                static_cast<int>(streams.size()) ==
-                    inst.numThreads(),
-                "checkpoint: thread count mismatch in vm ", i);
-            for (int t = 0; t < inst.numThreads(); ++t) {
-                SyntheticStream &st = inst.thread(t);
-                const Value &sv = streams.at(t);
-                const Value &rng = ckptField(sv, "rng");
-                CONSIM_ASSERT(rng.size() == 4,
-                              "checkpoint: bad rng state");
-                st.rng_.setState({rng.at(0).asUint(),
-                                  rng.at(1).asUint(),
-                                  rng.at(2).asUint(),
-                                  rng.at(3).asUint()});
-                st.hotSharedPos_ = ckptField(sv, "hot_shared").asUint();
-                st.hotPrivatePos_ = ckptField(sv, "hot_private").asUint();
-                st.refs_ = ckptField(sv, "refs").asUint();
-                st.refsInTxn_ = static_cast<std::uint32_t>(
-                    ckptField(sv, "refs_in_txn").asUint());
-            }
-            // Offsets must ascend strictly and fit the footprint; the
-            // count is derived from them and must match the record.
-            Footprint &fp = inst.footprint_;
-            const Value &fpv = ckptField(e, "footprint");
-            const Value &touched = ckptField(fpv, "touched");
+        io("dyn_ways", q.ways_);
+        // The way count sizes a shift in wayMask(): it must stay in
+        // the range the repartitioner keeps it in.
+        if constexpr (Io::loading)
+            CONSIM_ASSERT(q.ways_ >= q.cfg_.protectedWays &&
+                              q.ways_ < std::popcount(q.allWays_),
+                          "checkpoint: bad QoS way count ", q.ways_);
+        io("last_miss_total", q.lastMissTotal_);
+        io("prev_delta", q.prevDelta_);
+    }
+
+    /** The migration count, the epoch baselines and the feedback loop:
+     *  the policies are pure functions, so this is the scheduler's
+     *  entire state. */
+    template <typename Io, typename D>
+    static void
+    dynSched(Io &io, D &d, const Shape &sh)
+    {
+        const auto rows = [](auto &io, auto &row, std::size_t) {
+            io.each("", row, values);
+        };
+        io("migrations", d.migrations_);
+        io.each("last_retired", d.lastRetired_, values);
+        io.each("last_vm", d.lastVm_, rows);
+        io.each("last_group", d.lastGroup_, rows);
+        // The backoff doubles from 1 up to 64 epochs.
+        io("hold", d.hold_, Dom{0, 64});
+        io("backoff", d.backoff_, Dom{1, 64});
+        // A swap awaiting its verdict, and the pre-swap epoch's miss
+        // and access totals it is judged against.
+        if (io.has("eval", d.eval_.decided())) {
+            io.record("eval", d, [&](auto &io, auto &d) {
+                io("a", d.eval_.a, below(sh.cores));
+                io("b", d.eval_.b, below(sh.cores));
+                io("pre_miss", d.preMiss_);
+                io("pre_acc", d.preAcc_);
+            });
+        }
+    }
+
+    // --- workload streams and footprints ---
+
+    template <typename Io, typename W>
+    static void
+    vm(Io &io, W &inst, std::size_t i)
+    {
+        io.each("streams", inst.streams_, [](auto &io, auto &st, std::size_t) {
+            io.record("", *st, [](auto &io, auto &st) {
+                std::array<std::uint64_t, 4> rng = st.rng_.state();
+                io.each("rng", rng, values);
+                io("hot_shared", st.hotSharedPos_);
+                io("hot_private", st.hotPrivatePos_);
+                io("refs", st.refs_);
+                io("refs_in_txn", st.refsInTxn_);
+                if constexpr (Io::loading)
+                    st.rng_.setState(rng);
+            }, true);
+        });
+        // The touched offsets ascend strictly inside the footprint;
+        // the count is derived from them and must match the record.
+        auto &fp = inst.footprint_;
+        std::vector<std::uint64_t> touched;
+        std::uint64_t count = fp.count_;
+        if constexpr (!Io::loading) {
+            for (std::size_t w = 0; w < fp.words_.size(); ++w)
+                for (std::uint64_t bits = fp.words_[w]; bits; bits &= bits - 1)
+                    touched.push_back(w * 64 + lowestSetBit(bits));
+        }
+        io.record("footprint", fp, [&](auto &io, auto &) {
+            io("count", count);
+            io.list("touched", touched, values);
+        }, true);
+        if constexpr (Io::loading) {
             std::fill(fp.words_.begin(), fp.words_.end(), 0);
             fp.count_ = 0;
             for (std::size_t j = 0; j < touched.size(); ++j) {
-                const std::uint64_t off = touched.at(j).asUint();
-                CONSIM_ASSERT(j == 0 || off > touched.at(j - 1).asUint(),
+                const std::uint64_t off = touched[j];
+                CONSIM_ASSERT(j == 0 || off > touched[j - 1],
                               "checkpoint: bad footprint in vm ", i,
                               " (offset ", off, " not ascending)");
                 CONSIM_ASSERT(off < fp.capacity_,
                               "checkpoint: bad footprint in vm ", i,
-                              " (offset ", off, " outside ",
-                              fp.capacity_, " blocks)");
+                              " (offset ", off, " outside ", fp.capacity_,
+                              " blocks)");
                 fp.touch(off);
             }
-            const std::uint64_t count = ckptField(fpv, "count").asUint();
             CONSIM_ASSERT(count == fp.count_,
-                          "checkpoint: bad footprint in vm ", i,
-                          " (count ", count, " for ", fp.count_,
-                          " offsets)");
+                          "checkpoint: bad footprint in vm ", i, " (count ",
+                          count, " for ", fp.count_, " offsets)");
         }
     }
 
     // --- whole machine ---
 
-    static Value
-    saveMachine(const System &s)
+    template <typename Io, typename S>
+    static void
+    machine(Io &io, S &s)
     {
-        Value m = Value::object();
-        // Mesh geometry is in the document (not just the context) so
-        // a restore can sanity-check the rebuilt machine's shape
-        // against the snapshot before walking any per-tile arrays.
-        Value mesh = Value::array();
-        mesh.push(s.cfg_.meshX);
-        mesh.push(s.cfg_.meshY);
-        m.set("mesh", std::move(mesh));
-        m.set("cycle", cyclesJson(s.now_));
-        m.set("events", saveEvents(s));
-        Value cores = Value::array();
-        for (const auto &c : s.cores_)
-            cores.push(saveCore(s, *c));
-        m.set("cores", std::move(cores));
-        Value l1s = Value::array();
-        for (const auto &l : s.l1s_)
-            l1s.push(saveL1(*l));
-        m.set("l1s", std::move(l1s));
-        Value banks = Value::array();
-        for (const auto &b : s.banks_)
-            banks.push(saveBank(*b));
-        m.set("banks", std::move(banks));
-        Value dirs = Value::array();
-        for (const auto &d : s.dirs_)
-            dirs.push(saveDir(*d));
-        m.set("dirs", std::move(dirs));
-        Value mcs = Value::array();
-        for (const auto &mc : s.mcs_)
-            mcs.push(saveMc(*mc));
-        m.set("mcs", std::move(mcs));
-        m.set("dir_entries", saveDirEntries(s.dirStorage_));
-        m.set("net", saveNet(s));
-        m.set("faults", saveFaults(s));
-        // QoS runtime state (v4): the dynamic repartitioner's way
-        // allocation and miss-curve samples. Emitted only when QoS is
-        // active so QoS-free snapshots keep their exact prior shape.
-        if (s.isolation_.enabled())
-            m.set("qos", s.isolation_.saveState());
-        // Dynamic-scheduling runtime state (v5): the migration
-        // count, the epoch-baseline counters the policies delta
-        // against and the feedback loop. The policies themselves are
-        // pure functions, so this is the entire state. Emitted only
-        // when armed so dyn-free snapshots keep their exact prior
-        // shape.
-        if (s.scheduler_.enabled())
-            m.set("dyn_sched", s.scheduler_.saveState());
-        m.set("stats", s.statsRoot_.saveState());
-        return m;
+        const Shape sh{s.cfg_.numCores(), s.cfg_.numGroups(),
+                       static_cast<int>(s.vms_.size())};
+        // The mesh geometry is checked before any per-tile array is
+        // walked; the clock is set before the events due against it.
+        std::array<int, 2> mesh{s.cfg_.meshX, s.cfg_.meshY};
+        io.each("mesh", mesh, [](auto &io, int &x, std::size_t) {
+            io("", x, Dom{x, x});
+        });
+        io("cycle", s.now_);
+        io.record("events", s, [&](auto &io, S &s) { events(io, s, sh); },
+                  true);
+        const auto units = [&](const char *name, auto &all, auto &&fields,
+                               const char *refusal) {
+            io.each(name, all, [&](auto &io, auto &u, std::size_t) {
+                io.record("", *u, fields, true);
+            }, refusal);
+        };
+        units("cores", s.cores_, [&](auto &io, auto &c) { core(io, s, c); },
+              "checkpoint: bad core record");
+        units("l1s", s.l1s_, [&](auto &io, auto &l) { l1(io, s, l); },
+              "checkpoint: bad L1 record");
+        units("banks", s.banks_, [&](auto &io, auto &b) { bank(io, s, b, sh); },
+              "checkpoint: bad bank record");
+        units("dirs", s.dirs_, [&](auto &io, auto &d) { dir(io, s, d, sh); },
+              "checkpoint: bad directory record");
+        units("mcs", s.mcs_, [](auto &io, auto &m) { mc(io, m); },
+              "checkpoint: bad MC record");
+        dirEntries(io, s);
+        if constexpr (Io::loading)
+            eventsFindWork(s);
+        io.record("net", s, [&](auto &io, S &s) { net(io, s, sh); }, true,
+                  "checkpoint: bad network record");
+        io.record("faults", s, [](auto &io, S &s) { faults(io, s); }, true);
+        // QoS (v4) and dyn-sched (v5) state is written only when armed,
+        // so snapshots without them keep their prior shape.
+        if (io.has("qos", s.isolation_.enabled())) {
+            CONSIM_ASSERT(s.isolation_.enabled(),
+                          "checkpoint carries QoS runtime state but the "
+                          "rebuilt machine has QoS off — reinstall the QoS "
+                          "config before restore");
+            io.record("qos", s.isolation_,
+                      [](auto &io, auto &q) { qos(io, q); }, true,
+                      "checkpoint: bad QoS record");
+        }
+        if (io.has("dyn_sched", s.scheduler_.enabled())) {
+            CONSIM_ASSERT(s.scheduler_.enabled(),
+                          "checkpoint carries dynamic-scheduling runtime "
+                          "state but the rebuilt machine has it off — "
+                          "reinstall the dyn-sched config before restore");
+            io.record("dyn_sched", s.scheduler_,
+                      [&](auto &io, auto &d) { dynSched(io, d, sh); }, true,
+                      "checkpoint: bad dyn-sched record");
+        }
+        // The statistics registry keeps its own codec.
+        json::Value stats;
+        if constexpr (!Io::loading)
+            stats = s.statsRoot_.saveState();
+        io("stats", stats);
+        if constexpr (Io::loading)
+            s.statsRoot_.restoreState(stats);
     }
 
+    template <typename Io, typename S>
     static void
-    loadMachine(System &s, const Value &m)
+    document(Io &io, S &s)
     {
-        // Restore targets a freshly constructed System: directory
-        // entries, cache arrays and queues all start default there,
-        // and the sparse loaders rely on it.
-        CONSIM_ASSERT(s.now_ == 0 && s.events_.empty(),
-                      "restoreCheckpoint needs a fresh System");
-        const Value &mesh = ckptField(m, "mesh");
-        CONSIM_ASSERT(static_cast<int>(asInt(mesh.at(0))) ==
-                              s.cfg_.meshX &&
-                          static_cast<int>(asInt(mesh.at(1))) ==
-                              s.cfg_.meshY,
-                      "checkpoint: mesh geometry mismatch (snapshot ",
-                      asInt(mesh.at(0)), "x", asInt(mesh.at(1)),
-                      ", machine ", s.cfg_.meshX, "x", s.cfg_.meshY,
-                      ")");
-        // The clock must be set before events: insertAbs checks
-        // every due cycle against now.
-        s.now_ = ckptField(m, "cycle").asUint();
-        loadEvents(s, ckptField(m, "events"));
-        const Value &cores = ckptField(m, "cores");
-        CONSIM_ASSERT(cores.size() == s.cores_.size(),
-                      "checkpoint: core count mismatch");
-        for (std::size_t i = 0; i < s.cores_.size(); ++i)
-            loadCore(s, *s.cores_[i], cores.at(i));
-        const Value &l1s = ckptField(m, "l1s");
-        CONSIM_ASSERT(l1s.size() == s.l1s_.size(),
-                      "checkpoint: L1 count mismatch");
-        for (std::size_t i = 0; i < s.l1s_.size(); ++i)
-            loadL1(*s.l1s_[i], l1s.at(i));
-        const Value &banks = ckptField(m, "banks");
-        CONSIM_ASSERT(banks.size() == s.banks_.size(),
-                      "checkpoint: bank count mismatch");
-        for (std::size_t i = 0; i < s.banks_.size(); ++i)
-            loadBank(*s.banks_[i], banks.at(i));
-        const Value &dirs = ckptField(m, "dirs");
-        CONSIM_ASSERT(dirs.size() == s.dirs_.size(),
-                      "checkpoint: directory count mismatch");
-        for (std::size_t i = 0; i < s.dirs_.size(); ++i)
-            loadDir(*s.dirs_[i], dirs.at(i));
-        const Value &mcs = ckptField(m, "mcs");
-        CONSIM_ASSERT(mcs.size() == s.mcs_.size(),
-                      "checkpoint: MC count mismatch");
-        for (std::size_t i = 0; i < s.mcs_.size(); ++i)
-            loadMc(*s.mcs_[i], mcs.at(i));
-        loadDirEntries(s, ckptField(m, "dir_entries"));
-        loadNet(s, ckptField(m, "net"));
-        loadFaults(s, ckptField(m, "faults"));
-        if (const Value *q = m.find("qos"))
-            s.isolation_.restoreState(*q);
-        if (const Value *d = m.find("dyn_sched"))
-            s.scheduler_.restoreState(*d);
-        s.statsRoot_.restoreState(ckptField(m, "stats"));
+        io.record("machine", s, [](auto &io, S &s) { machine(io, s); }, true);
+        io.each("vms", s.vms_, [](auto &io, auto *v, std::size_t i) {
+            io.record("", v->instance(), [&](auto &io, auto &inst) {
+                CkptAccess::vm(io, inst, i);
+            }, true);
+        }, "checkpoint: bad VM record");
     }
 };
 
 json::Value
 System::saveCheckpoint() const
 {
-    json::Value doc = json::Value::object();
-    doc.set("schema", "consim.ckpt.v5");
-    doc.set("context", ckptCtx_);
-    doc.set("machine", CkptAccess::saveMachine(*this));
-    doc.set("vms", CkptAccess::saveVms(*this));
-    return doc;
+    ckpt::Save io(true);
+    io("schema", std::string("consim.ckpt.v5"));
+    io("context", ckptCtx_);
+    CkptAccess::document(io, *this);
+    return std::move(io.v);
 }
 
 void
 System::restoreCheckpoint(const json::Value &doc)
 {
     checkCkptSchema(doc);
-    CkptAccess::loadMachine(*this, ckptField(doc, "machine"));
-    CkptAccess::loadVms(*this, ckptField(doc, "vms"));
+    // Restore targets a freshly constructed System: directory
+    // entries, cache arrays and queues all start default there.
+    CONSIM_ASSERT(now_ == 0 && events_.empty(),
+                  "restoreCheckpoint needs a fresh System");
+    ckpt::Load io(doc, "checkpoint: bad machine record", "", true);
+    CkptAccess::document(io, *this);
+    // The machine's own checks, at every check level, refuse a state
+    // no single record shows: the component invariants, and on every
+    // block no transaction works on and no message in flight names,
+    // the directory audit and L1 inclusion. The stuck-transaction
+    // audits are left out: a watchdog trip's snapshot holds
+    // transactions past their limit.
+    try {
+        checkInvariants();
+        auditDirectory();
+        auditInclusion(CkptAccess::moving(*this));
+    } catch (const SimError &e) {
+        CONSIM_ASSERT(false, "checkpoint: restored machine fails its "
+                             "audit (",
+                      e.what(), ")");
+    }
     // Operational knobs (watchdog, deadline, periodic snapshotting)
-    // are deliberately not part of the document: callers re-arm them
-    // after restore, and setWatchdogInterval re-baselines its
-    // progress snapshot against the restored clock.
+    // are not part of the document: callers re-arm them after restore.
 }
 
 } // namespace consim

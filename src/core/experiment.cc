@@ -79,105 +79,56 @@ namespace
 // The `consim.run.v1` config echo (core/report.cc) is a byte-stable
 // PARTIAL view and must not grow fields; a resume instead needs every
 // structural knob, so the checkpoint context carries its own complete
-// codec. Enums travel as their integer values (no inverse string
-// parsers exist) and the fault plan as its grammar string, which
-// round-trips through FaultPlan::parse.
+// field list. Enums travel as their integer values and the fault, QoS
+// and dyn-sched plans as their grammar strings. The list checks each
+// field's JSON form; MachineConfig::validate() checks the machine.
 
-const json::Value &
-ctxGet(const json::Value &obj, const char *key)
+template <typename Io, typename M>
+void
+machineFields(Io &io, M &m)
 {
-    const json::Value *v = obj.find(key);
-    CONSIM_ASSERT(v, "checkpoint context: missing key '", key, "'");
-    return *v;
+    int sharing = coresPerGroup(m.sharing);
+    int vnets = numVnets;
+    io("mesh_x", m.meshX);
+    io("mesh_y", m.meshY);
+    io("l0_bytes", m.l0Bytes);
+    io("l0_assoc", m.l0Assoc);
+    io("l0_latency", m.l0Latency);
+    io("l1_bytes", m.l1Bytes);
+    io("l1_assoc", m.l1Assoc);
+    io("l1_latency", m.l1Latency);
+    io("l2_total_bytes", m.l2TotalBytes);
+    io("l2_assoc", m.l2Assoc);
+    io("l2_latency", m.l2Latency);
+    io("sharing", sharing);
+    io("mem_latency", m.memLatency);
+    io("num_mem_ctrls", m.numMemCtrls);
+    io("mem_issue_interval", m.memIssueInterval);
+    io("mem_overlap_latency", m.memOverlapLatency);
+    io("dir_cache_enabled", m.dirCacheEnabled);
+    io("dir_cache_entries", m.dirCacheEntries);
+    io("dir_cache_assoc", m.dirCacheAssoc);
+    io("dir_latency", m.dirLatency);
+    io("clean_forwarding", m.cleanForwarding);
+    io("ideal_noc", m.idealNoc);
+    io("ideal_noc_latency", m.idealNocLatency);
+    io("flat_intra_group", m.flatIntraGroup);
+    io("intra_group_latency", m.intraGroupLatency);
+    io("flit_bytes", m.flitBytes);
+    io("vcs_per_vnet", m.vcsPerVnet);
+    io("vc_buffer_flits", m.vcBufferFlits);
+    // The protocol has three virtual networks; the field keeps the
+    // v5 text.
+    io("num_vnets", vnets, ckpt::Dom{numVnets, numVnets});
+    if constexpr (Io::loading)
+        m.sharing = sharingDegree(sharing);
 }
 
-int
-ctxInt(const json::Value &obj, const char *key)
-{
-    return static_cast<int>(ctxGet(obj, key).number());
-}
-
-json::Value
-machineCtxJson(const MachineConfig &m)
-{
-    auto v = json::Value::object();
-    v.set("mesh_x", m.meshX);
-    v.set("mesh_y", m.meshY);
-    v.set("l0_bytes", m.l0Bytes);
-    v.set("l0_assoc", m.l0Assoc);
-    v.set("l0_latency", m.l0Latency);
-    v.set("l1_bytes", m.l1Bytes);
-    v.set("l1_assoc", m.l1Assoc);
-    v.set("l1_latency", m.l1Latency);
-    v.set("l2_total_bytes", m.l2TotalBytes);
-    v.set("l2_assoc", m.l2Assoc);
-    v.set("l2_latency", m.l2Latency);
-    v.set("sharing", coresPerGroup(m.sharing));
-    v.set("mem_latency", m.memLatency);
-    v.set("num_mem_ctrls", m.numMemCtrls);
-    v.set("mem_issue_interval", m.memIssueInterval);
-    v.set("mem_overlap_latency", m.memOverlapLatency);
-    v.set("dir_cache_enabled", m.dirCacheEnabled);
-    v.set("dir_cache_entries", m.dirCacheEntries);
-    v.set("dir_cache_assoc", m.dirCacheAssoc);
-    v.set("dir_latency", m.dirLatency);
-    v.set("clean_forwarding", m.cleanForwarding);
-    v.set("ideal_noc", m.idealNoc);
-    v.set("ideal_noc_latency", m.idealNocLatency);
-    v.set("flat_intra_group", m.flatIntraGroup);
-    v.set("intra_group_latency", m.intraGroupLatency);
-    v.set("flit_bytes", m.flitBytes);
-    v.set("vcs_per_vnet", m.vcsPerVnet);
-    v.set("vc_buffer_flits", m.vcBufferFlits);
-    v.set("num_vnets", numVnets);
-    return v;
-}
-
-MachineConfig
-machineFromCtx(const json::Value &v)
-{
-    MachineConfig m;
-    m.meshX = ctxInt(v, "mesh_x");
-    m.meshY = ctxInt(v, "mesh_y");
-    m.l0Bytes = ctxGet(v, "l0_bytes").asUint();
-    m.l0Assoc = ctxInt(v, "l0_assoc");
-    m.l0Latency = ctxInt(v, "l0_latency");
-    m.l1Bytes = ctxGet(v, "l1_bytes").asUint();
-    m.l1Assoc = ctxInt(v, "l1_assoc");
-    m.l1Latency = ctxInt(v, "l1_latency");
-    m.l2TotalBytes = ctxGet(v, "l2_total_bytes").asUint();
-    m.l2Assoc = ctxInt(v, "l2_assoc");
-    m.l2Latency = ctxInt(v, "l2_latency");
-    m.sharing = sharingDegree(ctxInt(v, "sharing"));
-    m.memLatency = ctxInt(v, "mem_latency");
-    m.numMemCtrls = ctxInt(v, "num_mem_ctrls");
-    m.memIssueInterval = ctxInt(v, "mem_issue_interval");
-    m.memOverlapLatency = ctxInt(v, "mem_overlap_latency");
-    m.dirCacheEnabled = ctxGet(v, "dir_cache_enabled").boolean();
-    m.dirCacheEntries = ctxGet(v, "dir_cache_entries").asUint();
-    m.dirCacheAssoc = ctxInt(v, "dir_cache_assoc");
-    m.dirLatency = ctxInt(v, "dir_latency");
-    m.cleanForwarding = ctxGet(v, "clean_forwarding").boolean();
-    m.idealNoc = ctxGet(v, "ideal_noc").boolean();
-    m.idealNocLatency = ctxInt(v, "ideal_noc_latency");
-    m.flatIntraGroup = ctxGet(v, "flat_intra_group").boolean();
-    m.intraGroupLatency = ctxInt(v, "intra_group_latency");
-    m.flitBytes = ctxInt(v, "flit_bytes");
-    m.vcsPerVnet = ctxInt(v, "vcs_per_vnet");
-    m.vcBufferFlits = ctxInt(v, "vc_buffer_flits");
-    const int vnets = ctxInt(v, "num_vnets");
-    CONSIM_ASSERT(vnets == numVnets, "checkpoint context: num_vnets ",
-                  vnets, " (the protocol has ", numVnets,
-                  " virtual networks)");
-    return m;
-}
-
-/** Context member @p key, a @p what spec in T's grammar, parsed. */
+/** Plan @p spec, a @p what spec in T's grammar, parsed. */
 template <typename T>
 T
-ctxSpec(const json::Value &obj, const char *key, const char *what)
+parsedSpec(const std::string &spec, const char *what)
 {
-    const std::string spec = ctxGet(obj, key).str();
     T out;
     std::string err;
     const bool ok = T::parse(spec, out, &err);
@@ -186,64 +137,41 @@ ctxSpec(const json::Value &obj, const char *key, const char *what)
     return out;
 }
 
-json::Value
-configCtxJson(const RunConfig &cfg)
+template <typename Io, typename C>
+void
+configFields(Io &io, C &cfg)
 {
-    auto v = json::Value::object();
-    v.set("machine", machineCtxJson(cfg.machine));
-    auto wl = json::Value::array();
-    for (WorkloadKind k : cfg.workloads)
-        wl.push(static_cast<int>(k));
-    v.set("workloads", std::move(wl));
-    auto vt = json::Value::array();
-    for (int t : cfg.vmThreads)
-        vt.push(t);
-    v.set("vm_threads", std::move(vt));
-    v.set("policy", static_cast<int>(cfg.policy));
-    v.set("seed", cfg.seed);
-    v.set("warmup_cycles", cfg.warmupCycles);
-    v.set("measure_cycles", cfg.measureCycles);
-    v.set("timeslice_cycles", cfg.timesliceCycles);
-    v.set("watchdog_interval_cycles", cfg.watchdogIntervalCycles);
-    v.set("cycle_deadline", cfg.cycleDeadline);
-    v.set("ckpt_every_cycles", cfg.ckptEveryCycles);
-    v.set("faults", cfg.faults.spec());
-    v.set("qos", cfg.qos.spec());
-    v.set("dyn_sched", cfg.dynSched.spec());
-    return v;
-}
-
-RunConfig
-configFromCtx(const json::Value &v)
-{
-    RunConfig cfg;
-    cfg.machine = machineFromCtx(ctxGet(v, "machine"));
-    for (const auto &w : ctxGet(v, "workloads").items()) {
-        const int k = static_cast<int>(w.number());
-        CONSIM_ASSERT(k >= 0 && k <= 5,
-                      "checkpoint context: bad workload kind ", k);
-        cfg.workloads.push_back(static_cast<WorkloadKind>(k));
-    }
-    for (const auto &t : ctxGet(v, "vm_threads").items())
-        cfg.vmThreads.push_back(static_cast<int>(t.number()));
-    const int pol = ctxInt(v, "policy");
-    CONSIM_ASSERT(pol >= 0 && pol <= 3,
-                  "checkpoint context: bad scheduling policy ", pol);
-    cfg.policy = static_cast<SchedPolicy>(pol);
-    cfg.seed = ctxGet(v, "seed").asUint();
-    cfg.warmupCycles = ctxGet(v, "warmup_cycles").asUint();
-    cfg.measureCycles = ctxGet(v, "measure_cycles").asUint();
+    io.record("machine", cfg.machine,
+              [](auto &io, auto &m) { machineFields(io, m); }, true);
+    io.list("workloads", cfg.workloads, [](auto &io, auto &k, std::size_t) {
+        io("", k, ckpt::span(WorkloadKind::TpcW, WorkloadKind::Bursty));
+    });
+    // 0 takes the profile's thread count; the CLI caps a VM at 4096.
+    io.list("vm_threads", cfg.vmThreads, [](auto &io, auto &t, std::size_t) {
+        io("", t, ckpt::Dom{0, 4096});
+    });
+    io("policy", cfg.policy,
+       ckpt::span(SchedPolicy::RoundRobin, SchedPolicy::Random));
+    io("seed", cfg.seed);
+    io("warmup_cycles", cfg.warmupCycles);
+    io("measure_cycles", cfg.measureCycles);
     // Optional: absent in checkpoints from before over-commit.
-    if (const json::Value *ts = v.find("timeslice_cycles"))
-        cfg.timesliceCycles = ts->asUint();
-    cfg.watchdogIntervalCycles =
-        ctxGet(v, "watchdog_interval_cycles").asUint();
-    cfg.cycleDeadline = ctxGet(v, "cycle_deadline").asUint();
-    cfg.ckptEveryCycles = ctxGet(v, "ckpt_every_cycles").asUint();
-    cfg.faults = ctxSpec<FaultPlan>(v, "faults", "fault");
-    cfg.qos = ctxSpec<QosConfig>(v, "qos", "qos");
-    cfg.dynSched = ctxSpec<DynSchedConfig>(v, "dyn_sched", "dyn-sched");
-    return cfg;
+    if (io.has("timeslice_cycles", true))
+        io("timeslice_cycles", cfg.timesliceCycles);
+    io("watchdog_interval_cycles", cfg.watchdogIntervalCycles);
+    io("cycle_deadline", cfg.cycleDeadline);
+    io("ckpt_every_cycles", cfg.ckptEveryCycles);
+    std::string faults = cfg.faults.spec();
+    std::string qos = cfg.qos.spec();
+    std::string dyn = cfg.dynSched.spec();
+    io("faults", faults);
+    io("qos", qos);
+    io("dyn_sched", dyn);
+    if constexpr (Io::loading) {
+        cfg.faults = parsedSpec<FaultPlan>(faults, "fault");
+        cfg.qos = parsedSpec<QosConfig>(qos, "qos");
+        cfg.dynSched = parsedSpec<DynSchedConfig>(dyn, "dyn-sched");
+    }
 }
 
 // --- experiment rig and phase driver ------------------------------
@@ -304,8 +232,10 @@ buildRig(const RunConfig &cfg)
 json::Value
 phaseContext(const RunConfig &cfg, const char *phase)
 {
+    ckpt::Save config(true);
+    configFields(config, cfg);
     auto ctx = json::Value::object();
-    ctx.set("config", configCtxJson(cfg));
+    ctx.set("config", std::move(config.v));
     ctx.set("phase", phase);
     return ctx;
 }
@@ -405,7 +335,7 @@ drive(const RunConfig &cfg, const json::Value *ckpt,
     std::string phase = "warmup";
     if (ckpt) {
         sys.restoreCheckpoint(*ckpt);
-        phase = ctxGet(*ckpt->find("context"), "phase").str();
+        phase = ckptField(ckptField(*ckpt, "context"), "phase").str();
     } else {
         if (!cfg.faults.empty())
             sys.setFaultPlan(cfg.faults);
@@ -434,17 +364,18 @@ drive(const RunConfig &cfg, const json::Value *ckpt,
     const Cycle now = sys.now();
     if (phase == "warmup") {
         CONSIM_ASSERT(now <= cfg.warmupCycles,
-                      "resume: clock ", now, " past warmup window");
+                      "resume: checkpoint clock ", now,
+                      " past the warmup window");
         runPhase("warmup", cfg.warmupCycles - now);
         audit();
         sys.resetStats();
         runPhase("measure", cfg.measureCycles);
     } else {
-        CONSIM_ASSERT(phase == "measure", "resume: unknown phase '",
+        CONSIM_ASSERT(phase == "measure", "resume: unknown checkpoint phase '",
                       phase, "'");
         CONSIM_ASSERT(now >= cfg.warmupCycles &&
                           now - cfg.warmupCycles <= cfg.measureCycles,
-                      "resume: clock ", now,
+                      "resume: checkpoint clock ", now,
                       " outside the measurement window");
         runPhase("measure", cfg.warmupCycles + cfg.measureCycles - now);
     }
@@ -472,7 +403,7 @@ configFromCheckpoint(const json::Value &ckpt)
                   "runExperiment?); cannot seed a resume");
     // Older builds' --migrate runs swapped threads off an RNG the
     // context carried; a zero interval is a non-migrating run.
-    const json::Value &config = ctxGet(*ctx, "config");
+    const json::Value &config = ckptField(*ctx, "config");
     const json::Value *interval = config.find("migration_interval_cycles");
     CONSIM_ASSERT(!ctx->find("mig_rng") &&
                       (!interval || interval->asUint() == 0),
@@ -480,7 +411,10 @@ configFromCheckpoint(const json::Value &ckpt)
                   "no current run reproduces, so it cannot resume; "
                   "random migration is now --dyn-sched random,epoch=N "
                   "— re-run with it to take a fresh snapshot");
-    return configFromCtx(config);
+    RunConfig cfg;
+    ckpt::Load io(config, "checkpoint context: bad config record", "", true);
+    configFields(io, cfg);
+    return cfg;
 }
 
 RunResult

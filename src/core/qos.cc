@@ -1,14 +1,12 @@
 #include "core/qos.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cctype>
 #include <sstream>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/parse.hh"
-#include "core/checkpoint.hh"
 #include "core/system.hh"
 
 namespace consim
@@ -214,34 +212,6 @@ QosController::repartition(System &sys)
     }
     prevDelta_ = delta;
     lastMissTotal_ = total;
-}
-
-json::Value
-QosController::saveState() const
-{
-    auto v = json::Value::object();
-    v.set("dyn_ways", ways_);
-    v.set("last_miss_total", lastMissTotal_);
-    v.set("prev_delta", prevDelta_);
-    return v;
-}
-
-void
-QosController::restoreState(const json::Value &v)
-{
-    CONSIM_ASSERT(enabled(),
-                  "checkpoint carries QoS runtime state but "
-                  "the rebuilt machine has QoS off — "
-                  "reinstall the QoS config before restore");
-    const double ways = ckptField(v, "dyn_ways").number();
-    // The way count sizes a shift in wayMask(), so it must stay
-    // inside the range the repartitioner itself keeps it in.
-    CONSIM_ASSERT(ways >= cfg_.protectedWays &&
-                      ways < static_cast<double>(std::popcount(allWays_)),
-                  "checkpoint: bad QoS way count ", ways);
-    ways_ = static_cast<int>(ways);
-    lastMissTotal_ = ckptField(v, "last_miss_total").asUint();
-    prevDelta_ = ckptField(v, "prev_delta").asUint();
 }
 
 json::Value

@@ -152,17 +152,13 @@ class QosController
         prevDelta_ = 0;
     }
 
-    /** The `machine.qos` checkpoint section. */
-    json::Value saveState() const;
-
-    /** Strict inverse of saveState(); refuses the section when QoS
-     *  is off (the config must be installed before restore). */
-    void restoreState(const json::Value &v);
-
     /** The `consim.diag.v1` dump's "qos" member. */
     json::Value diagJson() const;
 
   private:
+    /** The checkpoint layer reads and restores the runtime state. */
+    friend struct CkptAccess;
+
     QosConfig cfg_;
     std::uint64_t allWays_ = ~0ull; ///< mask of every way of a set
     int ways_ = 0;                  ///< protected VM's current ways

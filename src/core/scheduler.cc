@@ -8,7 +8,6 @@
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "common/rng.hh"
-#include "core/checkpoint.hh"
 #include "core/system.hh"
 
 namespace consim
@@ -658,39 +657,6 @@ makeMigrationPolicy(DynSchedPolicy p, std::uint64_t seed)
     CONSIM_FATAL("no migration policy for '", toString(p), "'");
 }
 
-namespace
-{
-
-/** Baseline rows as a JSON array of arrays. */
-template <std::size_t N>
-json::Value
-rowsJson(const std::vector<std::array<std::uint64_t, N>> &rows)
-{
-    auto out = json::Value::array();
-    for (const auto &r : rows) {
-        auto row = json::Value::array();
-        for (const std::uint64_t x : r)
-            row.push(x);
-        out.push(std::move(row));
-    }
-    return out;
-}
-
-/** Inverse of rowsJson; the row count must match the machine's. */
-template <std::size_t N>
-void
-loadRows(const json::Value &v,
-         std::vector<std::array<std::uint64_t, N>> &rows, const char *what)
-{
-    CONSIM_ASSERT(v.size() == rows.size(), "checkpoint: dyn-sched ",
-                  what, "-baseline count mismatch");
-    for (std::size_t i = 0; i < rows.size(); ++i)
-        for (std::size_t k = 0; k < N; ++k)
-            rows[i][k] = v.at(i).at(k).asUint();
-}
-
-} // namespace
-
 void
 DynScheduler::configure(const DynSchedConfig &dyn, std::uint64_t seed,
                         const MachineConfig &m, int num_vms)
@@ -858,61 +824,6 @@ DynScheduler::applySwap(System &sys, const ThreadSwap &swap)
     ca.scheduleRebind(sb, vb);
     cb.scheduleRebind(sa, va);
     ++migrations_;
-}
-
-json::Value
-DynScheduler::saveState() const
-{
-    auto d = json::Value::object();
-    d.set("migrations", migrations_);
-    auto retired = json::Value::array();
-    for (const std::uint64_t r : lastRetired_)
-        retired.push(r);
-    d.set("last_retired", std::move(retired));
-    d.set("last_vm", rowsJson(lastVm_));
-    d.set("last_group", rowsJson(lastGroup_));
-    // Feedback-loop state: backoff window and (when a swap awaits its
-    // verdict) the swap plus the pre-swap epoch miss/access totals it
-    // is judged against.
-    d.set("hold", hold_);
-    d.set("backoff", backoff_);
-    if (eval_.decided()) {
-        auto ev = json::Value::array();
-        ev.push(eval_.a);
-        ev.push(eval_.b);
-        ev.push(preMiss_);
-        ev.push(preAcc_);
-        d.set("eval", std::move(ev));
-    }
-    return d;
-}
-
-void
-DynScheduler::restoreState(const json::Value &d)
-{
-    CONSIM_ASSERT(enabled(),
-                  "checkpoint carries dynamic-scheduling "
-                  "runtime state but the rebuilt machine has "
-                  "it off — reinstall the dyn-sched config "
-                  "before restore");
-    migrations_ = ckptField(d, "migrations").asUint();
-    const json::Value &retired = ckptField(d, "last_retired");
-    CONSIM_ASSERT(retired.size() == lastRetired_.size(),
-                  "checkpoint: dyn-sched core-baseline count "
-                  "mismatch");
-    for (std::size_t i = 0; i < retired.size(); ++i)
-        lastRetired_[i] = retired.at(i).asUint();
-    loadRows(ckptField(d, "last_vm"), lastVm_, "VM");
-    loadRows(ckptField(d, "last_group"), lastGroup_, "group");
-    hold_ = static_cast<std::uint32_t>(ckptField(d, "hold").asUint());
-    backoff_ =
-        static_cast<std::uint32_t>(ckptField(d, "backoff").asUint());
-    if (const json::Value *ev = d.find("eval")) {
-        eval_.a = static_cast<CoreId>(ev->at(0).number());
-        eval_.b = static_cast<CoreId>(ev->at(1).number());
-        preMiss_ = ev->at(2).asUint();
-        preAcc_ = ev->at(3).asUint();
-    }
 }
 
 } // namespace consim

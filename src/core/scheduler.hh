@@ -223,15 +223,10 @@ class DynScheduler
     /** The counters the baselines diff went back to zero. */
     void rebaseline();
 
-    /** The `machine.dyn_sched` checkpoint section. */
-    json::Value saveState() const;
-
-    /** Strict inverse of saveState(); refuses the section when the
-     *  scheduler is off (the config must be installed before
-     *  restore). */
-    void restoreState(const json::Value &v);
-
   private:
+    /** The checkpoint layer reads and restores the runtime state. */
+    friend struct CkptAccess;
+
     /** Read the epoch-delta sample and advance the baselines. */
     DynSample takeSample(System &sys);
     /** Exchange two cores' bindings via deferred rebinds. */

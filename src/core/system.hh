@@ -192,11 +192,19 @@ class System : public Fabric
 
     /**
      * Strong cross-check, valid only when quiesced: the directory
-     * audit auditWindow runs, over every block (none is in flight),
-     * plus inclusion: every valid L1 line must be covered by its
-     * partition's presence tracking. Throws SimError on violation.
+     * audit auditWindow runs and L1 inclusion, over every block (none
+     * is in flight). Throws SimError on violation.
      */
     void checkGlobalCoherence() const;
+
+    /**
+     * L1 inclusion on every block no transaction is working on and
+     * @p moving (sorted: the blocks of the messages in flight) does
+     * not name: each valid L1 line is backed by its partition's line,
+     * whose owner is this core exactly when the L1 line is Modified.
+     * Throws SimError on violation.
+     */
+    void auditInclusion(const std::vector<BlockAddr> &moving) const;
 
     /** @return true when nothing is in flight anywhere. */
     bool quiesced() const;
@@ -418,6 +426,11 @@ class System : public Fabric
      * SimError on violation.
      */
     void auditDirectory() const;
+
+    /** @return true when no transaction at @p block's home or at any
+     *  of its partition banks is working on it: such a block
+     *  legitimately disagrees mid-protocol. */
+    bool quiet(BlockAddr block) const;
 
     MachineConfig cfg_;
     std::vector<VirtualMachine *> vms_;

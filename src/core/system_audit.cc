@@ -215,22 +215,8 @@ System::auditDirectory() const
             });
     }
 
-    // A block with a transaction in flight at its home or at any of
-    // its partition banks legitimately disagrees mid-protocol.
-    const auto quiet = [&](BlockAddr block) {
-        if (dirs_[homeTileFor(block)]->hasActivity(block))
-            return false;
-        for (GroupId g = 0; g < cfg_.numGroups(); ++g) {
-            if (banks_[bankTileFor(g, block)]->hasActivity(block))
-                return false;
-        }
-        return true;
-    };
-
     static const Copies none;
     for (const BlockAddr block : auditedBlocks(dirStorage_, copies)) {
-        if (!quiet(block))
-            continue;
         const DirEntry &e = dirStorage_.entry(block);
         const auto it = copies.find(block);
         const Copies &c = it == copies.end() ? none : it->second;
@@ -259,11 +245,23 @@ System::auditDirectory() const
                                   static_cast<int>(e.owner), " held=",
                                   c.held.count(), " groups)");
         }
-        if (!bad.empty()) {
+        if (!bad.empty() && quiet(block)) {
             CONSIM_CHECK_FAIL("directory audit: block 0x", std::hex,
                               block, std::dec, " ", bad);
         }
     }
+}
+
+bool
+System::quiet(BlockAddr block) const
+{
+    if (dirs_[homeTileFor(block)]->hasActivity(block))
+        return false;
+    for (GroupId g = 0; g < cfg_.numGroups(); ++g) {
+        if (banks_[bankTileFor(g, block)]->hasActivity(block))
+            return false;
+    }
+    return true;
 }
 
 void
@@ -272,24 +270,39 @@ System::checkGlobalCoherence() const
     CONSIM_ASSERT(quiesced(),
                   "global coherence check on a non-quiesced machine");
     auditDirectory();
+    auditInclusion({});
+}
 
-    // L1 inclusion: every valid L1 line is covered by its group's
-    // partition line and presence bits.
+void
+System::auditInclusion(const std::vector<BlockAddr> &moving) const
+{
     for (CoreId t = 0; t < cfg_.numCores(); ++t) {
         const GroupId g = groupOf_[t];
+        // The bank names an owner by its index among the members.
+        const std::vector<CoreId> &members = membersOf_[g].tiles;
+        const auto member = static_cast<int>(
+            std::find(members.begin(), members.end(), t) -
+            members.begin());
         l1s_[t]->forEachL1Line([&](BlockAddr block, L1State state) {
             const L2CacheLine *line =
                 banks_[bankTileFor(g, block)]->lookup(block);
+            // A Modified L1 line is its bank's owner; a Shared one is
+            // not.
+            if ((line && (state == L1State::Modified) ==
+                             (line->ownerCore == member)) ||
+                !quiet(block) ||
+                std::binary_search(moving.begin(), moving.end(), block))
+                return;
             if (line == nullptr) {
                 CONSIM_CHECK_FAIL("L1 line not backed by its partition "
                                   "(inclusion violated), block 0x",
                                   std::hex, block, std::dec, " core ",
                                   t);
             }
-            if (state == L1State::Modified && line->ownerCore < 0) {
-                CONSIM_CHECK_FAIL("L1 owner unknown to its bank, block 0x",
-                                  std::hex, block);
-            }
+            CONSIM_CHECK_FAIL("L1 line ", toString(state),
+                              " at core ", t, " but its bank's owner is ",
+                              int(line->ownerCore), ", block 0x",
+                              std::hex, block);
         });
     }
 }

@@ -3,17 +3,20 @@
  * Checkpoint/resume (`consim.ckpt.v5`) tests: resume byte-identity
  * across every sharing degree and scheduling policy (including the
  * migration-boundary corner), FNV-1a pins of the snapshot text,
- * strict decoding of event, directory, footprint, router and NI
- * records, watchdog-trip checkpoints under fault injection, the
- * strict env parsing of RunConfig::fromEnv, and a run that reads no
- * env at all. (A sweep point's snapshot is tested with the sweep, in
- * test_hardening.cc.)
+ * refusals of corrupt records by name (events, directory entries,
+ * cache lines, the machine context, routers and NIs, messages, bank
+ * transactions, cores, the dyn-sched feedback loop) and by the restore
+ * audit, a fixed-seed slice of one-leaf mutants, watchdog-trip
+ * checkpoints under fault injection, the strict env parsing of
+ * RunConfig::fromEnv, and a run that reads no env at all. (A sweep
+ * point's snapshot is tested with the sweep, in test_hardening.cc.)
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <functional>
+#include <regex>
 #include <set>
 #include <string>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "core/fault.hh"
 #include "core/mix.hh"
 #include "core/report.hh"
+#include "../tools/ckpt_mutation.hh"
 
 using namespace consim;
 
@@ -662,6 +666,7 @@ TEST(CheckpointRestoreDeathTest, BadMachineContextRefused)
         {"l1_latency", 0, "l1_latency 0"},
         {"l2_latency", 0, "l2_latency 0"},
         {"mem_latency", -1, "mem_latency -1"},
+        {"mem_issue_interval", -4, "mem_issue_interval -4 is negative"},
         {"mem_overlap_latency", 0, "mem_overlap_latency 0"},
         {"dir_latency", -3, "dir_latency -3"},
         {"ideal_noc_latency", 0, "ideal_noc_latency 0"},
@@ -893,6 +898,220 @@ TEST(CheckpointRestoreDeathTest, BadRouterRecordsRefused)
     ideal.find("machine")->find("net")->set("inflight", inflight);
     EXPECT_DEATH(resumeExperiment(ideal),
                  "checkpoint: bad ideal-network record");
+}
+
+namespace
+{
+
+/** @return machine.<@p units>[@p i] of @p doc, to edit in place. */
+json::Value &
+unitOf(json::Value &doc, const char *units, std::size_t i)
+{
+    return doc.find("machine")->find(units)->at(i);
+}
+
+/** @return the index of the first bank of @p doc with a transaction. */
+std::size_t
+busyBank(json::Value &doc)
+{
+    std::size_t b = 0;
+    while (unitOf(doc, "banks", b).find("active")->size() == 0)
+        ++b;
+    return b;
+}
+
+} // namespace
+
+TEST(CheckpointRestoreDeathTest, BadMessageFieldsRefused)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // Message fields (a 4-VM, 16-core snapshot) outside their domains,
+    // in a bank transaction and in a pending event. Unchecked, a VM of
+    // 7 indexed the VM table (SIGSEGV), and a type of 99 aborted in
+    // the L1's handler or resumed and exited 0.
+    json::Value doc;
+    ASSERT_TRUE(json::parse(tripSnapshot(wedgedConfig(false)), doc));
+    const std::size_t b = busyBank(doc);
+    const auto resumeReq = [&](std::size_t field, json::Value v) {
+        json::Value out = doc;
+        json::Value &txn =
+            unitOf(out, "banks", b).find("active")->at(0).at(1);
+        txn.find("req")->at(field) = std::move(v);
+        resumeExperiment(out);
+    };
+    EXPECT_DEATH(resumeReq(9, 7), "bad bank record .*req\\.vm 7 outside");
+    EXPECT_DEATH(resumeReq(0, 99), "bad bank record .*req\\.type 99 outside");
+    EXPECT_DEATH(resumeReq(2, 500),
+                 "bad bank record .*req\\.srcTile 500 outside");
+    const auto resumeMsg = [&](std::size_t field, json::Value v) {
+        resumeExperiment(withEditedEvent(
+            doc, SimEventKind::Deliver, [&](const json::Value &rec) {
+                return replaced(rec, 6, replaced(rec.at(6), field, v));
+            }));
+    };
+    EXPECT_DEATH(resumeMsg(9, 7), "bad event record .*msg\\.vm 7 outside");
+    EXPECT_DEATH(resumeMsg(0, 99), "bad event record .*msg\\.type 99 outside");
+}
+
+TEST(CheckpointRestoreDeathTest, BadBankRecordsRefused)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // A bank transaction's phase, flags and cycles and a write-back's
+    // VM: each field outside its domain or of another JSON kind is
+    // refused by name. Unchecked, these resumed and exited 0 or failed
+    // later.
+    json::Value doc;
+    ASSERT_TRUE(json::parse(tripSnapshot(wedgedConfig(false)), doc));
+    const std::size_t b = busyBank(doc);
+    const auto resumeTxn = [&](const char *key, json::Value v) {
+        json::Value out = doc;
+        unitOf(out, "banks", b).find("active")->at(0).at(1).set(key, v);
+        resumeExperiment(out);
+    };
+    EXPECT_DEATH(resumeTxn("phase", 42), "bad bank record .*phase 42 outside");
+    EXPECT_DEATH(resumeTxn("data_arrived", 1),
+                 "bad bank record .*data_arrived is not a bool");
+    EXPECT_DEATH(resumeTxn("started", "x"),
+                 "bad bank record .*started is not an integer");
+    EXPECT_DEATH(resumeTxn("extract", 1e300),
+                 "bad bank record .*extract is not an integer");
+    // A write-back entry [block, dirty, vm, started] of a block the
+    // bank serves.
+    json::Value out = doc;
+    json::Value &bank = unitOf(out, "banks", b);
+    json::Value wb = json::Value::array();
+    wb.push(bank.find("active")->at(0).at(0));
+    wb.push(true);
+    wb.push(17);
+    wb.push(std::uint64_t(11'000));
+    json::Value list = json::Value::array();
+    list.push(wb);
+    bank.set("wb", list);
+    EXPECT_DEATH(resumeExperiment(out),
+                 "bad bank record .*wb\\[0\\]\\.vm 17 outside");
+}
+
+TEST(CheckpointRestoreDeathTest, BadCoreRecordsRefused)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // A core's binding, an L1's pending miss and a memory controller's
+    // count. Unchecked, a shortened pending record and a thread or VM
+    // out of range died of std::out_of_range, and a negative count
+    // resumed and exited 0.
+    json::Value doc;
+    ASSERT_TRUE(json::parse(tripSnapshot(wedgedConfig(false)), doc));
+    const auto resumeUnit = [&](const char *units, const char *key,
+                                json::Value v) {
+        json::Value out = doc;
+        unitOf(out, units, 0).set(key, v);
+        resumeExperiment(out);
+    };
+    json::Value cut = json::Value::array();
+    cut.push(true);
+    EXPECT_DEATH(resumeUnit("l1s", "pending", cut),
+                 "bad L1 record .*pending\\.block is missing");
+    EXPECT_DEATH(resumeUnit("cores", "thread", 99),
+                 "bad core record .*thread 99 outside");
+    EXPECT_DEATH(resumeUnit("cores", "vm", 9),
+                 "bad core record .*vm 9 outside");
+    EXPECT_DEATH(resumeUnit("mcs", "outstanding", -5),
+                 "bad MC record .*outstanding -5 outside");
+}
+
+TEST(CheckpointRestoreDeathTest, BadDynSchedEvalRefused)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // The swap awaiting its verdict names two cores; the next epoch
+    // indexes both (Core lookup is an .at()).
+    RunConfig cfg = wedgedConfig(false);
+    cfg.dynSched = {DynSchedPolicy::ContentionAware, 3'000};
+    json::Value doc;
+    ASSERT_TRUE(json::parse(tripSnapshot(cfg), doc));
+    json::Value eval = json::Value::array();
+    for (const std::uint64_t x : {999u, 0u, 0u, 0u})
+        eval.push(x);
+    doc.find("machine")->find("dyn_sched")->set("eval", eval);
+    EXPECT_DEATH(resumeExperiment(doc),
+                 "bad dyn-sched record .*eval\\.a 999 outside");
+}
+
+TEST(CheckpointRestoreDeathTest, RestoreAuditRefusesL0OutsideL1)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // Core 0's first L0 line moved to another block of its set that
+    // its L1 does not hold: every record is well formed, but the
+    // machine breaks L0 inclusion, which the restore audit checks.
+    // Unchecked, it resumed and exited 0.
+    json::Value doc;
+    ASSERT_TRUE(json::parse(tripSnapshot(wedgedConfig(false)), doc));
+    json::Value &l1 = unitOf(doc, "l1s", 0);
+    json::Value &l0 = *l1.find("l0");
+    const std::uint64_t sets =
+        l0.find("num_lines")->asUint() / doc.find("context")
+                                              ->find("config")
+                                              ->find("machine")
+                                              ->find("l0_assoc")
+                                              ->asUint();
+    std::set<std::uint64_t> held;
+    for (const json::Value &rec : l1.find("l1")->find("lines")->items())
+        held.insert(rec.at(1).asUint());
+    json::Value &block = l0.find("lines")->at(0).at(1);
+    std::uint64_t moved = block.asUint() + sets;
+    while (held.count(moved))
+        moved += sets;
+    block = moved;
+    EXPECT_DEATH(resumeExperiment(doc), "L0 inclusion violated");
+}
+
+TEST(CheckpointMutation, FixedSeedSliceEndsInSimError)
+{
+    // 200 single-leaf edits of a real snapshot's machine and VM
+    // sections (tools/ckpt_mutation.hh), each resumed in process at
+    // check level basic. Context edits are left to the tools/ci.sh
+    // stage: MachineConfig::validate() refuses a machine by exiting.
+    // Every mutant ends in a SimError: refused at restore, or tripped
+    // by the wedge, or failed later, which only an edit of a leaf
+    // DESIGN §8 names as one restore cannot check may do.
+    json::Value doc;
+    ASSERT_TRUE(json::parse(tripSnapshot(wedgedConfig(false)), doc));
+    const mutation::Mutator mutator(doc, {"machine", "vms"});
+    // DESIGN §8: a directory transaction's ack count or requesting
+    // bank, a bank transaction's phase, an L1's pending block, and the
+    // block, destination or requesting bank of a message in flight.
+    const std::regex uncheckable(
+        "machine\\.dirs\\[\\d+\\]\\.active\\[\\d+\\](\\[3\\]|\\[1\\]\\[7\\])|"
+        "machine\\.banks\\[\\d+\\]\\.active\\[\\d+\\]\\[1\\]\\.phase|"
+        "machine\\.l1s\\[\\d+\\]\\.pending\\[1\\]|"
+        "machine\\.(events\\.pending\\[\\d+\\]\\[6\\]|"
+        "net\\.routers.*(pkt|q\\[\\d+\\])\\[0\\]|"
+        "net\\.nis(\\[\\d+\\]){3})\\[[137]\\]");
+    const check::Level level = check::level();
+    check::setLevel(check::Level::Basic);
+    int refused = 0, tripped = 0, later = 0;
+    for (std::uint64_t i = 0; i < 200; ++i) {
+        mutation::Edit edit;
+        const json::Value mutant = mutator.mutant(1, i, edit);
+        SCOPED_TRACE(edit.path + " = " + edit.value);
+        try {
+            resumeExperiment(mutant);
+            ADD_FAILURE() << "resumed without a trip";
+        } catch (const SimError &e) {
+            const std::string what = e.what();
+            if (what.find("checkpoint") != std::string::npos) {
+                ++refused;
+            } else if (e.kind() == SimErrorKind::Watchdog) {
+                ++tripped;
+            } else {
+                ++later;
+                EXPECT_TRUE(std::regex_match(edit.path, uncheckable)) << what;
+            }
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "not a SimError: " << e.what();
+        }
+    }
+    check::setLevel(level);
+    EXPECT_EQ(refused + tripped + later, 200);
+    EXPECT_GT(refused, tripped);
 }
 
 TEST(CheckpointSchemaDeathTest, OldSnapshotsRefusedWithExplanation)

@@ -19,7 +19,9 @@
 # static placement on the bursty mix, resume across migration epochs
 # must be byte-identical, random migration must swap at every epoch
 # boundary under the checked-mode binding audit, and the retired
-# --migrate option must be refused), a
+# --migrate option must be refused), a checkpoint mutation stage
+# (4,000 one-leaf edits of four snapshots, each resumed in its own
+# process: none may die of a signal or hang), a
 # checked-mode pass (full suite with every runtime invariant checker
 # enabled) plus a fault-injection smoke over the whole catalog, a
 # snapshot interchange check (a base commit's build and this tree's
@@ -444,6 +446,68 @@ rc=0
     echo "dyn-sched smoke: --migrate wanted exit 2, got $rc" >&2; exit 1; }
 echo "dyn-sched smoke: dynamic wins, resume across migrations clean," \
     "random migrated $random_migs of 56 epochs"
+
+echo "=== checkpoint mutation: every one-leaf edit is refused or runs ==="
+# tools/ckpt_mutation.hh edits one leaf outside machine.stats of a
+# deadline-tripped snapshot (mix16, ideal16, over64, and mix16 with
+# QoS and dyn-sched armed); each mutant resumes with --check full in
+# its own process, under a timeout. Outcomes: refused (exit 1 naming
+# the checkpoint, or a fatal config error, before a cycle runs), exit
+# 0, failed later (exit 1 otherwise: DESIGN §8 names the leaves restore
+# cannot check), signal, timeout. Any signal or timeout fails CI.
+mut_dir="$work/mutation"
+mkdir "$mut_dir"
+mut_snapshot() {
+    local name="$1"; shift
+    if ./build/tools/consim_run --mix "Mix 5" --warmup 20000 \
+        --measure 40000 --deadline 30000 --ckpt-every 25000 "$@" \
+        --ckpt-out "$mut_dir/$name.ckpt" >/dev/null 2>&1 ||
+        [[ ! -s "$mut_dir/$name.ckpt" ]]; then
+        echo "checkpoint mutation: $name did not trip" >&2; exit 1
+    fi
+}
+mut_snapshot mix16 --mesh 4x4 --sharing 4
+mut_snapshot ideal16 --mesh 4x4 --sharing 4 --ideal-noc
+mut_snapshot over64 --mesh 8x8 --sharing 8 --vm-threads 24,24,24,24
+mut_snapshot qosdyn --mesh 4x4 --sharing 4 \
+    --dyn-sched contention-aware,epoch=3000 \
+    --qos dynamic:vm=0,ways=2,vcs=1,tokens=1,refill=512,epoch=3000
+# mutate_one SNAPSHOT SEED INDEX prints "OUTCOME SNAPSHOT LEAF VALUE".
+mutate_one() {
+    local m="$mut_dir/$1.$2.$3" rc=0 outcome edit
+    edit="$(./build/tools/ckpt_mutate "$mut_dir/$1.ckpt" "$2" "$3" \
+        "$m.ckpt")"
+    timeout 120 ./build/tools/consim_run --resume "$m.ckpt" \
+        --check full >/dev/null 2>"$m.err" || rc=$?
+    if [[ "$rc" == 0 ]]; then outcome=exit-0
+    elif [[ "$rc" == 124 ]]; then outcome=timeout
+    elif [[ "$rc" -gt 128 ]]; then outcome=signal
+    elif [[ "$rc" == 1 ]] && grep -qE \
+        '^consim_run: [a-z]+ error: .*checkpoint|^fatal:' "$m.err"; then
+        outcome=refused
+    elif [[ "$rc" == 1 ]]; then outcome=failed-later
+    else outcome="exit-$rc"; fi
+    rm -f "$m.ckpt" "$m.err"
+    echo "$outcome $1 $edit"
+}
+export -f mutate_one
+export mut_dir
+for seed in 1 2; do
+    for snap in mix16 ideal16 over64 qosdyn; do
+        seq 0 499 | sed "s/^/$snap $seed /"
+    done | xargs -P "$(nproc)" -n 3 bash -c 'mutate_one "$@"' _ \
+        >"$mut_dir/seed$seed.txt"
+    echo "checkpoint mutation: seed $seed, $(wc -l <"$mut_dir/seed$seed.txt")" \
+        "mutants"
+    awk '{ print $1 }' "$mut_dir/seed$seed.txt" | sort | uniq -c
+    grep '^failed-later ' "$mut_dir/seed$seed.txt" || true
+    if grep -qvE '^(refused|exit-0|failed-later) ' "$mut_dir/seed$seed.txt"
+    then
+        grep -vE '^(refused|exit-0|failed-later) ' "$mut_dir/seed$seed.txt" >&2
+        echo "checkpoint mutation: a mutant died or hung" >&2
+        exit 1
+    fi
+done
 
 if [[ "$skip_checked" == 1 ]]; then
     echo "=== checked mode: skipped ==="

@@ -90,6 +90,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -396,8 +397,10 @@ main(int argc, char **argv)
         } else if (a == "--mem-issue") {
             // Bandwidth-constrained consolidation nodes (the QoS
             // isolation experiments) raise this past the default 4.
-            cfg.machine.memIssueInterval =
-                static_cast<int>(parseCount(a, next_arg(i)));
+            if (!parseIntInRange(next_arg(i), 0,
+                                 std::numeric_limits<int>::max(),
+                                 cfg.machine.memIssueInterval))
+                usage("--mem-issue wants a cycle count in 0..2147483647");
         } else if (a == "--warmup") {
             cfg.warmupCycles = parseCount(a, next_arg(i));
         } else if (a == "--measure") {
