@@ -25,20 +25,31 @@ dirCacheGeometry(const MachineConfig &cfg)
     return g;
 }
 
+/** The Gets and Puts the machine can have at its homes (see
+ *  DirectorySlice::Tables). */
+std::size_t
+requests(const MachineConfig &cfg, std::size_t writebacks)
+{
+    return 2 * static_cast<std::size_t>(cfg.numCores()) + writebacks;
+}
+
 } // namespace
 
-DirectorySlice::DirectorySlice(Fabric &fabric, CoreId tile,
-                               DirectoryStorage &store)
-    : fab_(fabric), tile_(tile), store_(store),
-      dirCache_(dirCacheGeometry(fabric.config()))
+DirectorySlice::Tables::Tables(const MachineConfig &cfg,
+                               std::size_t writebacks)
+    : active("directory transactions", requests(cfg, writebacks),
+             cfg.numCores()),
+      waiting("directory queued messages", requests(cfg, writebacks),
+              cfg.numCores())
 {
-    // Pre-size from the machine so the transaction table and wait
-    // pool never grow mid-run (the zero-allocation steady-state
-    // contract); a home slice can have every core's request queued.
-    const auto n = std::max<std::size_t>(
-        128, static_cast<std::size_t>(fabric.config().numCores()));
-    active_.reserve(n);
-    waiting_.reserve(n, 2 * n);
+}
+
+DirectorySlice::DirectorySlice(Fabric &fabric, CoreId tile,
+                               DirectoryStorage &store, Tables &tables)
+    : fab_(fabric), tile_(tile), store_(store),
+      dirCache_(dirCacheGeometry(fabric.config())),
+      active_(tables.active.view(tile)), waiting_(tables.waiting.view(tile))
+{
     stats_.registerIn(statsGroup_);
 }
 

@@ -261,8 +261,55 @@ struct DirSliceStats
 /** The home-node directory logic for one tile. */
 class DirectorySlice
 {
+    /** The checkpoint layer reads raw state. */
+    friend struct CkptAccess;
+
+    struct Txn
+    {
+        Msg req;
+        Cycle started = 0; ///< creation cycle (stuck audit)
+        int acksPending = 0;
+        bool fwdAckPending = false;
+        bool grantSent = false;
+        bool doneReceived = false;
+        bool dirFetched = false; ///< paid the off-chip state fetch
+    };
+
   public:
-    DirectorySlice(Fabric &fabric, CoreId tile, DirectoryStorage &store);
+    /**
+     * Every slice's transactions and waiting requests, one
+     * machine-wide table each, keyed by (home tile, block) and
+     * bounded for the whole machine (System owns them; each slice
+     * works through views of its own entries). Both hold the same
+     * requests, active or queued behind their block's transaction,
+     * so both take one bound, for n cores and @p writebacks the
+     * banks' write-back bound (L2Bank::Tables):
+     *
+     *  - Gets, 2n: a bank sends one per L1 miss, and an in-order
+     *    core has one outstanding, so n; a Get also outlives its
+     *    miss while the home still collects invalidation acks after
+     *    the requester's Done, so n more;
+     *  - Puts, @p writebacks: a write-back has one Put, and holds its
+     *    entry until the Put's PutAck.
+     */
+    struct Tables
+    {
+        Tables(const MachineConfig &cfg, std::size_t writebacks);
+
+        UnitTable<Txn> active;
+        UnitQueues<Msg> waiting;
+
+        /** Census of each table (see UnitTable::checkCensus). */
+        void
+        checkCensus() const
+        {
+            active.checkCensus();
+            waiting.checkCensus();
+        }
+    };
+
+    DirectorySlice(Fabric &fabric, CoreId tile, DirectoryStorage &store,
+                   Tables &tables);
 
     /** Handle any directory-bound message. */
     void handle(const Msg &msg);
@@ -298,24 +345,10 @@ class DirectorySlice
     void process(BlockAddr block);
 
   private:
-    /** The checkpoint layer reads raw state. */
-    friend struct CkptAccess;
-
     /** The directory cache is a tag array: a slot holds a block and
      *  nothing else. */
     struct DirCacheLine
     {
-    };
-
-    struct Txn
-    {
-        Msg req;
-        Cycle started = 0; ///< creation cycle (stuck audit)
-        int acksPending = 0;
-        bool fwdAckPending = false;
-        bool grantSent = false;
-        bool doneReceived = false;
-        bool dirFetched = false; ///< paid the off-chip state fetch
     };
 
     void startTxn(Msg m);
@@ -344,8 +377,9 @@ class DirectorySlice
     CoreId tile_;
     DirectoryStorage &store_;
     CacheArray<DirCacheLine> dirCache_;
-    BlockMap<Txn> active_{128};
-    WaitQueueMap<Msg> waiting_{128};
+    // This slice's entries in the machine-wide tables.
+    UnitTable<Txn>::View active_;
+    UnitQueues<Msg>::View waiting_;
     DirSliceStats stats_;
     stats::Group statsGroup_{"dir"};
 };

@@ -15,6 +15,12 @@ namespace consim
 namespace
 {
 
+std::size_t
+cores(const MachineConfig &cfg)
+{
+    return static_cast<std::size_t>(cfg.numCores());
+}
+
 CacheGeometry
 bankGeometry(const MachineConfig &cfg)
 {
@@ -30,31 +36,27 @@ bankGeometry(const MachineConfig &cfg)
 
 } // namespace
 
-L2Bank::L2Bank(Fabric &fabric, CoreId tile)
+L2Bank::Tables::Tables(const MachineConfig &cfg)
+    : active("bank transactions", 2 * cores(cfg), cfg.numCores()),
+      waiting("bank queued messages", 2 * cores(cfg), cfg.numCores()),
+      wb("write-backs", 4 * cores(cfg), cfg.numCores()),
+      victimExtract("victim extractions", cores(cfg), cfg.numCores())
+{
+}
+
+L2Bank::L2Bank(Fabric &fabric, CoreId tile, Tables &tables)
     : fab_(fabric), tile_(tile), group_(fabric.groupOfTile(tile)),
       members_(fabric.config().coresOfGroup(group_)),
       groupSize_(static_cast<int>(members_.size())),
-      array_(bankGeometry(fabric.config()))
+      array_(bankGeometry(fabric.config())),
+      active_(tables.active.view(tile)),
+      waiting_(tables.waiting.view(tile)), wb_(tables.wb.view(tile)),
+      victimExtract_(tables.victimExtract.view(tile))
 {
     auto it = std::find(members_.begin(), members_.end(), tile_);
     CONSIM_ASSERT(it != members_.end(), "tile not in its own group");
     myBankIdx_ = static_cast<int>(it - members_.begin());
-    const std::size_t n = tableSlots(fabric.config());
-    active_.reserve(n);
-    wb_.reserve(n);
-    waiting_.reserve(n, 2 * n);
     stats_.registerIn(statsGroup_);
-}
-
-std::size_t
-L2Bank::tableSlots(const MachineConfig &cfg)
-{
-    // Pre-size the transaction tables from the machine: in the worst
-    // case every core in the machine has a request parked at this
-    // bank, and growing the tables mid-run would break the
-    // zero-allocation steady state the alloc tests enforce.
-    return std::max<std::size_t>(
-        128, static_cast<std::size_t>(cfg.numCores()));
 }
 
 BlockAddr

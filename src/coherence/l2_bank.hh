@@ -73,12 +73,89 @@ struct L2BankStats
 /** One bank of an L2 partition plus its share of protocol logic. */
 class L2Bank
 {
-  public:
-    L2Bank(Fabric &fabric, CoreId tile);
+    /** The checkpoint layer reads raw state. */
+    friend struct CkptAccess;
 
-    /** @return the entries a bank's transaction tables and writeback
-     *  buffer are pre-sized for on @p cfg's machine. */
-    static std::size_t tableSlots(const MachineConfig &cfg);
+    enum class Phase
+    {
+        Lookup,        ///< paying the L2 access latency
+        WaitHome,      ///< GetS/GetM outstanding at the home
+        WaitL1Data,    ///< extracting owner data for a local grant
+        WaitFwdL1Data, ///< extracting owner data to answer a forward
+        WaitVictimL1,  ///< extracting victim data before a fill
+    };
+
+    struct BankTxn
+    {
+        Phase phase = Phase::Lookup;
+        Msg req;                 ///< the local request or forward
+        Cycle started = 0;       ///< creation cycle (stuck audit)
+        bool dataArrived = false;
+        bool grantArrived = false;
+        Msg dataMsg;
+        Msg grantMsg;
+        BlockAddr victimBlock = 0; ///< valid in WaitVictimL1
+        bool expectPutM = false;   ///< stale WbData seen; PutM coming
+        CoreId extractTarget = invalidCore; ///< L1 being extracted
+    };
+
+    struct WbEntry
+    {
+        bool dirty = false;
+        VmId vm = invalidVm;
+        Cycle started = 0;       ///< creation cycle (stuck audit)
+    };
+
+  public:
+    /**
+     * Every bank's in-flight state, one machine-wide table per kind,
+     * keyed by (bank tile, block) and bounded for the whole machine
+     * (System owns them; each bank works through views of its own
+     * entries). The bounds, for n cores:
+     *
+     *  - transactions, 2n: a local request (L1GetS/L1GetM) holds one
+     *    while it is served, and an in-order core has one L1 miss
+     *    outstanding (an L1 write-back, L1PutM, holds none), so n;
+     *    a forward that extracts an L1 owner's data holds one until
+     *    the data leaves for the requester, whose fill waits on it,
+     *    and a directory Get forwards at most once, so n more;
+     *  - queued messages, 2n: the same local requests and forwards,
+     *    waiting behind an operation on their block (an Inv is never
+     *    queued);
+     *  - write-backs, 4n: a fill has one victim, and a write-back
+     *    holds its entry until the home acks its one Put. The core
+     *    does not wait for that ack, so no message count bounds the
+     *    table; but a Put waits at its home only behind a
+     *    transaction on its block, which forwards or invalidates to
+     *    this buffer and so finishes without it. The measured peak
+     *    is about one per core (17 on a 4x4 chip of private L2s,
+     *    64 KB in all, with no directory cache), so four per core
+     *    leaves over 3x;
+     *  - victim extractions, n: one per fill waiting on its victim's
+     *    L1 data, and each fill serves one core's miss.
+     */
+    struct Tables
+    {
+        explicit Tables(const MachineConfig &cfg);
+
+        UnitTable<BankTxn> active;
+        UnitQueues<Msg> waiting;
+        UnitTable<WbEntry> wb;
+        /** victim block -> fill block for WaitVictimL1 extractions. */
+        UnitTable<BlockAddr> victimExtract;
+
+        /** Census of each table (see UnitTable::checkCensus). */
+        void
+        checkCensus() const
+        {
+            active.checkCensus();
+            waiting.checkCensus();
+            wb.checkCensus();
+            victimExtract.checkCensus();
+        }
+    };
+
+    L2Bank(Fabric &fabric, CoreId tile, Tables &tables);
 
     /** Handle any bank-bound message. */
     void handle(const Msg &msg);
@@ -150,39 +227,6 @@ class L2Bank
     void fillRetry(BlockAddr block);
 
   private:
-    /** The checkpoint layer reads raw state. */
-    friend struct CkptAccess;
-
-    enum class Phase
-    {
-        Lookup,        ///< paying the L2 access latency
-        WaitHome,      ///< GetS/GetM outstanding at the home
-        WaitL1Data,    ///< extracting owner data for a local grant
-        WaitFwdL1Data, ///< extracting owner data to answer a forward
-        WaitVictimL1,  ///< extracting victim data before a fill
-    };
-
-    struct BankTxn
-    {
-        Phase phase = Phase::Lookup;
-        Msg req;                 ///< the local request or forward
-        Cycle started = 0;       ///< creation cycle (stuck audit)
-        bool dataArrived = false;
-        bool grantArrived = false;
-        Msg dataMsg;
-        Msg grantMsg;
-        BlockAddr victimBlock = 0; ///< valid in WaitVictimL1
-        bool expectPutM = false;   ///< stale WbData seen; PutM coming
-        CoreId extractTarget = invalidCore; ///< L1 being extracted
-    };
-
-    struct WbEntry
-    {
-        bool dirty = false;
-        VmId vm = invalidVm;
-        Cycle started = 0;       ///< creation cycle (stuck audit)
-    };
-
     // --- address helpers ---
     BlockAddr localOf(BlockAddr block) const;
     BlockAddr globalOf(BlockAddr local) const;
@@ -244,11 +288,11 @@ class L2Bank
     int myBankIdx_;
 
     CacheArray<L2CacheLine> array_;
-    BlockMap<BankTxn> active_{128};
-    WaitQueueMap<Msg> waiting_{128};
-    BlockMap<WbEntry> wb_{128};
-    /** victim block -> fill block for WaitVictimL1 extractions. */
-    BlockMap<BlockAddr> victimExtract_{32};
+    // This bank's entries in the machine-wide tables.
+    UnitTable<BankTxn>::View active_;
+    UnitQueues<Msg>::View waiting_;
+    UnitTable<WbEntry>::View wb_;
+    UnitTable<BlockAddr>::View victimExtract_;
     L2BankStats stats_;
     stats::Group statsGroup_{"l2bank"};
 };

@@ -17,6 +17,11 @@
  * its chunk map on creation and freed it when the queue drained —
  * again per-transaction malloc churn).
  *
+ * UnitTable and UnitQueues hold one kind of that state for every
+ * unit of the machine in one map keyed by (unit, block), sized for
+ * one machine-wide bound; each unit works through a View of its own
+ * entries.
+ *
  * Iteration order is unspecified, exactly like unordered_map; every
  * observable consumer (checkpoints, diag dumps) sorts keys first.
  */
@@ -24,6 +29,7 @@
 #ifndef CONSIM_COMMON_BLOCK_MAP_HH
 #define CONSIM_COMMON_BLOCK_MAP_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -80,7 +86,6 @@ class BlockMap
         return keys_[i] == k ? &vals_[i] : nullptr;
     }
 
-    std::size_t count(BlockAddr k) const { return find(k) ? 1 : 0; }
     bool contains(BlockAddr k) const { return find(k) != nullptr; }
 
     V &
@@ -138,22 +143,6 @@ class BlockMap
         CONSIM_ASSERT(i < vals_.size() && keys_[i] != kEmpty,
                       "BlockMap::eraseAt: not a live entry");
         eraseSlot(i);
-    }
-
-    /** Drop every entry; capacity is retained. */
-    void
-    clear()
-    {
-        if (size_ == 0)
-            return;
-        for (std::size_t i = 0; i < keys_.size(); ++i) {
-            if (keys_[i] != kEmpty) {
-                keys_[i] = kEmpty;
-                if constexpr (!std::is_trivially_destructible_v<V>)
-                    vals_[i] = V();
-            }
-        }
-        size_ = 0;
     }
 
     /** Call @p fn(BlockAddr, const V &) for every entry (unordered). */
@@ -260,17 +249,8 @@ template <typename M>
 class WaitQueueMap
 {
   public:
-    explicit WaitQueueMap(std::size_t initial_capacity = 16)
-        : refs_(initial_capacity)
-    {
-    }
-
     /** @return true when @p block has a (non-empty) queue. */
     bool has(BlockAddr block) const { return refs_.contains(block); }
-
-    /** @return number of blocks with queued messages. */
-    std::size_t size() const { return refs_.size(); }
-    bool empty() const { return refs_.empty(); }
 
     std::size_t
     depth(BlockAddr block) const
@@ -342,23 +322,14 @@ class WaitQueueMap
             fn(nodes_[static_cast<std::size_t>(n)].msg);
     }
 
-    /** @return blocks with queued messages (unordered). */
-    std::vector<BlockAddr> keys() const { return refs_.keys(); }
-
-    /** Drop everything; node pool capacity is retained. */
+    /** Call @p fn(BlockAddr, depth) for every queue (unordered). */
+    template <typename Fn>
     void
-    clear()
+    forEachQueue(Fn &&fn) const
     {
-        refs_.clear();
-        nodes_.clear();
-        freeHead_ = -1;
-    }
-
-    /** Pre-size the node pool. */
-    void
-    reserveNodes(std::size_t n)
-    {
-        nodes_.reserve(n);
+        refs_.forEach([&](BlockAddr k, const QueueRef &q) {
+            fn(k, static_cast<std::size_t>(q.depth));
+        });
     }
 
     /** Pre-size for @p blocks distinct queues over @p nodes queued
@@ -411,6 +382,354 @@ class WaitQueueMap
     BlockMap<QueueRef> refs_;
     std::vector<Node> nodes_;
     std::int32_t freeHead_ = -1;
+};
+
+/**
+ * The (unit, block) keys of the machine-wide tables: a unit's tile
+ * sits above the block address, which the VM windows keep far below
+ * 2^46 blocks. 18 bits of unit cover a 256x256 mesh; the last unit
+ * number is left out, so no key is BlockMap::kEmpty.
+ */
+struct UnitKey
+{
+    static constexpr int kShift = 46;
+    static constexpr BlockAddr kBlockMask = (BlockAddr(1) << kShift) - 1;
+    static constexpr int kMaxUnits = (1 << (64 - kShift)) - 1;
+
+    static BlockAddr prefix(int unit) { return BlockAddr(unit) << kShift; }
+    static int
+    unitOf(BlockAddr key)
+    {
+        return static_cast<int>(key >> kShift);
+    }
+    static BlockAddr blockOf(BlockAddr key) { return key & kBlockMask; }
+};
+
+/**
+ * The occupancy of one machine-wide table: its live count, its peak
+ * since construction (one compare per insert) and its bound. An
+ * insert past the bound is an invariant failure that names the table.
+ */
+class TableCensus
+{
+  public:
+    TableCensus(const char *name, std::size_t bound, int units)
+        : name_(name), bound_(bound),
+          counts_(static_cast<std::size_t>(units), 0)
+    {
+        CONSIM_ASSERT(units >= 0 && units < UnitKey::kMaxUnits, name_,
+                      " table: ", units, " units do not fit its key");
+    }
+
+    const char *name() const { return name_; }
+    std::size_t live() const { return live_; }
+    std::size_t peak() const { return peak_; }
+    std::size_t bound() const { return bound_; }
+
+    /** @return the entries unit @p unit holds. */
+    std::size_t
+    count(int unit) const
+    {
+        return counts_[static_cast<std::size_t>(unit)];
+    }
+
+    /** Count one more entry at @p unit; fails past the bound. */
+    void
+    add(int unit, BlockAddr block)
+    {
+        ++live_;
+        CONSIM_ASSERT(live_ <= bound_, name_, " table outgrew its bound (",
+                      live_, " > ", bound_, " entries)");
+        CONSIM_ASSERT((block & ~UnitKey::kBlockMask) == 0, name_,
+                      " table: block ", block, " does not fit its key");
+        peak_ = std::max(peak_, live_);
+        ++counts_[static_cast<std::size_t>(unit)];
+    }
+
+    void
+    remove(int unit)
+    {
+        --live_;
+        --counts_[static_cast<std::size_t>(unit)];
+    }
+
+    /**
+     * Census: @p walk(fn) calls fn(key, entries) for every key of the
+     * table; each unit's entries must equal its count. Panics naming
+     * the table and the unit.
+     */
+    template <typename Walk>
+    void
+    check(Walk &&walk) const
+    {
+        std::vector<std::size_t> seen(counts_.size(), 0);
+        std::size_t total = 0;
+        walk([&](BlockAddr key, std::size_t entries) {
+            const auto u = static_cast<std::size_t>(UnitKey::unitOf(key));
+            CONSIM_ASSERT(u < seen.size(), name_, " table census: key of ",
+                          "unit ", u, " past the last unit");
+            seen[u] += entries;
+            total += entries;
+        });
+        CONSIM_ASSERT(total == live_, name_, " table census: ", total,
+                      " entries, counted ", live_);
+        for (std::size_t u = 0; u < counts_.size(); ++u)
+            CONSIM_ASSERT(seen[u] == counts_[u], name_,
+                          " table census: unit ", u, " holds ", seen[u],
+                          " entries, counted ", counts_[u]);
+    }
+
+  private:
+    const char *name_;
+    std::size_t bound_;
+    std::size_t live_ = 0;
+    std::size_t peak_ = 0;
+    std::vector<std::uint32_t> counts_; ///< per unit
+};
+
+/**
+ * One kind of per-block state of every unit of the machine (say, every
+ * L2 bank's transactions) in one BlockMap keyed by (unit, block) and
+ * sized for a machine-wide bound: sizing each of n units for the worst
+ * case at that unit, every core's request parked there, would hold n²
+ * slots. A unit works through its View, which has the BlockMap calls
+ * and a count of the unit's own entries.
+ *
+ * An insert or erase may move any entry of the table, another unit's
+ * included: no caller holds an entry across an insert or erase in the
+ * same table (units reach each other only through events).
+ */
+template <typename V>
+class UnitTable
+{
+  public:
+    UnitTable(const char *name, std::size_t bound, int units)
+        : census_(name, bound, units)
+    {
+        map_.reserve(bound);
+    }
+
+    // Views hold the table's address.
+    UnitTable(const UnitTable &) = delete;
+    UnitTable &operator=(const UnitTable &) = delete;
+
+    const TableCensus &census() const { return census_; }
+
+    /** Census: each view's count equals its unit's entries. */
+    void
+    checkCensus() const
+    {
+        census_.check([&](auto &&fn) {
+            map_.forEach([&](BlockAddr k, const V &) { fn(k, 1); });
+        });
+    }
+
+    /** One unit's entries, keyed by block. */
+    class View
+    {
+      public:
+        View(UnitTable &t, int unit)
+            : t_(&t), unit_(unit), prefix_(UnitKey::prefix(unit))
+        {
+        }
+
+        V *find(BlockAddr b) { return t_->map_.find(prefix_ | b); }
+        const V *
+        find(BlockAddr b) const
+        {
+            return t_->map_.find(prefix_ | b);
+        }
+        bool contains(BlockAddr b) const { return find(b) != nullptr; }
+        std::size_t count(BlockAddr b) const { return contains(b) ? 1 : 0; }
+
+        const V &
+        at(BlockAddr b) const
+        {
+            const V *v = find(b);
+            CONSIM_ASSERT(v, t_->census_.name(), " table: unit ", unit_,
+                          " has no entry for block ", b);
+            return *v;
+        }
+
+        /** Insert-or-find (see UnitTable on holding entries). */
+        V &
+        operator[](BlockAddr b)
+        {
+            BlockMap<V> &m = t_->map_;
+            const std::size_t before = m.size();
+            V &v = m[prefix_ | b];
+            if (m.size() != before)
+                t_->census_.add(unit_, b);
+            return v;
+        }
+
+        std::size_t
+        erase(BlockAddr b)
+        {
+            const V *v = find(b);
+            if (v == nullptr)
+                return 0;
+            eraseAt(v);
+            return 1;
+        }
+
+        /** Erase the entry @p v points at (from find() or operator[]). */
+        void
+        eraseAt(const V *v)
+        {
+            t_->map_.eraseAt(v);
+            t_->census_.remove(unit_);
+        }
+
+        std::size_t size() const { return t_->census_.count(unit_); }
+        bool empty() const { return size() == 0; }
+
+        /** Call @p fn(BlockAddr, const V &) for this unit's entries. */
+        template <typename Fn>
+        void
+        forEach(Fn &&fn) const
+        {
+            if (empty())
+                return;
+            t_->map_.forEach([&](BlockAddr k, const V &v) {
+                if (UnitKey::unitOf(k) == unit_)
+                    fn(UnitKey::blockOf(k), v);
+            });
+        }
+
+        /** @return this unit's blocks (unordered). */
+        std::vector<BlockAddr>
+        keys() const
+        {
+            std::vector<BlockAddr> out;
+            out.reserve(size());
+            forEach([&](BlockAddr b, const V &) { out.push_back(b); });
+            return out;
+        }
+
+        const TableCensus &census() const { return t_->census_; }
+
+      private:
+        UnitTable *t_;
+        int unit_;
+        BlockAddr prefix_;
+    };
+
+    View view(int unit) { return View(*this, unit); }
+
+  private:
+    BlockMap<V> map_;
+    TableCensus census_;
+};
+
+/**
+ * Every unit's per-block waiting queues of one kind in one
+ * WaitQueueMap keyed by (unit, block), bounded by the messages queued
+ * machine-wide. A unit works through its View; its count is the
+ * messages it has queued.
+ */
+template <typename M>
+class UnitQueues
+{
+  public:
+    UnitQueues(const char *name, std::size_t bound, int units)
+        : census_(name, bound, units)
+    {
+        queues_.reserve(bound, bound);
+    }
+
+    // Views hold the table's address.
+    UnitQueues(const UnitQueues &) = delete;
+    UnitQueues &operator=(const UnitQueues &) = delete;
+
+    /** Live, peak and bound count queued messages. */
+    const TableCensus &census() const { return census_; }
+
+    /** Census: each view's message count equals its unit's queues'. */
+    void
+    checkCensus() const
+    {
+        census_.check([&](auto &&fn) { queues_.forEachQueue(fn); });
+    }
+
+    /** One unit's queues, keyed by block. */
+    class View
+    {
+      public:
+        View(UnitQueues &q, int unit)
+            : q_(&q), unit_(unit), prefix_(UnitKey::prefix(unit))
+        {
+        }
+
+        bool has(BlockAddr b) const { return q_->queues_.has(prefix_ | b); }
+        std::size_t depth(BlockAddr b) const
+        {
+            return q_->queues_.depth(prefix_ | b);
+        }
+        const M &front(BlockAddr b) const
+        {
+            return q_->queues_.front(prefix_ | b);
+        }
+
+        void
+        pushBack(BlockAddr b, M m)
+        {
+            q_->census_.add(unit_, b);
+            q_->queues_.pushBack(prefix_ | b, std::move(m));
+        }
+
+        void
+        pushFront(BlockAddr b, M m)
+        {
+            q_->census_.add(unit_, b);
+            q_->queues_.pushFront(prefix_ | b, std::move(m));
+        }
+
+        /** Pop the front message; the queue goes when it empties. */
+        M
+        popFront(BlockAddr b)
+        {
+            q_->census_.remove(unit_);
+            return q_->queues_.popFront(prefix_ | b);
+        }
+
+        template <typename Fn>
+        void
+        forEachMsg(BlockAddr b, Fn &&fn) const
+        {
+            q_->queues_.forEachMsg(prefix_ | b, fn);
+        }
+
+        /** @return true when this unit has no queued message. */
+        bool empty() const { return q_->census_.count(unit_) == 0; }
+
+        /** @return the blocks this unit has queues on (unordered). */
+        std::vector<BlockAddr>
+        keys() const
+        {
+            std::vector<BlockAddr> out;
+            if (empty())
+                return out;
+            q_->queues_.forEachQueue([&](BlockAddr k, std::size_t) {
+                if (UnitKey::unitOf(k) == unit_)
+                    out.push_back(UnitKey::blockOf(k));
+            });
+            return out;
+        }
+
+        const TableCensus &census() const { return q_->census_; }
+
+      private:
+        UnitQueues *q_;
+        int unit_;
+        BlockAddr prefix_;
+    };
+
+    View view(int unit) { return View(*this, unit); }
+
+  private:
+    WaitQueueMap<M> queues_;
+    TableCensus census_;
 };
 
 } // namespace consim

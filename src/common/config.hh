@@ -228,16 +228,21 @@ struct MachineConfig
         return (y / gy) * (meshX / gx) + (x / gx);
     }
 
-    /** @return the member cores of a group, ascending. */
+    /** @return the member cores of a group, ascending: the rows of
+     *  its gx-by-gy rectangle (see groupTileShape()). */
     std::vector<CoreId>
     coresOfGroup(GroupId g) const
     {
+        const auto [gx, gy] = groupTileShape();
+        CONSIM_ASSERT(gx > 0 && g >= 0 && g < numGroups(), "empty group ",
+                      g);
+        const int x0 = g % (meshX / gx) * gx;
+        const int y0 = g / (meshX / gx) * gy;
         std::vector<CoreId> members;
-        for (CoreId c = 0; c < numCores(); ++c) {
-            if (groupOfCore(c) == g)
-                members.push_back(c);
-        }
-        CONSIM_ASSERT(!members.empty(), "empty group ", g);
+        members.reserve(static_cast<std::size_t>(gx * gy));
+        for (int y = y0; y < y0 + gy; ++y)
+            for (int x = x0; x < x0 + gx; ++x)
+                members.push_back(y * meshX + x);
         return members;
     }
 

@@ -620,9 +620,23 @@ struct CkptAccess
                       });
         }
         keyed(io, name, entries, mine, fields);
-        if constexpr (Io::loading)
+        if constexpr (Io::loading) {
+            room(io, name, m.census(), entries.size());
             for (auto &[k, v] : entries)
                 m[k] = std::move(v);
+        }
+    }
+
+    /** Refuse a list of @p records entries that would take machine
+     *  table @p t past its bound. */
+    template <typename Io>
+    static void
+    room(Io &io, const char *name, const TableCensus &t, std::size_t records)
+    {
+        if (records > t.bound() - t.live())
+            io.refuse(name, "lists ", records, " records, past the ",
+                      t.name(), " table's bound (", t.live(), " of ",
+                      t.bound(), " taken)");
     }
 
     /** Per-block waiting queues [block, [msg...]], each holding only
@@ -652,10 +666,15 @@ struct CkptAccess
                                         describe(m));
                   });
               });
-        if constexpr (Io::loading)
+        if constexpr (Io::loading) {
+            std::size_t queued = 0;
+            for (const auto &[k, ms] : queues)
+                queued += ms.size();
+            room(io, "waiting", q.census(), queued);
             for (const auto &[k, ms] : queues)
                 for (const Msg &m : ms)
                     q.pushBack(k, m);
+        }
     }
 
     /** Refuse transaction @p req unless it is an operation() of

@@ -10,12 +10,26 @@
 namespace consim
 {
 
+namespace
+{
+
+/** @return @p cfg once validate() accepts it (a fatal error if not),
+ *  so no table is sized from a config it refuses. */
+const MachineConfig &
+validated(const MachineConfig &cfg)
+{
+    cfg.validate();
+    return cfg;
+}
+
+} // namespace
+
 System::System(const MachineConfig &cfg,
                std::vector<VirtualMachine *> vms,
                const std::vector<ThreadPlacement> &placements)
-    : cfg_(cfg), vms_(std::move(vms))
+    : cfg_(validated(cfg)), vms_(std::move(vms)), bankTables_(cfg_),
+      dirTables_(cfg_, bankTables_.wb.census().bound())
 {
-    cfg_.validate();
     const int n = cfg_.numCores();
 
     // Adopt the run's VM-window width from the VMs (they encode
@@ -42,17 +56,16 @@ System::System(const MachineConfig &cfg,
     //      serves an L1 demand miss, and an in-order core has one
     //      outstanding, so numCores such blocks at most; or
     //  (c) evicted the block, and its Put has not reached the home:
-    //      the evicting bank keeps the victim in its writeback
-    //      buffer until the PutAck, and each of the numCores banks
-    //      pre-sizes that buffer for L2Bank::tableSlots() entries,
-    //      which the zero-allocation steady state keeps it within.
+    //      the evicting bank keeps the victim in its write-back
+    //      buffer until the PutAck, and the banks' write-back table
+    //      holds at most its bound machine-wide.
     // BlockMap::reserve adds load-factor headroom and rounds to a
     // power of two on top. Every insert asserts the bound, so a
     // bound that is wrong shows up as an invariant failure, not as
     // mid-run allocation.
     dirStorage_.reserve(
         static_cast<std::size_t>(cfg_.l2TotalBytes / blockBytes) +
-            static_cast<std::size_t>(n) * (1 + L2Bank::tableSlots(cfg_)),
+            static_cast<std::size_t>(n) + bankTables_.wb.census().bound(),
         cfg_.numGroups());
 
     groupOf_.resize(n);
@@ -109,9 +122,9 @@ System::System(const MachineConfig &cfg,
     for (CoreId t = 0; t < n; ++t) {
         l1s_.push_back(std::make_unique<L1Controller>(*this, t));
         cores_.push_back(std::make_unique<Core>(*this, t, *l1s_[t]));
-        banks_.push_back(std::make_unique<L2Bank>(*this, t));
-        dirs_.push_back(
-            std::make_unique<DirectorySlice>(*this, t, dirStorage_));
+        banks_.push_back(std::make_unique<L2Bank>(*this, t, bankTables_));
+        dirs_.push_back(std::make_unique<DirectorySlice>(
+            *this, t, dirStorage_, dirTables_));
     }
     for (int i = 0; i < cfg_.numMemCtrls; ++i)
         mcs_.push_back(

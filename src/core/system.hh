@@ -441,6 +441,10 @@ class System : public Fabric
 
     int spanBits_ = vmSpanBits; ///< run's VM-window width (decode)
     DirectoryStorage dirStorage_;
+    /** Every bank's and every slice's in-flight state, one table per
+     *  kind for the whole machine (the units hold views). */
+    L2Bank::Tables bankTables_;
+    DirectorySlice::Tables dirTables_;
     NetworkStats netStats_;
     /** The interconnect; null on the ideal NoC, whose messages travel
      *  as NetDeliver events. */

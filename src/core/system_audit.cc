@@ -177,6 +177,9 @@ System::checkInvariants() const
         l1->checkInvariants();
     for (const auto &b : banks_)
         b->checkInvariants();
+    // Table census: each unit's count equals its entries.
+    bankTables_.checkCensus();
+    dirTables_.checkCensus();
     // Binding audit: a thread runs on one core at a time. Threads
     // need not all be held (tests bind hand-built streams).
     std::unordered_map<const InstrStream *, CoreId> holder;
@@ -396,6 +399,21 @@ System::diagJson(const std::string &reason) const
             dirs.push(d->diagJson());
     }
     v.set("directories", std::move(dirs));
+
+    // The machine-wide transaction tables' occupancy.
+    auto tables = json::Value::array();
+    for (const TableCensus *t :
+         {&bankTables_.active.census(), &bankTables_.waiting.census(),
+          &bankTables_.wb.census(), &bankTables_.victimExtract.census(),
+          &dirTables_.active.census(), &dirTables_.waiting.census()}) {
+        auto e = json::Value::object();
+        e.set("table", t->name());
+        e.set("live", static_cast<std::uint64_t>(t->live()));
+        e.set("peak", static_cast<std::uint64_t>(t->peak()));
+        e.set("bound", static_cast<std::uint64_t>(t->bound()));
+        tables.push(std::move(e));
+    }
+    v.set("tables", std::move(tables));
 
     v.set("net", mesh_ ? mesh_->diagJson() : json::Value::object());
 

@@ -123,3 +123,17 @@ TEST(AllocSteadyState, OverSixtyFourGroupWindowIsAllocationFree)
     cfg.vmThreads = {32, 32, 32, 32};
     expectZeroAllocWindow(cfg, 60'000, 30'000);
 }
+
+TEST(AllocSteadyState, ChipTwoFiftySixWindowIsAllocationFree)
+{
+    // The chip256 benchmark shape: 256 cores in 16-core groups, 64
+    // threads per VM. Every bank and slice works in the machine-wide
+    // transaction tables, sized once for the whole chip.
+    RunConfig cfg = mixConfig(Mix::byName("Mix 5"),
+                              SchedPolicy::Affinity,
+                              SharingDegree::Shared16);
+    cfg.machine.meshX = 16;
+    cfg.machine.meshY = 16;
+    cfg.vmThreads = {64, 64, 64, 64};
+    expectZeroAllocWindow(cfg, 10'000, 20'000);
+}

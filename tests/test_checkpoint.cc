@@ -991,6 +991,31 @@ TEST(CheckpointRestoreDeathTest, BadBankRecordsRefused)
                  "bad bank record .*wb\\[0\\]\\.vm 17 outside");
 }
 
+TEST(CheckpointRestoreDeathTest, RecordsPastATableBoundRefused)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // One bank lists 17 victim extractions of its own blocks; the
+    // machine-wide table holds one per core (16 here), so restore
+    // refuses the list by name before inserting any.
+    json::Value doc;
+    ASSERT_TRUE(json::parse(tripSnapshot(wedgedConfig(false)), doc));
+    const std::size_t b = busyBank(doc);
+    json::Value &bank = unitOf(doc, "banks", b);
+    const std::uint64_t first = bank.find("active")->at(0).at(0).asUint();
+    json::Value list = json::Value::array();
+    for (std::uint64_t i = 0; i < 17; ++i) {
+        // A 4-bank group: every fourth block is this bank's.
+        json::Value rec = json::Value::array();
+        rec.push(first + 4 * i);
+        rec.push(first);
+        list.push(rec);
+    }
+    bank.set("victim_extract", list);
+    EXPECT_DEATH(resumeExperiment(doc),
+                 "bad bank record .*victim_extract lists 17 records, past "
+                 "the victim extractions table's bound \\(0 of 16 taken\\)");
+}
+
 TEST(CheckpointRestoreDeathTest, BadCoreRecordsRefused)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";

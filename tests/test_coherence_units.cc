@@ -44,7 +44,8 @@ bankRequest(MsgType t, BlockAddr block, GroupId group,
 class DirectoryUnit : public ::testing::Test
 {
   protected:
-    DirectoryUnit() : slice_(fab_, 0, store_)
+    DirectoryUnit()
+        : tables_(fab_.cfg_, 64), slice_(fab_, 0, store_, tables_)
     {
         store_.registerVm(0, 4096);
         fab_.attach(slice_);
@@ -62,6 +63,7 @@ class DirectoryUnit : public ::testing::Test
 
     MockFabric fab_;
     DirectoryStorage store_;
+    DirectorySlice::Tables tables_;
     DirectorySlice slice_;
 };
 
@@ -327,6 +329,69 @@ TEST(DirectoryStorageDeathTest, InsertPastLiveSetBoundDies)
     // Finding a stored entry at the bound is fine.
     EXPECT_EQ(store.insert(2).state, L2State::Exclusive);
     EXPECT_DEATH(store.insert(3), "outgrew its live-set bound");
+}
+
+// One machine-wide table past its bound: the failure names the table.
+TEST(UnitTableDeathTest, InsertPastBoundNamesTheTable)
+{
+    UnitTable<int> table("bank transactions", 3, 2);
+    auto a = table.view(0);
+    auto b = table.view(1);
+    a[10] = 1;
+    a[11] = 2;
+    b[10] = 3;
+    // Finding an entry at the bound is fine.
+    EXPECT_EQ(a[11], 2);
+    EXPECT_EQ(table.census().peak(), 3u);
+    EXPECT_DEATH(b[12], "bank transactions table outgrew its bound "
+                        "\\(4 > 3 entries\\)");
+    UnitQueues<int> queues("directory queued messages", 2, 2);
+    auto q = queues.view(1);
+    q.pushBack(7, 1);
+    q.pushFront(7, 0);
+    EXPECT_DEATH(queues.view(0).pushBack(7, 2),
+                 "directory queued messages table outgrew its bound");
+}
+
+TEST(UnitTable, UnitsOnOneBlockStayApart)
+{
+    UnitTable<int> table("write-backs", 8, 3);
+    auto a = table.view(0);
+    auto b = table.view(2);
+    a[5] = 50;
+    b[5] = 52;
+    b[9] = 92;
+    EXPECT_EQ(*a.find(5), 50);
+    EXPECT_EQ(*b.find(5), 52);
+    EXPECT_EQ(a.find(9), nullptr);
+    EXPECT_TRUE(table.view(1).empty());
+    EXPECT_EQ(a.keys(), std::vector<BlockAddr>{5});
+    std::vector<BlockAddr> keys = b.keys();
+    std::sort(keys.begin(), keys.end());
+    EXPECT_EQ(keys, (std::vector<BlockAddr>{5, 9}));
+    EXPECT_TRUE(table.view(1).keys().empty());
+
+    // Erasing one unit's entry leaves the other's.
+    EXPECT_EQ(b.erase(5), 1u);
+    EXPECT_EQ(*a.find(5), 50);
+    EXPECT_EQ(b.find(5), nullptr);
+    EXPECT_EQ(a.size() + b.size(), table.census().live());
+    table.checkCensus();
+
+    UnitQueues<int> queues("bank queued messages", 8, 3);
+    auto qa = queues.view(0);
+    auto qb = queues.view(2);
+    qa.pushBack(5, 1);
+    qb.pushBack(5, 2);
+    qb.pushBack(5, 3);
+    EXPECT_EQ(qa.depth(5), 1u);
+    EXPECT_EQ(qb.depth(5), 2u);
+    EXPECT_EQ(qa.keys(), std::vector<BlockAddr>{5});
+    EXPECT_EQ(qb.popFront(5), 2);
+    EXPECT_EQ(qa.front(5), 1);
+    EXPECT_EQ(queues.census().live(), 2u);
+    EXPECT_EQ(queues.census().peak(), 3u);
+    queues.checkCensus();
 }
 
 TEST(MemoryControllerUnit, ReadRepliesWithDataAfterLatency)

@@ -239,6 +239,65 @@ TEST(FaultCatalog, CleanRunPassesFullChecks)
 }
 
 // ---------------------------------------------------------------- //
+// Machine-wide transaction tables: peaks stay well inside bounds.   //
+// ---------------------------------------------------------------- //
+
+namespace
+{
+
+/** Run Mix 5 on private L2s of @p l2_bytes with no directory cache
+ *  (the setting that fills the tables fastest), then require every
+ *  table's peak, as `consim.diag.v1` reports it, at or below 3/4 of
+ *  its bound, and the census to hold. */
+void
+expectTablePeaksInsideBounds(int mesh, std::uint64_t l2_bytes,
+                             int threads_per_vm, Cycle warmup,
+                             Cycle measure)
+{
+    RunConfig cfg = mixConfig(Mix::byName("Mix 5"), SchedPolicy::Affinity,
+                              SharingDegree::Private);
+    cfg.machine.meshX = cfg.machine.meshY = mesh;
+    cfg.machine.l2TotalBytes = l2_bytes;
+    cfg.machine.dirCacheEnabled = false;
+    cfg.vmThreads.assign(4, threads_per_vm);
+    Rig rig = buildRig(cfg);
+    System sys(cfg.machine, rig.vms, rig.placements);
+    sys.run(warmup + measure);
+    sys.checkInvariants();
+
+    const json::Value diag = sys.diagJson("table census");
+    const json::Value &tables = *diag.find("tables");
+    ASSERT_EQ(tables.size(), 6u);
+    std::uint64_t writeback_peak = 0;
+    for (std::size_t i = 0; i < tables.size(); ++i) {
+        const json::Value &t = tables.at(i);
+        const std::string name = t.find("table")->str();
+        const std::uint64_t peak = t.find("peak")->asUint();
+        const std::uint64_t bound = t.find("bound")->asUint();
+        EXPECT_LE(4 * peak, 3 * bound)
+            << mesh << "x" << mesh << " " << name << ": peak " << peak
+            << " of " << bound;
+        EXPECT_LE(t.find("live")->asUint(), peak) << name;
+        if (name == "write-backs")
+            writeback_peak = peak;
+    }
+    // The small L2s evict constantly.
+    EXPECT_GT(writeback_peak, 0u);
+}
+
+} // namespace
+
+TEST(TableCensus, FourByFourStressPeaksStayInsideBounds)
+{
+    expectTablePeaksInsideBounds(4, 64 * 1024, 4, 20'000, 40'000);
+}
+
+TEST(TableCensus, EightByEightStressPeaksStayInsideBounds)
+{
+    expectTablePeaksInsideBounds(8, 256 * 1024, 16, 10'000, 20'000);
+}
+
+// ---------------------------------------------------------------- //
 // Directory audits: a cached block must have a directory entry.     //
 // ---------------------------------------------------------------- //
 

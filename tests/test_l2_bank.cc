@@ -24,7 +24,10 @@ namespace
 class L2BankUnit : public ::testing::Test
 {
   protected:
-    L2BankUnit() : bank_(fab_, 0) { fab_.attach(bank_); }
+    L2BankUnit() : tables_(fab_.cfg_), bank_(fab_, 0, tables_)
+    {
+        fab_.attach(bank_);
+    }
 
     Msg
     l1Req(MsgType t, BlockAddr block, CoreId core)
@@ -85,6 +88,7 @@ class L2BankUnit : public ::testing::Test
     }
 
     MockFabric fab_;
+    L2Bank::Tables tables_;
     L2Bank bank_;
 };
 

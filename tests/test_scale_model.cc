@@ -236,6 +236,33 @@ TEST(GroupTiling, RectangularMeshes)
         expectRectangularPartition(meshConfig(16, 8, cpg));
 }
 
+TEST(GroupTiling, CoresOfGroupEqualsBruteForceFilter)
+{
+    // coresOfGroup walks the group's rectangle; it must list exactly
+    // the cores groupOfCore puts in the group, ascending, at every
+    // degree that tiles the mesh.
+    for (const auto &[mx, my] : {std::pair{4, 4}, {8, 8}, {16, 8}, {16, 16},
+                                 {32, 32}}) {
+        int degrees = 0;
+        for (int cpg = 1; cpg <= mx * my; ++cpg) {
+            const MachineConfig m = meshConfig(mx, my, cpg);
+            if ((mx * my) % cpg != 0 || m.groupTileShape().first == 0)
+                continue;
+            m.validate();
+            ++degrees;
+            for (GroupId g = 0; g < m.numGroups(); ++g) {
+                std::vector<CoreId> filtered;
+                for (CoreId c = 0; c < m.numCores(); ++c)
+                    if (m.groupOfCore(c) == g)
+                        filtered.push_back(c);
+                ASSERT_EQ(m.coresOfGroup(g), filtered)
+                    << mx << "x" << my << " degree " << cpg << " group " << g;
+            }
+        }
+        EXPECT_GE(degrees, 5) << mx << "x" << my;
+    }
+}
+
 TEST(GroupTiling, NonPow2MeshAndDegrees)
 {
     // 6x6 chip: 36 cores admit non-pow2 degrees.

@@ -6,7 +6,9 @@
 # again must save its own snapshot, and that must resume; a flag the
 # resume would ignore is refused), a scale-out smoke (the same at 32
 # cores, 8 VMs), a scale-to-256 smoke (the same at 128 cores,
-# over-committed), a --dump-stats check (the dump must report the very
+# over-committed), a set-up scaling check (the 1-cycle probe's peak
+# RSS at 1,024 cores within 4.5x of the 256-core probe's), a
+# --dump-stats check (the dump must report the very
 # run the plain path reports, and --csv the threads that ran), an env
 # edge check (run knobs set through the env and through flags make
 # the same envelope), a paper-figures check (one all-figures run of
@@ -193,6 +195,34 @@ diff -u "$big_dir/full.result" "$big_dir/resumed.result" || {
     exit 1; }
 echo "scale-to-256 smoke: 128-core resume byte-identical"
 
+echo "=== set-up scaling: 1,024 cores hold at most 4.5x the RSS of 256 ==="
+# The 1-cycle Mix 5 probe, one thread per core, in 16-core groups at
+# 256 and at 1,024 cores. The banks' and slices' transaction tables
+# are sized for the whole machine, so set-up memory grows about
+# linearly in cores; tables sized per unit for every core grew it 8.3x
+# over this step.
+probe_rss_kb() {
+    python3 - "$@" <<'PY'
+import resource
+import subprocess
+import sys
+
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+PY
+}
+probe_args=(--mix "Mix 5" --sharing 16 --warmup 1 --measure 1)
+rss256="$(probe_rss_kb ./build/tools/consim_run "${probe_args[@]}" \
+    --mesh 16x16 --vm-threads 64,64,64,64)"
+rss1024="$(probe_rss_kb ./build/tools/consim_run "${probe_args[@]}" \
+    --mesh 32x32 --vm-threads 256,256,256,256)"
+awk -v a="$rss256" -v b="$rss1024" 'BEGIN {
+    printf "set-up scaling: peak RSS %d KiB at 256 cores, %d KiB at" \
+        " 1,024 (x%.2f)\n", a, b, b / a
+    exit !(b <= 4.5 * a) }' || {
+    echo "set-up scaling: 1,024-core peak RSS above 4.5x the 256-core" >&2
+    exit 1; }
+
 echo "=== dump-stats: the dump reports the plain run ==="
 # --dump-stats must run exactly the point the plain path runs: same
 # per-VM table on stdout (the component statistics follow it), and the
@@ -315,8 +345,9 @@ echo "bench smoke: six benches ran, one bench.v1 document each"
 echo "=== zero-allocation: measure window allocates nothing ==="
 # The pooled/arena hot paths must keep the steady state off the heap:
 # the global operator-new hook counts every allocation inside the
-# measure window across paper-machine, ideal-NoC, 64-core, and
-# over-committed configurations, and the count must be exactly zero.
+# measure window across paper-machine, ideal-NoC, 64-core, 128-group,
+# 256-core and over-committed configurations, and the count must be
+# exactly zero.
 ./build/tests/test_alloc_steady_state
 echo "zero-allocation: measure window clean"
 
@@ -545,9 +576,9 @@ else
     # consim_run (built from its git archive) and this tree's must
     # write byte-identical snapshots of a run tripped mid-run, and
     # each must resume the other's to the uninterrupted run's result
-    # block. Two runs: a 64-core mesh run with packets queued and in
-    # transit, and a 16-core ideal-NoC run with messages in flight as
-    # NetDeliver events.
+    # block. Three runs: a 64-core mesh run with packets queued and in
+    # transit, a 16-core ideal-NoC run with messages in flight as
+    # NetDeliver events, and a 256-core mesh run.
     xchg_dir="$work/interchange"
     mkdir -p "$xchg_dir/base"
     base_commit="$(git rev-parse --verify --quiet "$perf_base^{commit}")" || {
@@ -613,6 +644,11 @@ else
         echo "snapshot interchange: the ideal16 snapshot holds no" \
             "ideal-network record" >&2
         exit 1; }
+    # The chip256 shape: 256 banks' and slices' transactions, each
+    # unit's listed in block order from the machine-wide tables.
+    xchg chip256 25000 20000 --mix "Mix 5" --mesh 16x16 --sharing 16 \
+        --vm-threads 64,64,64,64 --warmup 10000 --measure 20000 \
+        --watchdog 200000
     echo "snapshot interchange: identical snapshots, each resumes on" \
         "the other build to the uninterrupted result"
 
