@@ -35,6 +35,14 @@ enum class SimEventKind : std::uint8_t
     NetDeliver,    ///< ideal-network arrival (transport bypass)
 };
 
+/** @return true for event kinds whose `msg` is a message in flight. */
+constexpr bool
+carriesMsg(SimEventKind k)
+{
+    return k == SimEventKind::Deliver || k == SimEventKind::MemDone ||
+           k == SimEventKind::NetDeliver;
+}
+
 /**
  * A simulator event: every scheduled callback in the machine
  * expressed as plain data. The System's executor switches on `kind`

@@ -164,14 +164,6 @@ using ckpt::below;
 using ckpt::belowOrNone;
 using ckpt::Dom;
 
-/** @return true for event kinds whose record carries a message. */
-bool
-carriesMsg(SimEventKind k)
-{
-    return k == SimEventKind::Deliver || k == SimEventKind::MemDone ||
-           k == SimEventKind::NetDeliver;
-}
-
 /** @return the unit a message of type @p t is bound for (its
  *  handler's switch panics on any other type). */
 Unit
@@ -1092,29 +1084,6 @@ struct CkptAccess
         }
     }
 
-    /** @return the blocks the messages in flight name, sorted. Right
-     *  after restore every packet-pool slot is live. */
-    static std::vector<BlockAddr>
-    moving(const System &s)
-    {
-        std::vector<BlockAddr> out;
-        s.events_.forEachPending(s.now_, [&](Cycle, const SimEvent &ev) {
-            if (carriesMsg(ev.kind))
-                out.push_back(ev.msg.block);
-        });
-        if (s.mesh_) {
-            const PacketPool &pool = s.mesh_->shared_.pool;
-            for (std::size_t h = 0; h < pool.highWater(); ++h)
-                out.push_back(pool[static_cast<PacketId>(h)].msg.block);
-            for (const auto &ni : s.mesh_->nis_)
-                for (const auto &q : ni->queues_)
-                    for (std::size_t k = 0; k < q.size(); ++k)
-                        out.push_back(q[k].block);
-        }
-        std::sort(out.begin(), out.end());
-        return out;
-    }
-
     // --- runtime state of faults, QoS and dynamic scheduling ---
 
     /** Pending WedgeCore events ride in the event queue, so the
@@ -1329,6 +1298,11 @@ System::restoreCheckpoint(const json::Value &doc)
                   "restoreCheckpoint needs a fresh System");
     ckpt::Load io(doc, "checkpoint: bad machine record", "", true);
     CkptAccess::document(io, *this);
+    // The wake calendar is derived state: every core is armed again
+    // from the restored clock.
+    wake_.clear();
+    for (auto &c : cores_)
+        c->arm(now_);
     // The machine's own checks, at every check level, refuse a state
     // no single record shows: the component invariants, and on every
     // block no transaction works on and no message in flight names,
@@ -1338,7 +1312,7 @@ System::restoreCheckpoint(const json::Value &doc)
     try {
         checkInvariants();
         auditDirectory();
-        auditInclusion(CkptAccess::moving(*this));
+        auditInclusion();
     } catch (const SimError &e) {
         CONSIM_ASSERT(false, "checkpoint: restored machine fails its "
                              "audit (",

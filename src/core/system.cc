@@ -28,7 +28,8 @@ System::System(const MachineConfig &cfg,
                std::vector<VirtualMachine *> vms,
                const std::vector<ThreadPlacement> &placements)
     : cfg_(validated(cfg)), vms_(std::move(vms)), bankTables_(cfg_),
-      dirTables_(cfg_, bankTables_.wb.census().bound())
+      dirTables_(cfg_, bankTables_.wb.census().bound()),
+      wake_(cfg_.numCores(), kWakeSpan)
 {
     const int n = cfg_.numCores();
 
@@ -121,7 +122,8 @@ System::System(const MachineConfig &cfg,
 
     for (CoreId t = 0; t < n; ++t) {
         l1s_.push_back(std::make_unique<L1Controller>(*this, t));
-        cores_.push_back(std::make_unique<Core>(*this, t, *l1s_[t]));
+        cores_.push_back(
+            std::make_unique<Core>(*this, t, *l1s_[t], wake_));
         banks_.push_back(std::make_unique<L2Bank>(*this, t, bankTables_));
         dirs_.push_back(std::make_unique<DirectorySlice>(
             *this, t, dirStorage_, dirTables_));
@@ -421,8 +423,9 @@ void
 System::tick()
 {
     events_.runDue(now_, [this](const SimEvent &ev) { execEvent(ev); });
-    for (auto &c : cores_)
-        c->tick();
+    // Only the cores armed for this cycle: any other core's tick
+    // would return without touching state (Core).
+    wake_.walk(now_, [this](CoreId t) { cores_[t]->tick(now_); });
     if (mesh_)
         mesh_->tick(now_);
     ++now_;

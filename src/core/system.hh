@@ -27,6 +27,7 @@
 #include "common/check.hh"
 #include "common/json.hh"
 #include "common/stats.hh"
+#include "common/tile_set.hh"
 
 #include "core/event_queue.hh"
 #include "core/fault.hh"
@@ -184,9 +185,11 @@ class System : public Fabric
     OccupancySnapshot occupancySnapshot() const;
 
     /**
-     * Run protocol invariant checks over all components, and the
-     * binding audit: no instruction stream is held by two cores
-     * (Core::forEachHeld).
+     * Run protocol invariant checks over all components, the binding
+     * audit: no instruction stream is held by two cores
+     * (Core::forEachHeld), and the wake audit: every core that can
+     * act is in the wake calendar no later than the first cycle it
+     * can act at (Core::arm).
      */
     void checkInvariants() const;
 
@@ -198,13 +201,14 @@ class System : public Fabric
     void checkGlobalCoherence() const;
 
     /**
-     * L1 inclusion on every block no transaction is working on and
-     * @p moving (sorted: the blocks of the messages in flight) does
-     * not name: each valid L1 line is backed by its partition's line,
-     * whose owner is this core exactly when the L1 line is Modified.
-     * Throws SimError on violation.
+     * L1 inclusion on every block no transaction is working on and no
+     * message in flight names: each valid L1 line is backed by its
+     * partition's line, whose owner is this core exactly when the L1
+     * line is Modified. And every outstanding L1 miss is accounted
+     * for: its partition bank has state for the block, or a message
+     * in flight names it. Throws SimError on violation.
      */
-    void auditInclusion(const std::vector<BlockAddr> &moving) const;
+    void auditInclusion() const;
 
     /** @return true when nothing is in flight anywhere. */
     bool quiesced() const;
@@ -279,10 +283,10 @@ class System : public Fabric
      * Window-boundary audit (run under CONSIM_CHECK=full): NoC
      * credit/flit conservation, stuck-transaction (leaked MSHR
      * equivalent) detection in every L1/bank/directory, per-component
-     * protocol invariants, and the directory audit: every block no
+     * protocol invariants, the directory audit (every block no
      * transaction is working on must agree exactly with the partition
-     * caches (safe on a non-quiesced machine, unlike the inclusion
-     * check of checkGlobalCoherence()). Throws SimError on violation.
+     * caches) and L1 inclusion (auditInclusion). Throws SimError on
+     * violation.
      */
     void auditWindow() const;
 
@@ -336,6 +340,10 @@ class System : public Fabric
 
     /** The absolute cycle of a service point that is off. */
     static constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+
+    /** The wake calendar's slot count. A core busy for longer than
+     *  this is ticked once per span, a no-op that re-arms it. */
+    static constexpr std::size_t kWakeSpan = 64;
 
     /**
      * run()'s service points, in the order they fire on one cycle.
@@ -432,6 +440,11 @@ class System : public Fabric
      *  legitimately disagrees mid-protocol. */
     bool quiet(BlockAddr block) const;
 
+    /** @return the blocks the messages in flight name, sorted: those
+     *  of pending events, of packets a router holds and of NI queues
+     *  (a free packet-pool slot holds a stale message). */
+    std::vector<BlockAddr> moving() const;
+
     MachineConfig cfg_;
     std::vector<VirtualMachine *> vms_;
 
@@ -445,6 +458,9 @@ class System : public Fabric
      *  kind for the whole machine (the units hold views). */
     L2Bank::Tables bankTables_;
     DirectorySlice::Tables dirTables_;
+    /** The cores to tick, by cycle (Core::arm). Derived state: a
+     *  restore re-arms every core from the restored clock. */
+    TileCalendar wake_;
     NetworkStats netStats_;
     /** The interconnect; null on the ideal NoC, whose messages travel
      *  as NetDeliver events. */

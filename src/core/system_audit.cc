@@ -190,6 +190,28 @@ System::checkInvariants() const
                           it->second, " and ", c->tile(), ")");
         });
     }
+    // Wake audit: a core that can act is armed no later than the
+    // first cycle it can act at. The calendar holds the cycles from
+    // now_ to now_ + span - 1. A stale entry of a core that cannot
+    // act is harmless: its tick returns at once.
+    const Cycle horizon = now_ + wake_.span();
+    for (const auto &c : cores_) {
+        if (!c->canAct())
+            continue;
+        Cycle armed = now_;
+        while (armed < horizon && !wake_.contains(armed, c->tile()))
+            ++armed;
+        const Cycle due = std::max(c->busyUntil(), now_);
+        if (armed > due) {
+            CONSIM_CHECK_FAIL("core ", c->tile(), " can act from cycle ",
+                              due, " (busy_until ", c->busyUntil(),
+                              ") but is ",
+                              armed == horizon
+                                  ? std::string("not armed")
+                                  : logging::format("armed at cycle ",
+                                                    armed));
+        }
+    }
 }
 
 void
@@ -273,28 +295,56 @@ System::checkGlobalCoherence() const
     CONSIM_ASSERT(quiesced(),
                   "global coherence check on a non-quiesced machine");
     auditDirectory();
-    auditInclusion({});
+    auditInclusion();
+}
+
+std::vector<BlockAddr>
+System::moving() const
+{
+    std::vector<BlockAddr> out;
+    events_.forEachPending(now_, [&](Cycle, const SimEvent &ev) {
+        if (carriesMsg(ev.kind))
+            out.push_back(ev.msg.block);
+    });
+    if (mesh_)
+        mesh_->forEachMsg([&](const Msg &m) { out.push_back(m.block); });
+    std::sort(out.begin(), out.end());
+    return out;
 }
 
 void
-System::auditInclusion(const std::vector<BlockAddr> &moving) const
+System::auditInclusion() const
 {
+    const std::vector<BlockAddr> moving = this->moving();
+    const auto named = [&](BlockAddr block) {
+        return std::binary_search(moving.begin(), moving.end(), block);
+    };
     for (CoreId t = 0; t < cfg_.numCores(); ++t) {
         const GroupId g = groupOf_[t];
+        // An outstanding miss is in its bank's hands or in a message.
+        const L1Controller &l1 = *l1s_[t];
+        if (!l1.idle()) {
+            const BlockAddr block = l1.pendingBlock();
+            if (!banks_[bankTileFor(g, block)]->hasActivity(block) &&
+                !named(block)) {
+                CONSIM_CHECK_FAIL("L1 ", t, " waits on block 0x", std::hex,
+                                  block, std::dec,
+                                  " but no bank record or message names it");
+            }
+        }
         // The bank names an owner by its index among the members.
         const std::vector<CoreId> &members = membersOf_[g].tiles;
         const auto member = static_cast<int>(
             std::find(members.begin(), members.end(), t) -
             members.begin());
-        l1s_[t]->forEachL1Line([&](BlockAddr block, L1State state) {
+        l1.forEachL1Line([&](BlockAddr block, L1State state) {
             const L2CacheLine *line =
                 banks_[bankTileFor(g, block)]->lookup(block);
             // A Modified L1 line is its bank's owner; a Shared one is
             // not.
             if ((line && (state == L1State::Modified) ==
                              (line->ownerCore == member)) ||
-                !quiet(block) ||
-                std::binary_search(moving.begin(), moving.end(), block))
+                !quiet(block) || named(block))
                 return;
             if (line == nullptr) {
                 CONSIM_CHECK_FAIL("L1 line not backed by its partition "
@@ -334,6 +384,7 @@ System::auditWindow() const
             d->auditStuckTxns(now_, kStuckTxnLimit);
 
         auditDirectory();
+        auditInclusion();
     } catch (const SimError &e) {
         // Checkers throw from deep inside components with no machine
         // context; attach the full diag dump here, where we have it.

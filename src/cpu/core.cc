@@ -5,8 +5,8 @@
 namespace consim
 {
 
-Core::Core(Fabric &fabric, CoreId tile, L1Controller &l1)
-    : fab_(fabric), tile_(tile), l1_(l1)
+Core::Core(Fabric &fabric, CoreId tile, L1Controller &l1, TileCalendar &wake)
+    : fab_(fabric), tile_(tile), l1_(l1), wake_(wake)
 {
     l1_.setMissCallback([this] { missComplete(); });
     stats_.registerIn(statsGroup_);
@@ -14,6 +14,13 @@ Core::Core(Fabric &fabric, CoreId tile, L1Controller &l1)
 
 void
 Core::bindThread(InstrStream *stream, VmId vm)
+{
+    bind(stream, vm);
+    arm(fab_.now());
+}
+
+void
+Core::bind(InstrStream *stream, VmId vm)
 {
     CONSIM_ASSERT(!blocked_, "rebinding a blocked core");
     stream_ = stream;
@@ -39,18 +46,19 @@ Core::scheduleRebind(InstrStream *stream, VmId vm)
     rebindPending_ = true;
     rebindStream_ = stream;
     rebindVm_ = vm;
+    arm(fab_.now());
 }
 
 void
-Core::installRebind()
+Core::installRebind(Cycle now)
 {
     rebindPending_ = false;
-    bindThread(rebindStream_, rebindVm_);
+    bind(rebindStream_, rebindVm_);
     rebindStream_ = nullptr;
     rebindVm_ = invalidVm;
     // One dead cycle for the context switch: the incoming thread
     // starts fetching on the next tick, never the install tick.
-    busyUntil_ = fab_.now() + 1;
+    busyUntil_ = now + 1;
 }
 
 void
@@ -60,22 +68,21 @@ Core::rotateContext(Cycle now)
     // run preempts on the same cycles as the original.
     nextSlice_ = (now / timeslice_ + 1) * timeslice_;
     ctxPos_ = (ctxPos_ + 1) % contexts_.size();
-    bindThread(contexts_[ctxPos_].stream, contexts_[ctxPos_].vm);
+    bind(contexts_[ctxPos_].stream, contexts_[ctxPos_].vm);
 }
 
 void
-Core::tick()
+Core::step(Cycle now)
 {
     // A deferred migration lands at the first clean instruction
     // boundary: never mid-miss (the fill retires against the old
     // binding first), never mid-slice. Deterministic in sim state,
     // so a resumed run installs on the same cycle.
     if (rebindPending_ && !blocked_ && !wedged_ && !haveSlice_ &&
-        fab_.now() >= busyUntil_)
-        installRebind();
+        now >= busyUntil_)
+        installRebind(now);
     if (stream_ == nullptr || blocked_ || wedged_)
         return;
-    const Cycle now = fab_.now();
     if (contexts_.size() > 1 && !haveSlice_ && now >= busyUntil_) {
         // Preempt only at clean instruction boundaries: never
         // mid-miss (blocked_ above), never mid-burst. A context
@@ -127,13 +134,16 @@ Core::missComplete()
 {
     CONSIM_ASSERT(blocked_, "fill callback while not blocked");
     blocked_ = false;
-    stats_.stallCycles += fab_.now() - blockStart_;
-    busyUntil_ = fab_.now() + 1;
+    const Cycle now = fab_.now();
+    stats_.stallCycles += now - blockStart_;
+    busyUntil_ = now + 1;
     if (slice_.endsTransaction) {
         ++stats_.transactions;
         fab_.recordTransaction(vm_);
     }
     haveSlice_ = false;
+    // A fill lands in the event phase, before this cycle's cores.
+    arm(now);
 }
 
 } // namespace consim

@@ -9,11 +9,13 @@
 #ifndef CONSIM_CPU_CORE_HH
 #define CONSIM_CPU_CORE_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "coherence/fabric.hh"
 #include "coherence/l1_controller.hh"
 #include "common/stats.hh"
+#include "common/tile_set.hh"
 #include "cpu/instr_stream.hh"
 
 namespace consim
@@ -47,6 +49,14 @@ struct CoreStats
  * through it on fixed timeslice epochs, switching only at clean
  * instruction boundaries (never mid-miss, never mid-burst), so the
  * rotation is deterministic and checkpoint-exact.
+ *
+ * Wake calendar: the System ticks only the cores in the calendar's
+ * slot for the cycle. A core can act at cycle t iff it is neither
+ * blocked nor wedged, holds a stream or a pending rebind, and
+ * t >= busyUntil; a tick at any other cycle returns before it touches
+ * any state. So the core arms itself (arm()) wherever it may become
+ * able to act: after each tick, when a fill unblocks it, and when it
+ * is bound or given a rebind between cycles.
  */
 class Core
 {
@@ -54,7 +64,8 @@ class Core
     /** Default preemption quantum for over-committed cores. */
     static constexpr Cycle kDefaultTimesliceCycles = 10'000;
 
-    Core(Fabric &fabric, CoreId tile, L1Controller &l1);
+    /** @p wake: the calendar of cores to tick, indexed by cycle. */
+    Core(Fabric &fabric, CoreId tile, L1Controller &l1, TileCalendar &wake);
 
     /**
      * Bind a thread to this core (static binding, as in the paper).
@@ -120,8 +131,40 @@ class Core
         return static_cast<int>(contexts_.size());
     }
 
-    /** Advance one cycle. */
-    void tick();
+    /** Advance through cycle @p now, then arm for the next. */
+    void
+    tick(Cycle now)
+    {
+        step(now);
+        arm(now + 1);
+    }
+
+    /** @return true when the core can act once its busy time is over
+     *  (see class comment). */
+    bool
+    canAct() const
+    {
+        return !blocked_ && !wedged_ &&
+               (stream_ != nullptr || rebindPending_);
+    }
+
+    /** @return the first cycle an in-flight burst or hit leaves free. */
+    Cycle busyUntil() const { return busyUntil_; }
+
+    /**
+     * Put this core in the wake calendar at the first cycle from
+     * @p from on at which it can act, or at from + span - 1 if that
+     * is later (its tick then is a no-op that re-arms it). Does
+     * nothing when the core cannot act.
+     */
+    void
+    arm(Cycle from)
+    {
+        if (canAct())
+            wake_.insert(std::min(std::max(busyUntil_, from),
+                                  from + wake_.span() - 1),
+                         tile_);
+    }
 
     /** @return true when no thread is bound. */
     bool idle() const { return stream_ == nullptr; }
@@ -160,9 +203,14 @@ class Core
      *  the in-flight slice and blocked state). */
     friend struct CkptAccess;
 
+    /** The tick proper: a no-op unless the core can act at @p now. */
+    void step(Cycle now);
+    /** bindThread() without the arm: the tick's own binds (rotation,
+     *  a rebind's install) leave the arming to the tick. */
+    void bind(InstrStream *stream, VmId vm);
     void missComplete();
     void rotateContext(Cycle now);
-    void installRebind();
+    void installRebind(Cycle now);
 
     /** One schedulable software context (over-committed cores). */
     struct Context
@@ -174,6 +222,7 @@ class Core
     Fabric &fab_;
     CoreId tile_;
     L1Controller &l1_;
+    TileCalendar &wake_;
     InstrStream *stream_ = nullptr;
     VmId vm_ = invalidVm;
 

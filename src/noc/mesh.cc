@@ -76,9 +76,8 @@ Mesh::tick(Cycle now)
     // NIs that have work; the others would do nothing.
     // Phase 1: finish the outputs stamped with this cycle (arrivals
     // land, ejections fire).
-    TileSet &finishing = shared_.finishingAt(now);
-    finishing.forEach([&](CoreId t) { routers_[t]->tickOutputs(now); });
-    finishing.clear();
+    shared_.finishing.walk(now,
+                           [&](CoreId t) { routers_[t]->tickOutputs(now); });
     // Phase 2: sources inject into local input VCs.
     shared_.queued.forEach([&](CoreId t) { nis_[t]->tick(now); });
     // Phase 3: switch allocation, at routers whose wake cycle has come.
@@ -111,6 +110,15 @@ Mesh::inFlight() const
     for (const auto &ni : nis_)
         n += ni->queued();
     return n;
+}
+
+void
+Mesh::forEachMsg(const std::function<void(const Msg &)> &fn) const
+{
+    for (const auto &r : routers_)
+        r->forEachHeld([&](PacketId h) { fn(shared_.pool[h].msg); });
+    for (const auto &ni : nis_)
+        ni->forEachQueued(fn);
 }
 
 void

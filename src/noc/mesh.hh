@@ -11,6 +11,7 @@
 #ifndef CONSIM_NOC_MESH_HH
 #define CONSIM_NOC_MESH_HH
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -76,6 +77,10 @@ class Mesh
 
     /** @return total packets buffered in-network (diagnostics). */
     int inFlight() const;
+
+    /** Call @p fn on every message in the mesh: each one a router
+     *  holds (buffered or in transit), then each one an NI queues. */
+    void forEachMsg(const std::function<void(const Msg &)> &fn) const;
 
   private:
     friend struct CkptAccess;

@@ -39,6 +39,16 @@ class NetworkInterface
     /** @return messages waiting across all vnets (diagnostics). */
     int queued() const { return queuedTotal_; }
 
+    /** Call @p fn on every queued message, vnet by vnet. */
+    template <typename Fn>
+    void
+    forEachQueued(Fn &&fn) const
+    {
+        for (const auto &q : queues_)
+            for (const Msg &m : q)
+                fn(m);
+    }
+
   private:
     friend struct CkptAccess;
 

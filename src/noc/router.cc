@@ -15,9 +15,9 @@ MeshShared::MeshShared(const NocParams &params, std::size_t pool_bound,
       wake(col.size(), 0), buffered(static_cast<int>(col.size())),
       queued(static_cast<int>(col.size())),
       // Outputs finish 1..dataFlits cycles after their grant.
-      finishing(std::size_t(1) << ceilLog2(params.dataFlits + 1),
-                TileSet(static_cast<int>(col.size()))),
-      finishMask(finishing.size() - 1), pool(pool_bound),
+      finishing(static_cast<int>(col.size()),
+                std::size_t(1) << ceilLog2(params.dataFlits + 1)),
+      pool(pool_bound),
       deliver(std::move(deliver_fn))
 {
     for (std::size_t t = 0; t < col.size(); ++t)
@@ -27,8 +27,7 @@ MeshShared::MeshShared(const NocParams &params, std::size_t pool_bound,
 void
 MeshShared::clearTraffic()
 {
-    for (TileSet &s : finishing)
-        s.clear();
+    finishing.clear();
     busyOutputs = 0;
     pool.clear();
 }
@@ -263,7 +262,7 @@ Router::allocatePass(Cycle now, std::uint64_t &used, bool protected_only)
         out.done = now + static_cast<Cycle>(pkt.lenFlits);
         out.pkt = h;
         out.dstVc = downVc;
-        shared_->finishingAt(out.done).insert(tile_);
+        shared_->finishing.insert(out.done, tile_);
         credits_[idx] = static_cast<std::int16_t>(credits_[idx] +
                                                   pkt.lenFlits);
         if (--qLen_[idx] == 0) {
@@ -293,8 +292,7 @@ Router::restoreDerived()
         setHead(idx, (*pool_)[slot(idx, 0)]);
     }
     for (unsigned bits = outBusy_; bits != 0; bits &= bits - 1) {
-        shared_->finishingAt(outputs_[lowestSetBit(bits)].done)
-            .insert(tile_);
+        shared_->finishing.insert(outputs_[lowestSetBit(bits)].done, tile_);
         ++shared_->busyOutputs;
     }
     *wake_ = 0;
@@ -449,13 +447,12 @@ Router::checkInvariants(
                               " for a ", len, "-flit packet");
         }
     }
-    for (Cycle s = 0; s <= shared_->finishMask; ++s) {
+    const Cycle span = shared_->finishing.span();
+    for (Cycle s = 0; s < span; ++s) {
         bool stamped = false;
-        for (unsigned bits = outBusy_; bits != 0; bits &= bits - 1) {
-            stamped |= (outputs_[lowestSetBit(bits)].done &
-                        shared_->finishMask) == s;
-        }
-        if (shared_->finishing[s].contains(tile_) != stamped) {
+        for (unsigned bits = outBusy_; bits != 0; bits &= bits - 1)
+            stamped |= outputs_[lowestSetBit(bits)].done % span == s;
+        if (shared_->finishing.contains(s, tile_) != stamped) {
             CONSIM_CHECK_FAIL("router ", tile_, ": finishing-ring slot ",
                               s, " membership ", !stamped,
                               " disagrees with the busy outputs' stamps");

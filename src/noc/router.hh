@@ -33,6 +33,7 @@
 #include "common/bitops.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/tile_set.hh"
 #include "noc/network.hh"
 #include "noc/routing.hh"
 
@@ -141,55 +142,6 @@ packetPoolBound(const NocParams &params, int tiles)
             1);
 }
 
-/** A fixed set of tiles, sized at construction, walked in ascending
- *  tile order. */
-class TileSet
-{
-  public:
-    explicit TileSet(int tiles)
-        : words_((static_cast<std::size_t>(tiles) + 63) / 64)
-    {
-    }
-
-    void insert(CoreId t) { words_[t >> 6] |= bit(t); }
-    void erase(CoreId t) { words_[t >> 6] &= ~bit(t); }
-    bool contains(CoreId t) const { return (words_[t >> 6] & bit(t)) != 0; }
-
-    void clear() { std::fill(words_.begin(), words_.end(), 0); }
-
-    bool
-    empty() const
-    {
-        for (const std::uint64_t w : words_) {
-            if (w != 0)
-                return false;
-        }
-        return true;
-    }
-
-    /** Call @p fn on every tile in ascending order. @p fn may insert
-     *  or erase tiles; a tile above the current one is visited iff it
-     *  is in the set when the walk reaches it. */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn)
-    {
-        for (std::size_t w = 0; w < words_.size(); ++w) {
-            std::uint64_t bits = words_[w];
-            while (bits != 0) {
-                const int b = lowestSetBit(bits);
-                fn(static_cast<CoreId>(w * 64 + b));
-                bits = words_[w] & (~std::uint64_t(1) << b);
-            }
-        }
-    }
-
-  private:
-    static std::uint64_t bit(CoreId t) { return std::uint64_t(1) << (t & 63); }
-
-    std::vector<std::uint64_t> words_;
-};
-
 /**
  * What a mesh's routers and NIs share: each tile's column, so that
  * routing needs no division; the packet pool; the function that
@@ -199,10 +151,10 @@ class TileSet
  * skipped router is never loaded.
  *
  * A grant stamps the cycle its output finishes, and puts the router
- * in the finishing ring's set for that cycle: a power-of-two number
- * of sets above the longest packet's flit count, so the sets of the
- * cycles an output can finish in never alias. Phase 1 of a tick
- * visits only the routers of the current cycle's set.
+ * in the finishing calendar at that cycle. The calendar spans a
+ * power of two above the longest packet's flit count, so the cycles
+ * an output can finish in never share a slot. Phase 1 of a tick
+ * visits only the routers of the current cycle's slot.
  *
  * A router's wake cycle is the earliest cycle at which its
  * allocation pass could grant: the minimum over occupied input VCs
@@ -218,10 +170,6 @@ struct MeshShared
     MeshShared(const NocParams &params, std::size_t pool_bound,
                DeliverFn deliver_fn);
 
-    /** @return the set of routers with an output finishing at
-     *  @p cycle. */
-    TileSet &finishingAt(Cycle cycle) { return finishing[cycle & finishMask]; }
-
     /** Drop every packet, stamp and busy output (checkpoint restore
      *  rebuilds them from the records). */
     void clearTraffic();
@@ -230,8 +178,7 @@ struct MeshShared
     std::vector<Cycle> wake; ///< tile -> router wake cycle
     TileSet buffered;        ///< routers with buffered packets
     TileSet queued;          ///< NIs with queued messages
-    std::vector<TileSet> finishing; ///< cycle & finishMask -> routers
-    Cycle finishMask;
+    TileCalendar finishing;  ///< cycle -> routers with an output finishing
     int busyOutputs = 0;     ///< outputs mid-transmission, mesh-wide
     PacketPool pool;
     DeliverFn deliver;       ///< called on each ejected message

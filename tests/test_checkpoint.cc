@@ -1043,6 +1043,33 @@ TEST(CheckpointRestoreDeathTest, BadCoreRecordsRefused)
                  "bad MC record .*outstanding -5 outside");
 }
 
+TEST(CheckpointRestoreDeathTest, PendingMissNoOneServesRefused)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // Three L1s' outstanding misses, each moved to block 0x4 of VM 0's
+    // window, which no bank record and no message in flight names:
+    // nothing would ever fill them. Every record is well formed, so
+    // only the restore audit sees it. Unchecked, such an edit resumed
+    // until the real fill came back ("unexpected fill").
+    json::Value doc;
+    ASSERT_TRUE(json::parse(tripSnapshot(wedgedConfig(false)), doc));
+    int edits = 0;
+    for (std::size_t i = 0; i < 16 && edits < 3; ++i) {
+        json::Value out = doc;
+        json::Value &pending = *unitOf(out, "l1s", i).find("pending");
+        if (!pending.at(0).boolean())
+            continue;
+        pending.at(1) = 4;
+        EXPECT_DEATH(resumeExperiment(out),
+                     "restored machine fails its audit \\(L1 " +
+                         std::to_string(i) +
+                         " waits on block 0x4 but no bank record or "
+                         "message names it");
+        ++edits;
+    }
+    EXPECT_EQ(edits, 3);
+}
+
 TEST(CheckpointRestoreDeathTest, BadDynSchedEvalRefused)
 {
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";

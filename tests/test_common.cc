@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the common substrate: RNG, bit utilities, the ring
- * buffer, stats, table rendering, strict number parsing, and machine
- * configuration / group topology.
+ * buffer, the tile calendar, stats, table rendering, strict number
+ * parsing, and machine configuration / group topology.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "common/tile_set.hh"
 
 namespace consim
 {
@@ -342,6 +343,72 @@ TEST(RingBuf, EmptiedRingRestartsAtSlotZero)
     r.push_back(5);
     EXPECT_EQ(&r.front(), slot0);
     EXPECT_EQ(contents(r), std::vector<int>{5});
+}
+
+/** @return the tiles a walk of @p cal at cycle @p c visits. */
+std::vector<CoreId>
+walked(TileCalendar &cal, Cycle c)
+{
+    std::vector<CoreId> out;
+    cal.walk(c, [&](CoreId t) { out.push_back(t); });
+    return out;
+}
+
+TEST(TileCalendar, WalkVisitsInAscendingOrderAndDrainsItsSlot)
+{
+    TileCalendar cal(200, 8);
+    for (const CoreId t : {130, 3, 64, 199, 0, 63})
+        cal.insert(5, t);
+    cal.insert(6, 7);
+    EXPECT_EQ(walked(cal, 5), (std::vector<CoreId>{0, 3, 63, 64, 130, 199}));
+    EXPECT_FALSE(cal.contains(5, 3));
+    EXPECT_TRUE(walked(cal, 5).empty());
+    // The next cycle's slot is untouched.
+    EXPECT_TRUE(cal.contains(6, 7));
+    EXPECT_EQ(walked(cal, 6), std::vector<CoreId>{7});
+}
+
+TEST(TileCalendar, TilesInsertedDuringAWalkAboveItAreVisited)
+{
+    // A tile inserted above the walk's position is visited in this
+    // walk, in order, across word boundaries. One inserted at or
+    // below it stays for the slot's next cycle, one span later.
+    TileCalendar cal(200, 8);
+    cal.insert(2, 10);
+    cal.insert(2, 70);
+    std::vector<CoreId> seen;
+    cal.walk(2, [&](CoreId t) {
+        seen.push_back(t);
+        if (t == 10) {
+            cal.insert(2, 11);  // above, same word
+            cal.insert(2, 150); // above, a later word
+            cal.insert(2, 10);  // itself
+            cal.insert(2, 4);   // below
+        }
+    });
+    EXPECT_EQ(seen, (std::vector<CoreId>{10, 11, 70, 150}));
+    EXPECT_EQ(walked(cal, 2 + 8), (std::vector<CoreId>{4, 10}));
+}
+
+TEST(TileCalendar, SlotsWrapAcrossTheSpan)
+{
+    TileCalendar cal(16, 4);
+    EXPECT_EQ(cal.span(), 4u);
+    // Cycles 3, 7 and 11 share slot 3; cycle 4 is slot 0.
+    cal.insert(7, 2);
+    EXPECT_TRUE(cal.contains(3, 2));
+    EXPECT_TRUE(cal.contains(11, 2));
+    EXPECT_FALSE(cal.contains(4, 2));
+    for (Cycle c = 8; c < 11; ++c)
+        EXPECT_TRUE(walked(cal, c).empty()) << "cycle " << c;
+    EXPECT_EQ(walked(cal, 11), std::vector<CoreId>{2});
+    EXPECT_FALSE(cal.contains(7, 2));
+    // clear() empties every slot.
+    cal.insert(6, 1);
+    cal.insert(9, 15);
+    cal.clear();
+    for (Cycle c = 0; c < 4; ++c)
+        EXPECT_TRUE(walked(cal, c).empty()) << "cycle " << c;
 }
 
 TEST(Config, GroupCountsAndPartitionSizes)

@@ -27,9 +27,12 @@
 # checked-mode pass (full suite with every runtime invariant checker
 # enabled) plus a fault-injection smoke over the whole catalog, a
 # snapshot interchange check (a base commit's build and this tree's
-# write byte-identical snapshots and resume each other's) and a
-# same-host perf A/B against that base commit (tools/perf_ab.sh; both
-# only with --perf-base), an ASan+UBSan pass over the whole tier-1 suite
+# write byte-identical snapshots and resume each other's), a
+# statistics identity check (both builds dump byte-identical
+# statistics on the four perfbench points and on an over-committed
+# random dyn-sched point) and a same-host perf A/B against that base
+# commit (tools/perf_ab.sh; all three only with --perf-base), an
+# ASan+UBSan pass over the whole tier-1 suite
 # (memory safety of the registry, JSON layer, and simulator core),
 # plus a ThreadSanitizer
 # pass over the concurrency surface (the parallel sweep with every
@@ -569,6 +572,7 @@ fi
 
 if [[ -z "$perf_base" ]]; then
     echo "=== snapshot interchange: skipped (no --perf-base <ref> given) ==="
+    echo "=== statistics identity: skipped (no --perf-base <ref> given) ==="
     echo "=== perf A/B: skipped (no --perf-base <ref> given) ==="
 else
     echo "=== snapshot interchange: $perf_base and this tree ==="
@@ -651,6 +655,44 @@ else
         --watchdog 200000
     echo "snapshot interchange: identical snapshots, each resumes on" \
         "the other build to the uninterrupted result"
+
+    echo "=== statistics identity: $perf_base and this tree ==="
+    # A change meant only to make the simulator faster must leave every
+    # simulated statistic as it was: the base's build and this tree's
+    # must write byte-identical --dump-stats --json documents (the run
+    # envelope and the whole statistics tree) for the four perfbench
+    # points at their windows and for an over-committed 8x8 point
+    # whose random dyn-sched swaps rebind cores every 20k cycles.
+    ident_dir="$work/identity"
+    mkdir "$ident_dir"
+    ident() {
+        local name="$1" side
+        shift
+        for side in base change; do
+            "${xchg_bin[$side]}" "$@" --seed 1 --dump-stats \
+                --json "$ident_dir/$name.$side.json" >/dev/null
+        done
+        cmp "$ident_dir/$name.base.json" "$ident_dir/$name.change.json" || {
+            echo "statistics identity: $name: the two builds'" \
+                "statistics differ" >&2
+            exit 1; }
+    }
+    ident mix16 --mix "Mix 5" --mesh 4x4 --sharing 4 \
+        --warmup 300000 --measure 600000
+    ident ideal16 --mix "Mix 5" --mesh 4x4 --sharing 4 --ideal-noc \
+        --warmup 300000 --measure 600000
+    ident over64 --mix "Mix 5" --mesh 8x8 --sharing 8 \
+        --vm-threads 24,24,24,24 --warmup 60000 --measure 120000
+    ident chip256 --mix "Mix 5" --mesh 16x16 --sharing 16 \
+        --vm-threads 64,64,64,64 --warmup 10000 --measure 20000
+    ident over64-dyn --mix "Mix 5" --mesh 8x8 --sharing 8 \
+        --vm-threads 24,24,24,24 --dyn-sched random,epoch=20000 \
+        --warmup 60000 --measure 120000
+    grep -q '"dyn_migrations": [1-9]' "$ident_dir/over64-dyn.change.json" || {
+        echo "statistics identity: the dyn-sched point migrated no" \
+            "thread" >&2
+        exit 1; }
+    echo "statistics identity: every statistic identical on 5 points"
 
     echo "=== perf A/B: perfbench vs $perf_base on this host ==="
     # Alternating perfbench pairs of the base commit and this working
