@@ -35,10 +35,8 @@
 #include <algorithm>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "bench_util.hh"
 #include "common/check.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -157,14 +155,6 @@ main(int argc, char **argv)
         "placement on the bursty mix");
     JsonReport jrep("fig17", "Dynamic vs Static Hypervisor Scheduling",
                     JsonReport::pathFromArgs(argc, argv));
-    if (jrep.enabled()) {
-        auto host = json::Value::object();
-        const unsigned hw = std::thread::hardware_concurrency();
-        host.set("host_cpus", hw ? hw : 1u);
-        host.set("cpu_model", benchutil::cpuModel());
-        host.set("loadavg_1m", benchutil::loadAvg1m());
-        jrep.set("host", std::move(host));
-    }
 
     // One parallel sweep over every (scenario, policy) point.
     std::vector<RunConfig> configs;

@@ -1,13 +1,13 @@
 #include "core/report.hh"
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <iterator>
 #include <sstream>
 
 #include "common/logging.hh"
 #include "common/parse.hh"
+#include "common/write_file.hh"
 #include "exec/sweep.hh"
 
 namespace consim
@@ -329,12 +329,8 @@ JsonReport::write() const
 {
     if (!enabled())
         return;
-    std::ofstream out(path_);
-    if (!out)
-        CONSIM_FATAL("cannot open JSON output path ", path_);
-    out << text();
-    if (!out)
-        CONSIM_FATAL("failed writing JSON output to ", path_);
+    if (!writeFile(path_, text()))
+        CONSIM_FATAL("cannot write JSON output to ", path_);
 }
 
 void

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -130,6 +131,16 @@ TEST(Report, JsonReportTextIsTheWrittenDocument)
     EXPECT_EQ(written.str(), rep.text());
     EXPECT_NE(rep.text().find("\"schema\": \"consim.bench.v1\""),
               std::string::npos);
+}
+
+TEST(ReportDeathTest, WriteThatFailsAfterOpenExitsNamingThePath)
+{
+    // /dev/full opens, then refuses every byte; a document shorter
+    // than the stream buffer only fails when the file is closed.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this host";
+    const JsonReport rep("t", "Title", "/dev/full");
+    EXPECT_EXIT(rep.write(), ::testing::ExitedWithCode(1), "/dev/full");
 }
 
 TEST(Logging, VerbosityToggle)

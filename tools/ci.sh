@@ -4,7 +4,8 @@
 # (an interrupted+resumed run must match the uninterrupted one byte for
 # byte) on the 16-core chip, a resume chain (a resumed run that trips
 # again must save its own snapshot, and that must resume; a flag the
-# resume would ignore is refused), a scale-out smoke (the same at 32
+# resume would ignore is refused; a snapshot or document lost to a
+# failed write is an error), a scale-out smoke (the same at 32
 # cores, 8 VMs), a scale-to-256 smoke (the same at 128 cores,
 # over-committed), a set-up scaling check (the 1-cycle probe's peak
 # RSS at 1,024 cores within 4.5x of the 256-core probe's), a
@@ -13,10 +14,9 @@
 # edge check (run knobs set through the env and through flags make
 # the same envelope), a paper-figures check (one all-figures run of
 # bench/paper_figures prints and writes exactly what the thirteen solo
-# runs do), a bench smoke (every extension and ablation bench exits 0
-# and writes one bench.v1 document), a zero-allocation
-# assertion over the measure window, a perf_smoke run (no floor: it
-# only has to run), an isolation smoke (QoS must
+# runs do), a bench smoke (every bench bench/CMakeLists.txt declares
+# exits 0 and writes one bench.v1 document), a zero-allocation
+# assertion over the measure window, an isolation smoke (QoS must
 # protect the VM) and a dyn-sched smoke (migration must beat the
 # static placement on the bursty mix, resume across migration epochs
 # must be byte-identical, random migration must swap at every epoch
@@ -109,6 +109,8 @@ echo "=== resume chain: a resumed run that trips keeps its snapshot ==="
 # it must resume (and trip) in turn.
 chain_dir="$work/chain"
 mkdir "$chain_dir"
+chain_args=(--vm tpcw --vm jbb --warmup 20000 --measure 40000
+    --watchdog 10000 --ckpt-every 4000 --fault "wedge:core=3,at=15000")
 run_chain() {
     local out="$1"; shift
     local rc=0
@@ -120,9 +122,7 @@ run_chain() {
     [[ -s "$out" ]] || {
         echo "resume chain: no checkpoint written to $out" >&2; exit 1; }
 }
-run_chain "$chain_dir/a.ckpt" --vm tpcw --vm jbb \
-    --warmup 20000 --measure 40000 --watchdog 10000 --ckpt-every 4000 \
-    --fault "wedge:core=3,at=15000"
+run_chain "$chain_dir/a.ckpt" "${chain_args[@]}"
 run_chain "$chain_dir/b.ckpt" --resume "$chain_dir/a.ckpt"
 cmp -s "$chain_dir/a.ckpt" "$chain_dir/b.ckpt" && {
     echo "resume chain: second snapshot equals the first" >&2; exit 1; }
@@ -137,6 +137,25 @@ rc=0
     echo "resume chain: --resume with --measure wanted exit 2, got $rc" >&2
     exit 1; }
 echo "resume chain: --resume refuses a flag it would ignore"
+# /dev/full opens, then refuses every byte. The tripped run must say
+# that its snapshot was lost (it still exits 1, on the watchdog), and
+# a run whose --json document is lost must exit 1.
+rc=0
+./build/tools/consim_run "${chain_args[@]}" --ckpt-out /dev/full \
+    >/dev/null 2>"$chain_dir/full.err" || rc=$?
+[[ "$rc" == 1 ]] &&
+    grep -q 'cannot write the pre-trip checkpoint' "$chain_dir/full.err" &&
+    ! grep -q 'wrote pre-trip checkpoint' "$chain_dir/full.err" || {
+    echo "resume chain: a snapshot lost to /dev/full was not reported" \
+        "(exit $rc)" >&2
+    exit 1; }
+rc=0
+./build/tools/consim_run --mix "Mix 5" --warmup 1000 --measure 1000 \
+    --json /dev/full >/dev/null 2>&1 || rc=$?
+[[ "$rc" == 1 ]] || {
+    echo "resume chain: --json /dev/full wanted exit 1, got $rc" >&2
+    exit 1; }
+echo "resume chain: a snapshot or document lost to /dev/full is an error"
 
 echo "=== scale-out smoke: 32-core chip, 8 VMs ==="
 # The parametric scale model must uphold the resume contract beyond
@@ -171,8 +190,8 @@ echo "=== scale-to-256 smoke: 128-core chip, over-committed ==="
 # The same contract at the consolidation-study scale: a 16x8 mesh
 # running Mix 1 with 1.5x over-committed schedules (192 threads on 128
 # cores, so the time-sliced context rotation is live). Short windows —
-# this is a correctness smoke, not a perf point (bench/fig16_scale256
-# owns the throughput numbers).
+# this is a correctness smoke, not a perf point (perfbench's over64 and
+# chip256 workloads own the throughput numbers at scale).
 big_dir="$work/big"
 mkdir "$big_dir"
 big_args=(--mesh 16x8 --sharing 8
@@ -319,11 +338,13 @@ rc=0
     echo "paper figures: --bogus wanted exit 2, got $rc" >&2; exit 1; }
 echo "paper figures: union run matches the thirteen solo runs"
 
-echo "=== bench smoke: every extension and ablation bench runs ==="
+echo "=== bench smoke: every declared bench runs ==="
 # Each bench renders its points from one sweep and exits 1 on a failed
 # run, so exit 0 and one consim.bench.v1 document mean every point ran.
-# The windowed benches run at 20k-cycle windows; fig15 and fig17 fix
-# their own.
+# The benches are the consim_bench() targets of bench/CMakeLists.txt,
+# never a listing of build/bench (a reused build tree keeps the
+# binaries of deleted targets). They run at 20k-cycle windows; fig15
+# and fig17 fix their own.
 bench_dir="$work/benches"
 mkdir "$bench_dir"
 bench_smoke() {
@@ -338,12 +359,15 @@ bench_smoke() {
         echo "bench smoke: $bench wrote no consim.bench.v1 document" >&2
         exit 1; }
 }
-for bench in fig14_scaleout ablation_noc ablation_protocol ext_future_work; do
+mapfile -t benches < <(sed -n 's/^consim_bench(\([a-z0-9_]*\))$/\1/p' \
+    bench/CMakeLists.txt)
+[[ ${#benches[@]} -gt 0 ]] || {
+    echo "bench smoke: bench/CMakeLists.txt declares no bench" >&2; exit 1; }
+for bench in "${benches[@]}"; do
     bench_smoke "$bench" CONSIM_WARMUP=20000 CONSIM_MEASURE=20000
 done
-bench_smoke fig15_isolation
-bench_smoke fig17_dynsched
-echo "bench smoke: six benches ran, one bench.v1 document each"
+echo "bench smoke: ${#benches[@]} benches ran (${benches[*]})," \
+    "one bench.v1 document each"
 
 echo "=== zero-allocation: measure window allocates nothing ==="
 # The pooled/arena hot paths must keep the steady state off the heap:
@@ -353,13 +377,6 @@ echo "=== zero-allocation: measure window allocates nothing ==="
 # exactly zero.
 ./build/tests/test_alloc_steady_state
 echo "zero-allocation: measure window clean"
-
-echo "=== perf_smoke: the PGO training bench runs ==="
-# perf_smoke trains PGO builds and reports the sweep speed-up. Its
-# numbers vary too much between runs to gate on (the same-host A/B
-# below is the perf gate), but it must keep running.
-./build/bench/perf_smoke >/dev/null
-echo "perf_smoke: ran"
 
 echo "=== isolation smoke: protected VM vs bullies, QoS bound ==="
 # A protected SPECjbb VM against three 4-thread bully antagonists on a

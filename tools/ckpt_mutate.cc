@@ -20,6 +20,7 @@
 #include "ckpt_mutation.hh"
 #include "common/json.hh"
 #include "common/parse.hh"
+#include "common/write_file.hh"
 
 using namespace consim;
 
@@ -44,9 +45,7 @@ main(int argc, char **argv)
     const mutation::Mutator mutator(doc, {"context", "machine", "vms"});
     mutation::Edit edit;
     const json::Value out = mutator.mutant(seed, index, edit);
-    std::ofstream os(argv[4]);
-    out.write(os);
-    if (!os) {
+    if (!writeFile(argv[4], out.dump())) {
         std::cerr << "ckpt_mutate: cannot write " << argv[4] << "\n";
         return 1;
     }

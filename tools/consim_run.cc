@@ -101,6 +101,7 @@
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "common/table.hh"
+#include "common/write_file.hh"
 #include "core/experiment.hh"
 #include "core/mix.hh"
 #include "core/report.hh"
@@ -146,14 +147,10 @@ parseCount(const std::string &opt, const std::string &s)
 void
 writeJsonDoc(const std::string &path, const json::Value &doc)
 {
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "error: cannot open JSON output path " << path
-                  << "\n";
+    if (!writeFile(path, doc.dump(2) + "\n")) {
+        std::cerr << "error: cannot write JSON output to " << path << "\n";
         std::exit(1);
     }
-    doc.write(out, 2);
-    out << "\n";
 }
 
 /** Print a tripped checker/watchdog/deadline error and exit 1. */
@@ -185,14 +182,12 @@ failRun(std::uint64_t seed, const std::string &kind,
 {
     std::cerr << "consim_run: seed " << seed << " failed\n";
     if (!ckpt_out.empty() && !ckpt.empty()) {
-        std::ofstream out(ckpt_out);
-        if (out) {
-            out << ckpt << "\n";
+        if (writeFile(ckpt_out, ckpt + "\n"))
             std::cerr << "consim_run: wrote pre-trip checkpoint to "
                       << ckpt_out << " (resume with --resume)\n";
-        } else {
-            std::cerr << "consim_run: cannot open " << ckpt_out << "\n";
-        }
+        else
+            std::cerr << "consim_run: cannot write the pre-trip "
+                      << "checkpoint to " << ckpt_out << "\n";
     }
     reportSimError(kind, msg, diag);
 }
