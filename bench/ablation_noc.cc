@@ -92,5 +92,6 @@ main(int argc, char **argv)
     std::cout << "\n(ideal = fixed-latency, infinite-bandwidth "
                  "network; mesh = 4x4 VC wormhole mesh)\n";
     jrep.write();
+    checkStdout();
     return 0;
 }

@@ -119,5 +119,6 @@ main(int argc, char **argv)
         printGrid(grids[g], &configs[g * kPerGrid],
                   &results[g * kPerGrid], jrep);
     jrep.write();
+    checkStdout();
     return 0;
 }

@@ -136,5 +136,6 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < std::size(per_vm); ++i)
         printPerVm(per_vm[i], results[n + i], jrep);
     jrep.write();
+    checkStdout();
     return 0;
 }

@@ -157,5 +157,6 @@ main(int argc, char **argv)
                  "core rows scale the consolidation load with the "
                  "chip)\n";
     jrep.write();
+    checkStdout();
     return 0;
 }

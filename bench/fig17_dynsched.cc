@@ -232,5 +232,6 @@ main(int argc, char **argv)
         jrep.set("summary", std::move(summary));
     }
     jrep.write();
+    checkStdout();
     return 0;
 }

@@ -41,5 +41,6 @@ main(int argc, char **argv)
         std::cout << fig.text;
         fig.json.write();
     }
+    checkStdout();
     return 0;
 }

@@ -25,10 +25,8 @@
  *              stuck-transaction (MSHR leak) detection.
  *
  *  - CONSIM_CHECK_ACTIVE(level): the guard every checker call site
- *    sits behind. Compiling with -DCONSIM_NO_CHECKS turns the guard
- *    into a literal `false`, so checker code is dead-stripped and the
- *    hot path carries zero cost; otherwise it is a single relaxed
- *    atomic load, paid only at window boundaries, never per cycle.
+ *    sits behind: a single relaxed atomic load, paid only at window
+ *    boundaries, never per cycle.
  */
 
 #ifndef CONSIM_COMMON_CHECK_HH
@@ -135,17 +133,10 @@ enabled(Level min)
 
 } // namespace consim
 
-/**
- * Guard for checker call sites. `CONSIM_CHECK_ACTIVE(Full)` reads the
- * runtime level; building with -DCONSIM_NO_CHECKS compiles every
- * guarded block out entirely.
- */
-#ifdef CONSIM_NO_CHECKS
-#define CONSIM_CHECK_ACTIVE(lvl) (false)
-#else
+/** Guard for checker call sites: `CONSIM_CHECK_ACTIVE(Full)` reads the
+ *  runtime level. */
 #define CONSIM_CHECK_ACTIVE(lvl)                                             \
     (::consim::check::enabled(::consim::check::Level::lvl))
-#endif
 
 /**
  * Report a checker audit failure: always throws SimError (checkers

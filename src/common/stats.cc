@@ -58,35 +58,17 @@ Group::~Group()
 }
 
 void
-Group::addStat(const std::string &stat_name, StatKind kind, void *p)
+Group::add(const std::string &stat_name, Stat s)
 {
-    CONSIM_ASSERT(p != nullptr, "null stat registered in ", name_);
+    CONSIM_ASSERT(std::visit([](const auto *p) { return p != nullptr; }, s),
+                  "null stat registered in ", name_);
     for (const Group *c : children_) {
         CONSIM_ASSERT(c->name_ != stat_name, "stat '", stat_name,
                       "' in ", name_, " collides with a child group");
     }
-    const bool inserted =
-        stats_.emplace(stat_name, StatRef{kind, p}).second;
+    const bool inserted = stats_.emplace(stat_name, s).second;
     CONSIM_ASSERT(inserted, "duplicate stat '", stat_name,
                   "' registered in group ", name_);
-}
-
-void
-Group::add(const std::string &stat_name, Counter *c)
-{
-    addStat(stat_name, StatKind::Counter, c);
-}
-
-void
-Group::add(const std::string &stat_name, Average *a)
-{
-    addStat(stat_name, StatKind::Average, a);
-}
-
-void
-Group::add(const std::string &stat_name, Histogram *h)
-{
-    addStat(stat_name, StatKind::Histogram, h);
 }
 
 void
@@ -123,206 +105,92 @@ Group::fullName() const
 void
 Group::resetAll()
 {
-    for (auto &[k, s] : stats_) {
-        switch (s.kind) {
-          case StatKind::Counter:
-            static_cast<Counter *>(s.ptr)->reset();
-            break;
-          case StatKind::Average:
-            static_cast<Average *>(s.ptr)->reset();
-            break;
-          case StatKind::Histogram:
-            static_cast<Histogram *>(s.ptr)->reset();
-            break;
-        }
-    }
+    for (auto &[k, s] : stats_)
+        std::visit([](auto *p) { p->reset(); }, s);
     for (Group *c : children_)
         c->resetAll();
 }
 
-void
-Group::accept(Visitor &v, const std::string &prefix) const
+namespace
 {
-    for (const auto &[k, s] : stats_) {
-        const std::string path = prefix + "." + k;
-        switch (s.kind) {
-          case StatKind::Counter:
-            v.counter(path, *static_cast<const Counter *>(s.ptr));
-            break;
-          case StatKind::Average:
-            v.average(path, *static_cast<const Average *>(s.ptr));
-            break;
-          case StatKind::Histogram:
-            v.histogram(path, *static_cast<const Histogram *>(s.ptr));
-            break;
-        }
-    }
-    for (const Group *c : children_)
-        c->accept(v, prefix + "." + c->name_);
+
+// The text and JSON forms of each kind of stat.
+
+void
+dumpLines(std::ostream &os, const std::string &path, const Counter &c)
+{
+    os << path << " " << c.value() << "\n";
 }
 
 void
-Group::accept(Visitor &v) const
+dumpLines(std::ostream &os, const std::string &path, const Average &a)
 {
-    accept(v, name_);
+    os << path << ".mean " << a.mean() << "\n";
+    os << path << ".count " << a.count() << "\n";
+}
+
+void
+dumpLines(std::ostream &os, const std::string &path, const Histogram &h)
+{
+    os << path << ".mean " << h.mean() << "\n";
+    os << path << ".max " << h.max() << "\n";
+    os << path << ".count " << h.count() << "\n";
+}
+
+json::Value
+summary(const Counter &c)
+{
+    return c.value();
+}
+
+json::Value
+summary(const Average &a)
+{
+    json::Value v = json::Value::object();
+    v.set("mean", a.mean());
+    v.set("count", a.count());
+    return v;
+}
+
+json::Value
+summary(const Histogram &h)
+{
+    json::Value v = json::Value::object();
+    v.set("mean", h.mean());
+    v.set("max", h.max());
+    v.set("count", h.count());
+    v.set("p50", h.percentile(0.5));
+    v.set("p95", h.percentile(0.95));
+    return v;
+}
+
+} // namespace
+
+void
+Group::dump(std::ostream &os, const std::string &path) const
+{
+    for (const auto &[k, s] : stats_)
+        std::visit([&](const auto *p) { dumpLines(os, path + "." + k, *p); },
+                   s);
+    for (const Group *c : children_)
+        c->dump(os, path + "." + c->name_);
 }
 
 void
 Group::dump(std::ostream &os) const
 {
-    struct Dumper : Visitor
-    {
-        explicit Dumper(std::ostream &out) : os(out) {}
-
-        void
-        counter(const std::string &path, const Counter &c) override
-        {
-            os << path << " " << c.value() << "\n";
-        }
-
-        void
-        average(const std::string &path, const Average &a) override
-        {
-            os << path << ".mean " << a.mean() << "\n";
-            os << path << ".count " << a.count() << "\n";
-        }
-
-        void
-        histogram(const std::string &path, const Histogram &h) override
-        {
-            os << path << ".mean " << h.mean() << "\n";
-            os << path << ".max " << h.max() << "\n";
-            os << path << ".count " << h.count() << "\n";
-        }
-
-        std::ostream &os;
-    } dumper(os);
-    accept(dumper);
+    dump(os, name_);
 }
 
 json::Value
 Group::toJson() const
 {
     json::Value node = json::Value::object();
-    for (const auto &[k, s] : stats_) {
-        switch (s.kind) {
-          case StatKind::Counter:
-            node.set(k, static_cast<const Counter *>(s.ptr)->value());
-            break;
-          case StatKind::Average: {
-            const auto *a = static_cast<const Average *>(s.ptr);
-            json::Value v = json::Value::object();
-            v.set("mean", a->mean());
-            v.set("count", a->count());
-            node.set(k, std::move(v));
-            break;
-          }
-          case StatKind::Histogram: {
-            const auto *h = static_cast<const Histogram *>(s.ptr);
-            json::Value v = json::Value::object();
-            v.set("mean", h->mean());
-            v.set("max", h->max());
-            v.set("count", h->count());
-            v.set("p50", h->percentile(0.5));
-            v.set("p95", h->percentile(0.95));
-            node.set(k, std::move(v));
-            break;
-          }
-        }
-    }
+    for (const auto &[k, s] : stats_)
+        node.set(k, std::visit([](const auto *p) { return summary(*p); }, s));
     for (const Group *c : children_)
         node.set(c->name_, c->toJson());
     return node;
-}
-
-json::Value
-Group::saveState() const
-{
-    json::Value node = json::Value::object();
-    json::Value sv = json::Value::object();
-    for (const auto &[k, s] : stats_) {
-        switch (s.kind) {
-          case StatKind::Counter:
-            sv.set(k, static_cast<const Counter *>(s.ptr)->value());
-            break;
-          case StatKind::Average: {
-            const auto *a = static_cast<const Average *>(s.ptr);
-            json::Value v = json::Value::object();
-            v.set("sum", a->sum());
-            v.set("count", a->count());
-            sv.set(k, std::move(v));
-            break;
-          }
-          case StatKind::Histogram: {
-            const auto *h = static_cast<const Histogram *>(s.ptr);
-            json::Value v = json::Value::object();
-            json::Value b = json::Value::array();
-            for (std::size_t i = 0; i < h->numBuckets(); ++i)
-                b.push(h->bucket(i));
-            v.set("buckets", std::move(b));
-            v.set("sum", h->rawSum());
-            v.set("count", h->count());
-            v.set("max", h->max());
-            sv.set(k, std::move(v));
-            break;
-          }
-        }
-    }
-    node.set("stats", std::move(sv));
-    json::Value cv = json::Value::object();
-    for (const Group *c : children_)
-        cv.set(c->name_, c->saveState());
-    node.set("children", std::move(cv));
-    return node;
-}
-
-void
-Group::restoreState(const json::Value &v)
-{
-    const json::Value *sv = v.find("stats");
-    CONSIM_ASSERT(sv != nullptr, "stat state missing for ", name_);
-    for (auto &[k, s] : stats_) {
-        const json::Value *e = sv->find(k);
-        CONSIM_ASSERT(e != nullptr, "stat '", k, "' missing in saved "
-                      "state for group ", name_);
-        switch (s.kind) {
-          case StatKind::Counter:
-            static_cast<Counter *>(s.ptr)->restore(e->asUint());
-            break;
-          case StatKind::Average: {
-            const json::Value *sum = e->find("sum");
-            const json::Value *count = e->find("count");
-            CONSIM_ASSERT(sum && count, "bad average state for ", k);
-            static_cast<Average *>(s.ptr)->restore(sum->number(),
-                                                   count->asUint());
-            break;
-          }
-          case StatKind::Histogram: {
-            const json::Value *b = e->find("buckets");
-            const json::Value *sum = e->find("sum");
-            const json::Value *count = e->find("count");
-            const json::Value *max = e->find("max");
-            CONSIM_ASSERT(b && sum && count && max,
-                          "bad histogram state for ", k);
-            std::vector<std::uint64_t> buckets;
-            buckets.reserve(b->size());
-            for (const auto &item : b->items())
-                buckets.push_back(item.asUint());
-            static_cast<Histogram *>(s.ptr)->restore(
-                buckets, sum->asUint(), count->asUint(),
-                max->asUint());
-            break;
-          }
-        }
-    }
-    const json::Value *cv = v.find("children");
-    CONSIM_ASSERT(cv != nullptr, "child state missing for ", name_);
-    for (Group *c : children_) {
-        const json::Value *e = cv->find(c->name_);
-        CONSIM_ASSERT(e != nullptr, "group '", c->name_,
-                      "' missing in saved state under ", name_);
-        c->restoreState(*e);
-    }
 }
 
 const Group *
@@ -348,8 +216,9 @@ Group::findGroup(std::string_view path) const
     return g;
 }
 
-const Group::StatRef *
-Group::findStat(std::string_view path, StatKind kind) const
+template <typename T>
+const T *
+Group::findStat(std::string_view path) const
 {
     const Group *g = this;
     std::string_view leaf = path;
@@ -361,30 +230,28 @@ Group::findStat(std::string_view path, StatKind kind) const
     if (!g)
         return nullptr;
     const auto it = g->stats_.find(leaf);
-    if (it == g->stats_.end() || it->second.kind != kind)
+    if (it == g->stats_.end())
         return nullptr;
-    return &it->second;
+    T *const *p = std::get_if<T *>(&it->second);
+    return p ? *p : nullptr;
 }
 
 const Counter *
 Group::findCounter(std::string_view path) const
 {
-    const StatRef *s = findStat(path, StatKind::Counter);
-    return s ? static_cast<const Counter *>(s->ptr) : nullptr;
+    return findStat<Counter>(path);
 }
 
 const Average *
 Group::findAverage(std::string_view path) const
 {
-    const StatRef *s = findStat(path, StatKind::Average);
-    return s ? static_cast<const Average *>(s->ptr) : nullptr;
+    return findStat<Average>(path);
 }
 
 const Histogram *
 Group::findHistogram(std::string_view path) const
 {
-    const StatRef *s = findStat(path, StatKind::Histogram);
-    return s ? static_cast<const Histogram *>(s->ptr) : nullptr;
+    return findStat<Histogram>(path);
 }
 
 } // namespace stats

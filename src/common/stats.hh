@@ -8,19 +8,23 @@
  * Groups nest: every component embeds a Group, the System roots them
  * all under "sys", and a stat's full name is the dot-joined path of
  * its ancestors (e.g. "sys.tile03.l1.misses"). The whole tree
- * supports bulk reset, typed visitation, text dumps, JSON export
- * (common/json.hh), and typed path lookup — RunResult extraction
- * reads the registry rather than reaching into component structs.
+ * supports bulk reset, text dumps, JSON export (common/json.hh), and
+ * typed path lookup — RunResult extraction reads the registry rather
+ * than reaching into component structs. A snapshot saves and restores
+ * the raw state of every stat through the checkpoint layer's field
+ * list (core/checkpoint.cc), the one friend of these classes.
  */
 
 #ifndef CONSIM_COMMON_STATS_HH
 #define CONSIM_COMMON_STATS_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "common/json.hh"
@@ -28,6 +32,8 @@
 
 namespace consim
 {
+
+struct CkptAccess;
 
 namespace stats
 {
@@ -45,10 +51,9 @@ class Counter
     std::uint64_t value() const { return value_; }
     void reset() { value_ = 0; }
 
-    /** Restore a checkpointed value. */
-    void restore(std::uint64_t v) { value_ = v; }
-
   private:
+    friend struct consim::CkptAccess;
+
     std::uint64_t value_ = 0;
 };
 
@@ -65,7 +70,6 @@ class Average
         ++count_;
     }
 
-    double sum() const { return sum_; }
     std::uint64_t count() const { return count_; }
 
     /** @return mean of all samples, or 0 when empty. */
@@ -82,15 +86,9 @@ class Average
         count_ = 0;
     }
 
-    /** Restore checkpointed raw state. */
-    void
-    restore(double sum, std::uint64_t count)
-    {
-        sum_ = sum;
-        count_ = count;
-    }
-
   private:
+    friend struct consim::CkptAccess;
+
     double sum_ = 0.0;
     std::uint64_t count_ = 0;
 };
@@ -127,7 +125,6 @@ class Histogram
 
     std::uint64_t count() const { return count_; }
     std::uint64_t max() const { return max_; }
-    std::uint64_t rawSum() const { return sum_; }
     double mean() const
     {
         return count_ ? static_cast<double>(sum_) / count_ : 0.0;
@@ -135,8 +132,6 @@ class Histogram
 
     /** @return sample count in bucket i (last bucket = overflow). */
     std::uint64_t bucket(std::size_t i) const { return buckets_.at(i); }
-    std::size_t numBuckets() const { return buckets_.size(); }
-    std::uint64_t bucketWidth() const { return width_; }
 
     /**
      * @return value below which the given fraction of samples fall,
@@ -154,21 +149,10 @@ class Histogram
         max_ = 0;
     }
 
-    /** Restore checkpointed raw state; bucket count must match the
-     *  constructed shape (shape is config, not state). */
-    void
-    restore(const std::vector<std::uint64_t> &buckets,
-            std::uint64_t sum, std::uint64_t count, std::uint64_t max)
-    {
-        CONSIM_ASSERT(buckets.size() == buckets_.size(),
-                      "histogram shape mismatch on restore");
-        buckets_ = buckets;
-        sum_ = sum;
-        count_ = count;
-        max_ = max;
-    }
-
   private:
+    /** A snapshot holds the raw state; the shape is config. */
+    friend struct consim::CkptAccess;
+
     std::uint64_t width_;
     std::vector<std::uint64_t> buckets_;
     std::uint64_t sum_ = 0;
@@ -198,10 +182,11 @@ class Group
     Group(const Group &) = delete;
     Group &operator=(const Group &) = delete;
 
+    /** A registered stat, typed by its kind. */
+    using Stat = std::variant<Counter *, Average *, Histogram *>;
+
     /** Register a stat; duplicate names in one Group are a bug. */
-    void add(const std::string &stat_name, Counter *c);
-    void add(const std::string &stat_name, Average *a);
-    void add(const std::string &stat_name, Histogram *h);
+    void add(const std::string &stat_name, Stat s);
 
     /**
      * Attach @p child under this Group. A child already attached
@@ -221,21 +206,12 @@ class Group
     /** Reset every stat in this subtree. */
     void resetAll();
 
-    /** Typed visitation over a subtree (preorder). */
-    struct Visitor
-    {
-        virtual ~Visitor() = default;
-        /** The path is the full dotted name from the accept() root. */
-        virtual void counter(const std::string &, const Counter &) {}
-        virtual void average(const std::string &, const Average &) {}
-        virtual void histogram(const std::string &, const Histogram &)
-        {}
-    };
-
-    /** Visit every stat in this subtree with its full dotted name. */
-    void accept(Visitor &v) const;
-
-    /** Write "full.dotted.name value" lines for the whole subtree. */
+    /**
+     * Write "full.dotted.name value" lines for the whole subtree
+     * (preorder, names from this Group's own): a counter's value, an
+     * average's .mean and .count, a histogram's .mean, .max and
+     * .count.
+     */
     void dump(std::ostream &os) const;
 
     /**
@@ -245,16 +221,6 @@ class Group
      */
     json::Value toJson() const;
 
-    /**
-     * Lossless raw dump of every stat in the subtree (toJson() is a
-     * summary — means and percentiles — and cannot be restored from).
-     * Used by the checkpoint layer; restoreState() walks the same
-     * tree and requires identical structure (same registration order,
-     * i.e. the same machine configuration).
-     */
-    json::Value saveState() const;
-    void restoreState(const json::Value &v);
-
     // --- typed path lookup (paths relative to this Group, i.e.
     //     excluding its own name: root.findCounter("tile03.l1.misses")) ---
     const Group *findGroup(std::string_view path) const;
@@ -263,27 +229,18 @@ class Group
     const Histogram *findHistogram(std::string_view path) const;
 
   private:
-    enum class StatKind
-    {
-        Counter,
-        Average,
-        Histogram,
-    };
+    /** Stats are kept in name order and children in registration
+     *  order; a snapshot's text follows both. */
+    friend struct consim::CkptAccess;
 
-    struct StatRef
-    {
-        StatKind kind;
-        void *ptr;
-    };
-
-    void addStat(const std::string &stat_name, StatKind kind, void *p);
-    const StatRef *findStat(std::string_view path, StatKind kind) const;
-    void accept(Visitor &v, const std::string &prefix) const;
+    void dump(std::ostream &os, const std::string &path) const;
+    template <typename T>
+    const T *findStat(std::string_view path) const;
 
     std::string name_;
     Group *parent_ = nullptr;
     std::vector<Group *> children_;
-    std::map<std::string, StatRef, std::less<>> stats_;
+    std::map<std::string, Stat, std::less<>> stats_;
 };
 
 } // namespace stats

@@ -20,9 +20,11 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "cache/cache_array.hh"
@@ -31,6 +33,7 @@
 #include "coherence/l2_bank.hh"
 #include "coherence/memory_controller.hh"
 #include "common/check.hh"
+#include "common/stats.hh"
 #include "core/system.hh"
 #include "core/vm.hh"
 #include "noc/mesh.hh"
@@ -135,6 +138,17 @@ Load::integer(const char *name, const json::Value &f, Dom d) const
     if (big ? d.lo < 0 || d.hi != unbounded : x < d.lo || x > d.hi)
         refuse(name, f.dump(), " outside ", d.lo, "..", d.hi);
     return u;
+}
+
+double
+Load::real(const char *name, const json::Value &f) const
+{
+    if (!f.isNumber())
+        refuse(name, "is not a number");
+    const double x = f.number();
+    if (!std::isfinite(x) || x < 0)
+        refuse(name, f.dump(), " is not a finite number from 0");
+    return x;
 }
 
 CoreSet
@@ -1197,6 +1211,76 @@ struct CkptAccess
         }
     }
 
+    // --- statistics registry: per Group, its stats by name and its
+    // children in registration order ---
+
+    template <typename Io>
+    static void
+    statField(Io &io, const char *name, stats::Counter &c)
+    {
+        io(name, c.value_);
+    }
+
+    /** An empty average has a sum of 0. */
+    template <typename Io>
+    static void
+    statField(Io &io, const char *name, stats::Average &a)
+    {
+        io.record(name, a, [](auto &io, stats::Average &a) {
+            io("sum", a.sum_);
+            io("count", a.count_);
+            if constexpr (Io::loading)
+                if (a.count_ == 0 && a.sum_ != 0)
+                    io.refuse("sum", a.sum_, " with a count of 0");
+        }, true);
+    }
+
+    /** The bucket list has the constructed length, the count is the
+     *  sum of the buckets, and an empty histogram has a sum and max of
+     *  0. */
+    template <typename Io>
+    static void
+    statField(Io &io, const char *name, stats::Histogram &h)
+    {
+        io.record(name, h, [](auto &io, stats::Histogram &h) {
+            io.each("buckets", h.buckets_, values);
+            io("sum", h.sum_);
+            io("count", h.count_);
+            io("max", h.max_);
+            if constexpr (Io::loading) {
+                std::uint64_t total = 0;
+                bool wraps = false;
+                for (const std::uint64_t b : h.buckets_) {
+                    wraps |= b > ~total; // total + b passes 2^64 - 1
+                    total += b;
+                }
+                if (wraps || total != h.count_)
+                    io.refuse("count", h.count_,
+                              " is not the sum of the buckets");
+                if (h.count_ == 0 && (h.sum_ != 0 || h.max_ != 0))
+                    io.refuse(nullptr, "is empty with sum ", h.sum_,
+                              " and max ", h.max_);
+            }
+        }, true);
+    }
+
+    template <typename Io, typename G>
+    static void
+    statsGroup(Io &io, G &g)
+    {
+        io.record("stats", g, [](auto &io, G &g) {
+            for (auto &e : g.stats_)
+                std::visit([&](auto *p) { statField(io, e.first.c_str(), *p); },
+                           e.second);
+        }, true);
+        io.record("children", g, [](auto &io, G &g) {
+            for (stats::Group *c : g.children_)
+                io.record(c->name_.c_str(), *c, [](auto &io, auto &c) {
+                    statsGroup(io, c);
+                }, true);
+        }, true);
+    }
+
     // --- whole machine ---
 
     template <typename Io, typename S>
@@ -1256,13 +1340,9 @@ struct CkptAccess
                       [&](auto &io, auto &d) { dynSched(io, d, sh); }, true,
                       "checkpoint: bad dyn-sched record");
         }
-        // The statistics registry keeps its own codec.
-        json::Value stats;
-        if constexpr (!Io::loading)
-            stats = s.statsRoot_.saveState();
-        io("stats", stats);
-        if constexpr (Io::loading)
-            s.statsRoot_.restoreState(stats);
+        io.record("stats", s.statsRoot_,
+                  [](auto &io, auto &g) { statsGroup(io, g); }, true,
+                  "checkpoint: bad stats record");
     }
 
     template <typename Io, typename S>

@@ -184,7 +184,10 @@ class Save
  * Reads a field list back. A refusal (a failed CONSIM_ASSERT) reads
  * "<refusal> (<path> <problem>)": a missing field, another JSON kind,
  * a value outside its domain or an array of another length. Nested
- * records inherit the refusal unless they name their own.
+ * records inherit the refusal unless they name their own. A
+ * floating-point field takes any JSON number kind (the writer prints
+ * an integral double as an integer literal) and must be finite and
+ * not below 0; it has no other domain.
  */
 class Load
 {
@@ -211,6 +214,8 @@ class Load
             x = of(name, f, json::Value::Kind::String, "a string").str();
         } else if constexpr (std::is_same_v<T, CoreSet>) {
             x = wordSet(name, f, d);
+        } else if constexpr (std::is_floating_point_v<T>) {
+            x = static_cast<T>(real(name, f));
         } else {
             const Dom w = whole<T>();
             const std::uint64_t bits = integer(
@@ -289,6 +294,7 @@ class Load
                           json::Value::Kind k, const char *what) const;
     std::uint64_t integer(const char *name, const json::Value &f,
                           Dom d) const;
+    double real(const char *name, const json::Value &f) const;
     CoreSet wordSet(const char *name, const json::Value &f, Dom d) const;
 
     const json::Value &v_;

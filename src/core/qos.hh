@@ -24,7 +24,7 @@
  * VM stops missing), so the partition adapts to observed pressure.
  * QosController is that enforcement state for one System.
  *
- * Spec grammar (CLI `--qos` / env `CONSIM_QOS` / checkpoint context):
+ * Spec grammar (CLI `--qos` / checkpoint context):
  *   off
  *   static:vm=V,ways=W[,vcs=N][,tokens=T][,refill=R]
  *   dynamic:vm=V,ways=W[,vcs=N][,tokens=T][,refill=R][,epoch=E]

@@ -239,12 +239,6 @@ runResultJson(const RunConfig &cfg, const RunResult &r)
     return v;
 }
 
-void
-dumpStats(std::ostream &os, const stats::Group &root)
-{
-    root.dump(os);
-}
-
 namespace
 {
 
@@ -344,6 +338,15 @@ printHeader(std::ostream &os, const std::string &title,
     if (!expectation.empty())
         os << "paper shape: " << expectation << "\n";
     os << "\n";
+}
+
+void
+checkStdout()
+{
+    if (!std::cout.flush()) {
+        std::cerr << "error: cannot write standard output\n";
+        std::exit(1);
+    }
 }
 
 } // namespace consim

@@ -2,9 +2,9 @@
  * @file
  * Reporting helpers for the benchmark harness: the bench seed set,
  * the benches' one sweep with its one failure exit, section headers,
- * strict bench argv, and the shared JSON result format
- * (schema-versioned, config echo + registry-derived metrics) that
- * every bench and consim_run emit behind --json.
+ * the standard-output check, strict bench argv, and the shared JSON
+ * result format (schema-versioned, config echo + registry-derived
+ * metrics) that every bench and consim_run emit behind --json.
  */
 
 #ifndef CONSIM_CORE_REPORT_HH
@@ -47,6 +47,13 @@ void printHeader(std::ostream &os, const std::string &title,
                  const std::string &paper_ref,
                  const std::string &expectation);
 
+/**
+ * Flush standard output and exit 1, naming it, when any of its text
+ * was lost (a full disk, a failing device). Front ends that print
+ * their result call it before a successful exit.
+ */
+void checkStdout();
+
 // --- structured (JSON) results ------------------------------------
 //
 // One shared format for every front end. Schemas:
@@ -69,9 +76,6 @@ json::Value toJson(const RunResult &r);
 
 /** Schema-versioned envelope for one run: config echo + result. */
 json::Value runResultJson(const RunConfig &cfg, const RunResult &r);
-
-/** Dump a stats subtree as "full.dotted.name value" text lines. */
-void dumpStats(std::ostream &os, const stats::Group &root);
 
 /**
  * Strict bench argv: at most one `--json <value>`, and every other

@@ -90,8 +90,7 @@ const char *toString(DynSchedPolicy p);
 /**
  * Dynamic-scheduling knobs for one simulation point.
  *
- * Spec grammar (CLI `--dyn-sched` / env `CONSIM_DYN_SCHED` /
- * checkpoint context):
+ * Spec grammar (CLI `--dyn-sched` / checkpoint context):
  *   off
  *   load-balance[,epoch=E]
  *   affinity-repair[,epoch=E]

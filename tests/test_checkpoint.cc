@@ -5,7 +5,8 @@
  * migration-boundary corner), FNV-1a pins of the snapshot text,
  * refusals of corrupt records by name (events, directory entries,
  * cache lines, the machine context, routers and NIs, messages, bank
- * transactions, cores, the dyn-sched feedback loop) and by the restore
+ * transactions, cores, the dyn-sched feedback loop, the statistics
+ * registry) and by the restore
  * audit, a fixed-seed slice of one-leaf mutants, watchdog-trip
  * checkpoints under fault injection, the strict env parsing of
  * RunConfig::fromEnv, and a run that reads no env at all. (A sweep
@@ -1041,6 +1042,102 @@ TEST(CheckpointRestoreDeathTest, BadCoreRecordsRefused)
                  "bad core record .*vm 9 outside");
     EXPECT_DEATH(resumeUnit("mcs", "outstanding", -5),
                  "bad MC record .*outstanding -5 outside");
+}
+
+namespace
+{
+
+/** @return the stats of registry group @p path ({"vm00"}, {"tile00",
+ *  "l1"}) in snapshot @p doc, to edit in place. */
+json::Value &
+statsOf(json::Value &doc, const std::vector<const char *> &path)
+{
+    json::Value *g = doc.find("machine")->find("stats");
+    for (const char *name : path)
+        g = g->find("children")->find(name);
+    return *g->find("stats");
+}
+
+} // namespace
+
+TEST(CheckpointRestoreDeathTest, BadStatsRecordsRefused)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    // The statistics registry's record: a counter, an average and a
+    // histogram of another form are each refused by path. Unchecked, a
+    // counter of "x" or -5, a count of 1.5, a sum of "x" and a
+    // histogram count of 10^12 each resumed and exited 0.
+    json::Value doc;
+    ASSERT_TRUE(json::parse(tripSnapshot(wedgedConfig(false)), doc));
+    const auto resumeEdited =
+        [&](const std::vector<const char *> &group,
+            const std::function<void(json::Value &)> &edit) {
+            json::Value out = doc;
+            edit(statsOf(out, group));
+            resumeExperiment(out);
+        };
+    const std::string vm =
+        "bad stats record \\(machine\\.stats\\.children\\.vm00\\.stats\\.";
+    EXPECT_DEATH(resumeEdited({"vm00"},
+                              [](json::Value &s) { s.set("l2_misses", "x"); }),
+                 vm + "l2_misses is not an integer");
+    EXPECT_DEATH(resumeEdited({"vm00"},
+                              [](json::Value &s) { s.set("l2_misses", -5); }),
+                 vm + "l2_misses -5 outside 0\\.\\.");
+    EXPECT_DEATH(resumeEdited({"vm00"},
+                              [](json::Value &s) { s.set("transactions", 1.5); }),
+                 vm + "transactions is not an integer");
+    EXPECT_DEATH(resumeEdited({"vm00"},
+                              [](json::Value &s) {
+                                  s.find("miss_latency")->set("sum", "x");
+                              }),
+                 vm + "miss_latency\\.sum is not a number");
+    EXPECT_DEATH(resumeEdited({"vm00"},
+                              [](json::Value &s) {
+                                  s.find("miss_latency")->set("sum", -0.5);
+                              }),
+                 vm + "miss_latency\\.sum -0\\.5 is not a finite number");
+    EXPECT_DEATH(resumeEdited({"vm00"},
+                              [](json::Value &s) {
+                                  json::Value &a = *s.find("miss_latency");
+                                  a.set("sum", 7);
+                                  a.set("count", 0);
+                              }),
+                 vm + "miss_latency\\.sum 7 with a count of 0");
+    const std::string l1 = "bad stats record \\(machine\\.stats\\.children\\."
+                           "tile00\\.children\\.l1\\.stats\\.miss_latency";
+    EXPECT_DEATH(resumeEdited({"tile00", "l1"},
+                              [](json::Value &s) {
+                                  s.find("miss_latency")
+                                      ->set("count",
+                                            std::uint64_t(1'000'000'000'000));
+                              }),
+                 l1 + "\\.count 1000000000000 is not the sum of the buckets");
+    // A bucket list one entry short.
+    EXPECT_DEATH(resumeEdited({"tile00", "l1"},
+                              [](json::Value &s) {
+                                  json::Value &h = *s.find("miss_latency");
+                                  const json::Value &b = *h.find("buckets");
+                                  json::Value cut = json::Value::array();
+                                  for (std::size_t j = 0; j + 1 < b.size(); ++j)
+                                      cut.push(b.at(j));
+                                  h.set("buckets", cut);
+                              }),
+                 l1 + "\\.buckets has 100 entries, want 101");
+    // An empty histogram with a max.
+    EXPECT_DEATH(resumeEdited({"tile00", "l1"},
+                              [](json::Value &s) {
+                                  json::Value &h = *s.find("miss_latency");
+                                  json::Value zeros = json::Value::array();
+                                  for (std::size_t j = 0;
+                                       j < h.find("buckets")->size(); ++j)
+                                      zeros.push(0);
+                                  h.set("buckets", zeros);
+                                  h.set("sum", 0);
+                                  h.set("count", 0);
+                                  h.set("max", 7);
+                              }),
+                 l1 + " is empty with sum 0 and max 7");
 }
 
 TEST(CheckpointRestoreDeathTest, PendingMissNoOneServesRefused)

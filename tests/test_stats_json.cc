@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the hierarchical statistics registry (nested naming,
- * recursive reset, typed lookup, duplicate detection), the Histogram
- * percentile edge cases, the JSON writer/parser, and the
- * registry-derived RunResult JSON round trip.
+ * Tests for the hierarchical statistics registry (nested naming, the
+ * text and JSON forms of each kind of stat, recursive reset, typed
+ * lookup, duplicate detection), the Histogram percentile edge cases,
+ * the JSON writer/parser, and the registry-derived RunResult JSON
+ * round trip.
  */
 
 #include <gtest/gtest.h>
@@ -42,6 +43,51 @@ TEST(StatsGroup, NestedNamingDotJoinsAncestors)
     root.dump(os);
     EXPECT_NE(os.str().find("sys.tile03.l1.misses 1"),
               std::string::npos);
+}
+
+TEST(StatsGroup, DumpAndJsonFormsOfEveryKind)
+{
+    // Stats in name order, then children in registration order. The
+    // text prints doubles at stream precision, the JSON at shortest
+    // round trip.
+    stats::Group root("sys");
+    stats::Group net("net", &root);
+    stats::Counter top, packets;
+    stats::Average latency, idle;
+    stats::Histogram dist(10, 4); // overflow at >= 40
+    root.add("top", &top);
+    net.add("packets", &packets);
+    net.add("latency", &latency);
+    net.add("idle", &idle);
+    net.add("dist", &dist);
+    top += 4;
+    packets += 3;
+    latency.sample(4.0);
+    latency.sample(7.0);
+    for (const std::uint64_t v : {3, 12, 18, 27, 55, 90})
+        dist.sample(v);
+
+    std::ostringstream os;
+    root.dump(os);
+    EXPECT_EQ(os.str(), "sys.top 4\n"
+                        "sys.net.dist.mean 34.1667\n"
+                        "sys.net.dist.max 90\n"
+                        "sys.net.dist.count 6\n"
+                        "sys.net.idle.mean 0\n"
+                        "sys.net.idle.count 0\n"
+                        "sys.net.latency.mean 5.5\n"
+                        "sys.net.latency.count 2\n"
+                        "sys.net.packets 3\n");
+    // Buckets 1, 2, 1, 0 and 2 overflowed: half the samples lie below
+    // 20, and the 95th percentile is in the overflow bucket, which
+    // reports the max.
+    EXPECT_EQ(root.toJson().dump(),
+              "{\"top\":4,\"net\":{"
+              "\"dist\":{\"mean\":34.166666666666664,\"max\":90,"
+              "\"count\":6,\"p50\":20,\"p95\":90},"
+              "\"idle\":{\"mean\":0,\"count\":0},"
+              "\"latency\":{\"mean\":5.5,\"count\":2},"
+              "\"packets\":3}}");
 }
 
 TEST(StatsGroup, TypedLookupByDottedPath)

@@ -50,14 +50,13 @@
  *     --qos SPEC               per-VM QoS / isolation, e.g.
  *                              "static:vm=0,ways=4,vcs=1,tokens=8" or
  *                              "dynamic:vm=0,ways=4,epoch=100000"
- *                              (also via the CONSIM_QOS env var)
  *     --dyn-sched SPEC         online thread-migration policy, e.g.
  *                              "load-balance,epoch=100000",
  *                              "affinity-repair",
  *                              "contention-aware,epoch=50000" or
  *                              "random,epoch=25000" (swap a random
  *                              pair of threads every epoch; paper
- *                              SSVII) (also via CONSIM_DYN_SCHED)
+ *                              SSVII)
  *     --ckpt-every N           keep periodic consim.ckpt.v5 snapshots
  *                              every N cycles (0 disables; default
  *                              off, or CONSIM_CKPT)
@@ -77,7 +76,8 @@
  *                              (also via the CONSIM_JSON env var)
  *
  * A tripped checker / watchdog / deadline exits 1 after printing the
- * structured consim.diag.v1 dump to stderr.
+ * structured consim.diag.v1 dump to stderr. A report that standard
+ * output loses (a full disk, a failing device) exits 1 too.
  *
  * Examples:
  *   consim_run --mix "Mix 7" --policy rr
@@ -342,19 +342,6 @@ main(int argc, char **argv)
     std::string run_flag; // first flag that --resume would ignore
     if (const char *env = std::getenv("CONSIM_JSON"))
         json_path = env;
-    if (const char *env = std::getenv("CONSIM_QOS")) {
-        // Env fallback resolved before the flags, so an explicit
-        // --qos wins. Malformed specs are fatal, never silently off.
-        std::string err;
-        if (!QosConfig::parse(env, cfg.qos, &err))
-            usage(("bad CONSIM_QOS spec: " + err).c_str());
-    }
-    if (const char *env = std::getenv("CONSIM_DYN_SCHED")) {
-        // Same contract as CONSIM_QOS: flags win, junk is fatal.
-        std::string err;
-        if (!DynSchedConfig::parse(env, cfg.dynSched, &err))
-            usage(("bad CONSIM_DYN_SCHED spec: " + err).c_str());
-    }
 
     auto next_arg = [&](int &i) -> std::string {
         if (i + 1 >= argc)
@@ -495,6 +482,7 @@ main(int argc, char **argv)
             failRun(rcfg.seed, toString(e.kind()), e.what(), e.diag(),
                     e.ckpt(), ckpt_out);
         }
+        checkStdout();
         return 0;
     }
 
@@ -563,5 +551,6 @@ main(int argc, char **argv)
     printRunResult(cfg, r, csv, num_seeds, nullptr);
     if (dump)
         std::cout << "\n# component statistics\n" << stats_text.str();
+    checkStdout();
     return 0;
 }
