@@ -104,5 +104,6 @@ main(int argc, char **argv)
     std::cout << "\n(slowdown vs " << toString(protectee)
               << " alone with the 16MB fully-shared L2; smaller "
                  "partitions isolate, larger ones pool capacity)\n";
+    checkStdout();
     return 0;
 }

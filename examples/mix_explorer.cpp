@@ -20,6 +20,7 @@
 #include "common/table.hh"
 #include "core/experiment.hh"
 #include "core/mix.hh"
+#include "core/report.hh"
 
 namespace
 {
@@ -127,5 +128,6 @@ main(int argc, char **argv)
         occ.addRow(std::move(row));
     }
     occ.print(std::cout);
+    checkStdout();
     return 0;
 }

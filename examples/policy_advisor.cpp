@@ -100,5 +100,6 @@ main(int argc, char **argv)
               << ")\n";
     std::cout << "\n(slowdown = cycles/txn vs the VM alone with the "
                  "16MB fully-shared L2)\n";
+    checkStdout();
     return 0;
 }

@@ -14,6 +14,7 @@
 #include "common/table.hh"
 #include "core/experiment.hh"
 #include "core/mix.hh"
+#include "core/report.hh"
 
 int
 main()
@@ -48,5 +49,6 @@ main()
     std::cout << "\nAffinity packs each workload into one quadrant "
                  "(sharing, low replication);\nround-robin spreads "
                  "threads chip-wide (capacity, more replication).\n";
+    checkStdout();
     return 0;
 }

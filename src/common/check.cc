@@ -69,6 +69,27 @@ parseLevel(const std::string &s, Level &out)
     return false;
 }
 
+namespace
+{
+
+thread_local int refusalsThrowDepth = 0;
+thread_local int inputDepth = 0;
+
+/** @return true when a check failing now on this thread is a refusal
+ *  its front end reports: both scopes are open. */
+bool
+refusalThrows()
+{
+    return refusalsThrowDepth > 0 && inputDepth > 0;
+}
+
+} // namespace
+
+RefusalsThrow::RefusalsThrow() { ++refusalsThrowDepth; }
+RefusalsThrow::~RefusalsThrow() { --refusalsThrowDepth; }
+InputScope::InputScope() { ++inputDepth; }
+InputScope::~InputScope() { --inputDepth; }
+
 const char *
 toString(Level l)
 {
@@ -91,7 +112,7 @@ namespace logging
 void
 invariantFailImpl(const char *file, int line, const std::string &msg)
 {
-    if (check::enabled(check::Level::Basic)) {
+    if (check::enabled(check::Level::Basic) || check::refusalThrows()) {
         throw SimError(SimErrorKind::Invariant,
                        format("assertion failed: ", msg, " at ", file,
                               ":", line));

@@ -129,6 +129,35 @@ enabled(Level min)
     return level() >= min;
 }
 
+/**
+ * Refusals of outside input. A snapshot that restore refuses is bad
+ * input, not a simulator bug, so a front end that reports bad input
+ * opens a RefusalsThrow on its thread (consim_run --resume exits 1).
+ * While one is open, a check that fails inside an InputScope, which
+ * the snapshot readers open, throws SimError at every level. Any
+ * other failed check acts as the level says, so a resumed run's own
+ * checks, and a library caller that opened no RefusalsThrow, still
+ * abort at off.
+ */
+class RefusalsThrow
+{
+  public:
+    RefusalsThrow();
+    ~RefusalsThrow();
+    RefusalsThrow(const RefusalsThrow &) = delete;
+    RefusalsThrow &operator=(const RefusalsThrow &) = delete;
+};
+
+/** The reading of outside input on this thread (see RefusalsThrow). */
+class InputScope
+{
+  public:
+    InputScope();
+    ~InputScope();
+    InputScope(const InputScope &) = delete;
+    InputScope &operator=(const InputScope &) = delete;
+};
+
 } // namespace check
 
 } // namespace consim

@@ -27,8 +27,9 @@ namespace logging
 /**
  * Invariant-violation sink for CONSIM_ASSERT: throws a recoverable
  * SimError when the runtime check level is basic or above (so sweep
- * workers can contain the failure), panics otherwise. Implemented in
- * common/check.cc.
+ * workers can contain the failure) or when the failure refuses
+ * outside input its front end reports (check::RefusalsThrow), panics
+ * otherwise. Implemented in common/check.cc.
  */
 [[noreturn]] void invariantFailImpl(const char *file, int line,
                                     const std::string &msg);

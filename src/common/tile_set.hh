@@ -1,10 +1,10 @@
 /**
  * @file
  * Fixed sets of tiles walked in ascending tile order, and a calendar
- * of them indexed by cycle. The mesh keeps its routers with buffered
- * packets and its NIs with queued messages in sets, and its routers
- * with an output finishing in a calendar; System keeps the cores
- * that can act in one.
+ * of them indexed by cycle. The mesh keeps its NIs with queued
+ * messages in a set, and its routers with an output finishing and
+ * its routers whose allocation pass is due in calendars; System
+ * keeps the cores that can act in one.
  */
 
 #ifndef CONSIM_COMMON_TILE_SET_HH

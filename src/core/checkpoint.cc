@@ -269,6 +269,7 @@ constexpr const char *badLine = "checkpoint: bad cache line record";
 void
 checkCkptSchema(const json::Value &doc)
 {
+    const check::InputScope input;
     const json::Value *schema = doc.find("schema");
     CONSIM_ASSERT(schema != nullptr &&
                       schema->str() == "consim.ckpt.v5",
@@ -917,10 +918,13 @@ struct CkptAccess
     /**
      * A router at snapshot cycle now, the mesh having last ticked
      * now - 1: each VC's credits and FIFO queue, and each busy output's
-     * flits still to send, remaining = done - now + 1. Restore derives
-     * the wake cycle, activity sets, finishing ring and occupancy mask;
-     * net() checks credit conservation and the pool census once every
-     * record is in.
+     * flits still to send, remaining = done - now + 1. A VC head's and
+     * an output's packet record is its Hop's ready cycle, port and
+     * length with its pool message; a packet queued behind a head is
+     * its pool slot. Restore rebuilds the Hops from the records and
+     * derives the wake calendar, activity sets, finishing ring and
+     * occupancy mask; net() checks credit conservation and the pool
+     * census once every record is in.
      */
     template <typename Io, typename R>
     static void
@@ -929,19 +933,27 @@ struct CkptAccess
         const int vcs = NumPorts * r.totalVcs_;
         std::vector<Vc> ins(static_cast<std::size_t>(vcs));
         std::array<Out, NumPorts> outs{};
-        int rr = r.rrInput_, buffered = r.buffered_;
+        int rr = r.rrInput_, buffered = r.bufferedPackets();
         int transit = r.transitPackets();
         if constexpr (!Io::loading) {
+            const auto packetOf = [&](const Hop &hop) {
+                return RouterPacket{(*r.pool_)[hop.pkt].msg, hop.len,
+                                    hop.ready, hop.port};
+            };
             for (int i = 0; i < vcs; ++i) {
-                ins[i].free = r.credits_[i];
-                for (unsigned k = 0; k < r.qLen_[i]; ++k)
+                const auto &in = r.in_[i];
+                ins[i].free = in.credits;
+                if (!((r.occ_ >> i) & 1))
+                    continue;
+                ins[i].q.push_back(packetOf(in.head));
+                for (unsigned k = 0; k < in.qLen; ++k)
                     ins[i].q.push_back((*r.pool_)[r.slot(i, k)]);
             }
             for (int p = 0; p < NumPorts; ++p) {
                 const Router::OutPort &o = r.outputs_[p];
                 if ((r.outBusy_ >> p) & 1)
                     outs[p] = {true, static_cast<int>(o.done - s.now_ + 1),
-                               o.dstVc, (*r.pool_)[o.pkt]};
+                               o.dstVc, packetOf(o.hop)};
             }
         }
         const auto pkt = [&](auto &io, RouterPacket &p) { packet(io, p, sh); };
@@ -989,6 +1001,7 @@ struct CkptAccess
             return h;
         };
         int held = 0;
+        r.occ_ = 0;
         for (std::size_t i = 0; i < ins.size(); ++i) {
             const Vc &e = ins[i];
             // A packet holds at least one flit of its VC's buffer.
@@ -996,14 +1009,21 @@ struct CkptAccess
                               static_cast<std::size_t>(np.vcBufferFlits),
                           refusal, " (router ", r.tile_, ": VC ", i,
                           " holds ", e.q.size(), " packets)");
-            r.credits_[i] = static_cast<std::int16_t>(e.free);
-            r.qHead_[i] = 0;
-            r.qLen_[i] = 0;
+            auto &in = r.in_[i];
+            in.credits = static_cast<std::int16_t>(e.free);
+            in.qHead = 0;
+            in.qLen = 0;
             for (const RouterPacket &p : e.q) {
                 checkPacket(s, r, p,
                             static_cast<int>(i) % r.totalVcs_ / np.vcsPerVnet,
                             -1, s.now_);
-                r.slot(static_cast<int>(i), r.qLen_[i]++) = pooled(p);
+                const PacketId h = pooled(p);
+                if ((r.occ_ >> i) & 1) {
+                    r.slot(static_cast<int>(i), in.qLen++) = h;
+                } else {
+                    in.head = r.hopOf(h);
+                    r.occ_ |= std::uint64_t(1) << i;
+                }
                 ++held;
             }
         }
@@ -1024,7 +1044,7 @@ struct CkptAccess
                           " (router ", r.tile_, ": port ", p, " remaining ",
                           o.remaining, " dst_vc ", o.dstVc, ")");
             r.outputs_[p] = {s.now_ + static_cast<Cycle>(o.remaining) - 1,
-                             pooled(o.pkt), o.dstVc};
+                             r.hopOf(pooled(o.pkt)), o.dstVc};
             r.outBusy_ |= 1u << p;
         }
         CONSIM_ASSERT(buffered == held && transit == r.transitPackets(),
@@ -1032,8 +1052,7 @@ struct CkptAccess
                       buffered, " for ", held, " packets, busy_outputs ",
                       transit, " for ", r.transitPackets(), ")");
         r.rrInput_ = rr;
-        r.buffered_ = held;
-        r.restoreDerived();
+        r.restoreDerived(s.now_);
     }
 
     template <typename Io, typename S>
@@ -1061,11 +1080,11 @@ struct CkptAccess
             mesh.shared_.clearTraffic();
         }
         io.each("routers", mesh.routers_, [&](auto &io, auto &r, std::size_t) {
-            io.record("", *r, [&](auto &io, auto &r) { router(io, s, r, sh); },
+            io.record("", r, [&](auto &io, auto &r) { router(io, s, r, sh); },
                       true);
         }, "checkpoint: bad router record");
         io.each("nis", mesh.nis_, [&](auto &io, auto &ni, std::size_t) {
-            io.each("", ni->queues_, [&](auto &io, auto &q, std::size_t vnet) {
+            io.each("", ni.queues_, [&](auto &io, auto &q, std::size_t vnet) {
                 std::vector<Msg> ms(q.size());
                 for (std::size_t k = 0; k < q.size(); ++k)
                     ms[k] = q[k];
@@ -1074,11 +1093,11 @@ struct CkptAccess
                 });
                 if constexpr (Io::loading) {
                     for (const Msg &m : ms) {
-                        CONSIM_ASSERT(m.srcTile == ni->tile_ &&
+                        CONSIM_ASSERT(m.srcTile == ni.tile_ &&
                                           m.dstTile != m.srcTile &&
                                           vnetOf(m.type) == int(vnet),
                                       "checkpoint: bad NI record (NI ",
-                                      ni->tile_, " vnet ", vnet, ": ",
+                                      ni.tile_, " vnet ", vnet, ": ",
                                       describe(m), ")");
                         arriving(s, m, "checkpoint: bad NI record");
                         q.push_back(m);
@@ -1086,7 +1105,7 @@ struct CkptAccess
                 }
             });
             if constexpr (Io::loading)
-                ni->recountQueued();
+                ni.recountQueued();
         }, "checkpoint: bad NI record");
         if constexpr (Io::loading) {
             try {
@@ -1371,6 +1390,7 @@ System::saveCheckpoint() const
 void
 System::restoreCheckpoint(const json::Value &doc)
 {
+    const check::InputScope input;
     checkCkptSchema(doc);
     // Restore targets a freshly constructed System: directory
     // entries, cache arrays and queues all start default there.

@@ -334,8 +334,23 @@ drive(const RunConfig &cfg, const json::Value *ckpt,
         sys.setDynSched(cfg.dynSched, cfg.seed);
     std::string phase = "warmup";
     if (ckpt) {
+        const check::InputScope input;
         sys.restoreCheckpoint(*ckpt);
         phase = ckptField(ckptField(*ckpt, "context"), "phase").str();
+        const Cycle now = sys.now();
+        if (phase == "warmup") {
+            CONSIM_ASSERT(now <= cfg.warmupCycles,
+                          "resume: checkpoint clock ", now,
+                          " past the warmup window");
+        } else {
+            CONSIM_ASSERT(phase == "measure",
+                          "resume: unknown checkpoint phase '", phase,
+                          "'");
+            CONSIM_ASSERT(now >= cfg.warmupCycles &&
+                              now - cfg.warmupCycles <= cfg.measureCycles,
+                          "resume: checkpoint clock ", now,
+                          " outside the measurement window");
+        }
     } else {
         if (!cfg.faults.empty())
             sys.setFaultPlan(cfg.faults);
@@ -363,20 +378,11 @@ drive(const RunConfig &cfg, const json::Value *ckpt,
     };
     const Cycle now = sys.now();
     if (phase == "warmup") {
-        CONSIM_ASSERT(now <= cfg.warmupCycles,
-                      "resume: checkpoint clock ", now,
-                      " past the warmup window");
         runPhase("warmup", cfg.warmupCycles - now);
         audit();
         sys.resetStats();
         runPhase("measure", cfg.measureCycles);
     } else {
-        CONSIM_ASSERT(phase == "measure", "resume: unknown checkpoint phase '",
-                      phase, "'");
-        CONSIM_ASSERT(now >= cfg.warmupCycles &&
-                          now - cfg.warmupCycles <= cfg.measureCycles,
-                      "resume: checkpoint clock ", now,
-                      " outside the measurement window");
         runPhase("measure", cfg.warmupCycles + cfg.measureCycles - now);
     }
     audit();
@@ -397,6 +403,7 @@ runExperiment(const RunConfig &cfg,
 RunConfig
 configFromCheckpoint(const json::Value &ckpt)
 {
+    const check::InputScope input;
     const json::Value *ctx = ckpt.find("context");
     CONSIM_ASSERT(ctx && ctx->find("config"),
                   "checkpoint has no experiment context (saved outside "

@@ -38,22 +38,21 @@ Mesh::Mesh(const MachineConfig &cfg, NetworkStats &stats,
     const int n = cfg.numCores();
     routers_.reserve(n);
     nis_.reserve(n);
+    // Reserved up front: routers and NIs point at each other.
     for (CoreId t = 0; t < n; ++t)
-        routers_.push_back(std::make_unique<Router>(t, params_,
-                                                    &stats_, &shared_));
+        routers_.emplace_back(t, params_, &stats_, &shared_);
     for (CoreId t = 0; t < n; ++t) {
         const int x = t % cfg.meshX, y = t / cfg.meshX;
-        Router &r = *routers_[t];
+        Router &r = routers_[t];
         if (y > 0)
-            r.setNeighbor(PortNorth, routers_[t - cfg.meshX].get());
+            r.setNeighbor(PortNorth, &routers_[t - cfg.meshX]);
         if (y < cfg.meshY - 1)
-            r.setNeighbor(PortSouth, routers_[t + cfg.meshX].get());
+            r.setNeighbor(PortSouth, &routers_[t + cfg.meshX]);
         if (x < cfg.meshX - 1)
-            r.setNeighbor(PortEast, routers_[t + 1].get());
+            r.setNeighbor(PortEast, &routers_[t + 1]);
         if (x > 0)
-            r.setNeighbor(PortWest, routers_[t - 1].get());
-        nis_.push_back(std::make_unique<NetworkInterface>(
-            t, params_, &r, &shared_));
+            r.setNeighbor(PortWest, &routers_[t - 1]);
+        nis_.emplace_back(t, params_, &r, &shared_);
     }
 }
 
@@ -63,7 +62,7 @@ Mesh::inject(Msg m)
     CONSIM_ASSERT(m.srcTile != m.dstTile,
                   "mesh injection for a same-tile message");
     stats_.countInject();
-    nis_.at(m.srcTile)->enqueue(std::move(m));
+    nis_.at(m.srcTile).enqueue(std::move(m));
 }
 
 void
@@ -77,27 +76,29 @@ Mesh::tick(Cycle now)
     // Phase 1: finish the outputs stamped with this cycle (arrivals
     // land, ejections fire).
     shared_.finishing.walk(now,
-                           [&](CoreId t) { routers_[t]->tickOutputs(now); });
+                           [&](CoreId t) { routers_[t].tickOutputs(now); });
     // Phase 2: sources inject into local input VCs.
-    shared_.queued.forEach([&](CoreId t) { nis_[t]->tick(now); });
-    // Phase 3: switch allocation, at routers whose wake cycle has come.
-    shared_.buffered.forEach([&](CoreId t) {
-        if (shared_.wake[t] <= now)
-            routers_[t]->tickAllocate(now);
+    shared_.queued.forEach([&](CoreId t) { nis_[t].tick(now); });
+    // Phase 3: switch allocation, at the routers whose wake cycle is
+    // this one. An entry left in the slot by a wake cycle lowered
+    // since is stale.
+    shared_.due.walk(now, [&](CoreId t) {
+        if (shared_.wake[t] == now)
+            routers_[t].tickAllocate(now);
     });
 }
 
 void
 Mesh::setQos(VmId protected_vm, int reserved_vcs)
 {
-    for (auto &r : routers_)
-        r->setQos(protected_vm, reserved_vcs);
+    for (Router &r : routers_)
+        r.setQos(protected_vm, reserved_vcs);
 }
 
 bool
 Mesh::idle() const
 {
-    return shared_.buffered.empty() && shared_.busyOutputs == 0 &&
+    return shared_.buffered == 0 && shared_.busyOutputs == 0 &&
            shared_.queued.empty();
 }
 
@@ -105,20 +106,20 @@ int
 Mesh::inFlight() const
 {
     int n = 0;
-    for (const auto &r : routers_)
-        n += r->bufferedPackets();
-    for (const auto &ni : nis_)
-        n += ni->queued();
+    for (const Router &r : routers_)
+        n += r.bufferedPackets();
+    for (const NetworkInterface &ni : nis_)
+        n += ni.queued();
     return n;
 }
 
 void
 Mesh::forEachMsg(const std::function<void(const Msg &)> &fn) const
 {
-    for (const auto &r : routers_)
-        r->forEachHeld([&](PacketId h) { fn(shared_.pool[h].msg); });
-    for (const auto &ni : nis_)
-        ni->forEachQueued(fn);
+    for (const Router &r : routers_)
+        r.forEachHeld([&](PacketId h) { fn(shared_.pool[h].msg); });
+    for (const NetworkInterface &ni : nis_)
+        ni.forEachQueued(fn);
 }
 
 void
@@ -133,8 +134,8 @@ Mesh::checkConservation() const
         return reserved[(static_cast<std::size_t>(tile) * NumPorts +
                          port) * totalVcs + vc];
     };
-    for (const auto &r : routers_) {
-        r->forEachTransit(
+    for (const Router &r : routers_) {
+        r.forEachTransit(
             [&](CoreId dst, int port, int vc, int flits) {
                 slot(dst, port, vc) += flits;
             });
@@ -143,26 +144,28 @@ Mesh::checkConservation() const
     // Pass 2: per-router credit equations and derived state, plus
     // the packet census. The next tick is lastTick_ + 1.
     int buffered = 0, transit = 0, queued = 0;
-    for (const auto &r : routers_) {
-        const CoreId t = r->tile();
-        r->checkInvariants(
+    for (const Router &r : routers_) {
+        const CoreId t = r.tile();
+        r.checkInvariants(
             [&](int port, int vc) { return slot(t, port, vc); },
             lastTick_ + 1);
-        buffered += r->bufferedPackets();
-        transit += r->transitPackets();
+        buffered += r.bufferedPackets();
+        transit += r.transitPackets();
     }
     for (CoreId t = 0; t < static_cast<CoreId>(nis_.size()); ++t) {
-        queued += nis_[t]->queued();
-        if (shared_.queued.contains(t) != !nis_[t]->idle()) {
+        queued += nis_[t].queued();
+        if (shared_.queued.contains(t) != !nis_[t].idle()) {
             CONSIM_CHECK_FAIL("NI ", t, ": queued-set membership ",
                               shared_.queued.contains(t), " with ",
-                              nis_[t]->queued(), " queued messages");
+                              nis_[t].queued(), " queued messages");
         }
     }
 
-    if (shared_.busyOutputs != transit) {
-        CONSIM_CHECK_FAIL("mesh busy-output count drifted (cached=",
-                          shared_.busyOutputs, " recount=", transit, ")");
+    if (shared_.busyOutputs != transit || shared_.buffered != buffered) {
+        CONSIM_CHECK_FAIL("mesh counts drifted (busy outputs cached=",
+                          shared_.busyOutputs, " recount=", transit,
+                          ", buffered packets cached=", shared_.buffered,
+                          " recount=", buffered, ")");
     }
 
     // The pool census: each live slot holds one buffered or in-transit
@@ -177,11 +180,11 @@ Mesh::checkConservation() const
     }
     enum : std::uint8_t { Unseen, Held, Free };
     std::vector<std::uint8_t> seen(pool.highWater(), Unseen);
-    for (const auto &r : routers_) {
-        r->forEachHeld([&](PacketId h) {
+    for (const Router &r : routers_) {
+        r.forEachHeld([&](PacketId h) {
             if (h >= seen.size() || seen[h] != Unseen) {
                 CONSIM_CHECK_FAIL("packet pool census: router ",
-                                  r->tile(), " holds handle ", h,
+                                  r.tile(), " holds handle ", h,
                                   h >= seen.size() ? ", outside the pool"
                                                    : ", held twice");
             }
@@ -217,18 +220,18 @@ Mesh::diagJson() const
     v.set("ejected_total", stats_.ejectedTotal);
     v.set("in_flight", inFlight());
     auto routers = json::Value::array();
-    for (const auto &r : routers_) {
-        if (!r->idle())
-            routers.push(r->creditJson());
+    for (const Router &r : routers_) {
+        if (!r.idle())
+            routers.push(r.creditJson());
     }
     v.set("routers", std::move(routers));
     auto nis = json::Value::array();
     for (std::size_t t = 0; t < nis_.size(); ++t) {
-        if (nis_[t]->queued() == 0)
+        if (nis_[t].queued() == 0)
             continue;
         auto e = json::Value::object();
         e.set("tile", static_cast<int>(t));
-        e.set("queued", nis_[t]->queued());
+        e.set("queued", nis_[t].queued());
         nis.push(std::move(e));
     }
     v.set("ni_queues", std::move(nis));

@@ -12,7 +12,6 @@
 #define CONSIM_NOC_MESH_HH
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/config.hh"
@@ -27,13 +26,13 @@ namespace consim
  * Flit-level 2-D mesh interconnect.
  *
  * A tick visits only routers and NIs with work: it walks three sets
- * (routers with an output finishing this cycle, NIs with queued
- * messages, routers with buffered packets) in ascending tile order,
- * the order a loop over every tile would take, and runs a router's
- * allocation pass only from its wake cycle on (see MeshShared).
- * Packets stay in one pool slot from injection to ejection.
- * Checkpoint restore rebuilds the pool and this derived state from
- * the queues.
+ * in ascending tile order, the order a loop over every tile would
+ * take: the routers with an output finishing this cycle, the NIs with
+ * queued messages, and the routers whose allocation pass is due this
+ * cycle (the wake calendar; see MeshShared). Packets stay in one pool
+ * slot from injection to ejection, and move between routers as Hops.
+ * The routers and NIs sit in one contiguous array each. Checkpoint
+ * restore rebuilds the pool and this derived state from the queues.
  */
 class Mesh
 {
@@ -44,19 +43,25 @@ class Mesh
     /** Inject a cross-tile message at its source tile. */
     void inject(Msg m);
 
-    /** Advance one cycle. */
+    /** Advance one cycle. Call it for every cycle in order: the
+     *  finishing ring and wake calendar keep a cycle's routers only
+     *  until that cycle's tick walks them. */
     void tick(Cycle now);
 
-    /** @return true when no packets are in flight (quiesced). */
+    /** @return true when no packets are in flight (quiesced): none
+     *  buffered, none on an output, none queued at an NI. */
     bool idle() const;
 
     /**
      * Hardening audit: per-VC flit/credit conservation across every
      * router (folding in-transit reservations into the equation),
-     * global packet conservation (injected - ejected must equal
-     * buffered + NI-queued + in-transit) and the packet pool census
-     * (live slots are the buffered and in-transit packets, each held
-     * once; free-list entries are distinct, in range and not live).
+     * each router's derived state (Router::checkInvariants: kept
+     * hops, wake calendar, finishing ring), the mesh-wide buffered
+     * and busy-output counts against a recount, global packet
+     * conservation (injected - ejected must equal buffered +
+     * NI-queued + in-transit) and the packet pool census (live slots
+     * are the buffered and in-transit packets, each held once;
+     * free-list entries are distinct, in range and not live).
      * Throws SimError on violation.
      */
     void checkConservation() const;
@@ -89,8 +94,8 @@ class Mesh
     NetworkStats &stats_;
     Cycle lastTick_ = 0;
     MeshShared shared_; ///< before the routers and NIs that point at it
-    std::vector<std::unique_ptr<Router>> routers_;
-    std::vector<std::unique_ptr<NetworkInterface>> nis_;
+    std::vector<Router> routers_;
+    std::vector<NetworkInterface> nis_;
 };
 
 } // namespace consim

@@ -35,14 +35,19 @@ NetworkInterface::tick(Cycle now)
             continue;
         router_->reserve(PortLocal, vc, len);
         // The packet takes its pool slot here and keeps it until it
-        // is ejected.
-        const PacketId h = shared_->pool.alloc();
-        RouterPacket &pkt = shared_->pool[h];
+        // is ejected; its Hop carries what the routers read.
+        Hop hop;
+        hop.pkt = shared_->pool.alloc();
+        hop.dst = q.front().dstTile;
+        hop.vm = q.front().vm;
+        hop.len = static_cast<std::uint8_t>(len);
+        hop.vnet = static_cast<std::uint8_t>(vnet);
+        RouterPacket &pkt = shared_->pool[hop.pkt];
         pkt.msg = std::move(q.front());
         pkt.lenFlits = len;
         q.pop_front();
         --queuedTotal_;
-        router_->arrive(PortLocal, vc, h, now);
+        router_->arrive(PortLocal, vc, hop, now);
     }
     if (queuedTotal_ == 0)
         shared_->queued.erase(tile_);

@@ -12,7 +12,10 @@ namespace consim
 MeshShared::MeshShared(const NocParams &params, std::size_t pool_bound,
                        DeliverFn deliver_fn)
     : col(static_cast<std::size_t>(params.meshX * params.meshY)),
-      wake(col.size(), 0), buffered(static_cast<int>(col.size())),
+      wake(col.size(), cycleNever),
+      // A pass is due at most pipelineDelay cycles ahead.
+      due(static_cast<int>(col.size()),
+          std::size_t(1) << ceilLog2(params.pipelineDelay + 1)),
       queued(static_cast<int>(col.size())),
       // Outputs finish 1..dataFlits cycles after their grant.
       finishing(static_cast<int>(col.size()),
@@ -27,8 +30,11 @@ MeshShared::MeshShared(const NocParams &params, std::size_t pool_bound,
 void
 MeshShared::clearTraffic()
 {
+    std::fill(wake.begin(), wake.end(), cycleNever);
+    due.clear();
     finishing.clear();
     busyOutputs = 0;
+    buffered = 0;
     pool.clear();
 }
 
@@ -41,6 +47,7 @@ Router::Router(CoreId tile, const NocParams &params, NetworkStats *stats,
       x_(shared->col.at(tile)),
       pipelineDelay_(static_cast<Cycle>(params.pipelineDelay)),
       portVcs_((std::uint64_t(1) << totalVcs_) - 1),
+      in_(static_cast<std::size_t>(NumPorts * totalVcs_)),
       // A VC holds at most vcBufferFlits packets (1 flit minimum).
       ring_(static_cast<std::size_t>(NumPorts * totalVcs_) << ringShift_),
       params_(params), stats_(stats)
@@ -55,8 +62,8 @@ Router::Router(CoreId tile, const NocParams &params, NetworkStats *stats,
                   "64-bit word; ", NumPorts * totalVcs_,
                   " input VCs exceed it");
     for (int idx = 0; idx < NumPorts * totalVcs_; ++idx) {
-        credits_[idx] = static_cast<std::int16_t>(params_.vcBufferFlits);
-        portOf_[idx] = static_cast<std::uint8_t>(idx / totalVcs_);
+        in_[idx].credits = static_cast<std::int16_t>(params_.vcBufferFlits);
+        in_[idx].inPort = static_cast<std::uint8_t>(idx / totalVcs_);
     }
 }
 
@@ -90,11 +97,11 @@ Router::canAccept(int in_port, int vnet, int len, VmId vm,
     const int shared = vcsPerVnet_ - qosReservedVcs_;
     const bool prot =
         qosReservedVcs_ > 0 && vm == qosProtectedVm_;
-    const std::int16_t *credits = &credits_[in_port * totalVcs_];
+    const InVc *ins = &in_[in_port * totalVcs_];
     if (prot) {
         for (int i = shared; i < vcsPerVnet_; ++i) {
             const int vc = vcIndex(vnet, i);
-            if (credits[vc] >= len) {
+            if (ins[vc].credits >= len) {
                 if (vc_out)
                     *vc_out = vc;
                 return true;
@@ -103,7 +110,7 @@ Router::canAccept(int in_port, int vnet, int len, VmId vm,
     }
     for (int i = 0; i < shared; ++i) {
         const int vc = vcIndex(vnet, i);
-        if (credits[vc] >= len) {
+        if (ins[vc].credits >= len) {
             if (vc_out)
                 *vc_out = vc;
             return true;
@@ -115,29 +122,48 @@ Router::canAccept(int in_port, int vnet, int len, VmId vm,
 void
 Router::reserve(int in_port, int vc, int len)
 {
-    std::int16_t &credits = credits_[in_port * totalVcs_ + vc];
+    std::int16_t &credits = in_[in_port * totalVcs_ + vc].credits;
     CONSIM_ASSERT(credits >= len, "reserve without space");
     credits = static_cast<std::int16_t>(credits - len);
 }
 
+Hop
+Router::hopOf(PacketId h) const
+{
+    const RouterPacket &p = (*pool_)[h];
+    Hop hop;
+    hop.ready = p.readyCycle;
+    hop.pkt = h;
+    hop.dst = p.msg.dstTile;
+    hop.vm = p.msg.vm;
+    hop.len = static_cast<std::uint8_t>(p.lenFlits);
+    hop.port = static_cast<std::uint8_t>(p.outPort);
+    hop.vnet = static_cast<std::uint8_t>(vnetOf(p.msg.type));
+    return hop;
+}
+
 void
-Router::arrive(int in_port, int vc, PacketId pkt, Cycle now)
+Router::arrive(int in_port, int vc, Hop hop, Cycle now)
 {
     const int idx = in_port * totalVcs_ + vc;
     // RC stage: compute the output port once, on arrival.
-    RouterPacket &p = (*pool_)[pkt];
-    const CoreId dst = p.msg.dstTile;
-    p.outPort = xyRoute(tile_, x_, dst, shared_->col[dst]);
-    p.readyCycle = now + pipelineDelay_;
-    *wake_ = std::min(*wake_, p.readyCycle);
-    const unsigned queued = qLen_[idx]++;
-    slot(idx, queued) = pkt;
-    if (queued == 0) {
-        setHead(idx, p);
+    hop.port = static_cast<std::uint8_t>(
+        xyRoute(tile_, x_, hop.dst, shared_->col[hop.dst]));
+    hop.ready = now + pipelineDelay_;
+    InVc &in = in_[idx];
+    if (!((occ_ >> idx) & 1)) {
+        in.head = hop;
         occ_ |= std::uint64_t(1) << idx;
+    } else {
+        // Queued behind the head: the slot keeps the ready cycle and
+        // port until the packet moves up.
+        RouterPacket &p = (*pool_)[hop.pkt];
+        p.readyCycle = hop.ready;
+        p.outPort = hop.port;
+        slot(idx, in.qLen++) = hop.pkt;
     }
-    if (buffered_++ == 0)
-        shared_->buffered.insert(tile_);
+    ++shared_->buffered;
+    wakeAt(hop.ready);
 }
 
 void
@@ -151,14 +177,14 @@ Router::tickOutputs(Cycle now)
         outBusy_ &= ~(1u << port);
         --shared_->busyOutputs;
         if (port == PortLocal) {
-            const RouterPacket &p = (*pool_)[out.pkt];
-            stats_->countEject(p.msg, now, p.lenFlits);
-            shared_->deliver(p.msg);
-            pool_->release(out.pkt);
+            const Msg &msg = (*pool_)[out.hop.pkt].msg;
+            stats_->countEject(msg, now, out.hop.len);
+            shared_->deliver(msg);
+            pool_->release(out.hop.pkt);
         } else {
             Router *next = neighbor_[port];
             CONSIM_ASSERT(next, "transmit into mesh edge at ", tile_);
-            next->arrive(oppositePort(port), out.dstVc, out.pkt, now);
+            next->arrive(oppositePort(port), out.dstVc, out.hop, now);
         }
     }
 }
@@ -175,16 +201,17 @@ Router::tickAllocate(Cycle now)
         allocatePass(now, used, /*protected_only=*/true);
     allocatePass(now, used, /*protected_only=*/false);
 
-    if (buffered_ == 0)
-        shared_->buffered.erase(tile_);
     // A head that is ready now but stayed put (busy output,
     // back-pressure, input port already used, or not protected) may
     // go next cycle; any other head goes no earlier than it is ready.
     // With no head left the router sleeps until an arrival.
+    *wake_ = cycleNever;
+    if (occ_ == 0)
+        return;
     Cycle ready = cycleNever;
     for (std::uint64_t bits = occ_; bits != 0; bits &= bits - 1)
-        ready = std::min(ready, headReady_[lowestSetBit(bits)]);
-    *wake_ = std::max(ready, now + 1);
+        ready = std::min(ready, in_[lowestSetBit(bits)].head.ready);
+    wakeAt(std::max(ready, now + 1));
 }
 
 void
@@ -227,87 +254,79 @@ Router::allocatePass(Cycle now, std::uint64_t &used, bool protected_only)
             break;
         ++k;
         // The checks before a grant have no side effects, so their
-        // order is free: the head summaries and the busy-output mask
-        // go first, and the packet is read only for a head that is
-        // ready and whose output is free.
-        if (headReady_[idx] > now || ((outBusy_ >> headOut_[idx]) & 1))
+        // order is free: the head's ready cycle and the busy-output
+        // mask go first. Every check reads the VC's record, never
+        // the pool.
+        InVc &in = in_[idx];
+        const Hop &hop = in.head;
+        if (hop.ready > now || ((outBusy_ >> hop.port) & 1))
             continue;
-        const PacketId h = slot(idx, 0);
-        const RouterPacket &pkt = (*pool_)[h];
-        if (protected_only && pkt.msg.vm != qosProtectedVm_)
+        if (protected_only && hop.vm != qosProtectedVm_)
             continue;
 
         int downVc = 0;
-        if (pkt.outPort != PortLocal) {
-            Router *next = neighbor_[pkt.outPort];
+        if (hop.port != PortLocal) {
+            Router *next = neighbor_[hop.port];
             CONSIM_ASSERT(next, "route into mesh edge at ", tile_,
-                          " port ", pkt.outPort, " dst ",
-                          pkt.msg.dstTile);
-            const int vnet = vnetOf(pkt.msg.type);
-            if (!next->canAccept(oppositePort(pkt.outPort), vnet,
-                                 pkt.lenFlits, pkt.msg.vm, &downVc)) {
+                          " port ", int(hop.port), " dst ", hop.dst);
+            const int downPort = oppositePort(hop.port);
+            if (!next->canAccept(downPort, hop.vnet, hop.len, hop.vm,
+                                 &downVc)) {
                 continue; // back-pressure: retry next cycle
             }
-            next->reserve(oppositePort(pkt.outPort), downVc,
-                          pkt.lenFlits);
-            stats_->flitHops += pkt.lenFlits;
+            next->reserve(downPort, downVc, hop.len);
+            stats_->flitHops += hop.len;
         }
 
         // Grant: occupy the output for the packet's serialization
         // latency (stamping the cycle it finishes), free this VC's
         // buffer space, advance fairness.
-        OutPort &out = outputs_[pkt.outPort];
-        outBusy_ |= 1u << pkt.outPort;
+        OutPort &out = outputs_[hop.port];
+        outBusy_ |= 1u << hop.port;
         ++shared_->busyOutputs;
-        out.done = now + static_cast<Cycle>(pkt.lenFlits);
-        out.pkt = h;
+        out.done = now + static_cast<Cycle>(hop.len);
+        out.hop = hop;
         out.dstVc = downVc;
         shared_->finishing.insert(out.done, tile_);
-        credits_[idx] = static_cast<std::int16_t>(credits_[idx] +
-                                                  pkt.lenFlits);
-        if (--qLen_[idx] == 0) {
-            // An emptied ring restarts at slot 0, so a VC that seldom
-            // holds more than one packet keeps reusing one warm slot.
-            qHead_[idx] = 0;
+        in.credits = static_cast<std::int16_t>(in.credits + hop.len);
+        if (in.qLen == 0) {
             occ_ &= ~(std::uint64_t(1) << idx);
         } else {
-            qHead_[idx] = static_cast<std::uint8_t>((qHead_[idx] + 1) &
-                                                    ringMask_);
-            setHead(idx, (*pool_)[slot(idx, 0)]);
+            // The first queued packet moves up. An emptied ring
+            // restarts at slot 0, so a VC that seldom queues more
+            // than one packet keeps reusing one warm slot.
+            const PacketId h = slot(idx, 0);
+            in.qHead = --in.qLen == 0
+                           ? 0
+                           : static_cast<std::uint8_t>((in.qHead + 1) &
+                                                       ringMask_);
+            in.head = hopOf(h);
         }
-        --buffered_;
-        used |= portVcs_ << (portOf_[idx] * totalVcs_);
+        --shared_->buffered;
+        used |= portVcs_ << (in.inPort * totalVcs_);
         rrInput_ = idx + 1 == total ? 0 : idx + 1;
     }
 }
 
 void
-Router::restoreDerived()
+Router::restoreDerived(Cycle now)
 {
-    occ_ = 0;
-    for (int idx = 0; idx < NumPorts * totalVcs_; ++idx) {
-        if (qLen_[idx] == 0)
-            continue;
-        occ_ |= std::uint64_t(1) << idx;
-        setHead(idx, (*pool_)[slot(idx, 0)]);
-    }
     for (unsigned bits = outBusy_; bits != 0; bits &= bits - 1) {
         shared_->finishing.insert(outputs_[lowestSetBit(bits)].done, tile_);
         ++shared_->busyOutputs;
     }
-    *wake_ = 0;
-    if (buffered_ != 0)
-        shared_->buffered.insert(tile_);
-    else
-        shared_->buffered.erase(tile_);
+    shared_->buffered += bufferedPackets();
+    *wake_ = cycleNever;
+    if (occ_ != 0)
+        wakeAt(now);
 }
 
 int
 Router::bufferedPackets() const
 {
-    int n = 0;
-    for (int idx = 0; idx < NumPorts * totalVcs_; ++idx)
-        n += qLen_[idx];
+    int n = popCount(occ_);
+    for (const InVc &in : in_)
+        n += in.qLen;
     return n;
 }
 
@@ -315,11 +334,14 @@ void
 Router::forEachHeld(const std::function<void(PacketId)> &fn) const
 {
     for (int idx = 0; idx < NumPorts * totalVcs_; ++idx) {
-        for (unsigned k = 0; k < qLen_[idx]; ++k)
+        if (!((occ_ >> idx) & 1))
+            continue;
+        fn(in_[idx].head.pkt);
+        for (unsigned k = 0; k < in_[idx].qLen; ++k)
             fn(slot(idx, k));
     }
     for (unsigned bits = outBusy_; bits != 0; bits &= bits - 1)
-        fn(outputs_[lowestSetBit(bits)].pkt);
+        fn(outputs_[lowestSetBit(bits)].hop.pkt);
 }
 
 void
@@ -331,8 +353,7 @@ Router::forEachTransit(
         const OutPort &out = outputs_[port];
         // Non-null: asserted when the grant was issued.
         const Router *next = neighbor_[port];
-        fn(next->tile_, oppositePort(port), out.dstVc,
-           (*pool_)[out.pkt].lenFlits);
+        fn(next->tile_, oppositePort(port), out.dstVc, out.hop.len);
     }
 }
 
@@ -350,48 +371,52 @@ Router::checkInvariants(
         }
         return pool[h];
     };
-    int buffered = 0;
+    // A kept Hop copies its pool message's routing fields.
+    const auto checkHop = [&](const Hop &hop, const char *where, int at) {
+        const RouterPacket &p = inPool(hop.pkt);
+        if (hop.dst != p.msg.dstTile || hop.vm != p.msg.vm ||
+            hop.vnet != vnetOf(p.msg.type) || hop.len != p.lenFlits ||
+            p.lenFlits != params_.flitsOf(p.msg.type)) {
+            CONSIM_CHECK_FAIL(
+                "router ", tile_, " ", where, " ", at, ": hop (dst ",
+                hop.dst, ", vm ", hop.vm, ", vnet ", int(hop.vnet),
+                ", ", int(hop.len), " flits) disagrees with its packet ",
+                describe(p.msg), " of ", p.lenFlits, " flits");
+        }
+    };
+    Cycle firstGo = cycleNever; // the first cycle a head could go
     for (int port = 0; port < NumPorts; ++port) {
         for (int vc = 0; vc < totalVcs_; ++vc) {
             const int idx = port * totalVcs_ + vc;
-            const unsigned queued = qLen_[idx];
+            const InVc &in = in_[idx];
             const bool occupied = (occ_ >> idx) & 1;
-            if (occupied != (queued != 0)) {
-                CONSIM_CHECK_FAIL("router ", tile_, " port ", port,
-                                  " vc ", vc, ": occupancy bit ",
-                                  occupied, " with ", queued,
-                                  " queued packets");
-            }
-            if (queued > ringMask_ + 1 ||
-                (queued == 0 && qHead_[idx] != 0) ||
-                qHead_[idx] > ringMask_) {
+            if (in.qLen > ringMask_ || (!occupied && in.qLen != 0) ||
+                (in.qLen == 0 && in.qHead != 0) || in.qHead > ringMask_ ||
+                in.inPort != port) {
                 CONSIM_CHECK_FAIL("router ", tile_, " port ", port,
                                   " vc ", vc, ": ring head ",
-                                  int(qHead_[idx]), " with ", queued,
-                                  " queued packets in ", ringMask_ + 1,
-                                  " slots");
-            }
-            if (queued != 0) {
-                const RouterPacket &head = inPool(slot(idx, 0));
-                if (headReady_[idx] != head.readyCycle ||
-                    headOut_[idx] != head.outPort) {
-                    CONSIM_CHECK_FAIL(
-                        "router ", tile_, " port ", port, " vc ", vc,
-                        ": head summary (ready ", headReady_[idx],
-                        ", port ", int(headOut_[idx]),
-                        ") differs from the head (ready ",
-                        head.readyCycle, ", port ", head.outPort, ")");
-                }
-                // The pass that could first grant this head must run.
-                if (*wake_ > std::max(head.readyCycle, next)) {
-                    CONSIM_CHECK_FAIL(
-                        "router ", tile_, " port ", port, " vc ", vc,
-                        ": wake cycle ", *wake_, " skips a head ready at ",
-                        std::max(head.readyCycle, next));
-                }
+                                  int(in.qHead), " with ", int(in.qLen),
+                                  " packets queued behind ",
+                                  occupied ? "a head" : "no head", " in ",
+                                  ringMask_ + 1, " slots (input port ",
+                                  int(in.inPort), ")");
             }
             int queuedFlits = 0;
-            for (unsigned k = 0; k < queued; ++k) {
+            if (occupied) {
+                const Hop &head = in.head;
+                checkHop(head, "input vc", idx);
+                const int route = xyRoute(tile_, x_, head.dst,
+                                          shared_->col.at(head.dst));
+                if (head.vnet != vc / vcsPerVnet_ || head.port != route) {
+                    CONSIM_CHECK_FAIL(
+                        "router ", tile_, " port ", port, " vc ", vc,
+                        ": head on vnet ", int(head.vnet), " port ",
+                        int(head.port), " (route ", route, ")");
+                }
+                firstGo = std::min(firstGo, std::max(head.ready, next));
+                queuedFlits += head.len;
+            }
+            for (unsigned k = 0; k < in.qLen; ++k) {
                 const RouterPacket &pkt = inPool(slot(idx, k));
                 if (pkt.lenFlits < 1 ||
                     pkt.lenFlits > params_.vcBufferFlits) {
@@ -401,8 +426,7 @@ Router::checkInvariants(
                 }
                 queuedFlits += pkt.lenFlits;
             }
-            buffered += static_cast<int>(queued);
-            const int credits = credits_[idx];
+            const int credits = in.credits;
             if (credits < 0 || credits > params_.vcBufferFlits) {
                 CONSIM_CHECK_FAIL("router ", tile_, " port ", port,
                                   " vc ", vc, ": credit count ",
@@ -428,10 +452,22 @@ Router::checkInvariants(
             }
         }
     }
-    if (buffered != buffered_) {
-        CONSIM_CHECK_FAIL("router ", tile_,
-                          ": buffered packet count drifted (cached=",
-                          buffered_, " recount=", buffered, ")");
+    // A router with packets is armed, in the wake calendar, for a
+    // cycle from the next tick on within the calendar's span, and no
+    // later than the pass that could first grant; one without packets
+    // has no wake cycle.
+    const Cycle wake = *wake_;
+    if (occ_ == 0 && wake != cycleNever) {
+        CONSIM_CHECK_FAIL("router ", tile_, ": wake cycle ", wake,
+                          " with no packet");
+    }
+    const bool armed = shared_->due.contains(wake, tile_);
+    if (occ_ != 0 && (wake < next || wake - next >= shared_->due.span() ||
+                      !armed || wake > firstGo)) {
+        CONSIM_CHECK_FAIL("router ", tile_, ": wake cycle ", wake,
+                          armed ? " (armed)" : " (not armed)",
+                          " with the next tick at ", next,
+                          " and a head that can go at ", firstGo);
     }
     // A busy output finishes from the next tick on, within its
     // packet's length, and its router is in that cycle's finishing
@@ -439,7 +475,8 @@ Router::checkInvariants(
     for (unsigned bits = outBusy_; bits != 0; bits &= bits - 1) {
         const int port = lowestSetBit(bits);
         const OutPort &out = outputs_[port];
-        const int len = inPool(out.pkt).lenFlits;
+        checkHop(out.hop, "output", port);
+        const int len = out.hop.len;
         if (out.done < next || out.done - next >= Cycle(len)) {
             CONSIM_CHECK_FAIL("router ", tile_, " port ", port,
                               ": busy output finishing at ", out.done,
@@ -458,11 +495,6 @@ Router::checkInvariants(
                               " disagrees with the busy outputs' stamps");
         }
     }
-    if (shared_->buffered.contains(tile_) != (buffered_ != 0)) {
-        CONSIM_CHECK_FAIL("router ", tile_, ": buffered-set membership ",
-                          shared_->buffered.contains(tile_), " with ",
-                          buffered_, " buffered packets");
-    }
 }
 
 json::Value
@@ -470,25 +502,25 @@ Router::creditJson() const
 {
     auto v = json::Value::object();
     v.set("tile", tile_);
-    v.set("buffered", buffered_);
+    v.set("buffered", bufferedPackets());
     v.set("busy_outputs", transitPackets());
     auto vcs = json::Value::array();
     for (int port = 0; port < NumPorts; ++port) {
         for (int vc = 0; vc < totalVcs_; ++vc) {
             const int idx = port * totalVcs_ + vc;
+            const InVc &in = in_[idx];
+            const bool occupied = (occ_ >> idx) & 1;
             // Only VCs holding packets or missing credits are
             // interesting in a hang dump.
-            if (qLen_[idx] == 0 &&
-                credits_[idx] == params_.vcBufferFlits) {
+            if (!occupied && in.credits == params_.vcBufferFlits)
                 continue;
-            }
             auto e = json::Value::object();
             e.set("port", port);
             e.set("vc", vc);
-            e.set("free_flits", int(credits_[idx]));
-            e.set("queued", int(qLen_[idx]));
-            if (qLen_[idx] != 0)
-                e.set("head", describe((*pool_)[slot(idx, 0)].msg));
+            e.set("free_flits", int(in.credits));
+            e.set("queued", int(occupied) + in.qLen);
+            if (occupied)
+                e.set("head", describe((*pool_)[in.head.pkt].msg));
             vcs.push(std::move(e));
         }
     }

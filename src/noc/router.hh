@@ -17,13 +17,19 @@
  *  - Virtual networks (request/forward/response) are sets of VCs; a
  *    packet may only use VCs of its own vnet, which breaks protocol
  *    deadlock cycles. XY routing keeps each vnet cycle-free.
+ *
+ * Host-cost notes: a packet's message sits in one pool slot from
+ * injection to ejection, and a hop moves its Hop, the few fields
+ * routing and arbitration read. Each input VC is one 32-byte record
+ * holding its head's Hop and its credits, so a hop touches the
+ * records of the VCs it crosses and no pool slot. A router runs its
+ * allocation pass only at its wake cycle, from the mesh's wake
+ * calendar (MeshShared).
  */
 
 #ifndef CONSIM_NOC_ROUTER_HH
 #define CONSIM_NOC_ROUTER_HH
 
-#include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -58,7 +64,10 @@ struct NocParams
     }
 };
 
-/** A packet inside the router network. */
+/** A packet inside the router network. A packet at the head of an
+ *  input VC or on an output is carried by its Hop, which is then the
+ *  one source of its ready cycle and port; the slot keeps them only
+ *  for a packet queued behind a head. */
 struct RouterPacket
 {
     Msg msg;
@@ -71,9 +80,27 @@ struct RouterPacket
 using PacketId = std::uint32_t;
 
 /**
+ * What a hop reads of a packet: its pool handle, and a copy of the
+ * fields that routing, arbitration and downstream admission need, so
+ * that moving a packet between routers reads no pool slot. The NI
+ * fills it at injection; `ready` and `port` are set on each arrival.
+ */
+struct Hop
+{
+    Cycle ready = 0;          ///< eligible for switch allocation
+    PacketId pkt = 0;         ///< the packet's pool slot
+    CoreId dst = 0;           ///< destination tile
+    VmId vm = invalidVm;      ///< sending VM (QoS admission)
+    std::uint8_t len = 1;     ///< flits
+    std::uint8_t port = 0;    ///< output port at this router
+    std::uint8_t vnet = 0;    ///< virtual network
+};
+
+/**
  * Every packet of a mesh, from NI injection to ejection, in one slot
- * of one pool: input VCs and outputs hold 4-byte handles, so a hop
- * moves an index, not the packet. The slots are reserved up to a
+ * of one pool: input VCs and outputs hold handles, in Hops or ring
+ * slots, so a hop moves an index and a few fields, not the packet.
+ * The slots are reserved up to a
  * bound (packetPoolBound) but constructed only up to the high-water
  * mark, and freed slots are reused last in, first out, so the live
  * ones stay few and warm. An allocation past the bound is an
@@ -145,10 +172,10 @@ packetPoolBound(const NocParams &params, int tiles)
 /**
  * What a mesh's routers and NIs share: each tile's column, so that
  * routing needs no division; the packet pool; the function that
- * delivers an ejected packet's message; and what Mesh::tick
- * reads to visit only routers and NIs with work: the activity sets,
- * the finishing ring and the routers' wake cycles, dense so that a
- * skipped router is never loaded.
+ * delivers an ejected packet's message; and what Mesh::tick reads to
+ * visit only routers and NIs with work: the NIs' activity set, the
+ * finishing ring, and the routers' wake calendar and wake cycles,
+ * dense so that a skipped router is never loaded.
  *
  * A grant stamps the cycle its output finishes, and puts the router
  * in the finishing calendar at that cycle. The calendar spans a
@@ -159,9 +186,14 @@ packetPoolBound(const NocParams &params, int tiles)
  * A router's wake cycle is the earliest cycle at which its
  * allocation pass could grant: the minimum over occupied input VCs
  * of the head's ready cycle, or the next cycle for a ready head that
- * stayed put. A pass that grants nothing has no side effects (the
- * round-robin pointer moves only on a grant), so skipping the passes
- * before the wake cycle is exact.
+ * stayed put; cycleNever with no packet. A pass that grants nothing
+ * has no side effects (the round-robin pointer moves only on a
+ * grant), so skipping the passes before the wake cycle is exact.
+ * The router sits in the wake calendar at its wake cycle, which is
+ * never more than pipelineDelay cycles ahead, so a span of 4 keeps
+ * the due cycles apart. Lowering a wake cycle would leave the router
+ * in its old slot too, so phase 3 skips an entry whose cycle is not
+ * the router's wake cycle.
  */
 struct MeshShared
 {
@@ -170,16 +202,17 @@ struct MeshShared
     MeshShared(const NocParams &params, std::size_t pool_bound,
                DeliverFn deliver_fn);
 
-    /** Drop every packet, stamp and busy output (checkpoint restore
-     *  rebuilds them from the records). */
+    /** Drop every packet, stamp, wake cycle and busy output
+     *  (checkpoint restore rebuilds them from the records). */
     void clearTraffic();
 
     std::vector<int> col;    ///< tile -> x
     std::vector<Cycle> wake; ///< tile -> router wake cycle
-    TileSet buffered;        ///< routers with buffered packets
+    TileCalendar due;        ///< cycle -> routers whose pass is due
     TileSet queued;          ///< NIs with queued messages
     TileCalendar finishing;  ///< cycle -> routers with an output finishing
     int busyOutputs = 0;     ///< outputs mid-transmission, mesh-wide
+    int buffered = 0;        ///< packets in input VCs, mesh-wide
     PacketPool pool;
     DeliverFn deliver;       ///< called on each ejected message
 };
@@ -189,20 +222,19 @@ struct MeshShared
  * packet leaving the local port is counted as ejected and its message
  * handed to the mesh's deliver function.
  *
- * Only routers with work are visited: the router keeps its tile in
- * the mesh's `buffered` set while it has buffered packets, and in the
- * finishing ring's set of each cycle one of its outputs finishes. It
- * also keeps a wake cycle, the earliest cycle at which an allocation
- * pass could grant, and the mesh skips the pass before it.
+ * Only routers with work are visited: the router puts its tile in
+ * the mesh's wake calendar at its wake cycle, the earliest cycle at
+ * which an allocation pass could grant, and in the finishing ring's
+ * set of each cycle one of its outputs finishes.
  *
- * Packets live in the mesh's PacketPool; an input VC is a ring of
- * handles, and an output holds the handle of the packet it sends and
- * the cycle it finishes. The per-VC credits, ring heads and lengths
- * sit in small arrays apart from the handle rings, which share one
- * contiguous array. Per input VC, the head packet's ready cycle and
- * output port are kept in small arrays, and the busy outputs in a
- * mask, so deciding that a head cannot go reads no packet and no
- * output.
+ * Packets live in the mesh's PacketPool. Each input VC is one
+ * 32-byte InVc record: the head packet's Hop, the VC's credits, and
+ * the ring position and length of the handles queued behind the
+ * head, in one contiguous array of rings. An output holds the Hop of
+ * the packet it sends and the cycle it finishes. A hop's arrival,
+ * candidate check, grant and downstream admission so read one record
+ * per VC and no pool slot; the pool is read at injection, at
+ * ejection, and when a queued packet moves up to the head.
  */
 class Router
 {
@@ -236,10 +268,11 @@ class Router
     void reserve(int in_port, int vc, int len);
 
     /**
-     * Deliver pooled packet @p pkt into an input VC whose space was
-     * reserved. Computes the route (RC stage) and the SA-ready cycle.
+     * Deliver the packet @p hop carries into an input VC whose space
+     * was reserved. Computes the route (RC stage) and the SA-ready
+     * cycle.
      */
-    void arrive(int in_port, int vc, PacketId pkt, Cycle now);
+    void arrive(int in_port, int vc, Hop hop, Cycle now);
 
     /** Phase 1: finish the outputs stamped @p now (arrivals land,
      *  ejections fire). */
@@ -250,7 +283,7 @@ class Router
     void tickAllocate(Cycle now);
 
     /** @return true when no buffered packets or active transfers. */
-    bool idle() const { return buffered_ == 0 && outBusy_ == 0; }
+    bool idle() const { return occ_ == 0 && outBusy_ == 0; }
 
     CoreId tile() const { return tile_; }
 
@@ -277,12 +310,15 @@ class Router
     /**
      * Hardening audit: verify credit and packet accounting. For each
      * input VC, freeFlits + queued flits + inbound in-transit flits
-     * must equal vcBufferFlits; buffered_ must match a recount. The
-     * derived state must match the queues and outputs: the occupancy
-     * mask, the head summaries, the activity-set and finishing-ring
-     * membership, output stamps from @p next on, and a wake cycle no
-     * later than the first cycle from @p next on at which a head
-     * could go. Throws SimError on violation.
+     * must equal vcBufferFlits. The derived state must match the
+     * queues and outputs: the occupancy mask; each kept Hop (VC head
+     * or output) agrees with its pool message's destination, VM,
+     * vnet and flit count, and a head's port with its route; the
+     * finishing-ring membership; output stamps from @p next on; a
+     * router with packets is armed in the wake calendar at a wake
+     * cycle in [next, next + span) no later than the first cycle
+     * from @p next on at which a head could go, and one without has
+     * no wake cycle. Throws SimError on violation.
      * @param inbound_reserved flits reserved in (port, vc) by packets
      *        in transit from upstream; when null the per-VC equation
      *        degrades to an upper-bound check.
@@ -299,13 +335,27 @@ class Router
     /** Checkpoint layer saves/restores VC queues and output ports. */
     friend struct CkptAccess;
 
-    /** A busy output: the packet it sends, the cycle its last flit
-     *  goes (the grant cycle plus the packet's length) and the
-     *  downstream VC it reserved. */
+    /** One input VC: while its occ_ bit is set, the head packet's
+     *  Hop; its free flits; and the ring position and length of the
+     *  handles queued behind the head. */
+    struct alignas(32) InVc
+    {
+        Hop head;
+        std::int16_t credits = 0;  ///< free flits
+        std::uint8_t qHead = 0;    ///< ring slot of the first queued
+        std::uint8_t qLen = 0;     ///< packets queued behind the head
+        std::uint8_t inPort = 0;   ///< the input port it belongs to
+    };
+    static_assert(sizeof(InVc) == 32, "an input VC is one 32-byte "
+                  "record");
+
+    /** A busy output: the Hop of the packet it sends, the cycle its
+     *  last flit goes (the grant cycle plus the packet's length) and
+     *  the downstream VC it reserved. */
     struct OutPort
     {
         Cycle done = 0;
-        PacketId pkt = 0;
+        Hop hop;
         int dstVc = 0;
     };
 
@@ -320,26 +370,32 @@ class Router
     }
 
     /** @return input VC @p idx's ring slot @p k places behind its
-     *  head. */
+     *  first queued packet. */
     PacketId &
     slot(int idx, unsigned k)
     {
         return ring_[(static_cast<unsigned>(idx) << ringShift_) |
-                     ((qHead_[idx] + k) & ringMask_)];
+                     ((in_[idx].qHead + k) & ringMask_)];
     }
     PacketId
     slot(int idx, unsigned k) const
     {
         return ring_[(static_cast<unsigned>(idx) << ringShift_) |
-                     ((qHead_[idx] + k) & ringMask_)];
+                     ((in_[idx].qHead + k) & ringMask_)];
     }
 
-    /** Record input VC @p idx's head packet in the summaries. */
+    /** @return the Hop of pooled packet @p h, from its slot. */
+    Hop hopOf(PacketId h) const;
+
+    /** Arm the router for an allocation pass at cycle @p c: lower the
+     *  wake cycle, and enter the calendar, only when @p c is earlier. */
     void
-    setHead(int idx, const RouterPacket &head)
+    wakeAt(Cycle c)
     {
-        headReady_[idx] = head.readyCycle;
-        headOut_[idx] = static_cast<std::uint8_t>(head.outPort);
+        if (c < *wake_) {
+            *wake_ = c;
+            shared_->due.insert(c, tile_);
+        }
     }
 
     /** One switch-allocation sweep; @p protected_only restricts
@@ -347,15 +403,15 @@ class Router
     void allocatePass(Cycle now, std::uint64_t &used,
                       bool protected_only);
 
-    /** Rebuild the occupancy mask, head summaries, activity-set and
-     *  finishing-ring membership and the mesh's busy-output count
-     *  from the queues and outputs, and wake at once (checkpoint
+    /** Rebuild the finishing-ring membership, the mesh's busy-output
+     *  and buffered counts and the wake calendar from the queues and
+     *  outputs, arming a router with packets at @p now (checkpoint
      *  restore rebuilds queues behind our back). */
-    void restoreDerived();
+    void restoreDerived(Cycle now);
 
     // Hot state first, so that the lines a neighbour's arrive() and
     // canAccept() and an allocation pass read are few and adjacent.
-    std::uint64_t occ_ = 0;             ///< input VCs with packets
+    std::uint64_t occ_ = 0;             ///< input VCs with a head
     unsigned outBusy_ = 0;              ///< busy output ports
     int totalVcs_;                      ///< VCs per input port
     int vcsPerVnet_;
@@ -371,13 +427,7 @@ class Router
     Cycle pipelineDelay_;
     std::uint64_t portVcs_;             ///< port 0's VCs in occ_
     int rrInput_ = 0;                   ///< SA fairness pointer
-    int buffered_ = 0;                  ///< packets across input VCs
-    std::array<std::int16_t, maxInputVcs> credits_{}; ///< free flits
-    std::array<std::uint8_t, maxInputVcs> qHead_{};   ///< ring heads
-    std::array<std::uint8_t, maxInputVcs> qLen_{};    ///< ring lengths
-    std::array<std::uint8_t, maxInputVcs> headOut_{}; ///< occupied VCs
-    std::array<std::uint8_t, maxInputVcs> portOf_{};  ///< VC -> port
-    std::array<Cycle, maxInputVcs> headReady_{};      ///< occupied VCs
+    std::vector<InVc> in_;              ///< [port][vc] input VCs
     OutPort outputs_[NumPorts];
     Router *neighbor_[NumPorts] = {};
     std::vector<PacketId> ring_;        ///< [port][vc][slot] handles

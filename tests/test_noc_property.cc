@@ -2,9 +2,10 @@
  * @file
  * Property tests for the mesh interconnect, swept over virtual
  * channel configurations with parameterized gtest: packet
- * conservation under sustained random traffic, bounded latency after
- * drain, and per-vnet isolation; plus FNV-1a pins of the ejection
- * order of a saturated mesh, which hold every arbitration decision.
+ * conservation under sustained random traffic, audited every tick,
+ * bounded latency after drain, and per-vnet isolation; plus FNV-1a
+ * pins of the ejection order of a saturated mesh, which hold every
+ * arbitration decision.
  */
 
 #include <gtest/gtest.h>
@@ -82,10 +83,15 @@ TEST_P(MeshProperty, ConservesAllPacketsUnderRandomLoad)
             ++injected;
         }
         mesh.tick(now++);
+        // Every tick: credit and packet conservation, the pool
+        // census, the wake calendar and each kept hop.
+        mesh.checkConservation();
     }
     // Drain.
-    for (int i = 0; i < 50'000 && !mesh.idle(); ++i)
+    for (int i = 0; i < 50'000 && !mesh.idle(); ++i) {
         mesh.tick(now++);
+        mesh.checkConservation();
+    }
     EXPECT_TRUE(mesh.idle()) << "packets stuck in the mesh";
     EXPECT_EQ(delivered, injected);
     EXPECT_TRUE(outstanding.empty());

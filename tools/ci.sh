@@ -4,8 +4,9 @@
 # (an interrupted+resumed run must match the uninterrupted one byte for
 # byte) on the 16-core chip, a resume chain (a resumed run that trips
 # again must save its own snapshot, and that must resume; a flag the
-# resume would ignore is refused; a snapshot, document, report or
-# bench table lost to a failed write is an error), a scale-out smoke
+# resume would ignore is refused; a refused snapshot exits 1 at the
+# default check level; a snapshot, document, report, bench table or
+# example's output lost to a failed write is an error), a scale-out smoke
 # (the same at 32 cores, 8 VMs), a scale-to-256 smoke (the same at 128
 # cores, over-committed), a set-up scaling check (the 1-cycle probe's
 # peak RSS at 1,024 cores within 4.5x of the 256-core probe's), a
@@ -29,8 +30,9 @@
 # snapshot interchange check (a base commit's build and this tree's
 # write byte-identical snapshots and resume each other's), a
 # statistics identity check (both builds dump byte-identical
-# statistics on the four perfbench points and on an over-committed
-# random dyn-sched point) and a same-host perf A/B against that base
+# statistics on the four perfbench points, on an over-committed
+# random dyn-sched point and on a mesh QoS point) and a same-host
+# perf A/B against that base
 # commit (tools/perf_ab.sh; all three only with --perf-base), an
 # ASan+UBSan pass over the whole tier-1 suite
 # (memory safety of the registry, JSON layer, and simulator core),
@@ -137,6 +139,25 @@ rc=0
     echo "resume chain: --resume with --measure wanted exit 2, got $rc" >&2
     exit 1; }
 echo "resume chain: --resume refuses a flag it would ignore"
+# A snapshot that restore refuses is bad input: the resume exits 1
+# naming the refused field at the default check level too, never
+# dies of a signal.
+python3 - "$chain_dir/a.ckpt" "$chain_dir/bad.ckpt" <<'PY'
+import json, sys
+d = json.load(open(sys.argv[1]))
+d["machine"]["stats"]["children"]["vm00"]["stats"]["l2_misses"] = -5
+json.dump(d, open(sys.argv[2], "w"))
+PY
+rc=0
+./build/tools/consim_run --resume "$chain_dir/bad.ckpt" \
+    >/dev/null 2>"$chain_dir/bad.err" || rc=$?
+[[ "$rc" == 1 ]] &&
+    grep -q 'bad stats record (machine.stats.children.vm00.stats.l2_misses' \
+        "$chain_dir/bad.err" || {
+    echo "resume chain: a refused snapshot wanted exit 1 naming its" \
+        "field, got $rc" >&2
+    exit 1; }
+echo "resume chain: a refused snapshot exits 1 at the default level"
 # /dev/full opens, then refuses every byte. The tripped run must say
 # that its snapshot was lost (it still exits 1, on the watchdog); a
 # run whose --json document or --csv report is lost, and a bench whose
@@ -170,8 +191,14 @@ CONSIM_WARMUP=1000 CONSIM_MEASURE=1000 ./build/bench/ablation_noc \
     echo "resume chain: ablation_noc >/dev/full wanted exit 1 naming" \
         "standard output, got $rc" >&2
     exit 1; }
-echo "resume chain: a snapshot, document, report or table lost to" \
-    "/dev/full is an error"
+rc=0
+./build/examples/quickstart >/dev/full 2>"$chain_dir/example.err" || rc=$?
+[[ "$rc" == 1 ]] && grep -q 'standard output' "$chain_dir/example.err" || {
+    echo "resume chain: quickstart >/dev/full wanted exit 1 naming" \
+        "standard output, got $rc" >&2
+    exit 1; }
+echo "resume chain: a snapshot, document, report, table or example" \
+    "output lost to /dev/full is an error"
 
 echo "=== scale-out smoke: 32-core chip, 8 VMs ==="
 # The parametric scale model must uphold the resume contract beyond
@@ -694,8 +721,9 @@ else
     # simulated statistic as it was: the base's build and this tree's
     # must write byte-identical --dump-stats --json documents (the run
     # envelope and the whole statistics tree) for the four perfbench
-    # points at their windows and for an over-committed 8x8 point
-    # whose random dyn-sched swaps rebind cores every 20k cycles.
+    # points at their windows, for an over-committed 8x8 point whose
+    # random dyn-sched swaps rebind cores every 20k cycles, and for
+    # that 8x8 point with a QoS-protected VM on the mesh.
     ident_dir="$work/identity"
     mkdir "$ident_dir"
     ident() {
@@ -725,7 +753,11 @@ else
         echo "statistics identity: the dyn-sched point migrated no" \
             "thread" >&2
         exit 1; }
-    echo "statistics identity: every statistic identical on 5 points"
+    # Mesh QoS: reserved-VC admission and the protected-only pass.
+    ident over64-qos --mix "Mix 5" --mesh 8x8 --sharing 8 \
+        --vm-threads 24,24,24,24 --qos static:vm=0,ways=2,vcs=1 \
+        --warmup 60000 --measure 120000
+    echo "statistics identity: every statistic identical on 6 points"
 
     echo "=== perf A/B: perfbench vs $perf_base on this host ==="
     # Alternating perfbench pairs of the base commit and this working

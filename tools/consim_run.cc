@@ -467,6 +467,9 @@ main(int argc, char **argv)
         }
         RunConfig rcfg;
         try {
+            // A snapshot that restore refuses exits 1 below at every
+            // check level, not only under --check basic or full.
+            const check::RefusalsThrow refusals;
             rcfg = configFromCheckpoint(doc);
             // Wrap through averageRunResults exactly like the normal
             // single-seed path, so the envelope (seeds_used included)
