@@ -1,6 +1,8 @@
 #include "figures.hh"
 
 #include <algorithm>
+#include <cstring>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -17,17 +19,27 @@ namespace
 
 using P = SchedPolicy;
 using S = SharingDegree;
+using K = WorkloadKind;
+
+/** The paper's machine at @p sharing. */
+MachineConfig
+chip(SharingDegree sharing)
+{
+    MachineConfig m;
+    m.sharing = sharing;
+    return m;
+}
 
 Point
 iso(WorkloadKind kind, SchedPolicy policy, SharingDegree sharing)
 {
-    return {{kind}, {}, policy, sharing};
+    return {{kind}, {}, policy, chip(sharing)};
 }
 
 Point
 mixed(const Mix &mix, SchedPolicy policy, SharingDegree sharing)
 {
-    return {mix.vms, mix.threads, policy, sharing};
+    return {mix.vms, mix.threads, policy, chip(sharing)};
 }
 
 /** A cache configuration and thread placement, as a figure labels it. */
@@ -380,6 +392,636 @@ utilization(Figure fig)
     return fig;
 }
 
+// --- the model's extensions and ablations --------------------------
+
+/** The paper's four workloads, in the order Fig. 14 cycles them. */
+const WorkloadKind kFourKinds[] = {K::SpecJbb, K::TpcW, K::TpcH,
+                                   K::SpecWeb};
+
+/** Fully committed homogeneous-size load: cores/16 copies of the
+ *  paper's 4-VM consolidation (each VM 4-threaded). */
+std::vector<WorkloadKind>
+scaledWorkloads(int cores)
+{
+    std::vector<WorkloadKind> out;
+    for (int i = 0; i < cores / 4; ++i)
+        out.push_back(kFourKinds[i % 4]);
+    return out;
+}
+
+/** Heterogeneous consolidation: 8-, 4- and 2-thread VMs filling
+ *  @p cores exactly (two 8s, two 4s, four 2s per 32 cores). */
+void
+heteroMix(int cores, Point &p)
+{
+    const int sizes[] = {8, 8, 4, 4, 2, 2, 2, 2}; // sums to 32
+    for (int placed = 0, i = 0; placed < cores; ++i) {
+        p.workloads.push_back(kFourKinds[i % 4]);
+        p.threads.push_back(sizes[i % 8]);
+        placed += sizes[i % 8];
+    }
+}
+
+/** One Fig. 14 row: a chip at one sharing degree and its load. */
+struct ScaleRow
+{
+    std::string label;
+    Point point;
+    bool hetero;
+};
+
+/**
+ * Fig. 14's rows: 16-, 32- and 64-core meshes at the five sharing
+ * degrees, with the VM count scaled to commit the chip fully, plus
+ * one 2/4/8-thread heterogeneous point per scaled-out chip (the
+ * paper's VMs are uniformly 4-threaded).
+ */
+std::vector<ScaleRow>
+scaleRows()
+{
+    std::vector<ScaleRow> rows;
+    for (const auto &[x, y] : {std::pair{4, 4}, {8, 4}, {8, 8}}) {
+        const std::string mesh = std::to_string(x) + "x" + std::to_string(y);
+        Point p;
+        p.machine.meshX = x;
+        p.machine.meshY = y;
+        p.workloads = scaledWorkloads(x * y);
+        for (const int degree : {1, 2, 4, 8, 16}) {
+            p.machine.sharing = sharingDegree(degree);
+            rows.push_back({mesh, p, false});
+        }
+        if (x * y > 16) {
+            p.machine.sharing = S::Shared4;
+            p.workloads.clear();
+            heteroMix(x * y, p);
+            rows.push_back({mesh + " hetero", p, true});
+        }
+    }
+    return rows;
+}
+
+/** Fig. 14: the consolidation study on larger chips. */
+Figure
+scaleOut(Figure fig)
+{
+    const std::vector<ScaleRow> rows = scaleRows();
+    for (const auto &row : rows)
+        fig.points.push_back(row.point);
+    fig.body = [rows](const Runs &runs, std::ostream &os,
+                      JsonReport &json) {
+        TextTable table({"chip", "cores", "sharing", "VMs",
+                         "cycles/txn (mean)", "miss latency",
+                         "net latency"});
+        for (const auto &row : rows) {
+            const MachineConfig &m = row.point.machine;
+            const RunResult &r = runs.at(row.point);
+            double cpt = 0.0, lat = 0.0;
+            for (const auto &v : r.vms) {
+                cpt += v.cyclesPerTransaction;
+                lat += v.avgMissLatency;
+            }
+            const double n = static_cast<double>(r.vms.size());
+            table.addRow({row.label, std::to_string(m.numCores()),
+                          toString(m.sharing),
+                          std::to_string(row.point.workloads.size()),
+                          TextTable::num(cpt / n, 1),
+                          TextTable::num(lat / n, 1),
+                          TextTable::num(r.netAvgLatency, 1)});
+            auto pt = runs.envelope(row.point);
+            pt.set("cores", m.numCores());
+            pt.set("mesh", std::to_string(m.meshX) + "x" +
+                               std::to_string(m.meshY));
+            pt.set("cores_per_group", coresPerGroup(m.sharing));
+            pt.set("heterogeneous", row.hetero);
+            json.point(std::move(pt));
+        }
+        table.print(os);
+    };
+    return fig;
+}
+
+/** One Fig. 15 scenario: a chip, an LLC size and a bully intensity,
+ *  plus the protected way floor its QoS modes use. */
+struct Bullied
+{
+    int meshX;
+    int meshY;
+    std::uint64_t l2Bytes; ///< 0 = library default (16 MB)
+    int bullies;           ///< number of bully VMs
+    int bullyThreads;      ///< threads per bully VM (the intensity)
+    int ways;              ///< protected way floor for static/dynamic
+
+    std::string
+    name() const
+    {
+        std::string s = std::to_string(meshX * meshY) + "-core";
+        if (l2Bytes)
+            s += "/" + std::to_string(l2Bytes >> 20) + "MB";
+        return s + " x" + std::to_string(bullies) +
+               " bully(t=" + std::to_string(bullyThreads) + ")";
+    }
+};
+
+/** 16-core chip: 3 bullies at rising intensity on the paper's 16 MB
+ *  LLC, plus the 2 MB capacity-channel point (way floor 2). 64-core
+ *  chip: 15 bullies, fully committed (the scaled-up worst case). */
+const Bullied kBullied[] = {{4, 4, 0, 3, 1, 4},
+                            {4, 4, 0, 3, 2, 4},
+                            {4, 4, 0, 3, 4, 4},
+                            {4, 4, 2ull << 20, 3, 4, 2},
+                            {8, 8, 0, 15, 4, 4}};
+
+const char *const kQosModes[] = {"no-qos", "static", "dynamic"};
+
+/**
+ * The QoS spec of @p mode. tokens=1/refill=2048 caps each bully VM to
+ * one memory read per 2048 cycles per controller: even the 64-core
+ * chip's 15 bullies then demand ~0.007 reads/cycle/MC, under the
+ * constrained channel's 1/96 capacity, so the protected VM's reads
+ * stop queueing behind the bullies'. Static and dynamic share every
+ * knob, so the only delta between them is the repartitioner.
+ */
+std::string
+qosSpec(const std::string &mode, int ways)
+{
+    if (mode == "no-qos")
+        return "off";
+    std::string s = mode + ":vm=0,ways=" + std::to_string(ways) +
+                    ",vcs=1,tokens=1,refill=2048";
+    if (mode == "dynamic")
+        s += ",epoch=100000";
+    return s;
+}
+
+/**
+ * The protected SPECjbb VM on @p sc's bandwidth-constrained node,
+ * with its bullies under QoS @p mode, or alone (@p mode null). The
+ * node raises memIssueInterval from 4 to 96 cycles: consolidation
+ * nodes are sized for the average tenant, so a streaming antagonist
+ * saturates the memory controllers. Fig. 15 fixes 500k + 1M windows.
+ */
+Point
+bullied(const Bullied &sc, const char *mode)
+{
+    Point p{{K::SpecJbb}, {}, P::Affinity, {}};
+    p.machine.meshX = sc.meshX;
+    p.machine.meshY = sc.meshY;
+    p.machine.sharing = sharingDegree(sc.meshX * sc.meshY);
+    p.machine.memIssueInterval = 96;
+    if (sc.l2Bytes)
+        p.machine.l2TotalBytes = sc.l2Bytes;
+    p.warmup = 500'000;
+    p.measure = 1'000'000;
+    if (mode == nullptr)
+        return p;
+    p.threads.push_back(0); // protected VM: profile default
+    for (int i = 0; i < sc.bullies; ++i) {
+        p.workloads.push_back(K::Bully);
+        p.threads.push_back(sc.bullyThreads);
+    }
+    p.qos = qosSpec(mode, sc.ways);
+    return p;
+}
+
+/**
+ * Fig. 15: what QoS hardware buys a protected VM against LLC-streaming
+ * bully VMs (~100% miss rate) on a fully shared chip, under no QoS,
+ * static partitioning (fixed L2 ways + one reserved VC + MC token
+ * buckets) and dynamic (the utility-driven repartitioner). The MC
+ * token buckets close the memory channel, the way partition and the
+ * reserved VC the LLC and NoC channels. In the 2 MB scenario the
+ * bullies' fills turn the cache over, the static floor is too small
+ * for the protected VM, and the repartitioner grows past it.
+ * Slowdown is relative to the protected VM alone on the same node,
+ * not the paper's Fig. 2 baseline.
+ */
+Figure
+isolation(Figure fig)
+{
+    for (const auto &sc : kBullied) {
+        for (const char *mode : kQosModes)
+            fig.points.push_back(bullied(sc, mode));
+        fig.points.push_back(bullied(sc, nullptr));
+    }
+    fig.body = [](const Runs &runs, std::ostream &os, JsonReport &json) {
+        TextTable table({"scenario", "qos", "protected cy/txn",
+                         "slowdown", "prot miss lat", "bully stalls"});
+        // Worst-case (over scenarios) protected slowdown per mode.
+        double worst[std::size(kQosModes)] = {};
+        for (const auto &sc : kBullied) {
+            const double alone =
+                runs.at(bullied(sc, nullptr)).vms[0].cyclesPerTransaction;
+            for (std::size_t m = 0; m < std::size(kQosModes); ++m) {
+                const Point p = bullied(sc, kQosModes[m]);
+                RunResult r = runs.at(p);
+                VmResult &prot = r.vms[0];
+                const double slow =
+                    alone > 0.0 ? prot.cyclesPerTransaction / alone : 0.0;
+                prot.slowdownVsIsolated = slow;
+                std::uint64_t bully_stalls = 0;
+                for (std::size_t v = 1; v < r.vms.size(); ++v)
+                    bully_stalls += r.vms[v].mcThrottleStalls;
+                worst[m] = std::max(worst[m], slow);
+                table.addRow({sc.name(), kQosModes[m],
+                              TextTable::num(prot.cyclesPerTransaction, 0),
+                              TextTable::num(slow, 3),
+                              TextTable::num(prot.avgMissLatency, 1),
+                              std::to_string(bully_stalls)});
+                auto pt = runResultJson(p.config(runs.base), r);
+                pt.set("scenario", sc.name());
+                pt.set("qos_mode", kQosModes[m]);
+                pt.set("bully_threads", sc.bullyThreads);
+                pt.set("protected_slowdown", slow);
+                json.point(std::move(pt));
+            }
+        }
+        table.print(os);
+        const bool holds = worst[0] > worst[1] && worst[1] >= worst[2];
+        os << "\nworst-case protected slowdown: no-qos "
+           << TextTable::num(worst[0], 3) << " > static "
+           << TextTable::num(worst[1], 3) << " >= dynamic "
+           << TextTable::num(worst[2], 3) << " : "
+           << (holds ? "holds" : "VIOLATED") << "\n";
+        auto summary = json::Value::object();
+        summary.set("worst_no_qos", worst[0]);
+        summary.set("worst_static", worst[1]);
+        summary.set("worst_dynamic", worst[2]);
+        summary.set("ordering_holds", holds);
+        json.set("summary", std::move(summary));
+    };
+    return fig;
+}
+
+/** One Fig. 17 column: a static placement, optionally with a dynamic
+ *  migration policy layered on top. */
+struct SchedColumn
+{
+    const char *label;
+    SchedPolicy base;
+    const char *dynSpec; ///< "off" = static only
+    bool isDynamic() const { return std::strcmp(dynSpec, "off") != 0; }
+};
+
+/** The dynamic policies all start from the affinity placement, so
+ *  their delta vs "static:affinity" is purely the migrations. */
+const SchedColumn kSchedColumns[] = {
+    {"static:rr", P::RoundRobin, "off"},
+    {"static:affinity", P::Affinity, "off"},
+    {"static:aff-rr", P::AffinityRR, "off"},
+    {"static:random", P::Random, "off"},
+    {"load-balance", P::Affinity, "load-balance,epoch=25000"},
+    {"affinity-repair", P::Affinity, "affinity-repair,epoch=25000"},
+    {"contention-aware", P::Affinity, "contention-aware,epoch=25000"},
+};
+
+/** A Fig. 17 scenario: a Table IV mix, or the bursty chip (no mix). */
+struct SchedScenario
+{
+    const char *name;
+    const char *mix;
+};
+
+const SchedScenario kSchedScenarios[] = {
+    {"Mix 5 (hetero)", "Mix 5"},
+    {"Mix A (homog)", "Mix A"},
+    {"bursty x3", nullptr},
+};
+
+/** @p sc under @p col. Fig. 17 fixes a 200k warmup and a 600k
+ *  measure window (1.2M on the bursty chip). */
+Point
+scheduled(const SchedScenario &sc, const SchedColumn &col)
+{
+    Point p;
+    p.warmup = 200'000;
+    if (sc.mix != nullptr) {
+        const Mix &mix = Mix::byName(sc.mix);
+        p.workloads = mix.vms;
+        p.threads = mix.threads;
+        p.measure = 600'000;
+    } else {
+        // The bursty chip: a 2 MB L2 at sharing 2 gives eight 256 KB
+        // partitions, so two packed burster threads (~160 KB hot
+        // window each) overflow their partition while one alone
+        // fits; three 4-thread Bursty VMs leave four cores idle —
+        // headroom a migration policy can steer the bursting VM's
+        // threads into.
+        p.machine.sharing = S::Shared2;
+        p.machine.l2TotalBytes = 2ull << 20;
+        p.workloads.assign(3, K::Bursty);
+        p.threads.assign(3, 4);
+        p.measure = 1'200'000;
+    }
+    p.policy = col.base;
+    p.dynSched = col.dynSpec;
+    return p;
+}
+
+/** Chip-level cycles per transaction (lower is better). */
+double
+aggregateCpt(const RunResult &r)
+{
+    std::uint64_t txns = 0;
+    for (const auto &vm : r.vms)
+        txns += vm.transactions;
+    return txns ? static_cast<double>(r.measuredCycles) /
+                      static_cast<double>(txns)
+                : 0.0;
+}
+
+/**
+ * Fig. 17: online thread migration vs the paper's static placements.
+ * The Table IV mixes have no phase changes a policy could exploit,
+ * so every migration there is churn that the feedback loop (revert
+ * unhelpful swaps, exponential backoff) must keep bounded, and
+ * affinity-repair, whose c2c trigger never fires on an intact
+ * affinity placement, must track static affinity exactly. On the
+ * bursty chip one VM's sustained burst overflows a partition when
+ * two of its threads share it, and four cores sit idle, so the
+ * contention-aware policy can beat every static placement.
+ */
+Figure
+dynamicScheduling(Figure fig)
+{
+    for (const auto &sc : kSchedScenarios) {
+        for (const auto &col : kSchedColumns)
+            fig.points.push_back(scheduled(sc, col));
+    }
+    fig.body = [](const Runs &runs, std::ostream &os, JsonReport &json) {
+        TextTable table({"scenario", "policy", "agg cy/txn", "miss rate",
+                         "migrations"});
+        // The best static [0] and dynamic [1] column by aggregate
+        // cy/txn, of the last scenario: the bursty mix.
+        double best[2] = {};
+        const SchedColumn *best_col[2] = {};
+        for (const auto &sc : kSchedScenarios) {
+            best[0] = best[1] = 0.0;
+            best_col[0] = best_col[1] = &kSchedColumns[0];
+            for (const auto &col : kSchedColumns) {
+                const Point p = scheduled(sc, col);
+                const RunResult &r = runs.at(p);
+                const double cpt = aggregateCpt(r);
+                double miss = 0.0;
+                for (const auto &vm : r.vms)
+                    miss += vm.missRate;
+                miss /= static_cast<double>(r.vms.size());
+                const int d = col.isDynamic();
+                if (best[d] == 0.0 || cpt < best[d]) {
+                    best[d] = cpt;
+                    best_col[d] = &col;
+                }
+                table.addRow({sc.name, col.label, TextTable::num(cpt, 1),
+                              TextTable::pct(miss),
+                              std::to_string(r.dynMigrations)});
+                auto pt = runs.envelope(p);
+                pt.set("scenario", sc.name);
+                pt.set("sched_point", col.label);
+                pt.set("agg_cycles_per_txn", cpt);
+                json.point(std::move(pt));
+            }
+        }
+        table.print(os);
+        // A phase-changing workload is where migration must win.
+        const bool dyn_wins = best[1] > 0.0 && best[1] < best[0];
+        os << "\nbursty mix: best dynamic (" << best_col[1]->label << ") "
+           << TextTable::num(best[1], 1) << " cy/txn vs best static ("
+           << best_col[0]->label << ") " << TextTable::num(best[0], 1)
+           << " : " << (dyn_wins ? "dynamic wins" : "VIOLATED") << "\n";
+        auto summary = json::Value::object();
+        summary.set("bursty_best_static", best[0]);
+        summary.set("bursty_best_static_policy", best_col[0]->label);
+        summary.set("bursty_best_dynamic", best[1]);
+        summary.set("bursty_best_dynamic_policy", best_col[1]->label);
+        summary.set("dynamic_beats_static", dyn_wins);
+        json.set("summary", std::move(summary));
+    };
+    return fig;
+}
+
+/** A point an ablation reports for one workload. */
+struct Focused
+{
+    const char *title;
+    Point point;
+    WorkloadKind focus;
+};
+
+/**
+ * Ablation of two protocol choices (DESIGN.md section 6), each on and
+ * off, on a c2c-heavy point and a consolidated one: clean forwarding
+ * (a Shared sharer supplies data cache-to-cache; the paper's
+ * workloads are dominated by clean c2c transfers, Table II) vs
+ * classic Origin (memory supplies clean data), and per-tile directory
+ * caches vs none (every home lookup fetches directory state
+ * off-chip).
+ */
+Figure
+protocolAblation(Figure fig)
+{
+    const std::vector<Focused> grids = {
+        {"TPC-H isolated, private L2s (c2c-heavy):",
+         iso(K::TpcH, P::RoundRobin, S::Private), K::TpcH},
+        {"Mix 5 (2x SPECjbb + 2x TPC-H), affinity, shared-4-way "
+         "(SPECjbb metrics):",
+         mixed(Mix::byName("Mix 5"), P::Affinity, S::Shared4),
+         K::SpecJbb},
+    };
+    const auto point = [](const Focused &grid, bool clean_fwd,
+                          bool dir_cache) {
+        Point p = grid.point;
+        p.machine.cleanForwarding = clean_fwd;
+        p.machine.dirCacheEnabled = dir_cache;
+        return p;
+    };
+    for (const auto &grid : grids) {
+        for (const bool clean_fwd : {true, false}) {
+            for (const bool dir_cache : {true, false})
+                fig.points.push_back(point(grid, clean_fwd, dir_cache));
+        }
+    }
+    fig.body = [grids, point](const Runs &runs, std::ostream &os,
+                              JsonReport &json) {
+        for (const auto &grid : grids) {
+            TextTable table({"clean fwd", "dir cache", "miss lat (cy)",
+                             "cycles/txn", "c2c fraction"});
+            for (const bool clean_fwd : {true, false}) {
+                for (const bool dir_cache : {true, false}) {
+                    const Point p = point(grid, clean_fwd, dir_cache);
+                    const RunResult &r = runs.at(p);
+                    double c2c = 0.0;
+                    int n = 0;
+                    for (const auto &v : r.vms) {
+                        if (v.kind == grid.focus) {
+                            c2c += v.c2cFraction;
+                            ++n;
+                        }
+                    }
+                    table.addRow(
+                        {clean_fwd ? "on" : "off", dir_cache ? "on" : "off",
+                         TextTable::num(r.meanMissLatency(grid.focus), 1),
+                         TextTable::num(r.meanCyclesPerTxn(grid.focus), 0),
+                         TextTable::pct(n ? c2c / n : 0.0, 0)});
+                    auto pt = runs.envelope(p);
+                    pt.set("label", grid.title);
+                    pt.set("focus", toString(grid.focus));
+                    json.point(std::move(pt));
+                }
+            }
+            os << grid.title << "\n";
+            table.print(os);
+            os << "\n";
+        }
+    };
+    return fig;
+}
+
+/**
+ * The flit-level mesh vs an idealized fixed-latency network under
+ * affinity and round robin: how much of the policy gap is
+ * interconnect congestion and distance rather than cache behaviour.
+ */
+Figure
+nocAblation(Figure fig)
+{
+    const std::vector<Focused> cases = {
+        {"TPC-W isolated 4-way", iso(K::TpcW, P::Affinity, S::Shared4),
+         K::TpcW},
+        {"Mix C (4x SPECjbb) 4-way",
+         mixed(Mix::byName("Mix C"), P::Affinity, S::Shared4),
+         K::SpecJbb},
+    };
+    const auto point = [](const Focused &c, bool ideal, SchedPolicy policy) {
+        Point p = c.point;
+        p.machine.idealNoc = ideal;
+        p.policy = policy;
+        return p;
+    };
+    for (const auto &c : cases) {
+        for (const bool ideal : {false, true}) {
+            for (const auto policy : {P::Affinity, P::RoundRobin})
+                fig.points.push_back(point(c, ideal, policy));
+        }
+    }
+    fig.body = [cases, point](const Runs &runs, std::ostream &os,
+                              JsonReport &json) {
+        TextTable table({"workload/mix", "network", "policy",
+                         "net latency (cy)", "miss lat (cy)",
+                         "cycles/txn"});
+        for (const auto &c : cases) {
+            for (const bool ideal : {false, true}) {
+                for (const auto policy : {P::Affinity, P::RoundRobin}) {
+                    const Point p = point(c, ideal, policy);
+                    const RunResult &r = runs.at(p);
+                    table.addRow(
+                        {c.title, ideal ? "ideal" : "mesh",
+                         toString(policy),
+                         TextTable::num(r.netAvgLatency, 1),
+                         TextTable::num(r.meanMissLatency(c.focus), 1),
+                         TextTable::num(r.meanCyclesPerTxn(c.focus), 0)});
+                    auto pt = runs.envelope(p);
+                    pt.set("label", c.title);
+                    pt.set("network", ideal ? "ideal" : "mesh");
+                    json.point(std::move(pt));
+                }
+            }
+            table.addSeparator();
+        }
+        table.print(os);
+    };
+    return fig;
+}
+
+/** A migration row of the future-work table: Mix C from the affinity
+ *  placement, static or under the dyn-sched `random` churn. */
+struct Migration
+{
+    Cycle interval; ///< 0 = static
+    const char *label;
+};
+
+const Migration kMigrations[] = {{0, "static (paper)"},
+                                 {400'000, "every 400K cycles"},
+                                 {100'000, "every 100K cycles"},
+                                 {25'000, "every 25K cycles"}};
+
+Point
+migrating(const Migration &m)
+{
+    Point p = mixed(Mix::byName("Mix C"), P::Affinity, S::Shared4);
+    if (m.interval != 0)
+        p.dynSched =
+            DynSchedConfig{DynSchedPolicy::Random, m.interval}.spec();
+    return p;
+}
+
+/**
+ * The paper's Sec. VII future work on the same machine: (1) threads
+ * migrated periodically between cores, as by a hypervisor
+ * reassigning virtual CPUs (one random pair swapped every epoch;
+ * sweeping the epoch prices lost cache affinity); (2) an asymmetric
+ * mix, one 8-thread SPECjbb beside two 4-thread TPC-H; (3) a higher
+ * consolidation degree, two 8-thread instances instead of four
+ * 4-thread ones.
+ */
+Figure
+futureWork(Figure fig)
+{
+    const std::vector<std::pair<const char *, Point>> per_vm = {
+        {"2) Asymmetric mix: 8-thread SPECjbb + 2x 4-thread TPC-H "
+         "(affinity):",
+         mixed({"", {K::SpecJbb, K::TpcH, K::TpcH}, {8, 4, 4}},
+               P::Affinity, S::Shared4)},
+        {"3) Higher degree: 2x 8-thread SPECjbb (affinity) -- compare "
+         "with Mix C's 4x4:",
+         mixed({"", {K::SpecJbb, K::SpecJbb}, {8, 8}}, P::Affinity,
+               S::Shared4)},
+    };
+    for (const auto &m : kMigrations)
+        fig.points.push_back(migrating(m));
+    for (const auto &[title, p] : per_vm)
+        fig.points.push_back(p);
+    fig.body = [per_vm](const Runs &runs, std::ostream &os,
+                        JsonReport &json) {
+        os << "1) Dynamic thread migration (Mix C, affinity start, "
+              "shared-4-way):\n";
+        TextTable table({"migration interval", "cycles/txn",
+                         "LLC miss rate", "miss lat (cy)"});
+        for (const auto &m : kMigrations) {
+            const Point p = migrating(m);
+            const RunResult &r = runs.at(p);
+            auto pt = runs.envelope(p);
+            pt.set("label", m.label);
+            json.point(std::move(pt));
+            table.addRow({m.label,
+                          TextTable::num(r.meanCyclesPerTxn(K::SpecJbb), 0),
+                          TextTable::pct(r.meanMissRate(K::SpecJbb)),
+                          TextTable::num(r.meanMissLatency(K::SpecJbb), 1)});
+        }
+        table.print(os);
+        os << "\n";
+        for (const auto &[title, p] : per_vm) {
+            const RunResult &r = runs.at(p);
+            os << title << "\n";
+            TextTable vms({"vm", "threads", "cycles/txn", "LLC miss rate",
+                           "miss lat (cy)"});
+            for (std::size_t v = 0; v < r.vms.size(); ++v) {
+                const VmResult &vm = r.vms[v];
+                vms.addRow({toString(vm.kind) + " #" + std::to_string(v),
+                            std::to_string(p.threads[v]),
+                            TextTable::num(vm.cyclesPerTransaction, 0),
+                            TextTable::pct(vm.missRate),
+                            TextTable::num(vm.avgMissLatency, 1)});
+            }
+            vms.print(os);
+            os << "\n";
+            auto pt = runs.envelope(p);
+            pt.set("label", title);
+            json.point(std::move(pt));
+        }
+    };
+    return fig;
+}
+
 std::vector<Figure>
 buildFigures()
 {
@@ -576,6 +1218,67 @@ buildFigures()
                   "sums are free/other lines)\n",
         .firstSeed = true,
     }));
+    figs.push_back(scaleOut({
+        .id = "fig14",
+        .title = "Consolidation at Scale",
+        .heading = "Fig 14: Consolidation at Scale (16 / 32 / 64 cores)",
+        .paperRef = "scale-out extension (no paper counterpart; paper "
+                    "machine is the 16-core point)",
+        .shape = "sharing-degree tradeoff persists at 32/64 cores; miss "
+                 "latency grows with mesh diameter",
+        .footer = "\n(16-core rows replay the paper's machine; 32/64-core "
+                  "rows scale the consolidation load with the chip)\n",
+    }));
+    figs.push_back(isolation({
+        .id = "fig15",
+        .title = "Performance Isolation under a Bully VM",
+        .heading = "Fig 15: Performance Isolation under a Bully VM",
+        .paperRef = "isolation extension (no paper counterpart; the "
+                    "paper consolidates cooperative commercial workloads "
+                    "only)",
+        .shape = "protected-VM worst-case slowdown: no-QoS > static >= "
+                 "dynamic; bullies absorb the MC throttle stalls",
+    }));
+    figs.push_back(dynamicScheduling({
+        .id = "fig17",
+        .title = "Dynamic vs Static Hypervisor Scheduling",
+        .heading = "Fig 17: Dynamic vs Static Hypervisor Scheduling",
+        .paperRef = "dynamic-scheduling extension (no paper counterpart; "
+                    "the paper's hypervisor binds threads once, before "
+                    "the run)",
+        .shape = "bounded churn tax vs static affinity on the steady "
+                 "Table IV mixes; at least one dynamic policy beats the "
+                 "best static placement on the bursty mix",
+    }));
+    figs.push_back(protocolAblation({
+        .id = "ablation_protocol",
+        .title = "Protocol design choices",
+        .heading = "Ablation: protocol design choices",
+        .paperRef = "DESIGN.md ablation index",
+        .shape = "clean forwarding should cut miss latency for c2c-heavy "
+                 "workloads; directory caches should cut latency "
+                 "everywhere",
+    }));
+    figs.push_back(nocAblation({
+        .id = "ablation_noc",
+        .title = "Mesh vs ideal interconnect",
+        .heading = "Ablation: mesh vs ideal interconnect",
+        .paperRef = "DESIGN.md ablation index; paper SS V-A interconnect "
+                    "latency discussion",
+        .shape = "the RR-vs-affinity network-latency gap exists only on "
+                 "the real mesh",
+        .footer = "\n(ideal = fixed-latency, infinite-bandwidth network; "
+                  "mesh = 4x4 VC wormhole mesh)\n",
+    }));
+    figs.push_back(futureWork({
+        .id = "ext_future_work",
+        .title = "Paper SSVII future work",
+        .heading = "Extensions: paper SSVII future work",
+        .paperRef = "dynamic scheduling; asymmetric thread counts; higher "
+                    "consolidation degree",
+        .shape = "migration churn should cost cache affinity; bigger "
+                 "instances amplify intra-workload sharing",
+    }));
     return figs;
 }
 
@@ -600,10 +1303,18 @@ RunConfig
 Point::config(const RunConfig &base) const
 {
     RunConfig cfg = base;
-    cfg.machine.sharing = sharing;
+    cfg.machine = machine;
     cfg.workloads = workloads;
     cfg.vmThreads = threads;
     cfg.policy = policy;
+    std::string err;
+    CONSIM_ASSERT(QosConfig::parse(qos, cfg.qos, &err), "qos spec: ", err);
+    CONSIM_ASSERT(DynSchedConfig::parse(dynSched, cfg.dynSched, &err),
+                  "dyn-sched spec: ", err);
+    if (warmup != 0)
+        cfg.warmupCycles = warmup;
+    if (measure != 0)
+        cfg.measureCycles = measure;
     return cfg;
 }
 

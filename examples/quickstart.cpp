@@ -6,7 +6,11 @@
  *
  * Build & run:
  *   cmake -B build -G Ninja && cmake --build build
- *   ./build/examples/quickstart
+ *   CONSIM_WARMUP=200000 CONSIM_MEASURE=200000 ./build/examples/quickstart
+ *
+ * It takes no argument (any exits 2). The windows come from the
+ * environment through mixConfig (RunConfig::fromEnv), 4M + 3M cycles
+ * by default.
  */
 
 #include <iostream>
@@ -17,9 +21,15 @@
 #include "core/report.hh"
 
 int
-main()
+main(int argc, char **argv)
 {
     using namespace consim;
+
+    if (argc > 1) {
+        std::cerr << "error: unexpected argument '" << argv[1]
+                  << "'\nusage: quickstart\n";
+        return 2;
+    }
 
     std::cout << "consim quickstart: Mix C (4x SPECjbb), "
                  "shared-4-way L2, 16-core mesh CMP\n\n";
@@ -28,11 +38,8 @@ main()
                      "avg miss latency (cy)"});
 
     for (auto policy : {SchedPolicy::Affinity, SchedPolicy::RoundRobin}) {
-        RunConfig cfg = mixConfig(Mix::byName("Mix C"), policy,
-                                  SharingDegree::Shared4);
-        cfg.warmupCycles = 1'000'000;
-        cfg.measureCycles = 1'000'000;
-        const RunResult result = runExperiment(cfg);
+        const RunResult result = runExperiment(mixConfig(
+            Mix::byName("Mix C"), policy, SharingDegree::Shared4));
 
         for (std::size_t i = 0; i < result.vms.size(); ++i) {
             const auto &vm = result.vms[i];

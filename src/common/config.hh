@@ -26,6 +26,7 @@
 #ifndef CONSIM_COMMON_CONFIG_HH
 #define CONSIM_COMMON_CONFIG_HH
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -160,6 +161,10 @@ struct MachineConfig
     int flitBytes = 16;            ///< 64B data + header = 5 flits
     int vcsPerVnet = 2;            ///< virtual channels per vnet
     int vcBufferFlits = 4;         ///< buffer depth per VC
+
+    /** Field by field: two configs compare equal exactly when they
+     *  build the same machine. */
+    auto operator<=>(const MachineConfig &) const = default;
 
     // --- L2 group topology helpers ---
 

@@ -105,7 +105,7 @@ struct VmResult
     double c2cDirtyShare = 0.0;  ///< of c2c transfers
     /** cyclesPerTransaction relative to the same workload running
      *  alone on the machine (filled by callers that measure an
-     *  isolated baseline, e.g. bench/fig15_isolation; 0 = not
+     *  isolated baseline, e.g. paper_figures fig15; 0 = not
      *  computed; reported in run.v1 only when nonzero). */
     double slowdownVsIsolated = 0.0;
 };

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <iterator>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -51,30 +50,6 @@ benchSweep(const std::vector<RunConfig> &configs)
     if (failed)
         std::exit(1);
     return results;
-}
-
-std::vector<RunResult>
-benchSweepAveraged(const std::vector<RunConfig> &configs,
-                   const std::vector<std::uint64_t> &seeds)
-{
-    CONSIM_ASSERT(!seeds.empty(), "need at least one seed");
-    std::vector<RunConfig> flat;
-    flat.reserve(configs.size() * seeds.size());
-    for (const auto &cfg : configs) {
-        for (const auto seed : seeds) {
-            flat.push_back(cfg);
-            flat.back().seed = seed;
-        }
-    }
-    std::vector<RunResult> runs = benchSweep(flat);
-    std::vector<RunResult> out;
-    out.reserve(configs.size());
-    const auto n = static_cast<std::ptrdiff_t>(seeds.size());
-    for (auto group = runs.begin(); group != runs.end(); group += n)
-        out.push_back(averageRunResults(std::vector<RunResult>(
-            std::make_move_iterator(group),
-            std::make_move_iterator(group + n))));
-    return out;
 }
 
 json::Value
@@ -272,19 +247,6 @@ jsonArg(int argc, char **argv, const std::string &usage,
         value = argv[++i];
     }
     return value;
-}
-
-std::string
-JsonReport::pathFromArgs(int argc, char **argv)
-{
-    const std::string prog = argc > 0 ? argv[0] : "bench";
-    const std::string path =
-        jsonArg(argc, argv, prog + " [--json <path>]");
-    if (!path.empty())
-        return path;
-    if (const char *env = std::getenv("CONSIM_JSON"))
-        return env;
-    return "";
 }
 
 JsonReport::JsonReport(std::string id, std::string title,

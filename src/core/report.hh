@@ -1,10 +1,11 @@
 /**
  * @file
- * Reporting helpers for the benchmark harness: the bench seed set,
- * the benches' one sweep with its one failure exit, section headers,
- * the standard-output check, strict bench argv, and the shared JSON
- * result format (schema-versioned, config echo + registry-derived
- * metrics) that every bench and consim_run emit behind --json.
+ * Reporting helpers for the table driver and consim_run: the bench
+ * seed set, the driver's one sweep with its one failure exit, section
+ * headers, the standard-output check, strict bench argv, and the
+ * shared JSON result format (schema-versioned, config echo +
+ * registry-derived metrics) that paper_figures and consim_run emit
+ * behind --json.
  */
 
 #ifndef CONSIM_CORE_REPORT_HH
@@ -33,15 +34,6 @@ const std::vector<std::uint64_t> &benchSeeds();
  */
 std::vector<RunResult> benchSweep(const std::vector<RunConfig> &configs);
 
-/**
- * benchSweep over every (config, seed) pair, reduced per config by
- * averageRunResults: result[i] is configs[i] averaged over @p seeds
- * (its own `seed` field is ignored).
- */
-std::vector<RunResult>
-benchSweepAveraged(const std::vector<RunConfig> &configs,
-                   const std::vector<std::uint64_t> &seeds);
-
 /** Print a titled section header for bench output. */
 void printHeader(std::ostream &os, const std::string &title,
                  const std::string &paper_ref,
@@ -58,7 +50,7 @@ void checkStdout();
 //
 // One shared format for every front end. Schemas:
 //   consim.run.v1   {schema, config, result}        (one point)
-//   consim.bench.v1 {schema, id, title, points}     (a figure bench)
+//   consim.bench.v1 {schema, id, title, points}     (one table)
 // All numbers are written with shortest-round-trip formatting, so
 // bit-identical results produce byte-identical documents.
 
@@ -89,22 +81,13 @@ jsonArg(int argc, char **argv, const std::string &usage,
         const std::function<bool(const std::string &)> &operand = {});
 
 /**
- * Accumulates a bench's data points and writes one consim.bench.v1
+ * Accumulates a table's data points and writes one consim.bench.v1
  * document on an explicit write(). With an empty path, write() is a
- * no-op, so benches can call it unconditionally (and skip building
- * points when !enabled()).
+ * no-op, so a front end can call it unconditionally.
  */
 class JsonReport
 {
   public:
-    /**
-     * Resolve the output path of a bench that takes no other
-     * argument: `--json <path>` from argv (strict, see jsonArg) wins,
-     * otherwise the CONSIM_JSON environment variable, otherwise ""
-     * (disabled).
-     */
-    static std::string pathFromArgs(int argc, char **argv);
-
     /** @param id machine-readable bench id, e.g. "fig2" */
     JsonReport(std::string id, std::string title, std::string path);
 

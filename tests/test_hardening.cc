@@ -3,14 +3,12 @@
  * Hardening-layer tests: check levels, SimError, the deterministic
  * fault catalog tripping its matching checker/watchdog, the
  * directory audit catching a cached block with no directory entry
- * through both its entry points, the crash-isolated sweep engine
- * running each point once and isolating its failure, and the bench
- * sweep exiting on a failed run.
+ * through both its entry points, and the crash-isolated sweep engine
+ * running each point once and isolating its failure.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -399,19 +397,6 @@ expectFailsOnce(const SweepRun &run, const RunConfig &cfg)
     }
 }
 
-/** @p text as a POSIX extended regex that matches it literally. */
-std::string
-regexQuote(const std::string &text)
-{
-    std::string out;
-    for (const char c : text) {
-        if (std::strchr("\\^$.|?*+()[]{}", c))
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 } // namespace
 
 TEST(SweepHardening, PoisonedPointIsIsolatedAndFailsOnce)
@@ -501,60 +486,6 @@ TEST(SweepHardening, SixteenPointSweepWithTwoFaultsSalvagesFourteen)
     }
     EXPECT_EQ(good, 14);
     EXPECT_EQ(bad, 2);
-}
-
-TEST(SweepHardening, AveragedSweepReportsSeedsUsed)
-{
-    // benchSweepAveraged reduces each config's seed runs, in config
-    // order, to what serial averaging gives, and says how many seeds
-    // it folded in.
-    RunConfig rr = quickConfig(0);
-    rr.policy = SchedPolicy::RoundRobin;
-    const std::vector<RunConfig> configs = {quickConfig(0), rr};
-    const std::vector<std::uint64_t> seeds = {1, 2};
-    const auto results = benchSweepAveraged(configs, seeds);
-    ASSERT_EQ(results.size(), configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        std::vector<RunResult> group;
-        for (const auto seed : seeds) {
-            RunConfig c = configs[i];
-            c.seed = seed;
-            group.push_back(runExperiment(c));
-        }
-        EXPECT_EQ(runResultJson(configs[i], results[i]).dump(2),
-                  runResultJson(configs[i],
-                                averageRunResults(std::move(group)))
-                      .dump(2))
-            << "config " << i;
-        EXPECT_EQ(results[i].seedsUsed, 2);
-        for (const auto &vm : results[i].vms) {
-            EXPECT_EQ(vm.cyclesPerTransaction, vm.cyclesPerTransaction)
-                << "NaN leaked into an averaged metric";
-        }
-    }
-
-    // seeds_used reaches the JSON envelope only for averaged results.
-    const json::Value avg_doc = runResultJson(configs[0], results[0]);
-    ASSERT_NE(avg_doc.find("result")->find("seeds_used"), nullptr);
-    EXPECT_EQ(avg_doc.find("result")->find("seeds_used")->asUint(), 2u);
-    const json::Value single_doc =
-        runResultJson(configs[0], runExperiment(configs[0]));
-    EXPECT_EQ(single_doc.find("result")->find("seeds_used"), nullptr);
-}
-
-TEST(SweepHardeningDeathTest, AveragedSweepExitsOnFailedSeed)
-{
-    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    // A bench renders nothing from a failed run: any failed seed of
-    // any config exits 1, naming the error kind and echoing the
-    // config that ran.
-    RunConfig failed = poisonedConfig(0);
-    failed.seed = 1;
-    EXPECT_EXIT(benchSweepAveraged({quickConfig(0), poisonedConfig(0)},
-                                   {1, 2}),
-                ::testing::ExitedWithCode(1),
-                "failed \\(watchdog\\): [^\n]*\n  config: " +
-                    regexQuote(toJson(failed).dump()));
 }
 
 // ---------------------------------------------------------------- //

@@ -5,18 +5,18 @@
 # byte) on the 16-core chip, a resume chain (a resumed run that trips
 # again must save its own snapshot, and that must resume; a flag the
 # resume would ignore is refused; a refused snapshot exits 1 at the
-# default check level; a snapshot, document, report, bench table or
-# example's output lost to a failed write is an error), a scale-out smoke
+# default check level; a snapshot, document, report, table, mutant
+# line or example's output lost to a failed write is an error, and
+# the example refuses an argument with exit 2), a scale-out smoke
 # (the same at 32 cores, 8 VMs), a scale-to-256 smoke (the same at 128
 # cores, over-committed), a set-up scaling check (the 1-cycle probe's
 # peak RSS at 1,024 cores within 4.5x of the 256-core probe's), a
 # --dump-stats check (the dump must report the very
 # run the plain path reports, and --csv the threads that ran), an env
 # edge check (run knobs set through the env and through flags make
-# the same envelope), a paper-figures check (one all-figures run of
-# bench/paper_figures prints and writes exactly what the thirteen solo
-# runs do), a bench smoke (every bench bench/CMakeLists.txt declares
-# exits 0 and writes one bench.v1 document), a zero-allocation
+# the same envelope), a paper-figures check (one all-tables run of
+# bench/paper_figures prints and writes exactly what the nineteen solo
+# runs do, one bench.v1 document each), a zero-allocation
 # assertion over the measure window, an isolation smoke (QoS must
 # protect the VM) and a dyn-sched smoke (migration must beat the
 # static placement on the bursty mix, resume across migration epochs
@@ -185,20 +185,38 @@ rc=0
         "output, got $rc" >&2
     exit 1; }
 rc=0
-CONSIM_WARMUP=1000 CONSIM_MEASURE=1000 ./build/bench/ablation_noc \
-    >/dev/full 2>"$chain_dir/table.err" || rc=$?
+CONSIM_WARMUP=1000 CONSIM_MEASURE=1000 ./build/bench/paper_figures \
+    ablation_noc >/dev/full 2>"$chain_dir/table.err" || rc=$?
 [[ "$rc" == 1 ]] && grep -q 'standard output' "$chain_dir/table.err" || {
-    echo "resume chain: ablation_noc >/dev/full wanted exit 1 naming" \
+    echo "resume chain: paper_figures ablation_noc >/dev/full wanted" \
+        "exit 1 naming standard output, got $rc" >&2
+    exit 1; }
+# ckpt_mutate's one line is the edited leaf, which the mutation stage
+# reads through $(...).
+rc=0
+./build/tools/ckpt_mutate "$chain_dir/a.ckpt" 1 0 "$chain_dir/m.ckpt" \
+    >/dev/full 2>"$chain_dir/mutant.err" || rc=$?
+[[ "$rc" == 1 ]] && grep -q 'standard output' "$chain_dir/mutant.err" || {
+    echo "resume chain: ckpt_mutate >/dev/full wanted exit 1 naming" \
         "standard output, got $rc" >&2
     exit 1; }
 rc=0
-./build/examples/quickstart >/dev/full 2>"$chain_dir/example.err" || rc=$?
+CONSIM_WARMUP=1000 CONSIM_MEASURE=1000 ./build/examples/quickstart \
+    >/dev/full 2>"$chain_dir/example.err" || rc=$?
 [[ "$rc" == 1 ]] && grep -q 'standard output' "$chain_dir/example.err" || {
     echo "resume chain: quickstart >/dev/full wanted exit 1 naming" \
         "standard output, got $rc" >&2
     exit 1; }
-echo "resume chain: a snapshot, document, report, table or example" \
-    "output lost to /dev/full is an error"
+rc=0
+./build/examples/quickstart junk >/dev/null 2>"$chain_dir/example.err" ||
+    rc=$?
+[[ "$rc" == 2 ]] && grep -q "unexpected argument 'junk'" \
+    "$chain_dir/example.err" || {
+    echo "resume chain: quickstart junk wanted exit 2 naming the" \
+        "argument, got $rc" >&2
+    exit 1; }
+echo "resume chain: a snapshot, document, report, table, mutant line or" \
+    "example output lost to /dev/full is an error"
 
 echo "=== scale-out smoke: 32-core chip, 8 VMs ==="
 # The parametric scale model must uphold the resume contract beyond
@@ -346,17 +364,20 @@ diff -u "$env_dir/flags.json" "$env_dir/env.json" || {
     exit 1; }
 echo "env edge: env and flag envelopes byte-identical"
 
-echo "=== paper figures: one union run == thirteen solo runs ==="
-# paper_figures runs each distinct point of Table II and Figs. 2-13
-# once and renders every figure from the shared runs. At 100k-cycle
-# windows, where the normalized tables are not degenerate, the
-# all-figures run must print, section by section, and write, file by
-# file, exactly what each figure's solo run does. A stray argument
-# exits 2.
+echo "=== paper figures: one union run == nineteen solo runs ==="
+# paper_figures runs each distinct point of every table (Table II,
+# Figs. 2-15 and 17, the two ablations and the future-work
+# extensions) once and renders every table from the shared runs. At
+# 100k-cycle windows, where the normalized tables are not degenerate
+# (fig15 and fig17 fix their own), the all-tables run must write one
+# consim.bench.v1 document per table and print, section by section,
+# and write, file by file, exactly what each table's solo run does. A
+# stray argument exits 2.
 fig_dir="$work/figures"
 mkdir "$fig_dir"
 fig_ids=(table2 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11
-    fig12 fig13)
+    fig12 fig13 fig14 fig15 fig17 ablation_protocol ablation_noc
+    ext_future_work)
 paper_figures() {
     CONSIM_WARMUP=100000 CONSIM_MEASURE=100000 \
         ./build/bench/paper_figures "$@"
@@ -366,6 +387,10 @@ paper_figures --json "$fig_dir/all" >"$fig_dir/all.txt"
     echo "paper figures: want ${#fig_ids[@]} documents in all/" >&2
     exit 1; }
 for id in "${fig_ids[@]}"; do
+    [[ "$(grep -c '^  "schema": "consim.bench.v1",$' \
+        "$fig_dir/all/$id.json")" == 1 ]] || {
+        echo "paper figures: $id.json is no consim.bench.v1 document" >&2
+        exit 1; }
     paper_figures "$id" --json "$fig_dir/$id" >"$fig_dir/$id.txt"
     cmp "$fig_dir/all/$id.json" "$fig_dir/$id/$id.json" || {
         echo "paper figures: $id.json differs from its solo run" >&2
@@ -379,38 +404,7 @@ rc=0
 ./build/bench/paper_figures --bogus >/dev/null 2>&1 || rc=$?
 [[ "$rc" == 2 ]] || {
     echo "paper figures: --bogus wanted exit 2, got $rc" >&2; exit 1; }
-echo "paper figures: union run matches the thirteen solo runs"
-
-echo "=== bench smoke: every declared bench runs ==="
-# Each bench renders its points from one sweep and exits 1 on a failed
-# run, so exit 0 and one consim.bench.v1 document mean every point ran.
-# The benches are the consim_bench() targets of bench/CMakeLists.txt,
-# never a listing of build/bench (a reused build tree keeps the
-# binaries of deleted targets). They run at 20k-cycle windows; fig15
-# and fig17 fix their own.
-bench_dir="$work/benches"
-mkdir "$bench_dir"
-bench_smoke() {
-    local bench="$1"; shift
-    local rc=0
-    env "$@" "./build/bench/$bench" --json "$bench_dir/$bench.json" \
-        >/dev/null || rc=$?
-    [[ "$rc" == 0 ]] || {
-        echo "bench smoke: $bench exited $rc" >&2; exit 1; }
-    [[ "$(grep -c '^  "schema": "consim.bench.v1",$' \
-        "$bench_dir/$bench.json")" == 1 ]] || {
-        echo "bench smoke: $bench wrote no consim.bench.v1 document" >&2
-        exit 1; }
-}
-mapfile -t benches < <(sed -n 's/^consim_bench(\([a-z0-9_]*\))$/\1/p' \
-    bench/CMakeLists.txt)
-[[ ${#benches[@]} -gt 0 ]] || {
-    echo "bench smoke: bench/CMakeLists.txt declares no bench" >&2; exit 1; }
-for bench in "${benches[@]}"; do
-    bench_smoke "$bench" CONSIM_WARMUP=20000 CONSIM_MEASURE=20000
-done
-echo "bench smoke: ${#benches[@]} benches ran (${benches[*]})," \
-    "one bench.v1 document each"
+echo "paper figures: union run matches the nineteen solo runs"
 
 echo "=== zero-allocation: measure window allocates nothing ==="
 # The pooled/arena hot paths must keep the steady state off the heap:

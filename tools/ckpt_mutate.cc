@@ -6,10 +6,10 @@
  *
  * Reads SNAPSHOT (a `consim.ckpt.v5` document), writes its mutant
  * INDEX of SEED (see ckpt_mutation.hh) to OUT, and prints the edited
- * leaf's path and new value. The leaves are those of the context,
- * of the machine section outside its stats, and of the VM section.
- * tools/ci.sh resumes each mutant with
- * `consim_run --resume OUT --check full`.
+ * leaf's path and new value; that line lost to a failed write exits
+ * 1. The leaves are those of the context, of the machine section
+ * outside its stats, and of the VM section. tools/ci.sh resumes each
+ * mutant with `consim_run --resume OUT --check full`.
  */
 
 #include <fstream>
@@ -21,6 +21,7 @@
 #include "common/json.hh"
 #include "common/parse.hh"
 #include "common/write_file.hh"
+#include "core/report.hh"
 
 using namespace consim;
 
@@ -50,5 +51,6 @@ main(int argc, char **argv)
         return 1;
     }
     std::cout << edit.path << " " << edit.value << "\n";
+    checkStdout();
     return 0;
 }

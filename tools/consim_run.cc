@@ -73,7 +73,6 @@
  *                              the report (single seed; with --json
  *                              the envelope gains a "stats" member)
  *     --json PATH              write the consim.run.v1 JSON envelope
- *                              (also via the CONSIM_JSON env var)
  *
  * A tripped checker / watchdog / deadline exits 1 after printing the
  * structured consim.diag.v1 dump to stderr. A report that standard
@@ -340,8 +339,6 @@ main(int argc, char **argv)
     std::string ckpt_out;
     std::string resume_path;
     std::string run_flag; // first flag that --resume would ignore
-    if (const char *env = std::getenv("CONSIM_JSON"))
-        json_path = env;
 
     auto next_arg = [&](int &i) -> std::string {
         if (i + 1 >= argc)
